@@ -11,17 +11,11 @@
 //   borrower cache -- off (0 pages) vs on (--cache pages, default 64)
 //
 // plus one synchronous-plane baseline row (async off: the historic constant
-// remote cost, no faults possible) and a demand-weighted re-verdict pair:
-// the credit-split policy judged again under the async fabric, where
-// failed placements now include transport give-ups, not just capacity
-// misses.
+// remote cost, no faults possible).
 //
-// The headline numbers:
-//   - cache effect: mean borrowed-get RTT with the cache on vs off at the
-//     default wire speed, fault-free (cache hits are local, costing 0us of
-//     fabric time).
-//   - demand-weighted verdict: aggregate failed puts, even split vs
-//     demand-weighted, same async cell.
+// The headline number is the cache effect: mean borrowed-get RTT with the
+// cache on vs off at the default wire speed, fault-free (cache hits are
+// local, costing 0us of fabric time).
 //
 // CSV contract: ablation_lending.csv holds simulation-visible columns only
 // and deliberately no sim_threads column — runs at different --sim-threads
@@ -136,7 +130,6 @@ struct Cell {
   double rtt_x = 1.0;
   std::string fault = "none";  // none | loss | flaky | outage
   std::uint64_t cache = 0;
-  bool demand_weighted = false;
 };
 
 comm::FaultSpec fault_for(const std::string& name) {
@@ -159,7 +152,6 @@ cluster::FleetRunResult run_cell(const Options& o, const Cell& cell,
   cfg.nodes = o.nodes;
   cfg.vms_per_node = o.vms;
   cfg.lending_heavy = true;
-  cfg.lending_demand_weighted = cell.demand_weighted;
   cfg.delta = true;
   cfg.scale = o.scale;
   cfg.seed = seed;
@@ -179,20 +171,17 @@ int main(int argc, char** argv) {
   const Options o = parse(argc, argv);
 
   std::vector<Cell> cells;
-  cells.push_back({"sync-baseline", false, 1.0, "none", 0, false});
+  cells.push_back({"sync-baseline", false, 1.0, "none", 0});
   for (const double rtt_x : {1.0, 4.0}) {
     for (const char* fault : {"none", "loss", "flaky", "outage"}) {
       for (const std::uint64_t cache : {std::uint64_t{0}, o.cache}) {
         char label[64];
         std::snprintf(label, sizeof label, "rtt%gx/%s/cache%llu", rtt_x,
                       fault, static_cast<unsigned long long>(cache));
-        cells.push_back({label, true, rtt_x, fault, cache, false});
+        cells.push_back({label, true, rtt_x, fault, cache});
       }
     }
   }
-  // Demand-weighted re-verdict pair: same async cell, credit split flipped.
-  cells.push_back({"dw-even", true, 1.0, "none", o.cache, false});
-  cells.push_back({"dw-weighted", true, 1.0, "none", o.cache, true});
 
   std::printf("=== ablation: async lending fabric (%zu nodes x %zu tenants, "
               "lending-heavy, scale %g, cache %llu pages) ===\n",
@@ -212,7 +201,7 @@ int main(int argc, char** argv) {
   struct Agg {
     RunningStats failed, put_rtt, get_rtt;
     std::uint64_t borrows = 0, retries = 0, giveups = 0, fallbacks = 0;
-    std::uint64_t chits = 0, cmiss = 0, failed_placements = 0;
+    std::uint64_t chits = 0, cmiss = 0;
   };
   std::vector<Agg> agg(cells.size());
   for (std::size_t c = 0; c < cells.size(); ++c) {
@@ -227,7 +216,6 @@ int main(int argc, char** argv) {
       agg[c].fallbacks += r.fabric_get_fallbacks;
       agg[c].chits += r.cache_hits;
       agg[c].cmiss += r.cache_misses;
-      agg[c].failed_placements += r.lending_failed_placements;
     }
     std::printf("%-22s %11.0f %8llu %8llu %8llu %8llu %8llu %8llu %8.1fu "
                 "%8.1fu\n",
@@ -241,14 +229,14 @@ int main(int argc, char** argv) {
                 agg[c].put_rtt.mean(), agg[c].get_rtt.mean());
   }
 
-  // Headline 1: the borrower cache's effect on borrowed-get latency at the
+  // Headline: the borrower cache's effect on borrowed-get latency at the
   // default wire speed, fault-free.
   const Cell* on = nullptr;
   const Cell* off = nullptr;
   std::size_t on_i = 0, off_i = 0;
   for (std::size_t c = 0; c < cells.size(); ++c) {
     if (!cells[c].async || cells[c].rtt_x != 1.0 ||
-        cells[c].fault != "none" || cells[c].demand_weighted) {
+        cells[c].fault != "none") {
       continue;
     }
     if (cells[c].cache == 0 && off == nullptr) { off = &cells[c]; off_i = c; }
@@ -268,23 +256,10 @@ int main(int argc, char** argv) {
                     static_cast<double>(agg[on_i].chits + agg[on_i].cmiss));
   }
 
-  // Headline 2: the demand-weighted credit split judged again under the
-  // async fabric.
-  const std::size_t even_i = cells.size() - 2;
-  const std::size_t dw_i = cells.size() - 1;
-  std::printf("demand-weighted re-verdict (async fabric): credit-starved "
-              "placements %llu weighted vs %llu even split; aggregate "
-              "failed puts %.0f vs %.0f; borrows %llu vs %llu\n",
-              static_cast<unsigned long long>(agg[dw_i].failed_placements),
-              static_cast<unsigned long long>(agg[even_i].failed_placements),
-              agg[dw_i].failed.mean(), agg[even_i].failed.mean(),
-              static_cast<unsigned long long>(agg[dw_i].borrows),
-              static_cast<unsigned long long>(agg[even_i].borrows));
-
   if (!o.csv_dir.empty()) {
     const std::string path = o.csv_dir + "/ablation_lending.csv";
     std::ofstream csv(path);
-    csv << "cell,async,rtt_x,fault,cache_pages,demand_weighted,rep,"
+    csv << "cell,async,rtt_x,fault,cache_pages,rep,"
            "failed_puts,puts_total,makespan_s,borrow_placements,"
            "failed_placements,failed_replacements,fabric_requests,"
            "fabric_retries,fabric_timeouts,fabric_give_ups,"
@@ -297,12 +272,11 @@ int main(int argc, char** argv) {
         char line[512];
         std::snprintf(
             line, sizeof line,
-            "%s,%d,%g,%s,%llu,%d,%zu,%llu,%llu,%.6f,%llu,%llu,%llu,%llu,"
+            "%s,%d,%g,%s,%llu,%zu,%llu,%llu,%.6f,%llu,%llu,%llu,%llu,"
             "%llu,%llu,%llu,%llu,%llu,%llu,%llu,%.3f,%.3f,%llu\n",
             cells[c].label.c_str(), cells[c].async ? 1 : 0, cells[c].rtt_x,
             cells[c].fault.c_str(),
-            static_cast<unsigned long long>(cells[c].cache),
-            cells[c].demand_weighted ? 1 : 0, rep,
+            static_cast<unsigned long long>(cells[c].cache), rep,
             static_cast<unsigned long long>(r.aggregate_failed_puts),
             static_cast<unsigned long long>(r.puts_total), r.makespan_s,
             static_cast<unsigned long long>(r.borrow_placements),

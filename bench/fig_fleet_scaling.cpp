@@ -28,7 +28,6 @@
 //   --fleet-encoding e       delta | full | both (default both)
 //   --fleet-resync n         delta resync cadence (default 16)
 //   --fleet-incremental      O(changed-VMs) MM decide path
-//   --fleet-demand-weighted  demand-weighted lending credit split
 //   --fleet-no-lending       disable remote-tmem lending
 //   --fleet-lending-heavy    hot-node/cold-donor geometry (node 0 spills at
 //                            1.6x usable RAM, others fit at 0.55x) so the
@@ -86,7 +85,6 @@ struct Options {
   std::string encoding = "both";  // delta | full | both
   std::uint64_t resync = 16;
   bool incremental = false;
-  bool demand_weighted = false;
   bool lending = true;
   bool lending_heavy = false;
   bool async_lending = false;
@@ -111,7 +109,7 @@ void usage(std::FILE* out) {
       "  [--fleet-nodes n] [--fleet-vms n] [--fleet-skew f]\n"
       "  [--fleet-mix read-heavy|balanced|write-heavy]\n"
       "  [--fleet-policy p] [--fleet-encoding delta|full|both]\n"
-      "  [--fleet-resync n] [--fleet-incremental] [--fleet-demand-weighted]\n"
+      "  [--fleet-resync n] [--fleet-incremental]\n"
       "  [--fleet-no-lending] [--fleet-lending-heavy] [--fleet-async-lending]\n"
       "  [--fleet-lend-cache n] [--fleet-lend-rtt-x f] [--fleet-lend-loss p]\n"
       "  [--fleet-lend-reorder p] [--fleet-lend-outage-from-s s]\n"
@@ -193,8 +191,6 @@ Options parse(int argc, char** argv) {
       o.resync = parse_u64("--fleet-resync", next(i), 1, 1u << 20);
     } else if (arg == "--fleet-incremental") {
       o.incremental = true;
-    } else if (arg == "--fleet-demand-weighted") {
-      o.demand_weighted = true;
     } else if (arg == "--fleet-no-lending") {
       o.lending = false;
     } else if (arg == "--fleet-lending-heavy") {
@@ -247,7 +243,6 @@ struct Cell {
 /// runs keep the historic config byte-for-byte.
 void apply_lending(const Options& o, cluster::FleetExperimentConfig& cfg) {
   cfg.lending = o.lending;
-  cfg.lending_demand_weighted = o.demand_weighted;
   cfg.lending_heavy = o.lending_heavy;
   if (o.async_lending) {
     cfg.lending_async.enabled = true;
@@ -310,11 +305,11 @@ int main(int argc, char** argv) {
   std::printf("=== fleet scaling: %zu tenants/node, skew %g, mix %s, %s ===\n",
               o.vms, o.skew, workloads::to_string(o.mix), o.policy.c_str());
   std::printf("%zu cell(s) x %zu rep(s), scale %g, resync %llu, "
-              "incremental %s, lending %s%s, sim-threads %zu\n\n",
+              "incremental %s, lending %s, sim-threads %zu\n\n",
               cells.size(), o.reps, o.scale,
               static_cast<unsigned long long>(o.resync),
               o.incremental ? "on" : "off", o.lending ? "on" : "off",
-              o.demand_weighted ? " (demand-weighted)" : "", o.sim_threads);
+              o.sim_threads);
 
   // Wall-clock and the decide-ns probe go to stdout only — the CSV must
   // stay byte-identical across --sim-threads and machine speeds.

@@ -5,6 +5,7 @@
 #include <utility>
 
 #include "common/logging.hpp"
+#include "common/strfmt.hpp"
 
 namespace smartmem::cluster {
 
@@ -14,7 +15,7 @@ SimTime cluster_sim_clock(const void* ctx) {
   return static_cast<const sim::Simulator*>(ctx)->now();
 }
 
-/// Stamps this thread's log lines with the driving simulator's time for the
+/// Stamps this thread's log lines with the rack shard's time for the
 /// guard's lifetime (the cluster-level twin of VirtualNode's guard). The
 /// clock is thread-local, so engine workers simply log without timestamps.
 class LogClockGuard {
@@ -30,10 +31,6 @@ class LogClockGuard {
 }  // namespace
 
 Cluster::Cluster(ClusterConfig config) : config_(std::move(config)) {
-  // Sharding needs a safe conservative window: a positive lower bound on
-  // every inter-node hop. Zero (a lognormal hop somewhere) forces the
-  // classic shared-simulator wiring.
-  sharded_ = config_.topology.min_internode_latency() > 0;
   if (config_.obs.any()) {
     observer_ = std::make_unique<obs::Observer>(config_.obs);
   }
@@ -45,63 +42,48 @@ std::size_t Cluster::add_node(core::NodeConfig config) {
   if (started_) {
     throw std::logic_error("Cluster: add_node after start");
   }
-  if (sharded_) {
-    // Own-simulator mode: the node is a shard. For one node this is the
-    // exact single-node stack (a private fresh simulator either way).
-    nodes_.push_back(std::make_unique<core::VirtualNode>(std::move(config)));
-  } else {
-    nodes_.push_back(
-        std::make_unique<core::VirtualNode>(std::move(config), sim_));
-  }
+  nodes_.push_back(std::make_unique<core::VirtualNode>(std::move(config)));
   return nodes_.size() - 1;
-}
-
-sim::Simulator& Cluster::drive_sim() {
-  if (sharded_ && nodes_.size() == 1) return nodes_[0]->simulator();
-  return sim_;
 }
 
 void Cluster::wire_rack() {
   const std::size_t n = nodes_.size();
 
-  if (sharded_) {
-    sim::ParallelEngine::Config ecfg;
-    ecfg.lookahead = config_.topology.min_internode_latency();
-    ecfg.threads = config_.sim_threads;
-    engine_ = std::make_unique<sim::ParallelEngine>(ecfg);
+  // The engine rejects a topology with no positive minimum inter-node
+  // latency (a lognormal hop) before anything is wired or scheduled.
+  sim::ParallelEngine::Config ecfg;
+  ecfg.lookahead = config_.topology.min_internode_latency();
+  ecfg.threads = config_.sim_threads;
+  engine_ = std::make_unique<sim::ParallelEngine>(ecfg);
+  for (std::size_t i = 0; i < n; ++i) {
+    engine_->add_shard(&nodes_[i]->simulator());
+  }
+  rack_shard_ = engine_->add_shard(&sim_);
+  engine_->set_barrier_hook([this](SimTime end) { on_barrier(end); });
+  if (config_.profile) {
+    // Label shards up front so reports and metrics name them; sizing to
+    // the final count here keeps the Registry's pointers into the
+    // per-shard storage stable (profiler state only ever grows).
+    profiler_ = std::make_unique<sim::EngineProfiler>();
+    profiler_->resize(n + 1);
     for (std::size_t i = 0; i < n; ++i) {
-      engine_->add_shard(&nodes_[i]->simulator());
+      profiler_->set_shard_label(i, strfmt("n%zu", i));
     }
-    rack_shard_ = engine_->add_shard(&sim_);
-    engine_->set_barrier_hook([this](SimTime end) { on_barrier(end); });
-    if (config_.profile) {
-      // Label shards up front so reports and metrics name them; sizing to
-      // the final count here keeps the Registry's pointers into the
-      // per-shard storage stable (profiler state only ever grows).
-      profiler_ = std::make_unique<sim::EngineProfiler>();
-      profiler_->resize(n + 1);
-      for (std::size_t i = 0; i < n; ++i) {
-        profiler_->set_shard_label(i, "n" + std::to_string(i));
-      }
-      profiler_->set_shard_label(rack_shard_, "rack");
-      engine_->set_profiler(profiler_.get());
-    }
+    profiler_->set_shard_label(rack_shard_, "rack");
+    engine_->set_profiler(profiler_.get());
   }
 
   if (config_.lending) {
     std::vector<hyper::Hypervisor*> hyps;
     hyps.reserve(n);
     for (auto& node : nodes_) hyps.push_back(&node->hypervisor());
-    broker_ = std::make_unique<LendingBroker>(
-        std::move(hyps),
-        sharded_ ? LendingMode::kSharded : LendingMode::kImmediate,
-        config_.lending_demand_weighted);
+    broker_ = std::make_unique<LendingBroker>(std::move(hyps));
     broker_->enable_async(config_.lending_async, config_.topology);
     for (std::size_t i = 0; i < n; ++i) {
       nodes_[i]->hypervisor().set_remote_tmem(
           broker_->port(static_cast<NodeId>(i)));
       // Each borrower partition's in-flight timers live on that node's own
-      // event stream (the shared simulator in classic mode).
+      // event stream.
       broker_->attach_sim(static_cast<NodeId>(i), &nodes_[i]->simulator());
     }
   }
@@ -129,13 +111,13 @@ void Cluster::wire_rack() {
   downlinks_.reserve(n);
   last_rollup_.resize(n);
   rollup_rounds_.assign(n, 0);
+  rollups_suppressed_.assign(n, 0);
   for (std::size_t i = 0; i < n; ++i) {
-    // Uplink: source side (send, latency draw, stats) lives with the node;
-    // in sharded mode the receiver (GlobalManager) is reached through the
-    // engine. Downlink: the mirror image, sourced from the rack shard.
-    sim::Simulator& node_sim = sharded_ ? nodes_[i]->simulator() : sim_;
+    // Uplink: source side (send, latency draw, stats) lives with the node
+    // and the receiver (GlobalManager) is reached through the engine.
+    // Downlink: the mirror image, sourced from the rack shard.
     uplinks_.push_back(std::make_unique<comm::Channel<NodeStats>>(
-        node_sim, config_.topology.uplink_for(i)));
+        nodes_[i]->simulator(), config_.topology.uplink_for(i)));
     uplinks_.back()->set_sizer(
         [](const NodeStats& s) { return wire_size(s); });
     uplinks_.back()->open(
@@ -146,10 +128,8 @@ void Cluster::wire_rack() {
         [](const NodeQuotaMsg& m) { return wire_size(m); });
     downlinks_.back()->open(
         [this, i](const NodeQuotaMsg& msg) { on_quota(i, msg); });
-    if (sharded_) {
-      uplinks_.back()->bind_cross_shard(engine_.get(), i, rack_shard_);
-      downlinks_.back()->bind_cross_shard(engine_.get(), rack_shard_, i);
-    }
+    uplinks_.back()->bind_cross_shard(engine_.get(), i, rack_shard_);
+    downlinks_.back()->bind_cross_shard(engine_.get(), rack_shard_, i);
     nodes_[i]->set_stats_tap([this, i](const hyper::MemStats& stats) {
       on_node_sample(i, stats);
     });
@@ -162,53 +142,43 @@ void Cluster::wire_rack() {
     obs::TraceRecorder* trace = observer_->trace();
     obs::Registry* registry = observer_->registry();
     gm_->attach_obs(trace, observer_->audit());
-    if (broker_ && !sharded_) {
-      broker_->attach_obs(trace, [this] { return sim_.now(); });
-    }
     if (trace != nullptr) {
-      if (sharded_) {
-        // Each node shard records into a private ring; the rings merge into
-        // the rack recorder at teardown. The record hot path therefore
-        // never crosses shards.
-        obs::TraceConfig tcfg;
-        tcfg.categories = config_.obs.trace_categories;
-        tcfg.capacity = config_.obs.trace_capacity;
-        tcfg.sample_every = config_.obs.trace_sample_every;
-        node_traces_.reserve(n);
-        for (std::size_t i = 0; i < n; ++i) {
-          node_traces_.push_back(std::make_unique<obs::TraceRecorder>(tcfg));
-          const std::uint16_t track = node_traces_[i]->register_track(
-              "cluster", "fabric-n" + std::to_string(i));
-          uplinks_[i]->set_trace(node_traces_[i].get(), track);
-          const std::uint16_t down_track = trace->register_track(
-              "cluster", "fabric-n" + std::to_string(i));
-          downlinks_[i]->set_trace(trace, down_track);
-          if (broker_) {
-            sim::Simulator* node_sim = &nodes_[i]->simulator();
-            broker_->attach_partition_obs(
-                static_cast<NodeId>(i), node_traces_[i].get(),
-                [node_sim] { return node_sim->now(); });
-          }
-        }
-      } else {
-        for (std::size_t i = 0; i < n; ++i) {
-          const std::uint16_t track = trace->register_track(
-              "cluster", "fabric-n" + std::to_string(i));
-          uplinks_[i]->set_trace(trace, track);
-          downlinks_[i]->set_trace(trace, track);
+      // Each node shard records into a private ring; the rings merge into
+      // the rack recorder at teardown. The record hot path therefore never
+      // crosses shards.
+      obs::TraceConfig tcfg;
+      tcfg.categories = config_.obs.trace_categories;
+      tcfg.capacity = config_.obs.trace_capacity;
+      tcfg.sample_every = config_.obs.trace_sample_every;
+      node_traces_.reserve(n);
+      for (std::size_t i = 0; i < n; ++i) {
+        const std::string track_name = strfmt("fabric-n%zu", i);
+        node_traces_.push_back(std::make_unique<obs::TraceRecorder>(tcfg));
+        uplinks_[i]->set_trace(
+            node_traces_[i].get(),
+            node_traces_[i]->register_track("cluster", track_name));
+        downlinks_[i]->set_trace(trace,
+                                 trace->register_track("cluster", track_name));
+        if (broker_) {
+          sim::Simulator* node_sim = &nodes_[i]->simulator();
+          broker_->attach_partition_obs(static_cast<NodeId>(i),
+                                        node_traces_[i].get(),
+                                        [node_sim] { return node_sim->now(); });
         }
       }
     }
     if (registry != nullptr) {
       gm_->register_metrics(*registry, n);
-      registry->add_counter("rack.rollups_suppressed", &rollups_suppressed_);
+      registry->add_counter("rack.rollups_suppressed", [this] {
+        return static_cast<double>(rollups_suppressed());
+      });
       if (profiler_) profiler_->register_metrics(*registry);
       if (broker_) broker_->register_metrics(*registry);
       if (broker_ && broker_->fabric() != nullptr) {
         broker_->fabric()->register_metrics(*registry);
       }
       for (std::size_t i = 0; i < n; ++i) {
-        const std::string prefix = "n" + std::to_string(i);
+        const std::string prefix = strfmt("n%zu", i);
         comm::register_channel_metrics(*registry, prefix + ".gm_up.",
                                        &uplinks_[i]->stats());
         comm::register_channel_metrics(*registry, prefix + ".gm_down.",
@@ -312,17 +282,11 @@ void Cluster::wire_rack() {
         });
       }
       registry->snapshot(sim_.now());
-      if (sharded_) {
-        // The gauges above reach into every shard, so snapshots may only
-        // run at window barriers (on_barrier), never from a mid-window
-        // periodic event.
-        snapshot_interval_ = gcfg.interval;
-        next_snapshot_ = gcfg.interval;
-      } else {
-        metrics_sampler_ = sim_.schedule_periodic(gcfg.interval, [this] {
-          observer_->registry()->snapshot(sim_.now());
-        });
-      }
+      // The gauges above reach into every shard, so snapshots may only run
+      // at window barriers (on_barrier), never from a mid-window periodic
+      // event.
+      snapshot_interval_ = gcfg.interval;
+      next_snapshot_ = gcfg.interval;
     }
   }
 
@@ -358,12 +322,18 @@ void Cluster::on_node_sample(std::size_t i, const hyper::MemStats& stats) {
     ++rollup_rounds_[i];
     if (!resend_due && last_rollup_[i] &&
         same_payload(*last_rollup_[i], ns)) {
-      ++rollups_suppressed_;
+      ++rollups_suppressed_[i];
       return;
     }
     last_rollup_[i] = ns;
   }
   uplinks_[i]->send(ns);
+}
+
+std::uint64_t Cluster::rollups_suppressed() const {
+  std::uint64_t total = 0;
+  for (const std::uint64_t n : rollups_suppressed_) total += n;
+  return total;
 }
 
 std::uint64_t Cluster::rack_control_bytes() const {
@@ -374,26 +344,10 @@ std::uint64_t Cluster::rack_control_bytes() const {
 }
 
 void Cluster::on_quota(std::size_t i, const NodeQuotaMsg& msg) {
-  hyper::Hypervisor& hyp = nodes_[i]->hypervisor();
-  hyp.apply_node_quota(msg.seq, msg.quota);
-  if (!broker_ || broker_->mode() == LendingMode::kSharded) {
-    // Sharded mode: this runs on the node's shard, and recalls reach into
-    // other shards — sync_window() applies the entitlement consequence at
-    // the next barrier instead.
-    return;
-  }
-  // Donor-side consequence of the (possibly) new quota: frames the node is
-  // now entitled to again must come back from its lent pool.
-  const PageCount phys = hyp.total_tmem();
-  const PageCount quota = hyp.node_quota();
-  const PageCount entitlement = quota == kUnlimitedTarget
-                                    ? phys
-                                    : (quota < phys ? quota : phys);
-  const PageCount lendable_cap = phys - entitlement;
-  if (hyp.lent_pages() > lendable_cap) {
-    broker_->recall_lent(static_cast<NodeId>(i),
-                         hyp.lent_pages() - lendable_cap);
-  }
+  // Runs on the node's shard. A grown quota's donor-side consequence
+  // (recalling lent frames) reaches into other shards, so sync_window()
+  // applies it at the next barrier.
+  nodes_[i]->hypervisor().apply_node_quota(msg.seq, msg.quota);
 }
 
 void Cluster::on_barrier(SimTime end) {
@@ -431,35 +385,23 @@ bool Cluster::all_done() const {
 }
 
 SimTime Cluster::run(SimTime deadline) {
-  LogClockGuard log_clock(drive_sim());
   if (!started_) start();
-  SimTime end;
-  if (engine_) {
-    end = engine_->run([this] { return all_done(); }, deadline);
-    if (!all_done()) {
-      log::warn(log::Component::kCore,
-                "cluster run() hit the deadline at %.1fs with unfinished VMs",
-                to_seconds(end));
-      for (auto& node : nodes_) node->stop_all();
-      // Drain: stop requests land at the next batch boundaries; run the
-      // windows out until every VM has wound down.
-      end = engine_->run([this] { return all_done(); },
-                         std::numeric_limits<SimTime>::max() / 4);
-    }
-  } else {
-    sim::Simulator& sim = drive_sim();
-    while (!all_done() && sim.now() < deadline) {
-      if (!sim.step()) break;
-    }
-    if (!all_done()) {
-      log::warn(log::Component::kCore,
-                "cluster run() hit the deadline at %.1fs with unfinished VMs",
-                to_seconds(sim.now()));
-      for (auto& node : nodes_) node->stop_all();
-      while (!all_done() && sim.step()) {
-      }
-    }
-    end = sim.now();
+  if (!engine_) {
+    const SimTime end = nodes_[0]->run(deadline);
+    teardown();
+    return end;
+  }
+  LogClockGuard log_clock(sim_);
+  SimTime end = engine_->run([this] { return all_done(); }, deadline);
+  if (!all_done()) {
+    log::warn(log::Component::kCore,
+              "cluster run() hit the deadline at %.1fs with unfinished VMs",
+              to_seconds(end));
+    for (auto& node : nodes_) node->stop_all();
+    // Drain: stop requests land at the next batch boundaries; run the
+    // windows out until every VM has wound down.
+    end = engine_->run([this] { return all_done(); },
+                       std::numeric_limits<SimTime>::max() / 4);
   }
   teardown();
   return end;
@@ -468,7 +410,6 @@ SimTime Cluster::run(SimTime deadline) {
 void Cluster::teardown() {
   if (finished_) return;
   finished_ = true;
-  metrics_sampler_.cancel();
   if (gm_) gm_->stop();
   // Outstanding borrow round trips die with the cluster: cancel their
   // in-flight completion timers exactly as Tkm::stop() cancels deliveries.
@@ -479,12 +420,13 @@ void Cluster::teardown() {
   if (observer_) {
     if (observer_->trace() != nullptr) {
       // Fold the node shards' private rings into the rack recorder so the
-      // exported trace covers the whole cluster, as it did pre-sharding.
+      // exported trace covers the whole cluster.
       for (auto& t : node_traces_) observer_->trace()->merge_from(*t);
       node_traces_.clear();
     }
     if (observer_->registry() != nullptr) {
-      observer_->registry()->snapshot(drive_sim().now());
+      const sim::Simulator& last = engine_ ? sim_ : nodes_[0]->simulator();
+      observer_->registry()->snapshot(last.now());
     }
     std::string err;
     if (!observer_->export_all(&err)) {

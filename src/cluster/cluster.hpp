@@ -16,15 +16,14 @@
 // the minimum inter-node channel latency (the ~5 ms rack hop); cross-shard
 // traffic (stats roll-ups, quota vectors, lending settlement) moves only
 // at window barriers, in a deterministic total order. A multi-node run is
-// therefore byte-identical for every sim_threads value, including 1 —
-// sharding is always on from 2 nodes up, threading is optional. If the
-// topology has no positive minimum inter-node latency (e.g. a lognormal
-// hop), sharding is impossible and the cluster falls back to the classic
-// single-simulator wiring.
+// therefore byte-identical for every sim_threads value, including 1. The
+// rack hops must have a positive minimum latency: a topology without one
+// (e.g. a lognormal hop) admits no safe window, and start() rejects it for
+// a cluster of two or more nodes.
 //
 // Determinism contract: a 1-node cluster wires *nothing* beyond the node
 // itself — no GlobalManager, no broker, no inter-node channels, no stats
-// tap, no engine — so its event stream, and therefore its output, is
+// tap, no engine — and runs VirtualNode::run, so its output is
 // byte-identical to the single-node path for the same NodeConfig and seed.
 #pragma once
 
@@ -68,12 +67,6 @@ struct ClusterConfig {
   /// Remote-tmem lending between nodes.
   bool lending = true;
 
-  /// Demand-weighted lending credit split (sharded mode): each window's
-  /// donor credit divides proportionally to the borrowers' failed
-  /// placements of the previous window instead of evenly. Off by default —
-  /// the even split is the byte-identical historic behaviour.
-  bool lending_demand_weighted = false;
-
   /// Asynchronous lending data plane (cluster/lend_fabric.hpp): borrows run
   /// as request/response round trips over the topology's lending hops, with
   /// faults, timeouts, retries, congestion and an optional borrower-side
@@ -98,7 +91,7 @@ struct ClusterConfig {
   /// Shards are labelled "n0".."nK" and "rack". Wall-clock derived — the
   /// event schedule and every simulation outcome stay byte-identical; the
   /// results surface via profiler() and, with a metrics registry attached,
-  /// as "engine."-prefixed gauges. Ignored in classic (non-sharded) mode.
+  /// as "engine."-prefixed gauges. Ignored by a 1-node cluster.
   bool profile = false;
 
   /// Rack-level observability (GlobalManager audit/trace, lending and
@@ -114,9 +107,7 @@ class Cluster {
   Cluster(const Cluster&) = delete;
   Cluster& operator=(const Cluster&) = delete;
 
-  /// Adds a node running `config`. In sharded mode (positive minimum
-  /// inter-node latency) the node owns a private simulator shard; otherwise
-  /// it shares the cluster simulator. Call
+  /// Adds a node running `config` on its own simulator shard. Call
   /// core::populate_node(cluster.node(i), ...) afterwards to add its VMs.
   /// Nodes must all be added before start()/run().
   std::size_t add_node(core::NodeConfig config);
@@ -126,28 +117,31 @@ class Cluster {
   std::size_t node_count() const { return nodes_.size(); }
 
   /// Wires the rack (channels, GlobalManager, broker, engine — 2+ nodes
-  /// only) and starts every node. run() calls this when needed.
+  /// only) and starts every node. run() calls this when needed. Throws
+  /// std::invalid_argument, before any event runs, when 2+ nodes meet a
+  /// topology with no positive minimum inter-node latency.
   void start();
 
   /// Advances the simulation until every node's VMs are done (or the
   /// deadline), then tears everything down. Returns the end time.
   SimTime run(SimTime deadline = 4 * 3600 * kSecond);
 
-  /// The rack shard's simulator in sharded mode; the shared simulator
-  /// otherwise (for a 1-node sharded cluster, prefer node(0).simulator()).
+  /// The rack shard's simulator (unused by a 1-node cluster, which runs on
+  /// node(0).simulator()).
   sim::Simulator& simulator() { return sim_; }
   GlobalManager* global_manager() { return gm_.get(); }
   LendingBroker* broker() { return broker_.get(); }
   obs::Observer* observer() { return observer_.get(); }
   sim::ParallelEngine* engine() { return engine_.get(); }
-  /// Engine self-profile; nullptr unless config.profile and sharded mode.
+  /// Engine self-profile; nullptr unless config.profile and 2+ nodes.
   const sim::EngineProfiler* profiler() const { return profiler_.get(); }
   const ClusterConfig& config() const { return config_; }
   bool all_done() const;
 
   /// Roll-ups not sent because the payload matched the node's previous one
-  /// (delta mode only).
-  std::uint64_t rollups_suppressed() const { return rollups_suppressed_; }
+  /// (delta mode only). Sums per-node slots, so call it only between
+  /// windows or after the run.
+  std::uint64_t rollups_suppressed() const;
   /// Rack control-plane payload bytes actually sent (uplinks + downlinks).
   std::uint64_t rack_control_bytes() const;
 
@@ -158,15 +152,9 @@ class Cluster {
   void on_barrier(SimTime end);
   void teardown();
 
-  /// The simulator the classic (non-engine) run loop steps: node 0's shard
-  /// for a 1-node sharded cluster, the shared simulator otherwise.
-  sim::Simulator& drive_sim();
-
   ClusterConfig config_;
-  // Sharded mode: the rack shard (GlobalManager + downlink sources).
-  // Classic mode: the one shared simulator for everything.
+  // The rack shard: GlobalManager + downlink sources.
   sim::Simulator sim_;
-  bool sharded_ = false;
   std::vector<std::unique_ptr<core::VirtualNode>> nodes_;
   std::vector<std::unique_ptr<comm::Channel<NodeStats>>> uplinks_;
   std::vector<std::unique_ptr<comm::Channel<NodeQuotaMsg>>> downlinks_;
@@ -176,17 +164,17 @@ class Cluster {
   std::unique_ptr<GlobalManager> gm_;
   std::unique_ptr<LendingBroker> broker_;
   std::unique_ptr<obs::Observer> observer_;
-  // Sharded mode: per-node-shard trace rings (uplink spans, lending
-  // instants), merged into the rack recorder at teardown.
+  // Per-node-shard trace rings (uplink spans, lending instants), merged
+  // into the rack recorder at teardown.
   std::vector<std::unique_ptr<obs::TraceRecorder>> node_traces_;
-  sim::EventHandle metrics_sampler_;  // classic mode only
-  SimTime snapshot_interval_ = 0;     // sharded mode: barrier-driven
+  SimTime snapshot_interval_ = 0;  // barrier-driven metrics snapshots
   SimTime next_snapshot_ = 0;
-  // Roll-up delta state (delta mode): last payload sent per node + per-node
-  // sample occasion counter driving the resync cadence.
+  // Roll-up delta state (delta mode), one slot per node — each written only
+  // from that node's shard: last payload sent, the sample occasion counter
+  // driving the resync cadence, and the suppressed-send count.
   std::vector<std::optional<NodeStats>> last_rollup_;
   std::vector<std::uint64_t> rollup_rounds_;
-  std::uint64_t rollups_suppressed_ = 0;
+  std::vector<std::uint64_t> rollups_suppressed_;
   bool started_ = false;
   bool finished_ = false;
 };

@@ -1,51 +1,13 @@
 #include "cluster/lending.hpp"
 
 #include <algorithm>
-#include <cassert>
 #include <stdexcept>
 #include <utility>
 
 namespace smartmem::cluster {
 
-std::vector<PageCount> split_credit(PageCount pool,
-                                    const std::vector<std::uint64_t>& demand,
-                                    bool demand_weighted) {
-  const std::size_t n = demand.size();
-  std::vector<PageCount> share(n, 0);
-  if (n == 0 || pool == 0) return share;
-
-  // Largest-remainder apportionment over weights (1 + demand), which with
-  // uniform weights degenerates to the historic even split: base = pool / n,
-  // remainder to the lowest indices.
-  std::vector<std::uint64_t> weight(n, 1);
-  std::uint64_t total = 0;
-  for (std::size_t i = 0; i < n; ++i) {
-    if (demand_weighted) weight[i] += demand[i];
-    total += weight[i];
-  }
-  PageCount assigned = 0;
-  std::vector<std::uint64_t> frac(n, 0);
-  for (std::size_t i = 0; i < n; ++i) {
-    share[i] = pool * weight[i] / total;
-    frac[i] = pool * weight[i] % total;
-    assigned += share[i];
-  }
-  std::vector<std::size_t> order(n);
-  for (std::size_t i = 0; i < n; ++i) order[i] = i;
-  std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
-    if (frac[a] != frac[b]) return frac[a] > frac[b];
-    return a < b;
-  });
-  for (std::size_t k = 0; assigned < pool; ++k) {
-    share[order[k]] += 1;
-    ++assigned;
-  }
-  return share;
-}
-
-LendingBroker::LendingBroker(std::vector<hyper::Hypervisor*> nodes,
-                             LendingMode mode, bool demand_weighted)
-    : hyps_(std::move(nodes)), mode_(mode), demand_weighted_(demand_weighted) {
+LendingBroker::LendingBroker(std::vector<hyper::Hypervisor*> nodes)
+    : hyps_(std::move(nodes)) {
   if (hyps_.size() < 2) {
     throw std::invalid_argument("LendingBroker: needs at least 2 nodes");
   }
@@ -53,10 +15,8 @@ LendingBroker::LendingBroker(std::vector<hyper::Hypervisor*> nodes,
   for (NodeId i = 0; i < state_.size(); ++i) {
     state_[i].self = i;
     state_[i].port = std::make_unique<Port>(*this, i);
-    if (mode_ == LendingMode::kSharded) {
-      state_[i].credit.assign(hyps_.size(), 0);
-      state_[i].pending_release.assign(hyps_.size(), 0);
-    }
+    state_[i].credit.assign(hyps_.size(), 0);
+    state_[i].pending_release.assign(hyps_.size(), 0);
   }
 }
 
@@ -78,15 +38,6 @@ hyper::RemoteTmem* LendingBroker::port(NodeId node) {
   return state_.at(node).port.get();
 }
 
-void LendingBroker::attach_obs(obs::TraceRecorder* trace,
-                               std::function<SimTime()> clock) {
-  trace_ = trace;
-  clock_ = std::move(clock);
-  if (trace_ != nullptr) {
-    track_ = trace_->register_track("cluster", "lending");
-  }
-}
-
 void LendingBroker::attach_partition_obs(NodeId node,
                                          obs::TraceRecorder* trace,
                                          std::function<SimTime()> clock) {
@@ -100,37 +51,31 @@ void LendingBroker::attach_partition_obs(NodeId node,
 
 void LendingBroker::trace_instant(NodeState& st, const char* name,
                                   NodeId borrower, NodeId donor) {
-  // Partition recorder first (sharded mode); the shared recorder is only
-  // safe when the broker runs on a single simulator.
-  obs::TraceRecorder* trace = st.trace != nullptr ? st.trace : trace_;
-  if (trace == nullptr || !trace->enabled(obs::kCatCluster)) return;
-  const std::uint16_t track = st.trace != nullptr ? st.track : track_;
-  const SimTime now = st.trace != nullptr ? (st.clock ? st.clock() : 0)
-                                          : (clock_ ? clock_() : 0);
-  trace->instant(obs::kCatCluster, track, name, now,
-                 {{"borrower", static_cast<double>(borrower)},
-                  {"donor", static_cast<double>(donor)}});
+  if (st.trace == nullptr || !st.trace->enabled(obs::kCatCluster)) return;
+  st.trace->instant(obs::kCatCluster, st.track, name,
+                    st.clock ? st.clock() : 0,
+                    {{"borrower", static_cast<double>(borrower)},
+                     {"donor", static_cast<double>(donor)}});
 }
 
-void LendingBroker::drop_entry(NodeState& st, const RemoteKey& key) {
-  auto it = st.index.find(key);
-  if (it == st.index.end()) return;
+LendingBroker::Index::iterator LendingBroker::drop_entry(NodeState& st,
+                                                         Index::iterator it) {
   // Single choke point for cache coherence: whenever a borrowed entry dies
-  // (flush, release, recall, ephemeral-hit consume, index repair) the
-  // borrower-side cached copy dies with it.
-  if (fabric_ != nullptr) fabric_->cache(st.self).erase(key);
-  st.index.erase(it);
+  // (flush, release, recall, ephemeral-hit consume) the borrower-side
+  // cached copy dies with it.
+  if (fabric_ != nullptr) fabric_->cache(st.self).erase(it->first);
   st.borrowed_total -= 1;
-  auto pv = st.borrowed_per_vm.find(key.vm);
+  auto pv = st.borrowed_per_vm.find(it->first.vm);
   if (pv != st.borrowed_per_vm.end() && --pv->second == 0) {
     st.borrowed_per_vm.erase(pv);
   }
+  return st.index.erase(it);
 }
 
-void LendingBroker::release_frame(NodeState& st, const RemoteKey& key,
-                                  NodeId donor) {
-  st.shadow.erase(key);
-  st.pending_release[donor] += 1;
+LendingBroker::Index::iterator LendingBroker::release_frame(
+    NodeState& st, Index::iterator it) {
+  st.pending_release[it->second.donor] += 1;
+  return drop_entry(st, it);
 }
 
 bool LendingBroker::do_put(NodeId node, VmId vm, tmem::PoolType type,
@@ -140,11 +85,11 @@ bool LendingBroker::do_put(NodeId node, VmId vm, tmem::PoolType type,
   const RemoteKey key{vm, type, object, index};
   st.last_elapsed = 0;
 
-  // Replacement of a key the broker already holds stays on its donor (the
-  // donor-side put swaps the payload without consuming a new frame).
+  // Replacement of a key the broker already holds stays on its donor and
+  // swaps the payload without consuming a new frame.
   auto it = st.index.find(key);
   if (it != st.index.end()) {
-    const NodeId donor = it->second;
+    const NodeId donor = it->second.donor;
     if (fabric_ != nullptr) {
       comm::LendRequest req{0, comm::LendOp::kPut, node, vm,
                             type,  object,          index, true};
@@ -153,46 +98,32 @@ bool LendingBroker::do_put(NodeId node, VmId vm, tmem::PoolType type,
       st.last_elapsed = out.elapsed;
       if (!out.ok) {
         // The replacement never reached the donor and the guest is about to
-        // fall back to disk — drop the entry (and the stale donor frame)
-        // so owns() never vouches for a payload the guest stopped trusting.
+        // fall back to disk — drop the entry (and free the stale donor
+        // frame) so owns() never vouches for a payload the guest stopped
+        // trusting.
         ++st.failed_replacements;
         fabric_->send_invalidate(node, donor, comm::LendOp::kFlush);
-        if (mode_ == LendingMode::kSharded) {
-          release_frame(st, key, donor);
-        } else {
-          hyps_[donor]->host_remote_flush(node, vm, type, object, index);
-        }
-        drop_entry(st, key);
+        release_frame(st, it);
         return false;
       }
       fabric_->record_put_rtt(node, out.elapsed);
       fabric_->cache(node).insert(key, payload);
     }
-    if (mode_ == LendingMode::kSharded) {
-      st.shadow[key] = payload;
-      return true;
-    }
-    return hyps_[donor]->host_remote_put(node, vm, type, object, index,
-                                         payload);
+    it->second.payload = payload;
+    return true;
   }
 
   // Fresh placement: deterministic rotation over the other nodes, first
-  // donor with capacity wins (lendable frames in immediate mode, remaining
-  // window credit in sharded mode). The cursor advances past a chosen donor
-  // so successive placements spread instead of piling on node 0. With the
-  // async data plane the capacity probe only *selects* the donor; the
-  // request/response exchange then decides whether the placement lands —
-  // and a transport give-up degrades to a local failed put rather than
+  // donor with remaining window credit wins. The cursor advances past a
+  // chosen donor so successive placements spread instead of piling on node
+  // 0. With the async data plane the credit probe only *selects* the donor;
+  // the request/response exchange then decides whether the placement lands
+  // — and a transport give-up degrades to a local failed put rather than
   // hammering the next donor with a guest already waiting on its timeout.
   const NodeId n = static_cast<NodeId>(hyps_.size());
   for (NodeId j = 0; j < n; ++j) {
     const NodeId donor = (node + 1 + st.rotation + j) % n;
-    if (donor == node) continue;
-    if (mode_ == LendingMode::kSharded) {
-      if (st.credit[donor] == 0) continue;
-    } else if (hyps_[donor]->lendable_pages() == 0) {
-      continue;
-    }
+    if (donor == node || st.credit[donor] == 0) continue;
     if (fabric_ != nullptr) {
       comm::LendRequest req{0, comm::LendOp::kPut, node, vm,
                             type,  object,          index, true};
@@ -201,40 +132,21 @@ bool LendingBroker::do_put(NodeId node, VmId vm, tmem::PoolType type,
       st.last_elapsed += out.elapsed;
       if (!out.ok) {
         ++st.failed_placements;
-        ++st.failed_placements_total;
         return false;
       }
-    }
-    if (mode_ == LendingMode::kSharded) {
-      st.credit[donor] -= 1;
-      st.shadow.emplace(key, payload);
-    } else if (!hyps_[donor]->host_remote_put(node, vm, type, object, index,
-                                              payload)) {
-      // The donor's answer was "no capacity" (the probe raced a local
-      // grow-back). The exchange itself succeeded; rotation continues.
-      continue;
-    }
-    if (fabric_ != nullptr) {
       fabric_->record_put_rtt(node, st.last_elapsed);
       fabric_->cache(node).insert(key, payload);
     }
-    st.index.emplace(key, donor);
+    st.credit[donor] -= 1;
+    st.index.emplace(key, Borrowed{donor, payload});
     st.borrowed_total += 1;
     st.borrowed_per_vm[vm] += 1;
     st.rotation = (st.rotation + j + 1) % n;
     ++st.placements;
-    if (mode_ == LendingMode::kImmediate) {
-      // Sharded mode tracks the peak at barriers only (summing partitions
-      // mid-window would race the other shards).
-      PageCount total = 0;
-      for (const NodeState& s : state_) total += s.borrowed_total;
-      peak_borrowed_ = std::max(peak_borrowed_, total);
-    }
     trace_instant(st, "borrow_place", node, donor);
     return true;
   }
   ++st.failed_placements;
-  ++st.failed_placements_total;
   return false;
 }
 
@@ -251,7 +163,7 @@ std::optional<tmem::PagePayload> LendingBroker::do_get(NodeId node, VmId vm,
     ++st.misses;
     return std::nullopt;
   }
-  const NodeId donor = it->second;
+  const NodeId donor = it->second.donor;
 
   // Borrower-side cache: a hit serves the page at the access point and
   // skips the inter-node round trip entirely.
@@ -263,12 +175,7 @@ std::optional<tmem::PagePayload> LendingBroker::do_get(NodeId node, VmId vm,
         // Exclusivity survives the cache: the donor copy is consumed via a
         // fire-and-forget invalidate (drop_entry also erases the cache).
         fabric_->send_invalidate(node, donor, comm::LendOp::kFlush);
-        if (mode_ == LendingMode::kSharded) {
-          release_frame(st, key, donor);
-        } else {
-          hyps_[donor]->host_remote_flush(node, vm, type, object, index);
-        }
-        drop_entry(st, key);
+        release_frame(st, it);
       }
       trace_instant(st, "borrow_cache_hit", node, donor);
       return cached;
@@ -291,34 +198,17 @@ std::optional<tmem::PagePayload> LendingBroker::do_get(NodeId node, VmId vm,
     }
   }
 
-  std::optional<tmem::PagePayload> payload;
-  if (mode_ == LendingMode::kSharded) {
-    auto sh = st.shadow.find(key);
-    if (sh != st.shadow.end()) payload = sh->second;
-  } else {
-    payload = hyps_[donor]->host_remote_get(node, vm, type, object, index);
-  }
-  if (!payload) {
-    // Index and backing store disagree — repair the index rather than lie.
-    drop_entry(st, key);
-    ++st.misses;
-    return std::nullopt;
-  }
+  const tmem::PagePayload payload = it->second.payload;
   ++st.hits;
   if (fabric_ != nullptr && type == tmem::PoolType::kPersistent) {
     // Hot borrowed pages earn a seat at the access point; ephemeral pages
     // are consumed on their first (and only) hit below.
-    fabric_->cache(node).insert(key, *payload);
+    fabric_->cache(node).insert(key, payload);
   }
   if (type == tmem::PoolType::kEphemeral) {
     // Victim-cache semantics survive the rack hop: an ephemeral hit
     // consumes the page.
-    if (mode_ == LendingMode::kSharded) {
-      release_frame(st, key, donor);
-    } else {
-      hyps_[donor]->host_remote_flush(node, vm, type, object, index);
-    }
-    drop_entry(st, key);
+    release_frame(st, it);
   }
   trace_instant(st, "borrow_hit", node, donor);
   return payload;
@@ -327,21 +217,14 @@ std::optional<tmem::PagePayload> LendingBroker::do_get(NodeId node, VmId vm,
 bool LendingBroker::do_flush(NodeId node, VmId vm, tmem::PoolType type,
                              std::uint64_t object, std::uint32_t index) {
   NodeState& st = state_[node];
-  const RemoteKey key{vm, type, object, index};
-  auto it = st.index.find(key);
+  auto it = st.index.find(RemoteKey{vm, type, object, index});
   if (it == st.index.end()) return false;
   // A guest flush does not wait on the donor: the invalidate frame is
-  // fire-and-forget (retried implicitly — the donor frame is reclaimed at
-  // the latest by the next recall sweep).
+  // fire-and-forget; the frame itself returns at the next barrier.
   if (fabric_ != nullptr) {
-    fabric_->send_invalidate(node, it->second, comm::LendOp::kFlush);
+    fabric_->send_invalidate(node, it->second.donor, comm::LendOp::kFlush);
   }
-  if (mode_ == LendingMode::kSharded) {
-    release_frame(st, key, it->second);
-  } else {
-    hyps_[it->second]->host_remote_flush(node, vm, type, object, index);
-  }
-  drop_entry(st, key);
+  release_frame(st, it);
   return true;
 }
 
@@ -355,18 +238,11 @@ PageCount LendingBroker::do_flush_object(NodeId node, VmId vm,
   auto it = st.index.lower_bound(RemoteKey{vm, type, object, 0});
   while (it != st.index.end() && it->first.vm == vm &&
          it->first.type == type && it->first.object == object) {
-    const RemoteKey key = it->first;
-    const NodeId donor = it->second;
-    ++it;
     if (fabric_ != nullptr) {
-      fabric_->send_invalidate(node, donor, comm::LendOp::kFlushObject);
+      fabric_->send_invalidate(node, it->second.donor,
+                               comm::LendOp::kFlushObject);
     }
-    if (mode_ == LendingMode::kSharded) {
-      release_frame(st, key, donor);
-    } else {
-      hyps_[donor]->host_remote_flush(node, vm, type, object, key.index);
-    }
-    drop_entry(st, key);
+    it = release_frame(st, it);
     ++flushed;
   }
   return flushed;
@@ -386,6 +262,15 @@ PageCount LendingBroker::do_borrowed_pages(NodeId node, VmId vm) const {
 
 PageCount LendingBroker::borrowed_total(NodeId node) const {
   return state_.at(node).borrowed_total;
+}
+
+PageCount LendingBroker::credit(NodeId borrower, NodeId donor) const {
+  return state_.at(borrower).credit.at(donor);
+}
+
+PageCount LendingBroker::unsettled_releases(NodeId borrower,
+                                            NodeId donor) const {
+  return state_.at(borrower).pending_release.at(donor);
 }
 
 std::uint64_t LendingBroker::borrow_placements() const {
@@ -408,7 +293,7 @@ std::uint64_t LendingBroker::borrow_misses() const {
 
 std::uint64_t LendingBroker::failed_placements() const {
   std::uint64_t total = 0;
-  for (const NodeState& s : state_) total += s.failed_placements_total;
+  for (const NodeState& s : state_) total += s.failed_placements;
   return total;
 }
 
@@ -427,19 +312,10 @@ PageCount LendingBroker::do_release(NodeId node, PageCount max_pages) {
       ++it;
       continue;
     }
-    const RemoteKey key = it->first;
-    const NodeId donor = it->second;
-    ++it;
     if (fabric_ != nullptr) {
-      fabric_->send_invalidate(node, donor, comm::LendOp::kFlush);
+      fabric_->send_invalidate(node, it->second.donor, comm::LendOp::kFlush);
     }
-    if (mode_ == LendingMode::kSharded) {
-      release_frame(st, key, donor);
-    } else {
-      hyps_[donor]->host_remote_flush(node, key.vm, key.type, key.object,
-                                      key.index);
-    }
-    drop_entry(st, key);
+    it = release_frame(st, it);
     ++released;
   }
   return released;
@@ -454,69 +330,39 @@ PageCount LendingBroker::recall_lent(NodeId donor, PageCount max_pages) {
     NodeState& st = state_[b];
     auto it = st.index.begin();
     while (it != st.index.end() && recalled < max_pages) {
-      if (it->second != donor) {
+      if (it->second.donor != donor) {
         ++it;
         continue;
       }
-      const RemoteKey key = it->first;
-      ++it;
-      if (key.type == tmem::PoolType::kEphemeral) {
-        // Victim cache: the borrower just loses the cached copy.
-        if (mode_ == LendingMode::kSharded) {
-          st.shadow.erase(key);
-        } else {
-          hyps_[donor]->host_remote_flush(b, key.vm, key.type, key.object,
-                                          key.index);
+      const RemoteKey& key = it->first;
+      if (key.type == tmem::PoolType::kPersistent) {
+        // Migrate the only copy home. When the borrower has no free frame
+        // the page must stay borrowed.
+        if (!hyps_[b]->rehome_page(key.vm, key.type, key.object, key.index,
+                                   it->second.payload)) {
+          ++it;
+          continue;
         }
-        drop_entry(st, key);
-        ++recalled;
-        ++recalls_;
-        continue;
+        ++recall_migrations_;
+        trace_instant(st, "recall_migrate", b, donor);
       }
-      // Persistent: migrate the only copy home. When the borrower has no
-      // free frame the page must stay borrowed.
-      std::optional<tmem::PagePayload> payload;
-      if (mode_ == LendingMode::kSharded) {
-        auto sh = st.shadow.find(key);
-        if (sh != st.shadow.end()) payload = sh->second;
-      } else {
-        payload = hyps_[donor]->host_remote_get(b, key.vm, key.type,
-                                                key.object, key.index);
-      }
-      if (!payload) {
-        drop_entry(st, key);
-        continue;
-      }
-      if (!hyps_[b]->rehome_page(key.vm, key.type, key.object, key.index,
-                                 *payload)) {
-        continue;
-      }
-      if (mode_ == LendingMode::kSharded) {
-        st.shadow.erase(key);
-      } else {
-        hyps_[donor]->host_remote_flush(b, key.vm, key.type, key.object,
-                                        key.index);
-      }
-      drop_entry(st, key);
+      // An ephemeral entry is a victim cache: the borrower just loses the
+      // cached copy.
+      it = drop_entry(st, it);
       ++recalled;
       ++recalls_;
-      ++recall_migrations_;
-      trace_instant(st, "recall_migrate", b, donor);
     }
   }
-  if (mode_ == LendingMode::kSharded && recalled > 0) {
-    // Sharded recalls free leased frames, not directly-stored pages.
-    hyps_[donor]->host_unlease(recalled);
-  }
+  // Recalled pages give their leased frames straight back to the donor.
+  if (recalled > 0) hyps_[donor]->host_unlease(recalled);
   return recalled;
 }
 
 void LendingBroker::sync_window() {
-  assert(mode_ == LendingMode::kSharded);
   const NodeId n = static_cast<NodeId>(hyps_.size());
 
   // 1. Pool the window's leftovers: unused credit (counters only, no store
-  //    traffic) and frames freed by borrower-side flushes.
+  //    traffic) and unsettled releases.
   std::vector<PageCount> credit_pool(n, 0);
   std::vector<PageCount> freed(n, 0);
   for (NodeId b = 0; b < n; ++b) {
@@ -554,29 +400,22 @@ void LendingBroker::sync_window() {
     if (excess > 0) recall_lent(d, excess);
   }
 
-  // 3. Top every donor's lease back up to its lendable capacity and hand
-  //    the pooled credit out for the next window — evenly by default,
-  //    weighted by last window's failed placements when demand-weighting is
-  //    on (split_credit reduces to the historic even split in either case
-  //    when demands are uniform).
-  std::vector<std::uint64_t> demand(n - 1, 0);
+  // 3. Top every donor's lease back up to its lendable capacity and split
+  //    the pool evenly as next window's credit: each borrower gets
+  //    pool / (n - 1), and the remainder goes one frame each to the lowest
+  //    borrower ids.
+  const PageCount borrowers = n - 1;
   for (NodeId d = 0; d < n; ++d) {
-    credit_pool[d] += hyps_[d]->host_lease(hyps_[d]->lendable_pages());
-    if (credit_pool[d] == 0) continue;  // step 1 already zeroed the credits
-    std::size_t k = 0;
+    const PageCount pool =
+        credit_pool[d] + hyps_[d]->host_lease(hyps_[d]->lendable_pages());
+    if (pool == 0) continue;  // step 1 already zeroed the credits
+    PageCount extra = pool % borrowers;
     for (NodeId b = 0; b < n; ++b) {
-      if (b != d) demand[k++] = state_[b].failed_placements;
-    }
-    const std::vector<PageCount> share =
-        split_credit(credit_pool[d], demand, demand_weighted_);
-    k = 0;
-    for (NodeId b = 0; b < n; ++b) {
-      if (b != d) state_[b].credit[d] = share[k++];
+      if (b == d) continue;
+      state_[b].credit[d] = pool / borrowers + (extra > 0 ? 1 : 0);
+      if (extra > 0) --extra;
     }
   }
-  // The window's demand signal is consumed; the next window accumulates
-  // afresh.
-  for (NodeState& s : state_) s.failed_placements = 0;
 
   PageCount total = 0;
   for (const NodeState& s : state_) total += s.borrowed_total;

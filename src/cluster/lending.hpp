@@ -1,32 +1,39 @@
 // Remote-tmem lending broker: the rack's cross-node page placement.
 //
 // A node whose quota exceeds its physical capacity is entitled to frames it
-// does not own; the broker turns that entitlement into pages hosted on
-// donor nodes with spare, un-entitled frames (lendable_pages() > 0). Each
-// node gets a Port implementing hyper::RemoteTmem; the hypervisor's
-// Algorithm 1 falls through to the port when the node is physically full
-// but below quota.
+// does not own; the broker turns that entitlement into pages backed by
+// frames leased on donor nodes with spare, un-entitled frames
+// (lendable_pages() > 0). Each node gets a Port implementing
+// hyper::RemoteTmem; the hypervisor's Algorithm 1 falls through to the port
+// when the node is physically full but below quota.
+//
+// Credit/lease protocol (DESIGN §11): every port operation is strictly
+// local to the borrower's partition, so borrowers on different engine
+// shards never touch shared state mid-window. At each window barrier
+// sync_window() reserves every lendable donor frame through
+// Hypervisor::host_lease and splits each donor's pool evenly across the
+// borrowers as placement *credit*. A fresh placement consumes one credit;
+// a flush or an ephemeral-hit consume queues the freed frame as an
+// unsettled release, which the next sync_window() returns to the donor.
+// Invariant, summed over the rack: leased frames == borrowed pages +
+// outstanding credit + unsettled releases.
 //
 // Semantics:
-//  - The borrower's (vm, type, object, index) key is the identity; the
-//    broker keeps a per-borrower sorted index key -> donor NodeId.
-//  - On the donor every borrowed page lives in a persistent-typed lender
-//    pool (one per borrower x vm x type, owned by the pseudo-VM
-//    kLenderVmBase + borrower), so a donor-side ephemeral eviction can
-//    never silently drop a borrower's only copy of a frontswap page.
-//  - Borrowed *ephemeral*-typed pages are still a victim cache from the
-//    borrower's point of view: a remote_get hit flushes the page at the
-//    donor; release_borrowed() (quota shrink, slow reclaim) drops only
-//    ephemeral-typed entries. Persistent-typed pages move only through
-//    recall_lent(), which migrates them back into the borrower's own store.
+//  - The borrower's (vm, type, object, index) key is the identity; each
+//    borrower keeps a sorted map key -> (donor, payload). The payload lives
+//    borrower-side; the donor holds only an opaque leased frame.
+//  - Borrowed *ephemeral*-typed pages are a victim cache: a remote_get hit
+//    consumes the page; release_borrowed() (quota shrink, slow reclaim)
+//    drops only ephemeral-typed entries. Persistent-typed pages move only
+//    through recall_lent(), which migrates them back into the borrower's
+//    own store.
 //  - Donor choice is a deterministic rotation over the other nodes, so a
 //    given (seed, topology) always produces the same placement.
 //
 // Latency: with the asynchronous data plane off (the historic default) a
 // borrower's guest pays the remote-tier cost (CostModel tmem_put_remote /
-// tmem_get_remote) on every borrowed-page operation and the broker's calls
-// are synchronous host-side bookkeeping. With enable_async() the broker
-// routes every put/get through a LendFabric round trip
+// tmem_get_remote) on every borrowed-page operation. With enable_async()
+// the broker routes every put/get through a LendFabric round trip
 // (cluster/lend_fabric.hpp): the modeled request/response exchange decides
 // whether the operation succeeds at all (loss / reorder / outage /
 // timeout / congestion, bounded retries, deterministic give-up) and its
@@ -50,43 +57,12 @@
 
 namespace smartmem::cluster {
 
-/// How the broker reaches donors.
-enum class LendingMode : std::uint8_t {
-  /// Synchronous cross-node calls on a shared simulator (single-simulator
-  /// clusters and unit tests): every put/get touches the donor store
-  /// directly.
-  kImmediate,
-  /// Parallel-engine clusters: mid-window operations are strictly
-  /// shard-local. Each borrower partition holds its borrowed payloads in a
-  /// shadow map plus per-donor placement *credit* — frames the coordinator
-  /// pre-reserved on the donor via Hypervisor::host_lease at the last
-  /// window barrier. A fresh placement consumes one credit; flushes and
-  /// ephemeral-hit consumes queue the freed frame in pending_release. The
-  /// coordinator's sync_window() settles everything against the real donor
-  /// stores between windows.
-  kSharded,
-};
-
-/// Splits a donor's credit pool across its borrowers. `demand[i]` is
-/// borrower i's failed-placement count from the last window; with
-/// `demand_weighted` the pool divides proportionally to (1 + demand[i]) by
-/// largest remainder (ties to the lowest index), otherwise evenly with the
-/// remainder to the lowest indices. The two coincide when every demand is
-/// equal, so the weighted split is a strict generalization of the even one.
-std::vector<PageCount> split_credit(PageCount pool,
-                                    const std::vector<std::uint64_t>& demand,
-                                    bool demand_weighted);
-
 class LendingBroker {
  public:
   /// `nodes[i]` is node i's hypervisor; the broker holds the pointers for
-  /// the cluster's lifetime. With `demand_weighted` (kSharded only) each
-  /// window's credit splits proportionally to the borrowers' failed
-  /// placements of the previous window instead of evenly — borrowers that
-  /// ran out of credit get more, idle ones keep a floor share.
-  explicit LendingBroker(std::vector<hyper::Hypervisor*> nodes,
-                         LendingMode mode = LendingMode::kImmediate,
-                         bool demand_weighted = false);
+  /// the cluster's lifetime. No borrower holds credit until the first
+  /// sync_window().
+  explicit LendingBroker(std::vector<hyper::Hypervisor*> nodes);
 
   LendingBroker(const LendingBroker&) = delete;
   LendingBroker& operator=(const LendingBroker&) = delete;
@@ -114,45 +90,44 @@ class LendingBroker {
   /// back out (quota grew, the donor needs its frames again). Ephemeral-
   /// typed entries are dropped (victim cache); persistent-typed ones are
   /// migrated home into the borrower's own store when it has a free frame,
-  /// and stay put otherwise. Returns pages actually recalled.
+  /// and stay put otherwise. Each recalled page's leased frame returns to
+  /// the donor at once. Returns pages actually recalled.
   PageCount recall_lent(NodeId donor, PageCount max_pages);
 
-  /// Sharded-mode window barrier (coordinator context, all shards
-  /// quiescent). Settles the window's lending activity against the donor
-  /// stores: frames freed by borrower flushes are unleased; donors whose
-  /// entitlement grew past their lease shed unused credit and recall
-  /// borrowed pages; every donor then tops its lease back up to its full
-  /// lendable capacity and the resulting credit pool is split evenly across
-  /// the borrowers. Only lease *deltas* touch the store, so the steady-state
-  /// cost per barrier is proportional to the window's lending activity, not
-  /// to the lease depth.
+  /// Window barrier (coordinator context, all shards quiescent). Settles
+  /// the window's lending activity against the donor stores: unsettled
+  /// releases are unleased; donors whose entitlement grew past their lease
+  /// shed unused credit and recall borrowed pages; every donor then tops
+  /// its lease back up to its full lendable capacity and the resulting
+  /// credit pool is split evenly across the borrowers, one extra frame
+  /// each to the lowest borrower ids while the remainder lasts. Only lease
+  /// *deltas* touch the store, so the steady-state cost per barrier is
+  /// proportional to the window's lending activity, not to the lease depth.
   void sync_window();
 
-  LendingMode mode() const { return mode_; }
-
   PageCount borrowed_total(NodeId node) const;
+  /// Fresh placements `borrower` may still charge against `donor`'s lease
+  /// before the next sync_window().
+  PageCount credit(NodeId borrower, NodeId donor) const;
+  /// Frames `borrower` freed on `donor` since the last sync_window() (flush,
+  /// ephemeral-hit consume, release), still leased until the next one.
+  PageCount unsettled_releases(NodeId borrower, NodeId donor) const;
+  /// Rack-wide peak of borrowed pages, sampled at window barriers.
   PageCount peak_borrowed() const { return peak_borrowed_; }
   std::uint64_t borrow_placements() const;
   std::uint64_t borrow_hits() const;
   std::uint64_t borrow_misses() const;
-  /// Lifetime fresh placements that found no donor (no lendable frame in
-  /// immediate mode, no remaining window credit in sharded mode). The
-  /// per-window slice of this is the demand-weighted split's signal.
+  /// Lifetime fresh placements that found no donor credit (or, on the async
+  /// data plane, whose exchange gave up).
   std::uint64_t failed_placements() const;
   /// Replacement puts lost to the fabric (async data plane only).
   std::uint64_t failed_replacements() const;
-  bool demand_weighted() const { return demand_weighted_; }
   std::uint64_t recalls() const { return recalls_; }
   std::uint64_t recall_migrations() const { return recall_migrations_; }
 
-  /// `clock` stamps the broker's trace instants with shared-sim time (the
-  /// broker has no simulator reference of its own).
-  void attach_obs(obs::TraceRecorder* trace, std::function<SimTime()> clock);
-
-  /// Sharded-mode observability: borrower `node`'s partition writes its
-  /// instants to its own shard's recorder/clock (partitions run
-  /// concurrently, so the shared recorder of attach_obs is off-limits
-  /// mid-window).
+  /// Borrower `node`'s partition writes its trace instants to its own
+  /// shard's recorder, stamped by that shard's clock (partitions run
+  /// concurrently, so no recorder is shared mid-window).
   void attach_partition_obs(NodeId node, obs::TraceRecorder* trace,
                             std::function<SimTime()> clock);
 
@@ -207,9 +182,18 @@ class LendingBroker {
     NodeId node_;
   };
 
+  /// One borrowed page: the donor whose lease backs it and the
+  /// authoritative payload (kept borrower-side, so gets and puts never
+  /// cross shards mid-window).
+  struct Borrowed {
+    NodeId donor;
+    tmem::PagePayload payload;
+  };
+  using Index = std::map<RemoteKey, Borrowed>;
+
   struct NodeState {
     NodeId self = 0;
-    std::map<RemoteKey, NodeId> index;  // borrowed key -> donor
+    Index index;
     std::map<VmId, PageCount> borrowed_per_vm;
     PageCount borrowed_total = 0;
     NodeId rotation = 0;  // donor rotation cursor
@@ -225,17 +209,11 @@ class LendingBroker {
     std::uint64_t placements = 0;
     std::uint64_t hits = 0;
     std::uint64_t misses = 0;
-    std::uint64_t failed_placements = 0;        // this window (demand signal)
-    std::uint64_t failed_placements_total = 0;  // lifetime
+    std::uint64_t failed_placements = 0;
     /// Replacement puts the fabric failed to deliver: the borrowed entry is
     /// dropped (the guest falls back to disk) so owns() never lies. Not a
-    /// placement failure — kept out of the demand signal.
+    /// placement failure.
     std::uint64_t failed_replacements = 0;
-    // ---- kSharded only ----------------------------------------------------
-    // Authoritative payloads of this borrower's borrowed pages. In sharded
-    // mode the donor store holds opaque leased frames; the data itself
-    // lives here, shard-local, so gets/puts never cross shards mid-window.
-    std::map<RemoteKey, tmem::PagePayload> shadow;
     // credit[d]: fresh placements this borrower may still charge against
     // donor d's lease before the next barrier.
     std::vector<PageCount> credit;
@@ -263,25 +241,21 @@ class LendingBroker {
   PageCount do_borrowed_pages(NodeId node, VmId vm) const;
   PageCount do_release(NodeId node, PageCount max_pages);
 
-  /// Removes one index entry and fixes the borrow accounting. In sharded
-  /// mode also erases the shadow payload and queues the freed frame for the
-  /// donor (`release_frame`).
-  void drop_entry(NodeState& st, const RemoteKey& key);
-  void release_frame(NodeState& st, const RemoteKey& key, NodeId donor);
+  /// Removes one borrowed entry and fixes the borrow accounting; the
+  /// borrower-side cached copy dies with it. Returns the next entry.
+  Index::iterator drop_entry(NodeState& st, Index::iterator it);
+  /// Queues the frame behind a dying entry for return to its donor at the
+  /// next sync_window(), then drops the entry.
+  Index::iterator release_frame(NodeState& st, Index::iterator it);
   void trace_instant(NodeState& st, const char* name, NodeId borrower,
                      NodeId donor);
 
   std::vector<hyper::Hypervisor*> hyps_;
   std::vector<NodeState> state_;
   std::unique_ptr<LendFabric> fabric_;  // async data plane (null = sync)
-  LendingMode mode_;
-  bool demand_weighted_ = false;
   PageCount peak_borrowed_ = 0;
   std::uint64_t recalls_ = 0;
   std::uint64_t recall_migrations_ = 0;
-  obs::TraceRecorder* trace_ = nullptr;
-  std::function<SimTime()> clock_;
-  std::uint16_t track_ = 0;
 };
 
 }  // namespace smartmem::cluster

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 
+#include "common/strfmt.hpp"
+
 namespace smartmem::comm {
 
 std::uint64_t derive_seed(std::uint64_t base, std::uint64_t salt) {
@@ -38,7 +40,7 @@ namespace {
 
 ChannelConfig finalize(ChannelConfig c, std::size_t node, std::uint64_t seed,
                        std::uint64_t which) {
-  c.name = "n" + std::to_string(node) + "." + c.name;
+  c.name = strfmt("n%zu.%s", node, c.name.c_str());
   if (c.seed == 0) {
     c.seed = derive_seed(
         seed, (static_cast<std::uint64_t>(node) << 1) | which);
@@ -63,8 +65,7 @@ ChannelConfig ClusterTopology::downlink_for(std::size_t node) const {
 ChannelConfig ClusterTopology::lend_req_for(std::size_t borrower,
                                             std::size_t donor) const {
   ChannelConfig c = internode_lend_req;
-  c.name = "n" + std::to_string(borrower) + ".d" + std::to_string(donor) +
-           "." + c.name;
+  c.name = strfmt("n%zu.d%zu.%s", borrower, donor, c.name.c_str());
   if (c.seed == 0) {
     // Pair salts live far above the (node << 1 | which) control-plane salts
     // so the streams can never collide.
@@ -78,8 +79,7 @@ ChannelConfig ClusterTopology::lend_req_for(std::size_t borrower,
 ChannelConfig ClusterTopology::lend_resp_for(std::size_t borrower,
                                              std::size_t donor) const {
   ChannelConfig c = internode_lend_resp;
-  c.name = "n" + std::to_string(borrower) + ".d" + std::to_string(donor) +
-           "." + c.name;
+  c.name = strfmt("n%zu.d%zu.%s", borrower, donor, c.name.c_str());
   if (c.seed == 0) {
     c.seed = derive_seed(seed, 0x4c000000ULL |
                                    (static_cast<std::uint64_t>(borrower) << 13) |

@@ -25,11 +25,11 @@ Tkm::Tkm(sim::Simulator& sim, hyper::Hypervisor& hypervisor,
       hyp_(hypervisor),
       uplink_(sim, seeded(std::move(config.uplink), config.seed, 0)),
       downlink_(sim, seeded(std::move(config.downlink), config.seed, 1)),
+      delta_(config.delta),
+      stats_encoder_(config.delta),
       ack_targets_(config.ack_targets),
       ack_timeout_(config.ack_timeout),
-      ack_max_retries_(config.ack_max_retries),
-      delta_(config.delta),
-      stats_encoder_(config.delta) {
+      ack_max_retries_(config.ack_max_retries) {
   // Wire-size models make control-plane bytes measurable in either
   // encoding; a sizer is pure bookkeeping and never touches behavior.
   uplink_.set_sizer(

@@ -522,8 +522,9 @@ void Hypervisor::slow_reclaim() {
 
   // Node-quota pass: after a quota shrink the node drains down "very
   // slowly", like the per-VM path above — borrowed ephemeral pages go
-  // first (they are pure cache and free a donor's frame immediately), then
-  // own ephemeral pages, oldest first. No-op on an unmanaged node.
+  // first (they are pure cache and free a donor's frame at the next window
+  // barrier), then own ephemeral pages, oldest first. No-op on an
+  // unmanaged node.
   if (node_quota_ == kUnlimitedTarget) return;
   const PageCount used_total = own_used_total();
   if (used_total <= node_quota_) return;
@@ -677,72 +678,6 @@ PageCount Hypervisor::effective_total_tmem() const {
                             : std::min(node_quota_, total_tmem());
 }
 
-tmem::PoolId Hypervisor::lender_pool(std::uint32_t borrower_node, VmId vm,
-                                     tmem::PoolType type) {
-  const auto key = std::make_tuple(borrower_node, vm, type);
-  auto it = lender_pools_.find(key);
-  if (it != lender_pools_.end()) return it->second;
-  // Lent pages are stored *persistent* regardless of the borrower-side pool
-  // type: the donor must never evict the only copy behind the broker's
-  // owner index. Victim-cache semantics for ephemeral-typed borrows are
-  // re-imposed by the broker (flush after hit). The pseudo owner id keeps
-  // the pool outside memstats, targets and slow reclaim. Lent pages are
-  // never compressed: the borrower priced them at full-page remote latency
-  // and the donor must be able to hand each back as a whole frame.
-  const tmem::PoolId pool = store_.create_pool(kLenderVmBase + borrower_node,
-                                               tmem::PoolType::kPersistent,
-                                               /*compressible=*/false);
-  lender_pools_.emplace(key, pool);
-  return pool;
-}
-
-bool Hypervisor::host_remote_put(std::uint32_t borrower_node, VmId vm,
-                                 tmem::PoolType type, std::uint64_t object,
-                                 std::uint32_t index,
-                                 tmem::PagePayload payload) {
-  const tmem::PoolId pool = lender_pool(borrower_node, vm, type);
-  const tmem::TmemKey key{pool, object, index};
-  const bool present = store_.contains(key);
-  if (!present && lendable_pages() == 0) return false;
-  const tmem::PutResult result = store_.put(key, payload);
-  if (result == tmem::PutResult::kNoMemory) return false;
-  if (result == tmem::PutResult::kStored) ++lent_pages_;
-  return true;
-}
-
-std::optional<tmem::PagePayload> Hypervisor::host_remote_get(
-    std::uint32_t borrower_node, VmId vm, tmem::PoolType type,
-    std::uint64_t object, std::uint32_t index) {
-  const auto it =
-      lender_pools_.find(std::make_tuple(borrower_node, vm, type));
-  if (it == lender_pools_.end()) return std::nullopt;
-  // Lender pools are persistent: the get leaves the page in place.
-  return store_.get(tmem::TmemKey{it->second, object, index});
-}
-
-bool Hypervisor::host_remote_flush(std::uint32_t borrower_node, VmId vm,
-                                   tmem::PoolType type, std::uint64_t object,
-                                   std::uint32_t index) {
-  const auto it =
-      lender_pools_.find(std::make_tuple(borrower_node, vm, type));
-  if (it == lender_pools_.end()) return false;
-  const bool existed =
-      store_.flush_page(tmem::TmemKey{it->second, object, index});
-  if (existed && lent_pages_ > 0) --lent_pages_;
-  return existed;
-}
-
-PageCount Hypervisor::host_remote_flush_object(std::uint32_t borrower_node,
-                                               VmId vm, tmem::PoolType type,
-                                               std::uint64_t object) {
-  const auto it =
-      lender_pools_.find(std::make_tuple(borrower_node, vm, type));
-  if (it == lender_pools_.end()) return 0;
-  const PageCount freed = store_.flush_object(it->second, object);
-  lent_pages_ = lent_pages_ > freed ? lent_pages_ - freed : 0;
-  return freed;
-}
-
 PageCount Hypervisor::host_lease(PageCount want) {
   if (want == 0) return 0;
   if (!lease_pool_) {
@@ -755,12 +690,9 @@ PageCount Hypervisor::host_lease(PageCount want) {
   // lendable_pages() shrinks by one per leased frame (free falls, own usage
   // does not), so the loop self-limits at exactly the lendable capacity.
   while (got < want && lendable_pages() > 0) {
-    if (store_.put(tmem::TmemKey{*lease_pool_, 0, lease_top_}, 1) !=
-        tmem::PutResult::kStored) {
-      break;
-    }
-    ++lease_top_;
-    ++lease_depth_;
+    const tmem::TmemKey key{*lease_pool_, 0,
+                            static_cast<std::uint32_t>(lent_pages_)};
+    if (store_.put(key, 1) != tmem::PutResult::kStored) break;
     ++lent_pages_;
     ++got;
   }
@@ -768,11 +700,10 @@ PageCount Hypervisor::host_lease(PageCount want) {
 }
 
 void Hypervisor::host_unlease(PageCount count) {
-  while (count > 0 && lease_depth_ > 0) {
-    --lease_top_;
-    store_.flush_page(tmem::TmemKey{*lease_pool_, 0, lease_top_});
-    --lease_depth_;
-    if (lent_pages_ > 0) --lent_pages_;
+  while (count > 0 && lent_pages_ > 0) {
+    --lent_pages_;
+    store_.flush_page(tmem::TmemKey{*lease_pool_, 0,
+                                    static_cast<std::uint32_t>(lent_pages_)});
     --count;
   }
 }

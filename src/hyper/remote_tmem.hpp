@@ -4,15 +4,15 @@
 // granted it more than it owns), Algorithm 1 may place a put into a donor
 // node's pool across the rack fabric. The hypervisor only sees this
 // interface; the cluster's LendingBroker implements it, keeping the
-// per-borrower owner index, picking donors deterministically and doing the
-// donor-side bookkeeping. A null RemoteTmem (the single-node default)
-// disables lending entirely — no code path changes, no extra state.
+// per-borrower owner index, picking donors deterministically and settling
+// donor frames at window barriers. A null RemoteTmem (the single-node
+// default) disables lending entirely — no code path changes, no extra
+// state.
 //
 // Key space: a borrowed page is identified by the borrower's own
 // (vm, pool type, object, index) tuple. The broker maps that tuple to the
-// donor holding it; on the donor the page lives in a dedicated lender pool
-// (one per borrower node x vm x type), so borrowed keys can never collide
-// with the donor's own guests.
+// donor whose leased frame backs it; the donor holds only opaque leased
+// frames, so borrowed keys can never collide with the donor's own guests.
 #pragma once
 
 #include <cstdint>
@@ -28,14 +28,15 @@ class RemoteTmem {
   virtual ~RemoteTmem() = default;
 
   /// Tries to place the page with a donor. Returns false when no donor has
-  /// lendable capacity (the put then fails exactly as a full node would).
+  /// placement credit left (the put then fails exactly as a full node
+  /// would).
   /// Re-putting a key the broker already holds replaces it in place on the
   /// same donor.
   virtual bool remote_put(VmId vm, tmem::PoolType type, std::uint64_t object,
                           std::uint32_t index, tmem::PagePayload payload) = 0;
 
   /// Fetches a borrowed page. Ephemeral-typed pages keep their victim-cache
-  /// semantics: a hit removes the page from the donor.
+  /// semantics: a hit consumes the page and frees its donor frame.
   virtual std::optional<tmem::PagePayload> remote_get(VmId vm,
                                                       tmem::PoolType type,
                                                       std::uint64_t object,

@@ -223,8 +223,8 @@ void MemoryManager::process_sample(const hyper::MemStats& stats,
       sig.failed_puts += vm.puts_total - vm.puts_succ;
     }
     if (pressure_probe_) pressure_probe_(sig);
-    if (auto changed = interval_ctl_->on_sample(now, sig)) {
-      interval_update = *changed;
+    if (auto new_interval = interval_ctl_->on_sample(now, sig)) {
+      interval_update = *new_interval;
       if (trace_ != nullptr && trace_->enabled(obs::kCatMm)) {
         trace_->instant(obs::kCatMm, mm_track_, "interval_change", now,
                         {{"interval_s", to_seconds(interval_update)},

@@ -1,21 +1,23 @@
 // Fault-model battery for the asynchronous lending fabric (DESIGN §15).
 //
 // Part 1 is a seeded fuzz over the fault grid (loss x reorder x outage x
-// cache capacity x seed) driving a 3-node immediate rig through random
-// put/get/flush/release/recall traffic against a model map, asserting the
-// broker invariants the ISSUE names: lease-depth conservation (donor lent
-// frames == borrower index == model), no page loss or duplication (every
-// owned key serves exactly the model payload; a recalled persistent page
-// reappears in the borrower's own store), and that every borrow terminates
-// as placed, failed, or recalled — which the fabric's counter identities
-// (requests == responses + timeouts, timeouts fully attributed to a fault,
-// attempts fully attributed to success/retry/give-up) make checkable.
+// cache capacity x seed) driving a 3-node rig through random
+// put/get/flush/release/recall traffic, window barriers (sync_window) and
+// donor quota changes against a model map. After every op it asserts the
+// lease invariant of DESIGN §11: leased donor frames == borrowed pages +
+// outstanding credit + unsettled releases, summed over the rack. It also
+// checks no page loss or duplication (every owned key serves exactly the
+// model payload; a recalled persistent page reappears in the borrower's own
+// store), and that every borrow terminates as placed, failed, or recalled —
+// which the fabric's counter identities (requests == responses + timeouts,
+// timeouts fully attributed to a fault, attempts fully attributed to
+// success/retry/give-up) make checkable.
 //
 // Part 2 re-proves thread-count invariance with the async fabric in the
 // loop: a lending-heavy fleet run (with and without wire faults) must be
 // byte-identical at --sim-threads 1, 2 and 4.
 //
-// Part 3 is the recall-vs-in-flight-borrow regression: a quota shrink that
+// Part 3 is the recall-vs-in-flight-borrow regression: a quota change that
 // recalls pages while borrow completion timers are still pending must not
 // crash, strand in-flight accounting, or leave a stale cache entry.
 #include <gtest/gtest.h>
@@ -49,7 +51,8 @@ hyper::HypervisorConfig hyp_config(PageCount pages) {
 }
 
 /// Three-node async rig: node 0 borrows, nodes 1 and 2 donate half their
-/// frames each.
+/// frames each. One barrier leases the donors' frames as credit, split
+/// evenly over each donor's two borrowers.
 struct FuzzRig {
   FuzzRig(const comm::ClusterTopology& topo, const AsyncLendingConfig& acfg)
       : borrower(sim, hyp_config(kPhys)),
@@ -66,6 +69,11 @@ struct FuzzRig {
     donor2.set_node_quota(kPhys / 2);
     broker.enable_async(acfg, topo);
     for (NodeId n = 0; n < 3; ++n) broker.attach_sim(n, &sim);
+    broker.sync_window();
+  }
+
+  hyper::Hypervisor& node(NodeId n) {
+    return n == 0 ? borrower : (n == 1 ? donor1 : donor2);
   }
 
   sim::Simulator sim;
@@ -74,6 +82,21 @@ struct FuzzRig {
   hyper::Hypervisor donor2;
   LendingBroker broker;
 };
+
+/// DESIGN §11 lease invariant, summed over the rack: every leased frame
+/// backs a borrowed page, is unused credit, or awaits settlement.
+void check_lease_invariant(FuzzRig& rig) {
+  PageCount leased = 0;
+  PageCount accounted = 0;
+  for (NodeId b = 0; b < 3; ++b) {
+    leased += rig.node(b).lent_pages();
+    accounted += rig.broker.borrowed_total(b);
+    for (NodeId d = 0; d < 3; ++d) {
+      accounted += rig.broker.credit(b, d) + rig.broker.unsettled_releases(b, d);
+    }
+  }
+  ASSERT_EQ(leased, accounted);
+}
 
 struct FaultCase {
   double loss;
@@ -120,16 +143,33 @@ void fuzz_run(const FaultCase& fc, std::uint64_t seed) {
                      static_cast<std::uint32_t>(rng.uniform(8))};
   };
   auto check_conservation = [&] {
-    // Lease-depth conservation: every model entry is owned, backed by
-    // exactly one donor frame, and nothing else is.
+    // Every model entry is owned and nothing else is.
     ASSERT_EQ(rig.broker.borrowed_total(0), model.size());
-    ASSERT_EQ(rig.donor1.lent_pages() + rig.donor2.lent_pages(),
-              model.size());
+    check_lease_invariant(rig);
+  };
+  // Drops the model entries a recall took away. A recall may drop only
+  // ephemeral (victim-cache) entries; a recalled persistent page must have
+  // migrated home intact.
+  auto reconcile_recalls = [&] {
+    for (auto it = model.begin(); it != model.end();) {
+      const RemoteKey& key = it->first;
+      if (rig.broker.port(0)->owns(kVm, key.type, key.object, key.index)) {
+        ++it;
+        continue;
+      }
+      if (key.type == PoolType::kPersistent) {
+        const auto local =
+            rig.borrower.frontswap_get(kVm, key.object, key.index);
+        ASSERT_TRUE(local.has_value());
+        ASSERT_EQ(*local, it->second);
+      }
+      it = model.erase(it);
+    }
   };
 
   for (int op = 0; op < 200; ++op) {
     const std::uint64_t kind = rng.uniform(100);
-    if (kind < 50) {  // put (fresh placement or replacement)
+    if (kind < 45) {  // put (fresh placement or replacement)
       const RemoteKey key = random_key();
       const tmem::PagePayload payload = rng.next();
       const bool existed = model.contains(key);
@@ -144,7 +184,7 @@ void fuzz_run(const FaultCase& fc, std::uint64_t seed) {
       }
       ASSERT_EQ(rig.broker.port(0)->owns(kVm, key.type, key.object, key.index),
                 model.contains(key));
-    } else if (kind < 70) {  // get: exact payload, ephemeral consumed
+    } else if (kind < 62) {  // get: exact payload, ephemeral consumed
       const RemoteKey key = random_key();
       const auto got =
           rig.broker.port(0)->remote_get(kVm, key.type, key.object, key.index);
@@ -156,13 +196,13 @@ void fuzz_run(const FaultCase& fc, std::uint64_t seed) {
       } else {
         ASSERT_FALSE(got.has_value());
       }
-    } else if (kind < 80) {  // flush one page
+    } else if (kind < 70) {  // flush one page
       const RemoteKey key = random_key();
       const bool ok = rig.broker.port(0)->remote_flush(kVm, key.type,
                                                        key.object, key.index);
       ASSERT_EQ(ok, model.contains(key));
       model.erase(key);
-    } else if (kind < 85) {  // flush a whole object
+    } else if (kind < 74) {  // flush a whole object
       const PoolType type =
           rng.chance(0.5) ? PoolType::kPersistent : PoolType::kEphemeral;
       const std::uint64_t object = 1 + rng.uniform(3);
@@ -178,7 +218,7 @@ void fuzz_run(const FaultCase& fc, std::uint64_t seed) {
         }
       }
       ASSERT_EQ(flushed, expected);
-    } else if (kind < 90) {  // quota-style release of ephemeral borrows
+    } else if (kind < 78) {  // quota-style release of ephemeral borrows
       const PageCount max = 1 + rng.uniform(8);
       const PageCount released = rig.broker.port(0)->release_borrowed(max);
       // Mirror the broker: ephemeral-typed entries die in key order.
@@ -192,30 +232,25 @@ void fuzz_run(const FaultCase& fc, std::uint64_t seed) {
         }
       }
       ASSERT_EQ(released, expected);
-    } else if (kind < 95) {  // donor-side recall
+    } else if (kind < 82) {  // donor-side recall
       const NodeId donor = rng.chance(0.5) ? 1 : 2;
       rig.broker.recall_lent(donor, 1 + rng.uniform(8));
-      for (auto it = model.begin(); it != model.end();) {
-        const RemoteKey& key = it->first;
-        if (rig.broker.port(0)->owns(kVm, key.type, key.object, key.index)) {
-          ++it;
-          continue;
-        }
-        if (key.type == PoolType::kPersistent) {
-          // A recalled persistent page must have migrated home intact —
-          // recall may drop only ephemeral (victim-cache) entries.
-          const auto local =
-              rig.borrower.frontswap_get(kVm, key.object, key.index);
-          ASSERT_TRUE(local.has_value());
-          ASSERT_EQ(*local, it->second);
-        }
-        it = model.erase(it);
-      }
+      reconcile_recalls();
+    } else if (kind < 88) {  // window barrier: settle, shed/recall, re-lease
+      rig.broker.sync_window();
+      reconcile_recalls();
+    } else if (kind < 91) {  // donor quota change, applied at the barrier
+      const NodeId donor = rng.chance(0.5) ? 1 : 2;
+      rig.node(donor).set_node_quota(
+          rng.chance(0.2) ? kUnlimitedTarget : kPhys / 4 + rng.uniform(kPhys));
     } else {  // let simulated time pass (crosses the outage window)
       rig.sim.run_until(rig.sim.now() +
                         static_cast<SimTime>(rng.uniform_range(50, 500)) *
                             kMicrosecond);
     }
+    if (::testing::Test::HasFatalFailure()) return;
+    check_lease_invariant(rig);
+    if (::testing::Test::HasFatalFailure()) return;
     if (op % 16 == 0) {
       check_conservation();
       check_counter_identities(rig.broker.fabric()->totals());
@@ -244,7 +279,7 @@ TEST(AsyncLendingPropertyTest, FaultGridFuzzPreservesBrokerInvariants) {
   for (const FaultCase& fc : grid) {
     for (std::uint64_t seed : {1ULL, 2ULL, 3ULL}) {
       fuzz_run(fc, seed);
-      if (HasFatalFailure()) return;
+      if (::testing::Test::HasFatalFailure()) return;
     }
   }
 }
@@ -293,7 +328,6 @@ FleetExperimentConfig lending_fleet(std::size_t sim_threads, bool flaky) {
   cfg.seed = 42;
   cfg.delta = true;
   cfg.lending_heavy = true;
-  cfg.lending_demand_weighted = true;
   cfg.lending_async.enabled = true;
   cfg.lending_async.cache_pages = 64;
   if (flaky) {
@@ -335,14 +369,16 @@ TEST(AsyncLendingPropertyTest, RecallWhileBorrowTimersInFlight) {
   }
   ASSERT_GT(rig.broker.fabric()->in_flight(0), 0u);
 
-  // Quota shrink on both donors recalls everything mid-flight.
+  // Both donors take their whole capacity back: the barrier sheds every
+  // unused credit and recalls everything borrowed, mid-flight.
   rig.donor1.set_node_quota(kPhys);
   rig.donor2.set_node_quota(kPhys);
-  const PageCount recalled = rig.broker.recall_lent(1, kPhys) +
-                             rig.broker.recall_lent(2, kPhys);
-  EXPECT_EQ(recalled, 4u);
+  rig.broker.sync_window();
+  EXPECT_EQ(rig.broker.recalls(), 4u);
+  EXPECT_EQ(rig.broker.recall_migrations(), 4u);
   EXPECT_EQ(rig.broker.borrowed_total(0), 0u);
   EXPECT_EQ(rig.donor1.lent_pages() + rig.donor2.lent_pages(), 0u);
+  check_lease_invariant(rig);
   // The borrower cache cannot outlive the entries it mirrored.
   EXPECT_EQ(rig.broker.fabric()->cache(0).size(), 0u);
 

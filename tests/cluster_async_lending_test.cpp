@@ -31,9 +31,10 @@ hyper::HypervisorConfig hyp_config(PageCount pages) {
   return cfg;
 }
 
-/// Two-node async rig: node 0 borrows, node 1 donates, both on one shared
-/// simulator (immediate mode). The topology and protocol config are taken
-/// at construction so tests can install faults/queue bounds first.
+/// Two-node async rig: node 0 borrows, node 1 donates, both partitions on
+/// one simulator. One barrier leases the donor's lendable half as the
+/// borrower's credit. The topology and protocol config are taken at
+/// construction so tests can install faults/queue bounds first.
 struct AsyncRig {
   explicit AsyncRig(const comm::ClusterTopology& topo,
                     const AsyncLendingConfig& acfg)
@@ -48,6 +49,7 @@ struct AsyncRig {
     broker.enable_async(acfg, topo);
     broker.attach_sim(0, &sim);
     broker.attach_sim(1, &sim);
+    broker.sync_window();
   }
 
   LendFabricStats totals() const { return broker.fabric()->totals(); }
@@ -125,7 +127,7 @@ TEST(AsyncLendingTest, TotalRequestLossExhaustsAttemptsIntoAFailedPut) {
       rig.broker.port(0)->remote_put(kVm, PoolType::kPersistent, 1, 0, 42));
   EXPECT_EQ(rig.broker.failed_placements(), 1u);
   EXPECT_EQ(rig.broker.borrow_placements(), 0u);
-  EXPECT_EQ(rig.donor.lent_pages(), 0u);
+  EXPECT_EQ(rig.broker.credit(0, 1), kPhys / 2);  // no credit consumed
   // The guest pays the full retry budget: max_attempts x timeout.
   const AsyncLendingConfig defaults = async_on();
   EXPECT_EQ(rig.broker.port(0)->last_op_elapsed(),
@@ -226,13 +228,13 @@ TEST(AsyncLendingTest, FailedReplacementDropsTheEntrySoOwnsNeverLies) {
       rig.broker.port(0)->remote_put(kVm, PoolType::kPersistent, 1, 0, 43));
   EXPECT_EQ(rig.broker.failed_replacements(), 1u);
   EXPECT_FALSE(rig.broker.port(0)->owns(kVm, PoolType::kPersistent, 1, 0));
-  EXPECT_EQ(rig.donor.lent_pages(), 0u);
+  EXPECT_EQ(rig.broker.borrowed_total(0), 0u);
+  EXPECT_EQ(rig.broker.unsettled_releases(0, 1), 1u);  // stale frame freed
   EXPECT_EQ(rig.broker.fabric()->cache(0).size(), 0u);
   EXPECT_FALSE(rig.broker.port(0)
                    ->remote_get(kVm, PoolType::kPersistent, 1, 0)
                    .has_value());
-  // A failed replacement is transport loss, not donor shortage: it stays
-  // out of the demand signal.
+  // A failed replacement is transport loss, not donor shortage.
   EXPECT_EQ(rig.broker.failed_placements(), 0u);
 }
 
@@ -325,7 +327,8 @@ TEST(AsyncLendingCacheTest, HitServesAtTheAccessPointForFree) {
   EXPECT_EQ(rig.totals().requests, 1u);  // only the put went out
   EXPECT_EQ(rig.broker.fabric()->cache(0).hits(), 1u);
   // The donor copy survives a persistent cache hit.
-  EXPECT_EQ(rig.donor.lent_pages(), 1u);
+  EXPECT_EQ(rig.broker.unsettled_releases(0, 1), 0u);
+  EXPECT_EQ(rig.broker.borrowed_total(0), 1u);
   EXPECT_TRUE(rig.broker.port(0)->owns(kVm, PoolType::kPersistent, 1, 0));
   // The modeled get RTT records the hit at 0 us — the metric the cache cuts.
   EXPECT_EQ(rig.totals().get_rtt_us.count(), 1u);
@@ -336,7 +339,7 @@ TEST(AsyncLendingCacheTest, EphemeralHitStaysExclusiveViaInvalidate) {
   AsyncRig rig((comm::ClusterTopology()), async_on(8));
   ASSERT_TRUE(
       rig.broker.port(0)->remote_put(kVm, PoolType::kEphemeral, 2, 0, 7));
-  ASSERT_EQ(rig.donor.lent_pages(), 1u);
+  ASSERT_EQ(rig.broker.credit(0, 1), kPhys / 2 - 1);
 
   // The cache hit consumes the borrowed page exactly like a fabric hit
   // would: fire-and-forget invalidate, donor frame freed, index forgets.
@@ -345,7 +348,7 @@ TEST(AsyncLendingCacheTest, EphemeralHitStaysExclusiveViaInvalidate) {
   ASSERT_TRUE(hit.has_value());
   EXPECT_EQ(*hit, 7u);
   EXPECT_GE(rig.totals().invalidates, 1u);
-  EXPECT_EQ(rig.donor.lent_pages(), 0u);
+  EXPECT_EQ(rig.broker.unsettled_releases(0, 1), 1u);
   EXPECT_FALSE(rig.broker.port(0)->owns(kVm, PoolType::kEphemeral, 2, 0));
   EXPECT_EQ(rig.broker.fabric()->cache(0).size(), 0u);
   EXPECT_FALSE(rig.broker.port(0)

@@ -89,7 +89,6 @@ TEST(FleetDeterminism, DeltaWithThreadsMatchesDeltaSerial) {
   FleetExperimentConfig serial = fleet_8x16();
   serial.delta = true;
   serial.mm_incremental = true;
-  serial.lending_demand_weighted = true;
   FleetExperimentConfig threaded = serial;
   threaded.sim_threads = 4;
 

@@ -45,6 +45,7 @@ struct AsyncRig {
       broker.attach_sim(0, &sim);
       broker.attach_sim(1, &sim);
     }
+    broker.sync_window();
   }
 
   sim::Simulator sim;
@@ -115,24 +116,30 @@ TEST(LendTeardownTest, TrafficAfterStopRearmsTheFabric) {
 // ---- Cluster-level: teardown mid-flight via the deadline cap --------------
 
 TEST(LendTeardownTest, ClusterTeardownCancelsMidFlightBorrows) {
-  // The real Cluster::teardown() path, not the rig: zero-latency rack hops
-  // force the classic shared-simulator wiring, the cluster-owned broker's
-  // port places borrows whose completion timers are pending on the
-  // cluster's own simulator, and run() (all VM-less nodes are trivially
-  // done) goes straight to teardown — which must cancel them exactly as
-  // Tkm::stop() cancels pending deliveries.
+  // The real Cluster::teardown() path, not the rig. The lend hops (10 ms
+  // each way) are longer than the rack lookahead (the default 5 ms
+  // inter-node hop), so a borrow burst that node 0 fires at t = 0 — inside
+  // the engine's first window — leaves its completion timers pending past
+  // that window's barrier. The VM-less nodes are trivially done at that
+  // barrier, so run() goes straight to teardown, which must cancel the
+  // timers exactly as Tkm::stop() cancels pending deliveries.
   ClusterConfig ccfg;
   ccfg.topology.node_count = 2;
-  ccfg.topology.internode_up.latency = comm::LatencySpec::fixed_at(0);
-  ccfg.topology.internode_down.latency = comm::LatencySpec::fixed_at(0);
+  ccfg.topology.internode_lend_req.latency =
+      comm::LatencySpec::fixed_at(10 * kMillisecond);
+  ccfg.topology.internode_lend_resp.latency =
+      comm::LatencySpec::fixed_at(10 * kMillisecond);
   ccfg.lending_async.enabled = true;
   ccfg.lending_async.cache_pages = 8;
+  ccfg.lending_async.timeout = 100 * kMillisecond;  // no retries
   Cluster cluster(std::move(ccfg));
   core::NodeConfig ncfg;
   ncfg.tmem_pages = kPhys;
   cluster.add_node(ncfg);
   cluster.add_node(ncfg);
   cluster.start();
+  ASSERT_GT(cluster.engine()->lookahead(), 0);
+  ASSERT_LT(cluster.engine()->lookahead(), 10 * kMillisecond);
 
   cluster.node(0).hypervisor().register_vm(kVm);
   cluster.node(1).hypervisor().register_vm(kVm);
@@ -141,20 +148,29 @@ TEST(LendTeardownTest, ClusterTeardownCancelsMidFlightBorrows) {
   LendingBroker* broker = cluster.broker();
   ASSERT_NE(broker, nullptr);
   ASSERT_NE(broker->fabric(), nullptr);
-  for (std::uint32_t i = 0; i < 3; ++i) {
-    ASSERT_TRUE(broker->port(0)->remote_put(kVm, PoolType::kPersistent, 1, i,
-                                            100 + i));
-  }
-  ASSERT_EQ(broker->fabric()->in_flight(0), 3u);
+  broker->sync_window();  // between windows: lease the donor's credit
+  ASSERT_EQ(broker->credit(0, 1), kPhys / 2);
+  bool placed = true;
+  cluster.node(0).simulator().schedule(0, [&] {
+    for (std::uint32_t i = 0; i < 3; ++i) {
+      placed = placed && broker->port(0)->remote_put(
+                             kVm, PoolType::kPersistent, 1, i, 100 + i);
+    }
+  });
 
   cluster.run();
+  EXPECT_TRUE(placed);
+  EXPECT_EQ(broker->borrow_placements(), 3u);
   EXPECT_EQ(broker->fabric()->totals().cancelled_timers, 3u);
   EXPECT_EQ(broker->fabric()->in_flight(0), 0u);
 
-  // The PR-2 regression class: a cancelled callback must be dead, not a
-  // crash waiting in the queue after teardown.
-  cluster.simulator().run();
+  // A cancelled callback must be dead, not a crash waiting in a node
+  // shard's queue after teardown.
+  for (std::size_t i = 0; i < cluster.node_count(); ++i) {
+    cluster.node(i).simulator().run();
+  }
   EXPECT_EQ(broker->fabric()->totals().cancelled_timers, 3u);
+  EXPECT_EQ(broker->fabric()->in_flight(0), 0u);
 }
 
 TEST(LendTeardownTest, TruncatedFleetRunCompletesCleanly) {

@@ -1,14 +1,18 @@
 // ClusterTopology: single-node byte-identity of the node-0 config, seed
 // derivation and independence for higher nodes, per-node override semantics
-// (latency asymmetry), outage isolation between per-node channels, and time
-// scaling.
+// (latency asymmetry), outage isolation between per-node channels, time
+// scaling, and the rack's input contract (a multi-node Cluster needs a
+// positive minimum inter-node latency).
 #include "comm/topology.hpp"
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
 #include <vector>
 
+#include "cluster/cluster.hpp"
 #include "sim/simulator.hpp"
+#include "workloads/script_workload.hpp"
 
 namespace smartmem::comm {
 namespace {
@@ -135,6 +139,67 @@ TEST(ClusterTopologyTest, ScaleTimesCoversTemplatesAndOverrides) {
   EXPECT_EQ(topo.uplink_for(0).latency.fixed, 5 * kMillisecond / 2);
   EXPECT_EQ(topo.uplink_for(1).latency.fixed, 25 * kMillisecond);
   EXPECT_EQ(topo.downlink_for(0).latency.fixed, 5 * kMillisecond / 2);
+}
+
+// ---- Rack input contract -----------------------------------------------
+
+ClusterTopology lognormal_rack() {
+  ClusterTopology topo;
+  topo.internode_up.latency = LatencySpec::lognormal(5 * kMillisecond, 0.5);
+  return topo;
+}
+
+core::NodeConfig tiny_node() {
+  core::NodeConfig cfg;
+  cfg.tmem_pages = 64;
+  cfg.sample_interval = 100 * kMillisecond;
+  return cfg;
+}
+
+core::VmSpec tiny_vm() {
+  core::VmSpec vm;
+  vm.ram_pages = 64;
+  vm.workload = std::make_unique<workloads::ScriptWorkload>(
+      std::vector<workloads::MemOp>{
+          workloads::MemOp::alloc(96),
+          workloads::MemOp::touch(0, 0, 96, 400,
+                                  workloads::AccessPattern::kSequential, true,
+                                  kMicrosecond)});
+  return vm;
+}
+
+TEST(RackContractTest, LognormalRackHopRejectedBeforeAnyEventRuns) {
+  // An unbounded-tail hop gives the engine no safe window: a 2-node rack
+  // must refuse to start rather than run unsynchronized shards.
+  cluster::ClusterConfig cfg;
+  cfg.topology = lognormal_rack();
+  ASSERT_EQ(cfg.topology.min_internode_latency(), 0);
+  cluster::Cluster rack(std::move(cfg));
+  rack.add_node(tiny_node());
+  rack.add_node(tiny_node());
+  rack.node(0).add_vm(tiny_vm());
+  EXPECT_THROW(rack.run(), std::invalid_argument);
+  for (std::size_t i = 0; i < rack.node_count(); ++i) {
+    EXPECT_EQ(rack.node(i).simulator().executed_events(), 0u);
+    EXPECT_EQ(rack.node(i).simulator().pending_events(), 0u);
+  }
+  EXPECT_EQ(rack.simulator().executed_events(), 0u);
+}
+
+TEST(RackContractTest, SingleNodeRunsOnAnyRackTopology) {
+  // One node wires no rack hop at all, so the topology's latency model is
+  // irrelevant: the node runs its plain single-node stack.
+  cluster::ClusterConfig cfg;
+  cfg.topology = lognormal_rack();
+  cluster::Cluster rack(std::move(cfg));
+  rack.add_node(tiny_node());
+  const VmId vm = rack.node(0).add_vm(tiny_vm());
+  const SimTime end = rack.run();
+  EXPECT_GT(end, 0);
+  EXPECT_TRUE(rack.all_done());
+  EXPECT_TRUE(rack.node(0).runner(vm).finished());
+  EXPECT_EQ(rack.engine(), nullptr);
+  EXPECT_EQ(rack.global_manager(), nullptr);
 }
 
 }  // namespace

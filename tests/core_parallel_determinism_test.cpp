@@ -202,10 +202,11 @@ void expect_same_cluster_result(const cluster::ClusterRunResult& a,
   }
 }
 
-// Multi-node runs under --jobs: each cluster owns one shared simulator and
-// all its channel Rngs derive purely from (seed, topology), so fanning four
-// seeded 2-node cluster runs over a pool must be invisible in every counter
-// of every node — including the GM and lending-broker rack-level state.
+// Multi-node runs under --jobs: each cluster owns its node and rack shards
+// and all its channel Rngs derive purely from (seed, topology), so fanning
+// four seeded 2-node cluster runs over a pool must be invisible in every
+// counter of every node — including the GM and lending-broker rack-level
+// state.
 TEST(ParallelDeterminismTest, MultiNodeClusterFanOutStaysDeterministic) {
   const auto run_all = [](unsigned jobs) {
     std::vector<cluster::ClusterRunResult> out(4);

@@ -19,6 +19,7 @@
 #include <vector>
 
 #include "cluster/fleet.hpp"
+#include "common/strfmt.hpp"
 #include "core/scenario.hpp"
 #include "mm/policy_factory.hpp"
 #include "obs/trace.hpp"
@@ -124,7 +125,7 @@ TEST(TraceSamplingTest, MergeFromPreservesSampledEvents) {
 /// per engine shard, every shard event emits a sampled span, rings merged
 /// into a root recorder in shard order after the run. The exported JSON
 /// must be byte-identical at any worker-thread count.
-std::string run_sharded_sampled(std::size_t threads) {
+std::string run_shard_recorders(std::size_t threads) {
   sim::Simulator s0, s1, s2;
   sim::ParallelEngine eng({/*lookahead=*/100, threads});
   std::vector<sim::Simulator*> sims = {&s0, &s1, &s2};
@@ -137,7 +138,7 @@ std::string run_sharded_sampled(std::size_t threads) {
   std::vector<std::uint16_t> tracks;
   for (std::size_t i = 0; i < sims.size(); ++i) {
     recs.push_back(std::make_unique<TraceRecorder>(cfg));
-    tracks.push_back(recs[i]->register_track("shard", "s" + std::to_string(i)));
+    tracks.push_back(recs[i]->register_track("shard", strfmt("s%zu", i)));
   }
 
   // Independent periodics per shard plus a ring of cross-shard posts so
@@ -162,11 +163,11 @@ std::string run_sharded_sampled(std::size_t threads) {
 }
 
 TEST(TraceSamplingTest, SampledSetInvariantUnderSimThreads) {
-  const std::string base = run_sharded_sampled(1);
+  const std::string base = run_shard_recorders(1);
   EXPECT_NE(base.find("tick"), std::string::npos);
   EXPECT_NE(base.find("hop"), std::string::npos);
-  EXPECT_EQ(run_sharded_sampled(2), base);
-  EXPECT_EQ(run_sharded_sampled(4), base);
+  EXPECT_EQ(run_shard_recorders(2), base);
+  EXPECT_EQ(run_shard_recorders(4), base);
 }
 
 /// End-to-end on the real call sites: a scenario run with 1-in-4 sampling

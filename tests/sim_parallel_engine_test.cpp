@@ -29,7 +29,7 @@ TEST(ParallelEngineTest, ZeroLookaheadRejected) {
 
 TEST(ParallelEngineTest, LognormalLatencyHasZeroLookahead) {
   // The unbounded-tail latency model offers no safe window: min_latency is
-  // 0, so a topology using it must fall back to the shared-simulator path.
+  // 0, so the engine rejects a multi-node rack on such a topology.
   const comm::LatencySpec spec =
       comm::LatencySpec::lognormal(5 * kMillisecond, 0.5);
   EXPECT_EQ(comm::min_latency(spec), 0);
