@@ -152,7 +152,7 @@ cluster::FleetRunResult run_cell(const Options& o, const Cell& cell,
   cfg.nodes = o.nodes;
   cfg.vms_per_node = o.vms;
   cfg.lending_heavy = true;
-  cfg.delta = true;
+  cfg.resync_every = 16;
   cfg.scale = o.scale;
   cfg.seed = seed;
   cfg.sim_threads = o.sim_threads;

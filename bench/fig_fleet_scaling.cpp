@@ -1,7 +1,7 @@
 // Fleet scaling figure: the control plane at nodes x VMs/node scale.
 //
 // Sweeps the fleet geometry (node count x tenants per node) x the control-
-// plane encoding (classic full-vector vs DESIGN §12 delta) under the
+// plane encoding (full-vector vs DESIGN §12 delta framing) under the
 // multi-tenant fleet workload: zipf-ranked tenant intensity (node 0 holds
 // the hottest tenants), staggered arrivals, YCSB-style phase mixes. The
 // simulated outcome (failed puts, makespan, decisions) is byte-identical
@@ -10,9 +10,12 @@
 // the suppression counters, all reported in the trailing CSV columns.
 //
 // CSV layout contract (checked by CI):
-//   - columns 1-11 (nodes..makespan_s) are encoding-independent: a
+//   - columns 1-10 (nodes..makespan_s) are encoding-independent: a
 //     `--fleet-encoding delta` run and a `--fleet-encoding full` run md5
-//     to the same value after `cut -d, -f1-11`.
+//     to the same value after `cut -d, -f1-10`.
+//   - `full` is delta framing at resync 1: `--fleet-encoding delta
+//     --fleet-resync 1` reproduces a `--fleet-encoding full` run in every
+//     column but `encoding` (11).
 //   - column 2 is sim_threads: runs at different --sim-threads md5 to the
 //     same value after `cut -d, -f2 --complement`.
 //   - wall-clock and the mm_decide_ns probe are printed to stdout only.
@@ -26,8 +29,7 @@
 //   --fleet-mix m            read-heavy | balanced | write-heavy
 //   --fleet-policy p         global-static | global-smart[:P]
 //   --fleet-encoding e       delta | full | both (default both)
-//   --fleet-resync n         delta resync cadence (default 16)
-//   --fleet-incremental      O(changed-VMs) MM decide path
+//   --fleet-resync n         delta resync cadence (default 16; full = 1)
 //   --fleet-no-lending       disable remote-tmem lending
 //   --fleet-lending-heavy    hot-node/cold-donor geometry (node 0 spills at
 //                            1.6x usable RAM, others fit at 0.55x) so the
@@ -84,7 +86,6 @@ struct Options {
   std::string policy = "global-smart";
   std::string encoding = "both";  // delta | full | both
   std::uint64_t resync = 16;
-  bool incremental = false;
   bool lending = true;
   bool lending_heavy = false;
   bool async_lending = false;
@@ -109,7 +110,7 @@ void usage(std::FILE* out) {
       "  [--fleet-nodes n] [--fleet-vms n] [--fleet-skew f]\n"
       "  [--fleet-mix read-heavy|balanced|write-heavy]\n"
       "  [--fleet-policy p] [--fleet-encoding delta|full|both]\n"
-      "  [--fleet-resync n] [--fleet-incremental]\n"
+      "  [--fleet-resync n]\n"
       "  [--fleet-no-lending] [--fleet-lending-heavy] [--fleet-async-lending]\n"
       "  [--fleet-lend-cache n] [--fleet-lend-rtt-x f] [--fleet-lend-loss p]\n"
       "  [--fleet-lend-reorder p] [--fleet-lend-outage-from-s s]\n"
@@ -189,8 +190,6 @@ Options parse(int argc, char** argv) {
       }
     } else if (arg == "--fleet-resync") {
       o.resync = parse_u64("--fleet-resync", next(i), 1, 1u << 20);
-    } else if (arg == "--fleet-incremental") {
-      o.incremental = true;
     } else if (arg == "--fleet-no-lending") {
       o.lending = false;
     } else if (arg == "--fleet-lending-heavy") {
@@ -269,9 +268,7 @@ cluster::FleetRunResult run_cell(const Options& o, const Cell& cell,
   cfg.mix = o.mix;
   cfg.global_policy = o.policy;
   apply_lending(o, cfg);
-  cfg.delta = cell.delta;
-  cfg.resync_every = o.resync;
-  cfg.mm_incremental = o.incremental;
+  cfg.resync_every = cell.delta ? o.resync : 1;
   cfg.scale = o.scale;
   cfg.seed = seed;
   cfg.sim_threads = o.sim_threads;
@@ -305,11 +302,10 @@ int main(int argc, char** argv) {
   std::printf("=== fleet scaling: %zu tenants/node, skew %g, mix %s, %s ===\n",
               o.vms, o.skew, workloads::to_string(o.mix), o.policy.c_str());
   std::printf("%zu cell(s) x %zu rep(s), scale %g, resync %llu, "
-              "incremental %s, lending %s, sim-threads %zu\n\n",
+              "lending %s, sim-threads %zu\n\n",
               cells.size(), o.reps, o.scale,
               static_cast<unsigned long long>(o.resync),
-              o.incremental ? "on" : "off", o.lending ? "on" : "off",
-              o.sim_threads);
+              o.lending ? "on" : "off", o.sim_threads);
 
   // Wall-clock and the decide-ns probe go to stdout only — the CSV must
   // stay byte-identical across --sim-threads and machine speeds.
@@ -451,15 +447,15 @@ int main(int argc, char** argv) {
   if (!o.csv_dir.empty()) {
     const std::string path = o.csv_dir + "/fig_fleet_scaling.csv";
     std::ofstream csv(path);
-    // Columns 1-11 are encoding-independent (delta-vs-full md5 cross-check
+    // Columns 1-10 are encoding-independent (delta-vs-full md5 cross-check
     // cuts to them); column 2 is sim_threads (thread-count check cuts it
     // away); everything encoding-dependent rides at the end.
     csv << "nodes,sim_threads,vms_per_node,skew,mix,global_policy,"
-           "incremental,rep,failed_puts,puts_total,makespan_s,"
+           "rep,failed_puts,puts_total,makespan_s,"
            "encoding,puts_succ,node_control_bytes,rack_control_bytes,"
            "mm_samples,node_bytes_per_interval,stats_full_sends,"
            "targets_full_sends,rollups_suppressed,quota_sends_skipped,"
-           "gm_clean_decides,mm_incremental_decides,borrow_placements,"
+           "gm_clean_decides,borrow_placements,"
            "lending_failed_placements\n";
     for (std::size_t c = 0; c < cells.size(); ++c) {
       for (std::size_t rep = 0; rep < o.reps; ++rep) {
@@ -467,12 +463,11 @@ int main(int argc, char** argv) {
         char line[640];
         std::snprintf(
             line, sizeof line,
-            "%zu,%zu,%zu,%g,%s,%s,%d,%zu,%llu,%llu,%.6f,"
-            "%s,%llu,%llu,%llu,%llu,%.3f,%llu,%llu,%llu,%llu,%llu,%llu,"
+            "%zu,%zu,%zu,%g,%s,%s,%zu,%llu,%llu,%.6f,"
+            "%s,%llu,%llu,%llu,%llu,%.3f,%llu,%llu,%llu,%llu,%llu,"
             "%llu,%llu\n",
             cells[c].nodes, o.sim_threads, o.vms, o.skew,
-            workloads::to_string(o.mix), o.policy.c_str(),
-            o.incremental ? 1 : 0, rep,
+            workloads::to_string(o.mix), o.policy.c_str(), rep,
             static_cast<unsigned long long>(r.aggregate_failed_puts),
             static_cast<unsigned long long>(r.puts_total), r.makespan_s,
             cells[c].delta ? "delta" : "full",
@@ -486,7 +481,6 @@ int main(int argc, char** argv) {
             static_cast<unsigned long long>(r.rollups_suppressed),
             static_cast<unsigned long long>(r.quota_sends_skipped),
             static_cast<unsigned long long>(r.gm_clean_decides),
-            static_cast<unsigned long long>(r.mm_incremental_decides),
             static_cast<unsigned long long>(r.borrow_placements),
             static_cast<unsigned long long>(r.lending_failed_placements));
         csv << line;
@@ -592,9 +586,7 @@ int main(int argc, char** argv) {
     cfg.mix = o.mix;
     cfg.global_policy = o.policy;
     apply_lending(o, cfg);
-    cfg.delta = cell.delta;
-    cfg.resync_every = o.resync;
-    cfg.mm_incremental = o.incremental;
+    cfg.resync_every = cell.delta ? o.resync : 1;
     cfg.scale = o.scale;
     cfg.seed = o.seed;
     cfg.sim_threads = o.sim_threads;
@@ -604,7 +596,7 @@ int main(int argc, char** argv) {
     cfg.obs.audit_out = o.audit_out;
     cfg.obs.trace_sample_every = o.trace_sample;
     std::printf("\nobserved run: %zu nodes, %s encoding, trace-sample %llu\n",
-                cfg.nodes, cfg.delta ? "delta" : "full",
+                cfg.nodes, cell.delta ? "delta" : "full",
                 static_cast<unsigned long long>(o.trace_sample));
     cluster::run_fleet_scenario(cfg);
     if (!o.trace_out.empty())

@@ -310,23 +310,19 @@ void Cluster::on_node_sample(std::size_t i, const hyper::MemStats& stats) {
     ns.puts_succ += vm.puts_succ;
     ns.cumul_failed_puts += vm.cumul_puts_failed;
   }
-  if (config_.delta.enabled) {
-    // Suppress-unchanged on the rack uplink (DESIGN §12): a roll-up whose
-    // payload matches the last one sent carries no information for the
-    // pure global policies. The periodic full resend bounds how long a
-    // lost roll-up can keep the GlobalManager's view stale; per-node seq
-    // gaps are fine under its strictly-increasing check.
-    const bool resend_due =
-        config_.delta.resync_every <= 1 ||
-        (rollup_rounds_[i] % config_.delta.resync_every) == 0;
-    ++rollup_rounds_[i];
-    if (!resend_due && last_rollup_[i] &&
-        same_payload(*last_rollup_[i], ns)) {
-      ++rollups_suppressed_[i];
-      return;
-    }
-    last_rollup_[i] = ns;
+  // Suppress-unchanged on the rack uplink (DESIGN §12): a roll-up whose
+  // payload matches the last one sent carries no information for the pure
+  // global policies. The periodic full resend (every sample at the default
+  // resync_every = 1) bounds how long a lost roll-up can keep the
+  // GlobalManager's view stale; per-node seq gaps are fine under its
+  // strictly-increasing check.
+  const bool resend_due = config_.delta.full_due(rollup_rounds_[i]);
+  ++rollup_rounds_[i];
+  if (!resend_due && last_rollup_[i] && same_payload(*last_rollup_[i], ns)) {
+    ++rollups_suppressed_[i];
+    return;
   }
+  last_rollup_[i] = ns;
   uplinks_[i]->send(ns);
 }
 

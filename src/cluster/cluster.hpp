@@ -74,11 +74,11 @@ struct ClusterConfig {
   /// byte-identical historic behaviour.
   AsyncLendingConfig lending_async;
 
-  /// Fleet-scale control plane (DESIGN §12) on the *rack* hops: suppress
-  /// NodeStats roll-ups whose payload is unchanged (with a full resend
-  /// every resync_every samples per node), let the GlobalManager skip
-  /// clean decision rounds and send quota deltas. The per-node VM hops
-  /// take their delta knob from each NodeConfig's comm.delta instead.
+  /// Fleet-scale control plane (DESIGN §12) on the *rack* hops: between
+  /// full resends every resync_every samples per node, suppress NodeStats
+  /// roll-ups whose payload is unchanged and send only changed quotas. The
+  /// default resync_every = 1 sends everything. The per-node VM hops take
+  /// their framing from each NodeConfig's comm.delta instead.
   comm::DeltaConfig delta;
 
   /// Worker threads for the parallel engine (2+ node clusters only). 1 runs
@@ -139,7 +139,7 @@ class Cluster {
   bool all_done() const;
 
   /// Roll-ups not sent because the payload matched the node's previous one
-  /// (delta mode only). Sums per-node slots, so call it only between
+  /// (resync_every > 1 only). Sums per-node slots, so call it only between
   /// windows or after the run.
   std::uint64_t rollups_suppressed() const;
   /// Rack control-plane payload bytes actually sent (uplinks + downlinks).
@@ -169,9 +169,9 @@ class Cluster {
   std::vector<std::unique_ptr<obs::TraceRecorder>> node_traces_;
   SimTime snapshot_interval_ = 0;  // barrier-driven metrics snapshots
   SimTime next_snapshot_ = 0;
-  // Roll-up delta state (delta mode), one slot per node — each written only
-  // from that node's shard: last payload sent, the sample occasion counter
-  // driving the resync cadence, and the suppressed-send count.
+  // Roll-up framing state, one slot per node — each written only from that
+  // node's shard: last payload sent, the sample occasion counter driving
+  // the resync cadence, and the suppressed-send count.
   std::vector<std::optional<NodeStats>> last_rollup_;
   std::vector<std::uint64_t> rollup_rounds_;
   std::vector<std::uint64_t> rollups_suppressed_;

@@ -78,9 +78,7 @@ core::ScenarioSpec fleet_node_scenario(const FleetExperimentConfig& cfg,
 
 FleetRunResult run_fleet_scenario(const FleetExperimentConfig& cfg) {
   core::NodeConfig base = core::scaled_node_defaults(cfg.scale);
-  base.comm.delta.enabled = cfg.delta;
   base.comm.delta.resync_every = cfg.resync_every;
-  base.mm_incremental = cfg.mm_incremental;
 
   workloads::FleetWorkloadConfig fw;
   fw.tenants = cfg.nodes * cfg.vms_per_node;
@@ -124,7 +122,6 @@ FleetRunResult run_fleet_scenario(const FleetExperimentConfig& cfg) {
     ccfg.topology.internode_lend_req.faults = cfg.lend_fault;
     ccfg.topology.internode_lend_resp.faults = cfg.lend_fault;
   }
-  ccfg.delta.enabled = cfg.delta;
   ccfg.delta.resync_every = cfg.resync_every;
   ccfg.sim_threads = cfg.sim_threads;
   ccfg.profile = cfg.profile;
@@ -165,7 +162,6 @@ FleetRunResult run_fleet_scenario(const FleetExperimentConfig& cfg) {
     if (const mm::MemoryManager* mgr = n.manager()) {
       out.mm_samples += mgr->samples_seen();
       out.mm_targets_sent += mgr->targets_sent();
-      out.mm_incremental_decides += mgr->incremental_decides();
       out.mm_decide_ns += mgr->decide_ns_total();
       out.mm_decides += mgr->decide_count();
       out.targets_full_sends += mgr->targets_full_sends();

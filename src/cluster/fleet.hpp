@@ -5,12 +5,11 @@
 // *control plane*: many tenants with zipf-ranked intensity spread over
 // many nodes (tenant rank = node * vms_per_node + vm, so node 0 is hottest
 // and the rack carries a demand gradient), staggered arrivals, and a
-// YCSB-style phase mix per tenant (workloads::make_fleet_tenant). Every
-// knob of DESIGN §12 is a config axis here — delta encoding on both the
-// per-VM and the rack hops and the O(changed-VMs) MM decide path — so the
-// fig_fleet_scaling bench can sweep them against the classic full-vector
-// baseline and read the control-plane bytes and decide-time probes off the
-// result.
+// YCSB-style phase mix per tenant (workloads::make_fleet_tenant). The
+// DESIGN §12 resync cadence of the per-VM and the rack hops is a config
+// axis here, so the fig_fleet_scaling bench can sweep delta framing against
+// the full-vector baseline (resync_every = 1) and read the control-plane
+// bytes and decide-time probes off the result.
 #pragma once
 
 #include <cstdint>
@@ -57,12 +56,9 @@ struct FleetExperimentConfig {
   /// Fault surface installed on both lending hops (async plane only).
   comm::FaultSpec lend_fault;
 
-  /// Delta-encode the control plane (per-VM hops and rack hops) with this
-  /// resync cadence. Off = classic full-vector messages.
-  bool delta = false;
-  std::uint64_t resync_every = 16;
-  /// O(changed-VMs) MM decision loop (independent of `delta`).
-  bool mm_incremental = false;
+  /// Control-plane framing on the per-VM and the rack hops: every Nth send
+  /// is a full snapshot, the rest are deltas. 1 = full-vector messages.
+  std::uint64_t resync_every = 1;
 
   /// Truncates the run at this simulated time when positive (tests: force
   /// a teardown while lending exchanges are still mid-flight). 0 = run to
@@ -97,11 +93,10 @@ struct FleetRunResult {
   std::uint64_t rack_control_bytes = 0;  // rack hops (roll-ups + quotas)
   std::uint64_t mm_samples = 0;          // samples delivered to the MMs
   std::uint64_t mm_targets_sent = 0;
-  std::uint64_t mm_incremental_decides = 0;
   std::uint64_t mm_decide_ns = 0;  // wall clock — never in deterministic CSVs
   std::uint64_t mm_decides = 0;
-  std::uint64_t stats_full_sends = 0;    // uplink resyncs (delta mode)
-  std::uint64_t targets_full_sends = 0;  // downlink resyncs (delta mode)
+  std::uint64_t stats_full_sends = 0;    // uplink full snapshots
+  std::uint64_t targets_full_sends = 0;  // downlink full snapshots
 
   std::uint64_t gm_decisions = 0;
   std::uint64_t gm_clean_decides = 0;
@@ -159,8 +154,8 @@ struct FleetRunResult {
 };
 
 /// Builds, runs and tears down one fleet. Deterministic for a given config
-/// (modulo the wall-clock fields called out on FleetRunResult) across
-/// sim_threads values and delta on/off.
+/// (modulo the wall-clock fields called out on FleetRunResult); the
+/// simulated outcome is the same across sim_threads and resync_every.
 FleetRunResult run_fleet_scenario(const FleetExperimentConfig& cfg);
 
 }  // namespace smartmem::cluster

@@ -116,8 +116,8 @@ void GlobalManager::decide() {
   // view, and the previous output was transmitted — rerunning the policy
   // could only reproduce the vector suppression would then drop. Counters
   // advance exactly as the full path would have.
-  if (config_.delta.enabled && config_.suppress_unchanged &&
-      audit_ == nullptr && !dirty_since_decide_ && last_sent_) {
+  if (config_.suppress_unchanged && audit_ == nullptr &&
+      !dirty_since_decide_ && last_sent_) {
     ++decisions_;
     ++clean_decides_;
     ++sends_suppressed_;
@@ -193,9 +193,7 @@ void GlobalManager::decide() {
     // last value sent to them. A NodeQuotaMsg is self-contained and
     // idempotent, so per-node seq gaps are harmless; the periodic full
     // fan-out bounds how long a lost grant can stay unrepaired.
-    const bool full_round =
-        !config_.delta.enabled || config_.delta.resync_every <= 1 ||
-        (quota_rounds_ % config_.delta.resync_every) == 0;
+    const bool full_round = config_.delta.full_due(quota_rounds_);
     ++quota_rounds_;
     for (const NodeQuota& q : out) {
       if (!full_round) {

@@ -39,15 +39,11 @@ struct GlobalManagerConfig {
   /// reschedules it directly (no control message needed).
   mm::IntervalControllerConfig adaptive;
 
-  /// Fleet-scale control plane (DESIGN §12). With delta on: (a) quota
-  /// downlinks carry only the nodes whose quota changed, with a full
-  /// fan-out every resync_every quota rounds (a NodeQuotaMsg is
-  /// self-contained and idempotent, so per-node gaps are safe under the
-  /// per-node seq check); (b) a decision round in which no roll-up payload
-  /// changed skips the policy entirely — the policies are pure, so the
-  /// output could only equal the suppressed previous vector. The fast path
-  /// is disabled while auditing (audits want the per-node verdicts) or
-  /// with suppression off.
+  /// Quota downlink framing (DESIGN §12): between full fan-outs every
+  /// resync_every quota rounds, only the nodes whose quota changed are
+  /// sent (a NodeQuotaMsg is self-contained and idempotent, so per-node
+  /// gaps are safe under the per-node seq check). The default
+  /// resync_every = 1 sends every quota every round.
   comm::DeltaConfig delta;
 };
 
@@ -96,10 +92,13 @@ class GlobalManager {
   std::uint64_t sends_suppressed() const { return sends_suppressed_; }
   std::size_t nodes_seen() const { return stats_vec_.size(); }
   /// Decision rounds resolved without running the policy because no
-  /// roll-up payload changed (delta fast path).
+  /// roll-up payload changed since the previous round. The global policies
+  /// are pure, so the output could only equal the suppressed previous
+  /// vector. Never taken while auditing (audits want the per-node
+  /// verdicts) or with suppression off.
   std::uint64_t clean_decides() const { return clean_decides_; }
   /// Per-node quota sends skipped because the value was unchanged
-  /// (delta mode only).
+  /// (resync_every > 1 only).
   std::uint64_t quota_sends_skipped() const { return quota_sends_skipped_; }
 
   /// nullptr when the adaptive cadence is disabled.
@@ -128,7 +127,7 @@ class GlobalManager {
   bool dirty_since_decide_ = false;       // any payload change since decide()
   std::map<NodeId, std::uint64_t> last_seq_;
   std::optional<std::vector<NodeQuota>> last_sent_;
-  std::map<NodeId, PageCount> last_quota_sent_;  // delta downlink state
+  std::map<NodeId, PageCount> last_quota_sent_;  // quota framing state
   std::uint64_t quota_rounds_ = 0;        // quota-sending decisions
   std::uint64_t next_send_seq_ = 0;
 

@@ -414,8 +414,9 @@ struct CommConfig {
   SimTime ack_timeout = 500 * kMillisecond;
   std::uint32_t ack_max_retries = 3;
 
-  /// Delta-encodes the MemStats uplink and the TargetsMsg downlink (DESIGN
-  /// §12). Off by default: the classic full-vector path stays byte-identical.
+  /// Framing of the MemStats uplink and the TargetsMsg downlink (DESIGN
+  /// §12). The default resync_every = 1 sends every message full, the
+  /// paper's full-vector control plane.
   DeltaConfig delta;
 
   CommConfig() {

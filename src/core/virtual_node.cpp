@@ -61,7 +61,6 @@ VirtualNode::VirtualNode(NodeConfig config)
     mcfg.suppress_unchanged = config_.mm_suppress_unchanged;
     mcfg.adaptive = config_.adaptive_interval;
     mcfg.delta = config_.comm.delta;
-    mcfg.incremental = config_.mm_incremental;
     // Fallback total for samples that carry none, in the node's capacity
     // units (the hypervisor's snapshots always carry the live value).
     const PageCount mm_total =

@@ -88,12 +88,6 @@ struct NodeConfig {
   /// is not naturally repaired by the next interval's (suppressed) resend.
   bool mm_suppress_unchanged = true;
 
-  /// O(changed-VMs) MM decision loop (mm::ManagerConfig::incremental). The
-  /// delta knob lives in comm.delta so the TKM encoder and the MM decoder
-  /// always agree; this flag is independent — incremental decides work on
-  /// full-vector uplinks too (the MM diffs consecutive samples itself).
-  bool mm_incremental = false;
-
   /// Destructive frontswap gets (see GuestConfig); the paper's kernel
   /// defaults to non-exclusive.
   bool frontswap_exclusive_gets = true;

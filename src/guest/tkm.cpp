@@ -25,7 +25,6 @@ Tkm::Tkm(sim::Simulator& sim, hyper::Hypervisor& hypervisor,
       hyp_(hypervisor),
       uplink_(sim, seeded(std::move(config.uplink), config.seed, 0)),
       downlink_(sim, seeded(std::move(config.downlink), config.seed, 1)),
-      delta_(config.delta),
       stats_encoder_(config.delta),
       ack_targets_(config.ack_targets),
       ack_timeout_(config.ack_timeout),
@@ -59,11 +58,7 @@ void Tkm::start(StatsSink sink) {
   if (!downlink_.is_open()) install_downlink();
   hyp_.start_sampling([this](const hyper::MemStats& stats) {
     if (virq_tap_) virq_tap_(stats);
-    if (delta_.enabled) {
-      uplink_.send(stats_encoder_.encode(stats));
-    } else {
-      uplink_.send(stats);
-    }
+    uplink_.send(stats_encoder_.encode(stats));
   });
 }
 
@@ -123,8 +118,8 @@ void Tkm::attach_obs(obs::TraceRecorder* trace, obs::Registry* registry) {
                                    &downlink_.stats());
     registry->add_counter("comm.target_retransmits", &target_retransmits_);
     // Delta-encoding health on the uplink endpoint: the full/delta split is
-    // the resync frequency a fleet health report reads (flat counters when
-    // delta is off — every send is then a "full" snapshot).
+    // the resync frequency a fleet health report reads (every send counts
+    // as full at resync_every = 1).
     registry->add_counter("comm.uplink.stats_full_sends", [this] {
       return static_cast<double>(stats_full_sends());
     });

@@ -77,8 +77,8 @@ class Tkm {
     return uplink_.backpressure();
   }
 
-  /// Uplink stats messages encoded as deltas / as full snapshots (delta
-  /// mode only; both 0 when CommConfig::delta is off).
+  /// Uplink stats messages encoded as deltas / as full snapshots. Every
+  /// send is full at the default CommConfig::delta.resync_every = 1.
   std::uint64_t stats_delta_sends() const {
     return stats_encoder_.sends() - stats_encoder_.full_sends();
   }
@@ -107,10 +107,9 @@ class Tkm {
   comm::Channel<hyper::MemStats> uplink_;
   comm::Channel<hyper::TargetsMsg> downlink_;
   StatsSink virq_tap_;
-  // Uplink delta codec (DESIGN §12): when CommConfig::delta is on, each
-  // VIRQ sample is diffed against the previous send before hitting the
-  // channel. The virq_tap_ still sees the full snapshot.
-  comm::DeltaConfig delta_;
+  // Uplink codec (DESIGN §12): each VIRQ sample is framed against the
+  // previous send before hitting the channel (a full snapshot at the
+  // default resync_every = 1). The virq_tap_ still sees the full snapshot.
   hyper::StatsDeltaEncoder stats_encoder_;
 
   // Ack/retry state (CommConfig::ack_targets). The delivered hypercall is

@@ -22,8 +22,7 @@ bool same_id_set(const std::vector<Entry>& a, const std::vector<Entry>& b) {
 }  // namespace
 
 MemStats StatsDeltaEncoder::encode(const MemStats& full) {
-  const bool cadence_full =
-      cfg_.resync_every <= 1 || (sends_ % cfg_.resync_every) == 0;
+  const bool cadence_full = cfg_.full_due(sends_);
   ++sends_;
   MemStats out;
   if (cadence_full || !same_id_set(last_.vm, full.vm)) {
@@ -38,7 +37,6 @@ MemStats StatsDeltaEncoder::encode(const MemStats& full) {
     out.total_tmem = full.total_tmem;
     out.free_tmem = full.free_tmem;
     out.vm_count = full.vm_count;
-    out.extended = full.extended;
     out.delta = true;
     out.base_seq = last_seq_;
     for (std::size_t i = 0; i < full.vm.size(); ++i) {
@@ -50,9 +48,7 @@ MemStats StatsDeltaEncoder::encode(const MemStats& full) {
   return out;
 }
 
-bool StatsDeltaView::apply(const MemStats& msg,
-                           std::vector<std::size_t>& dirty_idx) {
-  dirty_idx.clear();
+bool StatsDeltaView::apply(const MemStats& msg) {
   if (msg.seq != 0 && msg.seq <= last_applied_seq_) {
     ++stale_drops_;
     return false;
@@ -71,7 +67,6 @@ bool StatsDeltaView::apply(const MemStats& msg,
     view_.total_tmem = msg.total_tmem;
     view_.free_tmem = msg.free_tmem;
     view_.vm_count = msg.vm_count;
-    view_.extended = msg.extended;
     for (const VmMemStats& e : msg.vm) {
       auto it = std::lower_bound(
           view_.vm.begin(), view_.vm.end(), e.vm_id,
@@ -79,25 +74,10 @@ bool StatsDeltaView::apply(const MemStats& msg,
       if (it != view_.vm.end() && it->vm_id == e.vm_id) {
         *it = e;
       } else {
-        it = view_.vm.insert(it, e);
+        view_.vm.insert(it, e);
       }
-    }
-    // Indices are resolved after every fold so an insert cannot invalidate
-    // earlier entries (inserts only happen on out-of-chain VM additions).
-    for (const VmMemStats& e : msg.vm) {
-      auto it = std::lower_bound(
-          view_.vm.begin(), view_.vm.end(), e.vm_id,
-          [](const VmMemStats& v, VmId id) { return v.vm_id < id; });
-      dirty_idx.push_back(static_cast<std::size_t>(it - view_.vm.begin()));
     }
   } else {
-    if (view_.vm.size() == msg.vm.size()) {
-      for (std::size_t i = 0; i < msg.vm.size(); ++i) {
-        if (!(view_.vm[i] == msg.vm[i])) dirty_idx.push_back(i);
-      }
-    } else {
-      for (std::size_t i = 0; i < msg.vm.size(); ++i) dirty_idx.push_back(i);
-    }
     view_ = msg;
     view_.delta = false;
     view_.base_seq = 0;
@@ -108,8 +88,7 @@ bool StatsDeltaView::apply(const MemStats& msg,
 
 TargetsMsg TargetsDeltaEncoder::encode(std::uint64_t seq, const MmOut& full,
                                        SimTime new_interval) {
-  const bool cadence_full =
-      cfg_.resync_every <= 1 || (sends_ % cfg_.resync_every) == 0;
+  const bool cadence_full = cfg_.full_due(sends_);
   ++sends_;
   TargetsMsg out;
   out.seq = seq;

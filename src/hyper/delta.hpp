@@ -16,9 +16,8 @@
 //    advancing the applied seq — the invariant that makes loss degrade to
 //    "wait for the next resync", never to a fold onto the wrong base.
 //
-// The dirty indices the view reports per applied message are exactly the
-// entries that changed, which is what feeds the MM's O(changed-VMs)
-// decision loop.
+// At resync_every = 1 (the default) every message is a full snapshot, which
+// is the paper's full-vector control plane through the same code.
 #pragma once
 
 #include <cstdint>
@@ -53,13 +52,12 @@ class StatsDeltaEncoder {
 };
 
 /// Receiver side of the MemStats uplink (lives in the MemoryManager): a
-/// materialized snapshot plus the per-message dirty set.
+/// materialized snapshot.
 class StatsDeltaView {
  public:
-  /// Folds one message. Returns true and fills `dirty_idx` (indices into
-  /// view().vm that this message changed) when applied; false when dropped
+  /// Folds one message. Returns true when applied; false when dropped
   /// (stale seq or broken delta chain — the view is untouched).
-  bool apply(const MemStats& msg, std::vector<std::size_t>& dirty_idx);
+  bool apply(const MemStats& msg);
 
   const MemStats& view() const { return view_; }
   std::uint64_t last_applied_seq() const { return last_applied_seq_; }

@@ -424,8 +424,6 @@ MemStats Hypervisor::snapshot() const {
   // helpers fold in the compressed tier and honour capacity_units.
   stats.total_tmem = capacity_total();
   stats.free_tmem = capacity_free();
-  stats.extended = store_.compressed_enabled() ||
-                   config_.capacity_units == CapacityUnits::kBytes;
   stats.vm_count = vm_count();
   stats.vm.reserve(vms_.size());
   for (const auto& [id, data] : vms_) {
@@ -436,12 +434,6 @@ MemStats Hypervisor::snapshot() const {
     v.cumul_puts_failed = data.cumul_puts_failed;
     v.tmem_used = vm_capacity_used(id);
     v.mm_target = data.mm_target;
-    if (stats.extended) {
-      const PageCount borrowed =
-          remote_ != nullptr ? remote_->borrowed_pages(id) : 0;
-      v.tmem_used_bytes = store_.vm_bytes(id) + borrowed * kPageSize;
-      v.comp_ratio = store_.compressed_pool().observed_ratio(id);
-    }
     stats.vm.push_back(v);
   }
   return stats;

@@ -23,22 +23,12 @@ struct VmMemStats {
   /// Failed puts accumulated over the VM's lifetime; Algorithm 3 keys its
   /// notion of "has ever swapped" off this (cumul_puts_failed).
   std::uint64_t cumul_puts_failed = 0;
-  /// Pages of tmem currently used by the VM (vm_data_hyp[id].tmem_used).
+  /// Tmem currently used by the VM (vm_data_hyp[id].tmem_used), in the
+  /// node's capacity units: pages, or effective bytes under
+  /// CapacityUnits::kBytes (compressed pages at their compressed size).
   PageCount tmem_used = 0;
   /// Target currently enforced by the hypervisor (vm_data_hyp[id].mm_target).
   PageCount mm_target = kUnlimitedTarget;
-
-  // ---- Byte-aware extension (compressed tier / CapacityUnits::kBytes) ----
-  // Populated — and carried on the wire — only when MemStats::extended is
-  // set; both stay at their defaults otherwise so the classic layout and
-  // delta comparisons are unchanged.
-
-  /// Effective bytes the VM occupies: kPageSize per DRAM/NVM/borrowed page,
-  /// the compressed size for pages in the compressed tier.
-  std::uint64_t tmem_used_bytes = 0;
-  /// EWMA compression ratio observed for the VM's pages entering the
-  /// compressed tier (0 until the first page compresses).
-  double comp_ratio = 0.0;
 
   friend bool operator==(const VmMemStats&, const VmMemStats&) = default;
 };
@@ -71,11 +61,6 @@ struct MemStats {
   /// header fields above are always absolute.
   bool delta = false;
   std::uint64_t base_seq = 0;
-  /// True when the per-VM byte/ratio extension fields are populated (the
-  /// node runs the compressed tier and/or byte capacity units). Adds 16
-  /// bytes per entry on the wire; false keeps the classic 44-byte layout,
-  /// so compression-off runs ship byte-identical control traffic.
-  bool extended = false;
 };
 
 /// One entry of the MM's output (mm_out[i] in Table I).
@@ -119,9 +104,8 @@ inline std::size_t wire_size(const VmMemStats&) {
 }
 inline std::size_t wire_size(const MemStats& s) {
   // seq(8) + when(8) + interval(8) + total(8) + free(8) + vm_count(4) +
-  // flags/base_seq(1+8) + entry count(4); extended samples append
-  // used_bytes(8) + comp_ratio(8) per entry.
-  return 57 + s.vm.size() * (s.extended ? 60 : 44);
+  // flags/base_seq(1+8) + entry count(4)
+  return 57 + s.vm.size() * 44;
 }
 inline std::size_t wire_size(const MmTarget&) {
   return 12;  // vm_id(4) + mm_target(8)

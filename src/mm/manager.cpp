@@ -1,6 +1,5 @@
 #include "mm/manager.hpp"
 
-#include <algorithm>
 #include <chrono>
 #include <cmath>
 #include <limits>
@@ -23,19 +22,13 @@ MemoryManager::MemoryManager(PolicyPtr policy, PageCount total_tmem,
       total_tmem_(total_tmem),
       config_(config),
       history_(config.history_depth),
-      last_stats_interval_(config.sample_interval) {
+      last_stats_interval_(config.sample_interval),
+      targets_encoder_(config.delta) {
   if (!policy_) {
     throw std::invalid_argument("MemoryManager: null policy");
   }
   if (config_.adaptive.enabled) {
     interval_ctl_.emplace(config_.adaptive, config_.sample_interval);
-  }
-  if (config_.delta.enabled && !config_.incremental) {
-    // Classic compute + delta framing: the per-decision full vector is
-    // diffed against the last sent one by the encoder. The incremental
-    // path frames its own deltas (the policy already returns exactly the
-    // changed entries).
-    targets_encoder_.emplace(config_.delta);
   }
 }
 
@@ -50,9 +43,11 @@ void MemoryManager::register_metrics(obs::Registry& reg) const {
   reg.add_counter("mm.samples_seen", &samples_seen_);
   reg.add_counter("mm.targets_sent", &targets_sent_);
   reg.add_counter("mm.sends_suppressed", &sends_suppressed_);
-  reg.add_counter("mm.stale_samples_dropped", &stale_samples_dropped_);
+  reg.add_counter("mm.stale_samples_dropped", [this] {
+    return static_cast<double>(stale_samples_dropped());
+  });
   reg.add_gauge("mm.last_sample_seq",
-                [this] { return static_cast<double>(last_sample_seq_); });
+                [this] { return static_cast<double>(last_sample_seq()); });
   // Derived staleness gauge: age *now* of the newest delivered sample, in
   // sampling intervals — normalized by the interval in effect when that
   // sample was captured, so an adaptive resize mid-flight cannot skew the
@@ -74,13 +69,13 @@ void MemoryManager::register_metrics(obs::Registry& reg) const {
   });
   reg.add_counter("mm.interval_msgs_sent", &interval_msgs_sent_);
   // Fleet-scale control plane (DESIGN §12): delta decode/encode health and
-  // the O(changed-VMs) decide counters. All flat when the features are off.
+  // the decide-time probe.
   metrics_attached_ = true;
   reg.add_histogram("mm.stats_age_intervals", &stats_age_hist_);
   reg.add_counter("mm.stats_chain_breaks",
                   [this] { return static_cast<double>(stats_chain_breaks()); });
-  reg.add_counter("mm.targets_full_sends", &downlink_full_sends_);
-  reg.add_counter("mm.incremental_decides", &incremental_decides_);
+  reg.add_counter("mm.targets_full_sends",
+                  [this] { return static_cast<double>(targets_full_sends()); });
   reg.add_counter("mm.decide_ns_total", &decide_ns_total_);
   reg.add_gauge("mm.sample_interval_s",
                 [this] { return to_seconds(current_interval()); });
@@ -128,43 +123,23 @@ void MemoryManager::fill_audit_verdicts(obs::DecisionRecord& record,
 }
 
 void MemoryManager::on_stats(const hyper::MemStats& stats) {
-  if (stats.seq != 0) {
-    if (stats.seq <= last_sample_seq_) {
-      ++stale_samples_dropped_;
-      log::debug(kLogComp, "dropped stale memstats seq %llu (last %llu)",
-                 static_cast<unsigned long long>(stats.seq),
-                 static_cast<unsigned long long>(last_sample_seq_));
-      return;
-    }
-    // The materialized view (below) advances last_sample_seq_ only once the
-    // message actually applies: a delta on a broken chain must stay
-    // droppable without blocking its retransmitted predecessors.
-  }
-  const bool materialize = config_.delta.enabled || config_.incremental;
-  if (!materialize) {
-    // Classic path, byte-identical to the full-vector control plane.
-    if (stats.seq != 0) last_sample_seq_ = stats.seq;
-    ++samples_seen_;
-    history_.record(stats);
-    process_sample(stats, nullptr);
-    return;
-  }
-  if (!stats_view_.apply(stats, dirty_scratch_)) {
-    // Broken delta chain: counted in the view, recovery is the TKM's next
-    // full snapshot. (Stale seqs were already dropped above.)
-    log::debug(kLogComp, "dropped delta memstats seq %llu: base %llu",
+  if (!stats_view_.apply(stats)) {
+    // A stale or duplicated seq, or a delta on a broken chain (recovery is
+    // the TKM's next full snapshot). The view counts both and advances its
+    // applied seq only when a message applies, so a dropped delta never
+    // blocks its retransmitted predecessors.
+    log::debug(kLogComp, "dropped memstats seq %llu (base %llu, last %llu)",
                static_cast<unsigned long long>(stats.seq),
-               static_cast<unsigned long long>(stats.base_seq));
+               static_cast<unsigned long long>(stats.base_seq),
+               static_cast<unsigned long long>(last_sample_seq()));
     return;
   }
-  if (stats.seq != 0) last_sample_seq_ = stats.seq;
   ++samples_seen_;
   history_.record(stats_view_.view());
-  process_sample(stats_view_.view(), &dirty_scratch_);
+  process_sample(stats_view_.view());
 }
 
-void MemoryManager::process_sample(const hyper::MemStats& stats,
-                                   const std::vector<std::size_t>* dirty) {
+void MemoryManager::process_sample(const hyper::MemStats& stats) {
   const SimTime now = clock_ ? clock_() : stats.when;
   last_stats_when_ = stats.when;
   // Normalize staleness by the interval in effect when *this* sample was
@@ -193,24 +168,13 @@ void MemoryManager::process_sample(const hyper::MemStats& stats,
     ctx.audit = &scratch_;
   }
 
-  // O(changed-VMs) path: only with a dirty set, an incremental-capable
-  // policy, and no decision audit (audits need a verdict per VM anyway).
-  const bool use_inc = config_.incremental && dirty != nullptr &&
-                       audit_ == nullptr && policy_->supports_incremental();
-  hyper::MmOut out;
-  std::vector<hyper::MmTarget> changed;
   const auto decide_start = std::chrono::steady_clock::now();
-  if (use_inc) {
-    changed = policy_->decide_incremental(stats, *dirty, ctx);
-  } else {
-    out = policy_->compute(stats, ctx);
-  }
+  hyper::MmOut out = policy_->compute(stats, ctx);
   decide_ns_total_ += static_cast<std::uint64_t>(
       std::chrono::duration_cast<std::chrono::nanoseconds>(
           std::chrono::steady_clock::now() - decide_start)
           .count());
   ++decide_count_;
-  if (use_inc) ++incremental_decides_;
 
   // Adaptive cadence: feed the controller this sample's pressure signal and
   // remember any interval change so it can ride the outgoing message (or a
@@ -242,48 +206,8 @@ void MemoryManager::process_sample(const hyper::MemStats& stats,
     trace_->span(obs::kCatMm, mm_track_, "policy_decide", stats.when,
                  now - stats.when,
                  {{"seq", static_cast<double>(stats.seq)},
-                  {"targets", static_cast<double>(use_inc ? changed.size()
-                                                         : out.size())},
+                  {"targets", static_cast<double>(out.size())},
                   {"age_intervals", last_stats_age_}});
-  }
-
-  if (use_inc) {
-    // The policy returned exactly the targets that changed; empty means
-    // "identical vector", i.e. the suppression case, without ever
-    // comparing full vectors.
-    if (changed.empty()) {
-      if (!mat_out_.empty()) ++sends_suppressed_;
-      send_interval_update(interval_update);
-      return;
-    }
-    fold_materialized(changed);
-    ++targets_sent_;
-    if (!sender_) {
-      log::warn(kLogComp, "no sender attached; targets dropped");
-      return;
-    }
-    hyper::TargetsMsg msg;
-    msg.seq = ++next_send_seq_;
-    msg.new_interval = interval_update;
-    if (config_.delta.enabled) {
-      const bool full =
-          config_.delta.resync_every <= 1 ||
-          (downlink_sends_ % config_.delta.resync_every) == 0;
-      ++downlink_sends_;
-      if (full) {
-        msg.targets = mat_out_;
-        ++downlink_full_sends_;
-      } else {
-        msg.delta = true;
-        msg.base_seq = last_downlink_seq_;
-        msg.targets = std::move(changed);
-      }
-    } else {
-      msg.targets = mat_out_;
-    }
-    last_downlink_seq_ = msg.seq;
-    sender_(msg);
-    return;
   }
 
   obs::DecisionRecord record;
@@ -324,33 +248,9 @@ void MemoryManager::process_sample(const hyper::MemStats& stats,
     audit_->append(std::move(record));
   }
   if (sender_) {
-    if (targets_encoder_) {
-      hyper::TargetsMsg msg =
-          targets_encoder_->encode(++next_send_seq_, out, interval_update);
-      if (!msg.delta) ++downlink_full_sends_;
-      ++downlink_sends_;
-      last_downlink_seq_ = msg.seq;
-      sender_(msg);
-    } else {
-      sender_(hyper::TargetsMsg{++next_send_seq_, std::move(out),
-                                interval_update});
-    }
+    sender_(targets_encoder_.encode(++next_send_seq_, out, interval_update));
   } else {
     log::warn(kLogComp, "no sender attached; targets dropped");
-  }
-}
-
-void MemoryManager::fold_materialized(
-    const std::vector<hyper::MmTarget>& changed) {
-  for (const hyper::MmTarget& t : changed) {
-    auto it = std::lower_bound(
-        mat_out_.begin(), mat_out_.end(), t.vm_id,
-        [](const hyper::MmTarget& a, VmId id) { return a.vm_id < id; });
-    if (it != mat_out_.end() && it->vm_id == t.vm_id) {
-      it->mm_target = t.mm_target;
-    } else {
-      mat_out_.insert(it, t);
-    }
   }
 }
 
@@ -365,12 +265,11 @@ void MemoryManager::send_interval_update(SimTime interval) {
   }
   ++interval_msgs_sent_;
   // Interval-only messages are always full-framed (no entries to delta),
-  // but they advance the downlink seq, so both delta framers must chain
-  // their next delta onto this seq — the hypervisor's last applied seq
-  // moves when this message lands.
+  // but they advance the downlink seq, so the framer must chain its next
+  // delta onto this seq — the hypervisor's last applied seq moves when
+  // this message lands.
   sender_(hyper::TargetsMsg{++next_send_seq_, {}, interval});
-  last_downlink_seq_ = next_send_seq_;
-  if (targets_encoder_) targets_encoder_->note_interval_send(next_send_seq_);
+  targets_encoder_.note_interval_send(next_send_seq_);
 }
 
 }  // namespace smartmem::mm

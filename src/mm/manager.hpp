@@ -12,7 +12,6 @@
 #include <cstdint>
 #include <functional>
 #include <optional>
-#include <vector>
 
 #include "comm/delta.hpp"
 #include "common/stats.hpp"
@@ -44,20 +43,12 @@ struct ManagerConfig {
   /// paper's fixed cadence, byte-identical message stream).
   IntervalControllerConfig adaptive;
 
-  /// Delta-encoded control messages (DESIGN §12): decode the uplink's
-  /// MemStats deltas into a materialized view and encode outgoing
-  /// TargetsMsgs as changed-entries-only with periodic full resyncs.
-  /// Mirrored from CommConfig::delta by the node wiring so both endpoints
-  /// of each hop agree. Off by default (classic full-vector path,
-  /// byte-identical).
+  /// Control-message framing (DESIGN §12): the uplink's MemStats always
+  /// fold into a materialized view, and outgoing TargetsMsgs carry only the
+  /// changed entries between full resyncs. Mirrored from CommConfig::delta
+  /// by the node wiring so both endpoints of each hop agree. The default
+  /// resync_every = 1 frames every message full (the paper's vectors).
   comm::DeltaConfig delta;
-
-  /// O(changed-VMs) decision loop: feed the policy the dirty set from the
-  /// incoming stat deltas (or from diffing consecutive full samples) and
-  /// let it update its decision incrementally. Requires a policy with
-  /// supports_incremental(); falls back to the classic full recompute
-  /// otherwise or while a decision audit is attached. Off by default.
-  bool incremental = false;
 };
 
 class MemoryManager {
@@ -86,26 +77,26 @@ class MemoryManager {
   std::uint64_t targets_sent() const { return targets_sent_; }
   std::uint64_t sends_suppressed() const { return sends_suppressed_; }
   std::uint64_t stale_samples_dropped() const {
-    return stale_samples_dropped_;
+    return stats_view_.stale_drops();
   }
-  std::uint64_t last_sample_seq() const { return last_sample_seq_; }
-  /// Last transmitted target vector. Classic path only; on the incremental
-  /// path the materialized equivalent is materialized_targets().
+  std::uint64_t last_sample_seq() const {
+    return stats_view_.last_applied_seq();
+  }
+  /// Last transmitted target vector.
   const std::optional<hyper::MmOut>& last_sent() const { return last_sent_; }
 
   // ---- Fleet-scale control plane (DESIGN §12) ------------------------------
 
-  /// Materialized target state on the incremental path (empty otherwise).
-  const hyper::MmOut& materialized_targets() const { return mat_out_; }
-  /// Uplink delta messages dropped on a broken chain / stale seq inside the
-  /// materialized view (0 when delta decoding is off).
+  /// Uplink delta messages dropped on a broken chain inside the
+  /// materialized view.
   std::uint64_t stats_chain_breaks() const {
     return stats_view_.chain_breaks();
   }
-  /// Downlink target sends that carried a full snapshot (delta mode only).
-  std::uint64_t targets_full_sends() const { return downlink_full_sends_; }
-  /// Decisions taken through the O(changed-VMs) path.
-  std::uint64_t incremental_decides() const { return incremental_decides_; }
+  /// Downlink target sends that carried a full snapshot (every send at the
+  /// default resync_every = 1).
+  std::uint64_t targets_full_sends() const {
+    return targets_encoder_.full_sends();
+  }
   /// Wall-clock nanoseconds spent inside policy decides, and their count —
   /// the mm_decide_ns probe. Never fed back into the simulation.
   std::uint64_t decide_ns_total() const { return decide_ns_total_; }
@@ -168,15 +159,8 @@ class MemoryManager {
   void send_interval_update(SimTime interval);
 
   /// Everything after uplink decode: history, staleness, policy decide,
-  /// adaptive cadence, audit, suppression and the downlink send. `dirty`
-  /// indexes stats.vm entries changed since the previous sample (nullptr on
-  /// the classic path).
-  void process_sample(const hyper::MemStats& stats,
-                      const std::vector<std::size_t>* dirty);
-
-  /// Folds a changed-targets list into the materialized output vector
-  /// (sorted by vm_id).
-  void fold_materialized(const std::vector<hyper::MmTarget>& changed);
+  /// adaptive cadence, audit, suppression and the downlink send.
+  void process_sample(const hyper::MemStats& stats);
 
   PolicyPtr policy_;
   PageCount total_tmem_;
@@ -187,8 +171,6 @@ class MemoryManager {
   std::uint64_t samples_seen_ = 0;
   std::uint64_t targets_sent_ = 0;
   std::uint64_t sends_suppressed_ = 0;
-  std::uint64_t last_sample_seq_ = 0;
-  std::uint64_t stale_samples_dropped_ = 0;
   std::uint64_t next_send_seq_ = 0;
   Clock clock_;
   obs::TraceRecorder* trace_ = nullptr;
@@ -209,20 +191,10 @@ class MemoryManager {
   std::uint64_t interval_msgs_sent_ = 0;
 
   // ---- Fleet-scale control plane (DESIGN §12) ------------------------------
-  // Uplink decode: materialized sample + per-message dirty set. Active when
-  // delta decoding or the incremental decide path needs a dirty set (full
-  // samples are diffed through the same view).
+  // Uplink decode into the materialized sample, downlink framing of each
+  // sent target vector.
   hyper::StatsDeltaView stats_view_;
-  std::vector<std::size_t> dirty_scratch_;
-  // Downlink encode (classic compute + delta framing).
-  std::optional<hyper::TargetsDeltaEncoder> targets_encoder_;
-  // Incremental path: materialized target state + manual delta framing
-  // (sublinear in steady state — no full-vector diff per send).
-  hyper::MmOut mat_out_;
-  std::uint64_t downlink_sends_ = 0;
-  std::uint64_t downlink_full_sends_ = 0;
-  std::uint64_t last_downlink_seq_ = 0;
-  std::uint64_t incremental_decides_ = 0;
+  hyper::TargetsDeltaEncoder targets_encoder_;
   std::uint64_t decide_ns_total_ = 0;
   std::uint64_t decide_count_ = 0;
 };

@@ -8,9 +8,7 @@
 
 #include <cstddef>
 #include <memory>
-#include <stdexcept>
 #include <string>
-#include <vector>
 
 #include "common/types.hpp"
 #include "hyper/memstats.hpp"
@@ -56,42 +54,7 @@ class Policy {
   /// was stale. 0 for policies without a staleness mode; the MM exports it
   /// as the mm.stale_decisions counter.
   virtual std::uint64_t stale_decisions() const { return 0; }
-
-  // ---- O(changed-VMs) decision support (DESIGN §12) -----------------------
-
-  /// True when decide_incremental() is implemented (and applicable under
-  /// the policy's current configuration). The MM only takes the
-  /// incremental path when this holds, ManagerConfig::incremental is set
-  /// and no decision audit is attached.
-  virtual bool supports_incremental() const { return false; }
-
-  /// Incremental decide: `stats` is the fully materialized sample and
-  /// `dirty_idx` the indices into stats.vm whose entries changed since the
-  /// previous invocation (the MM's delta view computes them). Returns ONLY
-  /// the per-VM targets that differ from the policy's previous output —
-  /// empty means nothing changed and the MM suppresses the send. The policy
-  /// keeps its own materialized decision state; a change of ctx.total_tmem
-  /// or of the VM set invalidates it (the caller passes every index as
-  /// dirty on a VM-set change).
-  ///
-  /// Preconditions: stats.vm sorted by vm_id and positionally stable
-  /// outside dirty_idx. Implementations must be bit-identical to compute():
-  /// folding the returned targets over the previous output yields exactly
-  /// the vector compute() would have produced for the same sample
-  /// (SmartPolicy replays compute()'s left-to-right double accumulation of
-  /// the Eq. 2 trigger whenever an integer bound on it is inconclusive).
-  virtual std::vector<hyper::MmTarget> decide_incremental(
-      const hyper::MemStats& stats, const std::vector<std::size_t>& dirty_idx,
-      const PolicyContext& ctx);
 };
-
-inline std::vector<hyper::MmTarget> Policy::decide_incremental(
-    const hyper::MemStats&, const std::vector<std::size_t>&,
-    const PolicyContext&) {
-  throw std::logic_error(
-      "Policy: decide_incremental called on a policy that does not support "
-      "it (check supports_incremental() first)");
-}
 
 using PolicyPtr = std::unique_ptr<Policy>;
 

@@ -185,133 +185,4 @@ hyper::MmOut SmartPolicy::compute(const hyper::MemStats& stats,
   return out;  // line 34 (send; the MM suppresses unchanged vectors)
 }
 
-double SmartPolicy::pre_target_raw(const hyper::VmMemStats& vm,
-                                   double local_tmem, double vm_count,
-                                   PageCount threshold) const {
-  const double curr_tgt = vm.mm_target == kUnlimitedTarget
-                              ? local_tmem / vm_count
-                              : static_cast<double>(vm.mm_target);
-  const std::uint64_t failed_puts = vm.puts_total - vm.puts_succ;
-  if (failed_puts > 0) {
-    return curr_tgt + config_.p_percent * local_tmem / 100.0;
-  }
-  if (curr_tgt - static_cast<double>(vm.tmem_used) >
-      static_cast<double>(threshold)) {
-    return (100.0 - config_.p_percent) * curr_tgt / 100.0;
-  }
-  return curr_tgt;
-}
-
-std::vector<hyper::MmTarget> SmartPolicy::decide_incremental(
-    const hyper::MemStats& stats, const std::vector<std::size_t>& dirty_idx,
-    const PolicyContext& ctx) {
-  const PageCount local = ctx.total_tmem;
-  const double local_d = static_cast<double>(local);
-  const PageCount threshold = effective_threshold(local);
-  const std::size_t n = stats.vm.size();
-  const double vm_count = static_cast<double>(n);
-
-  // A change of the capacity (node quota applied), of the VM set, or a
-  // dirty entry whose id no longer lines up invalidates every cached
-  // decision: the unlimited-target grounding and the grow step both depend
-  // on the globals. The id spot-check covers only dirty indices — the
-  // caller guarantees positional stability outside them.
-  bool full_pass = !inc_valid_ || inc_total_ != local || inc_ids_.size() != n;
-  if (!full_pass) {
-    for (std::size_t i : dirty_idx) {
-      if (i >= n || inc_ids_[i] != stats.vm[i].vm_id) {
-        full_pass = true;
-        break;
-      }
-    }
-  }
-
-  std::vector<hyper::MmTarget> changed;
-  bool raw_changed = full_pass;  // a rebuild counts as "everything moved"
-  if (full_pass) {
-    inc_ids_.resize(n);
-    inc_raw_.resize(n);
-    inc_pre_.resize(n);
-    inc_out_.assign(n, kUnlimitedTarget);  // sentinel: everything re-emits
-    inc_sum_ = 0;
-    for (std::size_t i = 0; i < n; ++i) {
-      inc_ids_[i] = stats.vm[i].vm_id;
-      inc_raw_[i] = pre_target_raw(stats.vm[i], local_d, vm_count, threshold);
-      inc_pre_[i] = static_cast<PageCount>(inc_raw_[i]);
-      inc_sum_ += inc_pre_[i];
-    }
-    inc_renormed_ = false;
-    inc_fp_valid_ = false;
-    inc_valid_ = true;
-    inc_total_ = local;
-  } else {
-    for (std::size_t i : dirty_idx) {
-      const double raw =
-          pre_target_raw(stats.vm[i], local_d, vm_count, threshold);
-      if (raw != inc_raw_[i]) raw_changed = true;
-      const auto fresh = static_cast<PageCount>(raw);
-      inc_sum_ = inc_sum_ - inc_pre_[i] + fresh;
-      inc_raw_[i] = raw;
-      inc_pre_[i] = fresh;
-    }
-  }
-
-  auto emit = [&](std::size_t i, PageCount target) {
-    if (inc_out_[i] != target) {
-      inc_out_[i] = target;
-      changed.push_back({inc_ids_[i], target});
-    }
-  };
-
-  // Equation 2 trigger, replicated bit-for-bit: compute() compares its
-  // left-to-right double sum of the raw targets against the capacity. The
-  // integer sum of the casts bounds that value — raw_i >= cast_i and
-  // sum(raw) < sum(cast) + n — so outside the band (sum + n + 1 <= local:
-  // surely under; the FP rounding error is orders of magnitude below the
-  // >= 1 page integer margin) the verdict needs no double arithmetic at
-  // all. Inside it, replay compute()'s summation over the cached raws in
-  // index order — bit-identical adds, bit-identical verdict and factor.
-  const bool may_renorm =
-      inc_sum_ + static_cast<std::uint64_t>(n) + 1 > local;
-  if (may_renorm) {
-    if (!raw_changed && inc_fp_valid_) {
-      // No raw moved since the sum was last computed: still exact.
-    } else {
-      double fp = 0.0;
-      for (std::size_t i = 0; i < n; ++i) fp += inc_raw_[i];
-      inc_fp_sum_ = fp;
-      inc_fp_valid_ = true;
-    }
-  } else {
-    inc_fp_valid_ = false;
-  }
-  const bool renorm = may_renorm && inc_fp_sum_ > local_d && inc_fp_sum_ > 0.0;
-
-  if (renorm) {
-    const double factor = local_d / inc_fp_sum_;
-    if (!full_pass && inc_renormed_ && !raw_changed) {
-      // Same raws as last round: the factor is bit-identical, clean VMs
-      // keep their scaled targets — only dirty ones rescale (to the same
-      // values; emit() suppresses them). The steady-state O(dirty) path.
-      for (std::size_t i : dirty_idx) {
-        emit(i, static_cast<PageCount>(std::floor(
-                    static_cast<double>(inc_pre_[i]) * factor)));
-      }
-    } else {
-      for (std::size_t i = 0; i < n; ++i) {
-        emit(i, static_cast<PageCount>(std::floor(
-                    static_cast<double>(inc_pre_[i]) * factor)));
-      }
-    }
-  } else if (full_pass || inc_renormed_) {
-    // A rebuilt cache — or leaving a renorm round, where every emitted
-    // target reverts to its pre-renorm value — is a one-time O(n) walk.
-    for (std::size_t i = 0; i < n; ++i) emit(i, inc_pre_[i]);
-  } else {
-    for (std::size_t i : dirty_idx) emit(i, inc_pre_[i]);
-  }
-  inc_renormed_ = renorm;
-  return changed;
-}
-
 }  // namespace smartmem::mm

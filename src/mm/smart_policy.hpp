@@ -74,48 +74,9 @@ class SmartPolicy final : public Policy {
   /// capped at stale_widen_max. Exposed for the property tests.
   double widen_factor(double age_intervals) const;
 
-  // ---- O(changed-VMs) engine (DESIGN §12) ---------------------------------
-
-  /// Only without a stale mode: skip/widen decisions depend on per-sample
-  /// age, which would dirty every VM every interval anyway.
-  bool supports_incremental() const override {
-    return config_.stale_mode == StaleMode::kOff;
-  }
-
-  /// Algorithm 4 over the dirty subset, bit-identical to compute(). Per-VM
-  /// pre-renorm targets (raw doubles and their casts) are cached in indexed
-  /// arrays; an exact integer running sum of the casts bounds the Eq. 2
-  /// trigger, and only when that bound is inconclusive — or a renorm
-  /// actually fires — is compute()'s left-to-right double sum replayed over
-  /// the cached raws (an O(n) walk, but renorm rounds re-emit every target
-  /// anyway). While renormalized with no dirty raw moving, the sum and
-  /// factor are bit-unchanged and only dirty VMs rescale — the steady-state
-  /// O(changed-VMs) path.
-  std::vector<hyper::MmTarget> decide_incremental(
-      const hyper::MemStats& stats, const std::vector<std::size_t>& dirty_idx,
-      const PolicyContext& ctx) override;
-
  private:
-  /// Lines 5-26 of Algorithm 4 for one VM: the pre-renormalization target
-  /// as the raw double compute() accumulates into the Eq. 2 sum (its
-  /// PageCount cast is what compute() pushes into mm_out).
-  double pre_target_raw(const hyper::VmMemStats& vm, double local_tmem,
-                        double vm_count, PageCount threshold) const;
-
   SmartPolicyConfig config_;
   std::uint64_t stale_decisions_ = 0;
-
-  // Incremental decision state, aligned with stats.vm by index.
-  bool inc_valid_ = false;
-  PageCount inc_total_ = 0;             // ctx.total_tmem the cache was built for
-  std::vector<VmId> inc_ids_;
-  std::vector<double> inc_raw_;         // pre-renorm targets, pre-cast
-  std::vector<PageCount> inc_pre_;      // pre-renorm targets (cast of raw)
-  std::vector<PageCount> inc_out_;      // emitted (post-renorm) targets
-  std::uint64_t inc_sum_ = 0;           // exact integer sum of inc_pre_
-  bool inc_renormed_ = false;           // previous round applied Eq. 2
-  double inc_fp_sum_ = 0.0;             // compute()-order double sum of raws
-  bool inc_fp_valid_ = false;           // inc_fp_sum_ reflects current raws
 };
 
 }  // namespace smartmem::mm

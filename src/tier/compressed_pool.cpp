@@ -7,14 +7,12 @@
 
 namespace smartmem::tier {
 
-void CompressedPool::add(VmId vm, std::uint32_t bytes) {
+void CompressedPool::add(std::uint32_t bytes) {
   assert(enabled() && bytes_used_ + bytes <= config_.capacity_bytes);
   bytes_used_ += bytes;
   ++pages_;
   peak_bytes_ = std::max(peak_bytes_, bytes_used_);
   peak_pages_ = std::max(peak_pages_, pages_);
-  model_.observe(vm, static_cast<double>(kPageSize) /
-                         static_cast<double>(bytes));
 }
 
 void CompressedPool::remove(std::uint32_t bytes) {

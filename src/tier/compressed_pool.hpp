@@ -8,9 +8,6 @@
 // themselves live in the TmemStore's entry map (tier = kCompressed) and the
 // store asks the pool three questions — how many bytes would this page
 // cost, does it fit, and charge/release it.
-//
-// The ledger also owns the CompressibilityModel, so every placement feeds
-// the per-VM observed-ratio EWMA that the byte-aware control plane reads.
 #pragma once
 
 #include <cstdint>
@@ -51,9 +48,8 @@ class CompressedPool {
     return enabled() && bytes_used_ + bytes <= config_.capacity_bytes;
   }
 
-  /// Charges `bytes` to the budget (the caller has checked fits()) and
-  /// feeds the owner VM's observed-ratio EWMA.
-  void add(VmId vm, std::uint32_t bytes);
+  /// Charges `bytes` to the budget (the caller has checked fits()).
+  void add(std::uint32_t bytes);
 
   /// Releases a previously charged page.
   void remove(std::uint32_t bytes);
@@ -68,7 +64,6 @@ class CompressedPool {
   PageCount pages() const { return pages_; }
   PageCount peak_pages() const { return peak_pages_; }
 
-  double observed_ratio(VmId vm) const { return model_.observed_ratio(vm); }
   const CompressibilityModel& model() const { return model_; }
 
   /// Registers the tier's byte/occupancy gauges under `prefix`

@@ -51,20 +51,4 @@ std::uint32_t CompressibilityModel::compressed_bytes(
                     static_cast<std::uint32_t>(kPageSize));
 }
 
-void CompressibilityModel::observe(VmId vm, double ratio) {
-  Ewma& e = observed_[vm];
-  if (!e.primed) {
-    e.value = ratio;
-    e.primed = true;
-  } else {
-    e.value += config_.ewma_alpha * (ratio - e.value);
-  }
-  ++observations_;
-}
-
-double CompressibilityModel::observed_ratio(VmId vm) const {
-  auto it = observed_.find(vm);
-  return it == observed_.end() ? 0.0 : it->second.value;
-}
-
 }  // namespace smartmem::tier

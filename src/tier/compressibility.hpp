@@ -15,14 +15,9 @@
 // Being a pure hash (no shared RNG stream) the model is order-independent:
 // the same key compresses to the same size no matter which thread, shard or
 // interleaving asks, which is what keeps multi-threaded runs bit-identical.
-//
-// The model also tracks an EWMA of the ratios actually observed per VM at
-// put time. That is the signal a byte-aware Memory Manager reads: "VM 3's
-// pages compress 3.1x, so a page of budget is cheap for it".
 #pragma once
 
 #include <cstdint>
-#include <map>
 
 #include "common/types.hpp"
 #include "tmem/key.hpp"
@@ -41,8 +36,6 @@ struct CompressibilityConfig {
   /// Per-page jitter: the page ratio is mean * (1 +/- jitter), clamped to
   /// [1.0, 8.0] (a page never grows, and >8x is unrealistic for 4 KiB).
   double jitter = 0.25;
-  /// EWMA smoothing factor for the per-VM observed ratio.
-  double ewma_alpha = 0.05;
 };
 
 class CompressibilityModel {
@@ -60,28 +53,10 @@ class CompressibilityModel {
                                  std::uint64_t object,
                                  std::uint32_t index) const;
 
-  /// Folds one observed page ratio into the VM's EWMA. Called by the store
-  /// on every compressed-tier placement; per-node events are totally
-  /// ordered, so the EWMA stays deterministic.
-  void observe(VmId vm, double ratio);
-
-  /// EWMA of ratios observed for `vm`; 0.0 until the first observation.
-  /// The byte-aware control plane ships this in MemStats.
-  double observed_ratio(VmId vm) const;
-
-  std::uint64_t observations() const { return observations_; }
   const CompressibilityConfig& config() const { return config_; }
 
  private:
   CompressibilityConfig config_;
-  struct Ewma {
-    double value = 0.0;
-    bool primed = false;
-  };
-  // Keyed by VM id; mutated only from the (single-threaded) node event
-  // loop. std::map keeps any iteration deterministic.
-  std::uint64_t observations_ = 0;
-  std::map<VmId, Ewma> observed_;
 };
 
 }  // namespace smartmem::tier

@@ -187,7 +187,7 @@ bool TmemStore::try_demote(Entry& e) {
           e.owner, e.type, e.key->object, e.key->index);
       if (comp_pool_.fits(cost)) {
         ++free_pages_;
-        comp_pool_.add(e.owner, cost);
+        comp_pool_.add(cost);
         acct.bytes -= kPageSize;
         acct.bytes += cost;
         e.tier = Tier::kCompressed;
@@ -258,7 +258,7 @@ void TmemStore::place_entry(Entry& entry, const TmemKey& key,
     return;
   }
   if (comp_eligible && comp_pool_.fits(comp_cost)) {
-    comp_pool_.add(entry.owner, comp_cost);
+    comp_pool_.add(comp_cost);
     entry.tier = Tier::kCompressed;
     entry.comp_bytes = comp_cost;
     ++stats_.compressed_stored;

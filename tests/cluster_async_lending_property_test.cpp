@@ -326,7 +326,7 @@ FleetExperimentConfig lending_fleet(std::size_t sim_threads, bool flaky) {
   cfg.vms_per_node = 4;
   cfg.scale = 0.0625;
   cfg.seed = 42;
-  cfg.delta = true;
+  cfg.resync_every = 16;
   cfg.lending_heavy = true;
   cfg.lending_async.enabled = true;
   cfg.lending_async.cache_pages = 64;

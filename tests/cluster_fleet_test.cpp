@@ -1,7 +1,8 @@
 // Fleet determinism contracts (DESIGN §12): the fleet experiment is a pure
 // function of its config — bit-identical across parallel-engine thread
-// counts, and the delta-encoded control plane replays the exact event
-// timeline of the full-vector one (only the byte accounting may differ).
+// counts, and delta framing (resync_every > 1) replays the exact event
+// timeline of the full-vector default (only the byte accounting may
+// differ).
 #include <gtest/gtest.h>
 
 #include "cluster/fleet.hpp"
@@ -29,7 +30,6 @@ void expect_identical(const FleetRunResult& a, const FleetRunResult& b) {
   EXPECT_EQ(a.rack_control_bytes, b.rack_control_bytes);
   EXPECT_EQ(a.mm_samples, b.mm_samples);
   EXPECT_EQ(a.mm_targets_sent, b.mm_targets_sent);
-  EXPECT_EQ(a.mm_incremental_decides, b.mm_incremental_decides);
   EXPECT_EQ(a.mm_decides, b.mm_decides);
   EXPECT_EQ(a.stats_full_sends, b.stats_full_sends);
   EXPECT_EQ(a.targets_full_sends, b.targets_full_sends);
@@ -72,12 +72,17 @@ TEST(FleetDeterminism, BitIdenticalAcrossSimThreads) {
 TEST(FleetDeterminism, DeltaEncodingReplaysFullVectorTimeline) {
   FleetExperimentConfig full = fleet_8x16();
   FleetExperimentConfig delta = fleet_8x16();
-  delta.delta = true;
+  delta.resync_every = 16;
 
   const FleetRunResult a = run_fleet_scenario(full);
   const FleetRunResult b = run_fleet_scenario(delta);
   ASSERT_GT(a.aggregate_failed_puts, 0u);
   expect_same_outcome(a, b);
+  // The default frames every message full on every hop.
+  EXPECT_EQ(a.targets_full_sends, a.mm_targets_sent);
+  EXPECT_GE(a.stats_full_sends, a.mm_samples);
+  EXPECT_EQ(a.rollups_suppressed, 0u);
+  EXPECT_EQ(a.quota_sends_skipped, 0u);
   // And the encoding actually did something: fewer bytes, some deltas.
   EXPECT_LT(b.node_control_bytes, a.node_control_bytes);
   EXPECT_LT(b.rack_control_bytes, a.rack_control_bytes);
@@ -87,14 +92,13 @@ TEST(FleetDeterminism, DeltaEncodingReplaysFullVectorTimeline) {
 
 TEST(FleetDeterminism, DeltaWithThreadsMatchesDeltaSerial) {
   FleetExperimentConfig serial = fleet_8x16();
-  serial.delta = true;
-  serial.mm_incremental = true;
+  serial.resync_every = 16;
   FleetExperimentConfig threaded = serial;
   threaded.sim_threads = 4;
 
   const FleetRunResult a = run_fleet_scenario(serial);
   const FleetRunResult b = run_fleet_scenario(threaded);
-  ASSERT_GT(a.mm_incremental_decides, 0u);
+  ASSERT_LT(a.stats_full_sends, a.mm_samples);
   expect_identical(a, b);
 }
 

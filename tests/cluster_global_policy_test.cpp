@@ -1,7 +1,7 @@
 // Node-level policies (Algorithm 4 with nodes in place of VMs) and the
 // GlobalManager decision loop: grounding, grow/shrink/hold conditions, the
 // no-activity guard, Equation 2 renormalization, parse errors, stale
-// roll-up rejection and suppression.
+// roll-up rejection, suppression and the clean-decide fast path.
 #include "cluster/global_policy.hpp"
 
 #include <gtest/gtest.h>
@@ -207,6 +207,82 @@ TEST(GlobalManagerTest, DecideSendsOneQuotaPerNodeAndSuppressesRepeats) {
   EXPECT_EQ(gm.sends_suppressed(), 1u);
   EXPECT_EQ(gm.decisions(), 2u);
   EXPECT_EQ(gm.quotas_sent(), 2u);
+}
+
+TEST(GlobalManagerTest, CleanDecideFastPathMatchesAuditedPolicyRuns) {
+  // Two GlobalManagers see the same roll-up stream. The audited one runs
+  // the policy every round; the unaudited one may skip rounds in which no
+  // roll-up payload changed. Both must send the same quotas and count the
+  // same decisions and suppressions.
+  sim::Simulator sim;
+  GlobalManager fast(sim, std::make_unique<GlobalSmartPolicy>(), {});
+  GlobalManager full(sim, std::make_unique<GlobalSmartPolicy>(), {});
+  obs::AuditLog audit;
+  full.attach_obs(nullptr, &audit);
+
+  struct Sent {
+    NodeId to;
+    NodeQuotaMsg msg;
+  };
+  std::vector<Sent> fast_sent, full_sent;
+  fast.set_sender([&](NodeId to, const NodeQuotaMsg& m) {
+    fast_sent.push_back({to, m});
+  });
+  full.set_sender([&](NodeId to, const NodeQuotaMsg& m) {
+    full_sent.push_back({to, m});
+  });
+
+  std::vector<NodeStats> nodes = {node_stats(0, kUnlimitedTarget, 400, 0, 0),
+                                  node_stats(1, kUnlimitedTarget, 300, 0, 0),
+                                  node_stats(2, kUnlimitedTarget, 100, 0, 0)};
+  std::uint64_t quiet_rounds = 0;
+  for (std::uint64_t round = 1; round <= 60; ++round) {
+    bool changed = false;
+    // Each node reports the last quota it was granted.
+    for (const Sent& s : fast_sent) {
+      if (nodes[s.to].quota != s.msg.quota) {
+        nodes[s.to].quota = s.msg.quota;
+        changed = true;
+      }
+    }
+    if (round % 5 == 0) {
+      // A demand burst on one node: failed puts, more usage.
+      NodeStats& hot = nodes[(round / 5) % nodes.size()];
+      hot.puts_total = 100;
+      hot.puts_succ = 60;
+      hot.used += 50;
+      changed = true;
+    } else if (round % 5 == 1 && round > 1) {
+      // The burst settles: activity without failures.
+      for (NodeStats& ns : nodes) {
+        ns.puts_succ = ns.puts_total;
+      }
+      changed = true;
+    }
+    if (!changed) ++quiet_rounds;
+    for (NodeStats& ns : nodes) {
+      ns.seq = round;
+      fast.on_node_stats(ns);
+      full.on_node_stats(ns);
+    }
+    fast.decide();
+    full.decide();
+  }
+  ASSERT_GT(quiet_rounds, 0u);
+
+  ASSERT_EQ(fast_sent.size(), full_sent.size());
+  for (std::size_t i = 0; i < fast_sent.size(); ++i) {
+    EXPECT_EQ(fast_sent[i].to, full_sent[i].to) << "send " << i;
+    EXPECT_EQ(fast_sent[i].msg.seq, full_sent[i].msg.seq) << "send " << i;
+    EXPECT_EQ(fast_sent[i].msg.node, full_sent[i].msg.node) << "send " << i;
+    EXPECT_EQ(fast_sent[i].msg.quota, full_sent[i].msg.quota) << "send " << i;
+  }
+  EXPECT_EQ(fast.decisions(), full.decisions());
+  EXPECT_EQ(fast.sends_suppressed(), full.sends_suppressed());
+  EXPECT_GT(fast.sends_suppressed(), 0u);
+  EXPECT_GT(fast.clean_decides(), 0u);
+  EXPECT_EQ(full.clean_decides(), 0u);
+  EXPECT_EQ(audit.size(), full.decisions());
 }
 
 TEST(GlobalManagerTest, PeriodicTickDecidesOnInterval) {

@@ -88,6 +88,51 @@ TEST(VirtualNodeTest, ManagedRunDeliversStatsAndTargets) {
   EXPECT_EQ(node.hypervisor().target(2), 32u);
 }
 
+/// Runs a smart-alloc node with `cfg`'s default control plane and checks
+/// that every message on both TKM hops went out as a full vector: the
+/// paper's wire format, 57 + 44 bytes per VM up, whatever the units.
+void expect_full_vector_wire(NodeConfig cfg) {
+  VirtualNode node(std::move(cfg));
+  // Swap pressure, then a second of idling so the MM samples and decides.
+  std::vector<MemOp> script = pressure_script();
+  script.insert(script.end() - 1, MemOp::sleep(kSecond));
+  node.add_vm(tiny_vm("VM1", script));
+  node.add_vm(tiny_vm("VM2", script));
+  mm::MemoryManager* mgr = node.manager();
+  guest::Tkm* tkm = node.tkm();
+  ASSERT_NE(mgr, nullptr);
+  std::uint64_t target_msgs = 0;
+  std::uint64_t delta_targets = 0;
+  mgr->set_sender([&](const hyper::TargetsMsg& msg) {
+    ++target_msgs;
+    if (msg.delta) ++delta_targets;
+    tkm->submit_targets(msg);
+  });
+  node.run();
+
+  const comm::ChannelStats& up = tkm->uplink().stats();
+  ASSERT_GT(up.sent, 0u);
+  EXPECT_EQ(tkm->stats_delta_sends(), 0u);
+  EXPECT_EQ(tkm->stats_full_sends(), up.sent);
+  EXPECT_EQ(up.payload_bytes, up.sent * (57 + 44 * node.vm_ids().size()));
+
+  ASSERT_GT(mgr->targets_sent(), 0u);
+  EXPECT_EQ(delta_targets, 0u);
+  EXPECT_EQ(target_msgs, mgr->targets_sent());
+  EXPECT_EQ(mgr->targets_full_sends(), mgr->targets_sent());
+}
+
+TEST(VirtualNodeTest, DefaultControlPlaneSendsFullVectors) {
+  expect_full_vector_wire(tiny_node(mm::PolicySpec::smart(2.0)));
+}
+
+TEST(VirtualNodeTest, DefaultControlPlaneSendsFullVectorsInByteUnits) {
+  NodeConfig cfg = tiny_node(mm::PolicySpec::smart(2.0));
+  cfg.compressed_pool_bytes = 16 * kPageSize;
+  cfg.capacity_units = CapacityUnits::kBytes;
+  expect_full_vector_wire(std::move(cfg));
+}
+
 TEST(VirtualNodeTest, NoTmemDisablesFrontswap) {
   VirtualNode node(tiny_node(mm::PolicySpec::no_tmem()));
   node.add_vm(tiny_vm("VM1", pressure_script()));

@@ -63,14 +63,12 @@ MemStats initial_stats() {
 
 TEST(StatsDeltaProperty, LosslessChannelIsByteEqualEveryStep) {
   comm::DeltaConfig cfg;
-  cfg.enabled = true;
   cfg.resync_every = 8;
   StatsDeltaEncoder enc(cfg);
   StatsDeltaView view;
   Rng rng(7);
 
   MemStats s = initial_stats();
-  std::vector<std::size_t> dirty_idx;
   std::uint64_t delta_sends = 0;
   for (std::uint64_t seq = 1; seq <= 200; ++seq) {
     churn(rng, s);
@@ -81,11 +79,8 @@ TEST(StatsDeltaProperty, LosslessChannelIsByteEqualEveryStep) {
       // The whole point: a delta must be smaller than the full vector.
       ASSERT_LT(wire_size(msg), wire_size(s));
     }
-    ASSERT_TRUE(view.apply(msg, dirty_idx));
+    ASSERT_TRUE(view.apply(msg));
     expect_stats_equal(view.view(), s);
-    // The dirty indices the view reports are exactly the entries this
-    // message changed — the MM's O(changed-VMs) feed.
-    for (const std::size_t idx : dirty_idx) ASSERT_LT(idx, view.view().vm.size());
   }
   EXPECT_EQ(view.chain_breaks(), 0u);
   EXPECT_GT(delta_sends, 0u);
@@ -93,9 +88,34 @@ TEST(StatsDeltaProperty, LosslessChannelIsByteEqualEveryStep) {
   EXPECT_EQ(enc.full_sends(), 200u / 8);
 }
 
+TEST(StatsDeltaProperty, DefaultCadenceSendsEverySnapshotFull) {
+  // resync_every = 1 is the full-vector control plane: every message is
+  // the sender's snapshot itself, unframed, on both directions.
+  StatsDeltaEncoder stats_enc(comm::DeltaConfig{});
+  TargetsDeltaEncoder targets_enc(comm::DeltaConfig{});
+  Rng rng(3);
+  MemStats s = initial_stats();
+  MmOut targets = {{1, 100}, {2, 200}};
+  for (std::uint64_t seq = 1; seq <= 50; ++seq) {
+    churn(rng, s);
+    s.seq = seq;
+    const MemStats msg = stats_enc.encode(s);
+    ASSERT_FALSE(msg.delta);
+    ASSERT_EQ(msg.base_seq, 0u);
+    expect_stats_equal(msg, s);
+    ASSERT_EQ(wire_size(msg), wire_size(s));
+
+    targets[seq % 2].mm_target += 1;
+    const TargetsMsg down = targets_enc.encode(seq, targets, 0);
+    ASSERT_FALSE(down.delta);
+    ASSERT_EQ(down.targets, targets);
+  }
+  EXPECT_EQ(stats_enc.full_sends(), stats_enc.sends());
+  EXPECT_EQ(targets_enc.full_sends(), targets_enc.sends());
+}
+
 TEST(StatsDeltaProperty, DeltaViewMatchesFullVectorView) {
   comm::DeltaConfig delta_cfg;
-  delta_cfg.enabled = true;
   delta_cfg.resync_every = 8;
   StatsDeltaEncoder enc(delta_cfg);
   StatsDeltaView delta_view;
@@ -103,12 +123,11 @@ TEST(StatsDeltaProperty, DeltaViewMatchesFullVectorView) {
   Rng rng(11);
 
   MemStats s = initial_stats();
-  std::vector<std::size_t> scratch;
   for (std::uint64_t seq = 1; seq <= 150; ++seq) {
     churn(rng, s);
     s.seq = seq;
-    ASSERT_TRUE(delta_view.apply(enc.encode(s), scratch));
-    ASSERT_TRUE(full_view.apply(s, scratch));
+    ASSERT_TRUE(delta_view.apply(enc.encode(s)));
+    ASSERT_TRUE(full_view.apply(s));
     expect_stats_equal(delta_view.view(), full_view.view());
   }
 }
@@ -116,7 +135,6 @@ TEST(StatsDeltaProperty, DeltaViewMatchesFullVectorView) {
 TEST(StatsDeltaProperty, LossReorderDuplicationNeverDiverges) {
   for (std::uint64_t seed = 1; seed <= 20; ++seed) {
     comm::DeltaConfig cfg;
-    cfg.enabled = true;
     cfg.resync_every = 6;
     StatsDeltaEncoder enc(cfg);
     StatsDeltaView view;
@@ -147,10 +165,9 @@ TEST(StatsDeltaProperty, LossReorderDuplicationNeverDiverges) {
       if (roll < 4) delivered.push_back(wire[i]);  // duplicated
     }
 
-    std::vector<std::size_t> dirty_idx;
     std::uint64_t applied = 0;
     for (const MemStats& msg : delivered) {
-      if (view.apply(msg, dirty_idx)) {
+      if (view.apply(msg)) {
         ++applied;
         // THE invariant: an applied message always reproduces the sender's
         // snapshot at that seq, faults or no faults. Loss shows up as
@@ -166,7 +183,7 @@ TEST(StatsDeltaProperty, LossReorderDuplicationNeverDiverges) {
     for (std::uint64_t seq = 121; seq <= 121 + cfg.resync_every; ++seq) {
       churn(rng, s);
       s.seq = seq;
-      view.apply(enc.encode(s), dirty_idx);
+      view.apply(enc.encode(s));
       truth[seq] = s;
     }
     expect_stats_equal(view.view(), truth.at(121 + cfg.resync_every));
@@ -176,7 +193,6 @@ TEST(StatsDeltaProperty, LossReorderDuplicationNeverDiverges) {
 TEST(TargetsDeltaProperty, HypervisorFoldMatchesTruthUnderFaults) {
   for (std::uint64_t seed = 1; seed <= 20; ++seed) {
     comm::DeltaConfig cfg;
-    cfg.enabled = true;
     cfg.resync_every = 6;
     TargetsDeltaEncoder enc(cfg);
     Rng rng(100 + seed);
@@ -241,7 +257,6 @@ TEST(TargetsDeltaProperty, HypervisorFoldMatchesTruthUnderFaults) {
 
 TEST(TargetsDeltaProperty, ChainBreakDropsWithoutAdvancingSeq) {
   comm::DeltaConfig cfg;
-  cfg.enabled = true;
   cfg.resync_every = 100;  // no resync inside the test window
   TargetsDeltaEncoder enc(cfg);
 

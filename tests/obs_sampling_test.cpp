@@ -207,8 +207,7 @@ TEST(TraceSamplingTest, FleetTraceInvariantUnderSimThreads) {
     cfg.nodes = 3;
     cfg.vms_per_node = 2;
     cfg.scale = 0.03125;
-    cfg.delta = true;
-    cfg.mm_incremental = true;
+    cfg.resync_every = 16;
     cfg.sim_threads = threads;
     cfg.obs.trace_out = path;
     cfg.obs.trace_sample_every = 4;

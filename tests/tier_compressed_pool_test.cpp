@@ -1,7 +1,7 @@
 // Tests for the zswap-style compressed tier (src/tier): the deterministic
 // compressibility model, the byte-budget ledger, the store's
 // DRAM -> compressed -> NVM placement chain, demote-vs-drop eviction, and
-// the hypervisor-level visibility (tier out-params, extended MemStats).
+// the hypervisor-level visibility (tier out-params, MemStats usage).
 #include <gtest/gtest.h>
 
 #include <vector>
@@ -65,20 +65,6 @@ TEST(CompressibilityModelTest, SeedChangesTheDistribution) {
   EXPECT_TRUE(any_differ);
 }
 
-TEST(CompressibilityModelTest, ObservedRatioFollowsEwma) {
-  tier::CompressibilityConfig cfg = model_config();
-  cfg.ewma_alpha = 0.5;
-  tier::CompressibilityModel model(cfg);
-  EXPECT_DOUBLE_EQ(model.observed_ratio(7), 0.0) << "unprimed VM reads 0";
-
-  model.observe(7, 2.0);
-  EXPECT_DOUBLE_EQ(model.observed_ratio(7), 2.0) << "first sample primes";
-  model.observe(7, 4.0);
-  EXPECT_DOUBLE_EQ(model.observed_ratio(7), 0.5 * 2.0 + 0.5 * 4.0);
-  EXPECT_EQ(model.observations(), 2u);
-  EXPECT_DOUBLE_EQ(model.observed_ratio(8), 0.0) << "per-VM isolation";
-}
-
 // ---- CompressedPool ledger ------------------------------------------------
 
 TEST(CompressedPoolTest, ByteBudgetAccounting) {
@@ -90,8 +76,8 @@ TEST(CompressedPoolTest, ByteBudgetAccounting) {
 
   EXPECT_TRUE(pool.fits(3000));
   EXPECT_FALSE(pool.fits(3001));
-  pool.add(1, 1000);
-  pool.add(2, 1500);
+  pool.add(1000);
+  pool.add(1500);
   EXPECT_EQ(pool.bytes_used(), 2500u);
   EXPECT_EQ(pool.free_bytes(), 500u);
   EXPECT_EQ(pool.pages(), 2u);
@@ -103,9 +89,6 @@ TEST(CompressedPoolTest, ByteBudgetAccounting) {
   EXPECT_EQ(pool.pages(), 1u);
   EXPECT_EQ(pool.peak_bytes(), 2500u) << "peak survives release";
   EXPECT_EQ(pool.peak_pages(), 2u);
-
-  // Placements feed the owner's observed-ratio EWMA.
-  EXPECT_GT(pool.observed_ratio(1), 0.0);
 }
 
 TEST(CompressedPoolTest, ZeroBudgetDisablesTheTier) {
@@ -277,7 +260,7 @@ TEST(CompressedStoreTest, DisabledTierIsInert) {
 
 // ---- Hypervisor visibility ------------------------------------------------
 
-TEST(CompressedHypervisorTest, TierReachesHypercallsAndExtendedStats) {
+TEST(CompressedHypervisorTest, TierReachesHypercallsAndStats) {
   sim::Simulator sim;
   hyper::HypervisorConfig cfg;
   cfg.total_tmem_pages = 1;
@@ -299,14 +282,12 @@ TEST(CompressedHypervisorTest, TierReachesHypercallsAndExtendedStats) {
   EXPECT_GT(costs.tmem_put_compressed, costs.tmem_put);
   EXPECT_GT(costs.tmem_get_compressed, costs.tmem_get);
 
-  // Byte-aware control-plane signal: extended MemStats carry effective
-  // bytes (smaller than pages * kPageSize) and the observed ratio.
+  // Page units count the compressed page as a whole page; its effective
+  // bytes (what byte units report) are smaller than pages * kPageSize.
   const hyper::MemStats stats = hyp.snapshot();
-  ASSERT_TRUE(stats.extended);
   ASSERT_EQ(stats.vm.size(), 1u);
   EXPECT_EQ(stats.vm[0].tmem_used, 2u);
-  EXPECT_EQ(stats.vm[0].tmem_used_bytes, kPageSize + kPageSize / 2);
-  EXPECT_DOUBLE_EQ(stats.vm[0].comp_ratio, 2.0);
+  EXPECT_EQ(hyp.store().vm_bytes(1), kPageSize + kPageSize / 2);
 
   tier = tmem::Tier::kDram;
   const auto got = hyp.frontswap_get(1, 0, 1, &tier);
@@ -327,7 +308,6 @@ TEST(CompressedHypervisorTest, ByteUnitsReportByteCapacities) {
   hyp.register_vm(1);
 
   const hyper::MemStats empty = hyp.snapshot();
-  EXPECT_TRUE(empty.extended);
   EXPECT_EQ(empty.total_tmem, 4 * kPageSize + 2 * kPageSize);
   EXPECT_EQ(empty.free_tmem, 4 * kPageSize + 2 * kPageSize);
 
