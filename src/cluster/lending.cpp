@@ -12,6 +12,7 @@ LendingBroker::LendingBroker(std::vector<hyper::Hypervisor*> nodes)
     throw std::invalid_argument("LendingBroker: needs at least 2 nodes");
   }
   state_.resize(hyps_.size());
+  settle_.resize(hyps_.size());
   for (NodeId i = 0; i < state_.size(); ++i) {
     state_[i].self = i;
     state_[i].port = std::make_unique<Port>(*this, i);
@@ -74,7 +75,8 @@ LendingBroker::Index::iterator LendingBroker::drop_entry(NodeState& st,
 
 LendingBroker::Index::iterator LendingBroker::release_frame(
     NodeState& st, Index::iterator it) {
-  st.pending_release[it->second.donor] += 1;
+  const NodeId donor = it->second.donor;
+  if (st.pending_release[donor]++ == 0) st.touched_donors.push_back(donor);
   return drop_entry(st, it);
 }
 
@@ -138,6 +140,7 @@ bool LendingBroker::do_put(NodeId node, VmId vm, tmem::PoolType type,
       fabric_->cache(node).insert(key, payload);
     }
     st.credit[donor] -= 1;
+    st.touched_donors.push_back(donor);
     st.index.emplace(key, Borrowed{donor, payload});
     st.borrowed_total += 1;
     st.borrowed_per_vm[vm] += 1;
@@ -358,29 +361,36 @@ PageCount LendingBroker::recall_lent(NodeId donor, PageCount max_pages) {
   return recalled;
 }
 
+PageCount LendingBroker::pool_donor(NodeId donor) {
+  DonorSettle& ds = settle_[donor];
+  ds.dirty = true;
+  PageCount freed = 0;
+  for (NodeState& st : state_) {
+    ds.pool += std::exchange(st.credit[donor], 0);
+    freed += std::exchange(st.pending_release[donor], 0);
+  }
+  return freed;
+}
+
 void LendingBroker::sync_window() {
   const NodeId n = static_cast<NodeId>(hyps_.size());
 
-  // 1. Pool the window's leftovers: unused credit (counters only, no store
-  //    traffic) and unsettled releases.
-  std::vector<PageCount> credit_pool(n, 0);
-  std::vector<PageCount> freed(n, 0);
-  for (NodeId b = 0; b < n; ++b) {
-    NodeState& st = state_[b];
-    for (NodeId d = 0; d < n; ++d) {
-      credit_pool[d] += st.credit[d];
-      st.credit[d] = 0;
-      freed[d] += st.pending_release[d];
-      st.pending_release[d] = 0;
-    }
+  // 1. Donors a borrower charged or released against this window: pool
+  //    their unused credit (counters only, no store traffic) and unlease
+  //    the unsettled releases.
+  for (NodeState& st : state_) {
+    for (const NodeId d : st.touched_donors) settle_[d].dirty = true;
+    st.touched_donors.clear();
   }
   for (NodeId d = 0; d < n; ++d) {
-    if (freed[d] > 0) hyps_[d]->host_unlease(freed[d]);
+    if (!settle_[d].dirty) continue;
+    const PageCount freed = pool_donor(d);
+    if (freed > 0) hyps_[d]->host_unlease(freed);
   }
 
   // 2. Entitlement pressure: a donor whose quota grew needs frames back.
   //    Shed unused credit first (free), recall actually-borrowed pages only
-  //    for the remainder.
+  //    for the remainder. An untouched donor has no releases to return.
   for (NodeId d = 0; d < n; ++d) {
     const hyper::Hypervisor& hyp = *hyps_[d];
     const PageCount phys = hyp.total_tmem();
@@ -390,25 +400,34 @@ void LendingBroker::sync_window() {
     const PageCount cap = phys > entitlement ? phys - entitlement : 0;
     PageCount lent = hyp.lent_pages();
     if (lent <= cap) continue;
+    DonorSettle& ds = settle_[d];
+    if (!ds.dirty) pool_donor(d);
     PageCount excess = lent - cap;
-    const PageCount shed = std::min(excess, credit_pool[d]);
+    const PageCount shed = std::min(excess, ds.pool);
     if (shed > 0) {
       hyps_[d]->host_unlease(shed);
-      credit_pool[d] -= shed;
+      ds.pool -= shed;
       excess -= shed;
     }
     if (excess > 0) recall_lent(d, excess);
   }
 
-  // 3. Top every donor's lease back up to its lendable capacity and split
-  //    the pool evenly as next window's credit: each borrower gets
-  //    pool / (n - 1), and the remainder goes one frame each to the lowest
-  //    borrower ids.
+  // 3. Top every dirty or lendable donor's lease back up to its lendable
+  //    capacity and split the pool evenly as next window's credit: each
+  //    borrower gets pool / (n - 1), and the remainder goes one frame each
+  //    to the lowest borrower ids. Any other donor's credits are the split
+  //    of a pool nobody charged, released or re-leased, so they stand.
   const PageCount borrowers = n - 1;
   for (NodeId d = 0; d < n; ++d) {
+    DonorSettle& ds = settle_[d];
+    if (!ds.dirty) {
+      if (hyps_[d]->lendable_pages() == 0) continue;
+      pool_donor(d);
+    }
     const PageCount pool =
-        credit_pool[d] + hyps_[d]->host_lease(hyps_[d]->lendable_pages());
-    if (pool == 0) continue;  // step 1 already zeroed the credits
+        ds.pool + hyps_[d]->host_lease(hyps_[d]->lendable_pages());
+    ds = DonorSettle{};
+    if (pool == 0) continue;  // pool_donor() already zeroed the credits
     PageCount extra = pool % borrowers;
     for (NodeId b = 0; b < n; ++b) {
       if (b == d) continue;

@@ -97,12 +97,15 @@ class LendingBroker {
   /// Window barrier (coordinator context, all shards quiescent). Settles
   /// the window's lending activity against the donor stores: unsettled
   /// releases are unleased; donors whose entitlement grew past their lease
-  /// shed unused credit and recall borrowed pages; every donor then tops
-  /// its lease back up to its full lendable capacity and the resulting
-  /// credit pool is split evenly across the borrowers, one extra frame
-  /// each to the lowest borrower ids while the remainder lasts. Only lease
-  /// *deltas* touch the store, so the steady-state cost per barrier is
-  /// proportional to the window's lending activity, not to the lease depth.
+  /// shed unused credit and recall borrowed pages; donors with lendable
+  /// frames top their lease back up to full capacity. Each such donor's
+  /// credit pool is then split evenly across the borrowers, one extra frame
+  /// each to the lowest borrower ids while the remainder lasts. Only dirty
+  /// donors are touched: those a borrower charged or released against this
+  /// window, those over their lending cap, and those with lendable frames.
+  /// A clean donor's credits are already the even split of an unchanged
+  /// pool. The cost is one O(1) check per node plus O(nodes) per dirty
+  /// donor.
   void sync_window();
 
   PageCount borrowed_total(NodeId node) const;
@@ -220,6 +223,10 @@ class LendingBroker {
     // pending_release[d]: frames freed this window (flush / ephemeral-hit
     // consume) that sync_window() returns to donor d's free pool.
     std::vector<PageCount> pending_release;
+    // Donors this borrower charged credit against or released a frame to
+    // since the last barrier (a donor may repeat). Written only by this
+    // borrower's shard, so no shared state changes mid-window.
+    std::vector<NodeId> touched_donors;
     // Partition-local trace sink (attach_partition_obs).
     obs::TraceRecorder* trace = nullptr;
     std::function<SimTime()> clock;
@@ -247,11 +254,22 @@ class LendingBroker {
   /// Queues the frame behind a dying entry for return to its donor at the
   /// next sync_window(), then drops the entry.
   Index::iterator release_frame(NodeState& st, Index::iterator it);
+  /// Moves every borrower's credit against `donor` into the donor's barrier
+  /// pool, marks the donor dirty and returns the frames its borrowers
+  /// released to it. Both per-borrower counters are zeroed.
+  PageCount pool_donor(NodeId donor);
   void trace_instant(NodeState& st, const char* name, NodeId borrower,
                      NodeId donor);
 
+  /// Per-donor sync_window() state, reset before the barrier returns.
+  struct DonorSettle {
+    bool dirty = false;
+    PageCount pool = 0;  // credit to re-split
+  };
+
   std::vector<hyper::Hypervisor*> hyps_;
   std::vector<NodeState> state_;
+  std::vector<DonorSettle> settle_;
   std::unique_ptr<LendFabric> fabric_;  // async data plane (null = sync)
   PageCount peak_borrowed_ = 0;
   std::uint64_t recalls_ = 0;

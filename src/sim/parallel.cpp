@@ -1,11 +1,11 @@
 #include "sim/parallel.hpp"
 
 #include <algorithm>
-#include <cassert>
 #include <chrono>
 #include <stdexcept>
 #include <utility>
 
+#include "common/strfmt.hpp"
 #include "sim/profiler.hpp"
 
 namespace smartmem::sim {
@@ -46,7 +46,7 @@ std::size_t ParallelEngine::add_shard(Simulator* sim) {
   if (sim == nullptr) {
     throw std::invalid_argument("ParallelEngine: null shard simulator");
   }
-  shards_.push_back(Shard{sim, {}, 0});
+  shards_.push_back(Shard{sim, {}, {}, 0});
   for (Shard& s : shards_) s.outbox.resize(shards_.size());
   return shards_.size() - 1;
 }
@@ -54,8 +54,9 @@ std::size_t ParallelEngine::add_shard(Simulator* sim) {
 void ParallelEngine::post(std::size_t src, std::size_t dst, SimTime when,
                           std::function<void()> action) {
   Shard& s = shards_.at(src);
-  s.outbox.at(dst).push_back(
-      Staged{when, s.next_post_seq++, std::move(action)});
+  std::vector<Staged>& box = s.outbox.at(dst);
+  if (box.empty()) s.posted_to.push_back(dst);
+  box.push_back(Staged{when, s.next_post_seq++, std::move(action)});
 }
 
 void ParallelEngine::set_barrier_hook(std::function<void(SimTime)> hook) {
@@ -150,12 +151,23 @@ void ParallelEngine::drain_outboxes(SimTime end) {
   };
   std::vector<Entry> all;
   for (std::size_t src = 0; src < shards_.size(); ++src) {
-    for (std::size_t dst = 0; dst < shards_.size(); ++dst) {
-      std::vector<Staged>& box = shards_[src].outbox[dst];
-      if (profiler_ != nullptr && !box.empty()) {
+    Shard& s = shards_[src];
+    for (const std::size_t dst : s.posted_to) {
+      std::vector<Staged>& box = s.outbox[dst];
+      if (profiler_ != nullptr) {
         profiler_->record_injections(src, dst, box.size());
       }
       for (Staged& st : box) {
+        // The lookahead discipline guarantees nothing staged in a window is
+        // due before the window's end; a violation means the message raced
+        // events that already executed.
+        if (st.when < end) {
+          throw std::logic_error(strfmt(
+              "ParallelEngine: delivery from shard %zu to shard %zu due at "
+              "%lld, before the window end %lld (lookahead violated)",
+              src, dst, static_cast<long long>(st.when),
+              static_cast<long long>(end)));
+        }
         all.push_back(Entry{st.when, src, st.seq, dst, &st.action});
       }
     }
@@ -167,16 +179,12 @@ void ParallelEngine::drain_outboxes(SimTime end) {
     return a.seq < b.seq;
   });
   for (Entry& e : all) {
-    // The lookahead discipline guarantees nothing staged in a window is due
-    // before the window's end; a violation would mean the message raced
-    // events that already executed.
-    assert(e.when >= end);
-    const SimTime when = e.when < end ? end : e.when;
-    shards_[e.dst].sim->schedule_at(when, std::move(*e.action));
+    shards_[e.dst].sim->schedule_at(e.when, std::move(*e.action));
     ++posted_;
   }
   for (Shard& s : shards_) {
-    for (auto& box : s.outbox) box.clear();
+    for (const std::size_t dst : s.posted_to) s.outbox[dst].clear();
+    s.posted_to.clear();
   }
 }
 

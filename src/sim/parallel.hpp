@@ -68,8 +68,8 @@ class ParallelEngine {
   /// Stages a cross-shard delivery: `action` runs on shard `dst` at absolute
   /// time `when`. Must be called from shard `src`'s window (its own worker)
   /// or between windows; `when` must respect the lookahead discipline (due
-  /// no earlier than the end of the current window — checked at the
-  /// barrier).
+  /// no earlier than the end of the current window). The barrier checks it
+  /// and throws std::logic_error on a violation.
   void post(std::size_t src, std::size_t dst, SimTime when,
             std::function<void()> action);
 
@@ -107,6 +107,10 @@ class ParallelEngine {
     // outbox[dst]: staged deliveries, written only by this shard's worker
     // during a window, drained only by the coordinator at the barrier.
     std::vector<std::vector<Staged>> outbox;
+    // Destinations whose outbox this shard made non-empty since the last
+    // drain, so the barrier walks only the outboxes a window wrote. Same
+    // discipline as the outboxes.
+    std::vector<std::size_t> posted_to;
     std::uint64_t next_post_seq = 0;
   };
 

@@ -5,7 +5,10 @@
 // put/get/flush/release/recall traffic, window barriers (sync_window) and
 // donor quota changes against a model map. After every op it asserts the
 // lease invariant of DESIGN §11: leased donor frames == borrowed pages +
-// outstanding credit + unsettled releases, summed over the rack. It also
+// outstanding credit + unsettled releases, summed over the rack. After every
+// barrier it asserts that no release is left unsettled and that each
+// donor's credits are the even split of their sum, which a donor the
+// barrier skipped by mistake would break. It also
 // checks no page loss or duplication (every owned key serves exactly the
 // model payload; a recalled persistent page reappears in the borrower's own
 // store), and that every borrow terminates as placed, failed, or recalled —
@@ -96,6 +99,29 @@ void check_lease_invariant(FuzzRig& rig) {
     }
   }
   ASSERT_EQ(leased, accounted);
+}
+
+/// What every barrier leaves behind: no unsettled release, and each donor's
+/// credits are the even split of their sum over its borrowers, one extra
+/// frame each to the lowest borrower ids.
+void check_settled(FuzzRig& rig) {
+  constexpr NodeId kNodes = 3;
+  for (NodeId d = 0; d < kNodes; ++d) {
+    PageCount pool = 0;
+    for (NodeId b = 0; b < kNodes; ++b) {
+      ASSERT_EQ(rig.broker.unsettled_releases(b, d), 0u)
+          << "borrower " << b << " donor " << d;
+      if (b != d) pool += rig.broker.credit(b, d);
+    }
+    PageCount extra = pool % (kNodes - 1);
+    for (NodeId b = 0; b < kNodes; ++b) {
+      if (b == d) continue;
+      ASSERT_EQ(rig.broker.credit(b, d),
+                pool / (kNodes - 1) + (extra > 0 ? 1 : 0))
+          << "borrower " << b << " donor " << d;
+      if (extra > 0) --extra;
+    }
+  }
 }
 
 struct FaultCase {
@@ -239,6 +265,8 @@ void fuzz_run(const FaultCase& fc, std::uint64_t seed) {
     } else if (kind < 88) {  // window barrier: settle, shed/recall, re-lease
       rig.broker.sync_window();
       reconcile_recalls();
+      if (::testing::Test::HasFatalFailure()) return;
+      check_settled(rig);
     } else if (kind < 91) {  // donor quota change, applied at the barrier
       const NodeId donor = rng.chance(0.5) ? 1 : 2;
       rig.node(donor).set_node_quota(

@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <memory>
 #include <vector>
 
@@ -196,6 +197,46 @@ TEST_F(LendingBrokerTest, ReleaseBorrowedDropsOnlyEphemeralEntries) {
   expect_lease_balanced();
 }
 
+// A window whose only activity against a donor is a release must still be
+// settled by the next barrier. The donor is otherwise clean: nobody charged
+// it, it has no lendable frame and its lease is within its cap.
+TEST_F(LendingBrokerTest, ReleaseOnlyWindowIsSettledAtTheNextBarrier) {
+  hyper::RemoteTmem& port = *broker_.port(0);
+  ASSERT_TRUE(port.remote_put(kVm, PoolType::kPersistent, 1, 0, 10));
+  ASSERT_TRUE(port.remote_put(kVm, PoolType::kPersistent, 2, 0, 20));
+  ASSERT_TRUE(port.remote_put(kVm, PoolType::kPersistent, 2, 1, 21));
+  ASSERT_TRUE(port.remote_put(kVm, PoolType::kEphemeral, 3, 0, 30));
+  ASSERT_TRUE(port.remote_put(kVm, PoolType::kEphemeral, 4, 0, 40));
+  broker_.sync_window();
+
+  struct Release {
+    const char* name;
+    std::function<void()> run;
+  };
+  const Release releases[] = {
+      {"flush", [&] { port.remote_flush(kVm, PoolType::kPersistent, 1, 0); }},
+      {"object flush",
+       [&] { port.remote_flush_object(kVm, PoolType::kPersistent, 2); }},
+      {"ephemeral-hit consume",
+       [&] { (void)port.remote_get(kVm, PoolType::kEphemeral, 3, 0); }},
+      {"release_borrowed", [&] { port.release_borrowed(1); }},
+  };
+  for (const Release& release : releases) {
+    SCOPED_TRACE(release.name);
+    ASSERT_EQ(donor_.lendable_pages(), 0u);
+    const PageCount before = broker_.borrowed_total(0);
+    release.run();
+    ASSERT_LT(broker_.borrowed_total(0), before);
+    ASSERT_GT(broker_.unsettled_releases(0, 1), 0u);
+    broker_.sync_window();
+    EXPECT_EQ(broker_.unsettled_releases(0, 1), 0u);
+    EXPECT_EQ(broker_.credit(0, 1), kLendable - broker_.borrowed_total(0));
+    EXPECT_EQ(donor_.lent_pages(), kLendable);
+    expect_lease_balanced();
+  }
+  EXPECT_EQ(broker_.borrowed_total(0), 0u);
+}
+
 TEST_F(LendingBrokerTest, RecallMigratesPersistentPagesHome) {
   ASSERT_TRUE(
       broker_.port(0)->remote_put(kVm, PoolType::kPersistent, 1, 0, 42));
@@ -258,33 +299,82 @@ TEST_F(LendingBrokerTest, PlacementFailsOnceWindowCreditRunsOut) {
   expect_lease_balanced();
 }
 
+/// Four-node rack: node 0 lends 10 frames to borrowers 1, 2 and 3, and
+/// node 2 lends 5 to borrowers 0, 1 and 3. Nodes 1 and 3 keep an unlimited
+/// quota and lend nothing.
+class LendingSplitTest : public ::testing::Test {
+ protected:
+  LendingSplitTest() {
+    std::vector<hyper::Hypervisor*> ptrs;
+    for (int i = 0; i < 4; ++i) {
+      hyps_.push_back(
+          std::make_unique<hyper::Hypervisor>(sim_, hyp_config(kPhys)));
+      ptrs.push_back(hyps_.back().get());
+    }
+    broker_ = std::make_unique<LendingBroker>(ptrs);
+    hyps_[0]->set_node_quota(kPhys - 10);
+    hyps_[2]->set_node_quota(kPhys - 5);
+    broker_->sync_window();
+  }
+
+  /// Donor `d`'s credits for borrowers in ascending id order.
+  std::vector<PageCount> credits(NodeId d) const {
+    std::vector<PageCount> out;
+    for (NodeId b = 0; b < 4; ++b) {
+      if (b != d) out.push_back(broker_->credit(b, d));
+    }
+    return out;
+  }
+
+  sim::Simulator sim_;
+  std::vector<std::unique_ptr<hyper::Hypervisor>> hyps_;
+  std::unique_ptr<LendingBroker> broker_;
+};
+
 // The even split: every donor's pool divides evenly over the other nodes,
 // the remainder going one frame each to the lowest borrower ids.
-TEST(LendingSplitTest, RemainderGoesToLowestBorrowerIds) {
-  sim::Simulator sim;
-  std::vector<std::unique_ptr<hyper::Hypervisor>> hyps;
-  std::vector<hyper::Hypervisor*> ptrs;
-  for (int i = 0; i < 4; ++i) {
-    hyps.push_back(std::make_unique<hyper::Hypervisor>(sim, hyp_config(kPhys)));
-    ptrs.push_back(hyps.back().get());
-  }
-  LendingBroker broker(ptrs);
-  hyps[0]->set_node_quota(kPhys - 10);  // lends 10 to borrowers 1, 2, 3
-  hyps[2]->set_node_quota(kPhys - 5);   // lends 5 to borrowers 0, 1, 3
-  broker.sync_window();
-
-  EXPECT_EQ(broker.credit(1, 0), 4u);
-  EXPECT_EQ(broker.credit(2, 0), 3u);
-  EXPECT_EQ(broker.credit(3, 0), 3u);
-  EXPECT_EQ(broker.credit(0, 2), 2u);
-  EXPECT_EQ(broker.credit(1, 2), 2u);
-  EXPECT_EQ(broker.credit(3, 2), 1u);
+TEST_F(LendingSplitTest, RemainderGoesToLowestBorrowerIds) {
+  EXPECT_EQ(credits(0), (std::vector<PageCount>{4, 3, 3}));
+  EXPECT_EQ(credits(2), (std::vector<PageCount>{2, 2, 1}));
   // Unlimited-quota nodes lend nothing, and nobody borrows from itself.
   for (NodeId b = 0; b < 4; ++b) {
-    EXPECT_EQ(broker.credit(b, 1), 0u);
-    EXPECT_EQ(broker.credit(b, 3), 0u);
-    EXPECT_EQ(broker.credit(b, b), 0u);
+    EXPECT_EQ(broker_->credit(b, 1), 0u);
+    EXPECT_EQ(broker_->credit(b, 3), 0u);
+    EXPECT_EQ(broker_->credit(b, b), 0u);
   }
+}
+
+// A charged donor is re-split at the next barrier; a donor nobody touched
+// keeps its credits and its lease across barriers.
+TEST_F(LendingSplitTest, ChargedDonorIsResplitAndCleanDonorStands) {
+  // Borrower 3's rotation starts at node 0: the placement charges donor 0.
+  ASSERT_TRUE(broker_->port(3)->remote_put(kVm, PoolType::kPersistent, 1, 0, 9));
+  ASSERT_EQ(credits(0), (std::vector<PageCount>{4, 3, 2}));
+  for (int barrier = 0; barrier < 3; ++barrier) {
+    SCOPED_TRACE(barrier);
+    broker_->sync_window();
+    EXPECT_EQ(credits(0), (std::vector<PageCount>{3, 3, 3}));
+    EXPECT_EQ(credits(2), (std::vector<PageCount>{2, 2, 1}));
+    EXPECT_EQ(hyps_[0]->lent_pages(), 10u);
+    EXPECT_EQ(hyps_[2]->lent_pages(), 5u);
+  }
+}
+
+// An untouched donor whose quota shrinks leases the frames it can now spare
+// and re-splits at the next barrier; when the quota grows back it sheds the
+// unused credit and re-splits again.
+TEST_F(LendingSplitTest, QuotaChangeResplitsAnUntouchedDonor) {
+  hyps_[2]->set_node_quota(kPhys - 8);
+  broker_->sync_window();
+  EXPECT_EQ(hyps_[2]->lent_pages(), 8u);
+  EXPECT_EQ(credits(2), (std::vector<PageCount>{3, 3, 2}));
+  EXPECT_EQ(credits(0), (std::vector<PageCount>{4, 3, 3}));
+
+  hyps_[2]->set_node_quota(kPhys - 5);
+  broker_->sync_window();
+  EXPECT_EQ(hyps_[2]->lent_pages(), 5u);
+  EXPECT_EQ(credits(2), (std::vector<PageCount>{2, 2, 1}));
+  EXPECT_EQ(broker_->recalls(), 0u);
 }
 
 // End-to-end Algorithm 1 fallback: a physically full node below its quota
