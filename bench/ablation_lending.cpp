@@ -18,16 +18,14 @@
 // local, costing 0us of fabric time).
 //
 // CSV contract: ablation_lending.csv holds simulation-visible columns only
-// and deliberately no sim_threads column — runs at different --sim-threads
-// md5 to the same file (CI checks exactly that).
-#include <cerrno>
+// (no wall-clock), so two runs of the same flags md5 to the same file.
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <fstream>
 #include <string>
 #include <vector>
 
+#include "bench_common.hpp"
 #include "cluster/fleet.hpp"
 #include "common/stats.hpp"
 #include "common/thread_pool.hpp"
@@ -41,7 +39,6 @@ struct Options {
   std::size_t reps = 1;
   std::uint64_t seed = 1;
   std::size_t jobs = 1;
-  std::size_t sim_threads = 1;
   std::string csv_dir;
   std::size_t nodes = 4;
   std::size_t vms = 4;
@@ -51,35 +48,7 @@ struct Options {
 void usage(std::FILE* out) {
   std::fprintf(out,
                "ablation_lending [--scale f] [--reps n] [--seed n] [--jobs n]\n"
-               "  [--sim-threads n] [--csv dir] [--nodes n] [--vms n]\n"
-               "  [--cache pages]\n");
-}
-
-[[noreturn]] void bad_value(const char* flag, const char* value) {
-  std::fprintf(stderr, "bad value for %s: '%s'\n", flag, value);
-  usage(stderr);
-  std::exit(2);
-}
-
-std::uint64_t parse_u64(const char* flag, const char* value, std::uint64_t min,
-                        std::uint64_t max) {
-  errno = 0;
-  char* end = nullptr;
-  const unsigned long long v = std::strtoull(value, &end, 10);
-  if (errno != 0 || end == value || *end != '\0' || v < min || v > max) {
-    bad_value(flag, value);
-  }
-  return static_cast<std::uint64_t>(v);
-}
-
-double parse_f64(const char* flag, const char* value, double min, double max) {
-  errno = 0;
-  char* end = nullptr;
-  const double v = std::strtod(value, &end);
-  if (errno != 0 || end == value || *end != '\0' || !(v >= min) || !(v <= max)) {
-    bad_value(flag, value);
-  }
-  return v;
+               "  [--csv dir] [--nodes n] [--vms n] [--cache pages]\n");
 }
 
 Options parse(int argc, char** argv) {
@@ -92,26 +61,33 @@ Options parse(int argc, char** argv) {
     }
     return argv[++i];
   };
+  // Strict, ranged values for the numeric flag at argv[i].
+  auto u64 = [&](int& i, std::uint64_t min, std::uint64_t max) {
+    const char* flag = argv[i];
+    return bench::parse_u64(flag, next(i), min, max, usage);
+  };
+  auto f64 = [&](int& i, double min, double max) {
+    const char* flag = argv[i];
+    return bench::parse_f64(flag, next(i), min, max, usage);
+  };
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     if (arg == "--scale") {
-      o.scale = parse_f64("--scale", next(i), 1e-3, 16.0);
+      o.scale = f64(i, 1e-3, 16.0);
     } else if (arg == "--reps") {
-      o.reps = parse_u64("--reps", next(i), 1, 1000);
+      o.reps = u64(i, 1, 1000);
     } else if (arg == "--seed") {
-      o.seed = parse_u64("--seed", next(i), 0, UINT64_MAX);
+      o.seed = u64(i, 0, UINT64_MAX);
     } else if (arg == "--jobs") {
-      o.jobs = parse_u64("--jobs", next(i), 0, 4096);
-    } else if (arg == "--sim-threads") {
-      o.sim_threads = parse_u64("--sim-threads", next(i), 0, 4096);
+      o.jobs = u64(i, 0, 4096);
     } else if (arg == "--csv") {
       o.csv_dir = next(i);
     } else if (arg == "--nodes") {
-      o.nodes = parse_u64("--nodes", next(i), 2, 256);
+      o.nodes = u64(i, 2, 256);
     } else if (arg == "--vms") {
-      o.vms = parse_u64("--vms", next(i), 1, 256);
+      o.vms = u64(i, 1, 256);
     } else if (arg == "--cache") {
-      o.cache = parse_u64("--cache", next(i), 0, 1u << 24);
+      o.cache = u64(i, 0, 1u << 24);
     } else if (arg == "--help" || arg == "-h") {
       usage(stdout);
       std::exit(0);
@@ -155,7 +131,6 @@ cluster::FleetRunResult run_cell(const Options& o, const Cell& cell,
   cfg.resync_every = 16;
   cfg.scale = o.scale;
   cfg.seed = seed;
-  cfg.sim_threads = o.sim_threads;
   if (cell.async) {
     cfg.lending_async.enabled = true;
     cfg.lending_async.cache_pages = cell.cache;
@@ -187,8 +162,7 @@ int main(int argc, char** argv) {
               "lending-heavy, scale %g, cache %llu pages) ===\n",
               o.nodes, o.vms, o.scale,
               static_cast<unsigned long long>(o.cache));
-  std::printf("%zu cell(s) x %zu rep(s), sim-threads %zu\n\n", cells.size(),
-              o.reps, o.sim_threads);
+  std::printf("%zu cell(s) x %zu rep(s)\n\n", cells.size(), o.reps);
 
   std::vector<cluster::FleetRunResult> runs(cells.size() * o.reps);
   parallel_for_each(o.jobs, runs.size(), [&](std::size_t i) {

@@ -191,6 +191,38 @@ std::uint64_t parse_u64(const std::string& flag, const char* text) {
 
 }  // namespace
 
+void bad_value(const char* flag, const char* value,
+               void (*usage)(std::FILE*)) {
+  std::fprintf(stderr, "bad value for %s: '%s'\n", flag, value);
+  usage(stderr);
+  std::exit(2);
+}
+
+std::uint64_t parse_u64(const char* flag, const char* value,
+                        std::uint64_t min, std::uint64_t max,
+                        void (*usage)(std::FILE*)) {
+  errno = 0;
+  char* end = nullptr;
+  const unsigned long long v = std::strtoull(value, &end, 10);
+  if (errno != 0 || end == value || *end != '\0' || value[0] == '-' ||
+      v < min || v > max) {
+    bad_value(flag, value, usage);
+  }
+  return static_cast<std::uint64_t>(v);
+}
+
+double parse_f64(const char* flag, const char* value, double min, double max,
+                 void (*usage)(std::FILE*)) {
+  errno = 0;
+  char* end = nullptr;
+  const double v = std::strtod(value, &end);
+  if (errno != 0 || end == value || *end != '\0' || value[0] == '-' ||
+      !(v >= min) || !(v <= max)) {
+    bad_value(flag, value, usage);
+  }
+  return v;
+}
+
 Options parse_options(int argc, char** argv) {
   Options opts;
   for (int i = 1; i < argc; ++i) {

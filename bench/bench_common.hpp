@@ -128,6 +128,21 @@ void run_observed(const std::string& figure_id,
 
 Options parse_options(int argc, char** argv);
 
+// ---- Strict flag values for the benches that parse their own flags --------
+
+/// Prints "bad value for <flag>: '<value>'" and `usage(stderr)`, then
+/// exits 2.
+[[noreturn]] void bad_value(const char* flag, const char* value,
+                            void (*usage)(std::FILE*));
+
+/// The whole token must convert, a leading '-' is rejected, and the result
+/// must lie in [min, max]; anything else is a bad_value().
+std::uint64_t parse_u64(const char* flag, const char* value,
+                        std::uint64_t min, std::uint64_t max,
+                        void (*usage)(std::FILE*));
+double parse_f64(const char* flag, const char* value, double min, double max,
+                 void (*usage)(std::FILE*));
+
 /// Prints the flag reference to `out` (shared by --help and parse errors).
 void print_usage(std::FILE* out);
 

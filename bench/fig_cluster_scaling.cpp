@@ -14,14 +14,9 @@
 // byte-identical to `--single` (the plain VirtualNode path) — CI diffs the
 // two CSVs.
 //
-// Flags:
+// Flags (all values strictly validated; garbage exits with status 2):
 //   --scale/--reps/--seed/--jobs/--csv   as every figure bench
-//   --sim-threads <n>        worker threads for the in-run parallel engine
-//                            (1 = inline, 0 = hardware concurrency). Changes
-//                            wall-clock only — the simulated results are
-//                            byte-identical at any value, and CI md5-checks
-//                            that after cutting the sim_threads CSV column.
-//   --nodes <n>              restrict the sweep to one node count
+//   --nodes <n>              restrict the sweep to one node count (1-64)
 //   --cluster-policy <p>     restrict to one policy (global-static,
 //                            global-smart[:P]; default sweeps both)
 //   --cluster-latency-x <f>  restrict to one inter-node latency multiplier
@@ -37,11 +32,11 @@
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <fstream>
 #include <string>
 #include <vector>
 
+#include "bench_common.hpp"
 #include "cluster/experiment.hpp"
 #include "common/stats.hpp"
 #include "common/thread_pool.hpp"
@@ -56,7 +51,6 @@ struct Options {
   std::size_t reps = 3;
   std::uint64_t seed = 1;
   std::size_t jobs = 1;
-  std::size_t sim_threads = 1;
   std::string csv_dir;
   std::size_t nodes = 0;  // 0 = sweep {1, 2, 4, 8, 16}
   std::string cluster_policy;  // empty = sweep both
@@ -73,7 +67,6 @@ void usage(std::FILE* out) {
   std::fprintf(
       out,
       "fig_cluster_scaling [--scale f] [--reps n] [--seed n] [--jobs n]\n"
-      "  [--sim-threads n]\n"
       "  [--csv dir] [--nodes n] [--cluster-policy p] [--cluster-latency-x f]\n"
       "  [--cluster-interval-x f] [--cluster-no-lending] [--single]\n"
       "  [--trace-out f] [--metrics-out f] [--audit-out f]\n");
@@ -89,28 +82,35 @@ Options parse(int argc, char** argv) {
     }
     return argv[++i];
   };
+  // Strict, ranged values for the numeric flag at argv[i].
+  auto u64 = [&](int& i, std::uint64_t min, std::uint64_t max) {
+    const char* flag = argv[i];
+    return bench::parse_u64(flag, next(i), min, max, usage);
+  };
+  auto f64 = [&](int& i, double min, double max) {
+    const char* flag = argv[i];
+    return bench::parse_f64(flag, next(i), min, max, usage);
+  };
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     if (arg == "--scale") {
-      o.scale = std::atof(next(i));
+      o.scale = f64(i, 1e-3, 16.0);
     } else if (arg == "--reps") {
-      o.reps = static_cast<std::size_t>(std::atoll(next(i)));
+      o.reps = u64(i, 1, 1000);
     } else if (arg == "--seed") {
-      o.seed = static_cast<std::uint64_t>(std::atoll(next(i)));
+      o.seed = u64(i, 0, UINT64_MAX);
     } else if (arg == "--jobs") {
-      o.jobs = static_cast<std::size_t>(std::atoll(next(i)));
-    } else if (arg == "--sim-threads") {
-      o.sim_threads = static_cast<std::size_t>(std::atoll(next(i)));
+      o.jobs = u64(i, 0, 4096);
     } else if (arg == "--csv") {
       o.csv_dir = next(i);
     } else if (arg == "--nodes") {
-      o.nodes = static_cast<std::size_t>(std::atoll(next(i)));
+      o.nodes = u64(i, 1, 64);
     } else if (arg == "--cluster-policy") {
       o.cluster_policy = next(i);
     } else if (arg == "--cluster-latency-x") {
-      o.latency_x = std::atof(next(i));
+      o.latency_x = f64(i, 0.01, 1000.0);
     } else if (arg == "--cluster-interval-x") {
-      o.interval_x = std::atof(next(i));
+      o.interval_x = f64(i, 0.01, 1000.0);
     } else if (arg == "--cluster-no-lending") {
       o.lending = false;
     } else if (arg == "--single") {
@@ -129,11 +129,6 @@ Options parse(int argc, char** argv) {
       usage(stderr);
       std::exit(2);
     }
-  }
-  if (o.reps == 0 || o.scale <= 0.0 ||
-      (o.nodes != 0 && o.nodes > 64)) {
-    std::fprintf(stderr, "bad option value\n");
-    std::exit(2);
   }
   return o;
 }
@@ -189,7 +184,6 @@ cluster::ClusterRunResult run_cell(const Options& o, const Cell& cell,
   cfg.lending = o.lending;
   cfg.internode_latency_x = cell.lat_x;
   cfg.global_interval_x = o.interval_x;
-  cfg.sim_threads = o.sim_threads;
   return cluster::run_cluster_scenario(cfg);
 }
 
@@ -231,13 +225,11 @@ int main(int argc, char** argv) {
 
   std::printf("=== cluster scaling: hot node + cold donors "
               "(usemem / cluster-cold, smart P=25%%) ===\n");
-  std::printf("%zu cell(s) x %zu rep(s), scale %g, lending %s, "
-              "sim-threads %zu\n\n",
-              cells.size(), o.reps, o.scale, o.lending ? "on" : "off",
-              o.sim_threads);
+  std::printf("%zu cell(s) x %zu rep(s), scale %g, lending %s\n\n",
+              cells.size(), o.reps, o.scale, o.lending ? "on" : "off");
 
   // Per-run wall-clock is printed to stdout only — never to the CSV, which
-  // must stay byte-identical across --sim-threads values.
+  // must stay byte-identical across runs.
   std::vector<cluster::ClusterRunResult> runs(cells.size() * o.reps);
   std::vector<double> wall(runs.size());
   parallel_for_each(o.jobs, runs.size(), [&](std::size_t i) {
@@ -300,11 +292,7 @@ int main(int argc, char** argv) {
   if (!o.csv_dir.empty()) {
     const std::string path = o.csv_dir + "/fig_cluster_scaling.csv";
     std::ofstream csv(path);
-    // sim_threads is deliberately the second column: the CI determinism
-    // check compares runs at different thread counts with that one column
-    // cut away (`cut -d, -f2 --complement`), and everything else must be
-    // byte-identical.
-    csv << "nodes,sim_threads,latency_x,global_policy,lending,rep,node,"
+    csv << "nodes,latency_x,global_policy,lending,rep,node,"
            "scenario,failed_puts,puts_total,puts_succ,runtime_s,remote_puts,"
            "remote_gets,final_quota,makespan_s\n";
     for (std::size_t c = 0; c < cells.size(); ++c) {
@@ -313,9 +301,9 @@ int main(int argc, char** argv) {
         for (const auto& nr : r.nodes) {
           char line[512];
           std::snprintf(line, sizeof line,
-                        "%zu,%zu,%g,%s,%d,%zu,%u,%s,%llu,%llu,%llu,%.6f,%llu,"
+                        "%zu,%g,%s,%d,%zu,%u,%s,%llu,%llu,%llu,%.6f,%llu,"
                         "%llu,%s,%.6f\n",
-                        cells[c].nodes, o.sim_threads, cells[c].lat_x,
+                        cells[c].nodes, cells[c].lat_x,
                         cells[c].policy.c_str(), o.lending ? 1 : 0, rep,
                         nr.node, nr.scenario.c_str(),
                         static_cast<unsigned long long>(nr.failed_puts),
@@ -345,7 +333,6 @@ int main(int argc, char** argv) {
     cfg.lending = o.lending;
     cfg.internode_latency_x = o.latency_x != 0.0 ? o.latency_x : 1.0;
     cfg.global_interval_x = o.interval_x;
-    cfg.sim_threads = o.sim_threads;
     cfg.obs.trace_out = o.trace_out;
     cfg.obs.metrics_out = o.metrics_out;
     cfg.obs.audit_out = o.audit_out;

@@ -10,19 +10,16 @@
 // the suppression counters, all reported in the trailing CSV columns.
 //
 // CSV layout contract (checked by CI):
-//   - columns 1-10 (nodes..makespan_s) are encoding-independent: a
+//   - columns 1-9 (nodes..makespan_s) are encoding-independent: a
 //     `--fleet-encoding delta` run and a `--fleet-encoding full` run md5
-//     to the same value after `cut -d, -f1-10`.
+//     to the same value after `cut -d, -f1-9`.
 //   - `full` is delta framing at resync 1: `--fleet-encoding delta
 //     --fleet-resync 1` reproduces a `--fleet-encoding full` run in every
-//     column but `encoding` (11).
-//   - column 2 is sim_threads: runs at different --sim-threads md5 to the
-//     same value after `cut -d, -f2 --complement`.
+//     column but `encoding` (10).
 //   - wall-clock and the mm_decide_ns probe are printed to stdout only.
 //
 // Flags (all values strictly validated; garbage exits with status 2):
 //   --scale/--reps/--seed/--jobs/--csv   as every figure bench
-//   --sim-threads n          parallel-engine workers (output-invariant)
 //   --fleet-nodes n          restrict to one node count (default sweep 2,4,8)
 //   --fleet-vms n            tenants per node (default 8)
 //   --fleet-skew f           zipf exponent of tenant intensity (default 0.8)
@@ -42,11 +39,9 @@
 //   --fleet-lend-outage-from-s s / --fleet-lend-outage-dur-s d
 //                            outage window on both lend hops
 //                            (async lending runs also write fleet_lending.csv
-//                            with --csv: deterministic columns only, no
-//                            sim_threads column, md5-comparable across
-//                            --sim-threads)
-//   --profile                engine self-profile: per-shard busy/barrier-wait/
-//                            injection table + bottleneck attribution (stdout;
+//                            with --csv: deterministic columns only)
+//   --profile                engine self-profile: per-shard busy/injection
+//                            table + bottleneck attribution (stdout;
 //                            fleet_profile.csv with --csv). Wall-clock only —
 //                            fig_fleet_scaling.csv stays byte-identical.
 //   --trace-sample n         keep 1-in-n hot-path spans in the observed run
@@ -55,15 +50,14 @@
 //                            exporting the requested pillars; feed the
 //                            metrics file to obs_inspect.py fleet-report
 #include <algorithm>
-#include <cerrno>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <fstream>
 #include <string>
 #include <vector>
 
+#include "bench_common.hpp"
 #include "cluster/fleet.hpp"
 #include "common/stats.hpp"
 #include "common/thread_pool.hpp"
@@ -77,7 +71,6 @@ struct Options {
   std::size_t reps = 2;
   std::uint64_t seed = 1;
   std::size_t jobs = 1;
-  std::size_t sim_threads = 1;
   std::string csv_dir;
   std::size_t nodes = 0;  // 0 = sweep {2, 4, 8}
   std::size_t vms = 8;
@@ -106,8 +99,7 @@ void usage(std::FILE* out) {
   std::fprintf(
       out,
       "fig_fleet_scaling [--scale f] [--reps n] [--seed n] [--jobs n]\n"
-      "  [--sim-threads n] [--csv dir]\n"
-      "  [--fleet-nodes n] [--fleet-vms n] [--fleet-skew f]\n"
+      "  [--csv dir] [--fleet-nodes n] [--fleet-vms n] [--fleet-skew f]\n"
       "  [--fleet-mix read-heavy|balanced|write-heavy]\n"
       "  [--fleet-policy p] [--fleet-encoding delta|full|both]\n"
       "  [--fleet-resync n]\n"
@@ -116,35 +108,6 @@ void usage(std::FILE* out) {
       "  [--fleet-lend-reorder p] [--fleet-lend-outage-from-s s]\n"
       "  [--fleet-lend-outage-dur-s d] [--profile] [--trace-sample n]\n"
       "  [--trace-out f] [--metrics-out f] [--audit-out f]\n");
-}
-
-[[noreturn]] void bad_value(const char* flag, const char* value) {
-  std::fprintf(stderr, "bad value for %s: '%s'\n", flag, value);
-  usage(stderr);
-  std::exit(2);
-}
-
-/// Strict numeric parsers: the whole token must convert, and the result
-/// must sit inside the flag's valid range.
-std::uint64_t parse_u64(const char* flag, const char* value,
-                        std::uint64_t min, std::uint64_t max) {
-  errno = 0;
-  char* end = nullptr;
-  const unsigned long long v = std::strtoull(value, &end, 10);
-  if (errno != 0 || end == value || *end != '\0' || v < min || v > max) {
-    bad_value(flag, value);
-  }
-  return static_cast<std::uint64_t>(v);
-}
-
-double parse_f64(const char* flag, const char* value, double min, double max) {
-  errno = 0;
-  char* end = nullptr;
-  const double v = std::strtod(value, &end);
-  if (errno != 0 || end == value || *end != '\0' || !(v >= min) || !(v <= max)) {
-    bad_value(flag, value);
-  }
-  return v;
 }
 
 Options parse(int argc, char** argv) {
@@ -157,39 +120,48 @@ Options parse(int argc, char** argv) {
     }
     return argv[++i];
   };
+  // Strict, ranged values for the numeric flag at argv[i].
+  auto u64 = [&](int& i, std::uint64_t min, std::uint64_t max) {
+    const char* flag = argv[i];
+    return bench::parse_u64(flag, next(i), min, max, usage);
+  };
+  auto f64 = [&](int& i, double min, double max) {
+    const char* flag = argv[i];
+    return bench::parse_f64(flag, next(i), min, max, usage);
+  };
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     if (arg == "--scale") {
-      o.scale = parse_f64("--scale", next(i), 1e-3, 16.0);
+      o.scale = f64(i, 1e-3, 16.0);
     } else if (arg == "--reps") {
-      o.reps = parse_u64("--reps", next(i), 1, 1000);
+      o.reps = u64(i, 1, 1000);
     } else if (arg == "--seed") {
-      o.seed = parse_u64("--seed", next(i), 0, UINT64_MAX);
+      o.seed = u64(i, 0, UINT64_MAX);
     } else if (arg == "--jobs") {
-      o.jobs = parse_u64("--jobs", next(i), 0, 4096);
-    } else if (arg == "--sim-threads") {
-      o.sim_threads = parse_u64("--sim-threads", next(i), 0, 4096);
+      o.jobs = u64(i, 0, 4096);
     } else if (arg == "--csv") {
       o.csv_dir = next(i);
     } else if (arg == "--fleet-nodes") {
-      o.nodes = parse_u64("--fleet-nodes", next(i), 2, 256);
+      o.nodes = u64(i, 2, 256);
     } else if (arg == "--fleet-vms") {
-      o.vms = parse_u64("--fleet-vms", next(i), 1, 256);
+      o.vms = u64(i, 1, 256);
     } else if (arg == "--fleet-skew") {
-      o.skew = parse_f64("--fleet-skew", next(i), 0.0, 4.0);
+      o.skew = f64(i, 0.0, 4.0);
     } else if (arg == "--fleet-mix") {
       const char* v = next(i);
-      if (!workloads::parse_fleet_mix(v, o.mix)) bad_value("--fleet-mix", v);
+      if (!workloads::parse_fleet_mix(v, o.mix)) {
+        bench::bad_value("--fleet-mix", v, usage);
+      }
     } else if (arg == "--fleet-policy") {
       o.policy = next(i);
     } else if (arg == "--fleet-encoding") {
       o.encoding = next(i);
       if (o.encoding != "delta" && o.encoding != "full" &&
           o.encoding != "both") {
-        bad_value("--fleet-encoding", o.encoding.c_str());
+        bench::bad_value("--fleet-encoding", o.encoding.c_str(), usage);
       }
     } else if (arg == "--fleet-resync") {
-      o.resync = parse_u64("--fleet-resync", next(i), 1, 1u << 20);
+      o.resync = u64(i, 1, 1u << 20);
     } else if (arg == "--fleet-no-lending") {
       o.lending = false;
     } else if (arg == "--fleet-lending-heavy") {
@@ -197,23 +169,21 @@ Options parse(int argc, char** argv) {
     } else if (arg == "--fleet-async-lending") {
       o.async_lending = true;
     } else if (arg == "--fleet-lend-cache") {
-      o.lend_cache = parse_u64("--fleet-lend-cache", next(i), 0, 1u << 24);
+      o.lend_cache = u64(i, 0, 1u << 24);
     } else if (arg == "--fleet-lend-rtt-x") {
-      o.lend_rtt_x = parse_f64("--fleet-lend-rtt-x", next(i), 0.01, 1000.0);
+      o.lend_rtt_x = f64(i, 0.01, 1000.0);
     } else if (arg == "--fleet-lend-loss") {
-      o.lend_loss = parse_f64("--fleet-lend-loss", next(i), 0.0, 1.0);
+      o.lend_loss = f64(i, 0.0, 1.0);
     } else if (arg == "--fleet-lend-reorder") {
-      o.lend_reorder = parse_f64("--fleet-lend-reorder", next(i), 0.0, 1.0);
+      o.lend_reorder = f64(i, 0.0, 1.0);
     } else if (arg == "--fleet-lend-outage-from-s") {
-      o.lend_outage_from_s =
-          parse_f64("--fleet-lend-outage-from-s", next(i), 0.0, 1e6);
+      o.lend_outage_from_s = f64(i, 0.0, 1e6);
     } else if (arg == "--fleet-lend-outage-dur-s") {
-      o.lend_outage_dur_s =
-          parse_f64("--fleet-lend-outage-dur-s", next(i), 0.0, 1e6);
+      o.lend_outage_dur_s = f64(i, 0.0, 1e6);
     } else if (arg == "--profile") {
       o.profile = true;
     } else if (arg == "--trace-sample") {
-      o.trace_sample = parse_u64("--trace-sample", next(i), 1, 1u << 20);
+      o.trace_sample = u64(i, 1, 1u << 20);
     } else if (arg == "--trace-out") {
       o.trace_out = next(i);
     } else if (arg == "--metrics-out") {
@@ -271,7 +241,6 @@ cluster::FleetRunResult run_cell(const Options& o, const Cell& cell,
   cfg.resync_every = cell.delta ? o.resync : 1;
   cfg.scale = o.scale;
   cfg.seed = seed;
-  cfg.sim_threads = o.sim_threads;
   cfg.profile = o.profile;
   return cluster::run_fleet_scenario(cfg);
 }
@@ -302,13 +271,13 @@ int main(int argc, char** argv) {
   std::printf("=== fleet scaling: %zu tenants/node, skew %g, mix %s, %s ===\n",
               o.vms, o.skew, workloads::to_string(o.mix), o.policy.c_str());
   std::printf("%zu cell(s) x %zu rep(s), scale %g, resync %llu, "
-              "lending %s, sim-threads %zu\n\n",
+              "lending %s\n\n",
               cells.size(), o.reps, o.scale,
               static_cast<unsigned long long>(o.resync),
-              o.lending ? "on" : "off", o.sim_threads);
+              o.lending ? "on" : "off");
 
   // Wall-clock and the decide-ns probe go to stdout only — the CSV must
-  // stay byte-identical across --sim-threads and machine speeds.
+  // stay byte-identical across runs and machine speeds.
   std::vector<cluster::FleetRunResult> runs(cells.size() * o.reps);
   std::vector<double> wall(runs.size());
   parallel_for_each(o.jobs, runs.size(), [&](std::size_t i) {
@@ -355,9 +324,8 @@ int main(int argc, char** argv) {
       if (r.profile.empty()) continue;
       std::printf("\n--- profile: %zu nodes, %s (rep 0) ---\n",
                   cells[c].nodes, cells[c].delta ? "delta" : "full");
-      std::printf("%-6s %10s %10s %8s %8s %10s %9s %9s %7s\n", "shard",
-                  "busy_ms", "wait_ms", "occ_mean", "occ_p95", "events",
-                  "inj_out", "inj_in", "crit_w");
+      std::printf("%-6s %10s %10s %9s %9s %7s\n", "shard", "busy_ms",
+                  "events", "inj_out", "inj_in", "crit_w");
       // Busiest first; at 64 nodes the full table is noise, so cap at the
       // top 10 — the CSV keeps every shard.
       std::vector<const cluster::FleetRunResult::ShardProfileRow*> rows;
@@ -370,10 +338,8 @@ int main(int argc, char** argv) {
       const std::size_t shown = std::min<std::size_t>(rows.size(), 10);
       for (std::size_t s = 0; s < shown; ++s) {
         const auto& row = *rows[s];
-        std::printf("%-6s %10.2f %10.2f %8.2f %8.2f %10llu %9llu %9llu "
-                    "%7llu\n",
-                    row.label.c_str(), row.busy_ms, row.barrier_wait_ms,
-                    row.occupancy_mean, row.occupancy_p95,
+        std::printf("%-6s %10.2f %10llu %9llu %9llu %7llu\n",
+                    row.label.c_str(), row.busy_ms,
                     static_cast<unsigned long long>(row.events),
                     static_cast<unsigned long long>(row.injections_out),
                     static_cast<unsigned long long>(row.injections_in),
@@ -447,10 +413,9 @@ int main(int argc, char** argv) {
   if (!o.csv_dir.empty()) {
     const std::string path = o.csv_dir + "/fig_fleet_scaling.csv";
     std::ofstream csv(path);
-    // Columns 1-10 are encoding-independent (delta-vs-full md5 cross-check
-    // cuts to them); column 2 is sim_threads (thread-count check cuts it
-    // away); everything encoding-dependent rides at the end.
-    csv << "nodes,sim_threads,vms_per_node,skew,mix,global_policy,"
+    // Columns 1-9 are encoding-independent (delta-vs-full md5 cross-check
+    // cuts to them); everything encoding-dependent rides at the end.
+    csv << "nodes,vms_per_node,skew,mix,global_policy,"
            "rep,failed_puts,puts_total,makespan_s,"
            "encoding,puts_succ,node_control_bytes,rack_control_bytes,"
            "mm_samples,node_bytes_per_interval,stats_full_sends,"
@@ -463,10 +428,10 @@ int main(int argc, char** argv) {
         char line[640];
         std::snprintf(
             line, sizeof line,
-            "%zu,%zu,%zu,%g,%s,%s,%zu,%llu,%llu,%.6f,"
+            "%zu,%zu,%g,%s,%s,%zu,%llu,%llu,%.6f,"
             "%s,%llu,%llu,%llu,%llu,%.3f,%llu,%llu,%llu,%llu,%llu,"
             "%llu,%llu\n",
-            cells[c].nodes, o.sim_threads, o.vms, o.skew,
+            cells[c].nodes, o.vms, o.skew,
             workloads::to_string(o.mix), o.policy.c_str(), rep,
             static_cast<unsigned long long>(r.aggregate_failed_puts),
             static_cast<unsigned long long>(r.puts_total), r.makespan_s,
@@ -490,9 +455,8 @@ int main(int argc, char** argv) {
 
     if (o.async_lending) {
       // Separate artifact so the md5-checked fig_fleet_scaling.csv layout
-      // never changes on the default path. Deliberately no sim_threads
-      // column and no wall-clock fields: the whole file md5-compares across
-      // --sim-threads values (the CI lending smoke job does exactly that).
+      // never changes on the default path. Deliberately no wall-clock
+      // fields: the whole file is deterministic.
       const std::string lpath = o.csv_dir + "/fleet_lending.csv";
       std::ofstream lcsv(lpath);
       lcsv << "nodes,encoding,rep,borrow_placements,failed_placements,"
@@ -538,8 +502,7 @@ int main(int argc, char** argv) {
       // it must never ride in the md5-checked outcome CSV.
       const std::string ppath = o.csv_dir + "/fleet_profile.csv";
       std::ofstream pcsv(ppath);
-      pcsv << "nodes,encoding,rep,shard,busy_ms,barrier_wait_ms,"
-              "occupancy_mean,occupancy_p95,events,injections_out,"
+      pcsv << "nodes,encoding,rep,shard,busy_ms,events,injections_out,"
               "injections_in,critical_windows,bottleneck,windows,"
               "idle_skip_s,window_wall_ms,drain_ms,hook_ms\n";
       for (std::size_t c = 0; c < cells.size(); ++c) {
@@ -549,11 +512,10 @@ int main(int argc, char** argv) {
             char line[512];
             std::snprintf(
                 line, sizeof line,
-                "%zu,%s,%zu,%s,%.3f,%.3f,%.4f,%.4f,%llu,%llu,%llu,%llu,"
+                "%zu,%s,%zu,%s,%.3f,%llu,%llu,%llu,%llu,"
                 "%s,%llu,%.3f,%.3f,%.3f,%.3f\n",
                 cells[c].nodes, cells[c].delta ? "delta" : "full", rep,
-                row.label.c_str(), row.busy_ms, row.barrier_wait_ms,
-                row.occupancy_mean, row.occupancy_p95,
+                row.label.c_str(), row.busy_ms,
                 static_cast<unsigned long long>(row.events),
                 static_cast<unsigned long long>(row.injections_out),
                 static_cast<unsigned long long>(row.injections_in),
@@ -589,7 +551,6 @@ int main(int argc, char** argv) {
     cfg.resync_every = cell.delta ? o.resync : 1;
     cfg.scale = o.scale;
     cfg.seed = o.seed;
-    cfg.sim_threads = o.sim_threads;
     cfg.profile = o.profile;
     cfg.obs.trace_out = o.trace_out;
     cfg.obs.metrics_out = o.metrics_out;

@@ -16,8 +16,7 @@ SimTime cluster_sim_clock(const void* ctx) {
 }
 
 /// Stamps this thread's log lines with the rack shard's time for the
-/// guard's lifetime (the cluster-level twin of VirtualNode's guard). The
-/// clock is thread-local, so engine workers simply log without timestamps.
+/// guard's lifetime (the cluster-level twin of VirtualNode's guard).
 class LogClockGuard {
  public:
   explicit LogClockGuard(const sim::Simulator& sim) {
@@ -53,7 +52,6 @@ void Cluster::wire_rack() {
   // latency (a lognormal hop) before anything is wired or scheduled.
   sim::ParallelEngine::Config ecfg;
   ecfg.lookahead = config_.topology.min_internode_latency();
-  ecfg.threads = config_.sim_threads;
   engine_ = std::make_unique<sim::ParallelEngine>(ecfg);
   for (std::size_t i = 0; i < n; ++i) {
     engine_->add_shard(&nodes_[i]->simulator());

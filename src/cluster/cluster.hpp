@@ -12,11 +12,10 @@
 // Execution model: each node is a simulator *shard* — a private
 // sim::Simulator holding that node's whole event stream — plus one rack
 // shard for the GlobalManager and the downlink sources. A conservative
-// sim::ParallelEngine advances all shards in lock-free windows bounded by
-// the minimum inter-node channel latency (the ~5 ms rack hop); cross-shard
-// traffic (stats roll-ups, quota vectors, lending settlement) moves only
-// at window barriers, in a deterministic total order. A multi-node run is
-// therefore byte-identical for every sim_threads value, including 1. The
+// sim::ParallelEngine advances all shards on the calling thread in windows
+// bounded by the minimum inter-node channel latency (the ~5 ms rack hop);
+// cross-shard traffic (stats roll-ups, quota vectors, lending settlement)
+// moves only at window barriers, in a deterministic total order. The
 // rack hops must have a positive minimum latency: a topology without one
 // (e.g. a lognormal hop) admits no safe window, and start() rejects it for
 // a cluster of two or more nodes.
@@ -81,17 +80,12 @@ struct ClusterConfig {
   /// their framing from each NodeConfig's comm.delta instead.
   comm::DeltaConfig delta;
 
-  /// Worker threads for the parallel engine (2+ node clusters only). 1 runs
-  /// the windowed schedule inline; 0 uses hardware_concurrency. The
-  /// simulation output is identical for every value.
-  std::size_t sim_threads = 1;
-
-  /// Self-profile the parallel engine: per-shard busy/barrier-wait/
-  /// injection accounting and critical-path attribution (sim/profiler.hpp).
-  /// Shards are labelled "n0".."nK" and "rack". Wall-clock derived — the
-  /// event schedule and every simulation outcome stay byte-identical; the
-  /// results surface via profiler() and, with a metrics registry attached,
-  /// as "engine."-prefixed gauges. Ignored by a 1-node cluster.
+  /// Self-profile the engine: per-shard busy/injection accounting and
+  /// critical-path attribution (sim/profiler.hpp). Shards are labelled
+  /// "n0".."nK" and "rack". Wall-clock derived — the event schedule and
+  /// every simulation outcome stay byte-identical; the results surface via
+  /// profiler() and, with a metrics registry attached, as "engine."-prefixed
+  /// gauges. Ignored by a 1-node cluster.
   bool profile = false;
 
   /// Rack-level observability (GlobalManager audit/trace, lending and

@@ -79,7 +79,6 @@ ClusterRunResult run_cluster_scenario(const ClusterExperimentConfig& cfg) {
   ccfg.global_interval = static_cast<SimTime>(
       cfg.global_interval_x * static_cast<double>(base.sample_interval));
   ccfg.lending = cfg.lending;
-  ccfg.sim_threads = cfg.sim_threads;
   ccfg.obs = cfg.obs;
 
   Cluster cluster(std::move(ccfg));

@@ -37,9 +37,6 @@ struct ClusterExperimentConfig {
   double internode_latency_x = 1.0;
   /// Global decision interval as a multiple of the node sampling interval.
   double global_interval_x = 2.0;
-  /// Worker threads for the cluster's parallel engine (1 = inline, 0 =
-  /// hardware concurrency). Never changes the simulation output.
-  std::size_t sim_threads = 1;
   /// Rack-level observability, forwarded to the Cluster.
   obs::ObsConfig obs;
 };
@@ -60,7 +57,7 @@ struct ClusterNodeResult {
 struct ClusterRunResult {
   std::vector<ClusterNodeResult> nodes;
   std::uint64_t aggregate_failed_puts = 0;
-  double makespan_s = 0.0;  // shared-simulator end time
+  double makespan_s = 0.0;  // Cluster::run end time (last window end)
   std::uint64_t gm_decisions = 0;
   std::uint64_t quotas_sent = 0;
   std::uint64_t borrow_placements = 0;

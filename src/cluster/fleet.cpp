@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <stdexcept>
 #include <utility>
 
 #include "cluster/experiment.hpp"
@@ -77,6 +78,11 @@ core::ScenarioSpec fleet_node_scenario(const FleetExperimentConfig& cfg,
 }  // namespace
 
 FleetRunResult run_fleet_scenario(const FleetExperimentConfig& cfg) {
+  if (cfg.sim_threads != 1) {
+    throw std::invalid_argument(
+        "run_fleet_scenario: sim_threads must be 1 (the engine runs every "
+        "window on the calling thread)");
+  }
   core::NodeConfig base = core::scaled_node_defaults(cfg.scale);
   base.comm.delta.resync_every = cfg.resync_every;
 
@@ -123,7 +129,6 @@ FleetRunResult run_fleet_scenario(const FleetExperimentConfig& cfg) {
     ccfg.topology.internode_lend_resp.faults = cfg.lend_fault;
   }
   ccfg.delta.resync_every = cfg.resync_every;
-  ccfg.sim_threads = cfg.sim_threads;
   ccfg.profile = cfg.profile;
   ccfg.obs = cfg.obs;
 
@@ -222,13 +227,6 @@ FleetRunResult run_fleet_scenario(const FleetExperimentConfig& cfg) {
       FleetRunResult::ShardProfileRow row;
       row.label = s->label;
       row.busy_ms = static_cast<double>(s->busy_ns) / 1e6;
-      row.barrier_wait_ms = static_cast<double>(s->barrier_wait_ns) / 1e6;
-      row.occupancy_mean =
-          rep.window_wall_ns > 0
-              ? static_cast<double>(s->busy_ns) /
-                    static_cast<double>(rep.window_wall_ns)
-              : 0.0;
-      row.occupancy_p95 = s->occupancy.quantile(0.95);
       row.events = s->events;
       row.injections_out = s->injections_out;
       row.injections_in = s->injections_in;

@@ -67,12 +67,14 @@ struct FleetExperimentConfig {
 
   double scale = 0.25;
   std::uint64_t seed = 42;
-  /// Parallel-engine worker threads (never changes simulation output).
+  /// Must be 1: the engine runs every window on the calling thread, and
+  /// run_fleet_scenario throws std::invalid_argument for any other value.
+  /// Kept only until the benchmark runner stops assigning it.
   std::size_t sim_threads = 1;
   double global_interval_x = 2.0;
 
-  /// Engine self-profiling (ClusterConfig::profile): per-shard busy/
-  /// barrier-wait/injection accounting and the bottleneck attribution in
+  /// Engine self-profiling (ClusterConfig::profile): per-shard
+  /// busy/injection accounting and the bottleneck attribution in
   /// FleetRunResult::profile. Wall-clock observation only — outcomes are
   /// byte-identical with it on or off.
   bool profile = false;
@@ -136,9 +138,6 @@ struct FleetRunResult {
   struct ShardProfileRow {
     std::string label;  // "n0".."nK", "rack"
     double busy_ms = 0.0;
-    double barrier_wait_ms = 0.0;
-    double occupancy_mean = 0.0;  // busy / sum of window critical paths
-    double occupancy_p95 = 0.0;   // per-window distribution tail
     std::uint64_t events = 0;
     std::uint64_t injections_out = 0;
     std::uint64_t injections_in = 0;
@@ -149,13 +148,14 @@ struct FleetRunResult {
   std::uint64_t engine_windows = 0;
   double engine_idle_skip_s = 0.0;
   double engine_window_wall_ms = 0.0;  // sum of per-window critical paths
-  double engine_drain_ms = 0.0;        // serial coordinator: outbox drains
-  double engine_hook_ms = 0.0;         // serial coordinator: barrier hook
+  double engine_drain_ms = 0.0;        // barrier: outbox drains
+  double engine_hook_ms = 0.0;         // barrier: the barrier hook
 };
 
 /// Builds, runs and tears down one fleet. Deterministic for a given config
 /// (modulo the wall-clock fields called out on FleetRunResult); the
-/// simulated outcome is the same across sim_threads and resync_every.
+/// simulated outcome is the same across resync_every. Throws
+/// std::invalid_argument when cfg.sim_threads is not 1.
 FleetRunResult run_fleet_scenario(const FleetExperimentConfig& cfg);
 
 }  // namespace smartmem::cluster

@@ -21,10 +21,9 @@
 //    timers exactly as Tkm::stop() cancels deliveries.
 //
 // Everything — Rng streams, donor queues, timers, the cache — is
-// partitioned per borrower, so sharded-mode windows never touch another
-// shard's state mid-window; donor stores still settle only at window
-// barriers (LendingBroker::sync_window). A run is therefore byte-identical
-// for every --sim-threads value.
+// partitioned per borrower, so a window never touches another shard's
+// state; donor stores still settle only at window barriers
+// (LendingBroker::sync_window).
 //
 // The BorrowCache is the access-point cache of the SmartOffloading /
 // "Flexible Swapping for the Cloud" lineage: a bounded LRU of hot borrowed

@@ -91,8 +91,9 @@ NodeConfig node_config_for(const ScenarioSpec& scenario,
 
 /// Populates an already-constructed node with the scenario's VMs — launch
 /// jitter, per-VM seed streams and marker triggers — exactly as build_node
-/// does. Exposed so cluster wiring can place nodes on a shared simulator
-/// and still reproduce identical VM streams for the same seed.
+/// does. Exposed so cluster wiring can populate each node it adds on its
+/// own simulator shard and still reproduce identical VM streams for the
+/// same seed.
 void populate_node(VirtualNode& node, const ScenarioSpec& scenario,
                    std::uint64_t seed);
 

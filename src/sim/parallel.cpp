@@ -27,19 +27,6 @@ ParallelEngine::ParallelEngine(Config config) : config_(config) {
         "ParallelEngine: lookahead must be positive (a zero-lookahead "
         "topology admits no safe window)");
   }
-  if (config_.threads == 0) {
-    config_.threads = std::max<std::size_t>(
-        1, static_cast<std::size_t>(std::thread::hardware_concurrency()));
-  }
-}
-
-ParallelEngine::~ParallelEngine() {
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    shutdown_ = true;
-  }
-  cv_work_.notify_all();
-  for (auto& w : workers_) w.join();
 }
 
 std::size_t ParallelEngine::add_shard(Simulator* sim) {
@@ -74,9 +61,6 @@ void ParallelEngine::run_shard_window(std::size_t i, SimTime end) {
     sim->run_window(end);
     return;
   }
-  // Slot discipline: shard i's window slot is written only by the one
-  // worker advancing shard i this window (same rule as the outboxes), so
-  // the profiler needs no locks.
   const std::uint64_t t0 = wall_ns();
   const std::uint64_t ev0 = sim->executed_events();
   sim->run_window(end);
@@ -84,64 +68,12 @@ void ParallelEngine::run_shard_window(std::size_t i, SimTime end) {
                                  sim->executed_events() - ev0);
 }
 
-void ParallelEngine::worker_loop(std::size_t worker) {
-  std::uint64_t seen_epoch = 0;
-  while (true) {
-    SimTime end;
-    {
-      std::unique_lock<std::mutex> lock(mu_);
-      cv_work_.wait(lock,
-                    [&] { return shutdown_ || epoch_ != seen_epoch; });
-      if (shutdown_) return;
-      seen_epoch = epoch_;
-      end = window_end_;
-    }
-    // Static slice: worker w advances shards w, w+T, w+2T, ... Shards are
-    // independent inside a window, so the assignment affects wall-clock
-    // only, never the produced schedule.
-    for (std::size_t i = worker; i < shards_.size(); i += config_.threads) {
-      run_shard_window(i, end);
-    }
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      ++workers_done_;
-    }
-    cv_done_.notify_one();
-  }
-}
-
-void ParallelEngine::run_window_parallel(SimTime end) {
-  if (config_.threads <= 1 || shards_.size() <= 1) {
-    for (std::size_t i = 0; i < shards_.size(); ++i) run_shard_window(i, end);
-    return;
-  }
-  if (workers_.empty()) {
-    const std::size_t n = std::min(config_.threads, shards_.size());
-    config_.threads = n;
-    workers_.reserve(n);
-    for (std::size_t w = 0; w < n; ++w) {
-      workers_.emplace_back([this, w] { worker_loop(w); });
-    }
-  }
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    window_end_ = end;
-    workers_done_ = 0;
-    ++epoch_;
-  }
-  cv_work_.notify_all();
-  {
-    std::unique_lock<std::mutex> lock(mu_);
-    cv_done_.wait(lock, [&] { return workers_done_ == workers_.size(); });
-  }
-}
-
 void ParallelEngine::drain_outboxes(SimTime end) {
   // Gather every staged delivery and impose the deterministic total order:
   // (deliver time, source shard, source sequence). Destination simulators
   // assign their tie-break sequence numbers in this order, so equal-time
   // deliveries on one shard always fire in the same relative order no
-  // matter which worker staged them first in wall-clock.
+  // matter which source shard ran first in the window.
   struct Entry {
     SimTime when;
     std::size_t src;
@@ -196,8 +128,7 @@ SimTime ParallelEngine::run(const std::function<bool()>& stop_when,
   SimTime global = 0;
   while (true) {
     // Next window starts at the globally earliest pending event — idle
-    // stretches are skipped entirely. Computed from shard state between
-    // windows, so it is a pure function of the simulation, not the threads.
+    // stretches are skipped entirely.
     SimTime m = -1;
     for (Shard& s : shards_) {
       const SimTime t = s.sim->next_event_time();
@@ -212,7 +143,7 @@ SimTime ParallelEngine::run(const std::function<bool()>& stop_when,
       profiler_->resize(shards_.size());
       profiler_->begin_window(m, global);
     }
-    run_window_parallel(end);
+    for (std::size_t i = 0; i < shards_.size(); ++i) run_shard_window(i, end);
     global = end;
     ++windows_;
     if (profiler_ != nullptr) {
@@ -225,9 +156,9 @@ SimTime ParallelEngine::run(const std::function<bool()>& stop_when,
     if (hook_) {
       const std::uint64_t t0 = profiler_ != nullptr ? wall_ns() : 0;
       hook_(end);
-      // The hook may itself stage deliveries (it runs in coordinator context
-      // where post() is legal). Inject them now: if one of them is the only
-      // remaining work, the earliest-event scan above must be able to see it.
+      // The hook may itself stage deliveries (post() is legal between
+      // windows). Inject them now: if one of them is the only remaining
+      // work, the earliest-event scan above must be able to see it.
       drain_outboxes(end);
       if (profiler_ != nullptr) profiler_->add_hook_ns(wall_ns() - t0);
     }

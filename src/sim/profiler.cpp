@@ -42,9 +42,9 @@ void EngineProfiler::record_injections(std::size_t src, std::size_t dst,
 
 void EngineProfiler::end_window() {
   ++windows_;
-  // The window's critical path is its busiest shard; everyone else's gap to
-  // it is time spent waiting at the barrier. Ties break toward the lowest
-  // shard id so the attribution is a pure function of the measurements.
+  // The window's critical path is its busiest shard. Ties break toward the
+  // lowest shard id so the attribution is a pure function of the
+  // measurements.
   std::uint64_t critical_ns = 0;
   std::size_t critical_shard = 0;
   for (std::size_t i = 0; i < window_.size(); ++i) {
@@ -58,11 +58,6 @@ void EngineProfiler::end_window() {
     ShardProfile& s = shards_[i];
     s.busy_ns += window_[i].busy_ns;
     s.events += window_[i].events;
-    s.barrier_wait_ns += critical_ns - window_[i].busy_ns;
-    if (critical_ns > 0) {
-      s.occupancy.add(static_cast<double>(window_[i].busy_ns) /
-                      static_cast<double>(critical_ns));
-    }
   }
   if (!window_.empty()) ++shards_[critical_shard].critical_windows;
 }
@@ -106,9 +101,6 @@ void EngineProfiler::register_metrics(obs::Registry& reg) const {
     const ShardProfile* p = &s;
     reg.add_gauge(prefix + "busy_ms",
                   [p] { return static_cast<double>(p->busy_ns) / 1e6; });
-    reg.add_gauge(prefix + "barrier_wait_ms", [p] {
-      return static_cast<double>(p->barrier_wait_ns) / 1e6;
-    });
     reg.add_gauge(prefix + "events",
                   [p] { return static_cast<double>(p->events); });
     reg.add_gauge(prefix + "injections_out",
@@ -117,7 +109,6 @@ void EngineProfiler::register_metrics(obs::Registry& reg) const {
                   [p] { return static_cast<double>(p->injections_in); });
     reg.add_gauge(prefix + "critical_windows",
                   [p] { return static_cast<double>(p->critical_windows); });
-    reg.add_histogram(prefix + "occupancy", &s.occupancy);
   }
 }
 

@@ -1,29 +1,23 @@
-// Self-profiler for the conservative parallel engine.
+// Self-profiler for the windowed engine.
 //
-// The ROADMAP asks where the rack shard (GlobalManager + downlinks on one
-// simulator) becomes the bottleneck at fleet scale. Answering that needs
-// per-shard, per-window accounting the engine itself cannot see from its
-// aggregate counters: how long each shard computes inside a window (busy),
-// how long it then sits at the barrier waiting for the slowest peer
-// (barrier wait = window critical path minus own busy), how much cross-
-// shard traffic it stages (outbox injections), and how much simulated time
-// the windowing skips entirely (idle skip).
+// The ROADMAP asks which shard holds the barrier at fleet scale. Answering
+// that needs per-shard, per-window accounting the engine itself cannot see
+// from its aggregate counters: how long each shard computes inside a window
+// (busy), how much cross-shard traffic it stages (outbox injections), how
+// much simulated time the windowing skips entirely (idle skip), and how
+// long the serial barrier work takes (drain, hook).
 //
-// Measurement discipline mirrors the engine's outbox rule: a shard's
-// per-window slot is written only by the worker advancing that shard, and
-// the coordinator folds all slots at the barrier — no locks, no atomics.
 // The profiler reads wall clocks and counts events; it never touches the
 // event schedule, so a profiled run is byte-identical to an unprofiled one
 // by construction (CI checks the outcome columns' md5 anyway). When no
 // profiler is attached the engine's hot paths cost one null-pointer test.
 //
 // Attribution: each window's critical path is its busiest shard (wall
-// clock; ties break toward the lowest shard id). The shard that is
-// critical most often — equivalently, with the largest total busy time —
-// is the bottleneck the report names. Per-shard occupancy (busy / window
-// critical path) is kept as a histogram, so a shard that is mostly idle
-// but occasionally critical is distinguishable from a uniformly-half-busy
-// one.
+// clock; ties break toward the lowest shard id). Summed over the run that
+// is the window wall time: what the windows would cost if every shard ran
+// on a core of its own, a floor for any parallel schedule of the same
+// windows. The shard that is critical most often — total busy time breaks
+// ties — is the bottleneck the report names.
 #pragma once
 
 #include <cstddef>
@@ -31,7 +25,6 @@
 #include <string>
 #include <vector>
 
-#include "common/stats.hpp"
 #include "common/types.hpp"
 
 namespace smartmem::obs {
@@ -45,19 +38,17 @@ class EngineProfiler {
   struct ShardProfile {
     std::string label;              // "n0".."nK", "rack" (cluster wiring)
     std::uint64_t busy_ns = 0;      // wall clock inside run_window
-    std::uint64_t barrier_wait_ns = 0;  // critical path minus own busy
     std::uint64_t events = 0;       // events executed inside windows
     std::uint64_t injections_out = 0;   // outbox entries staged by this shard
     std::uint64_t injections_in = 0;    // entries delivered into this shard
     std::uint64_t critical_windows = 0;  // windows this shard was slowest
-    Histogram occupancy{0.0, 1.0, 20};   // busy / window critical path
   };
 
   struct Report {
     std::uint64_t windows = 0;
     std::uint64_t window_wall_ns = 0;  // sum of per-window critical paths
-    std::uint64_t drain_ns = 0;        // serial coordinator: outbox drains
-    std::uint64_t hook_ns = 0;         // serial coordinator: barrier hook
+    std::uint64_t drain_ns = 0;        // barrier: outbox drains
+    std::uint64_t hook_ns = 0;         // barrier: the barrier hook
     SimTime idle_skip = 0;             // sim time jumped over between windows
     std::vector<const ShardProfile*> shards;
     /// Index into `shards` of the attribution winner (0 when there are no
@@ -79,24 +70,23 @@ class EngineProfiler {
 
   // ---- Engine-facing hooks (hot path) --------------------------------------
 
-  /// Coordinator, before the window executes: `start` is the window's first
-  /// event time, `prev_end` the previous window's end (0 before the first).
+  /// Before the window executes: `start` is the window's first event time,
+  /// `prev_end` the previous window's end (0 before the first).
   void begin_window(SimTime start, SimTime prev_end);
 
-  /// Worker advancing `shard` inside the current window. Slot discipline:
-  /// one writer per shard per window.
+  /// After `shard` advanced through the current window.
   void record_shard_window(std::size_t shard, std::uint64_t busy_ns,
                            std::uint64_t events);
 
-  /// Coordinator, at the barrier drain: `count` staged deliveries src->dst.
+  /// At the barrier drain: `count` staged deliveries src->dst.
   void record_injections(std::size_t src, std::size_t dst,
                          std::uint64_t count);
 
   void add_drain_ns(std::uint64_t ns) { drain_ns_ += ns; }
   void add_hook_ns(std::uint64_t ns) { hook_ns_ += ns; }
 
-  /// Coordinator, after the barrier work: folds the window's slots into the
-  /// per-shard aggregates (critical path, barrier waits, occupancy).
+  /// After the barrier work: folds the window's slots into the per-shard
+  /// aggregates and the critical path.
   void end_window();
 
   // ---- Results -------------------------------------------------------------
@@ -109,7 +99,7 @@ class EngineProfiler {
   /// a finished run; callable mid-run for progress peeks.
   Report report() const;
 
-  /// Exports per-shard busy/wait/occupancy and engine totals as
+  /// Exports per-shard busy/events/injections and engine totals as
   /// "engine."-prefixed gauges. Wall-clock derived — callers must keep
   /// these out of determinism-checked artifacts (same contract as the
   /// benches' stdout wall columns).

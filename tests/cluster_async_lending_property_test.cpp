@@ -16,9 +16,9 @@
 // timeouts fully attributed to a fault, attempts fully attributed to
 // success/retry/give-up) make checkable.
 //
-// Part 2 re-proves thread-count invariance with the async fabric in the
-// loop: a lending-heavy fleet run (with and without wire faults) must be
-// byte-identical at --sim-threads 1, 2 and 4.
+// Part 2 runs a lending-heavy fleet with the async fabric in the loop: the
+// fault-free run must actually borrow over the fabric, and a run with wire
+// faults must reproduce itself byte for byte.
 //
 // Part 3 is the recall-vs-in-flight-borrow regression: a quota change that
 // recalls pages while borrow completion timers are still pending must not
@@ -312,7 +312,7 @@ TEST(AsyncLendingPropertyTest, FaultGridFuzzPreservesBrokerInvariants) {
   }
 }
 
-// ---- Part 2: thread-count invariance with the fabric in the loop ----------
+// ---- Part 2: lending-heavy fleets with the fabric in the loop -------------
 
 std::string serialize(const FleetRunResult& r) {
   std::string out = strfmt(
@@ -348,7 +348,7 @@ std::string serialize(const FleetRunResult& r) {
   return out;
 }
 
-FleetExperimentConfig lending_fleet(std::size_t sim_threads, bool flaky) {
+FleetExperimentConfig lending_fleet(bool flaky) {
   FleetExperimentConfig cfg;
   cfg.nodes = 4;
   cfg.vms_per_node = 4;
@@ -362,24 +362,20 @@ FleetExperimentConfig lending_fleet(std::size_t sim_threads, bool flaky) {
     cfg.lend_fault.loss_rate = 0.05;
     cfg.lend_fault.reorder_rate = 0.10;
   }
-  cfg.sim_threads = sim_threads;
   return cfg;
 }
 
-TEST(AsyncLendingPropertyTest, FleetThreadCountInvisibleWithAsyncFabric) {
-  const FleetRunResult r1 = run_fleet_scenario(lending_fleet(1, false));
-  // The run must actually exercise the fabric for the comparison to mean
-  // anything.
-  ASSERT_GT(r1.borrow_placements, 0u);
-  ASSERT_GT(r1.fabric_requests, 0u);
-  const std::string base = serialize(r1);
-  EXPECT_EQ(serialize(run_fleet_scenario(lending_fleet(2, false))), base);
-  EXPECT_EQ(serialize(run_fleet_scenario(lending_fleet(4, false))), base);
+TEST(AsyncLendingPropertyTest, LendingHeavyFleetBorrowsOverFabric) {
+  const FleetRunResult r = run_fleet_scenario(lending_fleet(false));
+  ASSERT_GT(r.borrow_placements, 0u);
+  ASSERT_GT(r.fabric_requests, 0u);
 }
 
-TEST(AsyncLendingPropertyTest, FleetThreadCountInvisibleUnderWireFaults) {
-  const std::string base = serialize(run_fleet_scenario(lending_fleet(1, true)));
-  EXPECT_EQ(serialize(run_fleet_scenario(lending_fleet(4, true))), base);
+TEST(AsyncLendingPropertyTest, FleetRunRepeatsUnderWireFaults) {
+  const FleetRunResult r = run_fleet_scenario(lending_fleet(true));
+  // The faults must bite for the comparison to cover the retry paths.
+  ASSERT_GT(r.fabric_retries, 0u);
+  EXPECT_EQ(serialize(run_fleet_scenario(lending_fleet(true))), serialize(r));
 }
 
 // ---- Part 3: recall-on-quota-shrink races an in-flight borrow -------------

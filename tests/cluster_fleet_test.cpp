@@ -1,9 +1,11 @@
 // Fleet determinism contracts (DESIGN §12): the fleet experiment is a pure
-// function of its config — bit-identical across parallel-engine thread
-// counts, and delta framing (resync_every > 1) replays the exact event
-// timeline of the full-vector default (only the byte accounting may
-// differ).
+// function of its config — delta framing (resync_every > 1) replays the
+// exact event timeline of the full-vector default (only the byte accounting
+// may differ), and a different seed reshuffles the workload.
 #include <gtest/gtest.h>
+
+#include <cstddef>
+#include <stdexcept>
 
 #include "cluster/fleet.hpp"
 
@@ -17,29 +19,6 @@ FleetExperimentConfig fleet_8x16() {
   cfg.scale = 0.0625;
   cfg.seed = 42;
   return cfg;
-}
-
-/// Equality over every deterministic field (everything except the
-/// wall-clock decide probe).
-void expect_identical(const FleetRunResult& a, const FleetRunResult& b) {
-  EXPECT_EQ(a.aggregate_failed_puts, b.aggregate_failed_puts);
-  EXPECT_EQ(a.puts_total, b.puts_total);
-  EXPECT_EQ(a.puts_succ, b.puts_succ);
-  EXPECT_DOUBLE_EQ(a.makespan_s, b.makespan_s);
-  EXPECT_EQ(a.node_control_bytes, b.node_control_bytes);
-  EXPECT_EQ(a.rack_control_bytes, b.rack_control_bytes);
-  EXPECT_EQ(a.mm_samples, b.mm_samples);
-  EXPECT_EQ(a.mm_targets_sent, b.mm_targets_sent);
-  EXPECT_EQ(a.mm_decides, b.mm_decides);
-  EXPECT_EQ(a.stats_full_sends, b.stats_full_sends);
-  EXPECT_EQ(a.targets_full_sends, b.targets_full_sends);
-  EXPECT_EQ(a.gm_decisions, b.gm_decisions);
-  EXPECT_EQ(a.gm_clean_decides, b.gm_clean_decides);
-  EXPECT_EQ(a.quotas_sent, b.quotas_sent);
-  EXPECT_EQ(a.quota_sends_skipped, b.quota_sends_skipped);
-  EXPECT_EQ(a.rollups_suppressed, b.rollups_suppressed);
-  EXPECT_EQ(a.borrow_placements, b.borrow_placements);
-  EXPECT_EQ(a.lending_failed_placements, b.lending_failed_placements);
 }
 
 /// The simulation-outcome subset (the bench CSV's encoding-independent
@@ -56,19 +35,6 @@ void expect_same_outcome(const FleetRunResult& a, const FleetRunResult& b) {
   EXPECT_EQ(a.lending_failed_placements, b.lending_failed_placements);
 }
 
-TEST(FleetDeterminism, BitIdenticalAcrossSimThreads) {
-  FleetExperimentConfig serial = fleet_8x16();
-  serial.sim_threads = 1;
-  FleetExperimentConfig threaded = fleet_8x16();
-  threaded.sim_threads = 4;
-
-  const FleetRunResult a = run_fleet_scenario(serial);
-  const FleetRunResult b = run_fleet_scenario(threaded);
-  ASSERT_GT(a.puts_total, 0u);
-  ASSERT_GT(a.mm_samples, 0u);
-  expect_identical(a, b);
-}
-
 TEST(FleetDeterminism, DeltaEncodingReplaysFullVectorTimeline) {
   FleetExperimentConfig full = fleet_8x16();
   FleetExperimentConfig delta = fleet_8x16();
@@ -76,6 +42,8 @@ TEST(FleetDeterminism, DeltaEncodingReplaysFullVectorTimeline) {
 
   const FleetRunResult a = run_fleet_scenario(full);
   const FleetRunResult b = run_fleet_scenario(delta);
+  ASSERT_GT(a.puts_total, 0u);
+  ASSERT_GT(a.mm_samples, 0u);
   ASSERT_GT(a.aggregate_failed_puts, 0u);
   expect_same_outcome(a, b);
   // The default frames every message full on every hop.
@@ -90,16 +58,15 @@ TEST(FleetDeterminism, DeltaEncodingReplaysFullVectorTimeline) {
   EXPECT_LT(b.stats_full_sends, b.mm_samples);
 }
 
-TEST(FleetDeterminism, DeltaWithThreadsMatchesDeltaSerial) {
-  FleetExperimentConfig serial = fleet_8x16();
-  serial.resync_every = 16;
-  FleetExperimentConfig threaded = serial;
-  threaded.sim_threads = 4;
-
-  const FleetRunResult a = run_fleet_scenario(serial);
-  const FleetRunResult b = run_fleet_scenario(threaded);
-  ASSERT_LT(a.stats_full_sends, a.mm_samples);
-  expect_identical(a, b);
+TEST(FleetDeterminism, RejectsSimThreadsOtherThanOne) {
+  // The engine runs every window on the calling thread; the field is a stub
+  // that must stay 1, and any other value fails before the fleet is built.
+  FleetExperimentConfig cfg = fleet_8x16();
+  for (const std::size_t threads : {0u, 2u, 4u}) {
+    cfg.sim_threads = threads;
+    EXPECT_THROW(run_fleet_scenario(cfg), std::invalid_argument)
+        << "sim_threads=" << threads;
+  }
 }
 
 TEST(FleetDeterminism, SeedChangesOutcome) {

@@ -228,5 +228,20 @@ TEST(ParallelDeterminismTest, MultiNodeClusterFanOutStaysDeterministic) {
   }
 }
 
+// A multi-node run is a pure function of its config: the 3-node
+// global-smart rack — three node shards and the rack shard, quotas and
+// lending credit settling at window barriers — reproduces itself exactly.
+TEST(ParallelDeterminismTest, ThreeNodeGlobalSmartClusterRepeats) {
+  cluster::ClusterExperimentConfig cfg;
+  cfg.nodes = 3;
+  cfg.scale = 0.0625;
+  cfg.seed = 42;
+  cfg.global_policy = "global-smart";
+  const cluster::ClusterRunResult a = cluster::run_cluster_scenario(cfg);
+  ASSERT_EQ(a.nodes.size(), 3u);
+  EXPECT_GT(a.gm_decisions, 0u);
+  expect_same_cluster_result(a, cluster::run_cluster_scenario(cfg));
+}
+
 }  // namespace
 }  // namespace smartmem::core

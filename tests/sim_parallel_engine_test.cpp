@@ -1,8 +1,6 @@
 // Conservative-sync engine edge cases: lookahead validation, deterministic
-// ordering of simultaneous cross-shard deliveries, and shard-local periodic
-// events spanning the sync horizon. Every scenario is run at several thread
-// counts and must produce an identical event trace — the engine's core
-// contract is that worker scheduling is invisible in simulation results.
+// ordering of simultaneous cross-shard deliveries, shard-local periodic
+// events spanning the sync horizon, and the sparse barrier drain.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -22,10 +20,8 @@ namespace {
 constexpr SimTime kLookahead = 100;
 
 TEST(ParallelEngineTest, ZeroLookaheadRejected) {
-  EXPECT_THROW(ParallelEngine({/*lookahead=*/0, /*threads=*/1}),
-               std::invalid_argument);
-  EXPECT_THROW(ParallelEngine({/*lookahead=*/-5, /*threads=*/2}),
-               std::invalid_argument);
+  EXPECT_THROW(ParallelEngine({/*lookahead=*/0}), std::invalid_argument);
+  EXPECT_THROW(ParallelEngine({/*lookahead=*/-5}), std::invalid_argument);
 }
 
 TEST(ParallelEngineTest, LognormalLatencyHasZeroLookahead) {
@@ -50,10 +46,10 @@ TEST(ParallelEngineTest, OverrideLatencyLowersLookahead) {
 /// Two source shards each post a pair of messages due at the SAME instant on
 /// a third shard. Destination execution order must be (time, src, seq) —
 /// source 0's messages before source 1's, and within a source, posting
-/// order — regardless of which worker ran which shard first.
-std::vector<std::string> run_simultaneous(std::size_t threads) {
+/// order.
+TEST(ParallelEngineTest, SimultaneousCrossShardEventsOrderBySrcThenSeq) {
   Simulator s0, s1, s2;
-  ParallelEngine eng({kLookahead, threads});
+  ParallelEngine eng({kLookahead});
   const std::size_t a = eng.add_shard(&s0);
   const std::size_t b = eng.add_shard(&s1);
   const std::size_t c = eng.add_shard(&s2);
@@ -71,43 +67,28 @@ std::vector<std::string> run_simultaneous(std::size_t threads) {
   stage(s1, b, "src1");
 
   eng.run([] { return false; }, 1'000);
-  return order;
-}
-
-TEST(ParallelEngineTest, SimultaneousCrossShardEventsOrderBySrcThenSeq) {
   const std::vector<std::string> want = {"src0-first", "src0-second",
                                          "src1-first", "src1-second"};
-  for (const std::size_t threads : {1u, 2u, 4u}) {
-    EXPECT_EQ(run_simultaneous(threads), want) << "threads=" << threads;
-  }
+  EXPECT_EQ(order, want);
 }
 
 /// A shard-local periodic ticks straight through window barriers: one
 /// period far below the lookahead (many fires per window) and one far above
 /// it (a fire every few windows), while a second shard keeps cross-shard
 /// traffic flowing so windows actually happen.
-struct HorizonResult {
-  std::uint64_t short_fires = 0;
-  std::uint64_t long_fires = 0;
-  std::vector<SimTime> long_times;
-  std::uint64_t windows = 0;
-  bool operator==(const HorizonResult& o) const {
-    return short_fires == o.short_fires && long_fires == o.long_fires &&
-           long_times == o.long_times && windows == o.windows;
-  }
-};
-
-HorizonResult run_periodic_horizon(std::size_t threads) {
+TEST(ParallelEngineTest, PeriodicEventsSpanSyncHorizon) {
   Simulator s0, s1;
-  ParallelEngine eng({kLookahead, threads});
+  ParallelEngine eng({kLookahead});
   const std::size_t a = eng.add_shard(&s0);
   const std::size_t b = eng.add_shard(&s1);
 
-  HorizonResult r;
-  s0.schedule_periodic(7, [&r] { ++r.short_fires; });    // << lookahead
-  s0.schedule_periodic(260, [&r, &s0] {                  // >> lookahead
-    ++r.long_fires;
-    r.long_times.push_back(s0.now());
+  std::uint64_t short_fires = 0;
+  std::uint64_t long_fires = 0;
+  std::vector<SimTime> long_times;
+  s0.schedule_periodic(7, [&] { ++short_fires; });  // << lookahead
+  s0.schedule_periodic(260, [&] {                   // >> lookahead
+    ++long_fires;
+    long_times.push_back(s0.now());
   });
   // Ping-pong keeps both shards live until the deadline cuts the run.
   std::function<void(std::size_t, std::size_t, Simulator*)> bounce =
@@ -121,29 +102,21 @@ HorizonResult run_periodic_horizon(std::size_t threads) {
 
   const SimTime deadline = 2'000;
   eng.run([] { return false; }, deadline);
-  r.windows = eng.windows_run();
+  EXPECT_GT(eng.windows_run(), 10u);  // the run really was windowed
   // Both periodics fire for every multiple of their period below the
   // deadline — no tick is lost or duplicated at a window boundary.
-  EXPECT_EQ(r.short_fires, (deadline - 1) / 7);
-  EXPECT_EQ(r.long_fires, (deadline - 1) / 260);
-  for (std::size_t i = 0; i < r.long_times.size(); ++i) {
-    EXPECT_EQ(r.long_times[i], static_cast<SimTime>(260 * (i + 1)));
+  EXPECT_EQ(short_fires, (deadline - 1) / 7);
+  EXPECT_EQ(long_fires, (deadline - 1) / 260);
+  for (std::size_t i = 0; i < long_times.size(); ++i) {
+    EXPECT_EQ(long_times[i], static_cast<SimTime>(260 * (i + 1)));
   }
-  return r;
-}
-
-TEST(ParallelEngineTest, PeriodicEventsSpanSyncHorizon) {
-  const HorizonResult base = run_periodic_horizon(1);
-  EXPECT_GT(base.windows, 10u);  // the run really was windowed
-  EXPECT_EQ(run_periodic_horizon(2), base);
-  EXPECT_EQ(run_periodic_horizon(4), base);
 }
 
 /// Idle stretches: with nothing pending before t=5000, the engine must skip
 /// ahead instead of marching W-sized windows through dead time.
 TEST(ParallelEngineTest, SkipsIdleGaps) {
   Simulator s0, s1;
-  ParallelEngine eng({kLookahead, 1});
+  ParallelEngine eng({kLookahead});
   eng.add_shard(&s0);
   eng.add_shard(&s1);
   int fired = 0;
@@ -156,7 +129,7 @@ TEST(ParallelEngineTest, SkipsIdleGaps) {
 
 TEST(ParallelEngineTest, StopWhenCutsRunAtBarrier) {
   Simulator s0, s1;
-  ParallelEngine eng({kLookahead, 1});
+  ParallelEngine eng({kLookahead});
   eng.add_shard(&s0);
   eng.add_shard(&s1);
   int fired = 0;
@@ -197,17 +170,17 @@ struct SparseDrainResult {
   std::uint64_t posted = 0;
 };
 
-SparseDrainResult run_sparse_drain(std::size_t threads) {
+SparseDrainResult run_sparse_drain() {
   constexpr std::size_t kShards = 65;
   constexpr int kWindows = 8;
   std::vector<Simulator> sims(kShards);
-  ParallelEngine eng({kLookahead, threads});
+  ParallelEngine eng({kLookahead});
   for (Simulator& sim : sims) eng.add_shard(&sim);
 
   SparseDrainResult r;
   r.received.resize(kShards);
   r.sent.resize(kShards);
-  // sent[] and next_seq[src] are written by src's own worker inside a
+  // sent[] and next_seq[src] are written by src's own events inside a
   // window, or by the hook at the barrier; received[dst] only by dst's.
   std::vector<std::vector<std::vector<Delivery>>> sent_by(
       kShards, std::vector<std::vector<Delivery>>(kShards));
@@ -254,7 +227,7 @@ SparseDrainResult run_sparse_drain(std::size_t threads) {
 }
 
 TEST(ParallelEngineTest, SparseDrainDeliversEveryPostOnceInOrder) {
-  const SparseDrainResult base = run_sparse_drain(1);
+  const SparseDrainResult base = run_sparse_drain();
   std::uint64_t delivered = 0;
   for (std::size_t dst = 0; dst < base.received.size(); ++dst) {
     const std::vector<Delivery>& got = base.received[dst];
@@ -272,35 +245,26 @@ TEST(ParallelEngineTest, SparseDrainDeliversEveryPostOnceInOrder) {
   EXPECT_GT(base.received[5].size(), 65u * 8);  // the hot destination
   EXPECT_GE(base.windows, 8u);
   EXPECT_GE(base.posted, delivered);
-  for (const std::size_t threads : {2u, 4u}) {
-    const SparseDrainResult r = run_sparse_drain(threads);
-    EXPECT_EQ(r.received, base.received) << "threads=" << threads;
-    EXPECT_EQ(r.windows, base.windows) << "threads=" << threads;
-    EXPECT_EQ(r.posted, base.posted) << "threads=" << threads;
-  }
 }
 
 /// A delivery due before its window ends would race events the destination
 /// already ran. Every build type must reject it, not reorder it.
 TEST(ParallelEngineTest, LookaheadViolationThrowsInEveryBuild) {
-  for (const std::size_t threads : {1u, 2u}) {
-    Simulator s0, s1;
-    ParallelEngine eng({kLookahead, threads});
-    const std::size_t a = eng.add_shard(&s0);
-    const std::size_t b = eng.add_shard(&s1);
-    bool delivered = false;
-    s0.schedule_at(10, [&] {
-      eng.post(a, b, 10 + kLookahead / 2, [&] { delivered = true; });
-    });
-    EXPECT_THROW(eng.run([] { return false; }, 1'000), std::logic_error)
-        << "threads=" << threads;
-    EXPECT_FALSE(delivered);
-  }
+  Simulator s0, s1;
+  ParallelEngine eng({kLookahead});
+  const std::size_t a = eng.add_shard(&s0);
+  const std::size_t b = eng.add_shard(&s1);
+  bool delivered = false;
+  s0.schedule_at(10, [&] {
+    eng.post(a, b, 10 + kLookahead / 2, [&] { delivered = true; });
+  });
+  EXPECT_THROW(eng.run([] { return false; }, 1'000), std::logic_error);
+  EXPECT_FALSE(delivered);
 }
 
 TEST(ParallelEngineTest, CrossShardChannelRejectsDropOldestBounded) {
   Simulator s0, s1;
-  ParallelEngine eng({kLookahead, 1});
+  ParallelEngine eng({kLookahead});
   const std::size_t a = eng.add_shard(&s0);
   const std::size_t b = eng.add_shard(&s1);
   comm::ChannelConfig cfg;

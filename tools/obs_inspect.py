@@ -27,7 +27,7 @@ summary so CI can use it as a pure validator.
            delta-encoding health (resync frequency, clean decides,
            suppression), broken-chain and stale-seq drops, applied roll-up
            staleness quantiles, and — when the run was profiled
-           (--profile) — the engine's per-shard occupancy and bottleneck
+           (--profile) — the engine's per-shard busy time and bottleneck
            attribution. `--fleet-report FILE` is accepted as an alias.
 """
 
@@ -350,14 +350,11 @@ def cmd_fleet_report(args):
     rows_ = [(g(f"engine.{s}.busy_ms", 0.0),
               g(f"engine.{s}.critical_windows", 0.0), s) for s in shards]
     bottleneck = max(rows_, key=lambda t: (t[1], t[0]), default=None)
-    print(f"  {'shard':<6s} {'busy ms':>9s} {'barrier ms':>10s} "
-          f"{'occ p95':>8s} {'events':>9s} {'inj out':>8s} "
-          f"{'critical':>8s}")
+    print(f"  {'shard':<6s} {'busy ms':>9s} {'events':>9s} "
+          f"{'inj out':>8s} {'critical':>8s}")
     for busy, crit, s in sorted(rows_, reverse=True)[:args.top]:
         mark = "  <- bottleneck" if bottleneck and s == bottleneck[2] else ""
         print(f"  {s:<6s} {busy:9.1f} "
-              f"{g(f'engine.{s}.barrier_wait_ms', 0.0):10.1f} "
-              f"{fmt(g(f'engine.{s}.occupancy.p95'), '8.2f')} "
               f"{g(f'engine.{s}.events', 0.0):9.0f} "
               f"{g(f'engine.{s}.injections_out', 0.0):8.0f} "
               f"{crit:8.0f}{mark}")
