@@ -1,4 +1,4 @@
-// Ablation: the asynchronous lending fabric (DESIGN §15).
+// Ablation: the lending fabric (DESIGN §15).
 //
 // Fixed lending-heavy fleet geometry (node 0's tenants spill far past RAM,
 // the cold nodes' tenants fit outright, so the borrow path carries real
@@ -9,9 +9,6 @@
 //   fault profile --  none | loss (5% each way) | flaky (5% loss + 10%
 //                    reorder) | outage (0.5s blackout mid-run)
 //   borrower cache -- off (0 pages) vs on (--cache pages, default 64)
-//
-// plus one synchronous-plane baseline row (async off: the historic constant
-// remote cost, no faults possible).
 //
 // The headline number is the cache effect: mean borrowed-get RTT with the
 // cache on vs off at the default wire speed, fault-free (cache hits are
@@ -102,7 +99,6 @@ Options parse(int argc, char** argv) {
 
 struct Cell {
   std::string label;  // row name in the CSV and the stdout table
-  bool async = true;
   double rtt_x = 1.0;
   std::string fault = "none";  // none | loss | flaky | outage
   std::uint64_t cache = 0;
@@ -131,12 +127,9 @@ cluster::FleetRunResult run_cell(const Options& o, const Cell& cell,
   cfg.resync_every = 16;
   cfg.scale = o.scale;
   cfg.seed = seed;
-  if (cell.async) {
-    cfg.lending_async.enabled = true;
-    cfg.lending_async.cache_pages = cell.cache;
-    cfg.lend_rtt_x = cell.rtt_x;
-    cfg.lend_fault = fault_for(cell.fault);
-  }
+  cfg.lending_async.cache_pages = cell.cache;
+  cfg.lend_rtt_x = cell.rtt_x;
+  cfg.lend_fault = fault_for(cell.fault);
   return cluster::run_fleet_scenario(cfg);
 }
 
@@ -146,19 +139,18 @@ int main(int argc, char** argv) {
   const Options o = parse(argc, argv);
 
   std::vector<Cell> cells;
-  cells.push_back({"sync-baseline", false, 1.0, "none", 0});
   for (const double rtt_x : {1.0, 4.0}) {
     for (const char* fault : {"none", "loss", "flaky", "outage"}) {
       for (const std::uint64_t cache : {std::uint64_t{0}, o.cache}) {
         char label[64];
         std::snprintf(label, sizeof label, "rtt%gx/%s/cache%llu", rtt_x,
                       fault, static_cast<unsigned long long>(cache));
-        cells.push_back({label, true, rtt_x, fault, cache});
+        cells.push_back({label, rtt_x, fault, cache});
       }
     }
   }
 
-  std::printf("=== ablation: async lending fabric (%zu nodes x %zu tenants, "
+  std::printf("=== ablation: lending fabric (%zu nodes x %zu tenants, "
               "lending-heavy, scale %g, cache %llu pages) ===\n",
               o.nodes, o.vms, o.scale,
               static_cast<unsigned long long>(o.cache));
@@ -209,10 +201,7 @@ int main(int argc, char** argv) {
   const Cell* off = nullptr;
   std::size_t on_i = 0, off_i = 0;
   for (std::size_t c = 0; c < cells.size(); ++c) {
-    if (!cells[c].async || cells[c].rtt_x != 1.0 ||
-        cells[c].fault != "none") {
-      continue;
-    }
+    if (cells[c].rtt_x != 1.0 || cells[c].fault != "none") continue;
     if (cells[c].cache == 0 && off == nullptr) { off = &cells[c]; off_i = c; }
     if (cells[c].cache == o.cache && o.cache > 0 && on == nullptr) {
       on = &cells[c];
@@ -233,7 +222,7 @@ int main(int argc, char** argv) {
   if (!o.csv_dir.empty()) {
     const std::string path = o.csv_dir + "/ablation_lending.csv";
     std::ofstream csv(path);
-    csv << "cell,async,rtt_x,fault,cache_pages,rep,"
+    csv << "cell,rtt_x,fault,cache_pages,rep,"
            "failed_puts,puts_total,makespan_s,borrow_placements,"
            "failed_placements,failed_replacements,fabric_requests,"
            "fabric_retries,fabric_timeouts,fabric_give_ups,"
@@ -246,9 +235,9 @@ int main(int argc, char** argv) {
         char line[512];
         std::snprintf(
             line, sizeof line,
-            "%s,%d,%g,%s,%llu,%zu,%llu,%llu,%.6f,%llu,%llu,%llu,%llu,"
+            "%s,%g,%s,%llu,%zu,%llu,%llu,%.6f,%llu,%llu,%llu,%llu,"
             "%llu,%llu,%llu,%llu,%llu,%llu,%llu,%.3f,%.3f,%llu\n",
-            cells[c].label.c_str(), cells[c].async ? 1 : 0, cells[c].rtt_x,
+            cells[c].label.c_str(), cells[c].rtt_x,
             cells[c].fault.c_str(),
             static_cast<unsigned long long>(cells[c].cache), rep,
             static_cast<unsigned long long>(r.aggregate_failed_puts),

@@ -1,6 +1,6 @@
 // Cluster scaling figure: the two-level capacity hierarchy at rack scale.
 //
-// Sweeps the node count (1/2/4/8) x the inter-node hop latency x the
+// Sweeps the node count (1/2/4/8/16) x the inter-node hop latency x the
 // node-level policy, running the hot/cold cluster experiment: node 0 runs
 // usemem (sustained demand far past its tmem), the others run a
 // RAM-resident graph variant and sit on idle capacity. Under global-static every node is pinned at its
@@ -20,7 +20,8 @@
 //   --cluster-policy <p>     restrict to one policy (global-static,
 //                            global-smart[:P]; default sweeps both)
 //   --cluster-latency-x <f>  restrict to one inter-node latency multiplier
-//                            (default sweeps x1 and x10 of the 5 ms hop)
+//                            (default sweeps x1 and x10 of the 5 ms hop;
+//                            it stretches the 40 us lending hops too)
 //   --cluster-interval-x <f> global decision interval, in node sampling
 //                            intervals (default 2)
 //   --cluster-no-lending     disable remote-tmem lending

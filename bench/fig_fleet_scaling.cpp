@@ -31,15 +31,16 @@
 //   --fleet-lending-heavy    hot-node/cold-donor geometry (node 0 spills at
 //                            1.6x usable RAM, others fit at 0.55x) so the
 //                            borrow path actually runs
-//   --fleet-async-lending    borrows as fabric round trips (DESIGN §15)
 //   --fleet-lend-cache n     borrower-side cache capacity in pages (0 = off)
 //   --fleet-lend-rtt-x f     multiply the lending-hop wire latencies
 //   --fleet-lend-loss p      per-message loss probability on both lend hops
 //   --fleet-lend-reorder p   per-message reorder probability on both hops
-//   --fleet-lend-outage-from-s s / --fleet-lend-outage-dur-s d
-//                            outage window on both lend hops
-//                            (async lending runs also write fleet_lending.csv
-//                            with --csv: deterministic columns only)
+//   --fleet-lend-outage-from-s s --fleet-lend-outage-dur-s d
+//                            outage window [s, s + d) on both lend hops; the
+//                            two flags go together and d must be above 0
+//                            (runs with lending on also write
+//                            fleet_lending.csv with --csv: deterministic
+//                            columns only)
 //   --profile                engine self-profile: per-shard busy/injection
 //                            table + bottleneck attribution (stdout;
 //                            fleet_profile.csv with --csv). Wall-clock only —
@@ -81,7 +82,6 @@ struct Options {
   std::uint64_t resync = 16;
   bool lending = true;
   bool lending_heavy = false;
-  bool async_lending = false;
   std::uint64_t lend_cache = 0;
   double lend_rtt_x = 1.0;
   double lend_loss = 0.0;
@@ -103,10 +103,11 @@ void usage(std::FILE* out) {
       "  [--fleet-mix read-heavy|balanced|write-heavy]\n"
       "  [--fleet-policy p] [--fleet-encoding delta|full|both]\n"
       "  [--fleet-resync n]\n"
-      "  [--fleet-no-lending] [--fleet-lending-heavy] [--fleet-async-lending]\n"
+      "  [--fleet-no-lending] [--fleet-lending-heavy]\n"
       "  [--fleet-lend-cache n] [--fleet-lend-rtt-x f] [--fleet-lend-loss p]\n"
-      "  [--fleet-lend-reorder p] [--fleet-lend-outage-from-s s]\n"
-      "  [--fleet-lend-outage-dur-s d] [--profile] [--trace-sample n]\n"
+      "  [--fleet-lend-reorder p]\n"
+      "  [--fleet-lend-outage-from-s s --fleet-lend-outage-dur-s d]\n"
+      "  [--profile] [--trace-sample n]\n"
       "  [--trace-out f] [--metrics-out f] [--audit-out f]\n");
 }
 
@@ -166,8 +167,6 @@ Options parse(int argc, char** argv) {
       o.lending = false;
     } else if (arg == "--fleet-lending-heavy") {
       o.lending_heavy = true;
-    } else if (arg == "--fleet-async-lending") {
-      o.async_lending = true;
     } else if (arg == "--fleet-lend-cache") {
       o.lend_cache = u64(i, 0, 1u << 24);
     } else if (arg == "--fleet-lend-rtt-x") {
@@ -179,7 +178,7 @@ Options parse(int argc, char** argv) {
     } else if (arg == "--fleet-lend-outage-from-s") {
       o.lend_outage_from_s = f64(i, 0.0, 1e6);
     } else if (arg == "--fleet-lend-outage-dur-s") {
-      o.lend_outage_dur_s = f64(i, 0.0, 1e6);
+      o.lend_outage_dur_s = f64(i, 1e-6, 1e6);
     } else if (arg == "--profile") {
       o.profile = true;
     } else if (arg == "--trace-sample") {
@@ -199,6 +198,15 @@ Options parse(int argc, char** argv) {
       std::exit(2);
     }
   }
+  // Either outage flag alone would open no window and silently replay the
+  // clean run.
+  if ((o.lend_outage_from_s >= 0.0) != (o.lend_outage_dur_s > 0.0)) {
+    std::fprintf(stderr,
+                 "--fleet-lend-outage-from-s and --fleet-lend-outage-dur-s "
+                 "must be given together\n");
+    usage(stderr);
+    std::exit(2);
+  }
   return o;
 }
 
@@ -208,24 +216,20 @@ struct Cell {
 };
 
 /// Applies the lending knobs shared by the measured grid and the observed
-/// run. The async block only fires under --fleet-async-lending, so default
-/// runs keep the historic config byte-for-byte.
+/// run.
 void apply_lending(const Options& o, cluster::FleetExperimentConfig& cfg) {
   cfg.lending = o.lending;
   cfg.lending_heavy = o.lending_heavy;
-  if (o.async_lending) {
-    cfg.lending_async.enabled = true;
-    cfg.lending_async.cache_pages = o.lend_cache;
-    cfg.lend_rtt_x = o.lend_rtt_x;
-    cfg.lend_fault.loss_rate = o.lend_loss;
-    cfg.lend_fault.reorder_rate = o.lend_reorder;
-    if (o.lend_outage_from_s >= 0.0) {
-      cfg.lend_fault.down_from = static_cast<SimTime>(
-          o.lend_outage_from_s * static_cast<double>(kSecond));
-      cfg.lend_fault.down_until = static_cast<SimTime>(
-          (o.lend_outage_from_s + o.lend_outage_dur_s) *
-          static_cast<double>(kSecond));
-    }
+  cfg.lending_async.cache_pages = o.lend_cache;
+  cfg.lend_rtt_x = o.lend_rtt_x;
+  cfg.lend_fault.loss_rate = o.lend_loss;
+  cfg.lend_fault.reorder_rate = o.lend_reorder;
+  if (o.lend_outage_from_s >= 0.0) {
+    cfg.lend_fault.down_from = static_cast<SimTime>(
+        o.lend_outage_from_s * static_cast<double>(kSecond));
+    cfg.lend_fault.down_until = static_cast<SimTime>(
+        (o.lend_outage_from_s + o.lend_outage_dur_s) *
+        static_cast<double>(kSecond));
   }
 }
 
@@ -358,7 +362,7 @@ int main(int argc, char** argv) {
     }
   }
 
-  if (o.async_lending) {
+  if (o.lending) {
     // Lending summary (all simulation-visible, so deterministic): one line
     // per cell so the smoke job can grep borrow_placements straight off
     // stdout as well as out of fleet_lending.csv.
@@ -453,10 +457,10 @@ int main(int argc, char** argv) {
     }
     std::printf("\nwrote %s\n", path.c_str());
 
-    if (o.async_lending) {
+    if (o.lending) {
       // Separate artifact so the md5-checked fig_fleet_scaling.csv layout
-      // never changes on the default path. Deliberately no wall-clock
-      // fields: the whole file is deterministic.
+      // stays lending-agnostic. Deliberately no wall-clock fields: the
+      // whole file is deterministic.
       const std::string lpath = o.csv_dir + "/fleet_lending.csv";
       std::ofstream lcsv(lpath);
       lcsv << "nodes,encoding,rep,borrow_placements,failed_placements,"

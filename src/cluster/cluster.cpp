@@ -75,14 +75,11 @@ void Cluster::wire_rack() {
     std::vector<hyper::Hypervisor*> hyps;
     hyps.reserve(n);
     for (auto& node : nodes_) hyps.push_back(&node->hypervisor());
-    broker_ = std::make_unique<LendingBroker>(std::move(hyps));
-    broker_->enable_async(config_.lending_async, config_.topology);
+    broker_ = std::make_unique<LendingBroker>(
+        std::move(hyps), config_.topology, config_.lending_async);
     for (std::size_t i = 0; i < n; ++i) {
       nodes_[i]->hypervisor().set_remote_tmem(
           broker_->port(static_cast<NodeId>(i)));
-      // Each borrower partition's in-flight timers live on that node's own
-      // event stream.
-      broker_->attach_sim(static_cast<NodeId>(i), &nodes_[i]->simulator());
     }
   }
 
@@ -171,9 +168,9 @@ void Cluster::wire_rack() {
         return static_cast<double>(rollups_suppressed());
       });
       if (profiler_) profiler_->register_metrics(*registry);
-      if (broker_) broker_->register_metrics(*registry);
-      if (broker_ && broker_->fabric() != nullptr) {
-        broker_->fabric()->register_metrics(*registry);
+      if (broker_) {
+        broker_->register_metrics(*registry);
+        broker_->fabric().register_metrics(*registry);
       }
       for (std::size_t i = 0; i < n; ++i) {
         const std::string prefix = strfmt("n%zu", i);

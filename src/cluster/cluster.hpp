@@ -66,11 +66,11 @@ struct ClusterConfig {
   /// Remote-tmem lending between nodes.
   bool lending = true;
 
-  /// Asynchronous lending data plane (cluster/lend_fabric.hpp): borrows run
-  /// as request/response round trips over the topology's lending hops, with
-  /// faults, timeouts, retries, congestion and an optional borrower-side
-  /// cache. Disabled by default — the synchronous plane is the
-  /// byte-identical historic behaviour.
+  /// Protocol knobs of the lending data plane (cluster/lend_fabric.hpp):
+  /// every borrow is a request/response round trip over the topology's
+  /// lending hops, with faults, timeouts, retries, congestion and an
+  /// optional borrower-side cache. The defaults inject no fault and keep
+  /// the cache off.
   AsyncLendingConfig lending_async;
 
   /// Fleet-scale control plane (DESIGN §12) on the *rack* hops: between

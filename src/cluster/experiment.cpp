@@ -75,6 +75,13 @@ ClusterRunResult run_cluster_scenario(const ClusterExperimentConfig& cfg) {
                                         cfg.scale * cfg.internode_latency_x);
   ccfg.topology.internode_up.latency = comm::LatencySpec::fixed_at(hop);
   ccfg.topology.internode_down.latency = comm::LatencySpec::fixed_at(hop);
+  // The latency knob is a data-plane property too: a borrowed page costs
+  // the guest a lending-fabric round trip per access, so the lending hops
+  // stretch by the same multiplier (unscaled by cfg.scale, like the fleet's
+  // lending hops). At x1 (40 us per hop) a borrow beats the virtual disk;
+  // at x10 (811 us with the hypercall) it is slower and stops paying.
+  ccfg.topology.internode_lend_req.scale_times(cfg.internode_latency_x);
+  ccfg.topology.internode_lend_resp.scale_times(cfg.internode_latency_x);
   ccfg.global_policy = cfg.global_policy;
   ccfg.global_interval = static_cast<SimTime>(
       cfg.global_interval_x * static_cast<double>(base.sample_interval));
@@ -95,18 +102,6 @@ ClusterRunResult run_cluster_scenario(const ClusterExperimentConfig& cfg) {
     const core::ScenarioSpec& spec = i == 0 ? hot : cold;
     core::NodeConfig overrides = base;
     overrides.comm = cluster.config().topology.node_comm_for(i);
-    // The latency knob is a data-plane property too: a borrowed page costs
-    // the guest an inter-node round trip per access, so the Tier::kRemote
-    // hypercall costs scale with the same multiplier as the fabric hop. At
-    // x1 (RDMA-class, 90us) lending handily beats the virtual disk; by x10
-    // it is disk-class and stops paying. Touches only kRemote-tier ops, so
-    // a 1-node cluster (which never lends) is unaffected.
-    overrides.costs.tmem_put_remote = static_cast<SimTime>(
-        static_cast<double>(base.costs.tmem_put_remote) *
-        cfg.internode_latency_x);
-    overrides.costs.tmem_get_remote = static_cast<SimTime>(
-        static_cast<double>(base.costs.tmem_get_remote) *
-        cfg.internode_latency_x);
     const std::uint64_t ns = node_seed(cfg.seed, i);
     const std::size_t idx = cluster.add_node(
         core::node_config_for(spec, cfg.node_policy, ns, &overrides));

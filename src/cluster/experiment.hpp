@@ -33,7 +33,8 @@ struct ClusterExperimentConfig {
   /// Per-VM policy every node runs internally.
   mm::PolicySpec node_policy = mm::PolicySpec::smart(25.0);
   bool lending = true;
-  /// Multiplier on the default (scaled) 5 ms inter-node hop.
+  /// Multiplier on the default (scaled) 5 ms inter-node hop and on the
+  /// 40 us lending hops a borrowed page crosses.
   double internode_latency_x = 1.0;
   /// Global decision interval as a multiple of the node sampling interval.
   double global_interval_x = 2.0;

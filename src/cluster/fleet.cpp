@@ -117,17 +117,15 @@ FleetRunResult run_fleet_scenario(const FleetExperimentConfig& cfg) {
       cfg.global_interval_x * static_cast<double>(base.sample_interval));
   ccfg.lending = cfg.lending;
   ccfg.lending_async = cfg.lending_async;
-  if (cfg.lending_async.enabled) {
-    // The lending hops deliberately do NOT scale with cfg.scale (the
-    // historic remote-tier cost constant does not either); lend_rtt_x is
-    // the explicit wire-speed axis for the ablation.
-    if (cfg.lend_rtt_x != 1.0) {
-      ccfg.topology.internode_lend_req.scale_times(cfg.lend_rtt_x);
-      ccfg.topology.internode_lend_resp.scale_times(cfg.lend_rtt_x);
-    }
-    ccfg.topology.internode_lend_req.faults = cfg.lend_fault;
-    ccfg.topology.internode_lend_resp.faults = cfg.lend_fault;
+  // The lending hops deliberately do NOT scale with cfg.scale: a page copy
+  // over the rack's data fabric costs the same at any scenario scale.
+  // lend_rtt_x is the explicit wire-speed axis for the ablation.
+  if (cfg.lend_rtt_x != 1.0) {
+    ccfg.topology.internode_lend_req.scale_times(cfg.lend_rtt_x);
+    ccfg.topology.internode_lend_resp.scale_times(cfg.lend_rtt_x);
   }
+  ccfg.topology.internode_lend_req.faults = cfg.lend_fault;
+  ccfg.topology.internode_lend_resp.faults = cfg.lend_fault;
   ccfg.delta.resync_every = cfg.resync_every;
   ccfg.profile = cfg.profile;
   ccfg.obs = cfg.obs;
@@ -187,26 +185,23 @@ FleetRunResult run_fleet_scenario(const FleetExperimentConfig& cfg) {
     out.borrow_misses = broker->borrow_misses();
     out.lending_recalls = broker->recalls();
     out.lending_failed_replacements = broker->failed_replacements();
-    if (const LendFabric* fab = broker->fabric()) {
-      const LendFabricStats t = fab->totals();
-      out.fabric_requests = t.requests;
-      out.fabric_retries = t.retries;
-      out.fabric_timeouts = t.timeouts;
-      out.fabric_give_ups = t.give_ups;
-      out.fabric_congestion_drops = t.congestion_drops;
-      out.fabric_get_fallbacks = t.get_fallbacks;
-      out.fabric_cancelled_timers = t.cancelled_timers;
-      out.put_rtt_mean_us =
-          t.put_rtt_us.count() > 0 ? t.put_rtt_us.mean() : 0.0;
-      out.get_rtt_mean_us =
-          t.get_rtt_us.count() > 0 ? t.get_rtt_us.mean() : 0.0;
-      out.get_rtt_count = t.get_rtt_us.count();
-      for (std::size_t b = 0; b < cfg.nodes; ++b) {
-        const BorrowCache& c = fab->cache(static_cast<NodeId>(b));
-        out.cache_hits += c.hits();
-        out.cache_misses += c.misses();
-        out.cache_invalidations += c.invalidations();
-      }
+    const LendFabric& fab = broker->fabric();
+    const LendFabricStats t = fab.totals();
+    out.fabric_requests = t.requests;
+    out.fabric_retries = t.retries;
+    out.fabric_timeouts = t.timeouts;
+    out.fabric_give_ups = t.give_ups;
+    out.fabric_congestion_drops = t.congestion_drops;
+    out.fabric_get_fallbacks = t.get_fallbacks;
+    out.fabric_cancelled_timers = t.cancelled_timers;
+    out.put_rtt_mean_us = t.put_rtt_us.count() > 0 ? t.put_rtt_us.mean() : 0.0;
+    out.get_rtt_mean_us = t.get_rtt_us.count() > 0 ? t.get_rtt_us.mean() : 0.0;
+    out.get_rtt_count = t.get_rtt_us.count();
+    for (std::size_t b = 0; b < cfg.nodes; ++b) {
+      const BorrowCache& c = fab.cache(static_cast<NodeId>(b));
+      out.cache_hits += c.hits();
+      out.cache_misses += c.misses();
+      out.cache_invalidations += c.invalidations();
     }
   }
   if (const sim::EngineProfiler* prof = cluster.profiler()) {

@@ -44,16 +44,15 @@ struct FleetExperimentConfig {
   /// can exceed its physical capacity.
   bool lending_heavy = false;
 
-  /// Asynchronous lending data plane (ClusterConfig::lending_async):
-  /// borrows become fabric round trips with faults/timeouts/retries and an
-  /// optional borrower-side cache (cache_pages).
+  /// Lending data-plane protocol knobs (ClusterConfig::lending_async):
+  /// timeouts, retries and the borrower-side cache (cache_pages).
   AsyncLendingConfig lending_async;
 
-  /// Multiplies the lending-hop wire latencies (async plane only; 1.0 =
-  /// the RDMA-class 40us/direction default).
+  /// Multiplies the lending-hop wire latencies (1.0 = the RDMA-class
+  /// 40us/direction default).
   double lend_rtt_x = 1.0;
 
-  /// Fault surface installed on both lending hops (async plane only).
+  /// Fault surface installed on both lending hops.
   comm::FaultSpec lend_fault;
 
   /// Control-plane framing on the per-VM and the rack hops: every Nth send
@@ -113,7 +112,7 @@ struct FleetRunResult {
   std::uint64_t lending_recalls = 0;
   std::uint64_t lending_failed_replacements = 0;
 
-  // Async lending fabric (all zero when the synchronous plane ran).
+  // Lending fabric (all zero when nothing borrowed).
   std::uint64_t fabric_requests = 0;
   std::uint64_t fabric_retries = 0;
   std::uint64_t fabric_timeouts = 0;

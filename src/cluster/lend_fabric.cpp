@@ -72,12 +72,15 @@ void BorrowCache::clear() {
 }
 
 LendFabric::LendFabric(const comm::ClusterTopology& topo,
-                       AsyncLendingConfig cfg, std::size_t nodes)
+                       AsyncLendingConfig cfg,
+                       const std::vector<sim::Simulator*>& sims)
     : cfg_(cfg) {
+  const std::size_t nodes = sims.size();
   borrowers_.resize(nodes);
   for (std::size_t b = 0; b < nodes; ++b) {
     Borrower& me = borrowers_[b];
     me.cache = BorrowCache(cfg_.cache_pages);
+    me.sim = sims[b];
     me.pairs.resize(nodes);
     for (std::size_t d = 0; d < nodes; ++d) {
       if (d == b) continue;
@@ -88,10 +91,6 @@ LendFabric::LendFabric(const comm::ClusterTopology& topo,
       link.resp_rng = Rng(link.resp.seed);
     }
   }
-}
-
-void LendFabric::attach_sim(NodeId node, sim::Simulator* sim) {
-  borrowers_.at(node).sim = sim;
 }
 
 void LendFabric::purge_timers(PairLink& link) {
@@ -119,7 +118,7 @@ LendFabric::Outcome LendFabric::round_trip(NodeId borrower, NodeId donor,
   req.seq = link.next_seq++;
   req.borrower = borrower;
 
-  const SimTime start = me.sim != nullptr ? me.sim->now() : 0;
+  const SimTime start = me.sim->now();
   SimTime t = start;
   bool ok = false;
 
@@ -209,13 +208,11 @@ LendFabric::Outcome LendFabric::round_trip(NodeId borrower, NodeId donor,
   // The exchange occupies the pair until it resolves (success or final
   // timeout): a real cancellable event models the in-flight window, and is
   // exactly what Cluster teardown cancels through stop().
-  if (me.sim != nullptr) {
-    link.in_flight += 1;
-    PairLink* lp = &link;  // stable: pairs are sized once at construction
-    link.timers.push_back(me.sim->schedule(out.elapsed, [lp] {
-      if (lp->in_flight > 0) lp->in_flight -= 1;
-    }));
-  }
+  link.in_flight += 1;
+  PairLink* lp = &link;  // stable: pairs are sized once at construction
+  link.timers.push_back(me.sim->schedule(out.elapsed, [lp] {
+    if (lp->in_flight > 0) lp->in_flight -= 1;
+  }));
   return out;
 }
 

@@ -1,10 +1,9 @@
-// Asynchronous lending data plane: fabric round trips + borrower cache.
+// The lending data plane: fabric round trips + borrower cache.
 //
-// Retires DESIGN §9 deviation (1): a borrow put/get is no longer a free
-// synchronous host call with a flat latency charge — it is a sequenced
-// request/response frame pair (comm/lend_wire.hpp) crossing the topology's
-// lending-hop channels. The LendFabric simulates each exchange
-// deterministically inside the borrower's partition:
+// A borrow put/get is a sequenced request/response frame pair
+// (comm/lend_wire.hpp) crossing the topology's lending-hop channels; it is
+// the only way a page reaches a donor's frame. The LendFabric simulates
+// each exchange deterministically inside the borrower's partition:
 //
 //  * per-hop latency drawn from the hop's LatencySpec through a private
 //    per-(borrower, donor) Rng stream (comm::ClusterTopology::lend_*_for);
@@ -17,8 +16,9 @@
 //  * congestion: the request hop's queue_capacity bounds the pair's
 //    in-flight exchanges; a saturated pipe fails fresh placements
 //    immediately. In-flight occupancy is tracked by real cancellable
-//    simulator events so Cluster teardown can cancel outstanding borrow
-//    timers exactly as Tkm::stop() cancels deliveries.
+//    events on the borrower's own simulator, so Cluster teardown can
+//    cancel outstanding borrow timers exactly as Tkm::stop() cancels
+//    deliveries.
 //
 // Everything — Rng streams, donor queues, timers, the cache — is
 // partitioned per borrower, so a window never touches another shard's
@@ -62,11 +62,14 @@ struct RemoteKey {
   friend auto operator<=>(const RemoteKey&, const RemoteKey&) = default;
 };
 
-/// Protocol knobs of the asynchronous lending data plane. The wire model
-/// itself (latency, faults, per-pair in-flight bound) lives on the
-/// topology's internode_lend_req/resp channel templates.
+/// Protocol knobs of the lending data plane. The wire model itself
+/// (latency, faults, per-pair in-flight bound) lives on the topology's
+/// internode_lend_req/resp channel templates.
 struct AsyncLendingConfig {
-  bool enabled = false;
+  /// Must stay true: the fabric is the only lending data plane, and the
+  /// LendingBroker constructor throws std::invalid_argument otherwise.
+  /// Kept only until the benchmark runner stops assigning it.
+  bool enabled = true;
 
   /// Donor-side service time per request (page copy + index update);
   /// requests on a pair queue behind it.
@@ -168,13 +171,10 @@ class LendFabric {
     bool congested = false;  // refused immediately: pipe saturated
   };
 
+  /// `sims[b]` is borrower b's simulator: its clock starts b's exchanges
+  /// and its event queue holds b's in-flight completion timers.
   LendFabric(const comm::ClusterTopology& topo, AsyncLendingConfig cfg,
-             std::size_t nodes);
-
-  /// Wires borrower `node`'s partition to its shard simulator (the shared
-  /// simulator in immediate mode). Without a simulator the partition still
-  /// models latency/faults but skips in-flight occupancy tracking.
-  void attach_sim(NodeId node, sim::Simulator* sim);
+             const std::vector<sim::Simulator*>& sims);
 
   const AsyncLendingConfig& config() const { return cfg_; }
 

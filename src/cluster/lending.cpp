@@ -6,10 +6,29 @@
 
 namespace smartmem::cluster {
 
-LendingBroker::LendingBroker(std::vector<hyper::Hypervisor*> nodes)
-    : hyps_(std::move(nodes)) {
+namespace {
+
+std::vector<sim::Simulator*> simulators_of(
+    const std::vector<hyper::Hypervisor*>& hyps) {
+  std::vector<sim::Simulator*> sims;
+  sims.reserve(hyps.size());
+  for (hyper::Hypervisor* h : hyps) sims.push_back(&h->simulator());
+  return sims;
+}
+
+}  // namespace
+
+LendingBroker::LendingBroker(std::vector<hyper::Hypervisor*> nodes,
+                             const comm::ClusterTopology& topo,
+                             const AsyncLendingConfig& cfg)
+    : hyps_(std::move(nodes)), fabric_(topo, cfg, simulators_of(hyps_)) {
   if (hyps_.size() < 2) {
     throw std::invalid_argument("LendingBroker: needs at least 2 nodes");
+  }
+  if (!cfg.enabled) {
+    throw std::invalid_argument(
+        "LendingBroker: the fabric is the only lending data plane, so "
+        "AsyncLendingConfig::enabled must be true");
   }
   state_.resize(hyps_.size());
   settle_.resize(hyps_.size());
@@ -19,20 +38,6 @@ LendingBroker::LendingBroker(std::vector<hyper::Hypervisor*> nodes)
     state_[i].credit.assign(hyps_.size(), 0);
     state_[i].pending_release.assign(hyps_.size(), 0);
   }
-}
-
-void LendingBroker::enable_async(const AsyncLendingConfig& cfg,
-                                 const comm::ClusterTopology& topo) {
-  if (!cfg.enabled) return;
-  fabric_ = std::make_unique<LendFabric>(topo, cfg, hyps_.size());
-}
-
-void LendingBroker::attach_sim(NodeId node, sim::Simulator* sim) {
-  if (fabric_ != nullptr) fabric_->attach_sim(node, sim);
-}
-
-void LendingBroker::stop() {
-  if (fabric_ != nullptr) fabric_->stop();
 }
 
 hyper::RemoteTmem* LendingBroker::port(NodeId node) {
@@ -64,7 +69,7 @@ LendingBroker::Index::iterator LendingBroker::drop_entry(NodeState& st,
   // Single choke point for cache coherence: whenever a borrowed entry dies
   // (flush, release, recall, ephemeral-hit consume) the borrower-side
   // cached copy dies with it.
-  if (fabric_ != nullptr) fabric_->cache(st.self).erase(it->first);
+  fabric_.cache(st.self).erase(it->first);
   st.borrowed_total -= 1;
   auto pv = st.borrowed_per_vm.find(it->first.vm);
   if (pv != st.borrowed_per_vm.end() && --pv->second == 0) {
@@ -85,6 +90,8 @@ bool LendingBroker::do_put(NodeId node, VmId vm, tmem::PoolType type,
                            const tmem::PagePayload& payload) {
   NodeState& st = state_[node];
   const RemoteKey key{vm, type, object, index};
+  const comm::LendRequest req{0,    comm::LendOp::kPut, node,  vm,
+                              type, object,             index, true};
   st.last_elapsed = 0;
 
   // Replacement of a key the broker already holds stays on its donor and
@@ -92,25 +99,20 @@ bool LendingBroker::do_put(NodeId node, VmId vm, tmem::PoolType type,
   auto it = st.index.find(key);
   if (it != st.index.end()) {
     const NodeId donor = it->second.donor;
-    if (fabric_ != nullptr) {
-      comm::LendRequest req{0, comm::LendOp::kPut, node, vm,
-                            type,  object,          index, true};
-      const LendFabric::Outcome out =
-          fabric_->round_trip(node, donor, req, /*resp_carries_page=*/false);
-      st.last_elapsed = out.elapsed;
-      if (!out.ok) {
-        // The replacement never reached the donor and the guest is about to
-        // fall back to disk — drop the entry (and free the stale donor
-        // frame) so owns() never vouches for a payload the guest stopped
-        // trusting.
-        ++st.failed_replacements;
-        fabric_->send_invalidate(node, donor, comm::LendOp::kFlush);
-        release_frame(st, it);
-        return false;
-      }
-      fabric_->record_put_rtt(node, out.elapsed);
-      fabric_->cache(node).insert(key, payload);
+    const LendFabric::Outcome out =
+        fabric_.round_trip(node, donor, req, /*resp_carries_page=*/false);
+    st.last_elapsed = out.elapsed;
+    if (!out.ok) {
+      // The replacement never reached the donor and the guest is about to
+      // fall back to disk — drop the entry (and free the stale donor frame)
+      // so owns() never vouches for a payload the guest stopped trusting.
+      ++st.failed_replacements;
+      fabric_.send_invalidate(node, donor, comm::LendOp::kFlush);
+      release_frame(st, it);
+      return false;
     }
+    fabric_.record_put_rtt(node, out.elapsed);
+    fabric_.cache(node).insert(key, payload);
     it->second.payload = payload;
     return true;
   }
@@ -118,27 +120,23 @@ bool LendingBroker::do_put(NodeId node, VmId vm, tmem::PoolType type,
   // Fresh placement: deterministic rotation over the other nodes, first
   // donor with remaining window credit wins. The cursor advances past a
   // chosen donor so successive placements spread instead of piling on node
-  // 0. With the async data plane the credit probe only *selects* the donor;
-  // the request/response exchange then decides whether the placement lands
-  // — and a transport give-up degrades to a local failed put rather than
-  // hammering the next donor with a guest already waiting on its timeout.
+  // 0. The credit probe only *selects* the donor; the request/response
+  // exchange then decides whether the placement lands — and a transport
+  // give-up degrades to a local failed put rather than hammering the next
+  // donor with a guest already waiting on its timeout.
   const NodeId n = static_cast<NodeId>(hyps_.size());
   for (NodeId j = 0; j < n; ++j) {
     const NodeId donor = (node + 1 + st.rotation + j) % n;
     if (donor == node || st.credit[donor] == 0) continue;
-    if (fabric_ != nullptr) {
-      comm::LendRequest req{0, comm::LendOp::kPut, node, vm,
-                            type,  object,          index, true};
-      const LendFabric::Outcome out =
-          fabric_->round_trip(node, donor, req, /*resp_carries_page=*/false);
-      st.last_elapsed += out.elapsed;
-      if (!out.ok) {
-        ++st.failed_placements;
-        return false;
-      }
-      fabric_->record_put_rtt(node, st.last_elapsed);
-      fabric_->cache(node).insert(key, payload);
+    const LendFabric::Outcome out =
+        fabric_.round_trip(node, donor, req, /*resp_carries_page=*/false);
+    st.last_elapsed = out.elapsed;
+    if (!out.ok) {
+      ++st.failed_placements;
+      return false;
     }
+    fabric_.record_put_rtt(node, out.elapsed);
+    fabric_.cache(node).insert(key, payload);
     st.credit[donor] -= 1;
     st.touched_donors.push_back(donor);
     st.index.emplace(key, Borrowed{donor, payload});
@@ -169,44 +167,40 @@ std::optional<tmem::PagePayload> LendingBroker::do_get(NodeId node, VmId vm,
   const NodeId donor = it->second.donor;
 
   // Borrower-side cache: a hit serves the page at the access point and
-  // skips the inter-node round trip entirely.
-  if (fabric_ != nullptr && fabric_->cache(node).enabled()) {
-    if (const auto cached = fabric_->cache(node).lookup(key)) {
-      ++st.hits;
-      fabric_->record_get_rtt(node, 0);
-      if (type == tmem::PoolType::kEphemeral) {
-        // Exclusivity survives the cache: the donor copy is consumed via a
-        // fire-and-forget invalidate (drop_entry also erases the cache).
-        fabric_->send_invalidate(node, donor, comm::LendOp::kFlush);
-        release_frame(st, it);
-      }
-      trace_instant(st, "borrow_cache_hit", node, donor);
-      return cached;
+  // skips the inter-node round trip entirely (a disabled cache never hits).
+  if (const auto cached = fabric_.cache(node).lookup(key)) {
+    ++st.hits;
+    fabric_.record_get_rtt(node, 0);
+    if (type == tmem::PoolType::kEphemeral) {
+      // Exclusivity survives the cache: the donor copy is consumed via a
+      // fire-and-forget invalidate (drop_entry also erases the cache).
+      fabric_.send_invalidate(node, donor, comm::LendOp::kFlush);
+      release_frame(st, it);
     }
+    trace_instant(st, "borrow_cache_hit", node, donor);
+    return cached;
   }
 
-  if (fabric_ != nullptr) {
-    comm::LendRequest req{0,    comm::LendOp::kGet, node,  vm,
-                          type, object,             index, false};
-    const LendFabric::Outcome out =
-        fabric_->round_trip(node, donor, req, /*resp_carries_page=*/true);
-    st.last_elapsed = out.elapsed;
-    if (out.ok) {
-      fabric_->record_get_rtt(node, out.elapsed);
-    } else {
-      // A persistent get holds the only copy of guest data — it must not
-      // fail. The broker rescues it synchronously (the reliable
-      // control-plane path), charging the accumulated timeout cost.
-      fabric_->count_get_fallback(node);
-    }
+  comm::LendRequest req{0,    comm::LendOp::kGet, node,  vm,
+                        type, object,             index, false};
+  const LendFabric::Outcome out =
+      fabric_.round_trip(node, donor, req, /*resp_carries_page=*/true);
+  st.last_elapsed = out.elapsed;
+  if (out.ok) {
+    fabric_.record_get_rtt(node, out.elapsed);
+  } else {
+    // A persistent get holds the only copy of guest data — it must not
+    // fail. The broker rescues it synchronously (the reliable control-plane
+    // path), charging the accumulated timeout cost.
+    fabric_.count_get_fallback(node);
   }
 
   const tmem::PagePayload payload = it->second.payload;
   ++st.hits;
-  if (fabric_ != nullptr && type == tmem::PoolType::kPersistent) {
+  if (type == tmem::PoolType::kPersistent) {
     // Hot borrowed pages earn a seat at the access point; ephemeral pages
     // are consumed on their first (and only) hit below.
-    fabric_->cache(node).insert(key, payload);
+    fabric_.cache(node).insert(key, payload);
   }
   if (type == tmem::PoolType::kEphemeral) {
     // Victim-cache semantics survive the rack hop: an ephemeral hit
@@ -224,9 +218,7 @@ bool LendingBroker::do_flush(NodeId node, VmId vm, tmem::PoolType type,
   if (it == st.index.end()) return false;
   // A guest flush does not wait on the donor: the invalidate frame is
   // fire-and-forget; the frame itself returns at the next barrier.
-  if (fabric_ != nullptr) {
-    fabric_->send_invalidate(node, it->second.donor, comm::LendOp::kFlush);
-  }
+  fabric_.send_invalidate(node, it->second.donor, comm::LendOp::kFlush);
   release_frame(st, it);
   return true;
 }
@@ -241,10 +233,8 @@ PageCount LendingBroker::do_flush_object(NodeId node, VmId vm,
   auto it = st.index.lower_bound(RemoteKey{vm, type, object, 0});
   while (it != st.index.end() && it->first.vm == vm &&
          it->first.type == type && it->first.object == object) {
-    if (fabric_ != nullptr) {
-      fabric_->send_invalidate(node, it->second.donor,
-                               comm::LendOp::kFlushObject);
-    }
+    fabric_.send_invalidate(node, it->second.donor,
+                            comm::LendOp::kFlushObject);
     it = release_frame(st, it);
     ++flushed;
   }
@@ -315,9 +305,7 @@ PageCount LendingBroker::do_release(NodeId node, PageCount max_pages) {
       ++it;
       continue;
     }
-    if (fabric_ != nullptr) {
-      fabric_->send_invalidate(node, it->second.donor, comm::LendOp::kFlush);
-    }
+    fabric_.send_invalidate(node, it->second.donor, comm::LendOp::kFlush);
     it = release_frame(st, it);
     ++released;
   }

@@ -30,16 +30,13 @@
 //  - Donor choice is a deterministic rotation over the other nodes, so a
 //    given (seed, topology) always produces the same placement.
 //
-// Latency: with the asynchronous data plane off (the historic default) a
-// borrower's guest pays the remote-tier cost (CostModel tmem_put_remote /
-// tmem_get_remote) on every borrowed-page operation. With enable_async()
-// the broker routes every put/get through a LendFabric round trip
-// (cluster/lend_fabric.hpp): the modeled request/response exchange decides
-// whether the operation succeeds at all (loss / reorder / outage /
-// timeout / congestion, bounded retries, deterministic give-up) and its
-// elapsed time surfaces to the guest through RemoteTmem::last_op_elapsed.
-// A borrower-side BorrowCache short-circuits repeated gets of hot
-// borrowed pages.
+// Data plane: every put/get of a borrowed page is a LendFabric round trip
+// (cluster/lend_fabric.hpp) over the topology's lending hops. The modeled
+// request/response exchange decides whether the operation succeeds at all
+// (loss / reorder / outage / timeout / congestion, bounded retries,
+// deterministic give-up), and its elapsed time reaches the guest through
+// RemoteTmem::last_op_elapsed. A borrower-side BorrowCache short-circuits
+// repeated gets of hot borrowed pages.
 #pragma once
 
 #include <cstdint>
@@ -60,9 +57,14 @@ namespace smartmem::cluster {
 class LendingBroker {
  public:
   /// `nodes[i]` is node i's hypervisor; the broker holds the pointers for
-  /// the cluster's lifetime. No borrower holds credit until the first
-  /// sync_window().
-  explicit LendingBroker(std::vector<hyper::Hypervisor*> nodes);
+  /// the cluster's lifetime. The fabric runs borrower i's exchanges on
+  /// node i's simulator, over `topo`'s lending hops with the protocol knobs
+  /// in `cfg`. No borrower holds credit until the first sync_window().
+  /// Throws std::invalid_argument for fewer than 2 nodes or a config with
+  /// `enabled` false.
+  explicit LendingBroker(std::vector<hyper::Hypervisor*> nodes,
+                         const comm::ClusterTopology& topo = {},
+                         const AsyncLendingConfig& cfg = {});
 
   LendingBroker(const LendingBroker&) = delete;
   LendingBroker& operator=(const LendingBroker&) = delete;
@@ -70,21 +72,12 @@ class LendingBroker {
   /// Node `node`'s borrower port (wire via Hypervisor::set_remote_tmem).
   hyper::RemoteTmem* port(NodeId node);
 
-  /// Switches the data plane to asynchronous round trips over the
-  /// topology's lending hops (no-op when cfg.enabled is false). Must be
-  /// called before traffic starts; attach_sim() wires each borrower
-  /// partition to its shard simulator afterwards.
-  void enable_async(const AsyncLendingConfig& cfg,
-                    const comm::ClusterTopology& topo);
-  void attach_sim(NodeId node, sim::Simulator* sim);
-
   /// Cancels the fabric's outstanding in-flight borrow timers (cluster
-  /// teardown — the Tkm::stop() mirror). Idempotent; safe without a fabric.
-  void stop();
+  /// teardown — the Tkm::stop() mirror). Idempotent.
+  void stop() { fabric_.stop(); }
 
-  /// The async data plane, or nullptr when running synchronously.
-  LendFabric* fabric() { return fabric_.get(); }
-  const LendFabric* fabric() const { return fabric_.get(); }
+  LendFabric& fabric() { return fabric_; }
+  const LendFabric& fabric() const { return fabric_; }
 
   /// Donor-side recall: pulls up to `max_pages` pages lent *by* `donor`
   /// back out (quota grew, the donor needs its frames again). Ephemeral-
@@ -120,10 +113,10 @@ class LendingBroker {
   std::uint64_t borrow_placements() const;
   std::uint64_t borrow_hits() const;
   std::uint64_t borrow_misses() const;
-  /// Lifetime fresh placements that found no donor credit (or, on the async
-  /// data plane, whose exchange gave up).
+  /// Lifetime fresh placements that found no donor credit or whose
+  /// exchange gave up.
   std::uint64_t failed_placements() const;
-  /// Replacement puts lost to the fabric (async data plane only).
+  /// Replacement puts lost to the fabric.
   std::uint64_t failed_replacements() const;
   std::uint64_t recalls() const { return recalls_; }
   std::uint64_t recall_migrations() const { return recall_migrations_; }
@@ -173,9 +166,6 @@ class LendingBroker {
     PageCount release_borrowed(PageCount max_pages) override {
       return broker_.do_release(node_, max_pages);
     }
-    bool async_data_plane() const override {
-      return broker_.fabric_ != nullptr;
-    }
     SimTime last_op_elapsed() const override {
       return broker_.state_[node_].last_elapsed;
     }
@@ -202,9 +192,8 @@ class LendingBroker {
     NodeId rotation = 0;  // donor rotation cursor
     std::unique_ptr<Port> port;
     /// Modeled fabric time of this borrower's last remote_put/remote_get
-    /// (async data plane only; stays 0 otherwise). Surfaced through the
-    /// port so the guest charges real round-trip time instead of the
-    /// static remote-tier constants.
+    /// (0 when it never crossed the wire). Surfaced through the port so the
+    /// guest charges the round trip.
     SimTime last_elapsed = 0;
     // Per-partition op counters: written from this borrower's shard
     // mid-window, summed by the accessors (which run at barriers or after
@@ -270,7 +259,7 @@ class LendingBroker {
   std::vector<hyper::Hypervisor*> hyps_;
   std::vector<NodeState> state_;
   std::vector<DonorSettle> settle_;
-  std::unique_ptr<LendFabric> fabric_;  // async data plane (null = sync)
+  LendFabric fabric_;
   PageCount peak_borrowed_ = 0;
   std::uint64_t recalls_ = 0;
   std::uint64_t recall_migrations_ = 0;

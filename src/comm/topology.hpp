@@ -44,12 +44,12 @@ struct ClusterTopology {
 
   /// Templates for the lending *data plane*: the borrower -> donor request
   /// hop and the donor -> borrower response hop a borrowed page crosses
-  /// (comm/lend_wire.hpp frames). Defaults are RDMA-class (~40 us per
+  /// (comm/lend_wire.hpp frames). Defaults are RDMA-class (40 us per
   /// direction — a page copy over the rack's data fabric, not the 5 ms
-  /// control-plane switch path), so a default round trip lands near the
-  /// historic 90 us remote-tier cost constant. Every fault and queue knob
-  /// applies; queue_capacity bounds the per-pair in-flight window
-  /// (congestion from lending traffic).
+  /// control-plane switch path), so a fault-free round trip with the
+  /// donor's 5 us service costs 85 us. Every fault and queue knob applies;
+  /// queue_capacity bounds the per-pair in-flight window (congestion from
+  /// lending traffic).
   ChannelConfig internode_lend_req;
   ChannelConfig internode_lend_resp;
 

@@ -41,14 +41,6 @@ struct CostModel {
   SimTime tmem_put_compressed = 9 * kMicrosecond;
   SimTime tmem_get_compressed = 8 * kMicrosecond;
 
-  /// Remote-tmem lending (cluster extension): the page lives in a donor
-  /// node's pool, so the hypercall pays an inter-node round-trip on top of
-  /// the copy. Calibrated to same-rack RDMA-class magnitudes (SMART's
-  /// access-latency asymmetry): ~5-10x the NVM tier, still ~20x faster
-  /// than the virtual disk.
-  SimTime tmem_put_remote = 90 * kMicrosecond;
-  SimTime tmem_get_remote = 90 * kMicrosecond;
-
   /// A failed put still pays the hypercall round-trip (exit + checks).
   SimTime tmem_put_failed = 3 * kMicrosecond;
 

@@ -253,12 +253,10 @@ void GuestKernel::swap_out_anon(SimTime& t, mem::AddressSpace::Id asid,
     const hyper::OpStatus status =
         hyp_.frontswap_put(config_.vm, kSwapObject, *slot, pte.content, &tier);
     if (status == hyper::OpStatus::kSuccess) {
-      // On the async lending fabric a remote placement charges the local
-      // hypercall plus the modeled round trip instead of the flat constant.
+      // A remote placement charges the local hypercall plus the modeled
+      // lending-fabric round trip.
       t += tier == tmem::Tier::kRemote
-               ? (hyp_.remote_async()
-                      ? config_.costs.tmem_put + hyp_.remote_op_elapsed()
-                      : config_.costs.tmem_put_remote)
+               ? config_.costs.tmem_put + hyp_.remote_op_elapsed()
            : tier == tmem::Tier::kNvm ? config_.costs.tmem_put_nvm
            : tier == tmem::Tier::kCompressed
                ? config_.costs.tmem_put_compressed
@@ -337,9 +335,7 @@ void GuestKernel::drop_file_page(SimTime& t, std::uint64_t file_id,
         config_.vm, file_id, index, file_content(file_id, index), &tier);
     if (status == hyper::OpStatus::kSuccess) {
       t += tier == tmem::Tier::kRemote
-               ? (hyp_.remote_async()
-                      ? config_.costs.tmem_put + hyp_.remote_op_elapsed()
-                      : config_.costs.tmem_put_remote)
+               ? config_.costs.tmem_put + hyp_.remote_op_elapsed()
            : tier == tmem::Tier::kNvm ? config_.costs.tmem_put_nvm
            : tier == tmem::Tier::kCompressed
                ? config_.costs.tmem_put_compressed
@@ -390,13 +386,11 @@ TouchResult GuestKernel::touch(mem::AddressSpace::Id asid, Vpn vpn, bool write,
         tmem::Tier tier = tmem::Tier::kDram;
         const auto payload =
             hyp_.frontswap_get(config_.vm, kSwapObject, slot, &tier);
-        // Async fabric: the borrowed get costs the local hypercall plus the
-        // modeled round trip (0 on a borrower-cache hit, accumulated
-        // timeouts when the fabric gave up and the broker rescued the page).
+        // A borrowed get costs the local hypercall plus the modeled round
+        // trip (0 on a borrower-cache hit, accumulated timeouts when the
+        // fabric gave up and the broker rescued the page).
         t += tier == tmem::Tier::kRemote
-                 ? (hyp_.remote_async()
-                        ? config_.costs.tmem_get + hyp_.remote_op_elapsed()
-                        : config_.costs.tmem_get_remote)
+                 ? config_.costs.tmem_get + hyp_.remote_op_elapsed()
              : tier == tmem::Tier::kNvm ? config_.costs.tmem_get_nvm
              : tier == tmem::Tier::kCompressed
                  ? config_.costs.tmem_get_compressed
@@ -500,9 +494,7 @@ FileReadResult GuestKernel::file_read(std::uint64_t file_id,
       assert(*payload == file_content(file_id, index) &&
              "cleancache returned wrong page data");
       t += tier == tmem::Tier::kRemote
-               ? (hyp_.remote_async()
-                      ? config_.costs.tmem_get + hyp_.remote_op_elapsed()
-                      : config_.costs.tmem_get_remote)
+               ? config_.costs.tmem_get + hyp_.remote_op_elapsed()
            : tier == tmem::Tier::kNvm ? config_.costs.tmem_get_nvm
            : tier == tmem::Tier::kCompressed
                ? config_.costs.tmem_get_compressed

@@ -90,6 +90,9 @@ class Hypervisor {
 
   Hypervisor(sim::Simulator& sim, HypervisorConfig config);
 
+  /// The simulator this node's events (and its borrowed-page timers) run on.
+  sim::Simulator& simulator() { return sim_; }
+
   // ---- VM lifecycle -------------------------------------------------------
 
   /// Registers a VM and creates its frontswap/cleancache pools.
@@ -151,16 +154,9 @@ class Hypervisor {
   /// the single-node default). Must be set before traffic starts.
   void set_remote_tmem(RemoteTmem* remote) { remote_ = remote; }
 
-  /// True when borrowed-page operations run over a modeled asynchronous
-  /// fabric; the guest then charges remote_op_elapsed() on top of the local
-  /// hypercall cost instead of the static remote-tier constants.
-  bool remote_async() const {
-    return remote_ != nullptr && remote_->async_data_plane();
-  }
-
   /// Modeled fabric time of the remote leg of the most recent put/get
-  /// hypercall on this node. 0 when that call never reached the remote
-  /// port or the data plane is synchronous.
+  /// hypercall on this node; the guest charges it on top of the local
+  /// hypercall cost. 0 when that call never crossed the lending fabric.
   SimTime remote_op_elapsed() const { return remote_op_elapsed_; }
 
   /// Sets the rack-level tmem quota for this node: a cap on how many pages

@@ -64,15 +64,11 @@ class RemoteTmem {
   /// number of pages actually released.
   virtual PageCount release_borrowed(PageCount max_pages) = 0;
 
-  /// True when remote operations run over a modeled asynchronous fabric.
-  /// The hypervisor then charges the guest last_op_elapsed() instead of the
-  /// static remote-tier cost constants.
-  virtual bool async_data_plane() const { return false; }
-
   /// Modeled fabric time of the most recent remote_put/remote_get on this
-  /// port (success RTT, or accumulated timeouts on a give-up). Valid until
-  /// the next remote operation; 0 on the synchronous data plane.
-  virtual SimTime last_op_elapsed() const { return 0; }
+  /// port (success RTT, or accumulated timeouts on a give-up); the
+  /// hypervisor charges it to the guest. Valid until the next remote
+  /// operation; 0 when that operation never crossed the fabric.
+  virtual SimTime last_op_elapsed() const = 0;
 };
 
 }  // namespace smartmem::hyper

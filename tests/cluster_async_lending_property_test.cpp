@@ -1,4 +1,4 @@
-// Fault-model battery for the asynchronous lending fabric (DESIGN §15).
+// Fault-model battery for the lending fabric (DESIGN §15).
 //
 // Part 1 is a seeded fuzz over the fault grid (loss x reorder x outage x
 // cache capacity x seed) driving a 3-node rig through random
@@ -16,7 +16,7 @@
 // timeouts fully attributed to a fault, attempts fully attributed to
 // success/retry/give-up) make checkable.
 //
-// Part 2 runs a lending-heavy fleet with the async fabric in the loop: the
+// Part 2 runs a lending-heavy fleet with the fabric in the loop: the
 // fault-free run must actually borrow over the fabric, and a run with wire
 // faults must reproduce itself byte for byte.
 //
@@ -53,7 +53,7 @@ hyper::HypervisorConfig hyp_config(PageCount pages) {
   return cfg;
 }
 
-/// Three-node async rig: node 0 borrows, nodes 1 and 2 donate half their
+/// Three-node rig: node 0 borrows, nodes 1 and 2 donate half their
 /// frames each. One barrier leases the donors' frames as credit, split
 /// evenly over each donor's two borrowers.
 struct FuzzRig {
@@ -61,7 +61,7 @@ struct FuzzRig {
       : borrower(sim, hyp_config(kPhys)),
         donor1(sim, hyp_config(kPhys)),
         donor2(sim, hyp_config(kPhys)),
-        broker({&borrower, &donor1, &donor2}) {
+        broker({&borrower, &donor1, &donor2}, topo, acfg) {
     for (hyper::Hypervisor* h : {&borrower, &donor1, &donor2}) {
       h->register_vm(kVm);
     }
@@ -70,8 +70,6 @@ struct FuzzRig {
     donor2.set_remote_tmem(broker.port(2));
     donor1.set_node_quota(kPhys / 2);
     donor2.set_node_quota(kPhys / 2);
-    broker.enable_async(acfg, topo);
-    for (NodeId n = 0; n < 3; ++n) broker.attach_sim(n, &sim);
     broker.sync_window();
   }
 
@@ -154,7 +152,6 @@ void fuzz_run(const FaultCase& fc, std::uint64_t seed) {
     topo.internode_lend_req.faults.down_until = 5 * kMillisecond;
   }
   AsyncLendingConfig acfg;
-  acfg.enabled = true;
   acfg.cache_pages = fc.cache;
   FuzzRig rig(topo, acfg);
 
@@ -281,17 +278,17 @@ void fuzz_run(const FaultCase& fc, std::uint64_t seed) {
     if (::testing::Test::HasFatalFailure()) return;
     if (op % 16 == 0) {
       check_conservation();
-      check_counter_identities(rig.broker.fabric()->totals());
+      check_counter_identities(rig.broker.fabric().totals());
     }
   }
 
   // Every borrow terminated: drain the completion timers, then the books
   // must balance exactly.
   rig.sim.run();
-  ASSERT_EQ(rig.broker.fabric()->in_flight(0), 0u);
+  ASSERT_EQ(rig.broker.fabric().in_flight(0), 0u);
   check_conservation();
-  check_counter_identities(rig.broker.fabric()->totals());
-  const LendFabricStats t = rig.broker.fabric()->totals();
+  check_counter_identities(rig.broker.fabric().totals());
+  const LendFabricStats t = rig.broker.fabric().totals();
   if (fc.loss >= 1.0) {
     ASSERT_EQ(t.responses, 0u);  // nothing ever crossed a dead wire
     ASSERT_TRUE(model.empty());
@@ -356,7 +353,6 @@ FleetExperimentConfig lending_fleet(bool flaky) {
   cfg.seed = 42;
   cfg.resync_every = 16;
   cfg.lending_heavy = true;
-  cfg.lending_async.enabled = true;
   cfg.lending_async.cache_pages = 64;
   if (flaky) {
     cfg.lend_fault.loss_rate = 0.05;
@@ -382,7 +378,6 @@ TEST(AsyncLendingPropertyTest, FleetRunRepeatsUnderWireFaults) {
 
 TEST(AsyncLendingPropertyTest, RecallWhileBorrowTimersInFlight) {
   AsyncLendingConfig acfg;
-  acfg.enabled = true;
   acfg.cache_pages = 8;
   FuzzRig rig((comm::ClusterTopology()), acfg);
 
@@ -391,7 +386,7 @@ TEST(AsyncLendingPropertyTest, RecallWhileBorrowTimersInFlight) {
     ASSERT_TRUE(rig.broker.port(0)->remote_put(kVm, PoolType::kPersistent, 1,
                                                i, 100 + i));
   }
-  ASSERT_GT(rig.broker.fabric()->in_flight(0), 0u);
+  ASSERT_GT(rig.broker.fabric().in_flight(0), 0u);
 
   // Both donors take their whole capacity back: the barrier sheds every
   // unused credit and recalls everything borrowed, mid-flight.
@@ -404,11 +399,11 @@ TEST(AsyncLendingPropertyTest, RecallWhileBorrowTimersInFlight) {
   EXPECT_EQ(rig.donor1.lent_pages() + rig.donor2.lent_pages(), 0u);
   check_lease_invariant(rig);
   // The borrower cache cannot outlive the entries it mirrored.
-  EXPECT_EQ(rig.broker.fabric()->cache(0).size(), 0u);
+  EXPECT_EQ(rig.broker.fabric().cache(0).size(), 0u);
 
   // The stale completion timers fire harmlessly and the window drains.
   rig.sim.run();
-  EXPECT_EQ(rig.broker.fabric()->in_flight(0), 0u);
+  EXPECT_EQ(rig.broker.fabric().in_flight(0), 0u);
 
   // Recalled pages migrated home intact.
   for (std::uint32_t i = 0; i < 4; ++i) {

@@ -1,9 +1,9 @@
-// Asynchronous lending data plane (DESIGN §15): fabric round trips with
-// donor-side queueing, the full fault surface (loss, reorder, outage
-// mid-borrow), timeout/retry with a deterministic give-up, congestion via
-// the bounded per-pair in-flight window, and the borrower-side BorrowCache
-// (hit/miss accounting, invalidation on flush and donor recall, capacity-0
-// no-op contract).
+// The lending data plane (DESIGN §15): fabric round trips with donor-side
+// queueing, the full fault surface (loss, reorder, outage mid-borrow),
+// timeout/retry with a deterministic give-up, congestion via the bounded
+// per-pair in-flight window, in-flight timers on each borrower's own
+// simulator, and the borrower-side BorrowCache (hit/miss accounting,
+// invalidation on flush and donor recall, capacity-0 no-op contract).
 #include "cluster/lend_fabric.hpp"
 
 #include <gtest/gtest.h>
@@ -31,8 +31,8 @@ hyper::HypervisorConfig hyp_config(PageCount pages) {
   return cfg;
 }
 
-/// Two-node async rig: node 0 borrows, node 1 donates, both partitions on
-/// one simulator. One barrier leases the donor's lendable half as the
+/// Two-node rig: node 0 borrows, node 1 donates, both partitions on one
+/// simulator. One barrier leases the donor's lendable half as the
 /// borrower's credit. The topology and protocol config are taken at
 /// construction so tests can install faults/queue bounds first.
 struct AsyncRig {
@@ -40,19 +40,16 @@ struct AsyncRig {
                     const AsyncLendingConfig& acfg)
       : borrower(sim, hyp_config(kPhys)),
         donor(sim, hyp_config(kPhys)),
-        broker({&borrower, &donor}) {
+        broker({&borrower, &donor}, topo, acfg) {
     borrower.register_vm(kVm);
     donor.register_vm(kVm);
     borrower.set_remote_tmem(broker.port(0));
     donor.set_remote_tmem(broker.port(1));
     donor.set_node_quota(kPhys / 2);
-    broker.enable_async(acfg, topo);
-    broker.attach_sim(0, &sim);
-    broker.attach_sim(1, &sim);
     broker.sync_window();
   }
 
-  LendFabricStats totals() const { return broker.fabric()->totals(); }
+  LendFabricStats totals() const { return broker.fabric().totals(); }
 
   sim::Simulator sim;
   hyper::Hypervisor borrower;
@@ -62,14 +59,12 @@ struct AsyncRig {
 
 AsyncLendingConfig async_on(PageCount cache_pages = 0) {
   AsyncLendingConfig cfg;
-  cfg.enabled = true;
   cfg.cache_pages = cache_pages;
   return cfg;
 }
 
 TEST(AsyncLendingTest, RoundTripChargesModeledRttThroughThePort) {
   AsyncRig rig((comm::ClusterTopology()), async_on());
-  EXPECT_TRUE(rig.broker.port(0)->async_data_plane());
 
   // First exchange: req hop + donor service + resp hop, no queueing.
   ASSERT_TRUE(rig.broker.port(0)->remote_put(kVm, PoolType::kPersistent, 1, 0,
@@ -94,14 +89,30 @@ TEST(AsyncLendingTest, RoundTripChargesModeledRttThroughThePort) {
   EXPECT_GT(t.resp_bytes, 0u);
 }
 
-TEST(AsyncLendingTest, SyncPlaneReportsNoAsyncAndZeroElapsed) {
-  // enable_async with enabled=false must leave the historic plane intact.
-  AsyncRig rig((comm::ClusterTopology()), AsyncLendingConfig{});
-  EXPECT_EQ(rig.broker.fabric(), nullptr);
-  EXPECT_FALSE(rig.broker.port(0)->async_data_plane());
-  ASSERT_TRUE(rig.broker.port(0)->remote_put(kVm, PoolType::kPersistent, 1, 0,
-                                             42));
-  EXPECT_EQ(rig.broker.port(0)->last_op_elapsed(), 0);
+// The broker takes each borrower's simulator from that node's hypervisor:
+// a borrower-0 put starts on node 0's clock and parks its in-flight timer
+// in node 0's event queue, never in the donor's.
+TEST(AsyncLendingTest, InFlightTimerRunsOnTheBorrowersSimulator) {
+  sim::Simulator borrower_sim;
+  sim::Simulator donor_sim;
+  hyper::Hypervisor borrower(borrower_sim, hyp_config(kPhys));
+  hyper::Hypervisor donor(donor_sim, hyp_config(kPhys));
+  LendingBroker broker({&borrower, &donor});
+  donor.set_node_quota(kPhys / 2);
+  broker.sync_window();
+
+  constexpr SimTime kIssue = 3 * kMillisecond;
+  borrower_sim.run_until(kIssue);  // the donor's clock stays at 0
+  ASSERT_TRUE(broker.port(0)->remote_put(kVm, PoolType::kPersistent, 1, 0,
+                                         42));
+  EXPECT_EQ(broker.fabric().in_flight(0), 1u);
+  EXPECT_EQ(borrower_sim.pending_events(), 1u);
+  EXPECT_EQ(donor_sim.pending_events(), 0u);
+
+  // The timer fires one round trip after the borrower's own clock.
+  EXPECT_EQ(borrower_sim.run(), kIssue + 2 * kHop + kService);
+  EXPECT_EQ(broker.fabric().in_flight(0), 0u);
+  EXPECT_EQ(donor_sim.pending_events(), 0u);
 }
 
 TEST(AsyncLendingTest, DonorQueueSerializesBackToBackExchanges) {
@@ -230,7 +241,7 @@ TEST(AsyncLendingTest, FailedReplacementDropsTheEntrySoOwnsNeverLies) {
   EXPECT_FALSE(rig.broker.port(0)->owns(kVm, PoolType::kPersistent, 1, 0));
   EXPECT_EQ(rig.broker.borrowed_total(0), 0u);
   EXPECT_EQ(rig.broker.unsettled_releases(0, 1), 1u);  // stale frame freed
-  EXPECT_EQ(rig.broker.fabric()->cache(0).size(), 0u);
+  EXPECT_EQ(rig.broker.fabric().cache(0).size(), 0u);
   EXPECT_FALSE(rig.broker.port(0)
                    ->remote_get(kVm, PoolType::kPersistent, 1, 0)
                    .has_value());
@@ -249,7 +260,7 @@ TEST(AsyncLendingTest, BoundedInFlightWindowCongestsThenDrains) {
       rig.broker.port(0)->remote_put(kVm, PoolType::kPersistent, 1, 0, 42));
   ASSERT_TRUE(
       rig.broker.port(0)->remote_put(kVm, PoolType::kPersistent, 1, 1, 43));
-  EXPECT_EQ(rig.broker.fabric()->in_flight(0), 2u);
+  EXPECT_EQ(rig.broker.fabric().in_flight(0), 2u);
   EXPECT_FALSE(
       rig.broker.port(0)->remote_put(kVm, PoolType::kPersistent, 1, 2, 44));
   EXPECT_EQ(rig.totals().congestion_drops, 1u);
@@ -257,7 +268,7 @@ TEST(AsyncLendingTest, BoundedInFlightWindowCongestsThenDrains) {
 
   // Completion timers drain the window; fresh placements flow again.
   rig.sim.run();
-  EXPECT_EQ(rig.broker.fabric()->in_flight(0), 0u);
+  EXPECT_EQ(rig.broker.fabric().in_flight(0), 0u);
   EXPECT_TRUE(
       rig.broker.port(0)->remote_put(kVm, PoolType::kPersistent, 1, 2, 44));
 }
@@ -325,7 +336,7 @@ TEST(AsyncLendingCacheTest, HitServesAtTheAccessPointForFree) {
   EXPECT_EQ(*payload, 42u);
   EXPECT_EQ(rig.broker.port(0)->last_op_elapsed(), 0);
   EXPECT_EQ(rig.totals().requests, 1u);  // only the put went out
-  EXPECT_EQ(rig.broker.fabric()->cache(0).hits(), 1u);
+  EXPECT_EQ(rig.broker.fabric().cache(0).hits(), 1u);
   // The donor copy survives a persistent cache hit.
   EXPECT_EQ(rig.broker.unsettled_releases(0, 1), 0u);
   EXPECT_EQ(rig.broker.borrowed_total(0), 1u);
@@ -350,7 +361,7 @@ TEST(AsyncLendingCacheTest, EphemeralHitStaysExclusiveViaInvalidate) {
   EXPECT_GE(rig.totals().invalidates, 1u);
   EXPECT_EQ(rig.broker.unsettled_releases(0, 1), 1u);
   EXPECT_FALSE(rig.broker.port(0)->owns(kVm, PoolType::kEphemeral, 2, 0));
-  EXPECT_EQ(rig.broker.fabric()->cache(0).size(), 0u);
+  EXPECT_EQ(rig.broker.fabric().cache(0).size(), 0u);
   EXPECT_FALSE(rig.broker.port(0)
                    ->remote_get(kVm, PoolType::kEphemeral, 2, 0)
                    .has_value());
@@ -360,12 +371,12 @@ TEST(AsyncLendingCacheTest, FlushInvalidatesTheCachedCopy) {
   AsyncRig rig((comm::ClusterTopology()), async_on(8));
   ASSERT_TRUE(
       rig.broker.port(0)->remote_put(kVm, PoolType::kPersistent, 1, 0, 42));
-  ASSERT_EQ(rig.broker.fabric()->cache(0).size(), 1u);
+  ASSERT_EQ(rig.broker.fabric().cache(0).size(), 1u);
 
   EXPECT_TRUE(rig.broker.port(0)->remote_flush(kVm, PoolType::kPersistent, 1,
                                                0));
-  EXPECT_EQ(rig.broker.fabric()->cache(0).size(), 0u);
-  EXPECT_EQ(rig.broker.fabric()->cache(0).invalidations(), 1u);
+  EXPECT_EQ(rig.broker.fabric().cache(0).size(), 0u);
+  EXPECT_EQ(rig.broker.fabric().cache(0).invalidations(), 1u);
   // No stale serve: the key is gone end to end.
   EXPECT_FALSE(rig.broker.port(0)
                    ->remote_get(kVm, PoolType::kPersistent, 1, 0)
@@ -380,28 +391,28 @@ TEST(AsyncLendingCacheTest, ObjectFlushAndReleaseInvalidateEveryEntry) {
   }
   ASSERT_TRUE(
       rig.broker.port(0)->remote_put(kVm, PoolType::kEphemeral, 6, 0, 200));
-  ASSERT_EQ(rig.broker.fabric()->cache(0).size(), 4u);
+  ASSERT_EQ(rig.broker.fabric().cache(0).size(), 4u);
 
   EXPECT_EQ(rig.broker.port(0)->remote_flush_object(kVm, PoolType::kPersistent,
                                                     5),
             3u);
-  EXPECT_EQ(rig.broker.fabric()->cache(0).size(), 1u);
+  EXPECT_EQ(rig.broker.fabric().cache(0).size(), 1u);
   EXPECT_EQ(rig.broker.port(0)->release_borrowed(16), 1u);  // the ephemeral
-  EXPECT_EQ(rig.broker.fabric()->cache(0).size(), 0u);
-  EXPECT_EQ(rig.broker.fabric()->cache(0).invalidations(), 4u);
+  EXPECT_EQ(rig.broker.fabric().cache(0).size(), 0u);
+  EXPECT_EQ(rig.broker.fabric().cache(0).invalidations(), 4u);
 }
 
 TEST(AsyncLendingCacheTest, DonorRecallInvalidatesTheCachedCopy) {
   AsyncRig rig((comm::ClusterTopology()), async_on(8));
   ASSERT_TRUE(
       rig.broker.port(0)->remote_put(kVm, PoolType::kPersistent, 1, 0, 42));
-  ASSERT_EQ(rig.broker.fabric()->cache(0).size(), 1u);
+  ASSERT_EQ(rig.broker.fabric().cache(0).size(), 1u);
 
   // Donor recalls its frames (quota grew back): the persistent page
   // migrates home and the borrower-side cached copy dies with the entry.
   EXPECT_EQ(rig.broker.recall_lent(1, 16), 1u);
-  EXPECT_EQ(rig.broker.fabric()->cache(0).size(), 0u);
-  EXPECT_EQ(rig.broker.fabric()->cache(0).invalidations(), 1u);
+  EXPECT_EQ(rig.broker.fabric().cache(0).size(), 0u);
+  EXPECT_EQ(rig.broker.fabric().cache(0).invalidations(), 1u);
   EXPECT_FALSE(rig.broker.port(0)->owns(kVm, PoolType::kPersistent, 1, 0));
 
   // The page is now local: the cache must not resurrect the borrowed copy.
@@ -433,10 +444,10 @@ TEST(AsyncLendingCacheTest, CapacityZeroDisablesCleanly) {
   EXPECT_EQ(on.broker.port(0)->last_op_elapsed(), 0);
   EXPECT_DOUBLE_EQ(off.totals().put_rtt_us.mean(),
                    on.totals().put_rtt_us.mean());
-  EXPECT_EQ(off.broker.fabric()->cache(0).hits(), 0u);
-  EXPECT_EQ(off.broker.fabric()->cache(0).misses(), 0u);
-  EXPECT_EQ(off.broker.fabric()->cache(0).insertions(), 0u);
-  EXPECT_EQ(off.broker.fabric()->cache(0).size(), 0u);
+  EXPECT_EQ(off.broker.fabric().cache(0).hits(), 0u);
+  EXPECT_EQ(off.broker.fabric().cache(0).misses(), 0u);
+  EXPECT_EQ(off.broker.fabric().cache(0).insertions(), 0u);
+  EXPECT_EQ(off.broker.fabric().cache(0).size(), 0u);
 }
 
 }  // namespace

@@ -1,10 +1,10 @@
-// Cluster teardown vs the asynchronous lending fabric: stop() must cancel
-// every outstanding in-flight borrow completion timer exactly as
-// Tkm::stop() cancels its pending deliveries (the PR-2 regression class:
-// a scheduled callback outliving the object it captures). Covers the
-// rig-level contract (cancel, idempotence, no-fabric safety) and the
-// cluster-level path where a deadline cap truncates a lending-heavy fleet
-// run while exchanges are still mid-flight.
+// Cluster teardown vs the lending fabric: stop() must cancel every
+// outstanding in-flight borrow completion timer exactly as Tkm::stop()
+// cancels its pending deliveries (the PR-2 regression class: a scheduled
+// callback outliving the object it captures). Covers the rig-level
+// contract (cancel, idempotence, re-arm) and the cluster-level path where
+// a deadline cap truncates a lending-heavy fleet run while exchanges are
+// still mid-flight.
 #include <gtest/gtest.h>
 
 #include "cluster/fleet.hpp"
@@ -29,7 +29,7 @@ hyper::HypervisorConfig hyp_config(PageCount pages) {
 }
 
 struct AsyncRig {
-  explicit AsyncRig(bool async = true)
+  AsyncRig()
       : borrower(sim, hyp_config(kPhys)),
         donor(sim, hyp_config(kPhys)),
         broker({&borrower, &donor}) {
@@ -38,13 +38,6 @@ struct AsyncRig {
     borrower.set_remote_tmem(broker.port(0));
     donor.set_remote_tmem(broker.port(1));
     donor.set_node_quota(kPhys / 2);
-    if (async) {
-      AsyncLendingConfig acfg;
-      acfg.enabled = true;
-      broker.enable_async(acfg, comm::ClusterTopology());
-      broker.attach_sim(0, &sim);
-      broker.attach_sim(1, &sim);
-    }
     broker.sync_window();
   }
 
@@ -60,18 +53,18 @@ TEST(LendTeardownTest, StopCancelsEveryInFlightTimer) {
     ASSERT_TRUE(rig.broker.port(0)->remote_put(kVm, PoolType::kPersistent, 1,
                                                i, 100 + i));
   }
-  ASSERT_EQ(rig.broker.fabric()->in_flight(0), 3u);
+  ASSERT_EQ(rig.broker.fabric().in_flight(0), 3u);
   ASSERT_GT(rig.sim.pending_events(), 0u);
 
   rig.broker.stop();
-  EXPECT_EQ(rig.broker.fabric()->totals().cancelled_timers, 3u);
-  EXPECT_EQ(rig.broker.fabric()->in_flight(0), 0u);
+  EXPECT_EQ(rig.broker.fabric().totals().cancelled_timers, 3u);
+  EXPECT_EQ(rig.broker.fabric().in_flight(0), 0u);
 
   // The cancelled events must be dead: draining the simulator neither
   // crashes nor resurrects the in-flight accounting.
   rig.sim.run();
-  EXPECT_EQ(rig.broker.fabric()->in_flight(0), 0u);
-  EXPECT_EQ(rig.broker.fabric()->totals().cancelled_timers, 3u);
+  EXPECT_EQ(rig.broker.fabric().in_flight(0), 0u);
+  EXPECT_EQ(rig.broker.fabric().totals().cancelled_timers, 3u);
 }
 
 TEST(LendTeardownTest, StopIsIdempotentAndCountsOnlyPendingTimers) {
@@ -85,17 +78,9 @@ TEST(LendTeardownTest, StopIsIdempotentAndCountsOnlyPendingTimers) {
       rig.broker.port(0)->remote_put(kVm, PoolType::kPersistent, 1, 1, 43));
 
   rig.broker.stop();
-  EXPECT_EQ(rig.broker.fabric()->totals().cancelled_timers, 1u);
+  EXPECT_EQ(rig.broker.fabric().totals().cancelled_timers, 1u);
   rig.broker.stop();  // second stop finds nothing to cancel
-  EXPECT_EQ(rig.broker.fabric()->totals().cancelled_timers, 1u);
-}
-
-TEST(LendTeardownTest, StopIsSafeWithoutAFabric) {
-  AsyncRig rig(/*async=*/false);
-  ASSERT_EQ(rig.broker.fabric(), nullptr);
-  rig.broker.stop();  // must be a no-op, not a nullptr deref
-  ASSERT_TRUE(
-      rig.broker.port(0)->remote_put(kVm, PoolType::kPersistent, 1, 0, 42));
+  EXPECT_EQ(rig.broker.fabric().totals().cancelled_timers, 1u);
 }
 
 TEST(LendTeardownTest, TrafficAfterStopRearmsTheFabric) {
@@ -108,9 +93,9 @@ TEST(LendTeardownTest, TrafficAfterStopRearmsTheFabric) {
   // own completion timer.
   ASSERT_TRUE(
       rig.broker.port(0)->remote_put(kVm, PoolType::kPersistent, 1, 1, 43));
-  EXPECT_EQ(rig.broker.fabric()->in_flight(0), 1u);
+  EXPECT_EQ(rig.broker.fabric().in_flight(0), 1u);
   rig.sim.run();
-  EXPECT_EQ(rig.broker.fabric()->in_flight(0), 0u);
+  EXPECT_EQ(rig.broker.fabric().in_flight(0), 0u);
 }
 
 // ---- Cluster-level: teardown mid-flight via the deadline cap --------------
@@ -129,7 +114,6 @@ TEST(LendTeardownTest, ClusterTeardownCancelsMidFlightBorrows) {
       comm::LatencySpec::fixed_at(10 * kMillisecond);
   ccfg.topology.internode_lend_resp.latency =
       comm::LatencySpec::fixed_at(10 * kMillisecond);
-  ccfg.lending_async.enabled = true;
   ccfg.lending_async.cache_pages = 8;
   ccfg.lending_async.timeout = 100 * kMillisecond;  // no retries
   Cluster cluster(std::move(ccfg));
@@ -147,7 +131,6 @@ TEST(LendTeardownTest, ClusterTeardownCancelsMidFlightBorrows) {
 
   LendingBroker* broker = cluster.broker();
   ASSERT_NE(broker, nullptr);
-  ASSERT_NE(broker->fabric(), nullptr);
   broker->sync_window();  // between windows: lease the donor's credit
   ASSERT_EQ(broker->credit(0, 1), kPhys / 2);
   bool placed = true;
@@ -161,16 +144,16 @@ TEST(LendTeardownTest, ClusterTeardownCancelsMidFlightBorrows) {
   cluster.run();
   EXPECT_TRUE(placed);
   EXPECT_EQ(broker->borrow_placements(), 3u);
-  EXPECT_EQ(broker->fabric()->totals().cancelled_timers, 3u);
-  EXPECT_EQ(broker->fabric()->in_flight(0), 0u);
+  EXPECT_EQ(broker->fabric().totals().cancelled_timers, 3u);
+  EXPECT_EQ(broker->fabric().in_flight(0), 0u);
 
   // A cancelled callback must be dead, not a crash waiting in a node
   // shard's queue after teardown.
   for (std::size_t i = 0; i < cluster.node_count(); ++i) {
     cluster.node(i).simulator().run();
   }
-  EXPECT_EQ(broker->fabric()->totals().cancelled_timers, 3u);
-  EXPECT_EQ(broker->fabric()->in_flight(0), 0u);
+  EXPECT_EQ(broker->fabric().totals().cancelled_timers, 3u);
+  EXPECT_EQ(broker->fabric().in_flight(0), 0u);
 }
 
 TEST(LendTeardownTest, TruncatedFleetRunCompletesCleanly) {
@@ -185,7 +168,6 @@ TEST(LendTeardownTest, TruncatedFleetRunCompletesCleanly) {
   cfg.scale = 0.0625;
   cfg.seed = 42;
   cfg.lending_heavy = true;
-  cfg.lending_async.enabled = true;
   cfg.lending_async.cache_pages = 16;
   cfg.lend_rtt_x = 50.0;
   cfg.deadline_cap = 8 * kSecond;
@@ -207,7 +189,6 @@ TEST(LendTeardownTest, UncappedFleetRunCancelsNothing) {
   cfg.scale = 0.0625;
   cfg.seed = 42;
   cfg.lending_heavy = true;
-  cfg.lending_async.enabled = true;
   cfg.lending_async.cache_pages = 16;
 
   const FleetRunResult r = run_fleet_scenario(cfg);

@@ -11,6 +11,7 @@
 #include <memory>
 #include <vector>
 
+#include "comm/topology.hpp"
 #include "hyper/hypervisor.hpp"
 #include "sim/simulator.hpp"
 #include "tmem/store.hpp"
@@ -65,6 +66,16 @@ class LendingBrokerTest : public ::testing::Test {
 
 TEST_F(LendingBrokerTest, RequiresAtLeastTwoNodes) {
   EXPECT_THROW(LendingBroker({&borrower_}), std::invalid_argument);
+}
+
+// The fabric is the only data plane: a config that asks for none is an
+// error, not a silent fallback.
+TEST_F(LendingBrokerTest, RejectsDisabledFabricConfig) {
+  AsyncLendingConfig off;
+  off.enabled = false;
+  EXPECT_THROW(LendingBroker({&borrower_, &donor_}, comm::ClusterTopology(),
+                             off),
+               std::invalid_argument);
 }
 
 TEST_F(LendingBrokerTest, BarrierLeasesEveryLendableFrameAsCredit) {
@@ -378,7 +389,9 @@ TEST_F(LendingSplitTest, QuotaChangeResplitsAnUntouchedDonor) {
 }
 
 // End-to-end Algorithm 1 fallback: a physically full node below its quota
-// sends the overflow put to a donor and reads it back at the remote tier.
+// sends the overflow put to a donor over the lending fabric and reads it
+// back at the remote tier, and the hypervisor reports the fabric time the
+// guest is charged.
 TEST(LendingIntegrationTest, FullNodeBelowQuotaSpillsToDonor) {
   sim::Simulator sim;
   hyper::Hypervisor borrower(sim, hyp_config(8));
@@ -404,6 +417,9 @@ TEST(LendingIntegrationTest, FullNodeBelowQuotaSpillsToDonor) {
             hyper::OpStatus::kSuccess);
   EXPECT_EQ(tier, tmem::Tier::kRemote);
   EXPECT_EQ(borrower.remote_puts(), 1u);
+  // Default lending hops: 40 us each way plus the donor's 5 us service.
+  EXPECT_EQ(borrower.remote_op_elapsed(), 2 * 40 * kMicrosecond +
+                                              5 * kMicrosecond);
   EXPECT_EQ(broker.borrowed_total(0), 1u);
   EXPECT_EQ(broker.credit(0, 1), kLendable - 1);
   EXPECT_EQ(borrower.own_used_total(), 9u);
@@ -413,6 +429,7 @@ TEST(LendingIntegrationTest, FullNodeBelowQuotaSpillsToDonor) {
   EXPECT_EQ(*back, 1008u);
   EXPECT_EQ(tier, tmem::Tier::kRemote);
   EXPECT_EQ(borrower.remote_gets(), 1u);
+  EXPECT_GT(borrower.remote_op_elapsed(), 0);
 
   // At the quota wall the remote fallback stops too.
   borrower.set_node_quota(9);
