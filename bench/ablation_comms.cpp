@@ -50,8 +50,7 @@ RepResult run_rep(const core::ScenarioSpec& spec, const bench::Options& opts,
                   const Cell& cell, std::uint64_t seed) {
   core::NodeConfig cfg = core::scaled_node_defaults(opts.scale);
   const auto base = static_cast<double>(cfg.sample_interval) / 40.0;
-  cfg.comm.uplink.latency =
-      comm::LatencySpec::fixed_at(static_cast<SimTime>(base * cell.lat_x));
+  cfg.comm.uplink.latency = static_cast<SimTime>(base * cell.lat_x);
   cfg.comm.uplink.faults.loss_rate = cell.loss;
   cfg.comm.uplink.faults.duplication_rate = cell.loss;
   cfg.comm.downlink.faults.loss_rate = cell.loss;
@@ -95,7 +94,8 @@ RepResult run_rep(const core::ScenarioSpec& spec, const bench::Options& opts,
 
 int main(int argc, char** argv) {
   using namespace smartmem;
-  const auto opts = bench::parse_options(argc, argv);
+  const auto opts = bench::parse_options(
+      argc, argv, {"--scale", "--reps", "--seed", "--jobs"});
   const core::ScenarioSpec spec = core::scenario2(opts.scale);
 
   std::printf("=== ablation: control-plane latency & faults "

@@ -47,7 +47,8 @@ struct CellResult {
 
 int main(int argc, char** argv) {
   using namespace smartmem;
-  const auto opts = bench::parse_options(argc, argv);
+  const auto opts = bench::parse_options(
+      argc, argv, {"--scale", "--reps", "--seed", "--jobs", "--csv"});
   const core::ScenarioSpec spec = core::scenario1(opts.scale);
 
   // Memory-constrained geometry: half the paper's tmem, so the baselines

@@ -9,7 +9,8 @@
 
 int main(int argc, char** argv) {
   using namespace smartmem;
-  const auto opts = bench::parse_options(argc, argv);
+  const auto opts =
+      bench::parse_options(argc, argv, {"--scale", "--reps", "--seed"});
   core::ScenarioSpec spec = core::scenario1(opts.scale);
   // Quarter the pool so capacity is actually scarce; dedup's frameless zero
   // pages then translate directly into avoided disk traffic.

@@ -12,7 +12,8 @@
 
 int main(int argc, char** argv) {
   using namespace smartmem;
-  const auto opts = bench::parse_options(argc, argv);
+  const auto opts =
+      bench::parse_options(argc, argv, {"--scale", "--reps", "--seed"});
   const core::ScenarioSpec spec = core::scenario2(opts.scale);
 
   std::printf("=== ablation: exclusive vs non-exclusive frontswap gets "

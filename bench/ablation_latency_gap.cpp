@@ -8,7 +8,8 @@
 
 int main(int argc, char** argv) {
   using namespace smartmem;
-  const auto opts = bench::parse_options(argc, argv);
+  const auto opts =
+      bench::parse_options(argc, argv, {"--scale", "--reps", "--seed"});
   const core::ScenarioSpec spec = core::scenario1(opts.scale);
 
   std::printf("=== ablation: disk access latency (scenario 1) ===\n");

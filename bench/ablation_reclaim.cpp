@@ -11,7 +11,8 @@
 
 int main(int argc, char** argv) {
   using namespace smartmem;
-  const auto opts = bench::parse_options(argc, argv);
+  const auto opts =
+      bench::parse_options(argc, argv, {"--scale", "--reps", "--seed"});
   const core::ScenarioSpec spec = core::scenario3(opts.scale);
 
   std::printf("=== ablation: hypervisor slow reclaim (scenario 3 + cleancache, "

@@ -7,7 +7,8 @@
 
 int main(int argc, char** argv) {
   using namespace smartmem;
-  const auto opts = bench::parse_options(argc, argv);
+  const auto opts =
+      bench::parse_options(argc, argv, {"--scale", "--reps", "--seed"});
   const core::ScenarioSpec spec = core::scenario1(opts.scale);
 
   std::printf("=== ablation: smart-alloc decrease threshold (scenario 1, P=0.75%%) ===\n");

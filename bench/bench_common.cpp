@@ -1,53 +1,90 @@
 #include "bench_common.hpp"
 
+#include <algorithm>
 #include <cerrno>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <filesystem>
 #include <iostream>
+#include <iterator>
+#include <set>
 
 #include "common/strfmt.hpp"
 #include "common/thread_pool.hpp"
 
 namespace smartmem::bench {
 
+namespace {
+
+/// Every shared flag with its usage line, in usage order.
+struct FlagHelp {
+  std::string_view flag;
+  const char* text;
+};
+constexpr FlagHelp kFlags[] = {
+    {"--scale", "  --scale <f>   linear memory scale (default 0.125; 1.0 = "
+                "paper size)\n"},
+    {"--reps", "  --reps <n>    repetitions per policy (default 3; paper uses "
+               "5)\n"},
+    {"--seed", "  --seed <n>    base seed (default 1)\n"},
+    {"--jobs", "  --jobs <n>    worker threads (default 1; 0 = all hardware "
+               "threads)\n"},
+    {"--csv", "  --csv <dir>   write CSV files into <dir> (must exist)\n"},
+    {"--full", "  --full        shorthand for --scale 1.0 --reps 5\n"},
+    {"--comm-latency-x",
+     "  --comm-latency-x <f>  multiply control-plane hop latencies\n"},
+    {"--comm-loss",
+     "  --comm-loss <p>       per-hop message loss probability\n"},
+    {"--comm-queue",
+     "  --comm-queue <n>      bounded in-flight queue (0 = off)\n"},
+    {"--comm-policy", "  --comm-policy <p>     drop-newest|drop-oldest|"
+                      "backpressure (needs --comm-queue)\n"},
+    {"--stale-mode", "  --stale-mode <m>      smart-alloc staleness handling: "
+                     "off|skip|widen\n"},
+    {"--stale-threshold", "  --stale-threshold <f> sample age (intervals) "
+                          "counting as stale (default 1.5; needs "
+                          "--stale-mode skip|widen)\n"},
+    {"--adaptive-interval",
+     "  --adaptive-interval   MM-driven dynamic sampling interval\n"},
+    {"--compressed-bytes", "  --compressed-bytes <n>    compressed-tier byte "
+                           "budget (0 = off)\n"},
+    {"--compress-min-ratio", "  --compress-min-ratio <f>  per-VM mean ratio "
+                             "lower bound (default 1.5)\n"},
+    {"--compress-max-ratio", "  --compress-max-ratio <f>  per-VM mean ratio "
+                             "upper bound (default 4.0)\n"},
+    {"--compressed-evict", "  --compressed-evict <m>    drop|demote (default "
+                           "demote)\n"},
+    {"--capacity-units", "  --capacity-units <u>      pages|bytes "
+                         "control-plane units\n"},
+    {"--trace-out", "  --trace-out <file>    write a Perfetto trace from one "
+                    "extra observed run\n"},
+    {"--metrics-out", "  --metrics-out <file>  write metrics snapshots (JSONL; "
+                      ".csv for CSV)\n"},
+    {"--audit-out", "  --audit-out <file>    write the policy decision audit "
+                    "log (JSONL)\n"},
+    {"--trace-cats", "  --trace-cats <list>   trace categories "
+                     "(tmem,hyper,comm,mm,guest,workload,sim|all)\n"},
+};
+
+/// The flags the running bench reads (parse_options' `reads`); empty while
+/// it reads every flag. Set once before parsing starts.
+std::vector<std::string_view> g_reads;
+
+bool bench_reads(std::string_view flag) {
+  if (g_reads.empty()) return true;
+  // --full only sets --scale and --reps.
+  if (flag == "--full") return bench_reads("--scale") && bench_reads("--reps");
+  return std::find(g_reads.begin(), g_reads.end(), flag) != g_reads.end();
+}
+
+}  // namespace
+
 void print_usage(std::FILE* out) {
-  std::fprintf(out,
-               "flags:\n"
-               "  --scale <f>   linear memory scale (default 0.125; 1.0 = "
-               "paper size)\n"
-               "  --reps <n>    repetitions per policy (default 3; paper "
-               "uses 5)\n"
-               "  --seed <n>    base seed (default 1)\n"
-               "  --jobs <n>    worker threads (default 1; 0 = all hardware "
-               "threads)\n"
-               "  --csv <dir>   write CSV files into <dir>\n"
-               "  --full        shorthand for --scale 1.0 --reps 5\n"
-               "  --comm-latency-x <f>  multiply control-plane hop latencies\n"
-               "  --comm-loss <p>       per-hop message loss probability\n"
-               "  --comm-queue <n>      bounded in-flight queue (0 = off)\n"
-               "  --comm-policy <p>     drop-newest|drop-oldest|backpressure\n"
-               "  --stale-mode <m>      smart-alloc staleness handling: "
-               "off|skip|widen\n"
-               "  --stale-threshold <f> sample age (intervals) counting as "
-               "stale (default 1.5)\n"
-               "  --adaptive-interval   MM-driven dynamic sampling interval\n"
-               "  --compressed-bytes <n>    compressed-tier byte budget "
-               "(0 = off)\n"
-               "  --compress-min-ratio <f>  per-VM mean ratio lower bound "
-               "(default 1.5)\n"
-               "  --compress-max-ratio <f>  per-VM mean ratio upper bound "
-               "(default 4.0)\n"
-               "  --compressed-evict <m>    drop|demote (default demote)\n"
-               "  --capacity-units <u>      pages|bytes control-plane units\n"
-               "  --trace-out <file>    write a Perfetto trace from one extra "
-               "observed run\n"
-               "  --metrics-out <file>  write metrics snapshots (JSONL; .csv "
-               "for CSV)\n"
-               "  --audit-out <file>    write the policy decision audit log "
-               "(JSONL)\n"
-               "  --trace-cats <list>   trace categories "
-               "(tmem,hyper,comm,mm,guest,workload,sim|all)\n");
+  std::fprintf(out, "flags:\n");
+  for (const FlagHelp& f : kFlags) {
+    if (bench_reads(f.flag)) std::fputs(f.text, out);
+  }
 }
 
 bool comm_overridden(const Options& opts) {
@@ -146,13 +183,8 @@ void run_observed(const std::string& figure_id,
 
 void apply_comm_options(core::NodeConfig& cfg, const Options& opts) {
   auto apply = [&opts](comm::ChannelConfig& ch) {
-    auto stretch = [&opts](SimTime t) {
-      return static_cast<SimTime>(static_cast<double>(t) *
-                                  opts.comm_latency_x);
-    };
-    ch.latency.fixed = stretch(ch.latency.fixed);
-    ch.latency.lo = stretch(ch.latency.lo);
-    ch.latency.hi = stretch(ch.latency.hi);
+    ch.latency = static_cast<SimTime>(static_cast<double>(ch.latency) *
+                                      opts.comm_latency_x);
     ch.faults.loss_rate = opts.comm_loss;
     ch.queue_capacity = opts.comm_queue;
     ch.queue_policy = opts.comm_policy;
@@ -198,6 +230,17 @@ void bad_value(const char* flag, const char* value,
   std::exit(2);
 }
 
+std::string existing_dir(const char* flag, const char* value,
+                         void (*usage)(std::FILE*)) {
+  std::error_code ec;
+  if (!std::filesystem::is_directory(value, ec)) {
+    std::fprintf(stderr, "%s: no such directory '%s'\n", flag, value);
+    usage(stderr);
+    std::exit(2);
+  }
+  return value;
+}
+
 std::uint64_t parse_u64(const char* flag, const char* value,
                         std::uint64_t min, std::uint64_t max,
                         void (*usage)(std::FILE*)) {
@@ -223,14 +266,28 @@ double parse_f64(const char* flag, const char* value, double min, double max,
   return v;
 }
 
-Options parse_options(int argc, char** argv) {
+Options parse_options(int argc, char** argv,
+                      std::initializer_list<std::string_view> reads) {
+  g_reads.assign(reads.begin(), reads.end());
   Options opts;
+  std::set<std::string> given;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     auto next = [&]() -> const char* {
       if (i + 1 >= argc) usage_error("missing value for " + arg);
       return argv[++i];
     };
+    if (arg == "--help" || arg == "-h") {
+      print_usage(stdout);
+      std::exit(0);
+    }
+    const bool known =
+        std::any_of(std::begin(kFlags), std::end(kFlags),
+                    [&arg](const FlagHelp& f) { return f.flag == arg; });
+    if (!known) usage_error("unknown flag " + arg);
+    // A flag this bench never reads would silently replay the plain run.
+    if (!bench_reads(arg)) usage_error(arg + " is not read by this bench");
+    given.insert(arg);
     if (arg == "--scale") {
       opts.scale = parse_double(arg, next());
     } else if (arg == "--reps") {
@@ -240,7 +297,7 @@ Options parse_options(int argc, char** argv) {
     } else if (arg == "--jobs") {
       opts.jobs = static_cast<std::size_t>(parse_u64(arg, next()));
     } else if (arg == "--csv") {
-      opts.csv_dir = next();
+      opts.csv_dir = existing_dir("--csv", next(), print_usage);
     } else if (arg == "--comm-latency-x") {
       opts.comm_latency_x = parse_double(arg, next());
       if (opts.comm_latency_x <= 0) usage_error("--comm-latency-x must be > 0");
@@ -312,11 +369,21 @@ Options parse_options(int argc, char** argv) {
     } else if (arg == "--full") {
       opts.scale = 1.0;
       opts.repetitions = 5;
-    } else if (arg == "--help" || arg == "-h") {
-      print_usage(stdout);
-      std::exit(0);
-    } else {
-      usage_error("unknown flag " + arg);
+    }
+  }
+  // A flag that only modifies another one would, given alone, be silently
+  // ignored and replay the plain run.
+  if (given.count("--stale-threshold") != 0 &&
+      opts.stale_mode == mm::StaleMode::kOff) {
+    usage_error("--stale-threshold needs --stale-mode skip or widen");
+  }
+  if (given.count("--comm-policy") != 0 && opts.comm_queue == 0) {
+    usage_error("--comm-policy needs --comm-queue <n> > 0");
+  }
+  for (const char* flag :
+       {"--compress-min-ratio", "--compress-max-ratio", "--compressed-evict"}) {
+    if (given.count(flag) != 0 && opts.compressed_bytes == 0) {
+      usage_error(std::string(flag) + " needs --compressed-bytes <n> > 0");
     }
   }
   return opts;

@@ -11,7 +11,7 @@
 //   --jobs <n>    worker threads for the policy x rep grid (default 1;
 //                 0 = every hardware thread). Output is bit-identical for
 //                 every jobs value.
-//   --csv <dir>   write CSV files into <dir>
+//   --csv <dir>   write CSV files into <dir> (must already exist)
 //   --full        shorthand for --scale 1.0 --reps 5
 //
 // Control-plane (src/comm) knobs, for staleness/fault what-ifs on any bench:
@@ -19,10 +19,12 @@
 //   --comm-loss <p>        per-hop message loss probability (default 0)
 //   --comm-queue <n>       bounded in-flight queue per hop (default 0 = off)
 //   --comm-policy <p>      drop-newest | drop-oldest | backpressure
+//                          (needs --comm-queue > 0)
 //
 // Adaptive control plane (off by default — the paper-faithful loop):
 //   --stale-mode <m>       smart-alloc staleness handling: off|skip|widen
 //   --stale-threshold <f>  sample age (in intervals) counting as stale
+//                          (needs --stale-mode skip|widen)
 //   --adaptive-interval    let the MM stretch/shrink the sampling interval
 //
 // Compressed tier (src/tier, off by default — byte-identical when off):
@@ -30,6 +32,7 @@
 //   --compress-min-ratio <f>   lower bound of per-VM mean ratios
 //   --compress-max-ratio <f>   upper bound of per-VM mean ratios
 //   --compressed-evict <m>     drop | demote (default demote)
+//   (the ratio and evict flags need --compressed-bytes > 0)
 //   --capacity-units <u>       pages | bytes control-plane units
 //
 // Observability (src/obs) outputs. The measured figure grid always runs
@@ -42,12 +45,16 @@
 //   --trace-cats <list>    comma-separated trace categories (default all:
 //                          tmem,hyper,comm,mm,guest,workload,sim)
 //
-// Unknown flags and malformed values are fatal (exit 2 with a usage
-// message): a typo like `--rep 5` must not silently run the default config.
+// Unknown flags, malformed values, a modifier flag without the flag it
+// modifies, a flag the bench does not read and a missing --csv directory
+// are fatal at parse time (exit 2 with a usage message): a typo like
+// `--rep 5` must not silently run the default config.
 #pragma once
 
 #include <cstdio>
+#include <initializer_list>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "comm/channel.hpp"
@@ -126,7 +133,12 @@ void run_observed(const std::string& figure_id,
                   const std::vector<mm::PolicySpec>& policies,
                   const Options& opts);
 
-Options parse_options(int argc, char** argv);
+/// Parses the flags above. A bench that reads only some of them names those
+/// in `reads` (e.g. {"--scale", "--reps", "--seed"}; --full comes with
+/// --scale and --reps), and every other flag exits 2 instead of being
+/// silently ignored. The empty default accepts every flag.
+Options parse_options(int argc, char** argv,
+                      std::initializer_list<std::string_view> reads = {});
 
 // ---- Strict flag values for the benches that parse their own flags --------
 
@@ -134,6 +146,12 @@ Options parse_options(int argc, char** argv);
 /// exits 2.
 [[noreturn]] void bad_value(const char* flag, const char* value,
                             void (*usage)(std::FILE*));
+
+/// Returns `value` when it names an existing directory; otherwise prints
+/// "<flag>: no such directory" and `usage(stderr)`, then exits 2. Checked
+/// at parse time so a bad --csv fails before any run, not after the grid.
+std::string existing_dir(const char* flag, const char* value,
+                         void (*usage)(std::FILE*));
 
 /// The whole token must convert, a leading '-' is rejected, and the result
 /// must lie in [min, max]; anything else is a bad_value().
@@ -143,7 +161,8 @@ std::uint64_t parse_u64(const char* flag, const char* value,
 double parse_f64(const char* flag, const char* value, double min, double max,
                  void (*usage)(std::FILE*));
 
-/// Prints the flag reference to `out` (shared by --help and parse errors).
+/// Prints the reference of the flags the bench reads to `out` (shared by
+/// --help and parse errors).
 void print_usage(std::FILE* out);
 
 /// Runs `scenario(scale)` under every policy, prints the Figure-style

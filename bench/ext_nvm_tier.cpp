@@ -9,7 +9,8 @@
 
 int main(int argc, char** argv) {
   using namespace smartmem;
-  const auto opts = bench::parse_options(argc, argv);
+  const auto opts =
+      bench::parse_options(argc, argv, {"--scale", "--reps", "--seed"});
   const core::ScenarioSpec spec = core::scenario1(opts.scale);
 
   std::printf("=== extension: Ex-Tmem NVM tier (scenario 1, smart P=0.75%%) ===\n");

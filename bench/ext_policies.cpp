@@ -10,7 +10,8 @@
 
 int main(int argc, char** argv) {
   using namespace smartmem;
-  const auto opts = bench::parse_options(argc, argv);
+  const auto opts =
+      bench::parse_options(argc, argv, {"--scale", "--reps", "--seed"});
 
   for (auto* scenario : {&core::scenario2, &core::scenario3}) {
     const core::ScenarioSpec spec = scenario(opts.scale);

@@ -103,7 +103,7 @@ Options parse(int argc, char** argv) {
     } else if (arg == "--jobs") {
       o.jobs = u64(i, 0, 4096);
     } else if (arg == "--csv") {
-      o.csv_dir = next(i);
+      o.csv_dir = bench::existing_dir("--csv", next(i), usage);
     } else if (arg == "--nodes") {
       o.nodes = u64(i, 1, 64);
     } else if (arg == "--cluster-policy") {

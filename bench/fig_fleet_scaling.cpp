@@ -141,7 +141,7 @@ Options parse(int argc, char** argv) {
     } else if (arg == "--jobs") {
       o.jobs = u64(i, 0, 4096);
     } else if (arg == "--csv") {
-      o.csv_dir = next(i);
+      o.csv_dir = bench::existing_dir("--csv", next(i), usage);
     } else if (arg == "--fleet-nodes") {
       o.nodes = u64(i, 2, 256);
     } else if (arg == "--fleet-vms") {

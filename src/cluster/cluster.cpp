@@ -49,7 +49,7 @@ void Cluster::wire_rack() {
   const std::size_t n = nodes_.size();
 
   // The engine rejects a topology with no positive minimum inter-node
-  // latency (a lognormal hop) before anything is wired or scheduled.
+  // latency (a zero-delay hop) before anything is wired or scheduled.
   sim::ParallelEngine::Config ecfg;
   ecfg.lookahead = config_.topology.min_internode_latency();
   engine_ = std::make_unique<sim::ParallelEngine>(ecfg);
@@ -87,18 +87,7 @@ void Cluster::wire_rack() {
   gcfg.interval = config_.global_interval > 0
                       ? config_.global_interval
                       : 2 * nodes_[0]->config().sample_interval;
-  gcfg.adaptive = config_.global_adaptive;
   gcfg.delta = config_.delta;
-  if (gcfg.adaptive.enabled) {
-    // Untouched bounds (the 1 s-geometry defaults) are re-derived from the
-    // effective global interval so scaled runs keep a sensible band.
-    const mm::IntervalControllerConfig defaults;
-    if (gcfg.adaptive.min_interval == defaults.min_interval &&
-        gcfg.adaptive.max_interval == defaults.max_interval) {
-      gcfg.adaptive.min_interval = gcfg.interval / 2;
-      gcfg.adaptive.max_interval = gcfg.interval * 4;
-    }
-  }
   gm_ = std::make_unique<GlobalManager>(
       sim_, parse_global_policy(config_.global_policy), gcfg);
 

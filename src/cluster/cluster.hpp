@@ -17,8 +17,8 @@
 // cross-shard traffic (stats roll-ups, quota vectors, lending settlement)
 // moves only at window barriers, in a deterministic total order. The
 // rack hops must have a positive minimum latency: a topology without one
-// (e.g. a lognormal hop) admits no safe window, and start() rejects it for
-// a cluster of two or more nodes.
+// (a zero-delay hop) admits no safe window, and start() rejects it for a
+// cluster of two or more nodes.
 //
 // Determinism contract: a 1-node cluster wires *nothing* beyond the node
 // itself — no GlobalManager, no broker, no inter-node channels, no stats
@@ -46,8 +46,8 @@
 namespace smartmem::cluster {
 
 struct ClusterConfig {
-  /// Inter-node fabric + per-node comm templates. topology.node_count is
-  /// informative only; the wired count is the number of add_node calls.
+  /// Inter-node fabric + per-node comm templates, applied to every node
+  /// added with add_node.
   comm::ClusterTopology topology;
 
   /// Node-level policy spec ("global-static", "global-smart[:P]").
@@ -56,12 +56,6 @@ struct ClusterConfig {
   /// Global decision interval; 0 derives twice the first node's sampling
   /// interval (rack decisions are deliberately slower than node decisions).
   SimTime global_interval = 0;
-
-  /// Adaptive cadence for the GlobalManager (same controller as the MM's
-  /// adaptive sampling interval; disabled by default). When `min_interval`/
-  /// `max_interval` are left at their defaults while `enabled` is set, the
-  /// cluster derives them from the effective global interval (x0.5 / x4).
-  mm::IntervalControllerConfig global_adaptive;
 
   /// Remote-tmem lending between nodes.
   bool lending = true;

@@ -68,13 +68,12 @@ ClusterRunResult run_cluster_scenario(const ClusterExperimentConfig& cfg) {
   const core::NodeConfig base = core::scaled_node_defaults(cfg.scale);
 
   ClusterConfig ccfg;
-  ccfg.topology.node_count = cfg.nodes;
   ccfg.topology.node_comm = base.comm;
   const auto hop = static_cast<SimTime>(5.0 *
                                         static_cast<double>(kMillisecond) *
                                         cfg.scale * cfg.internode_latency_x);
-  ccfg.topology.internode_up.latency = comm::LatencySpec::fixed_at(hop);
-  ccfg.topology.internode_down.latency = comm::LatencySpec::fixed_at(hop);
+  ccfg.topology.internode_up.latency = hop;
+  ccfg.topology.internode_down.latency = hop;
   // The latency knob is a data-plane property too: a borrowed page costs
   // the guest a lending-fabric round trip per access, so the lending hops
   // stretch by the same multiplier (unscaled by cfg.scale, like the fleet's

@@ -106,12 +106,11 @@ FleetRunResult run_fleet_scenario(const FleetExperimentConfig& cfg) {
   fw.arrival_window = 8 * base.sample_interval;
 
   ClusterConfig ccfg;
-  ccfg.topology.node_count = cfg.nodes;
   ccfg.topology.node_comm = base.comm;
   const auto hop = static_cast<SimTime>(
       5.0 * static_cast<double>(kMillisecond) * cfg.scale);
-  ccfg.topology.internode_up.latency = comm::LatencySpec::fixed_at(hop);
-  ccfg.topology.internode_down.latency = comm::LatencySpec::fixed_at(hop);
+  ccfg.topology.internode_up.latency = hop;
+  ccfg.topology.internode_down.latency = hop;
   ccfg.global_policy = cfg.global_policy;
   ccfg.global_interval = static_cast<SimTime>(
       cfg.global_interval_x * static_cast<double>(base.sample_interval));

@@ -23,10 +23,6 @@ GlobalManager::GlobalManager(sim::Simulator& sim, GlobalPolicyPtr policy,
   if (config_.interval <= 0) {
     throw std::invalid_argument("GlobalManager: interval must be positive");
   }
-  if (config_.adaptive.enabled) {
-    interval_ctl_.emplace(config_.adaptive, config_.interval);
-    config_.interval = interval_ctl_->current();  // clamped into [min,max]
-  }
 }
 
 void GlobalManager::on_node_stats(const NodeStats& stats) {
@@ -63,38 +59,10 @@ void GlobalManager::on_node_stats(const NodeStats& stats) {
 }
 
 void GlobalManager::start() {
-  ticking_ = true;
   tick_ = sim_.schedule_periodic(config_.interval, [this] { decide(); });
 }
 
-void GlobalManager::stop() {
-  ticking_ = false;
-  tick_.cancel();
-}
-
-void GlobalManager::maybe_adapt() {
-  if (!interval_ctl_) return;
-  mm::IntervalSignal sig;
-  for (const NodeStats& ns : stats_vec_) {
-    sig.failed_puts += ns.failed_puts();
-  }
-  // Roll-ups dropped for being stale are the rack uplink's congestion tell:
-  // deliveries are queueing behind each other somewhere on the fabric.
-  sig.uplink_queue_events = stale_rollups_dropped_;
-  const auto changed = interval_ctl_->on_sample(sim_.now(), sig);
-  if (!changed) return;
-  config_.interval = *changed;
-  if (ticking_) {
-    tick_.cancel();
-    tick_ = sim_.schedule_periodic(config_.interval, [this] { decide(); });
-  }
-  if (trace_ != nullptr && trace_->enabled(obs::kCatCluster)) {
-    trace_->instant(obs::kCatCluster, track_, "global_interval_change",
-                    sim_.now(),
-                    {{"interval_s", to_seconds(config_.interval)},
-                     {"failed_puts", static_cast<double>(sig.failed_puts)}});
-  }
-}
+void GlobalManager::stop() { tick_.cancel(); }
 
 void GlobalManager::decide() {
   if (stats_vec_.empty()) return;
@@ -116,12 +84,10 @@ void GlobalManager::decide() {
   // view, and the previous output was transmitted — rerunning the policy
   // could only reproduce the vector suppression would then drop. Counters
   // advance exactly as the full path would have.
-  if (config_.suppress_unchanged && audit_ == nullptr &&
-      !dirty_since_decide_ && last_sent_) {
+  if (audit_ == nullptr && !dirty_since_decide_ && last_sent_) {
     ++decisions_;
     ++clean_decides_;
     ++sends_suppressed_;
-    maybe_adapt();
     if (trace_ != nullptr && trace_->enabled(obs::kCatCluster)) {
       trace_->instant(obs::kCatCluster, track_, "global_decide", sim_.now(),
                       {{"nodes", static_cast<double>(stats_vec_.size())},
@@ -141,7 +107,6 @@ void GlobalManager::decide() {
 
   std::vector<NodeQuota> out = policy_->compute(stats_vec_, ctx);
   ++decisions_;
-  maybe_adapt();
 
   if (trace_ != nullptr && trace_->enabled(obs::kCatCluster)) {
     trace_->instant(obs::kCatCluster, track_, "global_decide", sim_.now(),
@@ -173,7 +138,7 @@ void GlobalManager::decide() {
     return;
   }
 
-  if (config_.suppress_unchanged && last_sent_ && *last_sent_ == out) {
+  if (last_sent_ && *last_sent_ == out) {
     ++sends_suppressed_;
     if (auditing) {
       record.suppressed = true;
@@ -231,9 +196,6 @@ void GlobalManager::register_metrics(obs::Registry& reg,
   reg.add_counter("gm.quota_sends_skipped", &quota_sends_skipped_);
   reg.add_gauge("gm.nodes_seen",
                 [this] { return static_cast<double>(stats_vec_.size()); });
-  reg.add_counter("gm.interval_changes", [this] {
-    return interval_ctl_ ? static_cast<double>(interval_ctl_->changes()) : 0.0;
-  });
   reg.add_gauge("gm.decision_interval_s",
                 [this] { return to_seconds(config_.interval); });
   reg.add_histogram("gm.rollup_age_intervals", &rollup_age_hist_);

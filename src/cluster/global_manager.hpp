@@ -19,7 +19,6 @@
 #include "cluster/global_policy.hpp"
 #include "cluster/node_stats.hpp"
 #include "comm/delta.hpp"
-#include "mm/interval_controller.hpp"
 #include "obs/audit.hpp"
 #include "obs/registry.hpp"
 #include "obs/trace.hpp"
@@ -28,16 +27,9 @@
 namespace smartmem::cluster {
 
 struct GlobalManagerConfig {
-  /// Initial global decision interval. The cluster driver defaults this to
-  /// twice the node sampling interval.
+  /// Global decision interval. Cluster defaults it to twice the node
+  /// sampling interval.
   SimTime interval = 2 * kSecond;
-  /// Skip transmission when the whole quota vector is unchanged.
-  bool suppress_unchanged = true;
-  /// Adaptive decision cadence — the rack-level twin of the MM's
-  /// controller. Disabled by default; the GlobalManager then ticks at the
-  /// fixed interval above. The GM owns its own periodic tick, so a change
-  /// reschedules it directly (no control message needed).
-  mm::IntervalControllerConfig adaptive;
 
   /// Quota downlink framing (DESIGN §12): between full fan-outs every
   /// resync_every quota rounds, only the nodes whose quota changed are
@@ -67,8 +59,8 @@ class GlobalManager {
   void start();
   void stop();
 
-  /// Runs one decision now (exposed for tests and the microbench; the
-  /// periodic tick calls exactly this).
+  /// Runs one decision now (exposed for tests; the periodic tick calls
+  /// exactly this).
   void decide();
 
   void attach_obs(obs::TraceRecorder* trace, obs::AuditLog* audit);
@@ -95,23 +87,13 @@ class GlobalManager {
   /// roll-up payload changed since the previous round. The global policies
   /// are pure, so the output could only equal the suppressed previous
   /// vector. Never taken while auditing (audits want the per-node
-  /// verdicts) or with suppression off.
+  /// verdicts).
   std::uint64_t clean_decides() const { return clean_decides_; }
   /// Per-node quota sends skipped because the value was unchanged
   /// (resync_every > 1 only).
   std::uint64_t quota_sends_skipped() const { return quota_sends_skipped_; }
 
-  /// nullptr when the adaptive cadence is disabled.
-  const mm::IntervalController* interval_controller() const {
-    return interval_ctl_ ? &*interval_ctl_ : nullptr;
-  }
-  /// Decision interval currently in force.
-  SimTime current_interval() const { return config_.interval; }
-
  private:
-  /// Feeds the interval controller this round's pressure signal and
-  /// reschedules the periodic tick when it answers with a new cadence.
-  void maybe_adapt();
   sim::Simulator& sim_;
   GlobalPolicyPtr policy_;
   GlobalManagerConfig config_;
@@ -146,8 +128,6 @@ class GlobalManager {
   std::uint64_t quota_sends_skipped_ = 0;
 
   sim::EventHandle tick_;
-  bool ticking_ = false;
-  std::optional<mm::IntervalController> interval_ctl_;
   obs::TraceRecorder* trace_ = nullptr;
   obs::AuditLog* audit_ = nullptr;
   obs::PolicyAuditScratch scratch_;

@@ -137,8 +137,8 @@ LendFabric::Outcome LendFabric::round_trip(NodeId borrower, NodeId donor,
       continue;
     }
 
-    // Request hop: latency draw, reorder penalty, loss.
-    SimTime req_lat = comm::sample_latency(link.req.latency, link.req_rng);
+    // Request hop: latency, reorder penalty, loss.
+    SimTime req_lat = link.req.latency;
     if (link.req.faults.reorder_rate > 0.0 &&
         link.req_rng.chance(link.req.faults.reorder_rate)) {
       req_lat += link.req.faults.reorder_extra;
@@ -169,7 +169,7 @@ LendFabric::Outcome LendFabric::round_trip(NodeId borrower, NodeId donor,
       t += cfg_.timeout;
       continue;
     }
-    SimTime resp_lat = comm::sample_latency(link.resp.latency, link.resp_rng);
+    SimTime resp_lat = link.resp.latency;
     if (link.resp.faults.reorder_rate > 0.0 &&
         link.resp_rng.chance(link.resp.faults.reorder_rate)) {
       resp_lat += link.resp.faults.reorder_extra;

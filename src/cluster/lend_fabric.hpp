@@ -5,11 +5,11 @@
 // the only way a page reaches a donor's frame. The LendFabric simulates
 // each exchange deterministically inside the borrower's partition:
 //
-//  * per-hop latency drawn from the hop's LatencySpec through a private
-//    per-(borrower, donor) Rng stream (comm::ClusterTopology::lend_*_for);
+//  * each hop's fixed latency (comm::ClusterTopology::lend_*_for);
 //  * the full fault surface — loss, reorder (a late response is
-//    indistinguishable from a lost one), outage windows mid-borrow — with a
-//    per-attempt timeout and bounded retries; exhausting the attempts is a
+//    indistinguishable from a lost one), outage windows mid-borrow — drawn
+//    from a private per-(borrower, donor) Rng stream, with a per-attempt
+//    timeout and bounded retries; exhausting the attempts is a
 //    deterministic give-up that the broker turns into a failed put;
 //  * donor-side queueing: requests on a pair serialize behind the donor's
 //    service time (donor_next_free), so bursts see rising RTTs;

@@ -1,54 +1,12 @@
 #include "comm/channel.hpp"
 
-#include <cmath>
-
 namespace smartmem::comm {
-
-SimTime sample_latency(const LatencySpec& spec, Rng& rng) {
-  switch (spec.model) {
-    case LatencyModel::kFixed:
-      return spec.fixed;
-    case LatencyModel::kUniform:
-      return static_cast<SimTime>(
-          rng.uniform_range(static_cast<std::uint64_t>(spec.lo),
-                            static_cast<std::uint64_t>(spec.hi)));
-    case LatencyModel::kLognormal: {
-      // Box-Muller; two fresh draws per sample keep the stream position a
-      // pure function of the sample count (no cached spare value).
-      const double u1 = rng.uniform_double();
-      const double u2 = rng.uniform_double();
-      // Guard log(0): uniform_double() is in [0, 1).
-      const double r = std::sqrt(-2.0 * std::log(1.0 - u1));
-      const double z = r * std::cos(2.0 * 3.141592653589793 * u2);
-      const double delay =
-          static_cast<double>(spec.fixed) * std::exp(spec.sigma * z);
-      return static_cast<SimTime>(delay);
-    }
-  }
-  return spec.fixed;
-}
-
-SimTime min_latency(const LatencySpec& spec) {
-  switch (spec.model) {
-    case LatencyModel::kFixed:
-      return spec.fixed;
-    case LatencyModel::kUniform:
-      return spec.lo;
-    case LatencyModel::kLognormal:
-      // exp(sigma * z) has no positive lower bound: draws can land
-      // arbitrarily close to zero.
-      return 0;
-  }
-  return 0;
-}
 
 void ChannelConfig::scale_times(double f) {
   auto scaled = [f](SimTime t) {
     return static_cast<SimTime>(static_cast<double>(t) * f);
   };
-  latency.fixed = scaled(latency.fixed);
-  latency.lo = scaled(latency.lo);
-  latency.hi = scaled(latency.hi);
+  latency = scaled(latency);
   faults.reorder_extra = scaled(faults.reorder_extra);
   if (faults.down_from >= 0) {
     faults.down_from = scaled(faults.down_from);

@@ -8,21 +8,21 @@
 // act on data that is roughly one sampling interval stale.
 //
 // Channel<T> models one such hop as a first-class object on the simulator:
-//  * latency distributions (fixed / uniform / lognormal), drawn from a
-//    private deterministic Rng so that parallel experiment fan-out stays
-//    bit-identical for every jobs value;
+//  * a fixed one-way latency per hop;
 //  * a bounded in-flight queue with drop-oldest / drop-newest / backpressure
 //    policies (an unbounded queue models the paper's netlink socket, whose
 //    kernel buffer in practice never fills at one message per second);
 //  * fault injection — loss, duplication, reordering, and a down-window —
 //    so policies can be tested against the delivery hazards "Flexible
-//    Swapping for the Cloud" argues cloud control paths must tolerate;
+//    Swapping for the Cloud" argues cloud control paths must tolerate,
+//    drawn from a private deterministic Rng so that parallel experiment
+//    fan-out stays bit-identical for every jobs value;
 //  * per-channel counters and a delivery-latency histogram (common/stats).
 //
-// With the default config (fixed latency, no faults, unbounded queue) a
-// channel performs exactly one simulator schedule() per send and consumes no
-// randomness, so the refactor from the hard-coded std::function hops is
-// invisible: every figure bench reproduces byte-identical output.
+// With the default config (no faults, unbounded queue) a channel performs
+// exactly one simulator schedule() per send and consumes no randomness, so
+// the refactor from the hard-coded std::function hops is invisible: every
+// figure bench reproduces byte-identical output.
 #pragma once
 
 #include <cstdint>
@@ -43,45 +43,6 @@
 
 namespace smartmem::comm {
 
-/// One-way delay model for a hop.
-enum class LatencyModel : std::uint8_t {
-  kFixed,      // always `fixed`
-  kUniform,    // uniform in [lo, hi]
-  kLognormal,  // median `fixed`, log-space stddev `sigma`
-};
-
-struct LatencySpec {
-  LatencyModel model = LatencyModel::kFixed;
-  /// kFixed: the delay. kLognormal: the median delay.
-  SimTime fixed = 100 * kMicrosecond;
-  /// kUniform bounds (inclusive).
-  SimTime lo = 50 * kMicrosecond;
-  SimTime hi = 150 * kMicrosecond;
-  /// kLognormal log-space standard deviation.
-  double sigma = 0.5;
-
-  static LatencySpec fixed_at(SimTime t) {
-    LatencySpec s;
-    s.model = LatencyModel::kFixed;
-    s.fixed = t;
-    return s;
-  }
-  static LatencySpec uniform(SimTime lo, SimTime hi) {
-    LatencySpec s;
-    s.model = LatencyModel::kUniform;
-    s.lo = lo;
-    s.hi = hi;
-    return s;
-  }
-  static LatencySpec lognormal(SimTime median, double sigma) {
-    LatencySpec s;
-    s.model = LatencyModel::kLognormal;
-    s.fixed = median;
-    s.sigma = sigma;
-    return s;
-  }
-};
-
 /// What happens when a send finds the bounded in-flight queue full.
 enum class QueuePolicy : std::uint8_t {
   kDropNewest,    // reject the new message
@@ -95,10 +56,10 @@ enum class QueuePolicy : std::uint8_t {
 struct FaultSpec {
   /// Probability a message is silently lost.
   double loss_rate = 0.0;
-  /// Probability a message is delivered twice (independent latency draws).
+  /// Probability a message is delivered twice.
   double duplication_rate = 0.0;
   /// Probability a message is delayed by `reorder_extra` on top of its
-  /// latency draw, pushing it behind later sends.
+  /// latency, pushing it behind later sends.
   double reorder_rate = 0.0;
   SimTime reorder_extra = 10 * kMillisecond;
   /// Half-open outage window [down_from, down_until): sends inside it are
@@ -114,7 +75,8 @@ struct FaultSpec {
 
 struct ChannelConfig {
   std::string name = "chan";
-  LatencySpec latency;
+  /// One-way delay of every delivery.
+  SimTime latency = 100 * kMicrosecond;
   FaultSpec faults;
   /// Maximum in-flight (sent, not yet delivered) messages. 0 = unbounded.
   std::size_t queue_capacity = 0;
@@ -169,15 +131,6 @@ struct Backpressure {
   std::uint64_t dropped_queue = 0;  // cumulative queue-full victims
   std::uint64_t backpressured = 0;  // cumulative refused sends
 };
-
-/// Draws one one-way delay from `spec` (exposed for tests and benches).
-SimTime sample_latency(const LatencySpec& spec, Rng& rng);
-
-/// Hard lower bound of `spec`: no draw from sample_latency can come out
-/// smaller. This is what the parallel engine's lookahead is derived from —
-/// a lognormal hop has no positive lower bound and returns 0, which the
-/// engine rejects (conservative sync needs a safe window).
-SimTime min_latency(const LatencySpec& spec);
 
 /// Queue-policy <-> flag-string helpers for bench front-ends. parse returns
 /// false (leaving `out` untouched) on an unknown name.
@@ -256,7 +209,7 @@ class Channel {
     }
     ++stats_.sent;
     if (sizer_) stats_.payload_bytes += sizer_(msg);
-    SimTime delay = sample_latency(config_.latency, rng_);
+    SimTime delay = config_.latency;
     if (f.reorder_rate > 0.0 && rng_.chance(f.reorder_rate)) {
       ++stats_.reordered;
       delay += f.reorder_extra;
@@ -264,7 +217,7 @@ class Channel {
     schedule_delivery(msg, delay);
     if (f.duplication_rate > 0.0 && rng_.chance(f.duplication_rate)) {
       ++stats_.duplicated;
-      schedule_delivery(msg, sample_latency(config_.latency, rng_));
+      schedule_delivery(msg, config_.latency);
     }
     return SendResult::kQueued;
   }
@@ -300,9 +253,9 @@ class Channel {
   /// Makes the channel span two engine shards: the sender side (this
   /// channel's simulator, stats, RNG, trace) lives on shard `src`, while the
   /// receiver closure is carried to shard `dst` through the engine's staged
-  /// outboxes. The channel's minimum latency must be >= the engine lookahead
-  /// for the conservative window to stay safe — callers derive the lookahead
-  /// from min_latency() over every cross-shard hop. kDropOldest with a
+  /// outboxes. The channel's latency must be >= the engine lookahead for
+  /// the conservative window to stay safe — callers derive the lookahead
+  /// from the minimum latency over every cross-shard hop. kDropOldest with a
   /// bounded queue is rejected: cancelling the oldest in-flight message
   /// cannot reach into a peer shard's already-staged delivery.
   void bind_cross_shard(sim::ParallelEngine* engine, std::size_t src_shard,

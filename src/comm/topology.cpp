@@ -18,15 +18,15 @@ ClusterTopology::ClusterTopology() {
   internode_down.name = "gm_down";
   // Crossing the rack fabric: ~50x the intra-node hop, still far below the
   // sampling interval so quota decisions stay one global interval stale.
-  internode_up.latency = LatencySpec::fixed_at(5 * kMillisecond);
-  internode_down.latency = LatencySpec::fixed_at(5 * kMillisecond);
+  internode_up.latency = 5 * kMillisecond;
+  internode_down.latency = 5 * kMillisecond;
   // The lending data plane bypasses the switch path: RDMA-class per-hop
   // latency, so a fault-free round trip (req + donor service + resp) costs
   // 85 us: about 5x the NVM tier, below the virtual disk's 150 us access.
   internode_lend_req.name = "lend_req";
-  internode_lend_req.latency = LatencySpec::fixed_at(40 * kMicrosecond);
+  internode_lend_req.latency = 40 * kMicrosecond;
   internode_lend_resp.name = "lend_resp";
-  internode_lend_resp.latency = LatencySpec::fixed_at(40 * kMicrosecond);
+  internode_lend_resp.latency = 40 * kMicrosecond;
 }
 
 CommConfig ClusterTopology::node_comm_for(std::size_t node) const {
@@ -89,28 +89,12 @@ ChannelConfig ClusterTopology::lend_resp_for(std::size_t borrower,
 }
 
 SimTime ClusterTopology::min_internode_latency() const {
-  // Templates plus every override — deliberately independent of node_count
-  // (which is informative only), so the answer is conservative when an
+  // Templates plus every override, so the answer is conservative when an
   // override replaces the template on every node.
-  SimTime lo = std::min(min_latency(internode_up.latency),
-                        min_latency(internode_down.latency));
-  for (const auto& [node, c] : up_overrides) {
-    lo = std::min(lo, min_latency(c.latency));
-  }
-  for (const auto& [node, c] : down_overrides) {
-    lo = std::min(lo, min_latency(c.latency));
-  }
+  SimTime lo = std::min(internode_up.latency, internode_down.latency);
+  for (const auto& [node, c] : up_overrides) lo = std::min(lo, c.latency);
+  for (const auto& [node, c] : down_overrides) lo = std::min(lo, c.latency);
   return lo;
-}
-
-void ClusterTopology::scale_times(double f) {
-  node_comm.scale_times(f);
-  internode_up.scale_times(f);
-  internode_down.scale_times(f);
-  internode_lend_req.scale_times(f);
-  internode_lend_resp.scale_times(f);
-  for (auto& [node, c] : up_overrides) c.scale_times(f);
-  for (auto& [node, c] : down_overrides) c.scale_times(f);
 }
 
 }  // namespace smartmem::comm

@@ -4,15 +4,15 @@
 // pair into a rack: N VirtualNodes, each keeping its private intra-node
 // control plane (VIRQ/netlink/hypercall, modeled by CommConfig), plus one
 // extra hop pair per node crossing the rack fabric to the rack-level
-// GlobalManager. The inter-node hops are ordinary Channel<T>s — every
-// latency model, fault knob and queue policy applies — just with a default
-// latency in the milliseconds (a switch traversal, not a VM exit).
+// GlobalManager. The inter-node hops are ordinary Channel<T>s — every fault
+// knob and queue policy applies — just with a default latency in the
+// milliseconds (a switch traversal, not a VM exit).
 //
 // Determinism contract: node_comm_for(0) returns `node_comm` verbatim, so a
 // one-node cluster derives exactly the channel seeds the single-node path
 // derives and reproduces its output byte-for-byte. Higher nodes remix the
-// seed through splitmix64 so their fault/latency draws are independent but
-// still pure functions of (topology seed, node index).
+// seed through splitmix64 so their fault draws are independent but still
+// pure functions of (topology seed, node index).
 #pragma once
 
 #include <cstddef>
@@ -26,13 +26,11 @@ namespace smartmem::comm {
 /// finalizer; exposed for tests that assert stream independence).
 std::uint64_t derive_seed(std::uint64_t base, std::uint64_t salt);
 
-/// Static description of a rack: how many nodes, what each node's internal
-/// control plane looks like, and what the inter-node hops to the rack-level
-/// GlobalManager look like. Pure configuration — the cluster subsystem
-/// instantiates the actual channels from it.
+/// Static description of a rack: what each node's internal control plane
+/// looks like, and what the inter-node hops to the rack-level GlobalManager
+/// look like. Pure configuration — the cluster subsystem instantiates the
+/// actual channels from it, one set per node it builds.
 struct ClusterTopology {
-  std::size_t node_count = 1;
-
   /// Template for every node's intra-node control plane. Node 0 uses it
   /// verbatim (single-node byte-identity); nodes >= 1 get a remixed seed.
   CommConfig node_comm;
@@ -75,17 +73,14 @@ struct ClusterTopology {
   /// Lending-hop configs for the ordered (borrower, donor) pair: the
   /// request hop and the response hop. Named "n<b>.d<d>.lend_req/resp";
   /// when the template's seed is 0 each pair derives an independent stream
-  /// from the topology seed, so fault/latency draws on one pair never
-  /// perturb another (borrower partitions stay shard-local).
+  /// from the topology seed, so fault draws on one pair never perturb
+  /// another (borrower partitions stay shard-local).
   ChannelConfig lend_req_for(std::size_t borrower, std::size_t donor) const;
   ChannelConfig lend_resp_for(std::size_t borrower, std::size_t donor) const;
 
-  /// Scales every time constant (templates and overrides) by `f`.
-  void scale_times(double f);
-
   /// Minimum latency over every inter-node hop (uplink and downlink of each
   /// node, overrides included) — the safe lookahead for the parallel
-  /// engine's conservative windows. 0 (e.g. a lognormal hop) means no safe
+  /// engine's conservative windows. 0 (a zero-delay hop) means no safe
   /// window exists and the engine will refuse to run sharded.
   ///
   /// The lending data-plane hops are deliberately excluded: borrow round

@@ -61,7 +61,6 @@ ScenarioResult run_scenario(const ScenarioSpec& scenario,
     vm.durations = derive_durations(vm.milestones);
     vm.guest = node->kernel(id).stats();
     vm.vm_data = node->hypervisor().vm_data(id);
-    vm.disk = node->disk(id).stats();
     result.vms.push_back(std::move(vm));
   }
   return result;

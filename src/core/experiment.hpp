@@ -32,7 +32,6 @@ struct VmResult {
   std::vector<std::pair<std::string, double>> durations;
   guest::GuestStats guest;
   hyper::VmData vm_data;  // cumulative hypervisor counters at end of run
-  sim::DiskStats disk;
 };
 
 struct ScenarioResult {

@@ -158,12 +158,10 @@ void VcpuRunner::run_batch() {
   auto release_core = [&](SimTime compute_end) {
     if (config_.cpu) config_.cpu->occupy(batch_start, compute_end);
     // Hottest span family in the whole stack (one per executed batch):
-    // compile-gated, cached-category, 1-in-N sampled.
-    if constexpr (obs::kHotPathTraceCompiled) {
-      if (trace_guest_ && compute_end > batch_start) {
-        trace_->sampled_span(obs::kCatGuest, trace_track_, "vcpu_batch",
-                             batch_start, compute_end - batch_start);
-      }
+    // cached-category, 1-in-N sampled.
+    if (trace_guest_ && compute_end > batch_start) {
+      trace_->sampled_span(obs::kCatGuest, trace_track_, "vcpu_batch",
+                           batch_start, compute_end - batch_start);
     }
   };
 

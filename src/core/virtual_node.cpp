@@ -28,7 +28,9 @@ class LogClockGuard {
 }  // namespace
 
 VirtualNode::VirtualNode(NodeConfig config)
-    : config_(std::move(config)), cpu_pool_(config_.physical_cores) {
+    : config_(std::move(config)),
+      cpu_pool_(config_.physical_cores),
+      disk_(sim_, config_.disk) {
   if (config_.obs.any()) {
     observer_ = std::make_unique<obs::Observer>(config_.obs);
   }
@@ -51,9 +53,6 @@ VirtualNode::VirtualNode(NodeConfig config)
                                  ? hyper::DefaultTargetMode::kEqualShare
                                  : hyper::DefaultTargetMode::kUnlimited;
   hyp_ = std::make_unique<hyper::Hypervisor>(sim_, hcfg);
-  if (config_.shared_disk) {
-    shared_disk_ = std::make_unique<sim::DiskDevice>(sim_, config_.disk);
-  }
 
   if (config_.policy.needs_manager()) {
     mm::ManagerConfig mcfg;
@@ -98,12 +97,6 @@ VmId VirtualNode::add_vm(VmSpec spec) {
   vm.name = spec.name.empty() ? ("VM" + std::to_string(id)) : spec.name;
   vm.start_delay = spec.start_delay;
   vm.manual_start = spec.manual_start;
-  if (config_.shared_disk) {
-    vm.disk = shared_disk_.get();
-  } else {
-    vm.owned_disk = std::make_unique<sim::DiskDevice>(sim_, config_.disk);
-    vm.disk = vm.owned_disk.get();
-  }
 
   guest::GuestConfig gcfg;
   gcfg.vm = id;
@@ -116,7 +109,7 @@ VmId VirtualNode::add_vm(VmSpec spec) {
   gcfg.zero_write_period = config_.zero_write_period;
   gcfg.swap_readahead = config_.swap_readahead;
   gcfg.costs = config_.costs;
-  vm.kernel = std::make_unique<guest::GuestKernel>(sim_, *hyp_, *vm.disk, gcfg);
+  vm.kernel = std::make_unique<guest::GuestKernel>(sim_, *hyp_, disk_, gcfg);
 
   VcpuConfig vcfg;
   vcfg.batch_budget = config_.batch_budget;

@@ -1,7 +1,7 @@
 // VirtualNode: the whole single-server SmarTmem stack wired together.
 //
 // One VirtualNode owns the discrete-event simulator, the hypervisor with its
-// tmem store, one guest kernel + virtual disk + vCPU per VM, and — when the
+// tmem store, the host disk, one guest kernel + vCPU per VM, and — when the
 // selected policy requires it — the TKM and the Memory Manager process.
 // This is the top-level object library users interact with; the scenario
 // runner and all benches are built on it.
@@ -121,12 +121,6 @@ struct NodeConfig {
   /// (every vCPU has a dedicated core).
   unsigned physical_cores = 2;
 
-  /// One physical disk behind every VM's virtual disk (the paper's testbed
-  /// runs all VMs on a single host drive): a thrashing VM's swap traffic
-  /// then queues behind every other VM's. false gives each VM its own
-  /// independent device.
-  bool shared_disk = true;
-
   /// Observability: sim-time tracing, metrics registry and decision audit.
   /// All off by default — the node then allocates no Observer at all and
   /// every instrumentation site reduces to one null-pointer test.
@@ -199,7 +193,13 @@ class VirtualNode {
   const VcpuRunner& runner(VmId vm) const { return *slot(vm).runner; }
   guest::GuestKernel& kernel(VmId vm) { return *slot(vm).kernel; }
   const guest::GuestKernel& kernel(VmId vm) const { return *slot(vm).kernel; }
-  sim::DiskDevice& disk(VmId vm) { return *slot(vm).disk; }
+  /// The disk behind `vm`'s virtual disk: the node's one host drive, shared
+  /// by every VM as on the paper's testbed, so a thrashing VM's swap
+  /// traffic queues behind every other VM's.
+  sim::DiskDevice& disk(VmId vm) {
+    slot(vm);  // rejects an unknown VM
+    return disk_;
+  }
   const std::string& vm_name(VmId vm) const { return slot(vm).name; }
   std::vector<VmId> vm_ids() const;
 
@@ -217,8 +217,6 @@ class VirtualNode {
  private:
   struct VmSlot {
     std::string name;
-    std::unique_ptr<sim::DiskDevice> owned_disk;  // per-VM disk mode only
-    sim::DiskDevice* disk = nullptr;
     std::unique_ptr<guest::GuestKernel> kernel;
     std::unique_ptr<VcpuRunner> runner;
     SimTime start_delay = 0;
@@ -236,7 +234,7 @@ class VirtualNode {
   NodeConfig config_;
   sim::Simulator sim_;
   sim::CpuPool cpu_pool_;
-  std::unique_ptr<sim::DiskDevice> shared_disk_;
+  sim::DiskDevice disk_;
   std::unique_ptr<hyper::Hypervisor> hyp_;
   std::unique_ptr<mm::MemoryManager> manager_;
   std::unique_ptr<guest::Tkm> tkm_;

@@ -456,18 +456,16 @@ void Hypervisor::sample_tick() {
                        {"free", static_cast<double>(stats.free_tmem)}});
     }
     // Per-VM interval spans, one per VM per tick — the second-hottest span
-    // family after vcpu_batch: compile-gated, cached-category, 1-in-N
-    // sampled (each VM's track samples independently).
-    if constexpr (obs::kHotPathTraceCompiled) {
-      if (trace_tmem_) {
-        for (const auto& [id, data] : vms_) {
-          trace_->sampled_span(
-              obs::kCatTmem, vm_track(id), "tmem_interval", last_sample_tick_,
-              now - last_sample_tick_,
-              {{"puts", static_cast<double>(data.puts_total)},
-               {"gets", static_cast<double>(data.gets_total)},
-               {"used", static_cast<double>(store_.vm_pages(id))}});
-        }
+    // family after vcpu_batch: cached-category, 1-in-N sampled (each VM's
+    // track samples independently).
+    if (trace_tmem_) {
+      for (const auto& [id, data] : vms_) {
+        trace_->sampled_span(
+            obs::kCatTmem, vm_track(id), "tmem_interval", last_sample_tick_,
+            now - last_sample_tick_,
+            {{"puts", static_cast<double>(data.puts_total)},
+             {"gets", static_cast<double>(data.gets_total)},
+             {"used", static_cast<double>(store_.vm_pages(id))}});
       }
     }
     last_sample_tick_ = now;

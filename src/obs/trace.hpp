@@ -61,16 +61,6 @@ struct TraceConfig {
   std::uint64_t sample_every = 1;
 };
 
-/// Compile-time gate for the hot guest-path span call sites (vcpu_batch,
-/// tmem_interval): building with -DSMARTMEM_NO_HOTPATH_TRACE folds them out
-/// entirely — the branch, the argument marshalling, everything — for
-/// overhead-floor builds. All other instrumentation is unaffected.
-#if defined(SMARTMEM_NO_HOTPATH_TRACE)
-inline constexpr bool kHotPathTraceCompiled = false;
-#else
-inline constexpr bool kHotPathTraceCompiled = true;
-#endif
-
 /// One argument attached to an event. Keys are static strings; values are
 /// doubles (counters stay exact up to 2^53).
 struct TraceArg {

@@ -23,10 +23,9 @@
 // sequence) order. That total order — never the order in which shards
 // happened to run — decides destination-side sequence numbers.
 //
-// Zero lookahead is rejected outright (an unbounded-tail latency model such
-// as lognormal gives no safe window), and the engine skips idle stretches by
-// starting each window at the globally earliest pending event instead of
-// marching in fixed W steps.
+// Zero lookahead is rejected outright (a zero-delay hop gives no safe
+// window), and the engine skips idle stretches by starting each window at
+// the globally earliest pending event instead of marching in fixed W steps.
 #pragma once
 
 #include <cstddef>

@@ -109,11 +109,8 @@ TEST(LendTeardownTest, ClusterTeardownCancelsMidFlightBorrows) {
   // barrier, so run() goes straight to teardown, which must cancel the
   // timers exactly as Tkm::stop() cancels pending deliveries.
   ClusterConfig ccfg;
-  ccfg.topology.node_count = 2;
-  ccfg.topology.internode_lend_req.latency =
-      comm::LatencySpec::fixed_at(10 * kMillisecond);
-  ccfg.topology.internode_lend_resp.latency =
-      comm::LatencySpec::fixed_at(10 * kMillisecond);
+  ccfg.topology.internode_lend_req.latency = 10 * kMillisecond;
+  ccfg.topology.internode_lend_resp.latency = 10 * kMillisecond;
   ccfg.lending_async.cache_pages = 8;
   ccfg.lending_async.timeout = 100 * kMillisecond;  // no retries
   Cluster cluster(std::move(ccfg));

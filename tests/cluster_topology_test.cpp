@@ -1,8 +1,8 @@
 // ClusterTopology: single-node byte-identity of the node-0 config, seed
 // derivation and independence for higher nodes, per-node override semantics
-// (latency asymmetry), outage isolation between per-node channels, time
-// scaling, and the rack's input contract (a multi-node Cluster needs a
-// positive minimum inter-node latency).
+// (latency asymmetry), outage isolation between per-node channels, and the
+// rack's input contract (a multi-node Cluster needs a positive minimum
+// inter-node latency).
 #include "comm/topology.hpp"
 
 #include <gtest/gtest.h>
@@ -20,11 +20,11 @@ namespace {
 TEST(ClusterTopologyTest, NodeZeroCommIsVerbatim) {
   ClusterTopology topo;
   topo.node_comm.seed = 0x1234;
-  topo.node_comm.uplink.latency = LatencySpec::fixed_at(123 * kMicrosecond);
+  topo.node_comm.uplink.latency = 123 * kMicrosecond;
   const CommConfig c = topo.node_comm_for(0);
   EXPECT_EQ(c.seed, 0x1234u);
   EXPECT_EQ(c.uplink.name, topo.node_comm.uplink.name);
-  EXPECT_EQ(c.uplink.latency.fixed, 123 * kMicrosecond);
+  EXPECT_EQ(c.uplink.latency, 123 * kMicrosecond);
 }
 
 TEST(ClusterTopologyTest, HigherNodesGetIndependentDerivedSeeds) {
@@ -42,13 +42,12 @@ TEST(ClusterTopologyTest, HigherNodesGetIndependentDerivedSeeds) {
 
 TEST(ClusterTopologyTest, InternodeChannelsGetPrefixedNamesAndDistinctSeeds) {
   ClusterTopology topo;
-  topo.node_count = 4;
   EXPECT_EQ(topo.uplink_for(0).name, "n0.gm_up");
   EXPECT_EQ(topo.downlink_for(0).name, "n0.gm_down");
   EXPECT_EQ(topo.uplink_for(3).name, "n3.gm_up");
 
   std::vector<std::uint64_t> seeds;
-  for (std::size_t n = 0; n < topo.node_count; ++n) {
+  for (std::size_t n = 0; n < 4; ++n) {
     seeds.push_back(topo.uplink_for(n).seed);
     seeds.push_back(topo.downlink_for(n).seed);
   }
@@ -72,12 +71,12 @@ TEST(ClusterTopologyTest, ExplicitChannelSeedIsKept) {
 TEST(ClusterTopologyTest, OverrideReplacesTemplateAndKeepsDerivation) {
   ClusterTopology topo;
   ChannelConfig slow = topo.internode_up;
-  slow.latency = LatencySpec::fixed_at(50 * kMillisecond);
+  slow.latency = 50 * kMillisecond;
   topo.up_overrides[1] = slow;
 
   // Asymmetric topology: node 1's uplink is 10x slower, node 0 untouched.
-  EXPECT_EQ(topo.uplink_for(0).latency.fixed, 5 * kMillisecond);
-  EXPECT_EQ(topo.uplink_for(1).latency.fixed, 50 * kMillisecond);
+  EXPECT_EQ(topo.uplink_for(0).latency, 5 * kMillisecond);
+  EXPECT_EQ(topo.uplink_for(1).latency, 50 * kMillisecond);
   // Name prefix and seed derivation are applied to the override too.
   EXPECT_EQ(topo.uplink_for(1).name, "n1.gm_up");
   EXPECT_EQ(topo.uplink_for(1).seed, derive_seed(topo.seed, (1ULL << 1) | 0));
@@ -86,7 +85,7 @@ TEST(ClusterTopologyTest, OverrideReplacesTemplateAndKeepsDerivation) {
 TEST(ClusterTopologyTest, PerNodeLatencyAsymmetryReachesTheWire) {
   ClusterTopology topo;
   ChannelConfig slow = topo.internode_up;
-  slow.latency = LatencySpec::fixed_at(40 * kMillisecond);
+  slow.latency = 40 * kMillisecond;
   topo.up_overrides[1] = slow;
 
   sim::Simulator sim;
@@ -130,22 +129,11 @@ TEST(ClusterTopologyTest, NodeOutageDoesNotDropOtherNodesTraffic) {
   EXPECT_EQ(delivered1, 3);
 }
 
-TEST(ClusterTopologyTest, ScaleTimesCoversTemplatesAndOverrides) {
-  ClusterTopology topo;
-  ChannelConfig slow = topo.internode_up;
-  slow.latency = LatencySpec::fixed_at(50 * kMillisecond);
-  topo.up_overrides[1] = slow;
-  topo.scale_times(0.5);
-  EXPECT_EQ(topo.uplink_for(0).latency.fixed, 5 * kMillisecond / 2);
-  EXPECT_EQ(topo.uplink_for(1).latency.fixed, 25 * kMillisecond);
-  EXPECT_EQ(topo.downlink_for(0).latency.fixed, 5 * kMillisecond / 2);
-}
-
 // ---- Rack input contract -----------------------------------------------
 
-ClusterTopology lognormal_rack() {
+ClusterTopology zero_delay_rack() {
   ClusterTopology topo;
-  topo.internode_up.latency = LatencySpec::lognormal(5 * kMillisecond, 0.5);
+  topo.internode_up.latency = 0;
   return topo;
 }
 
@@ -168,11 +156,11 @@ core::VmSpec tiny_vm() {
   return vm;
 }
 
-TEST(RackContractTest, LognormalRackHopRejectedBeforeAnyEventRuns) {
-  // An unbounded-tail hop gives the engine no safe window: a 2-node rack
-  // must refuse to start rather than run unsynchronized shards.
+TEST(RackContractTest, ZeroDelayRackHopRejectedBeforeAnyEventRuns) {
+  // A zero-delay hop gives the engine no safe window: a 2-node rack must
+  // refuse to start rather than run unsynchronized shards.
   cluster::ClusterConfig cfg;
-  cfg.topology = lognormal_rack();
+  cfg.topology = zero_delay_rack();
   ASSERT_EQ(cfg.topology.min_internode_latency(), 0);
   cluster::Cluster rack(std::move(cfg));
   rack.add_node(tiny_node());
@@ -187,10 +175,10 @@ TEST(RackContractTest, LognormalRackHopRejectedBeforeAnyEventRuns) {
 }
 
 TEST(RackContractTest, SingleNodeRunsOnAnyRackTopology) {
-  // One node wires no rack hop at all, so the topology's latency model is
+  // One node wires no rack hop at all, so the topology's hop latency is
   // irrelevant: the node runs its plain single-node stack.
   cluster::ClusterConfig cfg;
-  cfg.topology = lognormal_rack();
+  cfg.topology = zero_delay_rack();
   cluster::Cluster rack(std::move(cfg));
   rack.add_node(tiny_node());
   const VmId vm = rack.node(0).add_vm(tiny_vm());

@@ -1,4 +1,4 @@
-// Channel<T>: latency models, bounded-queue policies, fault injection
+// Channel<T>: fixed-latency delivery, bounded-queue policies, fault injection
 // (loss / duplication / reordering / down-window), close() quiescence and
 // the per-channel counters.
 #include "comm/channel.hpp"
@@ -29,7 +29,7 @@ ChannelConfig base_config() {
 
 TEST(ChannelTest, FixedLatencyDeliversInOrder) {
   auto cfg = base_config();
-  cfg.latency = LatencySpec::fixed_at(250 * kMicrosecond);
+  cfg.latency = 250 * kMicrosecond;
   Harness h(cfg);
 
   EXPECT_EQ(h.chan.send(1), SendResult::kQueued);
@@ -45,52 +45,6 @@ TEST(ChannelTest, FixedLatencyDeliversInOrder) {
   EXPECT_EQ(h.chan.stats().latency.count(), 2u);
   EXPECT_DOUBLE_EQ(h.chan.stats().latency.mean(), 250.0);
   EXPECT_EQ(h.chan.stats().latency_hist.total(), 2u);
-}
-
-TEST(ChannelTest, UniformLatencyStaysInBoundsAndIsSeedDeterministic) {
-  auto cfg = base_config();
-  cfg.latency = LatencySpec::uniform(100 * kMicrosecond, 900 * kMicrosecond);
-
-  std::vector<SimTime> first;
-  for (int round = 0; round < 2; ++round) {
-    Harness h(cfg);
-    for (int i = 0; i < 64; ++i) {
-      h.chan.send(i);
-      h.sim.run();  // drain so arrival time == latency draw
-      ASSERT_EQ(h.received.size(), static_cast<std::size_t>(i + 1));
-    }
-    std::vector<SimTime> latencies;
-    SimTime prev = 0;
-    for (const auto& [msg, when] : h.received) {
-      (void)msg;
-      latencies.push_back(when - prev);
-      prev = when;
-    }
-    for (SimTime l : latencies) {
-      EXPECT_GE(l, 100 * kMicrosecond);
-      EXPECT_LE(l, 900 * kMicrosecond);
-    }
-    if (round == 0) {
-      first = latencies;
-    } else {
-      EXPECT_EQ(first, latencies) << "same seed must reproduce the stream";
-    }
-  }
-}
-
-TEST(ChannelTest, LognormalLatencyIsPositiveAndSpread) {
-  auto cfg = base_config();
-  cfg.latency = LatencySpec::lognormal(kMillisecond, 0.8);
-  Rng rng(7);
-  RunningStats draws;
-  for (int i = 0; i < 512; ++i) {
-    const SimTime d = sample_latency(cfg.latency, rng);
-    ASSERT_GE(d, 0);
-    draws.add(static_cast<double>(d));
-  }
-  // Median ~1 ms; with sigma 0.8 the spread must be visible on both sides.
-  EXPECT_LT(draws.min(), static_cast<double>(kMillisecond));
-  EXPECT_GT(draws.max(), static_cast<double>(kMillisecond));
 }
 
 TEST(ChannelTest, TotalLossDropsEverything) {
@@ -134,7 +88,7 @@ TEST(ChannelTest, DuplicationDeliversTwice) {
 
 TEST(ChannelTest, ReorderPenaltyDelaysDelivery) {
   auto cfg = base_config();
-  cfg.latency = LatencySpec::fixed_at(100 * kMicrosecond);
+  cfg.latency = 100 * kMicrosecond;
   cfg.faults.reorder_rate = 1.0;
   cfg.faults.reorder_extra = 10 * kMillisecond;
   Harness h(cfg);
@@ -151,7 +105,7 @@ TEST(ChannelTest, ReorderingInvertsDeliveryOrder) {
   // penalty far larger than the send spacing, any penalised message is
   // overtaken by its unpenalised successor.
   auto cfg = base_config();
-  cfg.latency = LatencySpec::fixed_at(100 * kMicrosecond);
+  cfg.latency = 100 * kMicrosecond;
   cfg.faults.reorder_rate = 0.5;
   cfg.faults.reorder_extra = 50 * kMillisecond;
   Harness h(cfg);
@@ -174,7 +128,7 @@ TEST(ChannelTest, ReorderingInvertsDeliveryOrder) {
 
 TEST(ChannelTest, DownWindowDropsSendsInsideIt) {
   auto cfg = base_config();
-  cfg.latency = LatencySpec::fixed_at(10 * kMicrosecond);
+  cfg.latency = 10 * kMicrosecond;
   cfg.faults.down_from = kMillisecond;
   cfg.faults.down_until = 2 * kMillisecond;
   Harness h(cfg);
@@ -193,7 +147,7 @@ TEST(ChannelTest, DownWindowDropsSendsInsideIt) {
 
 TEST(ChannelTest, BoundedQueueDropNewestRejectsOverflow) {
   auto cfg = base_config();
-  cfg.latency = LatencySpec::fixed_at(kMillisecond);
+  cfg.latency = kMillisecond;
   cfg.queue_capacity = 2;
   cfg.queue_policy = QueuePolicy::kDropNewest;
   Harness h(cfg);
@@ -211,7 +165,7 @@ TEST(ChannelTest, BoundedQueueDropNewestRejectsOverflow) {
 
 TEST(ChannelTest, BoundedQueueDropOldestCancelsHead) {
   auto cfg = base_config();
-  cfg.latency = LatencySpec::fixed_at(kMillisecond);
+  cfg.latency = kMillisecond;
   cfg.queue_capacity = 2;
   cfg.queue_policy = QueuePolicy::kDropOldest;
   Harness h(cfg);
@@ -230,7 +184,7 @@ TEST(ChannelTest, BoundedQueueDropOldestCancelsHead) {
 
 TEST(ChannelTest, BackpressureRefusesUntilASlotFrees) {
   auto cfg = base_config();
-  cfg.latency = LatencySpec::fixed_at(kMillisecond);
+  cfg.latency = kMillisecond;
   cfg.queue_capacity = 1;
   cfg.queue_policy = QueuePolicy::kBackpressure;
   Harness h(cfg);
@@ -247,7 +201,7 @@ TEST(ChannelTest, BackpressureRefusesUntilASlotFrees) {
 
 TEST(ChannelTest, CloseCancelsInFlightAndRefusesSends) {
   auto cfg = base_config();
-  cfg.latency = LatencySpec::fixed_at(kMillisecond);
+  cfg.latency = kMillisecond;
   Harness h(cfg);
 
   h.chan.send(1);
@@ -264,16 +218,12 @@ TEST(ChannelTest, CloseCancelsInFlightAndRefusesSends) {
 
 TEST(ChannelTest, ScaleTimesShrinksEveryTimeConstant) {
   ChannelConfig cfg;
-  cfg.latency = LatencySpec::fixed_at(100 * kMicrosecond);
-  cfg.latency.lo = 80 * kMicrosecond;
-  cfg.latency.hi = 120 * kMicrosecond;
+  cfg.latency = 100 * kMicrosecond;
   cfg.faults.reorder_extra = 10 * kMillisecond;
   cfg.faults.down_from = kSecond;
   cfg.faults.down_until = 2 * kSecond;
   cfg.scale_times(0.5);
-  EXPECT_EQ(cfg.latency.fixed, 50 * kMicrosecond);
-  EXPECT_EQ(cfg.latency.lo, 40 * kMicrosecond);
-  EXPECT_EQ(cfg.latency.hi, 60 * kMicrosecond);
+  EXPECT_EQ(cfg.latency, 50 * kMicrosecond);
   EXPECT_EQ(cfg.faults.reorder_extra, 5 * kMillisecond);
   EXPECT_EQ(cfg.faults.down_from, kSecond / 2);
   EXPECT_EQ(cfg.faults.down_until, kSecond);

@@ -145,13 +145,13 @@ INSTANTIATE_TEST_SUITE_P(Scenarios, ParallelDeterminismTest,
                          ::testing::Values(&scenario1, &usemem_scenario));
 
 // The comm channels draw from their own per-repetition Rngs, so even a
-// heavily faulted control plane — random latencies, loss, duplication,
-// reordering, a tiny bounded queue — must fan out bit-identically.
+// heavily faulted control plane — slow hops, loss, duplication, reordering,
+// a tiny bounded queue — must fan out bit-identically.
 TEST(ParallelDeterminismTest, FaultInjectedChannelsStayDeterministic) {
   const ScenarioSpec spec = scenario1(0.03125);
   NodeConfig cfg = scaled_node_defaults(0.03125);
   for (comm::ChannelConfig* ch : {&cfg.comm.uplink, &cfg.comm.downlink}) {
-    ch->latency = comm::LatencySpec::uniform(kMillisecond, 20 * kMillisecond);
+    ch->latency = 10 * kMillisecond;
     ch->faults.loss_rate = 0.05;
     ch->faults.duplication_rate = 0.05;
     ch->faults.reorder_rate = 0.2;

@@ -227,19 +227,10 @@ TEST(VirtualNodeTest, DeadlineStopsRunaways) {
 }
 
 TEST(VirtualNodeTest, SharedDiskIsSingleDevice) {
-  NodeConfig cfg = tiny_node(mm::PolicySpec::greedy());
-  cfg.shared_disk = true;
-  VirtualNode node(cfg);
+  VirtualNode node(tiny_node(mm::PolicySpec::greedy()));
   node.add_vm(tiny_vm("VM1", {MemOp::marker("m")}));
   node.add_vm(tiny_vm("VM2", {MemOp::marker("m")}));
   EXPECT_EQ(&node.disk(1), &node.disk(2));
-
-  NodeConfig cfg2 = tiny_node(mm::PolicySpec::greedy());
-  cfg2.shared_disk = false;
-  VirtualNode node2(cfg2);
-  node2.add_vm(tiny_vm("VM1", {MemOp::marker("m")}));
-  node2.add_vm(tiny_vm("VM2", {MemOp::marker("m")}));
-  EXPECT_NE(&node2.disk(1), &node2.disk(2));
 }
 
 TEST(VirtualNodeTest, AddVmAfterStartThrows) {

@@ -12,8 +12,8 @@ namespace {
 comm::CommConfig comm_config(SimTime uplink_latency = 100 * kMicrosecond,
                              SimTime downlink_latency = 100 * kMicrosecond) {
   comm::CommConfig cfg;
-  cfg.uplink.latency = comm::LatencySpec::fixed_at(uplink_latency);
-  cfg.downlink.latency = comm::LatencySpec::fixed_at(downlink_latency);
+  cfg.uplink.latency = uplink_latency;
+  cfg.downlink.latency = downlink_latency;
   return cfg;
 }
 

@@ -32,8 +32,7 @@ constexpr double kTinyScale = 0.0625;
 /// in-flight messages.
 NodeConfig livelock_config(std::size_t capacity = 3) {
   NodeConfig cfg = scaled_node_defaults(kTinyScale);
-  cfg.comm.uplink.latency =
-      comm::LatencySpec::fixed_at(cfg.sample_interval * 5 / 2);
+  cfg.comm.uplink.latency = cfg.sample_interval * 5 / 2;
   cfg.comm.uplink.queue_capacity = capacity;
   cfg.comm.uplink.queue_policy = comm::QueuePolicy::kDropOldest;
   cfg.comm.downlink.queue_capacity = capacity;

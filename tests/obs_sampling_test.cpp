@@ -166,7 +166,6 @@ TEST(TraceSamplingTest, ShardRecordersMergeIntoOneTrace) {
 /// keeps about a quarter of the guest-path spans, suppresses the rest, and
 /// two identical runs produce the identical trace.
 TEST(TraceSamplingTest, ScenarioGuestPathSampling) {
-  if (!kHotPathTraceCompiled) GTEST_SKIP() << "hot-path spans compiled out";
   auto run = [](std::uint64_t every) {
     core::NodeConfig cfg = core::scaled_node_defaults(0.0625);
     cfg.obs.capture_trace = true;

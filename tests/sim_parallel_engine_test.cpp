@@ -24,22 +24,18 @@ TEST(ParallelEngineTest, ZeroLookaheadRejected) {
   EXPECT_THROW(ParallelEngine({/*lookahead=*/-5}), std::invalid_argument);
 }
 
-TEST(ParallelEngineTest, LognormalLatencyHasZeroLookahead) {
-  // The unbounded-tail latency model offers no safe window: min_latency is
-  // 0, so the engine rejects a multi-node rack on such a topology.
-  const comm::LatencySpec spec =
-      comm::LatencySpec::lognormal(5 * kMillisecond, 0.5);
-  EXPECT_EQ(comm::min_latency(spec), 0);
-
+TEST(ParallelEngineTest, ZeroDelayHopHasZeroLookahead) {
+  // A zero-delay hop offers no safe window: the minimum inter-node latency
+  // is 0, so the engine rejects a multi-node rack on such a topology.
   comm::ClusterTopology topo;
   EXPECT_GT(topo.min_internode_latency(), 0);  // default fixed 5 ms hops
-  topo.internode_up.latency = spec;
+  topo.internode_up.latency = 0;
   EXPECT_EQ(topo.min_internode_latency(), 0);
 }
 
 TEST(ParallelEngineTest, OverrideLatencyLowersLookahead) {
   comm::ClusterTopology topo;
-  topo.up_overrides[3].latency = comm::LatencySpec::fixed_at(kMillisecond);
+  topo.up_overrides[3].latency = kMillisecond;
   EXPECT_EQ(topo.min_internode_latency(), kMillisecond);
 }
 
@@ -269,7 +265,7 @@ TEST(ParallelEngineTest, CrossShardChannelRejectsDropOldestBounded) {
   const std::size_t b = eng.add_shard(&s1);
   comm::ChannelConfig cfg;
   cfg.name = "x";
-  cfg.latency = comm::LatencySpec::fixed_at(kLookahead);
+  cfg.latency = kLookahead;
   cfg.queue_capacity = 4;
   cfg.queue_policy = comm::QueuePolicy::kDropOldest;
   comm::Channel<int> chan(s0, cfg);
