@@ -6,7 +6,7 @@
 // it sweeps the uplink latency at x{1, 10, 100} of its base value (the base
 // is sample_interval / 40, so x40 would be exactly one sampling interval —
 // the paper's worst case — and x100 leaves ~2.5 samples in flight, enough
-// to make the capacity-2 queue bind and the three queue policies diverge)
+// to make the capacity-2 queue bind and the two queue policies diverge)
 // crossed with per-hop fault rates {0, 1%, 10%} (loss and duplication each,
 // so the sequence-rejection path is exercised end-to-end), once per
 // bounded-queue policy, and prints the mean VM runtime delta against the
@@ -38,10 +38,9 @@ struct Cell {
 struct RepResult {
   std::vector<double> runtimes;
   std::uint64_t delivered = 0;
-  std::uint64_t dropped = 0;        // loss + queue + down, both hops
-  std::uint64_t backpressured = 0;  // both hops
-  std::uint64_t stale = 0;          // MM + hypervisor sequence rejects
-  std::uint64_t retransmits = 0;    // TKM ack-timeout target resends
+  std::uint64_t dropped = 0;          // loss + queue + down, both hops
+  std::uint64_t stale = 0;            // MM + hypervisor sequence rejects
+  std::uint64_t retransmits = 0;      // TKM ack-timeout target resends
   std::uint64_t stale_decisions = 0;  // decisions skipped/widened for age
   std::uint64_t ivl_changes = 0;      // accepted interval retunes
 };
@@ -79,7 +78,6 @@ RepResult run_rep(const core::ScenarioSpec& spec, const bench::Options& opts,
   r.delivered = up.delivered + down.delivered;
   r.dropped = up.dropped_loss + up.dropped_queue + up.dropped_down +
               down.dropped_loss + down.dropped_queue + down.dropped_down;
-  r.backpressured = up.backpressured + down.backpressured;
   r.stale = node->manager()->stale_samples_dropped() +
             node->hypervisor().stale_targets_dropped();
   r.retransmits = node->tkm()->target_retransmits();
@@ -111,8 +109,7 @@ int main(int argc, char** argv) {
   std::vector<Cell> cells;
   cells.push_back(Cell{});
   const comm::QueuePolicy policies[] = {comm::QueuePolicy::kDropNewest,
-                                        comm::QueuePolicy::kDropOldest,
-                                        comm::QueuePolicy::kBackpressure};
+                                        comm::QueuePolicy::kDropOldest};
   for (const auto policy : policies) {
     for (const double lat_x : {1.0, 10.0, 100.0}) {
       for (const double loss : {0.0, 0.01, 0.10}) {
@@ -181,7 +178,6 @@ int main(int argc, char** argv) {
       for (const double t : r.runtimes) runtime[c].add(t);
       totals[c].delivered += r.delivered;
       totals[c].dropped += r.dropped;
-      totals[c].backpressured += r.backpressured;
       totals[c].stale += r.stale;
       totals[c].retransmits += r.retransmits;
       totals[c].stale_decisions += r.stale_decisions;
@@ -197,20 +193,17 @@ int main(int argc, char** argv) {
   for (const auto policy : policies) {
     std::printf("\n--- queue policy: %s (capacity 2) ---\n",
                 comm::to_string(policy));
-    std::printf("%-8s %-6s %12s %8s %10s %9s %6s %7s\n", "lat", "flt",
-                "mean VM (s)", "delta", "delivered", "dropped", "bp",
-                "stale");
+    std::printf("%-8s %-6s %12s %8s %10s %9s %7s\n", "lat", "flt",
+                "mean VM (s)", "delta", "delivered", "dropped", "stale");
     for (int grid = 0; grid < 9; ++grid, ++c) {
       const Cell& cell = cells[c];
       const double mean = runtime[c].mean();
       const double delta =
           baseline > 0 ? (mean - baseline) / baseline * 100.0 : 0.0;
-      std::printf("x%-7g %-6g %12.2f %+7.1f%% %10llu %9llu %6llu %7llu\n",
+      std::printf("x%-7g %-6g %12.2f %+7.1f%% %10llu %9llu %7llu\n",
                   cell.lat_x, cell.loss, mean, delta,
                   static_cast<unsigned long long>(totals[c].delivered / reps),
                   static_cast<unsigned long long>(totals[c].dropped / reps),
-                  static_cast<unsigned long long>(totals[c].backpressured /
-                                                  reps),
                   static_cast<unsigned long long>(totals[c].stale / reps));
     }
   }

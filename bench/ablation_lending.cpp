@@ -16,8 +16,12 @@
 //
 // CSV contract: ablation_lending.csv holds simulation-visible columns only
 // (no wall-clock), so two runs of the same flags md5 to the same file.
+//
+// Flags go through bench_common's one parser: the shared --scale/--reps/
+// --seed/--jobs/--csv with their shared ranges, plus the fleet geometry
+// (--nodes, --vms) and the cache-on cells' --cache; --help lists each with
+// its range and default.
 #include <cstdio>
-#include <cstdlib>
 #include <fstream>
 #include <string>
 #include <vector>
@@ -42,58 +46,22 @@ struct Options {
   std::uint64_t cache = 64;
 };
 
-void usage(std::FILE* out) {
-  std::fprintf(out,
-               "ablation_lending [--scale f] [--reps n] [--seed n] [--jobs n]\n"
-               "  [--csv dir] [--nodes n] [--vms n] [--cache pages]\n");
-}
-
 Options parse(int argc, char** argv) {
   Options o;
-  auto next = [&](int& i) -> const char* {
-    if (i + 1 >= argc) {
-      std::fprintf(stderr, "missing value for %s\n", argv[i]);
-      usage(stderr);
-      std::exit(2);
-    }
-    return argv[++i];
-  };
-  // Strict, ranged values for the numeric flag at argv[i].
-  auto u64 = [&](int& i, std::uint64_t min, std::uint64_t max) {
-    const char* flag = argv[i];
-    return bench::parse_u64(flag, next(i), min, max, usage);
-  };
-  auto f64 = [&](int& i, double min, double max) {
-    const char* flag = argv[i];
-    return bench::parse_f64(flag, next(i), min, max, usage);
-  };
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg == "--scale") {
-      o.scale = f64(i, 1e-3, 16.0);
-    } else if (arg == "--reps") {
-      o.reps = u64(i, 1, 1000);
-    } else if (arg == "--seed") {
-      o.seed = u64(i, 0, UINT64_MAX);
-    } else if (arg == "--jobs") {
-      o.jobs = u64(i, 0, 4096);
-    } else if (arg == "--csv") {
-      o.csv_dir = bench::existing_dir("--csv", next(i), usage);
-    } else if (arg == "--nodes") {
-      o.nodes = u64(i, 2, 256);
-    } else if (arg == "--vms") {
-      o.vms = u64(i, 1, 256);
-    } else if (arg == "--cache") {
-      o.cache = u64(i, 0, 1u << 24);
-    } else if (arg == "--help" || arg == "-h") {
-      usage(stdout);
-      std::exit(0);
-    } else {
-      std::fprintf(stderr, "unknown flag: %s\n", arg.c_str());
-      usage(stderr);
-      std::exit(2);
-    }
-  }
+  bench::parse_flags(
+      argc, argv,
+      {bench::scale_flag(o.scale),
+       bench::reps_flag(o.reps),
+       bench::seed_flag(o.seed),
+       bench::jobs_flag(o.jobs),
+       bench::csv_flag(o.csv_dir),
+       {"--nodes", "<n>", "fleet nodes in [2, 256] (default 4)",
+        bench::count(o.nodes, 2, 256)},
+       {"--vms", "<n>", "tenants per node in [1, 256] (default 4)",
+        bench::count(o.vms, 1, 256)},
+       {"--cache", "<pages>",
+        "borrower cache of the cache-on cells, in [0, 16777216] (default 64)",
+        bench::count(o.cache, 0, 1u << 24)}});
   return o;
 }
 

@@ -1,91 +1,20 @@
 #include "bench_common.hpp"
 
 #include <algorithm>
+#include <cctype>
 #include <cerrno>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <filesystem>
 #include <iostream>
-#include <iterator>
-#include <set>
+#include <limits>
+#include <type_traits>
 
 #include "common/strfmt.hpp"
 #include "common/thread_pool.hpp"
 
 namespace smartmem::bench {
-
-namespace {
-
-/// Every shared flag with its usage line, in usage order.
-struct FlagHelp {
-  std::string_view flag;
-  const char* text;
-};
-constexpr FlagHelp kFlags[] = {
-    {"--scale", "  --scale <f>   linear memory scale (default 0.125; 1.0 = "
-                "paper size)\n"},
-    {"--reps", "  --reps <n>    repetitions per policy (default 3; paper uses "
-               "5)\n"},
-    {"--seed", "  --seed <n>    base seed (default 1)\n"},
-    {"--jobs", "  --jobs <n>    worker threads (default 1; 0 = all hardware "
-               "threads)\n"},
-    {"--csv", "  --csv <dir>   write CSV files into <dir> (must exist)\n"},
-    {"--full", "  --full        shorthand for --scale 1.0 --reps 5\n"},
-    {"--comm-latency-x",
-     "  --comm-latency-x <f>  multiply control-plane hop latencies\n"},
-    {"--comm-loss",
-     "  --comm-loss <p>       per-hop message loss probability\n"},
-    {"--comm-queue",
-     "  --comm-queue <n>      bounded in-flight queue (0 = off)\n"},
-    {"--comm-policy", "  --comm-policy <p>     drop-newest|drop-oldest|"
-                      "backpressure (needs --comm-queue)\n"},
-    {"--stale-mode", "  --stale-mode <m>      smart-alloc staleness handling: "
-                     "off|skip|widen\n"},
-    {"--stale-threshold", "  --stale-threshold <f> sample age (intervals) "
-                          "counting as stale (default 1.5; needs "
-                          "--stale-mode skip|widen)\n"},
-    {"--adaptive-interval",
-     "  --adaptive-interval   MM-driven dynamic sampling interval\n"},
-    {"--compressed-bytes", "  --compressed-bytes <n>    compressed-tier byte "
-                           "budget (0 = off)\n"},
-    {"--compress-min-ratio", "  --compress-min-ratio <f>  per-VM mean ratio "
-                             "lower bound (default 1.5)\n"},
-    {"--compress-max-ratio", "  --compress-max-ratio <f>  per-VM mean ratio "
-                             "upper bound (default 4.0)\n"},
-    {"--compressed-evict", "  --compressed-evict <m>    drop|demote (default "
-                           "demote)\n"},
-    {"--capacity-units", "  --capacity-units <u>      pages|bytes "
-                         "control-plane units\n"},
-    {"--trace-out", "  --trace-out <file>    write a Perfetto trace from one "
-                    "extra observed run\n"},
-    {"--metrics-out", "  --metrics-out <file>  write metrics snapshots (JSONL; "
-                      ".csv for CSV)\n"},
-    {"--audit-out", "  --audit-out <file>    write the policy decision audit "
-                    "log (JSONL)\n"},
-    {"--trace-cats", "  --trace-cats <list>   trace categories "
-                     "(tmem,hyper,comm,mm,guest,workload,sim|all)\n"},
-};
-
-/// The flags the running bench reads (parse_options' `reads`); empty while
-/// it reads every flag. Set once before parsing starts.
-std::vector<std::string_view> g_reads;
-
-bool bench_reads(std::string_view flag) {
-  if (g_reads.empty()) return true;
-  // --full only sets --scale and --reps.
-  if (flag == "--full") return bench_reads("--scale") && bench_reads("--reps");
-  return std::find(g_reads.begin(), g_reads.end(), flag) != g_reads.end();
-}
-
-}  // namespace
-
-void print_usage(std::FILE* out) {
-  std::fprintf(out, "flags:\n");
-  for (const FlagHelp& f : kFlags) {
-    if (bench_reads(f.flag)) std::fputs(f.text, out);
-  }
-}
 
 bool comm_overridden(const Options& opts) {
   return opts.comm_latency_x != 1.0 || opts.comm_loss != 0.0 ||
@@ -193,200 +122,247 @@ void apply_comm_options(core::NodeConfig& cfg, const Options& opts) {
   apply(cfg.comm.downlink);
 }
 
+// ---- Command line ---------------------------------------------------------
+
+// size_t flags (--reps, --jobs, counts) bind through the uint64_t binder.
+static_assert(std::is_same_v<std::size_t, std::uint64_t>);
+
 namespace {
 
-[[noreturn]] void usage_error(const std::string& message) {
+void print_flags(std::FILE* out, const std::vector<Flag>& flags) {
+  std::fprintf(out, "flags:\n");
+  for (const Flag& f : flags) {
+    const std::string spec = f.arg.empty() ? f.name : f.name + " " + f.arg;
+    std::fprintf(out, "  %-30s %s\n", spec.c_str(), f.help.c_str());
+  }
+}
+
+[[noreturn]] void usage_error(const std::vector<Flag>& flags,
+                              const std::string& message) {
   std::fprintf(stderr, "%s\n", message.c_str());
-  print_usage(stderr);
+  print_flags(stderr, flags);
   std::exit(2);
 }
 
-double parse_double(const std::string& flag, const char* text) {
-  char* end = nullptr;
-  errno = 0;
-  const double v = std::strtod(text, &end);
-  if (errno != 0 || end == text || *end != '\0') {
-    usage_error("malformed value '" + std::string(text) + "' for " + flag);
-  }
-  return v;
-}
-
-std::uint64_t parse_u64(const std::string& flag, const char* text) {
-  char* end = nullptr;
-  errno = 0;
-  const unsigned long long v = std::strtoull(text, &end, 10);
-  if (errno != 0 || end == text || *end != '\0' || text[0] == '-') {
-    usage_error("malformed value '" + std::string(text) + "' for " + flag);
-  }
-  return static_cast<std::uint64_t>(v);
-}
+// The open bounds of the shared table as their nearest inclusive doubles:
+// (0, max] is [kAboveZero, max] and [0, 1) is [0, kBelowOne].
+constexpr double kAboveZero = std::numeric_limits<double>::denorm_min();
+const double kBelowOne = std::nextafter(1.0, 0.0);
+constexpr double kMaxReal = std::numeric_limits<double>::max();
+constexpr std::uint64_t kMaxCount = std::numeric_limits<std::uint64_t>::max();
 
 }  // namespace
 
-void bad_value(const char* flag, const char* value,
-               void (*usage)(std::FILE*)) {
-  std::fprintf(stderr, "bad value for %s: '%s'\n", flag, value);
-  usage(stderr);
-  std::exit(2);
+void parse_flags(int argc, char** argv, const std::vector<Flag>& flags) {
+  std::vector<bool> given(flags.size(), false);
+  for (int i = 1; i < argc; ++i) {
+    const std::string_view arg = argv[i];
+    if (arg == "--help" || arg == "-h") {
+      print_flags(stdout, flags);
+      std::exit(0);
+    }
+    const auto it = std::find_if(
+        flags.begin(), flags.end(),
+        [arg](const Flag& f) { return f.name == arg; });
+    if (it == flags.end()) {
+      usage_error(flags, "unknown flag " + std::string(arg));
+    }
+    if (it->arg.empty()) {
+      it->set(nullptr);
+    } else {
+      if (i + 1 >= argc) usage_error(flags, "missing value for " + it->name);
+      const char* value = argv[++i];
+      if (!it->set(value)) {
+        usage_error(flags,
+                    "bad value '" + std::string(value) + "' for " + it->name);
+      }
+    }
+    given[static_cast<std::size_t>(it - flags.begin())] = true;
+  }
+  for (std::size_t f = 0; f < flags.size(); ++f) {
+    if (given[f] && flags[f].needs && !flags[f].needs()) {
+      usage_error(flags, flags[f].name + " needs " + flags[f].needs_what);
+    }
+  }
 }
 
-std::string existing_dir(const char* flag, const char* value,
-                         void (*usage)(std::FILE*)) {
-  std::error_code ec;
-  if (!std::filesystem::is_directory(value, ec)) {
-    std::fprintf(stderr, "%s: no such directory '%s'\n", flag, value);
-    usage(stderr);
-    std::exit(2);
-  }
-  return value;
+Flag::Set real(double& v, double min, double max) {
+  return [&v, min, max](const char* text) {
+    char* end = nullptr;
+    errno = 0;
+    const double x = std::strtod(text, &end);
+    if (errno != 0 || end == text || *end != '\0' || text[0] == '-' ||
+        !std::isfinite(x) || x < min || x > max) {
+      return false;
+    }
+    v = x;
+    return true;
+  };
 }
 
-std::uint64_t parse_u64(const char* flag, const char* value,
-                        std::uint64_t min, std::uint64_t max,
-                        void (*usage)(std::FILE*)) {
-  errno = 0;
-  char* end = nullptr;
-  const unsigned long long v = std::strtoull(value, &end, 10);
-  if (errno != 0 || end == value || *end != '\0' || value[0] == '-' ||
-      v < min || v > max) {
-    bad_value(flag, value, usage);
-  }
-  return static_cast<std::uint64_t>(v);
+Flag::Set count(std::uint64_t& v, std::uint64_t min, std::uint64_t max) {
+  return [&v, min, max](const char* text) {
+    char* end = nullptr;
+    errno = 0;
+    const unsigned long long x = std::strtoull(text, &end, 10);
+    if (errno != 0 || *end != '\0' ||
+        std::isdigit(static_cast<unsigned char>(text[0])) == 0 || x < min ||
+        x > max) {
+      return false;
+    }
+    v = static_cast<std::uint64_t>(x);
+    return true;
+  };
 }
 
-double parse_f64(const char* flag, const char* value, double min, double max,
-                 void (*usage)(std::FILE*)) {
-  errno = 0;
-  char* end = nullptr;
-  const double v = std::strtod(value, &end);
-  if (errno != 0 || end == value || *end != '\0' || value[0] == '-' ||
-      !(v >= min) || !(v <= max)) {
-    bad_value(flag, value, usage);
-  }
-  return v;
+Flag::Set text(std::string& v) {
+  return [&v](const char* value) {
+    v = value;
+    return true;
+  };
+}
+
+Flag::Set directory(std::string& v) {
+  return [&v](const char* value) {
+    std::error_code ec;
+    if (!std::filesystem::is_directory(value, ec)) return false;
+    v = value;
+    return true;
+  };
+}
+
+Flag::Set assign(bool& v, bool value) {
+  return [&v, value](const char*) {
+    v = value;
+    return true;
+  };
+}
+
+Flag scale_flag(double& v) {
+  return {"--scale", "<f>",
+          strfmt("linear memory scale in [0.001, 16] (default %g; 1.0 = "
+                 "paper size)",
+                 v),
+          real(v, 1e-3, 16.0)};
+}
+
+Flag reps_flag(std::size_t& v) {
+  return {"--reps", "<n>",
+          strfmt("repetitions in [1, 1000] (default %zu)", v),
+          count(v, 1, 1000)};
+}
+
+Flag seed_flag(std::uint64_t& v) {
+  return {"--seed", "<n>",
+          strfmt("base seed (default %llu)",
+                 static_cast<unsigned long long>(v)),
+          count(v, 0, kMaxCount)};
+}
+
+Flag jobs_flag(std::size_t& v) {
+  return {"--jobs", "<n>",
+          strfmt("worker threads in [0, 4096] (default %zu; 0 = all "
+                 "hardware threads)",
+                 v),
+          count(v, 0, 4096)};
+}
+
+Flag csv_flag(std::string& v) {
+  return {"--csv", "<dir>", "write CSV files into <dir> (must exist)",
+          directory(v)};
 }
 
 Options parse_options(int argc, char** argv,
                       std::initializer_list<std::string_view> reads) {
-  g_reads.assign(reads.begin(), reads.end());
-  Options opts;
-  std::set<std::string> given;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    auto next = [&]() -> const char* {
-      if (i + 1 >= argc) usage_error("missing value for " + arg);
-      return argv[++i];
+  Options o;
+  const auto compressed = [&o] { return o.compressed_bytes > 0; };
+  std::vector<Flag> flags = {
+      scale_flag(o.scale),
+      reps_flag(o.repetitions),
+      seed_flag(o.base_seed),
+      jobs_flag(o.jobs),
+      csv_flag(o.csv_dir),
+      {"--full", "", "shorthand for --scale 1.0 --reps 5",
+       [&o](const char*) {
+         o.scale = 1.0;
+         o.repetitions = 5;
+         return true;
+       }},
+      {"--comm-latency-x", "<f>",
+       "multiply control-plane hop latencies (> 0, default 1)",
+       real(o.comm_latency_x, kAboveZero, kMaxReal)},
+      {"--comm-loss", "<p>",
+       "per-hop message loss probability in [0, 1) (default 0)",
+       real(o.comm_loss, 0.0, kBelowOne)},
+      {"--comm-queue", "<n>", "bounded in-flight queue (default 0 = off)",
+       count(o.comm_queue, 0, kMaxCount)},
+      {"--comm-policy", "<p>", "drop-newest|drop-oldest (default drop-newest)",
+       [&o](const char* t) {
+         return comm::parse_queue_policy(t, o.comm_policy);
+       },
+       [&o] { return o.comm_queue > 0; }, "--comm-queue <n> > 0"},
+      {"--stale-mode", "<m>",
+       "smart-alloc staleness handling: off|skip|widen (default off)",
+       [&o](const char* t) { return mm::parse_stale_mode(t, o.stale_mode); }},
+      {"--stale-threshold", "<f>",
+       "sample age (intervals) counting as stale (> 0, default 1.5)",
+       real(o.stale_threshold, kAboveZero, kMaxReal),
+       [&o] { return o.stale_mode != mm::StaleMode::kOff; },
+       "--stale-mode skip or widen"},
+      {"--adaptive-interval", "", "MM-driven dynamic sampling interval",
+       assign(o.adaptive_interval, true)},
+      {"--compressed-bytes", "<n>",
+       "compressed-tier byte budget (default 0 = off)",
+       count(o.compressed_bytes, 0, kMaxCount)},
+      {"--compress-min-ratio", "<f>",
+       "per-VM mean ratio lower bound (>= 1, default 1.5)",
+       real(o.compress_min_ratio, 1.0, kMaxReal), compressed,
+       "--compressed-bytes <n> > 0"},
+      {"--compress-max-ratio", "<f>",
+       "per-VM mean ratio upper bound (>= 1, default 4.0)",
+       real(o.compress_max_ratio, 1.0, kMaxReal), compressed,
+       "--compressed-bytes <n> > 0"},
+      {"--compressed-evict", "<m>", "drop|demote (default demote)",
+       [&o](const char* t) {
+         const std::string_view mode = t;
+         if (mode != "drop" && mode != "demote") return false;
+         o.compressed_evict_demote = mode == "demote";
+         return true;
+       },
+       compressed, "--compressed-bytes <n> > 0"},
+      {"--capacity-units", "<u>",
+       "pages|bytes control-plane units (default pages)",
+       [&o](const char* t) {
+         const std::string_view units = t;
+         if (units != "pages" && units != "bytes") return false;
+         o.capacity_units = units == "bytes" ? CapacityUnits::kBytes
+                                             : CapacityUnits::kPages;
+         return true;
+       }},
+      {"--trace-out", "<file>",
+       "write a Perfetto trace from one extra observed run",
+       text(o.trace_out)},
+      {"--metrics-out", "<file>",
+       "write metrics snapshots (JSONL; .csv for CSV)", text(o.metrics_out)},
+      {"--audit-out", "<file>",
+       "write the policy decision audit log (JSONL)", text(o.audit_out)},
+      {"--trace-cats", "<list>",
+       "trace categories (tmem,hyper,comm,mm,guest,workload,sim|all)",
+       [&o](const char* t) {
+         return obs::parse_categories(t, o.trace_categories);
+       }},
+  };
+  if (reads.size() != 0) {
+    const auto read = [&reads](std::string_view name) {
+      return std::find(reads.begin(), reads.end(), name) != reads.end();
     };
-    if (arg == "--help" || arg == "-h") {
-      print_usage(stdout);
-      std::exit(0);
-    }
-    const bool known =
-        std::any_of(std::begin(kFlags), std::end(kFlags),
-                    [&arg](const FlagHelp& f) { return f.flag == arg; });
-    if (!known) usage_error("unknown flag " + arg);
-    // A flag this bench never reads would silently replay the plain run.
-    if (!bench_reads(arg)) usage_error(arg + " is not read by this bench");
-    given.insert(arg);
-    if (arg == "--scale") {
-      opts.scale = parse_double(arg, next());
-    } else if (arg == "--reps") {
-      opts.repetitions = static_cast<std::size_t>(parse_u64(arg, next()));
-    } else if (arg == "--seed") {
-      opts.base_seed = parse_u64(arg, next());
-    } else if (arg == "--jobs") {
-      opts.jobs = static_cast<std::size_t>(parse_u64(arg, next()));
-    } else if (arg == "--csv") {
-      opts.csv_dir = existing_dir("--csv", next(), print_usage);
-    } else if (arg == "--comm-latency-x") {
-      opts.comm_latency_x = parse_double(arg, next());
-      if (opts.comm_latency_x <= 0) usage_error("--comm-latency-x must be > 0");
-    } else if (arg == "--comm-loss") {
-      opts.comm_loss = parse_double(arg, next());
-      if (opts.comm_loss < 0 || opts.comm_loss >= 1.0) {
-        usage_error("--comm-loss must be in [0, 1)");
-      }
-    } else if (arg == "--comm-queue") {
-      opts.comm_queue = static_cast<std::size_t>(parse_u64(arg, next()));
-    } else if (arg == "--comm-policy") {
-      if (!comm::parse_queue_policy(next(), opts.comm_policy)) {
-        usage_error("--comm-policy must be drop-newest, drop-oldest or "
-                    "backpressure");
-      }
-    } else if (arg == "--stale-mode") {
-      if (!mm::parse_stale_mode(next(), opts.stale_mode)) {
-        usage_error("--stale-mode must be off, skip or widen");
-      }
-    } else if (arg == "--stale-threshold") {
-      opts.stale_threshold = parse_double(arg, next());
-      if (opts.stale_threshold <= 0) {
-        usage_error("--stale-threshold must be > 0");
-      }
-    } else if (arg == "--adaptive-interval") {
-      opts.adaptive_interval = true;
-    } else if (arg == "--compressed-bytes") {
-      opts.compressed_bytes = parse_u64(arg, next());
-    } else if (arg == "--compress-min-ratio") {
-      opts.compress_min_ratio = parse_double(arg, next());
-      if (opts.compress_min_ratio < 1.0) {
-        usage_error("--compress-min-ratio must be >= 1");
-      }
-    } else if (arg == "--compress-max-ratio") {
-      opts.compress_max_ratio = parse_double(arg, next());
-      if (opts.compress_max_ratio < 1.0) {
-        usage_error("--compress-max-ratio must be >= 1");
-      }
-    } else if (arg == "--compressed-evict") {
-      const std::string mode = next();
-      if (mode == "drop") {
-        opts.compressed_evict_demote = false;
-      } else if (mode == "demote") {
-        opts.compressed_evict_demote = true;
-      } else {
-        usage_error("--compressed-evict must be drop or demote");
-      }
-    } else if (arg == "--capacity-units") {
-      const std::string units = next();
-      if (units == "pages") {
-        opts.capacity_units = CapacityUnits::kPages;
-      } else if (units == "bytes") {
-        opts.capacity_units = CapacityUnits::kBytes;
-      } else {
-        usage_error("--capacity-units must be pages or bytes");
-      }
-    } else if (arg == "--trace-out") {
-      opts.trace_out = next();
-    } else if (arg == "--metrics-out") {
-      opts.metrics_out = next();
-    } else if (arg == "--audit-out") {
-      opts.audit_out = next();
-    } else if (arg == "--trace-cats") {
-      if (!obs::parse_categories(next(), opts.trace_categories)) {
-        usage_error(
-            "--trace-cats must be a comma-separated subset of "
-            "tmem,hyper,comm,mm,guest,workload,sim (or 'all')");
-      }
-    } else if (arg == "--full") {
-      opts.scale = 1.0;
-      opts.repetitions = 5;
-    }
+    std::erase_if(flags, [&read](const Flag& f) {
+      if (f.name == "--full") return !(read("--scale") && read("--reps"));
+      return !read(f.name);
+    });
   }
-  // A flag that only modifies another one would, given alone, be silently
-  // ignored and replay the plain run.
-  if (given.count("--stale-threshold") != 0 &&
-      opts.stale_mode == mm::StaleMode::kOff) {
-    usage_error("--stale-threshold needs --stale-mode skip or widen");
-  }
-  if (given.count("--comm-policy") != 0 && opts.comm_queue == 0) {
-    usage_error("--comm-policy needs --comm-queue <n> > 0");
-  }
-  for (const char* flag :
-       {"--compress-min-ratio", "--compress-max-ratio", "--compressed-evict"}) {
-    if (given.count(flag) != 0 && opts.compressed_bytes == 0) {
-      usage_error(std::string(flag) + " needs --compressed-bytes <n> > 0");
-    }
-  }
-  return opts;
+  parse_flags(argc, argv, flags);
+  return o;
 }
 
 std::vector<core::ExperimentResult> run_runtime_figure(
@@ -394,7 +370,7 @@ std::vector<core::ExperimentResult> run_runtime_figure(
     core::ScenarioSpec (*scenario)(double),
     const std::vector<mm::PolicySpec>& policies, const Options& opts) {
   const core::ScenarioSpec spec = scenario(opts.scale);
-  const std::size_t jobs = ThreadPool::resolve_jobs(opts.jobs);
+  const std::size_t jobs = resolve_jobs(opts.jobs);
   std::printf("=== %s: %s ===\n", figure_id.c_str(), title.c_str());
   std::printf("scenario: %s\n", spec.description.c_str());
   std::printf(

@@ -1,25 +1,32 @@
-// Shared driver for the figure-reproduction benches.
+// Shared runner of the figure-reproduction benches, and the one command-line
+// parser every bench uses.
 //
-// Every bench binary regenerates one table/figure of the paper: it runs a
+// Every figure bench regenerates one table/figure of the paper: it runs a
 // scenario under a set of policies, prints the running-time table or the
 // tmem-usage chart, and (with --csv) dumps raw data for plotting.
 //
-// Flags (all optional):
-//   --scale <f>   linear memory scale (default 0.125; 1.0 = paper size)
-//   --reps <n>    repetitions per policy (default 3; paper uses 5)
-//   --seed <n>    base seed (default 1)
-//   --jobs <n>    worker threads for the policy x rep grid (default 1;
-//                 0 = every hardware thread). Output is bit-identical for
-//                 every jobs value.
-//   --csv <dir>   write CSV files into <dir> (must already exist)
-//   --full        shorthand for --scale 1.0 --reps 5
+// Command line. A bench declares each flag it reads once, as a Flag: name,
+// help line, the variable that holds its default, its range or choices, and
+// the condition it needs. parse_flags() then handles --help, unknown flags,
+// missing, malformed and out-of-range values and the needs-rules the same
+// way for every bench: any error exits 2 with that bench's flag list before
+// anything runs, so a typo like `--rep 5` never silently runs the default
+// config. The flags every bench shares have one range everywhere:
+//   --scale <f>   linear memory scale in [0.001, 16] (1.0 = paper size)
+//   --reps <n>    repetitions in [1, 1000]
+//   --seed <n>    base seed, any u64
+//   --jobs <n>    worker threads in [0, 4096] (0 = every hardware thread);
+//                 output is bit-identical for every jobs value
+//   --csv <dir>   write CSV files into <dir>, which must already exist
+//
+// parse_options() is the figure/ablation/ext benches' table. Besides the
+// shared flags it holds --full (--scale 1.0 --reps 5) and:
 //
 // Control-plane (src/comm) knobs, for staleness/fault what-ifs on any bench:
 //   --comm-latency-x <f>   multiply both hop latencies by <f> (default 1)
 //   --comm-loss <p>        per-hop message loss probability (default 0)
 //   --comm-queue <n>       bounded in-flight queue per hop (default 0 = off)
-//   --comm-policy <p>      drop-newest | drop-oldest | backpressure
-//                          (needs --comm-queue > 0)
+//   --comm-policy <p>      drop-newest | drop-oldest (needs --comm-queue > 0)
 //
 // Adaptive control plane (off by default — the paper-faithful loop):
 //   --stale-mode <m>       smart-alloc staleness handling: off|skip|widen
@@ -44,15 +51,12 @@
 //   --audit-out <file>     policy decision audit log, JSONL
 //   --trace-cats <list>    comma-separated trace categories (default all:
 //                          tmem,hyper,comm,mm,guest,workload,sim)
-//
-// Unknown flags, malformed values, a modifier flag without the flag it
-// modifies, a flag the bench does not read and a missing --csv directory
-// are fatal at parse time (exit 2 with a usage message): a typo like
-// `--rep 5` must not silently run the default config.
 #pragma once
 
-#include <cstdio>
+#include <cstdint>
+#include <functional>
 #include <initializer_list>
+#include <stdexcept>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -133,37 +137,69 @@ void run_observed(const std::string& figure_id,
                   const std::vector<mm::PolicySpec>& policies,
                   const Options& opts);
 
-/// Parses the flags above. A bench that reads only some of them names those
-/// in `reads` (e.g. {"--scale", "--reps", "--seed"}; --full comes with
-/// --scale and --reps), and every other flag exits 2 instead of being
-/// silently ignored. The empty default accepts every flag.
+// ---- Command line ---------------------------------------------------------
+
+/// One flag a bench reads.
+struct Flag {
+  /// Stores the value text into the bound variable (a switch gets nullptr);
+  /// false marks the value malformed or out of range.
+  using Set = std::function<bool(const char* text)>;
+
+  std::string name;  // "--scale"
+  std::string arg;   // value placeholder ("<f>"); empty for a switch
+  std::string help;  // meaning, range or choices, default
+  Set set;
+  /// Checked once every flag is parsed, for a given flag only: a flag that
+  /// modifies another would otherwise be silently ignored on its own.
+  std::function<bool()> needs = nullptr;
+  std::string needs_what = {};  // what `needs` asks for, for the message
+};
+
+/// Parses argv against `flags`, storing values in argv order. --help / -h
+/// prints the flag list to stdout and exits 0. An unknown flag, a missing,
+/// malformed or out-of-range value, or an unmet needs-rule prints the error
+/// and the flag list to stderr and exits 2.
+void parse_flags(int argc, char** argv, const std::vector<Flag>& flags);
+
+/// Value binders. A number must be the whole token and lie in [min, max];
+/// a count is digits only, a real has no leading '-' and is finite.
+Flag::Set real(double& v, double min, double max);
+Flag::Set count(std::uint64_t& v, std::uint64_t min, std::uint64_t max);
+Flag::Set text(std::string& v);
+/// The text must name an existing directory (checked at parse time, so a
+/// bad --csv fails before the run, not after it).
+Flag::Set directory(std::string& v);
+/// A switch's binder: stores `value` when the flag is given.
+Flag::Set assign(bool& v, bool value);
+/// A string accepted when `validate(text)` does not throw
+/// std::invalid_argument (e.g. cluster::parse_global_policy).
+template <typename Validate>
+Flag::Set validated_text(std::string& v, Validate validate) {
+  return [&v, validate](const char* value) {
+    try {
+      validate(value);
+    } catch (const std::invalid_argument&) {
+      return false;
+    }
+    v = value;
+    return true;
+  };
+}
+
+/// The shared flags, with their one range; the help line shows the bound
+/// variable's current value as the default.
+Flag scale_flag(double& v);
+Flag reps_flag(std::size_t& v);
+Flag seed_flag(std::uint64_t& v);
+Flag jobs_flag(std::size_t& v);
+Flag csv_flag(std::string& v);
+
+/// The figure/ablation/ext benches' flags (the list above). A bench that
+/// reads only some of them names those in `reads` (e.g. {"--scale",
+/// "--reps", "--seed"}; --full comes with --scale and --reps), and every
+/// other flag is unknown to it. The empty default reads every flag.
 Options parse_options(int argc, char** argv,
                       std::initializer_list<std::string_view> reads = {});
-
-// ---- Strict flag values for the benches that parse their own flags --------
-
-/// Prints "bad value for <flag>: '<value>'" and `usage(stderr)`, then
-/// exits 2.
-[[noreturn]] void bad_value(const char* flag, const char* value,
-                            void (*usage)(std::FILE*));
-
-/// Returns `value` when it names an existing directory; otherwise prints
-/// "<flag>: no such directory" and `usage(stderr)`, then exits 2. Checked
-/// at parse time so a bad --csv fails before any run, not after the grid.
-std::string existing_dir(const char* flag, const char* value,
-                         void (*usage)(std::FILE*));
-
-/// The whole token must convert, a leading '-' is rejected, and the result
-/// must lie in [min, max]; anything else is a bad_value().
-std::uint64_t parse_u64(const char* flag, const char* value,
-                        std::uint64_t min, std::uint64_t max,
-                        void (*usage)(std::FILE*));
-double parse_f64(const char* flag, const char* value, double min, double max,
-                 void (*usage)(std::FILE*));
-
-/// Prints the reference of the flags the bench reads to `out` (shared by
-/// --help and parse errors).
-void print_usage(std::FILE* out);
 
 /// Runs `scenario(scale)` under every policy, prints the Figure-style
 /// running-time table plus the paper's improvement lines, and returns the

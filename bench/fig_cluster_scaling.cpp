@@ -14,8 +14,9 @@
 // byte-identical to `--single` (the plain VirtualNode path) — CI diffs the
 // two CSVs.
 //
-// Flags (all values strictly validated; garbage exits with status 2):
-//   --scale/--reps/--seed/--jobs/--csv   as every figure bench
+// Flags go through bench_common's one parser (--help lists them with their
+// ranges): the shared --scale/--reps/--seed/--jobs/--csv with their shared
+// ranges, and
 //   --nodes <n>              restrict the sweep to one node count (1-64)
 //   --cluster-policy <p>     restrict to one policy (global-static,
 //                            global-smart[:P]; default sweeps both)
@@ -27,18 +28,19 @@
 //   --cluster-no-lending     disable remote-tmem lending
 //   --single                 run the plain single-node path and emit rows
 //                            with the same labels a 1-node cluster gets
+//                            (excludes --nodes)
 //   --trace-out/--metrics-out/--audit-out   one extra observed 2-node (or
 //                            --nodes) run with the obs pillars enabled
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
 #include <fstream>
 #include <string>
 #include <vector>
 
 #include "bench_common.hpp"
 #include "cluster/experiment.hpp"
+#include "cluster/global_policy.hpp"
 #include "common/stats.hpp"
 #include "common/thread_pool.hpp"
 #include "core/scenario.hpp"
@@ -64,73 +66,41 @@ struct Options {
   std::string audit_out;
 };
 
-void usage(std::FILE* out) {
-  std::fprintf(
-      out,
-      "fig_cluster_scaling [--scale f] [--reps n] [--seed n] [--jobs n]\n"
-      "  [--csv dir] [--nodes n] [--cluster-policy p] [--cluster-latency-x f]\n"
-      "  [--cluster-interval-x f] [--cluster-no-lending] [--single]\n"
-      "  [--trace-out f] [--metrics-out f] [--audit-out f]\n");
-}
-
 Options parse(int argc, char** argv) {
   Options o;
-  auto next = [&](int& i) -> const char* {
-    if (i + 1 >= argc) {
-      std::fprintf(stderr, "missing value for %s\n", argv[i]);
-      usage(stderr);
-      std::exit(2);
-    }
-    return argv[++i];
-  };
-  // Strict, ranged values for the numeric flag at argv[i].
-  auto u64 = [&](int& i, std::uint64_t min, std::uint64_t max) {
-    const char* flag = argv[i];
-    return bench::parse_u64(flag, next(i), min, max, usage);
-  };
-  auto f64 = [&](int& i, double min, double max) {
-    const char* flag = argv[i];
-    return bench::parse_f64(flag, next(i), min, max, usage);
-  };
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg == "--scale") {
-      o.scale = f64(i, 1e-3, 16.0);
-    } else if (arg == "--reps") {
-      o.reps = u64(i, 1, 1000);
-    } else if (arg == "--seed") {
-      o.seed = u64(i, 0, UINT64_MAX);
-    } else if (arg == "--jobs") {
-      o.jobs = u64(i, 0, 4096);
-    } else if (arg == "--csv") {
-      o.csv_dir = bench::existing_dir("--csv", next(i), usage);
-    } else if (arg == "--nodes") {
-      o.nodes = u64(i, 1, 64);
-    } else if (arg == "--cluster-policy") {
-      o.cluster_policy = next(i);
-    } else if (arg == "--cluster-latency-x") {
-      o.latency_x = f64(i, 0.01, 1000.0);
-    } else if (arg == "--cluster-interval-x") {
-      o.interval_x = f64(i, 0.01, 1000.0);
-    } else if (arg == "--cluster-no-lending") {
-      o.lending = false;
-    } else if (arg == "--single") {
-      o.single = true;
-    } else if (arg == "--trace-out") {
-      o.trace_out = next(i);
-    } else if (arg == "--metrics-out") {
-      o.metrics_out = next(i);
-    } else if (arg == "--audit-out") {
-      o.audit_out = next(i);
-    } else if (arg == "--help" || arg == "-h") {
-      usage(stdout);
-      std::exit(0);
-    } else {
-      std::fprintf(stderr, "unknown flag: %s\n", arg.c_str());
-      usage(stderr);
-      std::exit(2);
-    }
-  }
+  bench::parse_flags(
+      argc, argv,
+      {bench::scale_flag(o.scale),
+       bench::reps_flag(o.reps),
+       bench::seed_flag(o.seed),
+       bench::jobs_flag(o.jobs),
+       bench::csv_flag(o.csv_dir),
+       {"--nodes", "<n>", "one node count in [1, 64] (default sweep "
+                          "1,2,4,8,16)",
+        bench::count(o.nodes, 1, 64)},
+       {"--cluster-policy", "<p>",
+        "global-static|global-smart[:P] (default sweeps both)",
+        bench::validated_text(o.cluster_policy, cluster::parse_global_policy)},
+       {"--cluster-latency-x", "<f>",
+        "one inter-node latency multiplier in [0.01, 1000] (default sweep "
+        "1,10)",
+        bench::real(o.latency_x, 0.01, 1000.0)},
+       {"--cluster-interval-x", "<f>",
+        "global decision interval in node intervals, in [0.01, 1000] "
+        "(default 2)",
+        bench::real(o.interval_x, 0.01, 1000.0)},
+       {"--cluster-no-lending", "", "disable remote-tmem lending",
+        bench::assign(o.lending, false)},
+       {"--single", "", "plain single-node path, rows labelled as a 1-node "
+                        "cluster",
+        bench::assign(o.single, true), [&o] { return o.nodes == 0; },
+        "no --nodes (it runs one node)"},
+       {"--trace-out", "<f>", "Perfetto trace of one extra observed run",
+        bench::text(o.trace_out)},
+       {"--metrics-out", "<f>", "metrics of the observed run (JSONL)",
+        bench::text(o.metrics_out)},
+       {"--audit-out", "<f>", "decision audit of the observed run (JSONL)",
+        bench::text(o.audit_out)}});
   return o;
 }
 

@@ -18,19 +18,22 @@
 //     column but `encoding` (10).
 //   - wall-clock and the mm_decide_ns probe are printed to stdout only.
 //
-// Flags (all values strictly validated; garbage exits with status 2):
-//   --scale/--reps/--seed/--jobs/--csv   as every figure bench
+// Flags go through bench_common's one parser (--help lists them with their
+// ranges): the shared --scale/--reps/--seed/--jobs/--csv with their shared
+// ranges, and
 //   --fleet-nodes n          restrict to one node count (default sweep 2,4,8)
 //   --fleet-vms n            tenants per node (default 8)
 //   --fleet-skew f           zipf exponent of tenant intensity (default 0.8)
 //   --fleet-mix m            read-heavy | balanced | write-heavy
 //   --fleet-policy p         global-static | global-smart[:P]
 //   --fleet-encoding e       delta | full | both (default both)
-//   --fleet-resync n         delta resync cadence (default 16; full = 1)
+//   --fleet-resync n         delta resync cadence (default 16; full = 1, so
+//                            it needs an encoding that runs delta cells)
 //   --fleet-no-lending       disable remote-tmem lending
 //   --fleet-lending-heavy    hot-node/cold-donor geometry (node 0 spills at
 //                            1.6x usable RAM, others fit at 0.55x) so the
-//                            borrow path actually runs
+//                            borrow path actually runs; with
+//                            --fleet-no-lending it is the no-lending baseline
 //   --fleet-lend-cache n     borrower-side cache capacity in pages (0 = off)
 //   --fleet-lend-rtt-x f     multiply the lending-hop wire latencies
 //   --fleet-lend-loss p      per-message loss probability on both lend hops
@@ -38,14 +41,15 @@
 //   --fleet-lend-outage-from-s s --fleet-lend-outage-dur-s d
 //                            outage window [s, s + d) on both lend hops; the
 //                            two flags go together and d must be above 0
-//                            (runs with lending on also write
-//                            fleet_lending.csv with --csv: deterministic
-//                            columns only)
+//                            (the lend-plane flags need lending on; runs
+//                            with lending on also write fleet_lending.csv
+//                            with --csv: deterministic columns only)
 //   --profile                engine self-profile: per-shard busy/injection
 //                            table + bottleneck attribution (stdout;
 //                            fleet_profile.csv with --csv). Wall-clock only —
 //                            fig_fleet_scaling.csv stays byte-identical.
 //   --trace-sample n         keep 1-in-n hot-path spans in the observed run
+//                            (needs --trace-out)
 //   --trace-out/--metrics-out/--audit-out f
 //                            one extra observed run (first cell geometry)
 //                            exporting the requested pillars; feed the
@@ -53,13 +57,13 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
 #include <fstream>
 #include <string>
 #include <vector>
 
 #include "bench_common.hpp"
 #include "cluster/fleet.hpp"
+#include "cluster/global_policy.hpp"
 #include "common/stats.hpp"
 #include "common/thread_pool.hpp"
 
@@ -95,118 +99,82 @@ struct Options {
   std::string audit_out;
 };
 
-void usage(std::FILE* out) {
-  std::fprintf(
-      out,
-      "fig_fleet_scaling [--scale f] [--reps n] [--seed n] [--jobs n]\n"
-      "  [--csv dir] [--fleet-nodes n] [--fleet-vms n] [--fleet-skew f]\n"
-      "  [--fleet-mix read-heavy|balanced|write-heavy]\n"
-      "  [--fleet-policy p] [--fleet-encoding delta|full|both]\n"
-      "  [--fleet-resync n]\n"
-      "  [--fleet-no-lending] [--fleet-lending-heavy]\n"
-      "  [--fleet-lend-cache n] [--fleet-lend-rtt-x f] [--fleet-lend-loss p]\n"
-      "  [--fleet-lend-reorder p]\n"
-      "  [--fleet-lend-outage-from-s s --fleet-lend-outage-dur-s d]\n"
-      "  [--profile] [--trace-sample n]\n"
-      "  [--trace-out f] [--metrics-out f] [--audit-out f]\n");
-}
-
 Options parse(int argc, char** argv) {
   Options o;
-  auto next = [&](int& i) -> const char* {
-    if (i + 1 >= argc) {
-      std::fprintf(stderr, "missing value for %s\n", argv[i]);
-      usage(stderr);
-      std::exit(2);
-    }
-    return argv[++i];
-  };
-  // Strict, ranged values for the numeric flag at argv[i].
-  auto u64 = [&](int& i, std::uint64_t min, std::uint64_t max) {
-    const char* flag = argv[i];
-    return bench::parse_u64(flag, next(i), min, max, usage);
-  };
-  auto f64 = [&](int& i, double min, double max) {
-    const char* flag = argv[i];
-    return bench::parse_f64(flag, next(i), min, max, usage);
-  };
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg == "--scale") {
-      o.scale = f64(i, 1e-3, 16.0);
-    } else if (arg == "--reps") {
-      o.reps = u64(i, 1, 1000);
-    } else if (arg == "--seed") {
-      o.seed = u64(i, 0, UINT64_MAX);
-    } else if (arg == "--jobs") {
-      o.jobs = u64(i, 0, 4096);
-    } else if (arg == "--csv") {
-      o.csv_dir = bench::existing_dir("--csv", next(i), usage);
-    } else if (arg == "--fleet-nodes") {
-      o.nodes = u64(i, 2, 256);
-    } else if (arg == "--fleet-vms") {
-      o.vms = u64(i, 1, 256);
-    } else if (arg == "--fleet-skew") {
-      o.skew = f64(i, 0.0, 4.0);
-    } else if (arg == "--fleet-mix") {
-      const char* v = next(i);
-      if (!workloads::parse_fleet_mix(v, o.mix)) {
-        bench::bad_value("--fleet-mix", v, usage);
-      }
-    } else if (arg == "--fleet-policy") {
-      o.policy = next(i);
-    } else if (arg == "--fleet-encoding") {
-      o.encoding = next(i);
-      if (o.encoding != "delta" && o.encoding != "full" &&
-          o.encoding != "both") {
-        bench::bad_value("--fleet-encoding", o.encoding.c_str(), usage);
-      }
-    } else if (arg == "--fleet-resync") {
-      o.resync = u64(i, 1, 1u << 20);
-    } else if (arg == "--fleet-no-lending") {
-      o.lending = false;
-    } else if (arg == "--fleet-lending-heavy") {
-      o.lending_heavy = true;
-    } else if (arg == "--fleet-lend-cache") {
-      o.lend_cache = u64(i, 0, 1u << 24);
-    } else if (arg == "--fleet-lend-rtt-x") {
-      o.lend_rtt_x = f64(i, 0.01, 1000.0);
-    } else if (arg == "--fleet-lend-loss") {
-      o.lend_loss = f64(i, 0.0, 1.0);
-    } else if (arg == "--fleet-lend-reorder") {
-      o.lend_reorder = f64(i, 0.0, 1.0);
-    } else if (arg == "--fleet-lend-outage-from-s") {
-      o.lend_outage_from_s = f64(i, 0.0, 1e6);
-    } else if (arg == "--fleet-lend-outage-dur-s") {
-      o.lend_outage_dur_s = f64(i, 1e-6, 1e6);
-    } else if (arg == "--profile") {
-      o.profile = true;
-    } else if (arg == "--trace-sample") {
-      o.trace_sample = u64(i, 1, 1u << 20);
-    } else if (arg == "--trace-out") {
-      o.trace_out = next(i);
-    } else if (arg == "--metrics-out") {
-      o.metrics_out = next(i);
-    } else if (arg == "--audit-out") {
-      o.audit_out = next(i);
-    } else if (arg == "--help" || arg == "-h") {
-      usage(stdout);
-      std::exit(0);
-    } else {
-      std::fprintf(stderr, "unknown flag: %s\n", arg.c_str());
-      usage(stderr);
-      std::exit(2);
-    }
-  }
-  // Either outage flag alone would open no window and silently replay the
-  // clean run.
-  if ((o.lend_outage_from_s >= 0.0) != (o.lend_outage_dur_s > 0.0)) {
-    std::fprintf(stderr,
-                 "--fleet-lend-outage-from-s and --fleet-lend-outage-dur-s "
-                 "must be given together\n");
-    usage(stderr);
-    std::exit(2);
-  }
+  // The lend-plane flags shape a wire that only runs with lending on.
+  const auto lending = [&o] { return o.lending; };
+  const char* const kLending = "lending on (no --fleet-no-lending)";
+  bench::parse_flags(
+      argc, argv,
+      {bench::scale_flag(o.scale),
+       bench::reps_flag(o.reps),
+       bench::seed_flag(o.seed),
+       bench::jobs_flag(o.jobs),
+       bench::csv_flag(o.csv_dir),
+       {"--fleet-nodes", "<n>",
+        "one node count in [2, 256] (default sweep 2,4,8)",
+        bench::count(o.nodes, 2, 256)},
+       {"--fleet-vms", "<n>", "tenants per node in [1, 256] (default 8)",
+        bench::count(o.vms, 1, 256)},
+       {"--fleet-skew", "<f>",
+        "zipf exponent of tenant intensity in [0, 4] (default 0.8)",
+        bench::real(o.skew, 0.0, 4.0)},
+       {"--fleet-mix", "<m>", "read-heavy|balanced|write-heavy (default "
+                              "balanced)",
+        [&o](const char* t) { return workloads::parse_fleet_mix(t, o.mix); }},
+       {"--fleet-policy", "<p>",
+        "global-static|global-smart[:P] (default global-smart)",
+        bench::validated_text(o.policy, cluster::parse_global_policy)},
+       {"--fleet-encoding", "<e>", "delta|full|both (default both)",
+        [&o](const char* t) {
+          const std::string e = t;
+          if (e != "delta" && e != "full" && e != "both") return false;
+          o.encoding = e;
+          return true;
+        }},
+       {"--fleet-resync", "<n>",
+        "delta resync cadence in [1, 1048576] (default 16; full = 1)",
+        bench::count(o.resync, 1, 1u << 20),
+        [&o] { return o.encoding != "full"; },
+        "--fleet-encoding delta or both"},
+       {"--fleet-no-lending", "", "disable remote-tmem lending",
+        bench::assign(o.lending, false)},
+       {"--fleet-lending-heavy", "",
+        "hot-node/cold-donor geometry so the borrow path runs",
+        bench::assign(o.lending_heavy, true)},
+       {"--fleet-lend-cache", "<n>",
+        "borrower-side cache pages in [0, 16777216] (default 0 = off)",
+        bench::count(o.lend_cache, 0, 1u << 24), lending, kLending},
+       {"--fleet-lend-rtt-x", "<f>",
+        "multiply the lending-hop latencies, in [0.01, 1000] (default 1)",
+        bench::real(o.lend_rtt_x, 0.01, 1000.0), lending, kLending},
+       {"--fleet-lend-loss", "<p>",
+        "per-message loss probability on both lend hops, in [0, 1]",
+        bench::real(o.lend_loss, 0.0, 1.0), lending, kLending},
+       {"--fleet-lend-reorder", "<p>",
+        "per-message reorder probability on both lend hops, in [0, 1]",
+        bench::real(o.lend_reorder, 0.0, 1.0), lending, kLending},
+       {"--fleet-lend-outage-from-s", "<s>",
+        "outage start in [0, 1e6] s on both lend hops",
+        bench::real(o.lend_outage_from_s, 0.0, 1e6),
+        [&o] { return o.lending && o.lend_outage_dur_s > 0.0; },
+        "--fleet-lend-outage-dur-s, with lending on"},
+       {"--fleet-lend-outage-dur-s", "<d>", "outage length in [1e-6, 1e6] s",
+        bench::real(o.lend_outage_dur_s, 1e-6, 1e6),
+        [&o] { return o.lending && o.lend_outage_from_s >= 0.0; },
+        "--fleet-lend-outage-from-s, with lending on"},
+       {"--profile", "", "engine self-profile (stdout; fleet_profile.csv)",
+        bench::assign(o.profile, true)},
+       {"--trace-sample", "<n>",
+        "keep 1-in-n hot-path spans, n in [1, 1048576] (default 1)",
+        bench::count(o.trace_sample, 1, 1u << 20),
+        [&o] { return !o.trace_out.empty(); }, "--trace-out"},
+       {"--trace-out", "<f>", "Perfetto trace of one extra observed run",
+        bench::text(o.trace_out)},
+       {"--metrics-out", "<f>", "metrics of the observed run (JSONL)",
+        bench::text(o.metrics_out)},
+       {"--audit-out", "<f>", "decision audit of the observed run (JSONL)",
+        bench::text(o.audit_out)}});
   return o;
 }
 

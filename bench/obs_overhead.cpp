@@ -94,7 +94,7 @@ int main(int argc, char** argv) {
   std::printf("obs overhead: scenario 1, scale %g, seed %llu, %zu hardware "
               "thread(s)\n",
               kScale, static_cast<unsigned long long>(kSeed),
-              ThreadPool::resolve_jobs(0));
+              resolve_jobs(0));
   const ObsOverhead obs = obs_overhead();
   std::printf("obs_overhead_pct: %+.2f +/- %.2f (median of %zu best-of-2 "
               "off/on pairs +/- SE, hot spans sampled 1-in-8)\n",

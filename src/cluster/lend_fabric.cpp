@@ -66,11 +66,6 @@ void BorrowCache::erase(const RemoteKey& key) {
   ++invalidations_;
 }
 
-void BorrowCache::clear() {
-  lru_.clear();
-  map_.clear();
-}
-
 LendFabric::LendFabric(const comm::ClusterTopology& topo,
                        AsyncLendingConfig cfg,
                        const std::vector<sim::Simulator*>& sims)

@@ -139,8 +139,6 @@ class BorrowCache {
   /// entry actually existed.
   void erase(const RemoteKey& key);
 
-  void clear();
-
   std::uint64_t hits() const { return hits_; }
   std::uint64_t misses() const { return misses_; }
   std::uint64_t insertions() const { return insertions_; }

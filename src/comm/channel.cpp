@@ -20,8 +20,6 @@ const char* to_string(QueuePolicy p) {
       return "drop-newest";
     case QueuePolicy::kDropOldest:
       return "drop-oldest";
-    case QueuePolicy::kBackpressure:
-      return "backpressure";
   }
   return "?";
 }
@@ -33,7 +31,6 @@ void register_channel_metrics(obs::Registry& reg, const std::string& prefix,
   reg.add_counter(prefix + "dropped_loss", &stats->dropped_loss);
   reg.add_counter(prefix + "dropped_down", &stats->dropped_down);
   reg.add_counter(prefix + "dropped_queue", &stats->dropped_queue);
-  reg.add_counter(prefix + "backpressured", &stats->backpressured);
   reg.add_counter(prefix + "duplicated", &stats->duplicated);
   reg.add_counter(prefix + "payload_bytes", &stats->payload_bytes);
   reg.add_running_stats(prefix + "latency_us", &stats->latency);
@@ -52,8 +49,6 @@ bool parse_queue_policy(const std::string& text, QueuePolicy& out) {
     out = QueuePolicy::kDropNewest;
   } else if (text == "drop-oldest") {
     out = QueuePolicy::kDropOldest;
-  } else if (text == "backpressure") {
-    out = QueuePolicy::kBackpressure;
   } else {
     return false;
   }

@@ -9,9 +9,9 @@
 //
 // Channel<T> models one such hop as a first-class object on the simulator:
 //  * a fixed one-way latency per hop;
-//  * a bounded in-flight queue with drop-oldest / drop-newest / backpressure
-//    policies (an unbounded queue models the paper's netlink socket, whose
-//    kernel buffer in practice never fills at one message per second);
+//  * a bounded in-flight queue with drop-oldest / drop-newest policies (an
+//    unbounded queue models the paper's netlink socket, whose kernel buffer
+//    in practice never fills at one message per second);
 //  * fault injection — loss, duplication, reordering, and a down-window —
 //    so policies can be tested against the delivery hazards "Flexible
 //    Swapping for the Cloud" argues cloud control paths must tolerate,
@@ -45,11 +45,8 @@ namespace smartmem::comm {
 
 /// What happens when a send finds the bounded in-flight queue full.
 enum class QueuePolicy : std::uint8_t {
-  kDropNewest,    // reject the new message
-  kDropOldest,    // cancel the oldest undelivered message, accept the new one
-  kBackpressure,  // refuse the send; the sender sees kBackpressured and may
-                  // retry at the next interval (in the real system the
-                  // netlink sendmsg would block or return EAGAIN)
+  kDropNewest,  // reject the new message
+  kDropOldest,  // cancel the oldest undelivered message, accept the new one
 };
 
 /// Delivery hazards injected on the send path.
@@ -90,15 +87,12 @@ struct ChannelConfig {
 
 /// Outcome of Channel<T>::send().
 enum class SendResult : std::uint8_t {
-  kQueued,         // scheduled for delivery
-  kLost,           // dropped by loss_rate
-  kDown,           // dropped by the outage window
-  kDroppedFull,    // rejected: queue full under kDropNewest
-  kBackpressured,  // refused: queue full under kBackpressure
-  kClosed,         // channel not open
+  kQueued,       // scheduled for delivery
+  kLost,         // dropped by loss_rate
+  kDown,         // dropped by the outage window
+  kDroppedFull,  // rejected: queue full under kDropNewest
+  kClosed,       // channel not open
 };
-
-inline bool accepted(SendResult r) { return r == SendResult::kQueued; }
 
 struct ChannelStats {
   std::uint64_t sent = 0;           // sends accepted onto the wire
@@ -106,7 +100,6 @@ struct ChannelStats {
   std::uint64_t dropped_loss = 0;   // lost to loss_rate
   std::uint64_t dropped_down = 0;   // lost to the outage window
   std::uint64_t dropped_queue = 0;  // queue-full victims (either drop policy)
-  std::uint64_t backpressured = 0;  // sends refused under kBackpressure
   std::uint64_t duplicated = 0;     // extra deliveries scheduled
   std::uint64_t reordered = 0;      // messages given the reorder penalty
   std::uint64_t cancelled = 0;      // in-flight deliveries killed by close()
@@ -123,13 +116,12 @@ struct ChannelStats {
 
 /// Snapshot of a channel's congestion state, the signal the adaptive
 /// IntervalController stretches the sampling cadence from: current queue
-/// depth plus the cumulative queue-full drop/refusal counters (the caller
-/// diffs consecutive snapshots to get per-interval velocity).
+/// depth plus the cumulative queue-full drop counter (the caller diffs
+/// consecutive snapshots to get per-interval velocity).
 struct Backpressure {
   std::size_t in_flight = 0;        // sent, not yet delivered
   std::size_t queue_capacity = 0;   // 0 = unbounded
   std::uint64_t dropped_queue = 0;  // cumulative queue-full victims
-  std::uint64_t backpressured = 0;  // cumulative refused sends
 };
 
 /// Queue-policy <-> flag-string helpers for bench front-ends. parse returns
@@ -193,10 +185,6 @@ class Channel {
           ++stats_.dropped_queue;
           trace_drop("drop:queue_full");
           return SendResult::kDroppedFull;
-        case QueuePolicy::kBackpressure:
-          ++stats_.backpressured;
-          trace_drop("backpressure");
-          return SendResult::kBackpressured;
         case QueuePolicy::kDropOldest: {
           auto oldest = pending_.begin();
           oldest->second.cancel();
@@ -227,8 +215,7 @@ class Channel {
 
   /// Congestion snapshot for adaptive-cadence controllers.
   Backpressure backpressure() const {
-    return {pending_.size(), config_.queue_capacity, stats_.dropped_queue,
-            stats_.backpressured};
+    return {pending_.size(), config_.queue_capacity, stats_.dropped_queue};
   }
 
   const ChannelStats& stats() const { return stats_; }

@@ -92,12 +92,6 @@ CsvWriter& CsvWriter::field(std::uint64_t value) {
   return *this;
 }
 
-CsvWriter& CsvWriter::field(std::int64_t value) {
-  separator();
-  *out_ << value;
-  return *this;
-}
-
 void CsvWriter::end_row() {
   *out_ << '\n';
   at_row_start_ = true;

@@ -40,7 +40,6 @@ class CsvWriter {
   CsvWriter& field(const std::string& value);
   CsvWriter& field(double value);
   CsvWriter& field(std::uint64_t value);
-  CsvWriter& field(std::int64_t value);
 
   /// Terminates the current row.
   void end_row();

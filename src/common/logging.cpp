@@ -84,36 +84,13 @@ std::string format_line(Level lvl, Component component,
   return strfmt("[%s] %s", level_name(lvl), message.c_str());
 }
 
-void write(Level lvl, const char* fmt, ...) {
-  if (!enabled(lvl)) return;
-  std::va_list args;
-  va_start(args, fmt);
-  vwrite(lvl, Component::kGeneric, fmt, args);
-  va_end(args);
-}
-
-void write(Level lvl, Component component, const char* fmt, ...) {
-  if (!enabled(lvl)) return;
-  std::va_list args;
-  va_start(args, fmt);
-  vwrite(lvl, component, fmt, args);
-  va_end(args);
-}
-
-#define SMARTMEM_LOG_IMPL(name, lvl)                  \
-  void name(const char* fmt, ...) {                   \
-    if (!enabled(lvl)) return;                        \
-    std::va_list args;                                \
-    va_start(args, fmt);                              \
-    vwrite(lvl, Component::kGeneric, fmt, args);      \
-    va_end(args);                                     \
-  }                                                   \
+#define SMARTMEM_LOG_IMPL(name, lvl)                     \
   void name(Component component, const char* fmt, ...) { \
-    if (!enabled(lvl)) return;                        \
-    std::va_list args;                                \
-    va_start(args, fmt);                              \
-    vwrite(lvl, component, fmt, args);                \
-    va_end(args);                                     \
+    if (!enabled(lvl)) return;                           \
+    std::va_list args;                                   \
+    va_start(args, fmt);                                 \
+    vwrite(lvl, component, fmt, args);                   \
+    va_end(args);                                        \
   }
 
 SMARTMEM_LOG_IMPL(trace, Level::kTrace)

@@ -1,7 +1,7 @@
 // Leveled logging for the simulator. Defaults to Warn so tests and benches
 // stay quiet; scenario tools raise it with --verbose.
 //
-// Messages carry an optional component tag and — when the running node has
+// Messages carry a component tag and — when the running node has
 // installed a simulated-time clock — a sim-time stamp:
 //   [t=412.003s hyper] [warn] target for unknown VM 4 ignored
 // The clock is thread-local, so parallel `--jobs` runs stamp each worker's
@@ -17,8 +17,7 @@ namespace smartmem::log {
 
 enum class Level { kTrace = 0, kDebug, kInfo, kWarn, kError, kOff };
 
-/// Component tag prefixed to log lines. kGeneric keeps the bare pre-tag
-/// format for call sites that never adopted a component.
+/// Component tag prefixed to log lines. kGeneric formats an untagged line.
 enum class Component {
   kGeneric = 0,
   kSim,
@@ -45,16 +44,6 @@ void set_sim_clock(SimClockFn clock, const void* ctx);
 
 /// True when this thread currently stamps log lines with simulated time.
 bool has_sim_clock();
-
-[[gnu::format(printf, 2, 3)]] void write(Level level, const char* fmt, ...);
-[[gnu::format(printf, 3, 4)]] void write(Level level, Component component,
-                                         const char* fmt, ...);
-
-[[gnu::format(printf, 1, 2)]] void trace(const char* fmt, ...);
-[[gnu::format(printf, 1, 2)]] void debug(const char* fmt, ...);
-[[gnu::format(printf, 1, 2)]] void info(const char* fmt, ...);
-[[gnu::format(printf, 1, 2)]] void warn(const char* fmt, ...);
-[[gnu::format(printf, 1, 2)]] void error(const char* fmt, ...);
 
 [[gnu::format(printf, 2, 3)]] void trace(Component component, const char* fmt,
                                          ...);

@@ -1,101 +1,61 @@
-// Fixed-size worker pool for fanning out independent seeded simulation runs.
+// Fan-out of independent seeded simulation runs over a few threads.
 //
 // The experiment grids (repetitions x policies x scenarios) are embarrassingly
 // parallel: every run is a pure function of its seed and shares no mutable
-// state with its siblings. The pool therefore stays deliberately small — no
-// work stealing, no task priorities — and the determinism story lives in the
-// callers: tasks write their results into pre-sized slots indexed by
-// (rep, policy), never by completion order, and all reading/printing happens
-// after the barrier on the submitting thread.
-//
-// Exception safety: a task that throws stores the exception in its future;
-// parallel_for_each() re-throws the lowest-index failure after every task has
-// finished, so no worker is left touching caller state.
+// state with its siblings. The determinism story therefore lives in the
+// callers: fn(i) writes its result into a pre-sized slot indexed by i, never
+// by completion order, and all reading/printing happens after
+// parallel_for_each() returns.
 #pragma once
 
-#include <condition_variable>
+#include <algorithm>
+#include <atomic>
 #include <cstddef>
-#include <deque>
-#include <functional>
-#include <future>
-#include <mutex>
+#include <exception>
 #include <thread>
-#include <type_traits>
-#include <utility>
 #include <vector>
 
 namespace smartmem {
 
-class ThreadPool {
- public:
-  /// Spawns `threads` workers; 0 means std::thread::hardware_concurrency()
-  /// (never less than 1).
-  explicit ThreadPool(std::size_t threads = 0);
+/// Resolves a user-facing jobs knob: 0 -> hardware_concurrency (>= 1).
+inline std::size_t resolve_jobs(std::size_t jobs) {
+  if (jobs != 0) return jobs;
+  const unsigned hw = std::thread::hardware_concurrency();
+  return hw == 0 ? 1 : hw;
+}
 
-  /// Drains every queued task, then joins the workers. Tasks submitted
-  /// before destruction always run to completion.
-  ~ThreadPool();
-
-  ThreadPool(const ThreadPool&) = delete;
-  ThreadPool& operator=(const ThreadPool&) = delete;
-
-  std::size_t size() const { return workers_.size(); }
-
-  /// Resolves a user-facing jobs knob: 0 -> hardware_concurrency (>= 1).
-  static std::size_t resolve_jobs(std::size_t jobs);
-
-  /// Enqueues `fn` and returns a future for its result. If `fn` throws, the
-  /// exception is rethrown from future::get() on the calling thread.
-  template <typename F>
-  auto submit(F&& fn) -> std::future<std::invoke_result_t<std::decay_t<F>&>> {
-    using R = std::invoke_result_t<std::decay_t<F>&>;
-    std::packaged_task<R()> task(std::forward<F>(fn));
-    std::future<R> result = task.get_future();
-    enqueue(std::packaged_task<void()>(
-        [t = std::move(task)]() mutable { t(); }));
-    return result;
-  }
-
-  /// Runs fn(i) for every i in [0, count) on the pool and blocks until all
-  /// have finished. Results must go into caller-owned slots indexed by `i`
-  /// (deterministic ordering), never be ordered by completion. Rethrows the
-  /// exception of the lowest failing index after the barrier.
-  template <typename Fn>
-  void for_each_index(std::size_t count, Fn&& fn) {
-    std::vector<std::future<void>> pending;
-    pending.reserve(count);
-    for (std::size_t i = 0; i < count; ++i) {
-      pending.push_back(submit([&fn, i] { fn(i); }));
-    }
-    for (auto& f : pending) f.wait();  // barrier before any rethrow
-    for (auto& f : pending) f.get();
-  }
-
- private:
-  void enqueue(std::packaged_task<void()> task);
-  void worker_loop();
-
-  std::vector<std::thread> workers_;
-  std::deque<std::packaged_task<void()>> tasks_;
-  std::mutex mu_;
-  std::condition_variable cv_;
-  bool stopping_ = false;
-};
-
-/// Convenience wrapper used by the experiment and bench layers: runs fn(i)
-/// for i in [0, count). jobs <= 1 runs inline on the calling thread, in
-/// index order, with no pool construction — the serial path stays
-/// byte-identical to pre-parallel behaviour. jobs == 0 uses every hardware
-/// thread.
+/// Runs fn(i) for i in [0, count). jobs <= 1 runs inline on the calling
+/// thread, in index order — the serial path stays byte-identical to
+/// pre-parallel behaviour. Otherwise at most min(jobs, count) threads pull
+/// indices; every index runs even after one throws, and the exception of the
+/// lowest failing index is rethrown once all have finished, so no thread is
+/// left touching caller state. jobs == 0 uses every hardware thread.
 template <typename Fn>
 void parallel_for_each(std::size_t jobs, std::size_t count, Fn&& fn) {
-  jobs = ThreadPool::resolve_jobs(jobs);
+  jobs = resolve_jobs(jobs);
   if (jobs <= 1 || count <= 1) {
     for (std::size_t i = 0; i < count; ++i) fn(i);
     return;
   }
-  ThreadPool pool(jobs < count ? jobs : count);
-  pool.for_each_index(count, fn);
+  std::vector<std::exception_ptr> errors(count);
+  std::atomic<std::size_t> next{0};
+  auto drain = [&] {
+    for (std::size_t i = next++; i < count; i = next++) {
+      try {
+        fn(i);
+      } catch (...) {
+        errors[i] = std::current_exception();
+      }
+    }
+  };
+  {
+    // jthread joins on scope exit, also when a later thread fails to start.
+    std::vector<std::jthread> threads(std::min(jobs, count));
+    for (auto& t : threads) t = std::jthread(drain);
+  }
+  for (const std::exception_ptr& e : errors) {
+    if (e) std::rethrow_exception(e);
+  }
 }
 
 }  // namespace smartmem

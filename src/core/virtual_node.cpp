@@ -80,7 +80,7 @@ VirtualNode::VirtualNode(NodeConfig config)
       manager_->set_pressure_probe([this](mm::IntervalSignal& sig) {
         const comm::Backpressure bp = tkm_->uplink_backpressure();
         sig.uplink_in_flight = bp.in_flight;
-        sig.uplink_queue_events = bp.dropped_queue + bp.backpressured;
+        sig.uplink_queue_events = bp.dropped_queue;
       });
     }
   }

@@ -731,13 +731,6 @@ const VmData& Hypervisor::vm_data(VmId vm) const {
   return *data;
 }
 
-std::vector<VmId> Hypervisor::registered_vms() const {
-  std::vector<VmId> out;
-  out.reserve(vms_.size());
-  for (const auto& [id, data] : vms_) out.push_back(id);
-  return out;
-}
-
 void Hypervisor::set_trace(obs::TraceRecorder* trace) {
   trace_ = trace;
   vm_tracks_.clear();

@@ -257,7 +257,6 @@ class Hypervisor {
   /// last applied seq (DESIGN §12 chain invariant).
   std::uint64_t target_chain_breaks() const { return target_chain_breaks_; }
   std::uint64_t last_target_seq() const { return last_target_seq_; }
-  std::vector<VmId> registered_vms() const;
 
   // ---- Observability --------------------------------------------------------
 

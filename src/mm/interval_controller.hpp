@@ -88,8 +88,8 @@ struct IntervalSignal {
   double sample_age_intervals = 0.0;
   /// Uplink queue depth at observation time.
   std::size_t uplink_in_flight = 0;
-  /// Cumulative uplink queue-full drops + backpressured sends; the
-  /// controller diffs consecutive values itself.
+  /// Cumulative uplink queue-full drops; the controller diffs consecutive
+  /// values itself.
   std::uint64_t uplink_queue_events = 0;
 };
 

@@ -14,11 +14,6 @@ SwapRatePolicy::SwapRatePolicy(SwapRatePolicyConfig config) : config_(config) {
   }
 }
 
-double SwapRatePolicy::rate(VmId vm) const {
-  auto it = ewma_.find(vm);
-  return it == ewma_.end() ? 0.0 : it->second;
-}
-
 hyper::MmOut SwapRatePolicy::compute(const hyper::MemStats& stats,
                                      const PolicyContext& ctx) {
   // Update the smoothed failed-put rate per VM.

@@ -29,8 +29,6 @@ class SwapRatePolicy final : public Policy {
   hyper::MmOut compute(const hyper::MemStats& stats,
                        const PolicyContext& ctx) override;
 
-  double rate(VmId vm) const;
-
  private:
   SwapRatePolicyConfig config_;
   std::unordered_map<VmId, double> ewma_;

@@ -37,7 +37,6 @@ void Registry::add(std::string name, bool counter, ReadFn read) {
     throw std::logic_error("Registry: registration after first snapshot");
   }
   metrics_.push_back(Metric{std::move(name), counter, std::move(read)});
-  names_.clear();
 }
 
 void Registry::add_counter(std::string name, ReadFn read) {
@@ -68,15 +67,6 @@ void Registry::add_running_stats(const std::string& name,
             [stats] { return stats->count() ? stats->max() : 0.0; });
   add_counter(name + ".count",
               [stats] { return static_cast<double>(stats->count()); });
-}
-
-const std::vector<std::string>& Registry::names() const {
-  if (names_.size() != metrics_.size()) {
-    names_.clear();
-    names_.reserve(metrics_.size());
-    for (const Metric& m : metrics_) names_.push_back(m.name);
-  }
-  return names_;
 }
 
 void Registry::snapshot(SimTime now) {

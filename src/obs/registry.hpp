@@ -41,7 +41,6 @@ class Registry {
   void add_running_stats(const std::string& name, const RunningStats* stats);
 
   std::size_t metric_count() const { return metrics_.size(); }
-  const std::vector<std::string>& names() const;
 
   /// Evaluates every metric and appends a row. Registration is closed after
   /// the first snapshot (the column set must stay fixed).
@@ -70,7 +69,6 @@ class Registry {
   void add(std::string name, bool counter, ReadFn read);
 
   std::vector<Metric> metrics_;
-  mutable std::vector<std::string> names_;  // cache for names()
   std::vector<Row> rows_;
   bool closed_ = false;
 };

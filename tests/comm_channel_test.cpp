@@ -182,23 +182,6 @@ TEST(ChannelTest, BoundedQueueDropOldestCancelsHead) {
   EXPECT_EQ(h.chan.stats().sent, 3u);
 }
 
-TEST(ChannelTest, BackpressureRefusesUntilASlotFrees) {
-  auto cfg = base_config();
-  cfg.latency = kMillisecond;
-  cfg.queue_capacity = 1;
-  cfg.queue_policy = QueuePolicy::kBackpressure;
-  Harness h(cfg);
-
-  EXPECT_EQ(h.chan.send(1), SendResult::kQueued);
-  EXPECT_EQ(h.chan.send(2), SendResult::kBackpressured);
-  EXPECT_EQ(h.chan.stats().backpressured, 1u);
-  h.sim.run();  // message 1 delivered, slot free again
-  EXPECT_EQ(h.chan.send(3), SendResult::kQueued);
-  h.sim.run();
-  ASSERT_EQ(h.received.size(), 2u);
-  EXPECT_EQ(h.received[1].first, 3);
-}
-
 TEST(ChannelTest, CloseCancelsInFlightAndRefusesSends) {
   auto cfg = base_config();
   cfg.latency = kMillisecond;
@@ -230,8 +213,7 @@ TEST(ChannelTest, ScaleTimesShrinksEveryTimeConstant) {
 }
 
 TEST(ChannelTest, QueuePolicyStringRoundTrip) {
-  for (QueuePolicy p : {QueuePolicy::kDropNewest, QueuePolicy::kDropOldest,
-                        QueuePolicy::kBackpressure}) {
+  for (QueuePolicy p : {QueuePolicy::kDropNewest, QueuePolicy::kDropOldest}) {
     QueuePolicy parsed{};
     ASSERT_TRUE(parse_queue_policy(to_string(p), parsed));
     EXPECT_EQ(parsed, p);

@@ -1,12 +1,12 @@
-// ThreadPool contract: futures carry results and exceptions, for_each_index
-// covers every slot exactly once, destruction drains queued work, and the
-// serial parallel_for_each path preserves index order.
+// parallel_for_each contract: every index runs exactly once, the lowest
+// failing index's exception is rethrown after all indices finish, and the
+// serial path runs inline in index order; resolve_jobs maps 0 to the
+// hardware thread count.
 #include "common/thread_pool.hpp"
 
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <chrono>
 #include <numeric>
 #include <stdexcept>
 #include <thread>
@@ -15,46 +15,23 @@
 namespace smartmem {
 namespace {
 
-TEST(ThreadPoolTest, SubmitReturnsValues) {
-  ThreadPool pool(4);
-  EXPECT_EQ(pool.size(), 4u);
-  std::vector<std::future<int>> futures;
-  for (int i = 0; i < 100; ++i) {
-    futures.push_back(pool.submit([i] { return i * i; }));
-  }
-  for (int i = 0; i < 100; ++i) {
-    EXPECT_EQ(futures[static_cast<std::size_t>(i)].get(), i * i);
-  }
-}
-
 TEST(ThreadPoolTest, ZeroThreadsMeansHardwareConcurrency) {
-  ThreadPool pool(0);
-  EXPECT_GE(pool.size(), 1u);
-  EXPECT_EQ(pool.size(), ThreadPool::resolve_jobs(0));
-}
-
-TEST(ThreadPoolTest, ExceptionPropagatesThroughFuture) {
-  ThreadPool pool(2);
-  auto ok = pool.submit([] { return 7; });
-  auto bad = pool.submit([]() -> int { throw std::runtime_error("boom"); });
-  EXPECT_EQ(ok.get(), 7);
-  EXPECT_THROW(bad.get(), std::runtime_error);
-  // The pool survives a throwing task.
-  EXPECT_EQ(pool.submit([] { return 1; }).get(), 1);
+  const unsigned hw = std::thread::hardware_concurrency();
+  EXPECT_GE(resolve_jobs(0), 1u);
+  EXPECT_EQ(resolve_jobs(0), hw == 0 ? 1u : hw);
+  EXPECT_EQ(resolve_jobs(3), 3u);
 }
 
 TEST(ThreadPoolTest, ForEachIndexCoversEverySlotOnce) {
-  ThreadPool pool(4);
   std::vector<std::atomic<int>> hits(257);
-  pool.for_each_index(hits.size(), [&](std::size_t i) { ++hits[i]; });
+  parallel_for_each(4, hits.size(), [&](std::size_t i) { ++hits[i]; });
   for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
 }
 
 TEST(ThreadPoolTest, ForEachIndexRethrowsLowestFailingIndex) {
-  ThreadPool pool(4);
   std::atomic<int> completed{0};
   try {
-    pool.for_each_index(64, [&](std::size_t i) {
+    parallel_for_each(4, 64, [&](std::size_t i) {
       if (i == 5 || i == 40) {
         throw std::out_of_range("idx " + std::to_string(i));
       }
@@ -64,24 +41,8 @@ TEST(ThreadPoolTest, ForEachIndexRethrowsLowestFailingIndex) {
   } catch (const std::out_of_range& e) {
     EXPECT_STREQ(e.what(), "idx 5");  // lowest index wins, deterministically
   }
-  // The rethrow happens only after the barrier: all healthy tasks ran.
+  // The rethrow happens only after the barrier: all healthy indices ran.
   EXPECT_EQ(completed.load(), 62);
-}
-
-TEST(ThreadPoolTest, DestructionDrainsQueuedTasksUnderLoad) {
-  std::atomic<int> done{0};
-  constexpr int kTasks = 200;
-  {
-    ThreadPool pool(2);
-    for (int i = 0; i < kTasks; ++i) {
-      pool.submit([&done] {
-        std::this_thread::sleep_for(std::chrono::microseconds(50));
-        ++done;
-      });
-    }
-    // Destructor runs with most of the queue still pending.
-  }
-  EXPECT_EQ(done.load(), kTasks);
 }
 
 TEST(ThreadPoolTest, SerialParallelForEachRunsInIndexOrderInline) {

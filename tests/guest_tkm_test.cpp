@@ -50,7 +50,7 @@ TEST(TkmTest, SubmitTargetsReachesHypervisorAfterDownlink) {
 
   Tkm tkm(sim, hyp, comm_config(100 * kMicrosecond, 5 * kMillisecond));
 
-  EXPECT_TRUE(comm::accepted(tkm.submit_targets({1, {{1, 7}}})));
+  EXPECT_EQ(tkm.submit_targets({1, {{1, 7}}}), comm::SendResult::kQueued);
   EXPECT_EQ(hyp.target(1), kUnlimitedTarget) << "must not apply synchronously";
   sim.run_until(4 * kMillisecond);
   EXPECT_EQ(hyp.target(1), kUnlimitedTarget);
@@ -109,7 +109,7 @@ TEST(TkmTest, StopCancelsInFlightTargetDeliveries) {
   hyp.register_vm(1);
 
   Tkm tkm(sim, hyp, comm_config(100 * kMicrosecond, 5 * kMillisecond));
-  EXPECT_TRUE(comm::accepted(tkm.submit_targets({1, {{1, 7}}})));
+  EXPECT_EQ(tkm.submit_targets({1, {{1, 7}}}), comm::SendResult::kQueued);
   tkm.stop();
   sim.run();
   EXPECT_EQ(hyp.target(1), kUnlimitedTarget)
@@ -211,7 +211,7 @@ TEST(TkmTest, RestartAfterStopResumesForwarding) {
   tkm.start([&](const hyper::MemStats&) { ++count; });
   sim.run_until(3 * kSecond + 2 * kMillisecond);
   EXPECT_EQ(count, 3);
-  EXPECT_TRUE(comm::accepted(tkm.submit_targets({1, {{1, 4}}})));
+  EXPECT_EQ(tkm.submit_targets({1, {{1, 4}}}), comm::SendResult::kQueued);
   sim.run_until(4 * kSecond);
   EXPECT_EQ(hyp.target(1), 4u);
 }
