@@ -31,7 +31,6 @@ struct Cell {
   bool ack = false;       // TKM downlink target ack/retry
   bool suppress = true;   // MM suppression of unchanged target vectors
   mm::StaleMode stale = mm::StaleMode::kOff;  // smart-alloc staleness mode
-  bool adaptive = false;  // MM-driven dynamic sampling interval
 };
 
 /// Counters from one seeded run (runtimes are one entry per VM).
@@ -41,8 +40,7 @@ struct RepResult {
   std::uint64_t dropped = 0;          // loss + queue + down, both hops
   std::uint64_t stale = 0;            // MM + hypervisor sequence rejects
   std::uint64_t retransmits = 0;      // TKM ack-timeout target resends
-  std::uint64_t stale_decisions = 0;  // decisions skipped/widened for age
-  std::uint64_t ivl_changes = 0;      // accepted interval retunes
+  std::uint64_t stale_decisions = 0;  // decisions widened for age
 };
 
 RepResult run_rep(const core::ScenarioSpec& spec, const bench::Options& opts,
@@ -60,7 +58,6 @@ RepResult run_rep(const core::ScenarioSpec& spec, const bench::Options& opts,
   cfg.comm.downlink.queue_policy = cell.policy;
   cfg.comm.ack_targets = cell.ack;
   cfg.mm_suppress_unchanged = cell.suppress;
-  cfg.adaptive_interval.enabled = cell.adaptive;
 
   mm::PolicySpec policy = mm::PolicySpec::smart(6.0);
   policy.smart_config.stale_mode = cell.stale;
@@ -82,9 +79,6 @@ RepResult run_rep(const core::ScenarioSpec& spec, const bench::Options& opts,
             node->hypervisor().stale_targets_dropped();
   r.retransmits = node->tkm()->target_retransmits();
   r.stale_decisions = node->manager()->policy().stale_decisions();
-  if (const auto* ctl = node->manager()->interval_controller()) {
-    r.ivl_changes = ctl->changes();
-  }
   return r;
 }
 
@@ -137,27 +131,22 @@ int main(int argc, char** argv) {
     }
   }
 
-  // Third grid: the adaptive control plane against exactly the staleness
-  // regime that hurts the fixed loop. drop-oldest at x100 latency keeps
-  // ~2.5 samples in flight; a capacity-3 queue is the livelock point where
-  // messages survive but every delivery is perpetually ~2.5 intervals old.
-  // (Capacity 2 is total starvation — nothing is ever delivered, so no
-  // controller can help; the integration test pins that separately.) Stale
-  // modes let smart-alloc skip or widen decisions on old samples, and the
-  // adaptive interval stretches the cadence until deliveries stop queueing.
-  const std::size_t adaptive_grid_start = cells.size();
+  // Third grid: stale-widen against exactly the staleness regime that
+  // hurts the fixed loop. drop-oldest at x100 latency keeps ~2.5 samples in
+  // flight; a capacity-3 queue is the livelock point where messages survive
+  // but every delivery is perpetually ~2.5 intervals old. (Capacity 2 is
+  // total starvation — nothing is ever delivered, so no stale mode can
+  // help; the integration test pins that separately.) stale-widen lets
+  // smart-alloc grow targets by a larger step on old samples.
+  const std::size_t stale_grid_start = cells.size();
   for (const double lat_x : {40.0, 100.0}) {
-    for (const auto stale :
-         {mm::StaleMode::kOff, mm::StaleMode::kSkip, mm::StaleMode::kWiden}) {
-      for (const bool adaptive : {false, true}) {
-        Cell cell;
-        cell.policy = comm::QueuePolicy::kDropOldest;
-        cell.lat_x = lat_x;
-        cell.queue = 3;
-        cell.stale = stale;
-        cell.adaptive = adaptive;
-        cells.push_back(cell);
-      }
+    for (const auto stale : {mm::StaleMode::kOff, mm::StaleMode::kWiden}) {
+      Cell cell;
+      cell.policy = comm::QueuePolicy::kDropOldest;
+      cell.lat_x = lat_x;
+      cell.queue = 3;
+      cell.stale = stale;
+      cells.push_back(cell);
     }
   }
 
@@ -181,7 +170,6 @@ int main(int argc, char** argv) {
       totals[c].stale += r.stale;
       totals[c].retransmits += r.retransmits;
       totals[c].stale_decisions += r.stale_decisions;
-      totals[c].ivl_changes += r.ivl_changes;
     }
   }
 
@@ -212,7 +200,7 @@ int main(int argc, char** argv) {
               "(lat x1, unbounded queue) ---\n");
   std::printf("%-9s %-5s %-6s %12s %8s %10s %9s %6s\n", "suppress", "ack",
               "flt", "mean VM (s)", "delta", "delivered", "retx", "stale");
-  for (c = ack_grid_start; c < adaptive_grid_start; ++c) {
+  for (c = ack_grid_start; c < stale_grid_start; ++c) {
     const Cell& cell = cells[c];
     const double mean = runtime[c].mean();
     const double delta =
@@ -225,22 +213,20 @@ int main(int argc, char** argv) {
                 static_cast<unsigned long long>(totals[c].stale / reps));
   }
 
-  std::printf("\n--- adaptive control plane at the staleness cliff "
+  std::printf("\n--- stale-widen at the staleness cliff "
               "(drop-oldest, capacity 3, loss 0) ---\n");
-  std::printf("%-8s %-7s %-9s %12s %8s %10s %9s %8s\n", "lat", "stale",
-              "adaptive", "mean VM (s)", "delta", "delivered", "skipped",
-              "retunes");
-  for (c = adaptive_grid_start; c < cells.size(); ++c) {
+  std::printf("%-8s %-7s %12s %8s %10s %9s\n", "lat", "stale",
+              "mean VM (s)", "delta", "delivered", "widened");
+  for (c = stale_grid_start; c < cells.size(); ++c) {
     const Cell& cell = cells[c];
     const double mean = runtime[c].mean();
     const double delta =
         baseline > 0 ? (mean - baseline) / baseline * 100.0 : 0.0;
-    std::printf(
-        "x%-7g %-7s %-9s %12.2f %+7.1f%% %10llu %9llu %8llu\n", cell.lat_x,
-        mm::to_string(cell.stale), cell.adaptive ? "on" : "off", mean, delta,
-        static_cast<unsigned long long>(totals[c].delivered / reps),
-        static_cast<unsigned long long>(totals[c].stale_decisions / reps),
-        static_cast<unsigned long long>(totals[c].ivl_changes / reps));
+    std::printf("x%-7g %-7s %12.2f %+7.1f%% %10llu %9llu\n", cell.lat_x,
+                mm::to_string(cell.stale), mean, delta,
+                static_cast<unsigned long long>(totals[c].delivered / reps),
+                static_cast<unsigned long long>(totals[c].stale_decisions /
+                                                reps));
   }
   return 0;
 }

@@ -22,10 +22,6 @@ bool comm_overridden(const Options& opts) {
          opts.comm_policy != comm::QueuePolicy::kDropNewest;
 }
 
-bool adaptive_overridden(const Options& opts) {
-  return opts.stale_mode != mm::StaleMode::kOff || opts.adaptive_interval;
-}
-
 bool compression_overridden(const Options& opts) {
   return opts.compressed_bytes != 0 || opts.compress_min_ratio != 1.5 ||
          opts.compress_max_ratio != 4.0 || !opts.compressed_evict_demote ||
@@ -38,10 +34,6 @@ void apply_compression_options(core::NodeConfig& cfg, const Options& opts) {
   cfg.compressibility.max_ratio = opts.compress_max_ratio;
   cfg.compressed_evict_demote = opts.compressed_evict_demote;
   cfg.capacity_units = opts.capacity_units;
-}
-
-void apply_adaptive_options(core::NodeConfig& cfg, const Options& opts) {
-  cfg.adaptive_interval.enabled = opts.adaptive_interval;
 }
 
 std::vector<mm::PolicySpec> apply_stale_options(
@@ -69,7 +61,7 @@ void run_observed(const std::string& figure_id,
       apply_stale_options(policies, opts);
   // Prefer a managed policy so the trace/audit carry MM decisions — and a
   // smart policy specifically when a stale mode was requested, so the
-  // audit shows the alg4:stale-* verdicts the flag enables.
+  // audit shows the alg4:stale-widen verdicts the flag enables.
   const mm::PolicySpec* policy = &specs.front();
   for (const auto& p : specs) {
     if (p.needs_manager()) {
@@ -87,7 +79,6 @@ void run_observed(const std::string& figure_id,
   }
   core::NodeConfig cfg = core::scaled_node_defaults(opts.scale);
   if (comm_overridden(opts)) apply_comm_options(cfg, opts);
-  if (adaptive_overridden(opts)) apply_adaptive_options(cfg, opts);
   if (compression_overridden(opts)) apply_compression_options(cfg, opts);
   cfg.obs.trace_out = opts.trace_out;
   cfg.obs.metrics_out = opts.metrics_out;
@@ -302,15 +293,13 @@ Options parse_options(int argc, char** argv,
        },
        [&o] { return o.comm_queue > 0; }, "--comm-queue <n> > 0"},
       {"--stale-mode", "<m>",
-       "smart-alloc staleness handling: off|skip|widen (default off)",
+       "smart-alloc staleness handling: off|widen (default off)",
        [&o](const char* t) { return mm::parse_stale_mode(t, o.stale_mode); }},
       {"--stale-threshold", "<f>",
        "sample age (intervals) counting as stale (> 0, default 1.5)",
        real(o.stale_threshold, kAboveZero, kMaxReal),
-       [&o] { return o.stale_mode != mm::StaleMode::kOff; },
-       "--stale-mode skip or widen"},
-      {"--adaptive-interval", "", "MM-driven dynamic sampling interval",
-       assign(o.adaptive_interval, true)},
+       [&o] { return o.stale_mode == mm::StaleMode::kWiden; },
+       "--stale-mode widen"},
       {"--compressed-bytes", "<n>",
        "compressed-tier byte budget (default 0 = off)",
        count(o.compressed_bytes, 0, kMaxCount)},
@@ -350,7 +339,8 @@ Options parse_options(int argc, char** argv,
        "trace categories (tmem,hyper,comm,mm,guest,workload,sim|all)",
        [&o](const char* t) {
          return obs::parse_categories(t, o.trace_categories);
-       }},
+       },
+       [&o] { return !o.trace_out.empty(); }, "--trace-out <file>"},
   };
   if (reads.size() != 0) {
     const auto read = [&reads](std::string_view name) {
@@ -384,29 +374,21 @@ std::vector<core::ExperimentResult> run_runtime_figure(
   cfg.repetitions = opts.repetitions;
   cfg.base_seed = opts.base_seed;
   cfg.jobs = opts.jobs;
-  // --comm-*/--stale-*/--adaptive-* flags reshape the control plane; at
-  // their defaults no override is installed and the policy specs pass
-  // through untouched, keeping the default run byte-identical.
+  // --comm-*/--compress* flags reshape the node and --stale-* the smart
+  // policy specs; at their defaults no override is installed and the specs
+  // pass through untouched, keeping the default run byte-identical.
   const std::vector<mm::PolicySpec> specs =
       apply_stale_options(policies, opts);
   core::NodeConfig comm_cfg;
-  if (comm_overridden(opts) || adaptive_overridden(opts) ||
-      compression_overridden(opts)) {
+  if (comm_overridden(opts) || compression_overridden(opts)) {
     comm_cfg = core::scaled_node_defaults(opts.scale);
     apply_comm_options(comm_cfg, opts);
-    apply_adaptive_options(comm_cfg, opts);
     apply_compression_options(comm_cfg, opts);
     cfg.overrides = &comm_cfg;
     if (comm_overridden(opts)) {
       std::printf("comm: latency x%g, loss %g, queue %zu (%s)\n",
                   opts.comm_latency_x, opts.comm_loss, opts.comm_queue,
                   comm::to_string(opts.comm_policy));
-    }
-    if (adaptive_overridden(opts)) {
-      std::printf("adaptive: stale-mode %s (threshold %g), "
-                  "adaptive-interval %s\n",
-                  mm::to_string(opts.stale_mode), opts.stale_threshold,
-                  opts.adaptive_interval ? "on" : "off");
     }
     if (compression_overridden(opts)) {
       std::printf("compressed tier: %llu bytes, ratios [%g, %g], evict %s, "
@@ -457,11 +439,9 @@ void run_usage_figure(const std::string& figure_id, const std::string& title,
   core::NodeConfig comm_cfg;
   const core::NodeConfig* overrides = nullptr;
   const std::vector<mm::PolicySpec> specs = apply_stale_options(panels, opts);
-  if (comm_overridden(opts) || adaptive_overridden(opts) ||
-      compression_overridden(opts)) {
+  if (comm_overridden(opts) || compression_overridden(opts)) {
     comm_cfg = core::scaled_node_defaults(opts.scale);
     apply_comm_options(comm_cfg, opts);
-    apply_adaptive_options(comm_cfg, opts);
     apply_compression_options(comm_cfg, opts);
     overrides = &comm_cfg;
     if (comm_overridden(opts)) {

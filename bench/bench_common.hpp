@@ -28,11 +28,10 @@
 //   --comm-queue <n>       bounded in-flight queue per hop (default 0 = off)
 //   --comm-policy <p>      drop-newest | drop-oldest (needs --comm-queue > 0)
 //
-// Adaptive control plane (off by default — the paper-faithful loop):
-//   --stale-mode <m>       smart-alloc staleness handling: off|skip|widen
+// Stale samples (off by default — the paper acts on every sample):
+//   --stale-mode <m>       smart-alloc staleness handling: off|widen
 //   --stale-threshold <f>  sample age (in intervals) counting as stale
-//                          (needs --stale-mode skip|widen)
-//   --adaptive-interval    let the MM stretch/shrink the sampling interval
+//                          (needs --stale-mode widen)
 //
 // Compressed tier (src/tier, off by default — byte-identical when off):
 //   --compressed-bytes <n>     byte budget of the zswap-style pool (0 = off)
@@ -50,7 +49,8 @@
 //   --metrics-out <file>   metrics snapshots, JSONL (or CSV via .csv suffix)
 //   --audit-out <file>     policy decision audit log, JSONL
 //   --trace-cats <list>    comma-separated trace categories (default all:
-//                          tmem,hyper,comm,mm,guest,workload,sim)
+//                          tmem,hyper,comm,mm,guest,workload,sim; needs
+//                          --trace-out)
 #pragma once
 
 #include <cstdint>
@@ -80,11 +80,10 @@ struct Options {
   double comm_loss = 0.0;
   std::size_t comm_queue = 0;
   comm::QueuePolicy comm_policy = comm::QueuePolicy::kDropNewest;
-  // --stale-mode / --stale-threshold / --adaptive-interval; at these
-  // defaults neither the policy configs nor the node config are touched.
+  // --stale-mode / --stale-threshold; at these defaults the policy
+  // configs are not touched.
   mm::StaleMode stale_mode = mm::StaleMode::kOff;
   double stale_threshold = 1.5;
-  bool adaptive_interval = false;
   // Compressed-tier (src/tier) knobs; at these defaults the node config is
   // left untouched, keeping every figure byte-identical to the pre-tier
   // output. --compressed-bytes enables the pool.
@@ -107,18 +106,11 @@ bool comm_overridden(const Options& opts);
 /// Applies the --comm-* flags onto cfg.comm (both hops).
 void apply_comm_options(core::NodeConfig& cfg, const Options& opts);
 
-/// True when --stale-mode or --adaptive-interval deviates from its default.
-bool adaptive_overridden(const Options& opts);
-
 /// True when any compressed-tier flag deviates from its default.
 bool compression_overridden(const Options& opts);
 
 /// Applies the --compressed-*/--capacity-units flags onto cfg.
 void apply_compression_options(core::NodeConfig& cfg, const Options& opts);
-
-/// Applies --adaptive-interval onto cfg (bounds already scaled by
-/// scaled_node_defaults).
-void apply_adaptive_options(core::NodeConfig& cfg, const Options& opts);
 
 /// Returns `policies` with --stale-mode/--stale-threshold applied to every
 /// smart-policy spec (other policies pass through untouched).

@@ -10,9 +10,9 @@
 // lending turns the difference into borrowed frames. The printed table and
 // CSV report aggregate failed puts, remote traffic and makespan per cell.
 //
-// A 1-node cluster wires no rack machinery at all, so `--nodes 1` output is
-// byte-identical to `--single` (the plain VirtualNode path) — CI diffs the
-// two CSVs.
+// A 1-node cluster wires no rack machinery at all, so a `--nodes 1` run is
+// the plain VirtualNode path (cluster_topology_test's RackContractTest pins
+// that); the rack knobs below need a sweep with a cell of 2+ nodes.
 //
 // Flags go through bench_common's one parser (--help lists them with their
 // ranges): the shared --scale/--reps/--seed/--jobs/--csv with their shared
@@ -26,9 +26,6 @@
 //   --cluster-interval-x <f> global decision interval, in node sampling
 //                            intervals (default 2)
 //   --cluster-no-lending     disable remote-tmem lending
-//   --single                 run the plain single-node path and emit rows
-//                            with the same labels a 1-node cluster gets
-//                            (excludes --nodes)
 //   --trace-out/--metrics-out/--audit-out   one extra observed 2-node (or
 //                            --nodes) run with the obs pillars enabled
 #include <algorithm>
@@ -43,7 +40,6 @@
 #include "cluster/global_policy.hpp"
 #include "common/stats.hpp"
 #include "common/thread_pool.hpp"
-#include "core/scenario.hpp"
 
 namespace {
 
@@ -60,7 +56,6 @@ struct Options {
   double latency_x = 0.0;      // 0 = sweep {1, 10}
   double interval_x = 2.0;
   bool lending = true;
-  bool single = false;
   std::string trace_out;
   std::string metrics_out;
   std::string audit_out;
@@ -68,6 +63,11 @@ struct Options {
 
 Options parse(int argc, char** argv) {
   Options o;
+  // A 1-node cell runs no rack, so a rack knob on a --nodes 1 sweep would
+  // move only the label columns.
+  const auto rack = [&o] { return o.nodes != 1; };
+  const std::string rack_what =
+      "a sweep with a cell of 2+ nodes (not --nodes 1)";
   bench::parse_flags(
       argc, argv,
       {bench::scale_flag(o.scale),
@@ -80,21 +80,18 @@ Options parse(int argc, char** argv) {
         bench::count(o.nodes, 1, 64)},
        {"--cluster-policy", "<p>",
         "global-static|global-smart[:P] (default sweeps both)",
-        bench::validated_text(o.cluster_policy, cluster::parse_global_policy)},
+        bench::validated_text(o.cluster_policy, cluster::parse_global_policy),
+        rack, rack_what},
        {"--cluster-latency-x", "<f>",
         "one inter-node latency multiplier in [0.01, 1000] (default sweep "
         "1,10)",
-        bench::real(o.latency_x, 0.01, 1000.0)},
+        bench::real(o.latency_x, 0.01, 1000.0), rack, rack_what},
        {"--cluster-interval-x", "<f>",
         "global decision interval in node intervals, in [0.01, 1000] "
         "(default 2)",
-        bench::real(o.interval_x, 0.01, 1000.0)},
+        bench::real(o.interval_x, 0.01, 1000.0), rack, rack_what},
        {"--cluster-no-lending", "", "disable remote-tmem lending",
-        bench::assign(o.lending, false)},
-       {"--single", "", "plain single-node path, rows labelled as a 1-node "
-                        "cluster",
-        bench::assign(o.single, true), [&o] { return o.nodes == 0; },
-        "no --nodes (it runs one node)"},
+        bench::assign(o.lending, false), rack, rack_what},
        {"--trace-out", "<f>", "Perfetto trace of one extra observed run",
         bench::text(o.trace_out)},
        {"--metrics-out", "<f>", "metrics of the observed run (JSONL)",
@@ -110,43 +107,8 @@ struct Cell {
   std::string policy;
 };
 
-/// The plain single-node path (core::build_node + run), extracted into the
-/// same result shape a 1-node cluster produces so the CSV rows match
-/// byte-for-byte.
-cluster::ClusterRunResult run_single_node(const Options& o,
-                                          std::uint64_t seed) {
-  const core::ScenarioSpec spec = core::usemem_scenario(o.scale);
-  auto node = core::build_node(spec, mm::PolicySpec::smart(25.0), seed);
-  const SimTime end = node->run(spec.deadline);
-
-  cluster::ClusterRunResult out;
-  out.makespan_s = to_seconds(end);
-  cluster::ClusterNodeResult r;
-  r.node = 0;
-  r.scenario = spec.name;
-  const hyper::Hypervisor& hyp = node->hypervisor();
-  for (VmId vm : node->vm_ids()) {
-    const hyper::VmData& vd = hyp.vm_data(vm);
-    r.failed_puts += vd.cumul_puts_failed;
-    r.puts_total += vd.cumul_puts_total;
-    r.puts_succ += vd.cumul_puts_succ;
-    if (node->runner(vm).started()) {
-      r.runtime_s =
-          std::max(r.runtime_s, to_seconds(node->runner(vm).finish_time()));
-    }
-  }
-  r.remote_puts = hyp.remote_puts();
-  r.remote_gets = hyp.remote_gets();
-  r.final_quota = hyp.node_quota();
-  r.phys_tmem = hyp.total_tmem();
-  out.aggregate_failed_puts = r.failed_puts;
-  out.nodes.push_back(std::move(r));
-  return out;
-}
-
 cluster::ClusterRunResult run_cell(const Options& o, const Cell& cell,
                                    std::uint64_t seed) {
-  if (o.single) return run_single_node(o, seed);
   cluster::ClusterExperimentConfig cfg;
   cfg.nodes = cell.nodes;
   cfg.scale = o.scale;
@@ -168,10 +130,9 @@ std::string quota_str(PageCount q) {
 int main(int argc, char** argv) {
   const Options o = parse(argc, argv);
 
-  std::vector<std::size_t> node_counts =
+  const std::vector<std::size_t> node_counts =
       o.nodes != 0 ? std::vector<std::size_t>{o.nodes}
                    : std::vector<std::size_t>{1, 2, 4, 8, 16};
-  if (o.single) node_counts = {1};
   const std::vector<double> lat_sweep =
       o.latency_x != 0.0 ? std::vector<double>{o.latency_x}
                          : std::vector<double>{1.0, 10.0};
@@ -181,8 +142,7 @@ int main(int argc, char** argv) {
           : std::vector<std::string>{"global-static", "global-smart"};
 
   // A 1-node cluster ignores the rack knobs entirely, so only the first
-  // (policy, latency) combination is run at n=1 — and --single emits rows
-  // with those same labels, keeping the two CSVs diffable.
+  // (policy, latency) combination is run at n=1.
   std::vector<Cell> cells;
   for (const std::size_t n : node_counts) {
     for (const std::string& policy : policy_sweep) {

@@ -10,6 +10,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <iostream>
+#include <stdexcept>
 #include <string>
 
 #include "core/smartmem.hpp"
@@ -70,7 +71,13 @@ int main(int argc, char** argv) {
     usage(argv[0]);
     std::exit(2);
   }();
-  const mm::PolicySpec policy = mm::PolicySpec::parse(policy_text);
+  mm::PolicySpec policy;
+  try {
+    policy = mm::PolicySpec::parse(policy_text);
+  } catch (const std::invalid_argument& e) {
+    std::fprintf(stderr, "--policy: %s\n", e.what());
+    return 2;
+  }
 
   std::printf("%s under %s (scale %.4g, seed %llu)\n%s\n\n", spec.name.c_str(),
               policy.label().c_str(), scale,

@@ -4,6 +4,7 @@
 #include <stdexcept>
 
 #include "common/strfmt.hpp"
+#include "mm/policy_factory.hpp"
 
 namespace smartmem::cluster {
 
@@ -59,7 +60,7 @@ std::vector<NodeQuota> GlobalStaticPolicy::compute(
 
 GlobalSmartPolicy::GlobalSmartPolicy(GlobalSmartConfig config)
     : config_(config) {
-  if (config_.p_percent <= 0.0 || config_.p_percent > 100.0) {
+  if (!(config_.p_percent > 0.0 && config_.p_percent <= 100.0)) {
     throw std::invalid_argument("GlobalSmartPolicy: P must be in (0, 100]");
   }
 }
@@ -150,14 +151,9 @@ GlobalPolicyPtr parse_global_policy(const std::string& text) {
   if (text == "global-smart") {
     return std::make_unique<GlobalSmartPolicy>();
   }
-  const std::string smart_prefix = "global-smart:";
-  if (text.rfind(smart_prefix, 0) == 0) {
+  if (text.rfind("global-smart:", 0) == 0) {
     GlobalSmartConfig cfg;
-    try {
-      cfg.p_percent = std::stod(text.substr(smart_prefix.size()));
-    } catch (const std::exception&) {
-      throw std::invalid_argument("bad global-smart P in spec: " + text);
-    }
+    cfg.p_percent = mm::parse_spec_percent(text);
     return std::make_unique<GlobalSmartPolicy>(cfg);
   }
   throw std::invalid_argument(

@@ -86,8 +86,9 @@ class GlobalSmartPolicy final : public GlobalPolicy {
 };
 
 /// Parses "global-static" or "global-smart[:P]" (P a percentage, e.g.
-/// "global-smart:10"). Unknown specs throw std::invalid_argument naming the
-/// known policies.
+/// "global-smart:10"; the whole P must be a number in (0, 100]). Unknown
+/// specs throw std::invalid_argument naming the known policies, a bad P
+/// throws it naming the spec.
 GlobalPolicyPtr parse_global_policy(const std::string& text);
 
 }  // namespace smartmem::cluster

@@ -114,16 +114,6 @@ struct ChannelStats {
   Histogram latency_hist{0.0, 10'000.0, 100};
 };
 
-/// Snapshot of a channel's congestion state, the signal the adaptive
-/// IntervalController stretches the sampling cadence from: current queue
-/// depth plus the cumulative queue-full drop counter (the caller diffs
-/// consecutive snapshots to get per-interval velocity).
-struct Backpressure {
-  std::size_t in_flight = 0;        // sent, not yet delivered
-  std::size_t queue_capacity = 0;   // 0 = unbounded
-  std::uint64_t dropped_queue = 0;  // cumulative queue-full victims
-};
-
 /// Queue-policy <-> flag-string helpers for bench front-ends. parse returns
 /// false (leaving `out` untouched) on an unknown name.
 const char* to_string(QueuePolicy p);
@@ -212,11 +202,6 @@ class Channel {
 
   /// Messages sent but not yet delivered (the bounded-queue occupancy).
   std::size_t in_flight() const { return pending_.size(); }
-
-  /// Congestion snapshot for adaptive-cadence controllers.
-  Backpressure backpressure() const {
-    return {pending_.size(), config_.queue_capacity, stats_.dropped_queue};
-  }
 
   const ChannelStats& stats() const { return stats_; }
   const ChannelConfig& config() const { return config_; }

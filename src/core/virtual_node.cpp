@@ -58,7 +58,6 @@ VirtualNode::VirtualNode(NodeConfig config)
     mm::ManagerConfig mcfg;
     mcfg.sample_interval = config_.sample_interval;
     mcfg.suppress_unchanged = config_.mm_suppress_unchanged;
-    mcfg.adaptive = config_.adaptive_interval;
     mcfg.delta = config_.comm.delta;
     // Fallback total for samples that carry none, in the node's capacity
     // units (the hypervisor's snapshots always carry the live value).
@@ -74,15 +73,6 @@ VirtualNode::VirtualNode(NodeConfig config)
     tkm_ = std::make_unique<guest::Tkm>(sim_, *hyp_, config_.comm);
     manager_->set_sender(
         [this](const hyper::TargetsMsg& msg) { tkm_->submit_targets(msg); });
-    if (config_.adaptive_interval.enabled) {
-      // Congestion signal for the interval controller: the same uplink the
-      // samples themselves ride on.
-      manager_->set_pressure_probe([this](mm::IntervalSignal& sig) {
-        const comm::Backpressure bp = tkm_->uplink_backpressure();
-        sig.uplink_in_flight = bp.in_flight;
-        sig.uplink_queue_events = bp.dropped_queue;
-      });
-    }
   }
 }
 

@@ -75,13 +75,6 @@ struct NodeConfig {
   /// fault injection. Defaults reproduce the paper's reliable 100 us hops.
   comm::CommConfig comm;
 
-  /// Adaptive sampling-interval controller (mm::IntervalControllerConfig):
-  /// when enabled the MM stretches/shrinks the hypervisor's sampling
-  /// cadence from failed-put velocity and uplink backpressure, shipping
-  /// interval updates over the sequenced downlink. Off by default — the
-  /// paper's fixed 1 s cadence.
-  mm::IntervalControllerConfig adaptive_interval;
-
   /// MM-side suppression of unchanged target vectors (see
   /// mm::ManagerConfig). Exposed here so the comms ablation can cross it
   /// with downlink ack/retry: with suppression on, a lost target message

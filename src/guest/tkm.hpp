@@ -71,12 +71,6 @@ class Tkm {
     return downlink_;
   }
 
-  /// Uplink congestion snapshot (stats samples queued/dropped on the VIRQ ->
-  /// MM hop) — the backpressure input of the MM's IntervalController.
-  comm::Backpressure uplink_backpressure() const {
-    return uplink_.backpressure();
-  }
-
   /// Uplink stats messages encoded as deltas / as full snapshots. Every
   /// send is full at the default CommConfig::delta.resync_every = 1.
   std::uint64_t stats_delta_sends() const {

@@ -86,13 +86,11 @@ bool StatsDeltaView::apply(const MemStats& msg) {
   return true;
 }
 
-TargetsMsg TargetsDeltaEncoder::encode(std::uint64_t seq, const MmOut& full,
-                                       SimTime new_interval) {
+TargetsMsg TargetsDeltaEncoder::encode(std::uint64_t seq, const MmOut& full) {
   const bool cadence_full = cfg_.full_due(sends_);
   ++sends_;
   TargetsMsg out;
   out.seq = seq;
-  out.new_interval = new_interval;
   if (cadence_full || !same_id_set(last_, full)) {
     out.targets = full;
     out.delta = false;

@@ -73,20 +73,13 @@ class StatsDeltaView {
 
 /// Sender side of the TargetsMsg downlink (lives in the MemoryManager).
 /// The MM still computes a full MmOut per decision; the encoder turns it
-/// into the message to send. Pure interval updates (empty targets) bypass
-/// the codec but advance the chain — note_interval_send() keeps the base in
-/// step with the hypervisor's last applied seq.
+/// into the message to send.
 class TargetsDeltaEncoder {
  public:
   explicit TargetsDeltaEncoder(comm::DeltaConfig cfg) : cfg_(cfg) {}
 
   /// Encodes the full target vector `full` under sequence number `seq`.
-  TargetsMsg encode(std::uint64_t seq, const MmOut& full,
-                    SimTime new_interval);
-
-  /// Records an interval-only send (empty targets, delta=false) so the next
-  /// delta chains onto its seq.
-  void note_interval_send(std::uint64_t seq) { last_seq_ = seq; }
+  TargetsMsg encode(std::uint64_t seq, const MmOut& full);
 
   std::uint64_t sends() const { return sends_; }
   std::uint64_t full_sends() const { return full_sends_; }

@@ -388,29 +388,7 @@ void Hypervisor::apply_targets(const TargetsMsg& msg) {
     }
     last_target_seq_ = msg.seq;
   }
-  // Adaptive control plane: an interval update rides the same sequenced
-  // message. A pure interval change carries no targets and must not count
-  // as a target update.
-  if (msg.new_interval > 0) reschedule_sampling(msg.new_interval);
-  if (!msg.targets.empty() || msg.new_interval == 0) set_targets(msg.targets);
-}
-
-void Hypervisor::reschedule_sampling(SimTime interval) {
-  if (interval <= 0 || interval == config_.sample_interval) return;
-  config_.sample_interval = interval;
-  ++interval_updates_;
-  if (trace_ != nullptr && trace_->enabled(obs::kCatHyper)) {
-    trace_->instant(obs::kCatHyper, hyper_track_, "sampler_rescheduled",
-                    sim_.now(),
-                    {{"interval_s", to_seconds(interval)}});
-  }
-  if (sampling_active_) {
-    // Re-arm from now: the next VIRQ fires one *new* interval from the
-    // moment the control message landed, and the periodic cadence follows.
-    sampler_.cancel();
-    sampler_ = sim_.schedule_periodic(config_.sample_interval,
-                                      [this] { sample_tick(); });
-  }
+  set_targets(msg.targets);
 }
 
 MemStats Hypervisor::snapshot() const {
@@ -544,13 +522,11 @@ void Hypervisor::slow_reclaim() {
 void Hypervisor::start_sampling(VirqHandler handler) {
   virq_handler_ = std::move(handler);
   sampler_.cancel();
-  sampling_active_ = true;
   sampler_ = sim_.schedule_periodic(config_.sample_interval,
                                     [this] { sample_tick(); });
 }
 
 void Hypervisor::stop_sampling() {
-  sampling_active_ = false;
   sampler_.cancel();
 }
 
@@ -756,7 +732,6 @@ void Hypervisor::register_metrics(obs::Registry& reg) const {
   store_.register_metrics(reg, "tmem.");
   reg.add_counter("hyper.samples_taken", &samples_taken_);
   reg.add_counter("hyper.target_updates", &target_updates_);
-  reg.add_counter("hyper.interval_updates", &interval_updates_);
   reg.add_gauge("hyper.sample_interval_s",
                 [this] { return to_seconds(config_.sample_interval); });
   reg.add_counter("hyper.stale_targets_dropped", &stale_targets_dropped_);

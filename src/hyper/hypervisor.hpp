@@ -133,15 +133,7 @@ class Hypervisor {
   /// The sequenced hypercall used by the comm downlink: applies the vector
   /// only if msg.seq is newer than the last applied sequence, so reordered
   /// or duplicated deliveries cannot regress targets. seq 0 always applies.
-  /// When msg.new_interval > 0 the periodic sampler is rescheduled to the
-  /// new cadence (the MM's adaptive IntervalController rides this path).
   void apply_targets(const TargetsMsg& msg);
-
-  /// Reschedules the running periodic sampler to `interval` (no-op when
-  /// unchanged or non-positive). The next VIRQ fires one new interval from
-  /// now; subsequently-captured samples carry the new interval in
-  /// MemStats::interval so staleness normalization stays correct.
-  void reschedule_sampling(SimTime interval);
 
   /// Registers the privileged-domain callback for the sampling VIRQ and
   /// starts the periodic sampler.
@@ -246,10 +238,6 @@ class Hypervisor {
   const HypervisorConfig& config() const { return config_; }
   std::uint64_t samples_taken() const { return samples_taken_; }
   std::uint64_t target_updates() const { return target_updates_; }
-  /// Sampling interval currently in effect (adaptive updates change it).
-  SimTime sample_interval() const { return config_.sample_interval; }
-  /// Sampler reschedules applied via the adaptive control path.
-  std::uint64_t interval_updates() const { return interval_updates_; }
   std::uint64_t stale_targets_dropped() const {
     return stale_targets_dropped_;
   }
@@ -303,8 +291,6 @@ class Hypervisor {
   std::map<VmId, VmData> vms_;
   VirqHandler virq_handler_;
   sim::EventHandle sampler_;
-  bool sampling_active_ = false;
-  std::uint64_t interval_updates_ = 0;
   std::uint64_t samples_taken_ = 0;
   std::uint64_t target_updates_ = 0;
   std::uint64_t last_target_seq_ = 0;

@@ -41,12 +41,10 @@ struct MemStats {
   /// stale sample into its history.
   std::uint64_t seq = 0;
   SimTime when = 0;
-  /// Sampling interval in effect when this sample was captured. Staleness
-  /// must normalize by *this*, not by whatever interval the receiver
-  /// currently believes in: under an adaptive controller the interval can
-  /// change while samples are in flight, and a sample captured before a
-  /// resize would otherwise be mis-normalized. 0 = unknown (hand-built
-  /// snapshots); receivers fall back to their configured interval.
+  /// Sampling interval of the hypervisor that captured this sample; the
+  /// receiver measures the sample's staleness in units of it. 0 = unknown
+  /// (hand-built snapshots); receivers fall back to their configured
+  /// interval.
   SimTime interval = 0;
   PageCount total_tmem = 0;          // node_info.total_tmem
   PageCount free_tmem = 0;           // node_info.free_tmem
@@ -82,12 +80,6 @@ using MmOut = std::vector<MmTarget>;
 struct TargetsMsg {
   std::uint64_t seq = 0;
   MmOut targets;
-  /// Adaptive control plane: when non-zero, the hypervisor reschedules its
-  /// periodic sampler to this interval (the MM's IntervalController rides
-  /// the existing downlink instead of needing a second channel). 0 = no
-  /// change — the paper-faithful default. `targets` may be empty on a pure
-  /// interval update.
-  SimTime new_interval = 0;
   /// Delta framing, mirroring MemStats: when true, `targets` carries only
   /// the per-VM targets that changed since the sender's previous send, and
   /// the message applies iff the hypervisor's last applied seq == base_seq.
@@ -111,7 +103,7 @@ inline std::size_t wire_size(const MmTarget&) {
   return 12;  // vm_id(4) + mm_target(8)
 }
 inline std::size_t wire_size(const TargetsMsg& m) {
-  // seq(8) + new_interval(8) + flags/base_seq(1+8) + entry count(4)
+  // seq(8) + reserved(8) + flags/base_seq(1+8) + entry count(4)
   return 29 + m.targets.size() * 12;
 }
 

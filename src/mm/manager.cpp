@@ -27,9 +27,6 @@ MemoryManager::MemoryManager(PolicyPtr policy, PageCount total_tmem,
   if (!policy_) {
     throw std::invalid_argument("MemoryManager: null policy");
   }
-  if (config_.adaptive.enabled) {
-    interval_ctl_.emplace(config_.adaptive, config_.sample_interval);
-  }
 }
 
 void MemoryManager::attach_obs(obs::TraceRecorder* trace,
@@ -49,9 +46,8 @@ void MemoryManager::register_metrics(obs::Registry& reg) const {
   reg.add_gauge("mm.last_sample_seq",
                 [this] { return static_cast<double>(last_sample_seq()); });
   // Derived staleness gauge: age *now* of the newest delivered sample, in
-  // sampling intervals — normalized by the interval in effect when that
-  // sample was captured, so an adaptive resize mid-flight cannot skew the
-  // reading. NaN until the first delivery or without a clock.
+  // sampling intervals — normalized by the interval that sample carries.
+  // NaN until the first delivery or without a clock.
   reg.add_gauge("mm.stats_staleness_intervals", [this] {
     if (!clock_ || last_stats_when_ < 0 || last_stats_interval_ <= 0) {
       return std::numeric_limits<double>::quiet_NaN();
@@ -59,15 +55,10 @@ void MemoryManager::register_metrics(obs::Registry& reg) const {
     return static_cast<double>(clock_() - last_stats_when_) /
            static_cast<double>(last_stats_interval_);
   });
-  // Adaptive control plane: decisions altered on stale samples, plus the
-  // controller's cadence state (both flat when the features are off).
+  // Decisions widened on stale samples (flat with the stale mode off).
   reg.add_counter("mm.stale_decisions", [this] {
     return static_cast<double>(policy_->stale_decisions());
   });
-  reg.add_counter("mm.interval_changes", [this] {
-    return interval_ctl_ ? static_cast<double>(interval_ctl_->changes()) : 0.0;
-  });
-  reg.add_counter("mm.interval_msgs_sent", &interval_msgs_sent_);
   // Fleet-scale control plane (DESIGN §12): delta decode/encode health and
   // the decide-time probe.
   metrics_attached_ = true;
@@ -77,8 +68,6 @@ void MemoryManager::register_metrics(obs::Registry& reg) const {
   reg.add_counter("mm.targets_full_sends",
                   [this] { return static_cast<double>(targets_full_sends()); });
   reg.add_counter("mm.decide_ns_total", &decide_ns_total_);
-  reg.add_gauge("mm.sample_interval_s",
-                [this] { return to_seconds(current_interval()); });
 }
 
 void MemoryManager::fill_audit_verdicts(obs::DecisionRecord& record,
@@ -142,9 +131,8 @@ void MemoryManager::on_stats(const hyper::MemStats& stats) {
 void MemoryManager::process_sample(const hyper::MemStats& stats) {
   const SimTime now = clock_ ? clock_() : stats.when;
   last_stats_when_ = stats.when;
-  // Normalize staleness by the interval in effect when *this* sample was
-  // captured, not the (possibly since-resized) configured one; samples that
-  // do not carry their interval fall back to the configured value.
+  // Normalize staleness by the interval this sample carries; samples that
+  // carry none fall back to the configured value.
   last_stats_interval_ =
       stats.interval > 0 ? stats.interval : config_.sample_interval;
   last_stats_age_ =
@@ -176,30 +164,6 @@ void MemoryManager::process_sample(const hyper::MemStats& stats) {
           .count());
   ++decide_count_;
 
-  // Adaptive cadence: feed the controller this sample's pressure signal and
-  // remember any interval change so it can ride the outgoing message (or a
-  // dedicated one when the targets path transmits nothing).
-  SimTime interval_update = 0;
-  if (interval_ctl_) {
-    IntervalSignal sig;
-    sig.sample_age_intervals = last_stats_age_;
-    for (const auto& vm : stats.vm) {
-      sig.failed_puts += vm.puts_total - vm.puts_succ;
-    }
-    if (pressure_probe_) pressure_probe_(sig);
-    if (auto new_interval = interval_ctl_->on_sample(now, sig)) {
-      interval_update = *new_interval;
-      if (trace_ != nullptr && trace_->enabled(obs::kCatMm)) {
-        trace_->instant(obs::kCatMm, mm_track_, "interval_change", now,
-                        {{"interval_s", to_seconds(interval_update)},
-                         {"failed_puts",
-                          static_cast<double>(sig.failed_puts)},
-                         {"uplink_in_flight",
-                          static_cast<double>(sig.uplink_in_flight)}});
-      }
-    }
-  }
-
   if (trace_ != nullptr && trace_->enabled(obs::kCatMm)) {
     // Span from sample capture to decision: its length is the staleness the
     // decision acted under (uplink latency included).
@@ -226,7 +190,6 @@ void MemoryManager::process_sample(const hyper::MemStats& stats) {
       record.empty_output = true;
       audit_->append(std::move(record));
     }
-    send_interval_update(interval_update);
     return;
   }
 
@@ -237,7 +200,6 @@ void MemoryManager::process_sample(const hyper::MemStats& stats) {
       record.suppressed = true;
       audit_->append(std::move(record));
     }
-    send_interval_update(interval_update);
     return;
   }
   last_sent_ = out;
@@ -248,28 +210,10 @@ void MemoryManager::process_sample(const hyper::MemStats& stats) {
     audit_->append(std::move(record));
   }
   if (sender_) {
-    sender_(targets_encoder_.encode(++next_send_seq_, out, interval_update));
+    sender_(targets_encoder_.encode(++next_send_seq_, out));
   } else {
     log::warn(kLogComp, "no sender attached; targets dropped");
   }
-}
-
-void MemoryManager::send_interval_update(SimTime interval) {
-  // A cadence change decided on a sample whose targets path transmitted
-  // nothing still has to reach the hypervisor: ship it as a pure interval
-  // message (empty targets) on the same sequenced downlink.
-  if (interval <= 0) return;
-  if (!sender_) {
-    log::warn(kLogComp, "no sender attached; interval update dropped");
-    return;
-  }
-  ++interval_msgs_sent_;
-  // Interval-only messages are always full-framed (no entries to delta),
-  // but they advance the downlink seq, so the framer must chain its next
-  // delta onto this seq — the hypervisor's last applied seq moves when
-  // this message lands.
-  sender_(hyper::TargetsMsg{++next_send_seq_, {}, interval});
-  targets_encoder_.note_interval_send(next_send_seq_);
 }
 
 }  // namespace smartmem::mm

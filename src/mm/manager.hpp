@@ -18,7 +18,6 @@
 #include "common/types.hpp"
 #include "hyper/delta.hpp"
 #include "hyper/memstats.hpp"
-#include "mm/interval_controller.hpp"
 #include "mm/policy.hpp"
 #include "obs/audit.hpp"
 
@@ -34,14 +33,10 @@ struct ManagerConfig {
   bool suppress_unchanged = true;
   /// History depth in samples.
   std::size_t history_depth = 120;
-  /// The hypervisor's *initial* sampling interval. Used to normalize the
+  /// The hypervisor's sampling interval. Used to normalize the
   /// stats-staleness readings of samples that do not carry their own
-  /// capture interval (MemStats::interval == 0, i.e. hand-built samples)
-  /// and as the adaptive controller's starting point.
+  /// capture interval (MemStats::interval == 0, i.e. hand-built samples).
   SimTime sample_interval = kSecond;
-  /// Adaptive sampling-interval controller (disabled by default: the
-  /// paper's fixed cadence, byte-identical message stream).
-  IntervalControllerConfig adaptive;
 
   /// Control-message framing (DESIGN §12): the uplink's MemStats always
   /// fold into a materialized view, and outgoing TargetsMsgs carry only the
@@ -102,31 +97,6 @@ class MemoryManager {
   std::uint64_t decide_ns_total() const { return decide_ns_total_; }
   std::uint64_t decide_count() const { return decide_count_; }
 
-  // ---- Adaptive sampling interval ------------------------------------------
-
-  /// Installs the uplink congestion probe feeding the IntervalController
-  /// (fills the uplink fields of the signal; failed puts come from the
-  /// sample itself). The node wiring points this at the TKM's uplink.
-  using PressureProbe = std::function<void(IntervalSignal&)>;
-  void set_pressure_probe(PressureProbe probe) {
-    pressure_probe_ = std::move(probe);
-  }
-
-  /// nullptr when the adaptive controller is disabled.
-  const IntervalController* interval_controller() const {
-    return interval_ctl_ ? &*interval_ctl_ : nullptr;
-  }
-
-  /// Interval currently requested of the hypervisor (the configured one
-  /// until the controller first changes it).
-  SimTime current_interval() const {
-    return interval_ctl_ ? interval_ctl_->current() : config_.sample_interval;
-  }
-
-  /// Downlink messages whose only payload was an interval update (the
-  /// policy's targets were suppressed or empty that sample).
-  std::uint64_t interval_msgs_sent() const { return interval_msgs_sent_; }
-
   // ---- Observability --------------------------------------------------------
 
   /// Installs a simulated-time source. Needed for staleness readings and
@@ -142,9 +112,8 @@ class MemoryManager {
   void register_metrics(obs::Registry& reg) const;
 
   /// Staleness of the most recently delivered sample, measured at delivery
-  /// time, in sampling intervals — normalized by the interval in effect
-  /// when that sample was *captured* (MemStats::interval), so a resize
-  /// while samples are in flight cannot mis-normalize them.
+  /// time, in sampling intervals — normalized by the interval the sample
+  /// carries (MemStats::interval).
   double last_stats_age_intervals() const { return last_stats_age_; }
 
  private:
@@ -154,12 +123,8 @@ class MemoryManager {
                            const hyper::MemStats& stats,
                            const hyper::MmOut& out);
 
-  /// Ships a pure interval update (no targets) downlink. No-op when
-  /// `interval` is 0.
-  void send_interval_update(SimTime interval);
-
   /// Everything after uplink decode: history, staleness, policy decide,
-  /// adaptive cadence, audit, suppression and the downlink send.
+  /// audit, suppression and the downlink send.
   void process_sample(const hyper::MemStats& stats);
 
   PolicyPtr policy_;
@@ -178,7 +143,7 @@ class MemoryManager {
   std::uint16_t mm_track_ = 0;
   obs::PolicyAuditScratch scratch_;  // reused across decisions
   SimTime last_stats_when_ = -1;     // capture time of last delivered sample
-  SimTime last_stats_interval_ = 0;  // interval in effect at that capture
+  SimTime last_stats_interval_ = 0;  // interval that sample carries
   double last_stats_age_ = 0.0;
   /// Applied-sample age at delivery, in capture intervals — one entry per
   /// processed sample, so the exported distribution says how stale the
@@ -186,9 +151,6 @@ class MemoryManager {
   /// registry is attached (process_sample is otherwise obs-free).
   Histogram stats_age_hist_{0.0, 4.0, 32};
   mutable bool metrics_attached_ = false;
-  std::optional<IntervalController> interval_ctl_;
-  PressureProbe pressure_probe_;
-  std::uint64_t interval_msgs_sent_ = 0;
 
   // ---- Fleet-scale control plane (DESIGN §12) ------------------------------
   // Uplink decode into the materialized sample, downlink framing of each

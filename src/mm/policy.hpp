@@ -50,9 +50,9 @@ class Policy {
   virtual hyper::MmOut compute(const hyper::MemStats& stats,
                                const PolicyContext& ctx) = 0;
 
-  /// Decisions this policy altered (skipped or widened) because the sample
-  /// was stale. 0 for policies without a staleness mode; the MM exports it
-  /// as the mm.stale_decisions counter.
+  /// Decisions this policy widened because the sample was stale. 0 for
+  /// policies without a staleness mode; the MM exports it as the
+  /// mm.stale_decisions counter.
   virtual std::uint64_t stale_decisions() const { return 0; }
 };
 

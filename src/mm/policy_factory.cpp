@@ -1,5 +1,8 @@
 #include "mm/policy_factory.hpp"
 
+#include <cctype>
+#include <cerrno>
+#include <cstdlib>
 #include <stdexcept>
 
 #include "common/strfmt.hpp"
@@ -35,17 +38,29 @@ PolicySpec PolicySpec::parse(const std::string& text) {
   if (text == "reconf" || text == "reconf-static") return reconf_static();
   if (text == "swap-rate") return swap_rate();
   if (text == "wss") return wss();
-  if (text.rfind("smart", 0) == 0) {
-    double p = 0.75;
-    if (auto colon = text.find(':'); colon != std::string::npos) {
-      p = std::stod(text.substr(colon + 1));
-    }
-    return smart(p);
+  if (text == "smart" || text == "smart-alloc") return smart(0.75);
+  if (text.rfind("smart:", 0) == 0) {
+    return smart(parse_spec_percent(text));
   }
   throw std::invalid_argument(
       "unknown policy spec: " + text +
       " (known policies: no-tmem, greedy, static, static-alloc, reconf, "
-      "reconf-static, smart[:P], swap-rate, wss)");
+      "reconf-static, smart[:P], smart-alloc, swap-rate, wss)");
+}
+
+double parse_spec_percent(const std::string& spec) {
+  const std::size_t colon = spec.find(':');
+  const char* text =
+      colon == std::string::npos ? "" : spec.c_str() + colon + 1;
+  char* end = nullptr;
+  errno = 0;
+  const double p = std::strtod(text, &end);
+  if (std::isspace(static_cast<unsigned char>(*text)) != 0 || end == text ||
+      *end != '\0' || errno != 0 || !(p > 0.0 && p <= 100.0)) {
+    throw std::invalid_argument("bad P in policy spec: " + spec +
+                                " (want a number in (0, 100])");
+  }
+  return p;
 }
 
 PolicyPtr make_policy(const PolicySpec& spec) {

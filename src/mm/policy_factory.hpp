@@ -60,10 +60,16 @@ struct PolicySpec {
     return spec;
   }
 
-  /// Parses labels like "greedy", "static", "reconf", "smart:0.75",
-  /// "swap-rate", "wss", "no-tmem". Throws std::invalid_argument on junk.
+  /// Parses labels like "greedy", "static", "reconf", "smart" (P = 0.75),
+  /// "smart:0.75", "swap-rate", "wss", "no-tmem". Throws
+  /// std::invalid_argument on junk, including a malformed P.
   static PolicySpec parse(const std::string& text);
 };
+
+/// Reads the P of a "<policy>:<P>" spec: the whole text after the first
+/// colon must be one number in (0, 100]. Throws std::invalid_argument
+/// naming `spec` otherwise (trailing text, nan, inf, an empty P).
+double parse_spec_percent(const std::string& spec);
 
 /// Instantiates the policy object for a spec. Precondition:
 /// spec.needs_manager().

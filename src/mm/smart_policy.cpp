@@ -11,7 +11,6 @@ namespace smartmem::mm {
 const char* to_string(StaleMode m) {
   switch (m) {
     case StaleMode::kOff: return "off";
-    case StaleMode::kSkip: return "skip";
     case StaleMode::kWiden: return "widen";
   }
   return "?";
@@ -20,8 +19,6 @@ const char* to_string(StaleMode m) {
 bool parse_stale_mode(const std::string& text, StaleMode& out) {
   if (text == "off") {
     out = StaleMode::kOff;
-  } else if (text == "skip") {
-    out = StaleMode::kSkip;
   } else if (text == "widen") {
     out = StaleMode::kWiden;
   } else {
@@ -31,7 +28,7 @@ bool parse_stale_mode(const std::string& text, StaleMode& out) {
 }
 
 SmartPolicy::SmartPolicy(SmartPolicyConfig config) : config_(config) {
-  if (config_.p_percent <= 0.0 || config_.p_percent > 100.0) {
+  if (!(config_.p_percent > 0.0 && config_.p_percent <= 100.0)) {
     throw std::invalid_argument("SmartPolicy: P must be in (0, 100]");
   }
   if (config_.stale_threshold_intervals <= 0.0) {
@@ -76,30 +73,6 @@ hyper::MmOut SmartPolicy::compute(const hyper::MemStats& stats,
       config_.stale_mode != StaleMode::kOff &&
       ctx.stats_age_intervals > config_.stale_threshold_intervals;
   if (stale) ++stale_decisions_;
-
-  if (stale && config_.stale_mode == StaleMode::kSkip) {
-    // The sample is too old to act on: emit no targets (the MM transmits
-    // nothing, the hypervisor keeps its current vector) and audit why.
-    if (audit != nullptr) {
-      audit->vms.reserve(stats.vm.size());
-      for (const auto& vm : stats.vm) {
-        obs::VmVerdict v;
-        v.vm = vm.vm_id;
-        v.verdict = "hold";
-        v.condition = "alg4:stale-skip";
-        v.target_before = vm.mm_target;
-        v.target_after = vm.mm_target;
-        v.failed_puts = vm.puts_total - vm.puts_succ;
-        v.tmem_used = vm.tmem_used;
-        if (vm.mm_target != kUnlimitedTarget) {
-          v.slack_pages = static_cast<double>(vm.mm_target) -
-                          static_cast<double>(vm.tmem_used);
-        }
-        audit->vms.push_back(v);
-      }
-    }
-    return {};
-  }
 
   // kWiden: the stale sample is blind to (age - threshold) intervals of
   // demand movement, so each grow grant covers them with a larger step.

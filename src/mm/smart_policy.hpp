@@ -10,9 +10,6 @@ namespace smartmem::mm {
 enum class StaleMode : std::uint8_t {
   /// Paper behaviour: act on every sample as if it were fresh.
   kOff,
-  /// Skip the decision entirely (empty mm_out, nothing transmitted): the
-  /// hypervisor keeps its current targets until a fresh sample arrives.
-  kSkip,
   /// Act, but widen the increment P proportionally to the sample's age:
   /// the stale sample understates how far demand has moved, so each grant
   /// covers the intervals the decision is blind to.
@@ -66,7 +63,7 @@ class SmartPolicy final : public Policy {
   /// Effective threshold for a node with `total_tmem` pages.
   PageCount effective_threshold(PageCount total_tmem) const;
 
-  /// Decisions skipped or widened because the sample was stale.
+  /// Decisions widened because the sample was stale.
   std::uint64_t stale_decisions() const override { return stale_decisions_; }
 
   /// The widening multiplier applied to P for a sample of `age` intervals:

@@ -40,6 +40,10 @@ fig03_scenario1_runtimes --compress-min-ratio 2.5
 fig03_scenario1_runtimes --compress-max-ratio 6
 fig03_scenario1_runtimes --compressed-evict drop
 fig03_scenario1_runtimes --comm-queue 2 --comm-policy backpressure
+fig03_scenario1_runtimes --trace-cats tmem
+# Deleted modes: the adaptive sampling interval and the skip stale mode.
+fig03_scenario1_runtimes --adaptive-interval
+fig03_scenario1_runtimes --stale-mode skip
 # A flag the bench does not read.
 ablation_dedup --trace-out $probe_dir/x.json
 ablation_interval --jobs 4
@@ -60,8 +64,16 @@ fig_fleet_scaling --trace-sample 8
 # --fleet-resync needs delta cells; global policy specs are checked.
 fig_fleet_scaling --fleet-encoding full --fleet-resync 4
 fig_fleet_scaling --fleet-policy bogus
+fig_fleet_scaling --fleet-policy global-smart:2x
 fig_cluster_scaling --cluster-policy bogus
-# --single runs one node, so it excludes --nodes.
-fig_cluster_scaling --single --nodes 4 --cluster-no-lending --cluster-interval-x 7
+fig_cluster_scaling --cluster-policy global-smart:25abc
+fig_cluster_scaling --cluster-policy global-smart:nan
+# A 1-node sweep runs no rack, so the rack knobs need a cell of 2+ nodes;
+# the plain single-node flag is gone (that run is --nodes 1).
+fig_cluster_scaling --nodes 1 --cluster-interval-x 7
+fig_cluster_scaling --nodes 1 --cluster-latency-x 3
+fig_cluster_scaling --nodes 1 --cluster-policy global-static
+fig_cluster_scaling --nodes 1 --cluster-no-lending
+fig_cluster_scaling --single
 EOF
 exit $fail

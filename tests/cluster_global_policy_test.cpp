@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -143,6 +144,12 @@ TEST(GlobalSmartPolicyTest, RejectsBadP) {
                std::invalid_argument);
   EXPECT_THROW(GlobalSmartPolicy(GlobalSmartConfig{101.0, 0}),
                std::invalid_argument);
+  EXPECT_THROW(GlobalSmartPolicy(GlobalSmartConfig{
+                   std::numeric_limits<double>::quiet_NaN(), 0}),
+               std::invalid_argument);
+  EXPECT_THROW(GlobalSmartPolicy(GlobalSmartConfig{
+                   std::numeric_limits<double>::infinity(), 0}),
+               std::invalid_argument);
 }
 
 TEST(GlobalPolicyParseTest, ParsesKnownSpecs) {
@@ -165,6 +172,19 @@ TEST(GlobalPolicyParseTest, UnknownSpecErrorListsCandidates) {
   }
   EXPECT_THROW(parse_global_policy("global-smart:abc"),
                std::invalid_argument);
+}
+
+// The whole P must be one number in (0, 100]: trailing text once ran as the
+// leading number, and a NaN P slipped past the range check.
+TEST(GlobalPolicyParseTest, SmartSpecsAreStrict) {
+  for (const char* bad :
+       {"global-smart:", "global-smart:25abc", "global-smart:nan",
+        "global-smart:inf", "global-smart:-inf", "global-smart:0",
+        "global-smart:101", "global-smartx", "global-smart:25 "}) {
+    EXPECT_THROW(parse_global_policy(bad), std::invalid_argument) << bad;
+  }
+  EXPECT_NE(parse_global_policy("global-smart:100")->name().find("100.00"),
+            std::string::npos);
 }
 
 // ---- GlobalManager ---------------------------------------------------------

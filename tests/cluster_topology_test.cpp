@@ -1,16 +1,19 @@
 // ClusterTopology: single-node byte-identity of the node-0 config, seed
 // derivation and independence for higher nodes, per-node override semantics
 // (latency asymmetry), outage isolation between per-node channels, and the
-// rack's input contract (a multi-node Cluster needs a positive minimum
-// inter-node latency).
+// rack's contract (a multi-node Cluster needs a positive minimum inter-node
+// latency; a 1-node cluster is the plain single-node path).
 #include "comm/topology.hpp"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <stdexcept>
 #include <vector>
 
 #include "cluster/cluster.hpp"
+#include "cluster/experiment.hpp"
+#include "core/scenario.hpp"
 #include "sim/simulator.hpp"
 #include "workloads/script_workload.hpp"
 
@@ -188,6 +191,48 @@ TEST(RackContractTest, SingleNodeRunsOnAnyRackTopology) {
   EXPECT_TRUE(rack.node(0).runner(vm).finished());
   EXPECT_EQ(rack.engine(), nullptr);
   EXPECT_EQ(rack.global_manager(), nullptr);
+}
+
+TEST(RackContractTest, OneNodeClusterMatchesThePlainNode) {
+  // The 1-node cell of the cluster experiment runs no rack: its hot node
+  // must reproduce a plain usemem node under smart P = 25 % exactly, and
+  // no page may cross a (nonexistent) lending hop.
+  constexpr double kScale = 0.0625;
+  constexpr std::uint64_t kSeed = 1;
+  cluster::ClusterExperimentConfig cfg;
+  cfg.nodes = 1;
+  cfg.scale = kScale;
+  cfg.seed = kSeed;
+  const cluster::ClusterRunResult rack = cluster::run_cluster_scenario(cfg);
+  ASSERT_EQ(rack.nodes.size(), 1u);
+  const cluster::ClusterNodeResult& n = rack.nodes[0];
+
+  const core::ScenarioSpec spec = core::usemem_scenario(kScale);
+  auto node = core::build_node(spec, mm::PolicySpec::smart(25.0), kSeed);
+  const SimTime end = node->run(spec.deadline);
+  std::uint64_t failed = 0, total = 0, succ = 0;
+  double runtime_s = 0.0;
+  for (VmId vm : node->vm_ids()) {
+    const hyper::VmData& vd = node->hypervisor().vm_data(vm);
+    failed += vd.cumul_puts_failed;
+    total += vd.cumul_puts_total;
+    succ += vd.cumul_puts_succ;
+    if (node->runner(vm).started()) {
+      runtime_s = std::max(runtime_s,
+                           to_seconds(node->runner(vm).finish_time()));
+    }
+  }
+
+  EXPECT_GT(total, 0u);
+  EXPECT_EQ(n.failed_puts, failed);
+  EXPECT_EQ(n.puts_total, total);
+  EXPECT_EQ(n.puts_succ, succ);
+  EXPECT_EQ(rack.aggregate_failed_puts, failed);
+  EXPECT_EQ(n.runtime_s, runtime_s);
+  EXPECT_EQ(rack.makespan_s, to_seconds(end));
+  EXPECT_EQ(n.remote_puts, 0u);
+  EXPECT_EQ(n.remote_gets, 0u);
+  EXPECT_EQ(n.final_quota, kUnlimitedTarget);
 }
 
 }  // namespace

@@ -106,7 +106,7 @@ TEST(StatsDeltaProperty, DefaultCadenceSendsEverySnapshotFull) {
     ASSERT_EQ(wire_size(msg), wire_size(s));
 
     targets[seq % 2].mm_target += 1;
-    const TargetsMsg down = targets_enc.encode(seq, targets, 0);
+    const TargetsMsg down = targets_enc.encode(seq, targets);
     ASSERT_FALSE(down.delta);
     ASSERT_EQ(down.targets, targets);
   }
@@ -214,7 +214,7 @@ TEST(TargetsDeltaProperty, HypervisorFoldMatchesTruthUnderFaults) {
       for (std::size_t k = 0; k < dirty; ++k) {
         full[rng.uniform(full.size())].mm_target = rng.uniform(1u << 16);
       }
-      wire.push_back(enc.encode(seq, full, 0));
+      wire.push_back(enc.encode(seq, full));
       truth[seq] = full;
     }
 
@@ -246,7 +246,7 @@ TEST(TargetsDeltaProperty, HypervisorFoldMatchesTruthUnderFaults) {
     // newest vector.
     for (std::uint64_t seq = 101; seq <= 101 + cfg.resync_every; ++seq) {
       full[rng.uniform(full.size())].mm_target = rng.uniform(1u << 16);
-      hyp.apply_targets(enc.encode(seq, full, 0));
+      hyp.apply_targets(enc.encode(seq, full));
     }
     EXPECT_EQ(hyp.last_target_seq(), 101 + cfg.resync_every);
     for (const MmTarget& t : full) {
@@ -268,15 +268,15 @@ TEST(TargetsDeltaProperty, ChainBreakDropsWithoutAdvancingSeq) {
   hyp.register_vm(2);
 
   MmOut full = {{1, 100}, {2, 100}};
-  hyp.apply_targets(enc.encode(1, full, 0));  // first send: full
+  hyp.apply_targets(enc.encode(1, full));  // first send: full
   ASSERT_EQ(hyp.last_target_seq(), 1u);
 
   full[0].mm_target = 200;
-  const TargetsMsg lost = enc.encode(2, full, 0);  // delta, never delivered
+  const TargetsMsg lost = enc.encode(2, full);  // delta, never delivered
   ASSERT_TRUE(lost.delta);
 
   full[1].mm_target = 300;
-  const TargetsMsg after = enc.encode(3, full, 0);  // chains onto seq 2
+  const TargetsMsg after = enc.encode(3, full);  // chains onto seq 2
   ASSERT_TRUE(after.delta);
   hyp.apply_targets(after);
 

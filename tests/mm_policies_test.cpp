@@ -1,6 +1,10 @@
 // Unit tests for the high-level policies (Algorithms 2-4) and the factory.
 #include <gtest/gtest.h>
 
+#include <limits>
+#include <stdexcept>
+#include <string>
+
 #include "mm/greedy_policy.hpp"
 #include "mm/history.hpp"
 #include "mm/policy_factory.hpp"
@@ -114,6 +118,12 @@ TEST(SmartPolicyTest, RejectsBadP) {
   EXPECT_THROW(SmartPolicy(SmartPolicyConfig{0.0, 0}), std::invalid_argument);
   EXPECT_THROW(SmartPolicy(SmartPolicyConfig{-1.0, 0}), std::invalid_argument);
   EXPECT_THROW(SmartPolicy(SmartPolicyConfig{101.0, 0}), std::invalid_argument);
+  EXPECT_THROW(SmartPolicy(SmartPolicyConfig{
+                   std::numeric_limits<double>::quiet_NaN(), 0}),
+               std::invalid_argument);
+  EXPECT_THROW(SmartPolicy(SmartPolicyConfig{
+                   std::numeric_limits<double>::infinity(), 0}),
+               std::invalid_argument);
 }
 
 TEST(SmartPolicyTest, GrowsTargetOfFailingVm) {
@@ -259,6 +269,29 @@ TEST(PolicyFactoryTest, UnknownSpecErrorListsCandidates) {
       EXPECT_NE(msg.find(name), std::string::npos)
           << "missing candidate " << name << " in: " << msg;
     }
+  }
+}
+
+// A smart spec is "smart", "smart-alloc" or "smart:<P>" with the whole P
+// one number in (0, 100]: a typo never runs some other P.
+TEST(PolicyFactoryTest, SmartSpecsAreStrict) {
+  EXPECT_DOUBLE_EQ(PolicySpec::parse("smart").smart_config.p_percent, 0.75);
+  EXPECT_DOUBLE_EQ(PolicySpec::parse("smart-alloc").smart_config.p_percent,
+                   0.75);
+  EXPECT_DOUBLE_EQ(PolicySpec::parse("smart:100").smart_config.p_percent,
+                   100.0);
+  for (const char* bad :
+       {"smartypants", "smart-", "smart:", "smart:2x", "smart:abc",
+        "smart: 2", "smart:nan", "smart:inf", "smart:-1", "smart:0",
+        "smart:101", "smart:2:3"}) {
+    EXPECT_THROW(PolicySpec::parse(bad), std::invalid_argument) << bad;
+  }
+  try {
+    PolicySpec::parse("smart:2x");
+    FAIL() << "expected std::invalid_argument";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("smart:2x"), std::string::npos)
+        << e.what();
   }
 }
 
