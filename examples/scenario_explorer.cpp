@@ -7,25 +7,24 @@
 // This is the "kick the tires" tool: everything the figure benches do, but
 // one run at a time with full stats output.
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <iostream>
+#include <map>
 #include <stdexcept>
 #include <string>
 
+#include "bench_common.hpp"
 #include "core/smartmem.hpp"
 
 using namespace smartmem;
 
 namespace {
 
-void usage(const char* argv0) {
-  std::printf(
-      "usage: %s [--scenario scenario1|scenario2|usemem|scenario3]\n"
-      "          [--policy no-tmem|greedy|static|reconf|smart:<P>|swap-rate]\n"
-      "          [--scale <f>] [--seed <n>] [--csv <dir>] [--verbose]\n",
-      argv0);
-}
+const std::map<std::string, core::ScenarioSpec (*)(double)> kScenarios = {
+    {"scenario1", core::scenario1},
+    {"scenario2", core::scenario2},
+    {"usemem", core::usemem_scenario},
+    {"scenario3", core::scenario3},
+};
 
 }  // namespace
 
@@ -35,49 +34,35 @@ int main(int argc, char** argv) {
   double scale = 0.125;
   std::uint64_t seed = 1;
   std::string csv_dir;
+  bool verbose = false;
 
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    auto next = [&]() -> const char* {
-      if (i + 1 >= argc) {
-        usage(argv[0]);
-        std::exit(2);
-      }
-      return argv[++i];
-    };
-    if (arg == "--scenario") {
-      scenario_name = next();
-    } else if (arg == "--policy") {
-      policy_text = next();
-    } else if (arg == "--scale") {
-      scale = std::atof(next());
-    } else if (arg == "--seed") {
-      seed = static_cast<std::uint64_t>(std::atoll(next()));
-    } else if (arg == "--csv") {
-      csv_dir = next();
-    } else if (arg == "--verbose") {
-      log::set_level(log::Level::kDebug);
-    } else {
-      usage(argv[0]);
-      return arg == "--help" || arg == "-h" ? 0 : 2;
-    }
-  }
+  // The benches' parser: a malformed, out-of-range or unknown value exits 2
+  // with the flag list before anything runs.
+  bench::parse_flags(
+      argc, argv,
+      {{"--scenario", "<name>",
+        "scenario1 | scenario2 | usemem | scenario3 (default scenario1)",
+        bench::validated_text(scenario_name,
+                              [](const std::string& name) {
+                                if (!kScenarios.contains(name)) {
+                                  throw std::invalid_argument(name);
+                                }
+                              })},
+       {"--policy", "<spec>",
+        "no-tmem | greedy | static | reconf | smart:<P> | swap-rate "
+        "(default smart:0.75)",
+        bench::validated_text(policy_text,
+                              [](const char* text) {
+                                (void)mm::PolicySpec::parse(text);
+                              })},
+       bench::scale_flag(scale),
+       bench::seed_flag(seed),
+       bench::csv_flag(csv_dir),
+       {"--verbose", "", "debug logging", bench::assign(verbose, true)}});
+  if (verbose) log::set_level(log::Level::kDebug);
 
-  core::ScenarioSpec spec = [&] {
-    if (scenario_name == "scenario1") return core::scenario1(scale);
-    if (scenario_name == "scenario2") return core::scenario2(scale);
-    if (scenario_name == "usemem") return core::usemem_scenario(scale);
-    if (scenario_name == "scenario3") return core::scenario3(scale);
-    usage(argv[0]);
-    std::exit(2);
-  }();
-  mm::PolicySpec policy;
-  try {
-    policy = mm::PolicySpec::parse(policy_text);
-  } catch (const std::invalid_argument& e) {
-    std::fprintf(stderr, "--policy: %s\n", e.what());
-    return 2;
-  }
+  const core::ScenarioSpec spec = kScenarios.at(scenario_name)(scale);
+  const mm::PolicySpec policy = mm::PolicySpec::parse(policy_text);
 
   std::printf("%s under %s (scale %.4g, seed %llu)\n%s\n\n", spec.name.c_str(),
               policy.label().c_str(), scale,

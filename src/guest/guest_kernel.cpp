@@ -115,7 +115,7 @@ SimTime GuestKernel::free_region(mem::AddressSpace::Id asid, Vpn base,
     mem::PageTableEntry& pte = as.entry(base + i);
     switch (pte.state) {
       case mem::PageState::kResident:
-        lru_.remove(anon_key(asid, base + i));
+        lru_.remove(pte.frame);
         frames_.free(pte.frame);
         as.note_resident_delta(-1);
         pte.frame = kInvalidPfn;
@@ -192,24 +192,25 @@ bool GuestKernel::evict_one(SimTime& t) {
     const auto victim = lru_.pop_victim();
     if (!victim) return false;
     t += config_.costs.reclaim_per_page;
-    const std::uint64_t key = *victim;
+    const std::uint64_t key = victim->key;
     if (is_anon_key(key)) {
       const auto asid = key_asid(key);
       const Vpn vpn = key_vpn(key);
       mem::PageTableEntry& pte = space(asid).entry(vpn);
-      assert(pte.state == mem::PageState::kResident);
+      assert(pte.state == mem::PageState::kResident &&
+             pte.frame == victim->frame);
       if (pte.referenced) {
         pte.referenced = false;
-        lru_.insert(key);  // second chance
+        lru_.insert(victim->frame, key);  // second chance
         continue;
       }
       swap_out_anon(t, asid, vpn);
     } else {
       auto it = page_cache_.find(key);
-      assert(it != page_cache_.end());
+      assert(it != page_cache_.end() && it->second.frame == victim->frame);
       if (it->second.referenced) {
         it->second.referenced = false;
-        lru_.insert(key);
+        lru_.insert(victim->frame, key);
         continue;
       }
       drop_file_page(t, key_file(key), key_index(key));
@@ -273,7 +274,8 @@ void GuestKernel::swap_out_anon(SimTime& t, mem::AddressSpace::Id asid,
     // The write occupies the disk queue from `t` but does not block reclaim.
     t += config_.costs.disk_submit;
     swap_.store_disk_content(*slot, pte.content);
-    disk_slot_owner_[*slot] = {asid, vpn};
+    if (*slot >= disk_slot_owner_.size()) disk_slot_owner_.resize(*slot + 1);
+    disk_slot_owner_[*slot] = anon_key(asid, vpn);
     disk_.write(kPageSize, t);
     ++stats_.swapouts_disk;
   }
@@ -287,7 +289,7 @@ void GuestKernel::swap_out_anon(SimTime& t, mem::AddressSpace::Id asid,
 }
 
 void GuestKernel::release_slot(mem::SwapSlot slot) {
-  disk_slot_owner_.erase(slot);
+  if (slot < disk_slot_owner_.size()) disk_slot_owner_[slot] = 0;
   swap_.free(slot);
 }
 
@@ -298,9 +300,11 @@ PageCount GuestKernel::swap_readahead_cluster(mem::SwapSlot slot) {
     // Speculation must not steal frames the allocator is about to need.
     if (frames_.free_count() <= config_.low_watermark) break;
     const mem::SwapSlot neighbour = slot + off;
-    const auto owner = disk_slot_owner_.find(neighbour);
-    if (owner == disk_slot_owner_.end()) continue;
-    const auto [o_asid, o_vpn] = owner->second;
+    if (neighbour >= disk_slot_owner_.size()) break;
+    const std::uint64_t owner = disk_slot_owner_[neighbour];
+    if (owner == 0) continue;
+    const auto o_asid = key_asid(owner);
+    const Vpn o_vpn = key_vpn(owner);
     mem::PageTableEntry& pte = space(o_asid).entry(o_vpn);
     if (pte.state != mem::PageState::kSwapped || pte.slot != neighbour) {
       continue;  // stale mapping (page already resident via swap cache)
@@ -313,7 +317,7 @@ PageCount GuestKernel::swap_readahead_cluster(mem::SwapSlot slot) {
     pte.frame = *frame;
     pte.clean_in_swap = true;  // the slot keeps its copy
     pte.referenced = false;    // speculative: not actually touched yet
-    lru_.insert(anon_key(o_asid, o_vpn));
+    lru_.insert(*frame, owner);
     space(o_asid).note_resident_delta(+1);
     ++brought;
   }
@@ -371,7 +375,7 @@ TouchResult GuestKernel::touch(mem::AddressSpace::Id asid, Vpn vpn, bool write,
       pte.state = mem::PageState::kResident;
       pte.frame = frame;
       pte.content = 0;  // fresh zero page
-      lru_.insert(anon_key(asid, vpn));
+      lru_.insert(frame, anon_key(asid, vpn));
       as.note_resident_delta(+1);
       outcome = TouchOutcome::kZeroFill;
       break;
@@ -429,7 +433,7 @@ TouchResult GuestKernel::touch(mem::AddressSpace::Id asid, Vpn vpn, bool write,
       }
       pte.state = mem::PageState::kResident;
       pte.frame = frame;
-      lru_.insert(anon_key(asid, vpn));
+      lru_.insert(frame, anon_key(asid, vpn));
       as.note_resident_delta(+1);
       break;
     }
@@ -478,7 +482,7 @@ FileReadResult GuestKernel::file_read(std::uint64_t file_id,
 
   if (auto it = page_cache_.find(key); it != page_cache_.end()) {
     it->second.referenced = true;
-    lru_.touch(key);
+    lru_.touch(it->second.frame);
     t += config_.costs.page_cache_hit;
     return FileReadResult{t, FileReadOutcome::kPageCacheHit};
   }
@@ -515,7 +519,7 @@ FileReadResult GuestKernel::file_read(std::uint64_t file_id,
   }
 
   page_cache_.emplace(key, CachedFilePage{frame, /*referenced=*/true});
-  lru_.insert(key);
+  lru_.insert(frame, key);
   return FileReadResult{t, outcome};
 }
 

@@ -256,9 +256,10 @@ class GuestKernel {
   };
   std::unordered_map<std::uint64_t, FileInfo> files_;
   std::unordered_map<std::uint64_t, CachedFilePage> page_cache_;  // by file_key
-  // Reverse map for disk-resident slots, driving swap read-ahead.
-  std::unordered_map<mem::SwapSlot, std::pair<mem::AddressSpace::Id, Vpn>>
-      disk_slot_owner_;
+  // Reverse map for disk-resident slots, driving swap read-ahead: the
+  // anon_key of the page written to each slot, 0 when the slot holds none
+  // (no anon_key is 0). Indexed by slot, grown to the highest disk slot.
+  std::vector<std::uint64_t> disk_slot_owner_;
 
   std::uint64_t next_content_ = 1;
   GuestStats stats_;

@@ -7,59 +7,76 @@ namespace smartmem::mem {
 LruLists::LruLists(std::uint32_t inactive_ratio)
     : inactive_ratio_(inactive_ratio == 0 ? 1 : inactive_ratio) {}
 
-void LruLists::insert(Vpn page) {
-  assert(!where_.contains(page));
-  inactive_.push_front(page);
-  where_.emplace(page, Pos{Which::kInactive, inactive_.begin()});
-}
-
-void LruLists::touch(Vpn page) {
-  auto it = where_.find(page);
-  if (it == where_.end()) return;
-  if (it->second.which == Which::kActive) return;  // accessed bit only
-  // Second touch while inactive: promote.
-  inactive_.erase(it->second.it);
-  active_.push_front(page);
-  it->second = Pos{Which::kActive, active_.begin()};
-}
-
-void LruLists::remove(Vpn page) {
-  auto it = where_.find(page);
-  if (it == where_.end()) return;
-  if (it->second.which == Which::kActive) {
-    active_.erase(it->second.it);
+void LruLists::push_front(Which which, Link n) {
+  List& list = list_of(which);
+  Node& node = nodes_[n];
+  node.list = which;
+  node.prev = kNil;
+  node.next = list.head;
+  if (list.head != kNil) {
+    nodes_[list.head].prev = n;
   } else {
-    inactive_.erase(it->second.it);
+    list.tail = n;
   }
-  where_.erase(it);
+  list.head = n;
+  ++list.size;
+}
+
+void LruLists::unlink(Link n) {
+  Node& node = nodes_[n];
+  List& list = list_of(node.list);
+  if (node.prev != kNil) {
+    nodes_[node.prev].next = node.next;
+  } else {
+    list.head = node.next;
+  }
+  if (node.next != kNil) {
+    nodes_[node.next].prev = node.prev;
+  } else {
+    list.tail = node.prev;
+  }
+  --list.size;
+  node.list = Which::kNone;
+}
+
+void LruLists::insert(Pfn frame, std::uint64_t key) {
+  assert(frame < kNil);
+  if (frame >= nodes_.size()) nodes_.resize(frame + 1);
+  assert(!tracked(frame) && "frame already on the LRU");
+  nodes_[frame].key = key;
+  push_front(Which::kInactive, static_cast<Link>(frame));
+}
+
+void LruLists::touch(Pfn frame) {
+  if (!tracked(frame)) return;
+  const auto n = static_cast<Link>(frame);
+  if (nodes_[n].list == Which::kActive) return;  // accessed bit only
+  // Second touch while inactive: promote.
+  unlink(n);
+  push_front(Which::kActive, n);
+}
+
+void LruLists::remove(Pfn frame) {
+  if (tracked(frame)) unlink(static_cast<Link>(frame));
 }
 
 void LruLists::rebalance() {
   // Keep inactive at least 1/ratio of the total, demoting cold active pages.
-  const std::size_t total = where_.size();
-  const std::size_t want_inactive = total / inactive_ratio_;
-  while (inactive_.size() < want_inactive && !active_.empty()) {
-    const Vpn page = active_.back();
-    active_.pop_back();
-    inactive_.push_front(page);
-    where_[page] = Pos{Which::kInactive, inactive_.begin()};
+  const std::size_t want_inactive = size() / inactive_ratio_;
+  while (inactive_.size < want_inactive && active_.size > 0) {
+    const Link n = active_.tail;
+    unlink(n);
+    push_front(Which::kInactive, n);
   }
 }
 
-std::optional<Vpn> LruLists::pop_victim() {
-  if (where_.empty()) return std::nullopt;
-  if (inactive_.empty()) rebalance();
-  if (inactive_.empty()) {
-    // Everything is active: demote the coldest active page directly.
-    const Vpn page = active_.back();
-    active_.pop_back();
-    where_.erase(page);
-    return page;
-  }
-  const Vpn page = inactive_.back();
-  inactive_.pop_back();
-  where_.erase(page);
-  return page;
+std::optional<LruLists::Victim> LruLists::pop_victim() {
+  if (size() == 0) return std::nullopt;
+  if (inactive_.size == 0) rebalance();
+  // Everything active: the coldest active page is the victim directly.
+  const Link n = inactive_.size > 0 ? inactive_.tail : active_.tail;
+  unlink(n);
+  return Victim{n, nodes_[n].key};
 }
 
 }  // namespace smartmem::mem

@@ -3,14 +3,15 @@
 // Linux's swap path allocates a slot on the swap device for every anonymous
 // page it evicts; with frontswap enabled it first offers the page to tmem and
 // records, per slot, whether the data lives in tmem or on the disk (the
-// frontswap bitmap). This class models exactly that bookkeeping, plus a
-// content map for the disk-resident slots so that correctness tests can
-// check a swap-in returns the bytes the matching swap-out stored.
+// frontswap bitmap). This class models exactly that bookkeeping, plus the
+// simulated content of disk-resident slots so that correctness tests can
+// check a swap-in returns the bytes the matching swap-out stored. All of it
+// lives in one record per slot, grown with the high-water mark of slots
+// ever handed out rather than sized to the device.
 #pragma once
 
 #include <cstdint>
 #include <optional>
-#include <unordered_map>
 #include <vector>
 
 #include "common/types.hpp"
@@ -52,13 +53,17 @@ class SwapSpace {
   const SwapStats& stats() const { return stats_; }
 
  private:
+  struct Slot {
+    PageContent disk_content = 0;
+    bool in_use = false;
+    bool frontswap = false;
+    bool has_disk_content = false;
+  };
+
   PageCount total_slots_;
   PageCount used_ = 0;
-  SwapSlot next_fresh_ = 0;           // high-water mark
+  std::vector<Slot> slots_;           // size() is the high-water mark
   std::vector<SwapSlot> free_list_;   // recycled slots
-  std::vector<bool> in_use_;
-  std::vector<bool> frontswap_;
-  std::unordered_map<SwapSlot, PageContent> disk_content_;
   SwapStats stats_;
 };
 

@@ -4,8 +4,8 @@
 // kernel module and the hypervisor speak in these keys.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
-#include <functional>
 
 namespace smartmem::tmem {
 
@@ -29,17 +29,9 @@ struct TmemKey {
   friend bool operator==(const TmemKey&, const TmemKey&) = default;
 };
 
-/// A key bundled with its precomputed hash. The store's hot paths (put, get,
-/// flush, eviction) mix the key once and reuse the value for every probe of
-/// the same table via heterogeneous lookup, instead of re-hashing per find.
-struct HashedTmemKey {
-  TmemKey key;
-  std::size_t hash = 0;
-};
-
+/// The store hashes each key once per operation and caches the value in its
+/// entry, so evictions and index moves never re-mix the key.
 struct TmemKeyHash {
-  using is_transparent = void;
-
   std::size_t operator()(const TmemKey& k) const {
     // splitmix64-style mixing of the three fields.
     std::uint64_t x = k.object;
@@ -48,22 +40,6 @@ struct TmemKeyHash {
     x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
     x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
     return static_cast<std::size_t>(x ^ (x >> 31));
-  }
-  std::size_t operator()(const HashedTmemKey& k) const { return k.hash; }
-};
-
-struct TmemKeyEq {
-  using is_transparent = void;
-
-  bool operator()(const TmemKey& a, const TmemKey& b) const { return a == b; }
-  bool operator()(const HashedTmemKey& a, const TmemKey& b) const {
-    return a.key == b;
-  }
-  bool operator()(const TmemKey& a, const HashedTmemKey& b) const {
-    return a == b.key;
-  }
-  bool operator()(const HashedTmemKey& a, const HashedTmemKey& b) const {
-    return a.key == b.key;
   }
 };
 

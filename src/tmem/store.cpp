@@ -14,55 +14,50 @@ TmemStore::TmemStore(StoreConfig config)
       comp_pool_(config.compressed) {}
 
 PoolId TmemStore::create_pool(VmId owner, PoolType type, bool compressible) {
-  const PoolId id = next_pool_++;
-  PoolInfo info;
+  const auto id = static_cast<PoolId>(pools_.size());
+  PoolInfo& info = pools_.emplace_back();
+  info.account = &vm_accounts_[owner];
   info.owner = owner;
   info.type = type;
   info.compressible = compressible;
   info.alive = true;
-  pools_.emplace(id, std::move(info));
   return id;
 }
 
+TmemStore::PoolInfo* TmemStore::live_pool(PoolId id) {
+  return id < pools_.size() && pools_[id].alive ? &pools_[id] : nullptr;
+}
+
+const TmemStore::PoolInfo* TmemStore::live_pool(PoolId id) const {
+  return id < pools_.size() && pools_[id].alive ? &pools_[id] : nullptr;
+}
+
 void TmemStore::destroy_pool(PoolId pool) {
-  auto it = pools_.find(pool);
-  if (it == pools_.end() || !it->second.alive) return;
-  // Collect keys first: erase_entry mutates the object index we iterate.
-  std::vector<TmemKey> keys;
-  keys.reserve(it->second.pages);
-  for (const auto& [object, indices] : it->second.objects) {
-    for (std::uint32_t index : indices) {
-      keys.push_back(TmemKey{pool, object, index});
-    }
-  }
-  for (const auto& key : keys) {
-    auto eit = entries_.find(key);
-    assert(eit != entries_.end());
-    erase_entry(eit);
-  }
-  pools_.erase(pool);
+  PoolInfo* info = live_pool(pool);
+  if (!info) return;
+  while (info->entries.head != kNil) erase_entry(info->entries.head);
+  info->alive = false;
 }
 
 bool TmemStore::pool_exists(PoolId pool) const {
-  auto it = pools_.find(pool);
-  return it != pools_.end() && it->second.alive;
+  return live_pool(pool) != nullptr;
 }
 
 std::optional<PoolType> TmemStore::pool_type(PoolId pool) const {
-  auto it = pools_.find(pool);
-  if (it == pools_.end()) return std::nullopt;
-  return it->second.type;
+  const PoolInfo* info = live_pool(pool);
+  if (!info) return std::nullopt;
+  return info->type;
 }
 
 std::optional<VmId> TmemStore::pool_owner(PoolId pool) const {
-  auto it = pools_.find(pool);
-  if (it == pools_.end()) return std::nullopt;
-  return it->second.owner;
+  const PoolInfo* info = live_pool(pool);
+  if (!info) return std::nullopt;
+  return info->owner;
 }
 
 PageCount TmemStore::pool_pages(PoolId pool) const {
-  auto it = pools_.find(pool);
-  return it == pools_.end() ? 0 : it->second.pages;
+  const PoolInfo* info = live_pool(pool);
+  return info ? info->pages : 0;
 }
 
 PageCount TmemStore::vm_pages(VmId vm) const {
@@ -81,57 +76,95 @@ std::uint64_t TmemStore::effective_bytes(const Entry& e) const {
   return kPageSize;
 }
 
-void TmemStore::lru_push_back(Entry* e) {
-  e->lru_prev = lru_tail_;
-  e->lru_next = nullptr;
-  if (lru_tail_) {
-    lru_tail_->lru_next = e;
-  } else {
-    lru_head_ = e;
-  }
-  lru_tail_ = e;
-  ++ephemeral_count_;
+// ---- Slab, index and lists --------------------------------------------------
 
-  VmAccount& acct = vm_accounts_[e->owner];
-  e->vm_prev = acct.eph_tail;
-  e->vm_next = nullptr;
-  if (acct.eph_tail) {
-    acct.eph_tail->vm_next = e;
-  } else {
-    acct.eph_head = e;
+TmemStore::SlabId TmemStore::find(const TmemKey& key, std::size_t hash) const {
+  if (index_.empty()) return kNil;
+  const std::size_t mask = index_.size() - 1;
+  for (std::size_t pos = hash & mask;; pos = (pos + 1) & mask) {
+    const SlabId id = index_[pos];
+    if (id == kNil) return kNil;
+    const Entry& e = entries_[id];
+    if (e.key_hash == hash && e.pool == key.pool && e.object == key.object &&
+        e.index == key.index) {
+      return id;
+    }
   }
-  acct.eph_tail = e;
 }
 
-void TmemStore::lru_unlink(Entry* e) {
-  if (e->lru_prev) {
-    e->lru_prev->lru_next = e->lru_next;
-  } else {
-    lru_head_ = e->lru_next;
-  }
-  if (e->lru_next) {
-    e->lru_next->lru_prev = e->lru_prev;
-  } else {
-    lru_tail_ = e->lru_prev;
-  }
-  e->lru_prev = nullptr;
-  e->lru_next = nullptr;
-  assert(ephemeral_count_ > 0);
-  --ephemeral_count_;
+void TmemStore::index_place(SlabId id) {
+  const std::size_t mask = index_.size() - 1;
+  std::size_t pos = entries_[id].key_hash & mask;
+  while (index_[pos] != kNil) pos = (pos + 1) & mask;
+  index_[pos] = id;
+}
 
-  VmAccount& acct = vm_accounts_[e->owner];
-  if (e->vm_prev) {
-    e->vm_prev->vm_next = e->vm_next;
-  } else {
-    acct.eph_head = e->vm_next;
+void TmemStore::index_insert(SlabId id) {
+  ++entry_count_;
+  if (2 * entry_count_ <= index_.size()) {
+    index_place(id);
+    return;
   }
-  if (e->vm_next) {
-    e->vm_next->vm_prev = e->vm_prev;
-  } else {
-    acct.eph_tail = e->vm_prev;
+  // Double, then re-place every live slab entry (`id` included): the old
+  // index is never walked.
+  index_.assign(std::max<std::size_t>(16, 2 * index_.size()), kNil);
+  for (SlabId live = 0; live < entries_.size(); ++live) {
+    if (entries_[live].pool != kInvalidPool) index_place(live);
   }
-  e->vm_prev = nullptr;
-  e->vm_next = nullptr;
+}
+
+void TmemStore::index_erase(SlabId id) {
+  const std::size_t mask = index_.size() - 1;
+  std::size_t hole = entries_[id].key_hash & mask;
+  while (index_[hole] != id) hole = (hole + 1) & mask;
+  // Backward shift: pull later members of the probe run into the hole
+  // unless that would move one before its home slot.
+  for (std::size_t pos = (hole + 1) & mask; index_[pos] != kNil;
+       pos = (pos + 1) & mask) {
+    const std::size_t home = entries_[index_[pos]].key_hash & mask;
+    if (((pos - home) & mask) >= ((pos - hole) & mask)) {
+      index_[hole] = index_[pos];
+      hole = pos;
+    }
+  }
+  index_[hole] = kNil;
+  --entry_count_;
+}
+
+TmemStore::SlabId TmemStore::alloc_slab() {
+  if (free_slab_ == kNil) {
+    entries_.emplace_back();
+    return static_cast<SlabId>(entries_.size() - 1);
+  }
+  const SlabId id = free_slab_;
+  free_slab_ = entries_[id].in_pool.next;
+  return id;
+}
+
+void TmemStore::push_back(Ends& list, Links Entry::*links, SlabId id) {
+  Links& l = entries_[id].*links;
+  l.prev = list.tail;
+  l.next = kNil;
+  if (list.tail != kNil) {
+    (entries_[list.tail].*links).next = id;
+  } else {
+    list.head = id;
+  }
+  list.tail = id;
+}
+
+void TmemStore::unlink(Ends& list, Links Entry::*links, SlabId id) {
+  const Links l = entries_[id].*links;
+  if (l.prev != kNil) {
+    (entries_[l.prev].*links).next = l.next;
+  } else {
+    list.head = l.next;
+  }
+  if (l.next != kNil) {
+    (entries_[l.next].*links).prev = l.prev;
+  } else {
+    list.tail = l.prev;
+  }
 }
 
 void TmemStore::release_tier(const Entry& e) {
@@ -149,42 +182,42 @@ void TmemStore::release_tier(const Entry& e) {
   }
 }
 
-void TmemStore::erase_entry(EntryMap::iterator it) {
-  const TmemKey key = it->first;
-  Entry& entry = it->second;
+void TmemStore::erase_entry(SlabId id) {
+  Entry& entry = entries_[id];
+  PoolInfo& pool = pools_[entry.pool];
+  VmAccount& acct = *pool.account;
 
-  if (entry.type == PoolType::kEphemeral) {
-    lru_unlink(&entry);
+  if (pool.type == PoolType::kEphemeral) {
+    unlink(lru_, &Entry::lru, id);
+    unlink(acct.ephemeral, &Entry::vm, id);
+    assert(ephemeral_count_ > 0);
+    --ephemeral_count_;
   }
   release_tier(entry);
 
-  auto pit = pools_.find(key.pool);
-  assert(pit != pools_.end());
-  PoolInfo& pool = pit->second;
+  assert(pool.pages > 0 && acct.pages > 0);
   --pool.pages;
-  auto oit = pool.objects.find(key.object);
-  assert(oit != pool.objects.end());
-  oit->second.erase(key.index);
-  if (oit->second.empty()) pool.objects.erase(oit);
+  unlink(pool.entries, &Entry::in_pool, id);
+  --acct.pages;
+  acct.bytes -= effective_bytes(entry);
 
-  auto vit = vm_accounts_.find(entry.owner);
-  assert(vit != vm_accounts_.end() && vit->second.pages > 0);
-  --vit->second.pages;
-  vit->second.bytes -= effective_bytes(entry);
-
-  entries_.erase(it);
+  index_erase(id);
+  entry = Entry{};
+  entry.in_pool.next = free_slab_;
+  free_slab_ = id;
 }
 
 bool TmemStore::try_demote(Entry& e) {
   if (e.deduped || e.tier == Tier::kNvm || e.tier == Tier::kRemote) {
     return false;
   }
-  VmAccount& acct = vm_accounts_[e.owner];
+  const PoolInfo& pool = pools_[e.pool];
+  VmAccount& acct = *pool.account;
   if (e.tier == Tier::kDram) {
     // Compress first (the next tier down); fall through to NVM.
-    if (e.compressible) {
-      const std::uint32_t cost = comp_pool_.page_bytes(
-          e.owner, e.type, e.key->object, e.key->index);
+    if (pool.compressible) {
+      const std::uint32_t cost =
+          comp_pool_.page_bytes(pool.owner, pool.type, e.object, e.index);
       if (comp_pool_.fits(cost)) {
         ++free_pages_;
         comp_pool_.add(cost);
@@ -222,23 +255,19 @@ bool TmemStore::try_demote(Entry& e) {
 }
 
 bool TmemStore::drop_one_ephemeral() {
-  if (!lru_head_) return false;
-  Entry* victim = lru_head_;
-  // The cached hash avoids re-mixing the key on every eviction probe.
-  auto it = entries_.find(HashedTmemKey{*victim->key, victim->key_hash});
-  assert(it != entries_.end() && &it->second == victim);
-  erase_entry(it);
+  if (lru_.head == kNil) return false;
+  erase_entry(lru_.head);
   ++stats_.ephemeral_evictions;
   return true;
 }
 
 bool TmemStore::evict_one_ephemeral() {
-  if (!lru_head_) return false;
+  if (lru_.head == kNil) return false;
   // Demote-down-the-chain only applies while the compressed tier exists;
   // with it off this is exactly the pre-tier drop path.
   if (comp_pool_.enabled() &&
       config_.compressed_evict == CompressedEvictMode::kDemote) {
-    if (try_demote(*lru_head_)) return true;
+    if (try_demote(entries_[lru_.head])) return true;
   }
   return drop_one_ephemeral();
 }
@@ -248,9 +277,8 @@ bool TmemStore::can_place(bool comp_eligible, std::uint32_t comp_cost) const {
          nvm_free_ > 0;
 }
 
-void TmemStore::place_entry(Entry& entry, const TmemKey& key,
-                            bool comp_eligible, std::uint32_t comp_cost) {
-  (void)key;
+void TmemStore::place_entry(Entry& entry, bool comp_eligible,
+                            std::uint32_t comp_cost) {
   if (free_pages_ > 0) {
     --free_pages_;
     stats_.peak_used = std::max(stats_.peak_used, used_pages());
@@ -272,39 +300,35 @@ void TmemStore::place_entry(Entry& entry, const TmemKey& key,
 
 bool TmemStore::compressed_fits(const TmemKey& key) const {
   if (!comp_pool_.enabled()) return false;
-  auto pit = pools_.find(key.pool);
-  if (pit == pools_.end() || !pit->second.alive ||
-      !pit->second.compressible) {
-    return false;
-  }
-  return comp_pool_.fits(comp_pool_.page_bytes(
-      pit->second.owner, pit->second.type, key.object, key.index));
+  const PoolInfo* pool = live_pool(key.pool);
+  if (!pool || !pool->compressible) return false;
+  return comp_pool_.fits(
+      comp_pool_.page_bytes(pool->owner, pool->type, key.object, key.index));
 }
+
+// ---- Page operations ----------------------------------------------------------
 
 PutResult TmemStore::put(const TmemKey& key, PagePayload payload,
                          Tier* tier) {
-  auto pit = pools_.find(key.pool);
-  if (pit == pools_.end() || !pit->second.alive) {
+  PoolInfo* pool = live_pool(key.pool);
+  if (!pool) {
     ++stats_.puts_failed;
     return PutResult::kNoMemory;
   }
-  PoolInfo& pool = pit->second;
 
-  const bool comp_eligible = comp_pool_.enabled() && pool.compressible;
+  const bool comp_eligible = comp_pool_.enabled() && pool->compressible;
   const std::uint32_t comp_cost =
-      comp_eligible
-          ? comp_pool_.page_bytes(pool.owner, pool.type, key.object, key.index)
-          : 0;
+      comp_eligible ? comp_pool_.page_bytes(pool->owner, pool->type,
+                                            key.object, key.index)
+                    : 0;
 
   const std::size_t hash = TmemKeyHash{}(key);
-  const HashedTmemKey hashed{key, hash};
+  const bool now_dedup = config_.zero_page_dedup && payload == 0;
 
-  if (auto eit = entries_.find(hashed); eit != entries_.end()) {
+  if (SlabId id = find(key, hash); id != kNil) {
     // Overwrite in place. A dedup'd zero page that becomes non-zero needs a
     // frame (and vice versa); handle the transitions explicitly.
-    Entry& entry = eit->second;
-    const bool was_deduped = entry.deduped;
-    const bool now_dedup = config_.zero_page_dedup && payload == 0;
+    const bool was_deduped = entries_[id].deduped;
     if (was_deduped && !now_dedup) {
       // Evicted victims may themselves be deduped (frameless), so keep
       // evicting until capacity is actually available somewhere.
@@ -315,73 +339,76 @@ PutResult TmemStore::put(const TmemKey& key, PagePayload payload,
         }
       }
       // Re-check: eviction may have removed *this* entry if it was ephemeral.
-      eit = entries_.find(hashed);
-      if (eit == entries_.end()) {
+      id = find(key, hash);
+      if (id == kNil) {
         return put(key, payload, tier);  // fall back to fresh insert
       }
-      eit->second.deduped = false;  // before the byte charge below
-      place_entry(eit->second, key, comp_eligible, comp_cost);
-      vm_accounts_[eit->second.owner].bytes +=
-          effective_bytes(eit->second);
+      Entry& entry = entries_[id];
+      entry.deduped = false;  // before the byte charge below
+      place_entry(entry, comp_eligible, comp_cost);
+      pool->account->bytes += effective_bytes(entry);
     } else if (!was_deduped && now_dedup) {
-      vm_accounts_[entry.owner].bytes -= effective_bytes(entry);
+      Entry& entry = entries_[id];
+      pool->account->bytes -= effective_bytes(entry);
       release_tier(entry);
       entry.comp_bytes = 0;
       ++stats_.zero_pages_deduped;
     }
-    eit->second.deduped = now_dedup;
-    eit->second.payload = payload;
-    if (tier) *tier = eit->second.tier;
+    Entry& entry = entries_[id];
+    entry.deduped = now_dedup;
+    entry.payload = payload;
+    if (tier) *tier = entry.tier;
     ++stats_.puts_replaced;
     return PutResult::kReplaced;
   }
 
-  Entry entry;
-  entry.payload = payload;
-  entry.owner = pool.owner;
-  entry.type = pool.type;
-  entry.compressible = pool.compressible;
-  entry.deduped = config_.zero_page_dedup && payload == 0;
-  entry.key_hash = hash;
-
-  if (consumes_frame(entry)) {
+  Entry fresh;
+  fresh.deduped = now_dedup;
+  if (consumes_frame(fresh)) {
     while (!can_place(comp_eligible, comp_cost)) {
       if (!evict_one_ephemeral()) {
         ++stats_.puts_failed;
         return PutResult::kNoMemory;
       }
     }
-    place_entry(entry, key, comp_eligible, comp_cost);
+    place_entry(fresh, comp_eligible, comp_cost);
   } else {
     ++stats_.zero_pages_deduped;
   }
+  fresh.object = key.object;
+  fresh.payload = payload;
+  fresh.key_hash = hash;
+  fresh.pool = key.pool;
+  fresh.index = key.index;
 
-  auto [eit, inserted] = entries_.emplace(key, entry);
-  assert(inserted);
-  Entry& stored = eit->second;
-  stored.key = &eit->first;
-  ++pool.pages;
-  pool.objects[key.object].insert(key.index);
-  VmAccount& acct = vm_accounts_[pool.owner];
+  const SlabId id = alloc_slab();
+  entries_[id] = fresh;
+  index_insert(id);
+  ++pool->pages;
+  push_back(pool->entries, &Entry::in_pool, id);
+  VmAccount& acct = *pool->account;
   ++acct.pages;
-  acct.bytes += effective_bytes(stored);
-  if (stored.type == PoolType::kEphemeral) {
-    lru_push_back(&stored);
+  acct.bytes += effective_bytes(fresh);
+  if (pool->type == PoolType::kEphemeral) {
+    push_back(lru_, &Entry::lru, id);
+    push_back(acct.ephemeral, &Entry::vm, id);
+    ++ephemeral_count_;
   }
   ++stats_.puts_stored;
-  if (tier) *tier = stored.tier;
+  if (tier) *tier = fresh.tier;
   return PutResult::kStored;
 }
 
 std::optional<PagePayload> TmemStore::get(const TmemKey& key, Tier* tier) {
-  auto it = entries_.find(HashedTmemKey{key, TmemKeyHash{}(key)});
-  if (it == entries_.end()) {
+  const SlabId id = find(key, TmemKeyHash{}(key));
+  if (id == kNil) {
     ++stats_.gets_miss;
     return std::nullopt;
   }
-  const PagePayload payload = it->second.payload;
-  if (tier) *tier = it->second.tier;
-  switch (it->second.tier) {
+  const Entry& entry = entries_[id];
+  const PagePayload payload = entry.payload;
+  if (tier) *tier = entry.tier;
+  switch (entry.tier) {
     case Tier::kCompressed:
       ++stats_.gets_hit_compressed;
       break;
@@ -392,46 +419,45 @@ std::optional<PagePayload> TmemStore::get(const TmemKey& key, Tier* tier) {
       ++stats_.gets_hit_dram;
       break;
   }
-  if (it->second.type == PoolType::kEphemeral) {
+  if (pools_[entry.pool].type == PoolType::kEphemeral) {
     // Victim-cache semantics: the page moves back into the guest.
-    erase_entry(it);
+    erase_entry(id);
   }
   ++stats_.gets_hit;
   return payload;
 }
 
 bool TmemStore::contains(const TmemKey& key) const {
-  return entries_.contains(key);
+  return find(key, TmemKeyHash{}(key)) != kNil;
 }
 
 std::optional<Tier> TmemStore::tier_of(const TmemKey& key) const {
-  auto it = entries_.find(HashedTmemKey{key, TmemKeyHash{}(key)});
-  if (it == entries_.end()) return std::nullopt;
-  return it->second.tier;
+  const SlabId id = find(key, TmemKeyHash{}(key));
+  if (id == kNil) return std::nullopt;
+  return entries_[id].tier;
 }
 
 bool TmemStore::flush_page(const TmemKey& key) {
-  auto it = entries_.find(HashedTmemKey{key, TmemKeyHash{}(key)});
-  if (it == entries_.end()) return false;
-  erase_entry(it);
+  const SlabId id = find(key, TmemKeyHash{}(key));
+  if (id == kNil) return false;
+  erase_entry(id);
   ++stats_.pages_flushed;
   return true;
 }
 
 PageCount TmemStore::flush_object(PoolId pool, std::uint64_t object) {
-  auto pit = pools_.find(pool);
-  if (pit == pools_.end()) return 0;
-  auto oit = pit->second.objects.find(object);
-  if (oit == pit->second.objects.end()) return 0;
-
-  std::vector<std::uint32_t> indices(oit->second.begin(), oit->second.end());
+  const PoolInfo* info = live_pool(pool);
+  if (!info) return 0;
   PageCount freed = 0;
-  for (std::uint32_t index : indices) {
-    auto eit = entries_.find(TmemKey{pool, object, index});
-    assert(eit != entries_.end());
-    erase_entry(eit);
-    ++freed;
+  for (SlabId id = info->entries.head; id != kNil;) {
+    const SlabId next = entries_[id].in_pool.next;  // before erase frees it
+    if (entries_[id].object == object) {
+      erase_entry(id);
+      ++freed;
+    }
+    id = next;
   }
+  if (freed == 0) return 0;
   stats_.pages_flushed += freed;
   ++stats_.objects_flushed;
   return freed;
@@ -442,14 +468,11 @@ PageCount TmemStore::evict_ephemeral_from_vm(VmId vm, PageCount max_pages) {
   if (ait == vm_accounts_.end()) return 0;
   PageCount evicted = 0;
   // O(evicted): the per-VM list holds exactly this VM's ephemeral pages in
-  // insertion order, so reclaim never scans other VMs' entries (the global
-  // LRU walk this replaces was O(all ephemeral pages) per reclaim tick).
-  Entry* cursor = ait->second.eph_head;
-  while (cursor && evicted < max_pages) {
-    Entry* next = cursor->vm_next;  // grab before erase unlinks the node
-    auto eit = entries_.find(HashedTmemKey{*cursor->key, cursor->key_hash});
-    assert(eit != entries_.end() && &eit->second == cursor);
-    erase_entry(eit);
+  // insertion order, so reclaim never scans other VMs' entries.
+  SlabId cursor = ait->second.ephemeral.head;
+  while (cursor != kNil && evicted < max_pages) {
+    const SlabId next = entries_[cursor].vm.next;  // before erase frees it
+    erase_entry(cursor);
     ++evicted;
     ++stats_.ephemeral_evictions;
     cursor = next;

@@ -10,13 +10,19 @@
 // tier (byte-budgeted, see src/tier), then NVM (Ex-Tmem). The compressed
 // tier is off by default; with it off the store is byte-identical to the
 // pre-tier system.
+//
+// Layout: entries live in a slab (a vector with a free list) and are found
+// through one open-addressed index of slab ids. The global and per-VM
+// ephemeral lists and each pool's entry list are threaded through the slab
+// by id. Every walk goes through those lists, whose order is the simulated
+// order; nothing iterates the index, whose order depends on hashes and
+// capacity.
 #pragma once
 
 #include <cstdint>
 #include <optional>
 #include <string>
 #include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "common/types.hpp"
@@ -85,6 +91,11 @@ enum class PutResult : std::uint8_t {
 class TmemStore {
  public:
   explicit TmemStore(StoreConfig config);
+  // Pools point into vm_accounts_: a copy would point into the original.
+  TmemStore(const TmemStore&) = delete;
+  TmemStore& operator=(const TmemStore&) = delete;
+  TmemStore(TmemStore&&) = default;
+  TmemStore& operator=(TmemStore&&) = default;
 
   // ---- Pool management -----------------------------------------------
 
@@ -198,63 +209,74 @@ class TmemStore {
   void register_metrics(obs::Registry& reg, const std::string& prefix) const;
 
  private:
-  // The global ephemeral LRU is an intrusive doubly-linked list threaded
-  // through the map's Entry values (unordered_map never moves its nodes, so
-  // the pointers stay stable across rehash/insert/erase of other keys).
-  // Compared to the former std::list<TmemKey>, linking costs no allocation
-  // and unlinking needs no second hash lookup; `key`/`key_hash` let the
-  // eviction path probe the entry table without re-mixing the key.
-  // A second intrusive list (vm_prev/vm_next) threads the same ephemeral
-  // entries per owner VM, so per-VM reclaim walks exactly the pages it may
-  // evict instead of scanning the global list (ROADMAP fleet follow-up (a)).
+  using SlabId = std::uint32_t;
+  static constexpr SlabId kNil = ~0u;
+
+  /// Intrusive links of one list an entry sits on.
+  struct Links {
+    SlabId prev = kNil;
+    SlabId next = kNil;
+  };
+  /// Head (oldest) and tail (newest) of one intrusive list.
+  struct Ends {
+    SlabId head = kNil;
+    SlabId tail = kNil;
+  };
+
   struct Entry {
+    std::uint64_t object = 0;
     PagePayload payload = 0;
-    VmId owner = kInvalidVm;
-    PoolType type = PoolType::kEphemeral;
-    Tier tier = Tier::kDram;
-    bool deduped = false;      // zero page, consumes no frame
-    bool compressible = true;  // copied from the pool at insert
+    std::size_t key_hash = 0;  // cached TmemKeyHash of the key
+    PoolId pool = kInvalidPool;  // kInvalidPool marks a free slab slot
+    std::uint32_t index = 0;
     std::uint32_t comp_bytes = 0;  // bytes charged while tier == kCompressed
-    std::size_t key_hash = 0;      // cached TmemKeyHash of the map key
-    const TmemKey* key = nullptr;  // the map node's key (stable address)
-    Entry* lru_prev = nullptr;     // intrusive global LRU (ephemeral only)
-    Entry* lru_next = nullptr;
-    Entry* vm_prev = nullptr;      // intrusive per-VM list (ephemeral only)
-    Entry* vm_next = nullptr;
+    Tier tier = Tier::kDram;
+    bool deduped = false;  // zero page, consumes no frame
+    Links lru;             // global ephemeral LRU (ephemeral only)
+    Links vm;              // owner VM's ephemeral list (ephemeral only)
+    Links in_pool;         // the pool's entry list; next links free slots
+  };
+
+  /// Per-VM accounting: page/byte tallies plus the VM's own ephemeral
+  /// insertion-order list, so per-VM reclaim walks only the pages it may
+  /// evict instead of scanning the global LRU.
+  struct VmAccount {
+    PageCount pages = 0;
+    std::uint64_t bytes = 0;  // effective bytes (see vm_bytes())
+    Ends ephemeral;
   };
 
   struct PoolInfo {
+    VmAccount* account = nullptr;  // the owner's (vm_accounts_ never moves it)
     VmId owner = kInvalidVm;
     PoolType type = PoolType::kEphemeral;
     bool compressible = true;
-    PageCount pages = 0;
     bool alive = false;
-    // Keys grouped by object for O(object-size) flush_object and O(1)
-    // removal of a single page from its object on flush_page/eviction.
-    std::unordered_map<std::uint64_t, std::unordered_set<std::uint32_t>> objects;
-  };
-
-  /// Indexed per-VM accounting: page/byte tallies plus the head/tail of the
-  /// VM's own ephemeral insertion-order list. One hash probe per put/erase
-  /// instead of a per-reclaim scan of the global LRU.
-  struct VmAccount {
     PageCount pages = 0;
-    std::uint64_t bytes = 0;       // effective bytes (see vm_bytes())
-    Entry* eph_head = nullptr;     // oldest ephemeral entry of this VM
-    Entry* eph_tail = nullptr;
+    Ends entries;  // every page of the pool, oldest first
   };
 
-  using EntryMap =
-      std::unordered_map<TmemKey, Entry, TmemKeyHash, TmemKeyEq>;
+  /// The live pool `id`, or nullptr.
+  PoolInfo* live_pool(PoolId id);
+  const PoolInfo* live_pool(PoolId id) const;
 
-  /// Removes an entry (updating all accounting); `it` must be valid.
-  void erase_entry(EntryMap::iterator it);
+  /// Slab id of `key` (whose TmemKeyHash is `hash`), or kNil.
+  SlabId find(const TmemKey& key, std::size_t hash) const;
 
-  /// Appends `e` (must be ephemeral) to the MRU end of both intrusive lists.
-  void lru_push_back(Entry* e);
+  /// Adds entry `id` to the index, growing it to keep the load at most 1/2.
+  void index_insert(SlabId id);
+  void index_place(SlabId id);  // linear probe to the first empty slot
 
-  /// Unlinks `e` from both intrusive lists.
-  void lru_unlink(Entry* e);
+  /// Removes entry `id` from the index by backward-shift deletion.
+  void index_erase(SlabId id);
+
+  SlabId alloc_slab();
+
+  void push_back(Ends& list, Links Entry::*links, SlabId id);
+  void unlink(Ends& list, Links Entry::*links, SlabId id);
+
+  /// Removes an entry, updating all accounting, and frees its slab slot.
+  void erase_entry(SlabId id);
 
   /// Effective bytes the entry occupies (0 deduped, comp_bytes compressed,
   /// kPageSize otherwise).
@@ -287,19 +309,19 @@ class TmemStore {
   /// Takes capacity for a new entry along the chain (DRAM, compressed,
   /// NVM), setting entry.tier/comp_bytes and charging the compressed pool.
   /// can_place() must be true.
-  void place_entry(Entry& entry, const TmemKey& key, bool comp_eligible,
-                   std::uint32_t comp_cost);
+  void place_entry(Entry& entry, bool comp_eligible, std::uint32_t comp_cost);
 
   StoreConfig config_;
   PageCount free_pages_;
   PageCount nvm_free_;
   tier::CompressedPool comp_pool_;
-  PoolId next_pool_ = 0;
-  std::unordered_map<PoolId, PoolInfo> pools_;
-  EntryMap entries_;
+  std::vector<PoolInfo> pools_;  // indexed by PoolId; ids are never reused
+  std::vector<Entry> entries_;   // the slab
+  SlabId free_slab_ = kNil;      // free slots, linked through in_pool.next
+  std::size_t entry_count_ = 0;
+  std::vector<SlabId> index_;    // power-of-two size, kNil = empty
   std::unordered_map<VmId, VmAccount> vm_accounts_;
-  Entry* lru_head_ = nullptr;  // oldest ephemeral entry
-  Entry* lru_tail_ = nullptr;  // newest ephemeral entry
+  Ends lru_;  // global ephemeral LRU, oldest first
   PageCount ephemeral_count_ = 0;
   StoreStats stats_;
 };

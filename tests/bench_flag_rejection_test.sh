@@ -1,18 +1,21 @@
 #!/bin/sh
-# Parse-time flag rejection for the bench command line: every case below must
-# exit 2 before anything runs (nothing on stdout), instead of running with a
-# flag ignored, crashing mid-run or running the default sweep.
+# Parse-time flag rejection for the bench and example command lines: every
+# case below must exit 2 before anything runs (nothing on stdout), instead of
+# running with a flag ignored, crashing mid-run or running the default sweep.
 #
-# Usage: bench_flag_rejection_test.sh <directory holding the bench binaries>
+# Usage: bench_flag_rejection_test.sh <bench binary dir> <example binary dir>
 bin_dir=$1
+examples_dir=$2
 probe_dir=$(mktemp -d)
 trap 'rm -rf "$probe_dir"' EXIT
 fail=0
 while read -r bench args; do
   case $bench in '' | '#'*) continue ;; esac
+  exe=$bin_dir/$bench
+  [ -x "$exe" ] || exe=$examples_dir/$bench
   status=0
   # A case that parses would start a whole sweep; the timeout bounds it.
-  out=$(timeout 60 "$bin_dir/$bench" $args 2>/dev/null) || status=$?
+  out=$(timeout 60 "$exe" $args 2>/dev/null) || status=$?
   if [ "$status" -ne 2 ] || [ -n "$out" ]; then
     echo "FAIL: '$bench $args' exited $status${out:+ after printing a run}"
     fail=1
@@ -75,5 +78,12 @@ fig_cluster_scaling --nodes 1 --cluster-latency-x 3
 fig_cluster_scaling --nodes 1 --cluster-policy global-static
 fig_cluster_scaling --nodes 1 --cluster-no-lending
 fig_cluster_scaling --single
+# The scenario explorer parses its numbers as the benches do.
+scenario_explorer --scale abc
+scenario_explorer --scale 0
+scenario_explorer --seed -5
+scenario_explorer --seed 5x
+scenario_explorer --scenario bogus
+scenario_explorer --policy smart:2x
 EOF
 exit $fail

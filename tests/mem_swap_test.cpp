@@ -52,6 +52,47 @@ TEST(SwapTest, DiskContentRoundTrip) {
   EXPECT_FALSE(swap.load_disk_content(again).has_value());
 }
 
+TEST(SwapTest, DiskContentGoneAfterFree) {
+  SwapSpace swap(4);
+  const SwapSlot a = *swap.allocate();
+  const SwapSlot b = *swap.allocate();
+  swap.store_disk_content(a, 11);
+  swap.store_disk_content(b, 22);
+  swap.free(a);
+  // The freed slot sits below the high-water mark but holds nothing.
+  EXPECT_FALSE(swap.in_use(a));
+  EXPECT_FALSE(swap.load_disk_content(a).has_value());
+  EXPECT_EQ(swap.load_disk_content(b), 22u);
+}
+
+TEST(SwapTest, ReusedSlotStartsEmpty) {
+  SwapSpace swap(4);
+  const SwapSlot s = *swap.allocate();
+  swap.store_disk_content(s, 7);
+  swap.set_in_frontswap(s, true);
+  swap.free(s);
+  const SwapSlot again = *swap.allocate();
+  ASSERT_EQ(again, s);
+  EXPECT_FALSE(swap.load_disk_content(again).has_value());
+  EXPECT_FALSE(swap.in_frontswap(again));
+  swap.store_disk_content(again, 8);
+  EXPECT_EQ(swap.load_disk_content(again), 8u);
+}
+
+TEST(SwapTest, NoContentPastHighWaterMark) {
+  SwapSpace swap(8);
+  const SwapSlot s = *swap.allocate();
+  swap.store_disk_content(s, 5);
+  // Slots the device has but never handed out, and slots past its end.
+  for (SwapSlot slot = s + 1; slot < 8; ++slot) {
+    EXPECT_FALSE(swap.in_use(slot));
+    EXPECT_FALSE(swap.load_disk_content(slot).has_value());
+  }
+  EXPECT_FALSE(swap.load_disk_content(8).has_value());
+  EXPECT_FALSE(swap.load_disk_content(kInvalidSlot).has_value());
+  EXPECT_EQ(swap.load_disk_content(s), 5u);
+}
+
 TEST(SwapTest, InUseChecks) {
   SwapSpace swap(4);
   EXPECT_FALSE(swap.in_use(0));

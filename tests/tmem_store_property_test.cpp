@@ -1,8 +1,8 @@
 // Property test: drive the tmem store with long random operation sequences
 // and check its global invariants after every step. A side model of the
-// global ephemeral LRU (a plain std::list in insertion order — exactly the
-// data structure the store used before the intrusive-list rewrite) cross-
-// checks that evictions still happen strictly oldest-first.
+// global ephemeral LRU (a plain std::list in insertion order) cross-checks
+// that evictions still happen strictly oldest-first. Object flushes and
+// pool destroy/re-create cycles run mid-sequence, not only at teardown.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -85,6 +85,26 @@ TEST_P(StorePropertyTest, InvariantsHoldUnderRandomOps) {
     ASSERT_EQ(total_bytes,
               (store.used_pages() + store.nvm_used_pages()) * kPageSize +
                   store.compressed_pool().bytes_used());
+    // 5. per-pool page counts match the model.
+    std::map<PoolId, PageCount> per_pool;
+    for (const auto& [key, payload] : model) ++per_pool[key.pool];
+    for (PoolId p : pools) ASSERT_EQ(store.pool_pages(p), per_pool[p]);
+  };
+
+  // Drops every modelled key matching `pred` (a flushed object or a
+  // destroyed pool) from both models; returns how many there were.
+  auto forget = [&](auto pred) {
+    PageCount n = 0;
+    for (auto it = model.begin(); it != model.end();) {
+      if (pred(it->first)) {
+        lru_model.remove(it->first);
+        it = model.erase(it);
+        ++n;
+      } else {
+        ++it;
+      }
+    }
+    return n;
   };
 
   for (int step = 0; step < 20000; ++step) {
@@ -152,6 +172,32 @@ TEST_P(StorePropertyTest, InvariantsHoldUnderRandomOps) {
         }
         break;
       }
+    }
+    if (rng.uniform(64) == 0) {  // flush a whole object
+      const PageCount want = forget([&](const TmemKey& k) {
+        return k.pool == pool && k.object == object;
+      });
+      ASSERT_EQ(store.flush_object(pool, object), want);
+    }
+    if (rng.uniform(1000) == 0) {  // destroy the pool, then create another
+      const auto slot = static_cast<std::size_t>(
+          std::find(pools.begin(), pools.end(), pool) - pools.begin());
+      forget([&](const TmemKey& k) { return k.pool == pool; });
+      store.destroy_pool(pool);
+      ASSERT_FALSE(store.pool_exists(pool));
+      ASSERT_FALSE(store.pool_type(pool).has_value());
+      ASSERT_FALSE(store.pool_owner(pool).has_value());
+      ASSERT_EQ(store.pool_pages(pool), 0u);
+      ASSERT_EQ(store.flush_object(pool, object), 0u);
+      ASSERT_EQ(store.put(key, 1), PutResult::kNoMemory);
+      ASSERT_FALSE(store.contains(key));
+      const PoolId fresh = store.create_pool(owner[pool], type[pool]);
+      ASSERT_NE(fresh, pool);
+      ASSERT_EQ(store.pool_pages(fresh), 0u);
+      owner[fresh] = owner[pool];
+      type[fresh] = type[pool];
+      pools[slot] = fresh;
+      check_invariants();
     }
     if (step % 500 == 0) check_invariants();
   }

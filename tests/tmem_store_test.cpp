@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <utility>
+#include <vector>
+
+#include "common/rng.hpp"
+
 namespace smartmem::tmem {
 namespace {
 
@@ -203,6 +208,62 @@ TEST(TmemStoreTest, KeysAreScopedByPoolObjectIndex) {
   EXPECT_EQ(store.get({b, 1, 1}), 200u);
   EXPECT_EQ(store.get({a, 2, 1}), 300u);
   EXPECT_EQ(store.get({a, 1, 2}), 400u);
+}
+
+// Grows the key index through many doublings, then deletes most keys in a
+// random order (every delete back-shifts its probe run) and checks every
+// modelled key, live or flushed, after each batch of deletes.
+TEST(TmemStoreTest, IndexChurnKeepsEveryKeyReachable) {
+  constexpr std::size_t kKeys = 12000;
+  TmemStore store = make_store(kKeys);
+  const PoolId a = store.create_pool(1, PoolType::kPersistent);
+  const PoolId b = store.create_pool(2, PoolType::kEphemeral);
+  std::vector<TmemKey> keys;
+  for (std::size_t i = 0; i < kKeys; ++i) {
+    // Few objects with many indices, and the same (object, index) in both
+    // pools, so keys differ in one field at a time.
+    keys.push_back({i % 2 == 0 ? a : b, i % 7,
+                    static_cast<std::uint32_t>(i / 2)});
+  }
+  for (std::size_t i = 0; i < kKeys; ++i) {
+    ASSERT_EQ(store.put(keys[i], i + 1), PutResult::kStored);
+  }
+  std::vector<bool> live(kKeys, true);
+  auto check_all = [&] {
+    for (std::size_t i = 0; i < kKeys; ++i) {
+      ASSERT_EQ(store.contains(keys[i]), live[i]) << "key " << i;
+    }
+  };
+  check_all();
+
+  Rng rng(42);
+  std::vector<std::size_t> order(kKeys);
+  for (std::size_t i = 0; i < kKeys; ++i) order[i] = i;
+  for (std::size_t i = kKeys - 1; i > 0; --i) {
+    std::swap(order[i], order[rng.uniform(i + 1)]);
+  }
+  const std::size_t deletes = kKeys * 9 / 10;
+  for (std::size_t n = 0; n < deletes; ++n) {
+    ASSERT_TRUE(store.flush_page(keys[order[n]]));
+    live[order[n]] = false;
+    if (n % 1000 == 999) check_all();
+  }
+  check_all();
+  EXPECT_EQ(store.used_pages(), kKeys - deletes);
+  EXPECT_EQ(store.ephemeral_pages() + store.pool_pages(a), kKeys - deletes);
+
+  // Survivors keep their payloads; flushed keys can be stored again.
+  for (std::size_t n = deletes; n < kKeys; ++n) {
+    const std::size_t i = order[n];
+    if (keys[i].pool == a) {
+      ASSERT_EQ(store.get(keys[i]), i + 1);
+    }
+  }
+  for (std::size_t n = 0; n < deletes; n += 3) {
+    ASSERT_EQ(store.put(keys[order[n]], 7), PutResult::kStored);
+    live[order[n]] = true;
+  }
+  check_all();
 }
 
 }  // namespace
