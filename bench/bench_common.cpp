@@ -24,7 +24,7 @@ bool comm_overridden(const Options& opts) {
 
 bool compression_overridden(const Options& opts) {
   return opts.compressed_bytes != 0 || opts.compress_min_ratio != 1.5 ||
-         opts.compress_max_ratio != 4.0 || !opts.compressed_evict_demote ||
+         opts.compress_max_ratio != 4.0 ||
          opts.capacity_units != CapacityUnits::kPages;
 }
 
@@ -32,7 +32,6 @@ void apply_compression_options(core::NodeConfig& cfg, const Options& opts) {
   cfg.compressed_pool_bytes = opts.compressed_bytes;
   cfg.compressibility.min_ratio = opts.compress_min_ratio;
   cfg.compressibility.max_ratio = opts.compress_max_ratio;
-  cfg.compressed_evict_demote = opts.compressed_evict_demote;
   cfg.capacity_units = opts.capacity_units;
 }
 
@@ -311,14 +310,6 @@ Options parse_options(int argc, char** argv,
        "per-VM mean ratio upper bound (>= 1, default 4.0)",
        real(o.compress_max_ratio, 1.0, kMaxReal), compressed,
        "--compressed-bytes <n> > 0"},
-      {"--compressed-evict", "<m>", "drop|demote (default demote)",
-       [&o](const char* t) {
-         const std::string_view mode = t;
-         if (mode != "drop" && mode != "demote") return false;
-         o.compressed_evict_demote = mode == "demote";
-         return true;
-       },
-       compressed, "--compressed-bytes <n> > 0"},
       {"--capacity-units", "<u>",
        "pages|bytes control-plane units (default pages)",
        [&o](const char* t) {
@@ -391,11 +382,9 @@ std::vector<core::ExperimentResult> run_runtime_figure(
                   comm::to_string(opts.comm_policy));
     }
     if (compression_overridden(opts)) {
-      std::printf("compressed tier: %llu bytes, ratios [%g, %g], evict %s, "
-                  "units %s\n",
+      std::printf("compressed tier: %llu bytes, ratios [%g, %g], units %s\n",
                   static_cast<unsigned long long>(opts.compressed_bytes),
                   opts.compress_min_ratio, opts.compress_max_ratio,
-                  opts.compressed_evict_demote ? "demote" : "drop",
                   opts.capacity_units == CapacityUnits::kBytes ? "bytes"
                                                                : "pages");
     }

@@ -37,8 +37,7 @@
 //   --compressed-bytes <n>     byte budget of the zswap-style pool (0 = off)
 //   --compress-min-ratio <f>   lower bound of per-VM mean ratios
 //   --compress-max-ratio <f>   upper bound of per-VM mean ratios
-//   --compressed-evict <m>     drop | demote (default demote)
-//   (the ratio and evict flags need --compressed-bytes > 0)
+//   (the ratio flags need --compressed-bytes > 0)
 //   --capacity-units <u>       pages | bytes control-plane units
 //
 // Observability (src/obs) outputs. The measured figure grid always runs
@@ -90,7 +89,6 @@ struct Options {
   std::uint64_t compressed_bytes = 0;
   double compress_min_ratio = 1.5;
   double compress_max_ratio = 4.0;
-  bool compressed_evict_demote = true;
   CapacityUnits capacity_units = CapacityUnits::kPages;
   // --trace-out / --metrics-out / --audit-out / --trace-cats; empty paths
   // leave observability off entirely.

@@ -87,7 +87,8 @@ void BM_HypervisorPutPath(benchmark::State& state) {
   for (auto _ : state) {
     ++i;
     const auto idx = i % (1u << 17);
-    benchmark::DoNotOptimize(hyp.frontswap_put(1, 0, idx, i));
+    benchmark::DoNotOptimize(
+        hyp.put(1, tmem::PoolType::kPersistent, 0, idx, i));
   }
   state.SetItemsProcessed(state.iterations());
 }
@@ -104,7 +105,7 @@ void BM_HypervisorFailedPut(benchmark::State& state) {
   std::uint32_t i = 0;
   for (auto _ : state) {
     ++i;
-    benchmark::DoNotOptimize(hyp.frontswap_put(1, 0, i, i));
+    benchmark::DoNotOptimize(hyp.put(1, tmem::PoolType::kPersistent, 0, i, i));
   }
   state.SetItemsProcessed(state.iterations());
 }

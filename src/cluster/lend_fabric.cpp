@@ -151,7 +151,7 @@ LendFabric::Outcome LendFabric::round_trip(NodeId borrower, NodeId donor,
     // this pair, then holds the donor for the service time.
     const SimTime arrive = t + req_lat;
     const SimTime service_start = std::max(arrive, link.donor_next_free);
-    const SimTime service_done = service_start + cfg_.donor_service;
+    const SimTime service_done = service_start + kDonorService;
     link.donor_next_free = service_done;
 
     // Response hop. An outage at the donor's send time drops the response

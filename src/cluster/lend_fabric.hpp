@@ -62,6 +62,10 @@ struct RemoteKey {
   friend auto operator<=>(const RemoteKey&, const RemoteKey&) = default;
 };
 
+/// Donor-side service time per lending request (page copy + index update);
+/// requests on a (borrower, donor) pair queue behind it.
+inline constexpr SimTime kDonorService = 5 * kMicrosecond;
+
 /// Protocol knobs of the lending data plane. The wire model itself
 /// (latency, faults, per-pair in-flight bound) lives on the topology's
 /// internode_lend_req/resp channel templates.
@@ -70,10 +74,6 @@ struct AsyncLendingConfig {
   /// LendingBroker constructor throws std::invalid_argument otherwise.
   /// Kept only until the benchmark runner stops assigning it.
   bool enabled = true;
-
-  /// Donor-side service time per request (page copy + index update);
-  /// requests on a pair queue behind it.
-  SimTime donor_service = 5 * kMicrosecond;
 
   /// Borrower-side timer per attempt: an attempt whose response has not
   /// landed within `timeout` is retried (or given up).
@@ -84,12 +84,6 @@ struct AsyncLendingConfig {
 
   /// Borrower-side cache capacity in pages; 0 disables the cache.
   PageCount cache_pages = 0;
-
-  /// Scales the protocol time constants (scenario scaling).
-  void scale_times(double f) {
-    donor_service = static_cast<SimTime>(static_cast<double>(donor_service) * f);
-    timeout = static_cast<SimTime>(static_cast<double>(timeout) * f);
-  }
 };
 
 /// Aggregated fabric counters (summed over borrower partitions; safe to

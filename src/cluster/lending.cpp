@@ -85,14 +85,14 @@ LendingBroker::Index::iterator LendingBroker::release_frame(
   return drop_entry(st, it);
 }
 
-bool LendingBroker::do_put(NodeId node, VmId vm, tmem::PoolType type,
-                           std::uint64_t object, std::uint32_t index,
-                           const tmem::PagePayload& payload) {
+hyper::TmemOp LendingBroker::do_put(NodeId node, VmId vm, tmem::PoolType type,
+                                    std::uint64_t object, std::uint32_t index,
+                                    const tmem::PagePayload& payload) {
   NodeState& st = state_[node];
   const RemoteKey key{vm, type, object, index};
   const comm::LendRequest req{0,    comm::LendOp::kPut, node,  vm,
                               type, object,             index, true};
-  st.last_elapsed = 0;
+  hyper::TmemOp op{hyper::OpStatus::kNoCapacity, tmem::Tier::kRemote};
 
   // Replacement of a key the broker already holds stays on its donor and
   // swaps the payload without consuming a new frame.
@@ -101,7 +101,7 @@ bool LendingBroker::do_put(NodeId node, VmId vm, tmem::PoolType type,
     const NodeId donor = it->second.donor;
     const LendFabric::Outcome out =
         fabric_.round_trip(node, donor, req, /*resp_carries_page=*/false);
-    st.last_elapsed = out.elapsed;
+    op.fabric = out.elapsed;
     if (!out.ok) {
       // The replacement never reached the donor and the guest is about to
       // fall back to disk — drop the entry (and free the stale donor frame)
@@ -109,12 +109,13 @@ bool LendingBroker::do_put(NodeId node, VmId vm, tmem::PoolType type,
       ++st.failed_replacements;
       fabric_.send_invalidate(node, donor, comm::LendOp::kFlush);
       release_frame(st, it);
-      return false;
+      return op;
     }
     fabric_.record_put_rtt(node, out.elapsed);
     fabric_.cache(node).insert(key, payload);
     it->second.payload = payload;
-    return true;
+    op.status = hyper::OpStatus::kSuccess;
+    return op;
   }
 
   // Fresh placement: deterministic rotation over the other nodes, first
@@ -130,10 +131,10 @@ bool LendingBroker::do_put(NodeId node, VmId vm, tmem::PoolType type,
     if (donor == node || st.credit[donor] == 0) continue;
     const LendFabric::Outcome out =
         fabric_.round_trip(node, donor, req, /*resp_carries_page=*/false);
-    st.last_elapsed = out.elapsed;
+    op.fabric = out.elapsed;
     if (!out.ok) {
       ++st.failed_placements;
-      return false;
+      return op;
     }
     fabric_.record_put_rtt(node, out.elapsed);
     fabric_.cache(node).insert(key, payload);
@@ -145,26 +146,25 @@ bool LendingBroker::do_put(NodeId node, VmId vm, tmem::PoolType type,
     st.rotation = (st.rotation + j + 1) % n;
     ++st.placements;
     trace_instant(st, "borrow_place", node, donor);
-    return true;
+    op.status = hyper::OpStatus::kSuccess;
+    return op;
   }
   ++st.failed_placements;
-  return false;
+  return op;
 }
 
-std::optional<tmem::PagePayload> LendingBroker::do_get(NodeId node, VmId vm,
-                                                       tmem::PoolType type,
-                                                       std::uint64_t object,
-                                                       std::uint32_t index) {
+hyper::TmemOp LendingBroker::do_get(NodeId node, VmId vm, tmem::PoolType type,
+                                    std::uint64_t object, std::uint32_t index) {
   NodeState& st = state_[node];
   const RemoteKey key{vm, type, object, index};
-  st.last_elapsed = 0;
   auto it = st.index.find(key);
   if (it == st.index.end()) {
     // The owner index is borrower-local knowledge — a miss costs no wire.
     ++st.misses;
-    return std::nullopt;
+    return {hyper::OpStatus::kNotFound};
   }
   const NodeId donor = it->second.donor;
+  hyper::TmemOp op{hyper::OpStatus::kSuccess, tmem::Tier::kRemote};
 
   // Borrower-side cache: a hit serves the page at the access point and
   // skips the inter-node round trip entirely (a disabled cache never hits).
@@ -178,14 +178,15 @@ std::optional<tmem::PagePayload> LendingBroker::do_get(NodeId node, VmId vm,
       release_frame(st, it);
     }
     trace_instant(st, "borrow_cache_hit", node, donor);
-    return cached;
+    op.payload = *cached;
+    return op;
   }
 
   comm::LendRequest req{0,    comm::LendOp::kGet, node,  vm,
                         type, object,             index, false};
   const LendFabric::Outcome out =
       fabric_.round_trip(node, donor, req, /*resp_carries_page=*/true);
-  st.last_elapsed = out.elapsed;
+  op.fabric = out.elapsed;
   if (out.ok) {
     fabric_.record_get_rtt(node, out.elapsed);
   } else {
@@ -195,12 +196,12 @@ std::optional<tmem::PagePayload> LendingBroker::do_get(NodeId node, VmId vm,
     fabric_.count_get_fallback(node);
   }
 
-  const tmem::PagePayload payload = it->second.payload;
+  op.payload = it->second.payload;
   ++st.hits;
   if (type == tmem::PoolType::kPersistent) {
     // Hot borrowed pages earn a seat at the access point; ephemeral pages
     // are consumed on their first (and only) hit below.
-    fabric_.cache(node).insert(key, payload);
+    fabric_.cache(node).insert(key, op.payload);
   }
   if (type == tmem::PoolType::kEphemeral) {
     // Victim-cache semantics survive the rack hop: an ephemeral hit
@@ -208,7 +209,7 @@ std::optional<tmem::PagePayload> LendingBroker::do_get(NodeId node, VmId vm,
     release_frame(st, it);
   }
   trace_instant(st, "borrow_hit", node, donor);
-  return payload;
+  return op;
 }
 
 bool LendingBroker::do_flush(NodeId node, VmId vm, tmem::PoolType type,

@@ -34,9 +34,10 @@
 // (cluster/lend_fabric.hpp) over the topology's lending hops. The modeled
 // request/response exchange decides whether the operation succeeds at all
 // (loss / reorder / outage / timeout / congestion, bounded retries,
-// deterministic give-up), and its elapsed time reaches the guest through
-// RemoteTmem::last_op_elapsed. A borrower-side BorrowCache short-circuits
-// repeated gets of hot borrowed pages.
+// deterministic give-up), and its elapsed time reaches the guest as the
+// `fabric` time of the TmemOp that remote_put/remote_get return. A
+// borrower-side BorrowCache short-circuits repeated gets of hot borrowed
+// pages.
 #pragma once
 
 #include <cstdint>
@@ -136,13 +137,14 @@ class LendingBroker {
   class Port final : public hyper::RemoteTmem {
    public:
     Port(LendingBroker& broker, NodeId node) : broker_(broker), node_(node) {}
-    bool remote_put(VmId vm, tmem::PoolType type, std::uint64_t object,
-                    std::uint32_t index, tmem::PagePayload payload) override {
+    hyper::TmemOp remote_put(VmId vm, tmem::PoolType type,
+                             std::uint64_t object, std::uint32_t index,
+                             tmem::PagePayload payload) override {
       return broker_.do_put(node_, vm, type, object, index, payload);
     }
-    std::optional<tmem::PagePayload> remote_get(VmId vm, tmem::PoolType type,
-                                                std::uint64_t object,
-                                                std::uint32_t index) override {
+    hyper::TmemOp remote_get(VmId vm, tmem::PoolType type,
+                             std::uint64_t object,
+                             std::uint32_t index) override {
       return broker_.do_get(node_, vm, type, object, index);
     }
     bool remote_flush(VmId vm, tmem::PoolType type, std::uint64_t object,
@@ -166,9 +168,6 @@ class LendingBroker {
     PageCount release_borrowed(PageCount max_pages) override {
       return broker_.do_release(node_, max_pages);
     }
-    SimTime last_op_elapsed() const override {
-      return broker_.state_[node_].last_elapsed;
-    }
 
    private:
     LendingBroker& broker_;
@@ -191,10 +190,6 @@ class LendingBroker {
     PageCount borrowed_total = 0;
     NodeId rotation = 0;  // donor rotation cursor
     std::unique_ptr<Port> port;
-    /// Modeled fabric time of this borrower's last remote_put/remote_get
-    /// (0 when it never crossed the wire). Surfaced through the port so the
-    /// guest charges the round trip.
-    SimTime last_elapsed = 0;
     // Per-partition op counters: written from this borrower's shard
     // mid-window, summed by the accessors (which run at barriers or after
     // the run, never concurrently with a window).
@@ -222,12 +217,13 @@ class LendingBroker {
     std::uint16_t track = 0;
   };
 
-  bool do_put(NodeId node, VmId vm, tmem::PoolType type, std::uint64_t object,
-              std::uint32_t index, const tmem::PagePayload& payload);
-  std::optional<tmem::PagePayload> do_get(NodeId node, VmId vm,
-                                          tmem::PoolType type,
-                                          std::uint64_t object,
-                                          std::uint32_t index);
+  /// The port's remote_put/remote_get: `fabric` in the result is the
+  /// exchange's elapsed time (0 for a cache hit or an owner-index miss).
+  hyper::TmemOp do_put(NodeId node, VmId vm, tmem::PoolType type,
+                       std::uint64_t object, std::uint32_t index,
+                       const tmem::PagePayload& payload);
+  hyper::TmemOp do_get(NodeId node, VmId vm, tmem::PoolType type,
+                       std::uint64_t object, std::uint32_t index);
   bool do_flush(NodeId node, VmId vm, tmem::PoolType type,
                 std::uint64_t object, std::uint32_t index);
   PageCount do_flush_object(NodeId node, VmId vm, tmem::PoolType type,

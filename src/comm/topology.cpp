@@ -57,9 +57,7 @@ ChannelConfig ClusterTopology::uplink_for(std::size_t node) const {
 }
 
 ChannelConfig ClusterTopology::downlink_for(std::size_t node) const {
-  auto it = down_overrides.find(node);
-  return finalize(it != down_overrides.end() ? it->second : internode_down,
-                  node, seed, 1);
+  return finalize(internode_down, node, seed, 1);
 }
 
 ChannelConfig ClusterTopology::lend_req_for(std::size_t borrower,
@@ -93,7 +91,6 @@ SimTime ClusterTopology::min_internode_latency() const {
   // override replaces the template on every node.
   SimTime lo = std::min(internode_up.latency, internode_down.latency);
   for (const auto& [node, c] : up_overrides) lo = std::min(lo, c.latency);
-  for (const auto& [node, c] : down_overrides) lo = std::min(lo, c.latency);
   return lo;
 }
 

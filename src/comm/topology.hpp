@@ -51,11 +51,10 @@ struct ClusterTopology {
   ChannelConfig internode_lend_req;
   ChannelConfig internode_lend_resp;
 
-  /// Per-node overrides, for asymmetric topologies (one slow or lossy node)
-  /// in tests and ablations. An override replaces the template wholesale;
-  /// the name prefix and seed derivation are still applied afterwards.
+  /// Per-node uplink overrides, for asymmetric topologies (one slow or
+  /// lossy node) in tests. An override replaces the template wholesale; the
+  /// name prefix and seed derivation are still applied afterwards.
   std::map<std::size_t, ChannelConfig> up_overrides;
-  std::map<std::size_t, ChannelConfig> down_overrides;
 
   /// Base seed for inter-node channels whose own seed is 0.
   std::uint64_t seed = 0x636c757374657257ULL;
@@ -65,8 +64,9 @@ struct ClusterTopology {
   /// Intra-node control-plane config for `node` (0-based).
   CommConfig node_comm_for(std::size_t node) const;
 
-  /// Inter-node hop configs for `node`, override-aware, with the channel
-  /// name prefixed "n<node>." and a derived seed when the config's is 0.
+  /// Inter-node hop configs for `node` (the uplink override-aware), with
+  /// the channel name prefixed "n<node>." and a derived seed when the
+  /// config's is 0.
   ChannelConfig uplink_for(std::size_t node) const;
   ChannelConfig downlink_for(std::size_t node) const;
 

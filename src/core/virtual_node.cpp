@@ -8,6 +8,10 @@ namespace smartmem::core {
 
 namespace {
 
+/// Physical cores the vCPUs compete for: the paper's testbed runs its 3
+/// single-vCPU VMs on 2 cores.
+constexpr unsigned kPhysicalCores = 2;
+
 SimTime node_sim_clock(const void* ctx) {
   return static_cast<const sim::Simulator*>(ctx)->now();
 }
@@ -29,7 +33,7 @@ class LogClockGuard {
 
 VirtualNode::VirtualNode(NodeConfig config)
     : config_(std::move(config)),
-      cpu_pool_(config_.physical_cores),
+      cpu_pool_(kPhysicalCores),
       disk_(sim_, config_.disk) {
   if (config_.obs.any()) {
     observer_ = std::make_unique<obs::Observer>(config_.obs);
@@ -38,7 +42,6 @@ VirtualNode::VirtualNode(NodeConfig config)
   hcfg.total_tmem_pages = config_.tmem_pages;
   hcfg.nvm_tmem_pages = config_.nvm_tmem_pages;
   hcfg.sample_interval = config_.sample_interval;
-  hcfg.slow_reclaim_enabled = config_.slow_reclaim;
   hcfg.slow_reclaim_pages_per_tick = config_.slow_reclaim_pages_per_tick;
   hcfg.zero_page_dedup = config_.zero_page_dedup;
   hcfg.compressed.capacity_bytes = config_.compressed_pool_bytes;
@@ -102,7 +105,6 @@ VmId VirtualNode::add_vm(VmSpec spec) {
   vm.kernel = std::make_unique<guest::GuestKernel>(sim_, *hyp_, disk_, gcfg);
 
   VcpuConfig vcfg;
-  vcfg.batch_budget = config_.batch_budget;
   vcfg.cpu = &cpu_pool_;
   vcfg.rng_seed = spec.seed != 0 ? spec.seed : 0x5157ULL * id + 11;
   vm.runner = std::make_unique<VcpuRunner>(sim_, *vm.kernel,

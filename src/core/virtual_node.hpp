@@ -89,8 +89,8 @@ struct NodeConfig {
   /// only; cleancache is exercised by dedicated tests/benches).
   bool cleancache = false;
 
-  /// Hypervisor slow background reclaim of over-target ephemeral pages.
-  bool slow_reclaim = true;
+  /// Hypervisor slow background reclaim of over-target ephemeral pages,
+  /// per sampling tick (0 = off).
   PageCount slow_reclaim_pages_per_tick = 512;
 
   /// Optional zero-page dedup in the tmem store (ablation).
@@ -105,14 +105,6 @@ struct NodeConfig {
   /// Interval for recording per-VM tmem usage into the time series used by
   /// the Figure 4/6/8/10 benches. 0 disables recording.
   SimTime usage_sample_interval = kSecond;
-
-  /// vCPU batching granularity.
-  SimTime batch_budget = 500 * kMicrosecond;
-
-  /// Number of physical cores the vCPUs compete for. The default matches
-  /// the paper's testbed: 2 cores for 3 single-vCPU VMs. 0 = uncontended
-  /// (every vCPU has a dedicated core).
-  unsigned physical_cores = 2;
 
   /// Observability: sim-time tracing, metrics registry and decision audit.
   /// All off by default — the node then allocates no Observer at all and

@@ -8,6 +8,7 @@
 #pragma once
 
 #include "common/types.hpp"
+#include "hyper/vm_data.hpp"
 
 namespace smartmem::guest {
 
@@ -52,6 +53,22 @@ struct CostModel {
 
   /// Page-cache hit (lookup + mapping).
   SimTime page_cache_hit = 300;  // 0.3 us
+
+  /// Guest time of one put or get hypercall. Success pays the landing or
+  /// serving tier's cost (a remote page pays the DRAM hypercall); failure,
+  /// including a cleancache get miss, pays the failed round trip. Either
+  /// way the call's lending-fabric time is added on top.
+  SimTime tmem_op(const hyper::TmemOp& op, bool put) const {
+    SimTime base = put ? tmem_put : tmem_get;  // DRAM and remote
+    if (!op.ok()) {
+      base = tmem_put_failed;
+    } else if (op.tier == tmem::Tier::kNvm) {
+      base = put ? tmem_put_nvm : tmem_get_nvm;
+    } else if (op.tier == tmem::Tier::kCompressed) {
+      base = put ? tmem_put_compressed : tmem_get_compressed;
+    }
+    return base + op.fabric;
+  }
 };
 
 }  // namespace smartmem::guest

@@ -9,6 +9,11 @@
 namespace smartmem::guest {
 namespace {
 
+// Frontswap and cleancache are two callers of the same hypercalls; the pool
+// type picks the VM's pool.
+constexpr auto kFrontswap = tmem::PoolType::kPersistent;
+constexpr auto kCleancache = tmem::PoolType::kEphemeral;
+
 // The swap device is object 0 in the VM's frontswap pool; a slot number is
 // the 32-bit page index, mirroring Linux's (swap type, offset) keys.
 constexpr std::uint64_t kSwapObject = 0;
@@ -31,7 +36,6 @@ GuestKernel::GuestKernel(sim::Simulator& sim, hyper::Hypervisor& hypervisor,
         return c;
       }()),
       frames_(config_.ram_pages - config_.kernel_reserved_pages),
-      lru_(config_.lru_inactive_ratio),
       swap_(config_.swap_slots) {
   if (config_.ram_pages <= config_.kernel_reserved_pages) {
     throw std::invalid_argument("GuestKernel: reserved pages exceed RAM");
@@ -121,7 +125,7 @@ SimTime GuestKernel::free_region(mem::AddressSpace::Id asid, Vpn base,
         pte.frame = kInvalidPfn;
         if (pte.clean_in_swap) {
           if (swap_.in_frontswap(pte.slot)) {
-            hyp_.frontswap_flush(config_.vm, kSwapObject, pte.slot);
+            hyp_.flush(config_.vm, kFrontswap, kSwapObject, pte.slot);
             t += config_.costs.tmem_flush;
           }
           release_slot(pte.slot);
@@ -133,7 +137,7 @@ SimTime GuestKernel::free_region(mem::AddressSpace::Id asid, Vpn base,
         if (swap_.in_frontswap(pte.slot)) {
           // The exit path invalidates frontswap pages so the hypervisor can
           // reuse them (the explicit flush of Section II-B).
-          hyp_.frontswap_flush(config_.vm, kSwapObject, pte.slot);
+          hyp_.flush(config_.vm, kFrontswap, kSwapObject, pte.slot);
           t += config_.costs.tmem_flush;
         }
         release_slot(pte.slot);
@@ -250,23 +254,12 @@ void GuestKernel::swap_out_anon(SimTime& t, mem::AddressSpace::Id asid,
   if (config_.frontswap_enabled) {
     // "the kernel traps the fault and passes it on to a tmem kernel module
     //  that initiates the tmem put hypercall" (Section II-B).
-    tmem::Tier tier = tmem::Tier::kDram;
-    const hyper::OpStatus status =
-        hyp_.frontswap_put(config_.vm, kSwapObject, *slot, pte.content, &tier);
-    if (status == hyper::OpStatus::kSuccess) {
-      // A remote placement charges the local hypercall plus the modeled
-      // lending-fabric round trip.
-      t += tier == tmem::Tier::kRemote
-               ? config_.costs.tmem_put + hyp_.remote_op_elapsed()
-           : tier == tmem::Tier::kNvm ? config_.costs.tmem_put_nvm
-           : tier == tmem::Tier::kCompressed
-               ? config_.costs.tmem_put_compressed
-               : config_.costs.tmem_put;
+    const hyper::TmemOp op =
+        hyp_.put(config_.vm, kFrontswap, kSwapObject, *slot, pte.content);
+    t += config_.costs.tmem_op(op, /*put=*/true);
+    if (op.ok()) {
       in_tmem = true;
       ++stats_.swapouts_tmem;
-    } else {
-      // A fabric give-up spent real time in timeouts before failing.
-      t += config_.costs.tmem_put_failed + hyp_.remote_op_elapsed();
     }
   }
   if (!in_tmem) {
@@ -334,19 +327,9 @@ void GuestKernel::drop_file_page(SimTime& t, std::uint64_t file_id,
     // Clean page evicted by the PFRA: offer it to the ephemeral pool. The
     // put may fail (target reached / no capacity); the page is dropped
     // either way — it can be re-read from disk.
-    tmem::Tier tier = tmem::Tier::kDram;
-    const hyper::OpStatus status = hyp_.cleancache_put(
-        config_.vm, file_id, index, file_content(file_id, index), &tier);
-    if (status == hyper::OpStatus::kSuccess) {
-      t += tier == tmem::Tier::kRemote
-               ? config_.costs.tmem_put + hyp_.remote_op_elapsed()
-           : tier == tmem::Tier::kNvm ? config_.costs.tmem_put_nvm
-           : tier == tmem::Tier::kCompressed
-               ? config_.costs.tmem_put_compressed
-               : config_.costs.tmem_put;
-    } else {
-      t += config_.costs.tmem_put_failed + hyp_.remote_op_elapsed();
-    }
+    const hyper::TmemOp op = hyp_.put(config_.vm, kCleancache, file_id, index,
+                                      file_content(file_id, index));
+    t += config_.costs.tmem_op(op, /*put=*/true);
     ++stats_.cleancache_puts;
   }
   frames_.free(it->second.frame);
@@ -387,28 +370,21 @@ TouchResult GuestKernel::touch(mem::AddressSpace::Id asid, Vpn vpn, bool write,
       const Pfn frame = obtain_frame(t);
       const mem::SwapSlot slot = pte.slot;
       if (swap_.in_frontswap(slot)) {
-        tmem::Tier tier = tmem::Tier::kDram;
-        const auto payload =
-            hyp_.frontswap_get(config_.vm, kSwapObject, slot, &tier);
-        // A borrowed get costs the local hypercall plus the modeled round
-        // trip (0 on a borrower-cache hit, accumulated timeouts when the
-        // fabric gave up and the broker rescued the page).
-        t += tier == tmem::Tier::kRemote
-                 ? config_.costs.tmem_get + hyp_.remote_op_elapsed()
-             : tier == tmem::Tier::kNvm ? config_.costs.tmem_get_nvm
-             : tier == tmem::Tier::kCompressed
-                 ? config_.costs.tmem_get_compressed
-                 : config_.costs.tmem_get;
-        assert(payload.has_value() &&
+        // A borrowed get's fabric time is 0 on a borrower-cache hit and the
+        // accumulated timeouts when the fabric gave up and the broker
+        // rescued the page.
+        const hyper::TmemOp op =
+            hyp_.get(config_.vm, kFrontswap, kSwapObject, slot);
+        t += config_.costs.tmem_op(op, /*put=*/false);
+        assert(op.ok() &&
                "frontswap bitmap says tmem but the hypervisor lost the page");
-        assert(*payload == pte.content && "tmem returned wrong page data");
-        (void)payload;
+        assert(op.payload == pte.content && "tmem returned wrong page data");
         ++stats_.swapins_tmem;
         outcome = TouchOutcome::kTmemSwapIn;
         if (config_.frontswap_exclusive_gets) {
           // Xen tmem: the persistent get freed the hypervisor page; release
           // the swap slot too.
-          hyp_.frontswap_flush(config_.vm, kSwapObject, slot);
+          hyp_.flush(config_.vm, kFrontswap, kSwapObject, slot);
           t += config_.costs.tmem_flush;
           release_slot(slot);
           pte.slot = mem::kInvalidSlot;
@@ -449,7 +425,7 @@ TouchResult GuestKernel::touch(mem::AddressSpace::Id asid, Vpn vpn, bool write,
       // invalidated (the explicit tmem flush of Section II-B) and the swap
       // slot is released.
       if (swap_.in_frontswap(pte.slot)) {
-        hyp_.frontswap_flush(config_.vm, kSwapObject, pte.slot);
+        hyp_.flush(config_.vm, kFrontswap, kSwapObject, pte.slot);
         t += config_.costs.tmem_flush;
       }
       release_slot(pte.slot);
@@ -492,21 +468,15 @@ FileReadResult GuestKernel::file_read(std::uint64_t file_id,
   if (config_.cleancache_enabled) {
     // "Linux cleancache is a victim cache for clean pages evicted by the
     //  PFRA": check it before going to disk.
-    tmem::Tier tier = tmem::Tier::kDram;
-    const auto payload = hyp_.cleancache_get(config_.vm, file_id, index, &tier);
-    if (payload) {
-      assert(*payload == file_content(file_id, index) &&
+    // A miss pays the cheap failed round trip before the disk read.
+    const hyper::TmemOp op = hyp_.get(config_.vm, kCleancache, file_id, index);
+    t += config_.costs.tmem_op(op, /*put=*/false);
+    if (op.ok()) {
+      assert(op.payload == file_content(file_id, index) &&
              "cleancache returned wrong page data");
-      t += tier == tmem::Tier::kRemote
-               ? config_.costs.tmem_get + hyp_.remote_op_elapsed()
-           : tier == tmem::Tier::kNvm ? config_.costs.tmem_get_nvm
-           : tier == tmem::Tier::kCompressed
-               ? config_.costs.tmem_get_compressed
-               : config_.costs.tmem_get;
       ++stats_.cleancache_hits;
       outcome = FileReadOutcome::kCleancacheHit;
     } else {
-      t += config_.costs.tmem_put_failed;  // cheap miss round-trip
       ++stats_.cleancache_misses;
       t = disk_.read(kPageSize, t);
       ++stats_.file_disk_reads;

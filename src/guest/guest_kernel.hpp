@@ -77,8 +77,6 @@ struct GuestConfig {
   PageCount low_watermark = 0;
   PageCount high_watermark = 0;
 
-  std::uint32_t lru_inactive_ratio = 3;
-
   /// Swap read-ahead cluster: on a disk swap-in the kernel speculatively
   /// reads up to this many adjacent swap slots in one request (Linux
   /// page-cluster=3 reads 8 pages). Sequential thrashing then pays one disk

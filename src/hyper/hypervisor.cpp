@@ -95,12 +95,10 @@ void Hypervisor::apply_equal_share_targets() {
 //   * remote lending: a key the broker already holds is replaced in place
 //     remotely; a physically-full node with quota headroom places the page
 //     with a donor instead of failing.
-OpStatus Hypervisor::do_put(VmId vm, tmem::PoolId pool, tmem::PoolType type,
-                            std::uint64_t object, std::uint32_t index,
-                            tmem::PagePayload payload, tmem::Tier* tier) {
+TmemOp Hypervisor::put(VmId vm, tmem::PoolType type, std::uint64_t object,
+                       std::uint32_t index, tmem::PagePayload payload) {
   VmData* data = find_vm(vm);
-  if (data == nullptr) return OpStatus::kBadVm;
-  remote_op_elapsed_ = 0;  // set only by a remote leg taken in THIS call
+  if (data == nullptr) return {OpStatus::kBadVm};
 
   ++data->puts_total;          // line 15: counted whether or not it succeeds
   ++data->cumul_puts_total;
@@ -114,14 +112,14 @@ OpStatus Hypervisor::do_put(VmId vm, tmem::PoolId pool, tmem::PoolType type,
                       {{"used", static_cast<double>(used)},
                        {"target", static_cast<double>(data->mm_target)}});
     }
-    return OpStatus::kNoCapacity;
+    return {OpStatus::kNoCapacity};
   }
 
   // Replacement put of a key the broker holds: route it back to the same
   // donor so the key never exists twice. Consumes no new capacity anywhere.
   const bool remote_owned =
       remote_ != nullptr && remote_->owns(vm, type, object, index);
-  const tmem::TmemKey key{pool, object, index};
+  const tmem::TmemKey key{data->pool(type), object, index};
 
   if (node_quota_ != kUnlimitedTarget && !remote_owned &&
       !store_.contains(key) && own_used_total() >= node_quota_) {
@@ -137,7 +135,7 @@ OpStatus Hypervisor::do_put(VmId vm, tmem::PoolId pool, tmem::PoolType type,
                         {{"used", static_cast<double>(used)},
                          {"quota", static_cast<double>(node_quota_)}});
       }
-      return OpStatus::kNoCapacity;
+      return {OpStatus::kNoCapacity};
     }
     if (store_.combined_free_pages() > 0) {
       // Free frames exist but belong to the rack, not this node: recycle an
@@ -149,17 +147,15 @@ OpStatus Hypervisor::do_put(VmId vm, tmem::PoolId pool, tmem::PoolType type,
   }
 
   if (remote_owned) {
-    const bool ok = remote_->remote_put(vm, type, object, index, payload);
-    remote_op_elapsed_ = remote_->last_op_elapsed();
-    if (ok) {
+    const TmemOp op = remote_->remote_put(vm, type, object, index, payload);
+    if (op.ok()) {
       ++remote_puts_;
       ++data->puts_succ;
       ++data->cumul_puts_succ;
-      if (tier != nullptr) *tier = tmem::Tier::kRemote;
-      return OpStatus::kSuccess;
+    } else {
+      ++data->cumul_puts_failed;
     }
-    ++data->cumul_puts_failed;
-    return OpStatus::kNoCapacity;
+    return op;
   }
 
   if (store_.combined_free_pages() == 0 && !store_.compressed_fits(key) &&
@@ -167,20 +163,19 @@ OpStatus Hypervisor::do_put(VmId vm, tmem::PoolId pool, tmem::PoolType type,
     // Physically full. A node whose quota still has headroom (the global
     // policy granted it more than it owns) may borrow a donor's frame at
     // inter-node latency instead of failing the put.
+    TmemOp op{OpStatus::kNoCapacity};
     if (remote_ != nullptr &&
         (node_quota_ == kUnlimitedTarget || own_used_total() < node_quota_)) {
-      const bool ok = remote_->remote_put(vm, type, object, index, payload);
-      remote_op_elapsed_ = remote_->last_op_elapsed();
-      if (ok) {
+      op = remote_->remote_put(vm, type, object, index, payload);
+      if (op.ok()) {
         ++remote_puts_;
         ++data->puts_succ;
         ++data->cumul_puts_succ;
-        if (tier != nullptr) *tier = tmem::Tier::kRemote;
         if (trace_ != nullptr && trace_->enabled(obs::kCatHyper)) {
           trace_->instant(obs::kCatHyper, vm_track(vm), "put_remote",
                           sim_.now(), {{"used", static_cast<double>(used)}});
         }
-        return OpStatus::kSuccess;
+        return op;
       }
     }
     ++data->cumul_puts_failed;
@@ -188,136 +183,72 @@ OpStatus Hypervisor::do_put(VmId vm, tmem::PoolId pool, tmem::PoolType type,
       trace_->instant(obs::kCatHyper, vm_track(vm), "put_reject:node_full",
                       sim_.now(), {{"used", static_cast<double>(used)}});
     }
-    return OpStatus::kNoCapacity;
+    return op;
   }
 
-  const tmem::PutResult result = store_.put(key, payload, tier);  // line 10
+  tmem::Tier tier = tmem::Tier::kDram;
+  const tmem::PutResult result = store_.put(key, payload, &tier);  // line 10
   if (result == tmem::PutResult::kNoMemory) {
     ++data->cumul_puts_failed;
     if (trace_ != nullptr && trace_->enabled(obs::kCatHyper)) {
       trace_->instant(obs::kCatHyper, vm_track(vm), "put_reject:store_full",
                       sim_.now(), {{"used", static_cast<double>(used)}});
     }
-    return OpStatus::kNoCapacity;
+    return {OpStatus::kNoCapacity};
   }
 
   ++data->puts_succ;           // line 12
   ++data->cumul_puts_succ;
-  return OpStatus::kSuccess;   // line 13
+  return {OpStatus::kSuccess, tier};  // line 13
 }
 
-OpStatus Hypervisor::frontswap_put(VmId vm, std::uint64_t object,
-                                   std::uint32_t index,
-                                   tmem::PagePayload payload,
-                                   tmem::Tier* tier) {
+TmemOp Hypervisor::get(VmId vm, tmem::PoolType type, std::uint64_t object,
+                       std::uint32_t index) {
   VmData* data = find_vm(vm);
-  if (data == nullptr) return OpStatus::kBadVm;
-  return do_put(vm, data->frontswap_pool, tmem::PoolType::kPersistent, object,
-                index, payload, tier);
-}
-
-OpStatus Hypervisor::cleancache_put(VmId vm, std::uint64_t object,
-                                    std::uint32_t index,
-                                    tmem::PagePayload payload,
-                                    tmem::Tier* tier) {
-  VmData* data = find_vm(vm);
-  if (data == nullptr) return OpStatus::kBadVm;
-  return do_put(vm, data->cleancache_pool, tmem::PoolType::kEphemeral, object,
-                index, payload, tier);
-}
-
-std::optional<tmem::PagePayload> Hypervisor::do_get(
-    VmData& data, tmem::PoolId pool, tmem::PoolType type, std::uint64_t object,
-    std::uint32_t index, tmem::Tier* tier) {
-  ++data.gets_total;
-  ++data.cumul_gets_total;
-  remote_op_elapsed_ = 0;
-  auto result = store_.get(tmem::TmemKey{pool, object, index}, tier);
-  if (!result && remote_ != nullptr) {
-    result = remote_->remote_get(data.vm_id, type, object, index);
-    remote_op_elapsed_ = remote_->last_op_elapsed();
-    if (result) {
-      ++remote_gets_;
-      if (tier != nullptr) *tier = tmem::Tier::kRemote;
-    }
+  if (data == nullptr) return {OpStatus::kBadVm};
+  ++data->gets_total;
+  ++data->cumul_gets_total;
+  TmemOp op;
+  const tmem::TmemKey key{data->pool(type), object, index};
+  if (const auto page = store_.get(key, &op.tier)) {
+    op.status = OpStatus::kSuccess;
+    op.payload = *page;
+  } else if (remote_ != nullptr) {
+    op = remote_->remote_get(vm, type, object, index);
+    if (op.ok()) ++remote_gets_;
   }
-  if (result) {
-    ++data.gets_hit;
-    ++data.cumul_gets_hit;
+  if (op.ok()) {
+    ++data->gets_hit;
+    ++data->cumul_gets_hit;
   }
-  return result;
-}
-
-std::optional<tmem::PagePayload> Hypervisor::frontswap_get(
-    VmId vm, std::uint64_t object, std::uint32_t index, tmem::Tier* tier) {
-  VmData* data = find_vm(vm);
-  if (data == nullptr) return std::nullopt;
-  return do_get(*data, data->frontswap_pool, tmem::PoolType::kPersistent,
-                object, index, tier);
-}
-
-std::optional<tmem::PagePayload> Hypervisor::cleancache_get(
-    VmId vm, std::uint64_t object, std::uint32_t index, tmem::Tier* tier) {
-  VmData* data = find_vm(vm);
-  if (data == nullptr) return std::nullopt;
-  return do_get(*data, data->cleancache_pool, tmem::PoolType::kEphemeral,
-                object, index, tier);
+  return op;
 }
 
 // Algorithm 1, FLUSH branch (lines 16-19): deallocate and decrement usage.
 // The decrement happens implicitly through the store's accounting.
-OpStatus Hypervisor::frontswap_flush(VmId vm, std::uint64_t object,
-                                     std::uint32_t index) {
+OpStatus Hypervisor::flush(VmId vm, tmem::PoolType type, std::uint64_t object,
+                           std::uint32_t index) {
   VmData* data = find_vm(vm);
   if (data == nullptr) return OpStatus::kBadVm;
   ++data->flushes;
   ++data->cumul_flushes;
   bool existed =
-      store_.flush_page(tmem::TmemKey{data->frontswap_pool, object, index});
+      store_.flush_page(tmem::TmemKey{data->pool(type), object, index});
   if (!existed && remote_ != nullptr) {
-    existed =
-        remote_->remote_flush(vm, tmem::PoolType::kPersistent, object, index);
+    existed = remote_->remote_flush(vm, type, object, index);
   }
   return existed ? OpStatus::kSuccess : OpStatus::kNotFound;
 }
 
-OpStatus Hypervisor::cleancache_flush(VmId vm, std::uint64_t object,
-                                      std::uint32_t index) {
-  VmData* data = find_vm(vm);
-  if (data == nullptr) return OpStatus::kBadVm;
-  ++data->flushes;
-  ++data->cumul_flushes;
-  bool existed =
-      store_.flush_page(tmem::TmemKey{data->cleancache_pool, object, index});
-  if (!existed && remote_ != nullptr) {
-    existed =
-        remote_->remote_flush(vm, tmem::PoolType::kEphemeral, object, index);
-  }
-  return existed ? OpStatus::kSuccess : OpStatus::kNotFound;
-}
-
-PageCount Hypervisor::frontswap_flush_object(VmId vm, std::uint64_t object) {
+PageCount Hypervisor::flush_object(VmId vm, tmem::PoolType type,
+                                   std::uint64_t object) {
   VmData* data = find_vm(vm);
   if (data == nullptr) return 0;
   ++data->flushes;
   ++data->cumul_flushes;
-  PageCount freed = store_.flush_object(data->frontswap_pool, object);
+  PageCount freed = store_.flush_object(data->pool(type), object);
   if (remote_ != nullptr) {
-    freed +=
-        remote_->remote_flush_object(vm, tmem::PoolType::kPersistent, object);
-  }
-  return freed;
-}
-
-PageCount Hypervisor::cleancache_flush_object(VmId vm, std::uint64_t object) {
-  VmData* data = find_vm(vm);
-  if (data == nullptr) return 0;
-  ++data->flushes;
-  ++data->cumul_flushes;
-  PageCount freed = store_.flush_object(data->cleancache_pool, object);
-  if (remote_ != nullptr) {
-    freed +=
-        remote_->remote_flush_object(vm, tmem::PoolType::kEphemeral, object);
+    freed += remote_->remote_flush_object(vm, type, object);
   }
   return freed;
 }
@@ -458,7 +389,7 @@ void Hypervisor::sample_tick() {
     data.gets_hit = 0;
     data.flushes = 0;
   }
-  if (config_.slow_reclaim_enabled) slow_reclaim();
+  slow_reclaim();
 }
 
 void Hypervisor::slow_reclaim() {
@@ -682,11 +613,8 @@ bool Hypervisor::rehome_page(VmId vm, tmem::PoolType type,
   // Migration, not a guest put: only a genuinely free frame may be used
   // (no ephemeral eviction) and no Algorithm-1 counters move.
   if (store_.combined_free_pages() == 0) return false;
-  const tmem::PoolId pool = type == tmem::PoolType::kPersistent
-                                ? data->frontswap_pool
-                                : data->cleancache_pool;
-  return store_.put(tmem::TmemKey{pool, object, index}, payload) !=
-         tmem::PutResult::kNoMemory;
+  return store_.put(tmem::TmemKey{data->pool(type), object, index},
+                    payload) != tmem::PutResult::kNoMemory;
 }
 
 PageCount Hypervisor::tmem_used(VmId vm) const {

@@ -34,14 +34,6 @@ class TraceRecorder;
 
 namespace smartmem::hyper {
 
-/// Return status of a tmem hypercall (S_TMEM / E_TMEM in Table I).
-enum class OpStatus : std::uint8_t {
-  kSuccess,     // S_TMEM
-  kNoCapacity,  // E_TMEM: target reached or node out of tmem
-  kNotFound,    // get/flush of an absent key
-  kBadVm,       // unregistered VM
-};
-
 /// How a VM's target is initialised when it registers.
 enum class DefaultTargetMode : std::uint8_t {
   /// Xen default: no limit; VMs compete greedily.
@@ -63,9 +55,8 @@ struct HypervisorConfig {
 
   /// "The hypervisor can reclaim tmem pages from a VM very slowly": at each
   /// sampling tick, at most this many *ephemeral* pages are clawed back from
-  /// each VM that sits above its target. Persistent (frontswap) pages are
-  /// never dropped — they hold the only copy of guest data.
-  bool slow_reclaim_enabled = true;
+  /// each VM that sits above its target (0 = off). Persistent (frontswap)
+  /// pages are never dropped — they hold the only copy of guest data.
   PageCount slow_reclaim_pages_per_tick = 512;
 
   /// Optional Xen tmem feature, exercised by the dedup ablation bench.
@@ -105,24 +96,21 @@ class Hypervisor {
   std::uint32_t vm_count() const { return static_cast<std::uint32_t>(vms_.size()); }
 
   // ---- Tmem hypercalls (Algorithm 1) --------------------------------------
+  // One hypercall per operation, as in Xen's tmem ABI: the pool type picks
+  // the VM's pool — kPersistent is frontswap, kEphemeral is cleancache.
 
-  OpStatus frontswap_put(VmId vm, std::uint64_t object, std::uint32_t index,
-                         tmem::PagePayload payload,
-                         tmem::Tier* tier = nullptr);
-  std::optional<tmem::PagePayload> frontswap_get(VmId vm, std::uint64_t object,
-                                                 std::uint32_t index,
-                                                 tmem::Tier* tier = nullptr);
-  OpStatus frontswap_flush(VmId vm, std::uint64_t object, std::uint32_t index);
-  PageCount frontswap_flush_object(VmId vm, std::uint64_t object);
-
-  OpStatus cleancache_put(VmId vm, std::uint64_t object, std::uint32_t index,
-                          tmem::PagePayload payload,
-                          tmem::Tier* tier = nullptr);
-  std::optional<tmem::PagePayload> cleancache_get(VmId vm, std::uint64_t object,
-                                                  std::uint32_t index,
-                                                  tmem::Tier* tier = nullptr);
-  OpStatus cleancache_flush(VmId vm, std::uint64_t object, std::uint32_t index);
-  PageCount cleancache_flush_object(VmId vm, std::uint64_t object);
+  /// Stores a page. On success the result names the tier it landed in
+  /// (kRemote when a donor node took it); `fabric` carries any lending
+  /// round trip, failed or not.
+  TmemOp put(VmId vm, tmem::PoolType type, std::uint64_t object,
+             std::uint32_t index, tmem::PagePayload payload);
+  /// Fetches a page: local store first, then the lending broker. kNotFound
+  /// on a miss.
+  TmemOp get(VmId vm, tmem::PoolType type, std::uint64_t object,
+             std::uint32_t index);
+  OpStatus flush(VmId vm, tmem::PoolType type, std::uint64_t object,
+                 std::uint32_t index);
+  PageCount flush_object(VmId vm, tmem::PoolType type, std::uint64_t object);
 
   // ---- MM control path -----------------------------------------------------
 
@@ -145,11 +133,6 @@ class Hypervisor {
   /// Attaches the cluster lending broker's borrower port (nullptr = off,
   /// the single-node default). Must be set before traffic starts.
   void set_remote_tmem(RemoteTmem* remote) { remote_ = remote; }
-
-  /// Modeled fabric time of the remote leg of the most recent put/get
-  /// hypercall on this node; the guest charges it on top of the local
-  /// hypercall cost. 0 when that call never crossed the lending fabric.
-  SimTime remote_op_elapsed() const { return remote_op_elapsed_; }
 
   /// Sets the rack-level tmem quota for this node: a cap on how many pages
   /// the node may consume for its own guests (locally + borrowed), enforced
@@ -263,19 +246,6 @@ class Hypervisor {
   VmData* find_vm(VmId vm);
   const VmData* find_vm(VmId vm) const;
 
-  /// The shared put path of Algorithm 1: target check, node-quota check,
-  /// capacity check (with remote fallback), store insert, counter updates.
-  OpStatus do_put(VmId vm, tmem::PoolId pool, tmem::PoolType type,
-                  std::uint64_t object, std::uint32_t index,
-                  tmem::PagePayload payload, tmem::Tier* tier);
-
-  /// Shared get path: local store first, then the lending broker.
-  std::optional<tmem::PagePayload> do_get(VmData& data, tmem::PoolId pool,
-                                          tmem::PoolType type,
-                                          std::uint64_t object,
-                                          std::uint32_t index,
-                                          tmem::Tier* tier);
-
   void sample_tick();
   void apply_equal_share_targets();
   void slow_reclaim();
@@ -310,7 +280,6 @@ class Hypervisor {
   // ---- Cluster state -------------------------------------------------------
   PageCount node_quota_ = kUnlimitedTarget;
   RemoteTmem* remote_ = nullptr;
-  SimTime remote_op_elapsed_ = 0;  // remote leg of the last put/get hypercall
   PageCount lent_pages_ = 0;  // frames leased to other nodes
   std::uint64_t last_quota_seq_ = 0;
   std::uint64_t quota_updates_ = 0;

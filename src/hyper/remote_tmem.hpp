@@ -13,12 +13,17 @@
 // (vm, pool type, object, index) tuple. The broker maps that tuple to the
 // donor whose leased frame backs it; the donor holds only opaque leased
 // frames, so borrowed keys can never collide with the donor's own guests.
+//
+// remote_put and remote_get return the same TmemOp the hypercall hands the
+// guest: tier kRemote, and `fabric` set to the modeled round trip (or the
+// accumulated timeouts of a give-up), which the guest charges on top of
+// the local hypercall cost.
 #pragma once
 
 #include <cstdint>
-#include <optional>
 
 #include "common/types.hpp"
+#include "hyper/vm_data.hpp"
 #include "tmem/key.hpp"
 
 namespace smartmem::hyper {
@@ -27,20 +32,19 @@ class RemoteTmem {
  public:
   virtual ~RemoteTmem() = default;
 
-  /// Tries to place the page with a donor. Returns false when no donor has
-  /// placement credit left (the put then fails exactly as a full node
-  /// would).
+  /// Tries to place the page with a donor. Fails with kNoCapacity when no
+  /// donor has placement credit left (the put then fails exactly as a full
+  /// node would) or when the fabric gave up on the exchange.
   /// Re-putting a key the broker already holds replaces it in place on the
   /// same donor.
-  virtual bool remote_put(VmId vm, tmem::PoolType type, std::uint64_t object,
-                          std::uint32_t index, tmem::PagePayload payload) = 0;
+  virtual TmemOp remote_put(VmId vm, tmem::PoolType type, std::uint64_t object,
+                            std::uint32_t index, tmem::PagePayload payload) = 0;
 
-  /// Fetches a borrowed page. Ephemeral-typed pages keep their victim-cache
-  /// semantics: a hit consumes the page and frees its donor frame.
-  virtual std::optional<tmem::PagePayload> remote_get(VmId vm,
-                                                      tmem::PoolType type,
-                                                      std::uint64_t object,
-                                                      std::uint32_t index) = 0;
+  /// Fetches a borrowed page (kNotFound when the broker holds no such key).
+  /// Ephemeral-typed pages keep their victim-cache semantics: a hit
+  /// consumes the page and frees its donor frame.
+  virtual TmemOp remote_get(VmId vm, tmem::PoolType type, std::uint64_t object,
+                            std::uint32_t index) = 0;
 
   /// Drops one borrowed page / every borrowed page of an object.
   virtual bool remote_flush(VmId vm, tmem::PoolType type, std::uint64_t object,
@@ -63,12 +67,6 @@ class RemoteTmem {
   /// data and are only moved by the broker's recall path). Returns the
   /// number of pages actually released.
   virtual PageCount release_borrowed(PageCount max_pages) = 0;
-
-  /// Modeled fabric time of the most recent remote_put/remote_get on this
-  /// port (success RTT, or accumulated timeouts on a give-up); the
-  /// hypervisor charges it to the guest. Valid until the next remote
-  /// operation; 0 when that operation never crossed the fabric.
-  virtual SimTime last_op_elapsed() const = 0;
 };
 
 }  // namespace smartmem::hyper

@@ -317,10 +317,16 @@ PutResult TmemStore::put(const TmemKey& key, PagePayload payload,
   }
 
   const bool comp_eligible = comp_pool_.enabled() && pool->compressible;
-  const std::uint32_t comp_cost =
-      comp_eligible ? comp_pool_.page_bytes(pool->owner, pool->type,
-                                            key.object, key.index)
-                    : 0;
+  // The compressed size is a pure hash of (seed, key), read only when DRAM
+  // has no free frame for the page: hash it then, at most once per put.
+  std::uint32_t comp_cost = 0;
+  const auto cost = [&] {
+    if (comp_eligible && comp_cost == 0 && free_pages_ == 0) {
+      comp_cost = comp_pool_.page_bytes(pool->owner, pool->type, key.object,
+                                        key.index);
+    }
+    return comp_cost;
+  };
 
   const std::size_t hash = TmemKeyHash{}(key);
   const bool now_dedup = config_.zero_page_dedup && payload == 0;
@@ -332,7 +338,7 @@ PutResult TmemStore::put(const TmemKey& key, PagePayload payload,
     if (was_deduped && !now_dedup) {
       // Evicted victims may themselves be deduped (frameless), so keep
       // evicting until capacity is actually available somewhere.
-      while (!can_place(comp_eligible, comp_cost)) {
+      while (!can_place(comp_eligible, cost())) {
         if (!evict_one_ephemeral()) {
           ++stats_.puts_failed;
           return PutResult::kNoMemory;
@@ -345,7 +351,7 @@ PutResult TmemStore::put(const TmemKey& key, PagePayload payload,
       }
       Entry& entry = entries_[id];
       entry.deduped = false;  // before the byte charge below
-      place_entry(entry, comp_eligible, comp_cost);
+      place_entry(entry, comp_eligible, cost());
       pool->account->bytes += effective_bytes(entry);
     } else if (!was_deduped && now_dedup) {
       Entry& entry = entries_[id];
@@ -365,13 +371,13 @@ PutResult TmemStore::put(const TmemKey& key, PagePayload payload,
   Entry fresh;
   fresh.deduped = now_dedup;
   if (consumes_frame(fresh)) {
-    while (!can_place(comp_eligible, comp_cost)) {
+    while (!can_place(comp_eligible, cost())) {
       if (!evict_one_ephemeral()) {
         ++stats_.puts_failed;
         return PutResult::kNoMemory;
       }
     }
-    place_entry(fresh, comp_eligible, comp_cost);
+    place_entry(fresh, comp_eligible, cost());
   } else {
     ++stats_.zero_pages_deduped;
   }

@@ -302,8 +302,9 @@ class TmemStore {
 
   bool consumes_frame(const Entry& e) const { return !e.deduped; }
 
-  /// True when a page of `cost` compressed bytes from a compressible pool —
-  /// or any page at all — could be placed without eviction.
+  /// True when a page of `comp_cost` compressed bytes from a compressible
+  /// pool — or any page at all — could be placed without eviction. Like
+  /// place_entry(), reads `comp_cost` only while DRAM has no free frame.
   bool can_place(bool comp_eligible, std::uint32_t comp_cost) const;
 
   /// Takes capacity for a new entry along the chain (DRAM, compressed,

@@ -41,12 +41,14 @@ fig03_scenario1_runtimes --comm-policy drop-oldest
 fig03_scenario1_runtimes --comm-policy drop-newest
 fig03_scenario1_runtimes --compress-min-ratio 2.5
 fig03_scenario1_runtimes --compress-max-ratio 6
-fig03_scenario1_runtimes --compressed-evict drop
 fig03_scenario1_runtimes --comm-queue 2 --comm-policy backpressure
 fig03_scenario1_runtimes --trace-cats tmem
-# Deleted modes: the adaptive sampling interval and the skip stale mode.
+# Deleted modes: the adaptive sampling interval, the skip stale mode and the
+# compressed-tier eviction mode (no figure bench stores an ephemeral page).
 fig03_scenario1_runtimes --adaptive-interval
 fig03_scenario1_runtimes --stale-mode skip
+fig03_scenario1_runtimes --compressed-evict drop
+fig03_scenario1_runtimes --compressed-bytes 4096 --compressed-evict demote
 # A flag the bench does not read.
 ablation_dedup --trace-out $probe_dir/x.json
 ablation_interval --jobs 4

@@ -181,10 +181,10 @@ void fuzz_run(const FaultCase& fc, std::uint64_t seed) {
         continue;
       }
       if (key.type == PoolType::kPersistent) {
-        const auto local =
-            rig.borrower.frontswap_get(kVm, key.object, key.index);
-        ASSERT_TRUE(local.has_value());
-        ASSERT_EQ(*local, it->second);
+        const hyper::TmemOp local =
+            rig.borrower.get(kVm, PoolType::kPersistent, key.object, key.index);
+        ASSERT_TRUE(local.ok());
+        ASSERT_EQ(local.payload, it->second);
       }
       it = model.erase(it);
     }
@@ -196,8 +196,10 @@ void fuzz_run(const FaultCase& fc, std::uint64_t seed) {
       const RemoteKey key = random_key();
       const tmem::PagePayload payload = rng.next();
       const bool existed = model.contains(key);
-      const bool ok = rig.broker.port(0)->remote_put(
-          kVm, key.type, key.object, key.index, payload);
+      const bool ok = rig.broker.port(0)
+                          ->remote_put(kVm, key.type, key.object, key.index,
+                                       payload)
+                          .ok();
       if (ok) {
         model[key] = payload;
       } else if (existed) {
@@ -209,15 +211,15 @@ void fuzz_run(const FaultCase& fc, std::uint64_t seed) {
                 model.contains(key));
     } else if (kind < 62) {  // get: exact payload, ephemeral consumed
       const RemoteKey key = random_key();
-      const auto got =
+      const hyper::TmemOp got =
           rig.broker.port(0)->remote_get(kVm, key.type, key.object, key.index);
       auto it = model.find(key);
       if (it != model.end()) {
-        ASSERT_TRUE(got.has_value());  // persistent gets may never fail
-        ASSERT_EQ(*got, it->second);   // no corruption, no duplication
+        ASSERT_TRUE(got.ok());                // persistent gets may never fail
+        ASSERT_EQ(got.payload, it->second);  // no corruption, no duplication
         if (key.type == PoolType::kEphemeral) model.erase(it);
       } else {
-        ASSERT_FALSE(got.has_value());
+        ASSERT_EQ(got.status, hyper::OpStatus::kNotFound);
       }
     } else if (kind < 70) {  // flush one page
       const RemoteKey key = random_key();
@@ -383,8 +385,9 @@ TEST(AsyncLendingPropertyTest, RecallWhileBorrowTimersInFlight) {
 
   // Several placements leave completion timers pending on the fabric.
   for (std::uint32_t i = 0; i < 4; ++i) {
-    ASSERT_TRUE(rig.broker.port(0)->remote_put(kVm, PoolType::kPersistent, 1,
-                                               i, 100 + i));
+    ASSERT_TRUE(rig.broker.port(0)
+                    ->remote_put(kVm, PoolType::kPersistent, 1, i, 100 + i)
+                    .ok());
   }
   ASSERT_GT(rig.broker.fabric().in_flight(0), 0u);
 
@@ -407,9 +410,10 @@ TEST(AsyncLendingPropertyTest, RecallWhileBorrowTimersInFlight) {
 
   // Recalled pages migrated home intact.
   for (std::uint32_t i = 0; i < 4; ++i) {
-    const auto local = rig.borrower.frontswap_get(kVm, 1, i);
-    ASSERT_TRUE(local.has_value());
-    EXPECT_EQ(*local, 100u + i);
+    const hyper::TmemOp local =
+        rig.borrower.get(kVm, PoolType::kPersistent, 1, i);
+    ASSERT_TRUE(local.ok());
+    EXPECT_EQ(local.payload, 100u + i);
   }
 }
 

@@ -67,17 +67,20 @@ TEST(AsyncLendingTest, RoundTripChargesModeledRttThroughThePort) {
   AsyncRig rig((comm::ClusterTopology()), async_on());
 
   // First exchange: req hop + donor service + resp hop, no queueing.
-  ASSERT_TRUE(rig.broker.port(0)->remote_put(kVm, PoolType::kPersistent, 1, 0,
-                                             42));
-  EXPECT_EQ(rig.broker.port(0)->last_op_elapsed(), 2 * kHop + kService);
+  const hyper::TmemOp put =
+      rig.broker.port(0)->remote_put(kVm, PoolType::kPersistent, 1, 0, 42);
+  ASSERT_TRUE(put.ok());
+  EXPECT_EQ(put.tier, tmem::Tier::kRemote);
+  EXPECT_EQ(put.fabric, 2 * kHop + kService);
 
-  const auto payload =
+  const hyper::TmemOp got =
       rig.broker.port(0)->remote_get(kVm, PoolType::kPersistent, 1, 0);
-  ASSERT_TRUE(payload.has_value());
-  EXPECT_EQ(*payload, 42u);
+  ASSERT_TRUE(got.ok());
+  EXPECT_EQ(got.payload, 42u);
+  EXPECT_EQ(got.tier, tmem::Tier::kRemote);
   // The get queues behind the put still occupying the donor (same sim
   // instant): service starts at the put's donor_next_free.
-  EXPECT_GT(rig.broker.port(0)->last_op_elapsed(), 2 * kHop + kService);
+  EXPECT_EQ(got.fabric, 2 * kHop + 2 * kService);
 
   const LendFabricStats t = rig.totals();
   EXPECT_EQ(t.requests, 2u);
@@ -104,7 +107,7 @@ TEST(AsyncLendingTest, InFlightTimerRunsOnTheBorrowersSimulator) {
   constexpr SimTime kIssue = 3 * kMillisecond;
   borrower_sim.run_until(kIssue);  // the donor's clock stays at 0
   ASSERT_TRUE(broker.port(0)->remote_put(kVm, PoolType::kPersistent, 1, 0,
-                                         42));
+                                         42).ok());
   EXPECT_EQ(broker.fabric().in_flight(0), 1u);
   EXPECT_EQ(borrower_sim.pending_events(), 1u);
   EXPECT_EQ(donor_sim.pending_events(), 0u);
@@ -119,11 +122,11 @@ TEST(AsyncLendingTest, DonorQueueSerializesBackToBackExchanges) {
   AsyncRig rig((comm::ClusterTopology()), async_on());
   SimTime prev = 0;
   for (std::uint32_t i = 0; i < 3; ++i) {
-    ASSERT_TRUE(rig.broker.port(0)->remote_put(kVm, PoolType::kPersistent, 1,
-                                               i, 100 + i));
-    const SimTime elapsed = rig.broker.port(0)->last_op_elapsed();
-    EXPECT_GT(elapsed, prev);  // each put waits behind the previous service
-    prev = elapsed;
+    const hyper::TmemOp put = rig.broker.port(0)->remote_put(
+        kVm, PoolType::kPersistent, 1, i, 100 + i);
+    ASSERT_TRUE(put.ok());
+    EXPECT_GT(put.fabric, prev);  // each put waits behind the previous service
+    prev = put.fabric;
   }
   // Exactly one service-time step per queued exchange.
   EXPECT_EQ(prev, 2 * kHop + 3 * kService);
@@ -134,15 +137,15 @@ TEST(AsyncLendingTest, TotalRequestLossExhaustsAttemptsIntoAFailedPut) {
   topo.internode_lend_req.faults.loss_rate = 1.0;
   AsyncRig rig(topo, async_on());
 
-  EXPECT_FALSE(
-      rig.broker.port(0)->remote_put(kVm, PoolType::kPersistent, 1, 0, 42));
+  const hyper::TmemOp put =
+      rig.broker.port(0)->remote_put(kVm, PoolType::kPersistent, 1, 0, 42);
+  EXPECT_EQ(put.status, hyper::OpStatus::kNoCapacity);
   EXPECT_EQ(rig.broker.failed_placements(), 1u);
   EXPECT_EQ(rig.broker.borrow_placements(), 0u);
   EXPECT_EQ(rig.broker.credit(0, 1), kPhys / 2);  // no credit consumed
   // The guest pays the full retry budget: max_attempts x timeout.
   const AsyncLendingConfig defaults = async_on();
-  EXPECT_EQ(rig.broker.port(0)->last_op_elapsed(),
-            defaults.max_attempts * defaults.timeout);
+  EXPECT_EQ(put.fabric, defaults.max_attempts * defaults.timeout);
 
   const LendFabricStats t = rig.totals();
   EXPECT_EQ(t.requests, defaults.max_attempts);
@@ -157,8 +160,9 @@ TEST(AsyncLendingTest, ResponseLossTimesOutTheBorrowerToo) {
   comm::ClusterTopology topo;
   topo.internode_lend_resp.faults.loss_rate = 1.0;
   AsyncRig rig(topo, async_on());
-  EXPECT_FALSE(
-      rig.broker.port(0)->remote_put(kVm, PoolType::kPersistent, 1, 0, 42));
+  EXPECT_FALSE(rig.broker.port(0)
+                   ->remote_put(kVm, PoolType::kPersistent, 1, 0, 42)
+                   .ok());
   const LendFabricStats t = rig.totals();
   EXPECT_EQ(t.lost_responses, async_on().max_attempts);
   EXPECT_EQ(t.give_ups, 1u);
@@ -170,8 +174,9 @@ TEST(AsyncLendingTest, ReorderedLateResponseIsIndistinguishableFromLoss) {
   // (10 ms) pushes it past the 2 ms attempt timeout.
   topo.internode_lend_resp.faults.reorder_rate = 1.0;
   AsyncRig rig(topo, async_on());
-  EXPECT_FALSE(
-      rig.broker.port(0)->remote_put(kVm, PoolType::kPersistent, 1, 0, 42));
+  EXPECT_FALSE(rig.broker.port(0)
+                   ->remote_put(kVm, PoolType::kPersistent, 1, 0, 42)
+                   .ok());
   const LendFabricStats t = rig.totals();
   EXPECT_EQ(t.late_responses, async_on().max_attempts);
   EXPECT_EQ(t.reordered, async_on().max_attempts);
@@ -185,20 +190,23 @@ TEST(AsyncLendingTest, OutageWindowFailsBorrowsInsideItOnly) {
   AsyncRig rig(topo, async_on());
 
   // Before the window: clean round trip.
-  ASSERT_TRUE(
-      rig.broker.port(0)->remote_put(kVm, PoolType::kPersistent, 1, 0, 42));
+  ASSERT_TRUE(rig.broker.port(0)
+                  ->remote_put(kVm, PoolType::kPersistent, 1, 0, 42)
+                  .ok());
 
   // Inside the window: every attempt's send is dropped on the floor.
   rig.sim.run_until(2 * kMillisecond);
-  EXPECT_FALSE(
-      rig.broker.port(0)->remote_put(kVm, PoolType::kPersistent, 1, 1, 43));
+  EXPECT_FALSE(rig.broker.port(0)
+                   ->remote_put(kVm, PoolType::kPersistent, 1, 1, 43)
+                   .ok());
   EXPECT_EQ(rig.totals().outage_drops, async_on().max_attempts);
   EXPECT_EQ(rig.totals().give_ups, 1u);
 
   // After the window: service resumes.
   rig.sim.run_until(200 * kMillisecond);
-  EXPECT_TRUE(
-      rig.broker.port(0)->remote_put(kVm, PoolType::kPersistent, 1, 2, 44));
+  EXPECT_TRUE(rig.broker.port(0)
+                  ->remote_put(kVm, PoolType::kPersistent, 1, 2, 44)
+                  .ok());
   EXPECT_EQ(rig.broker.borrow_placements(), 2u);
 }
 
@@ -207,20 +215,20 @@ TEST(AsyncLendingTest, PersistentGetGiveUpFallsBackSynchronously) {
   topo.internode_lend_req.faults.down_from = 1 * kMillisecond;
   topo.internode_lend_req.faults.down_until = 100 * kMillisecond;
   AsyncRig rig(topo, async_on());
-  ASSERT_TRUE(
-      rig.broker.port(0)->remote_put(kVm, PoolType::kPersistent, 1, 0, 42));
+  ASSERT_TRUE(rig.broker.port(0)
+                  ->remote_put(kVm, PoolType::kPersistent, 1, 0, 42)
+                  .ok());
 
   // The transport is down but the guest holds its only copy remotely: the
   // broker must still produce the page, charging the retry budget.
   rig.sim.run_until(2 * kMillisecond);
-  const auto payload =
+  const hyper::TmemOp got =
       rig.broker.port(0)->remote_get(kVm, PoolType::kPersistent, 1, 0);
-  ASSERT_TRUE(payload.has_value());
-  EXPECT_EQ(*payload, 42u);
+  ASSERT_TRUE(got.ok());
+  EXPECT_EQ(got.payload, 42u);
   EXPECT_EQ(rig.totals().get_fallbacks, 1u);
   const AsyncLendingConfig defaults = async_on();
-  EXPECT_EQ(rig.broker.port(0)->last_op_elapsed(),
-            defaults.max_attempts * defaults.timeout);
+  EXPECT_EQ(got.fabric, defaults.max_attempts * defaults.timeout);
 }
 
 TEST(AsyncLendingTest, FailedReplacementDropsTheEntrySoOwnsNeverLies) {
@@ -228,15 +236,17 @@ TEST(AsyncLendingTest, FailedReplacementDropsTheEntrySoOwnsNeverLies) {
   topo.internode_lend_req.faults.down_from = 1 * kMillisecond;
   topo.internode_lend_req.faults.down_until = 100 * kMillisecond;
   AsyncRig rig(topo, async_on(8));
-  ASSERT_TRUE(
-      rig.broker.port(0)->remote_put(kVm, PoolType::kPersistent, 1, 0, 42));
+  ASSERT_TRUE(rig.broker.port(0)
+                  ->remote_put(kVm, PoolType::kPersistent, 1, 0, 42)
+                  .ok());
   ASSERT_TRUE(rig.broker.port(0)->owns(kVm, PoolType::kPersistent, 1, 0));
 
   // The replacement put never reaches the donor: the stale copy must not
   // survive anywhere — not in the index, not at the donor, not in the cache.
   rig.sim.run_until(2 * kMillisecond);
-  EXPECT_FALSE(
-      rig.broker.port(0)->remote_put(kVm, PoolType::kPersistent, 1, 0, 43));
+  EXPECT_FALSE(rig.broker.port(0)
+                   ->remote_put(kVm, PoolType::kPersistent, 1, 0, 43)
+                   .ok());
   EXPECT_EQ(rig.broker.failed_replacements(), 1u);
   EXPECT_FALSE(rig.broker.port(0)->owns(kVm, PoolType::kPersistent, 1, 0));
   EXPECT_EQ(rig.broker.borrowed_total(0), 0u);
@@ -244,7 +254,7 @@ TEST(AsyncLendingTest, FailedReplacementDropsTheEntrySoOwnsNeverLies) {
   EXPECT_EQ(rig.broker.fabric().cache(0).size(), 0u);
   EXPECT_FALSE(rig.broker.port(0)
                    ->remote_get(kVm, PoolType::kPersistent, 1, 0)
-                   .has_value());
+                   .ok());
   // A failed replacement is transport loss, not donor shortage.
   EXPECT_EQ(rig.broker.failed_placements(), 0u);
 }
@@ -256,21 +266,25 @@ TEST(AsyncLendingTest, BoundedInFlightWindowCongestsThenDrains) {
 
   // Two exchanges in flight saturate the pipe; the third is refused
   // without touching the wire.
-  ASSERT_TRUE(
-      rig.broker.port(0)->remote_put(kVm, PoolType::kPersistent, 1, 0, 42));
-  ASSERT_TRUE(
-      rig.broker.port(0)->remote_put(kVm, PoolType::kPersistent, 1, 1, 43));
+  ASSERT_TRUE(rig.broker.port(0)
+                  ->remote_put(kVm, PoolType::kPersistent, 1, 0, 42)
+                  .ok());
+  ASSERT_TRUE(rig.broker.port(0)
+                  ->remote_put(kVm, PoolType::kPersistent, 1, 1, 43)
+                  .ok());
   EXPECT_EQ(rig.broker.fabric().in_flight(0), 2u);
-  EXPECT_FALSE(
-      rig.broker.port(0)->remote_put(kVm, PoolType::kPersistent, 1, 2, 44));
+  EXPECT_FALSE(rig.broker.port(0)
+                   ->remote_put(kVm, PoolType::kPersistent, 1, 2, 44)
+                   .ok());
   EXPECT_EQ(rig.totals().congestion_drops, 1u);
   EXPECT_EQ(rig.totals().requests, 2u);  // the refused one never sent
 
   // Completion timers drain the window; fresh placements flow again.
   rig.sim.run();
   EXPECT_EQ(rig.broker.fabric().in_flight(0), 0u);
-  EXPECT_TRUE(
-      rig.broker.port(0)->remote_put(kVm, PoolType::kPersistent, 1, 2, 44));
+  EXPECT_TRUE(rig.broker.port(0)
+                  ->remote_put(kVm, PoolType::kPersistent, 1, 2, 44)
+                  .ok());
 }
 
 // ---- BorrowCache unit behaviour -------------------------------------------
@@ -326,15 +340,17 @@ TEST(BorrowCacheTest, CapacityZeroIsACompleteNoOp) {
 
 TEST(AsyncLendingCacheTest, HitServesAtTheAccessPointForFree) {
   AsyncRig rig((comm::ClusterTopology()), async_on(8));
-  ASSERT_TRUE(
-      rig.broker.port(0)->remote_put(kVm, PoolType::kPersistent, 1, 0, 42));
+  ASSERT_TRUE(rig.broker.port(0)
+                  ->remote_put(kVm, PoolType::kPersistent, 1, 0, 42)
+                  .ok());
 
   // The put populated the cache: the get never crosses the fabric.
-  const auto payload =
+  const hyper::TmemOp got =
       rig.broker.port(0)->remote_get(kVm, PoolType::kPersistent, 1, 0);
-  ASSERT_TRUE(payload.has_value());
-  EXPECT_EQ(*payload, 42u);
-  EXPECT_EQ(rig.broker.port(0)->last_op_elapsed(), 0);
+  ASSERT_TRUE(got.ok());
+  EXPECT_EQ(got.payload, 42u);
+  EXPECT_EQ(got.tier, tmem::Tier::kRemote);
+  EXPECT_EQ(got.fabric, 0);
   EXPECT_EQ(rig.totals().requests, 1u);  // only the put went out
   EXPECT_EQ(rig.broker.fabric().cache(0).hits(), 1u);
   // The donor copy survives a persistent cache hit.
@@ -349,28 +365,30 @@ TEST(AsyncLendingCacheTest, HitServesAtTheAccessPointForFree) {
 TEST(AsyncLendingCacheTest, EphemeralHitStaysExclusiveViaInvalidate) {
   AsyncRig rig((comm::ClusterTopology()), async_on(8));
   ASSERT_TRUE(
-      rig.broker.port(0)->remote_put(kVm, PoolType::kEphemeral, 2, 0, 7));
+      rig.broker.port(0)->remote_put(kVm, PoolType::kEphemeral, 2, 0, 7).ok());
   ASSERT_EQ(rig.broker.credit(0, 1), kPhys / 2 - 1);
 
   // The cache hit consumes the borrowed page exactly like a fabric hit
   // would: fire-and-forget invalidate, donor frame freed, index forgets.
-  const auto hit =
+  const hyper::TmemOp hit =
       rig.broker.port(0)->remote_get(kVm, PoolType::kEphemeral, 2, 0);
-  ASSERT_TRUE(hit.has_value());
-  EXPECT_EQ(*hit, 7u);
+  ASSERT_TRUE(hit.ok());
+  EXPECT_EQ(hit.payload, 7u);
+  EXPECT_EQ(hit.fabric, 0);
   EXPECT_GE(rig.totals().invalidates, 1u);
   EXPECT_EQ(rig.broker.unsettled_releases(0, 1), 1u);
   EXPECT_FALSE(rig.broker.port(0)->owns(kVm, PoolType::kEphemeral, 2, 0));
   EXPECT_EQ(rig.broker.fabric().cache(0).size(), 0u);
   EXPECT_FALSE(rig.broker.port(0)
                    ->remote_get(kVm, PoolType::kEphemeral, 2, 0)
-                   .has_value());
+                   .ok());
 }
 
 TEST(AsyncLendingCacheTest, FlushInvalidatesTheCachedCopy) {
   AsyncRig rig((comm::ClusterTopology()), async_on(8));
-  ASSERT_TRUE(
-      rig.broker.port(0)->remote_put(kVm, PoolType::kPersistent, 1, 0, 42));
+  ASSERT_TRUE(rig.broker.port(0)
+                  ->remote_put(kVm, PoolType::kPersistent, 1, 0, 42)
+                  .ok());
   ASSERT_EQ(rig.broker.fabric().cache(0).size(), 1u);
 
   EXPECT_TRUE(rig.broker.port(0)->remote_flush(kVm, PoolType::kPersistent, 1,
@@ -380,17 +398,19 @@ TEST(AsyncLendingCacheTest, FlushInvalidatesTheCachedCopy) {
   // No stale serve: the key is gone end to end.
   EXPECT_FALSE(rig.broker.port(0)
                    ->remote_get(kVm, PoolType::kPersistent, 1, 0)
-                   .has_value());
+                   .ok());
 }
 
 TEST(AsyncLendingCacheTest, ObjectFlushAndReleaseInvalidateEveryEntry) {
   AsyncRig rig((comm::ClusterTopology()), async_on(8));
   for (std::uint32_t i = 0; i < 3; ++i) {
-    ASSERT_TRUE(rig.broker.port(0)->remote_put(kVm, PoolType::kPersistent, 5,
-                                               i, 100 + i));
+    ASSERT_TRUE(rig.broker.port(0)
+                    ->remote_put(kVm, PoolType::kPersistent, 5, i, 100 + i)
+                    .ok());
   }
-  ASSERT_TRUE(
-      rig.broker.port(0)->remote_put(kVm, PoolType::kEphemeral, 6, 0, 200));
+  ASSERT_TRUE(rig.broker.port(0)
+                  ->remote_put(kVm, PoolType::kEphemeral, 6, 0, 200)
+                  .ok());
   ASSERT_EQ(rig.broker.fabric().cache(0).size(), 4u);
 
   EXPECT_EQ(rig.broker.port(0)->remote_flush_object(kVm, PoolType::kPersistent,
@@ -404,8 +424,9 @@ TEST(AsyncLendingCacheTest, ObjectFlushAndReleaseInvalidateEveryEntry) {
 
 TEST(AsyncLendingCacheTest, DonorRecallInvalidatesTheCachedCopy) {
   AsyncRig rig((comm::ClusterTopology()), async_on(8));
-  ASSERT_TRUE(
-      rig.broker.port(0)->remote_put(kVm, PoolType::kPersistent, 1, 0, 42));
+  ASSERT_TRUE(rig.broker.port(0)
+                  ->remote_put(kVm, PoolType::kPersistent, 1, 0, 42)
+                  .ok());
   ASSERT_EQ(rig.broker.fabric().cache(0).size(), 1u);
 
   // Donor recalls its frames (quota grew back): the persistent page
@@ -416,9 +437,11 @@ TEST(AsyncLendingCacheTest, DonorRecallInvalidatesTheCachedCopy) {
   EXPECT_FALSE(rig.broker.port(0)->owns(kVm, PoolType::kPersistent, 1, 0));
 
   // The page is now local: the cache must not resurrect the borrowed copy.
-  const auto local = rig.borrower.frontswap_get(kVm, 1, 0);
-  ASSERT_TRUE(local.has_value());
-  EXPECT_EQ(*local, 42u);
+  const hyper::TmemOp local =
+      rig.borrower.get(kVm, PoolType::kPersistent, 1, 0);
+  ASSERT_TRUE(local.ok());
+  EXPECT_EQ(local.payload, 42u);
+  EXPECT_EQ(local.tier, tmem::Tier::kDram);
 }
 
 TEST(AsyncLendingCacheTest, CapacityZeroDisablesCleanly) {
@@ -429,19 +452,24 @@ TEST(AsyncLendingCacheTest, CapacityZeroDisablesCleanly) {
   AsyncRig off((comm::ClusterTopology()), async_on(0));
   AsyncRig on((comm::ClusterTopology()), async_on(8));
 
-  for (AsyncRig* rig : {&off, &on}) {
-    ASSERT_TRUE(
-        rig->broker.port(0)->remote_put(kVm, PoolType::kPersistent, 1, 0, 42));
-    ASSERT_TRUE(rig->broker.port(0)
-                    ->remote_get(kVm, PoolType::kPersistent, 1, 0)
-                    .has_value());
-  }
+  const auto put_then_get = [](AsyncRig& rig) {
+    EXPECT_TRUE(rig.broker.port(0)
+                    ->remote_put(kVm, PoolType::kPersistent, 1, 0, 42)
+                    .ok());
+    const hyper::TmemOp got =
+        rig.broker.port(0)->remote_get(kVm, PoolType::kPersistent, 1, 0);
+    EXPECT_TRUE(got.ok());
+    EXPECT_EQ(got.payload, 42u);
+    return got.fabric;
+  };
+  const SimTime off_get = put_then_get(off);
+  const SimTime on_get = put_then_get(on);
   // Same put exchange either way; the get crosses the fabric only when the
   // cache is off.
   EXPECT_EQ(off.totals().requests, 2u);
   EXPECT_EQ(on.totals().requests, 1u);
-  EXPECT_GT(off.broker.port(0)->last_op_elapsed(), 0);
-  EXPECT_EQ(on.broker.port(0)->last_op_elapsed(), 0);
+  EXPECT_GT(off_get, 0);
+  EXPECT_EQ(on_get, 0);
   EXPECT_DOUBLE_EQ(off.totals().put_rtt_us.mean(),
                    on.totals().put_rtt_us.mean());
   EXPECT_EQ(off.broker.fabric().cache(0).hits(), 0u);

@@ -50,8 +50,9 @@ struct AsyncRig {
 TEST(LendTeardownTest, StopCancelsEveryInFlightTimer) {
   AsyncRig rig;
   for (std::uint32_t i = 0; i < 3; ++i) {
-    ASSERT_TRUE(rig.broker.port(0)->remote_put(kVm, PoolType::kPersistent, 1,
-                                               i, 100 + i));
+    ASSERT_TRUE(rig.broker.port(0)
+                    ->remote_put(kVm, PoolType::kPersistent, 1, i, 100 + i)
+                    .ok());
   }
   ASSERT_EQ(rig.broker.fabric().in_flight(0), 3u);
   ASSERT_GT(rig.sim.pending_events(), 0u);
@@ -69,13 +70,15 @@ TEST(LendTeardownTest, StopCancelsEveryInFlightTimer) {
 
 TEST(LendTeardownTest, StopIsIdempotentAndCountsOnlyPendingTimers) {
   AsyncRig rig;
-  ASSERT_TRUE(
-      rig.broker.port(0)->remote_put(kVm, PoolType::kPersistent, 1, 0, 42));
+  ASSERT_TRUE(rig.broker.port(0)
+                  ->remote_put(kVm, PoolType::kPersistent, 1, 0, 42)
+                  .ok());
   // This timer completes normally; only the second put's is still pending
   // at stop time.
   rig.sim.run();
-  ASSERT_TRUE(
-      rig.broker.port(0)->remote_put(kVm, PoolType::kPersistent, 1, 1, 43));
+  ASSERT_TRUE(rig.broker.port(0)
+                  ->remote_put(kVm, PoolType::kPersistent, 1, 1, 43)
+                  .ok());
 
   rig.broker.stop();
   EXPECT_EQ(rig.broker.fabric().totals().cancelled_timers, 1u);
@@ -85,14 +88,16 @@ TEST(LendTeardownTest, StopIsIdempotentAndCountsOnlyPendingTimers) {
 
 TEST(LendTeardownTest, TrafficAfterStopRearmsTheFabric) {
   AsyncRig rig;
-  ASSERT_TRUE(
-      rig.broker.port(0)->remote_put(kVm, PoolType::kPersistent, 1, 0, 42));
+  ASSERT_TRUE(rig.broker.port(0)
+                  ->remote_put(kVm, PoolType::kPersistent, 1, 0, 42)
+                  .ok());
   rig.broker.stop();
   // stop() is teardown, not poison: a put issued afterwards (e.g. by a
   // straggler event already in the queue) still round-trips and tracks its
   // own completion timer.
-  ASSERT_TRUE(
-      rig.broker.port(0)->remote_put(kVm, PoolType::kPersistent, 1, 1, 43));
+  ASSERT_TRUE(rig.broker.port(0)
+                  ->remote_put(kVm, PoolType::kPersistent, 1, 1, 43)
+                  .ok());
   EXPECT_EQ(rig.broker.fabric().in_flight(0), 1u);
   rig.sim.run();
   EXPECT_EQ(rig.broker.fabric().in_flight(0), 0u);
@@ -133,8 +138,10 @@ TEST(LendTeardownTest, ClusterTeardownCancelsMidFlightBorrows) {
   bool placed = true;
   cluster.node(0).simulator().schedule(0, [&] {
     for (std::uint32_t i = 0; i < 3; ++i) {
-      placed = placed && broker->port(0)->remote_put(
-                             kVm, PoolType::kPersistent, 1, i, 100 + i);
+      placed = placed && broker->port(0)
+                             ->remote_put(kVm, PoolType::kPersistent, 1, i,
+                                          100 + i)
+                             .ok();
     }
   });
 

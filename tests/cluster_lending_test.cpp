@@ -92,7 +92,8 @@ TEST_F(LendingBrokerTest, BarrierLeasesEveryLendableFrameAsCredit) {
 TEST_F(LendingBrokerTest, NoCreditBeforeTheFirstBarrier) {
   LendingBroker fresh({&borrower_, &donor_});
   EXPECT_EQ(fresh.credit(0, 1), 0u);
-  EXPECT_FALSE(fresh.port(0)->remote_put(kVm, PoolType::kPersistent, 1, 0, 42));
+  EXPECT_FALSE(
+      fresh.port(0)->remote_put(kVm, PoolType::kPersistent, 1, 0, 42).ok());
   EXPECT_EQ(fresh.failed_placements(), 1u);
 }
 
@@ -104,24 +105,25 @@ TEST_F(LendingBrokerTest, DonorWithUnlimitedQuotaLendsNothing) {
   EXPECT_EQ(donor_.lent_pages(), 0u);
   EXPECT_EQ(broker_.credit(0, 1), 0u);
   EXPECT_FALSE(
-      broker_.port(0)->remote_put(kVm, PoolType::kPersistent, 1, 0, 42));
+      broker_.port(0)->remote_put(kVm, PoolType::kPersistent, 1, 0, 42).ok());
   EXPECT_EQ(broker_.borrow_placements(), 0u);
   EXPECT_EQ(broker_.recalls(), 0u);  // shedding credit recalls nothing
 }
 
 TEST_F(LendingBrokerTest, PersistentBorrowRoundTripsAndStays) {
   ASSERT_TRUE(
-      broker_.port(0)->remote_put(kVm, PoolType::kPersistent, 1, 0, 42));
+      broker_.port(0)->remote_put(kVm, PoolType::kPersistent, 1, 0, 42).ok());
   EXPECT_EQ(broker_.borrowed_total(0), 1u);
   EXPECT_EQ(broker_.credit(0, 1), kLendable - 1);
   EXPECT_TRUE(broker_.port(0)->owns(kVm, PoolType::kPersistent, 1, 0));
 
   // Persistent-typed pages survive gets: two hits, page still owned.
   for (int i = 0; i < 2; ++i) {
-    const auto payload =
+    const hyper::TmemOp got =
         broker_.port(0)->remote_get(kVm, PoolType::kPersistent, 1, 0);
-    ASSERT_TRUE(payload.has_value());
-    EXPECT_EQ(*payload, 42u);
+    ASSERT_TRUE(got.ok());
+    EXPECT_EQ(got.payload, 42u);
+    EXPECT_EQ(got.tier, tmem::Tier::kRemote);
   }
   EXPECT_EQ(broker_.borrow_hits(), 2u);
   EXPECT_TRUE(broker_.port(0)->owns(kVm, PoolType::kPersistent, 1, 0));
@@ -131,18 +133,19 @@ TEST_F(LendingBrokerTest, PersistentBorrowRoundTripsAndStays) {
 
 TEST_F(LendingBrokerTest, EphemeralBorrowIsAVictimCache) {
   ASSERT_TRUE(
-      broker_.port(0)->remote_put(kVm, PoolType::kEphemeral, 1, 0, 7));
+      broker_.port(0)->remote_put(kVm, PoolType::kEphemeral, 1, 0, 7).ok());
   // The hit consumes the page: the index forgets and the frame is queued
   // for return to the donor.
-  const auto hit = broker_.port(0)->remote_get(kVm, PoolType::kEphemeral, 1, 0);
-  ASSERT_TRUE(hit.has_value());
-  EXPECT_EQ(*hit, 7u);
+  const hyper::TmemOp hit =
+      broker_.port(0)->remote_get(kVm, PoolType::kEphemeral, 1, 0);
+  ASSERT_TRUE(hit.ok());
+  EXPECT_EQ(hit.payload, 7u);
   EXPECT_FALSE(broker_.port(0)->owns(kVm, PoolType::kEphemeral, 1, 0));
   EXPECT_EQ(broker_.borrowed_total(0), 0u);
   EXPECT_EQ(broker_.unsettled_releases(0, 1), 1u);
   expect_lease_balanced();
-  EXPECT_FALSE(
-      broker_.port(0)->remote_get(kVm, PoolType::kEphemeral, 1, 0).has_value());
+  EXPECT_EQ(broker_.port(0)->remote_get(kVm, PoolType::kEphemeral, 1, 0).status,
+            hyper::OpStatus::kNotFound);
   EXPECT_EQ(broker_.borrow_misses(), 1u);
 
   // The barrier settles the release and hands the frame out again.
@@ -154,23 +157,26 @@ TEST_F(LendingBrokerTest, EphemeralBorrowIsAVictimCache) {
 
 TEST_F(LendingBrokerTest, ReplacementPutStaysOnItsDonorWithoutNewFrame) {
   ASSERT_TRUE(
-      broker_.port(0)->remote_put(kVm, PoolType::kPersistent, 1, 0, 42));
+      broker_.port(0)->remote_put(kVm, PoolType::kPersistent, 1, 0, 42).ok());
   ASSERT_TRUE(
-      broker_.port(0)->remote_put(kVm, PoolType::kPersistent, 1, 0, 43));
+      broker_.port(0)->remote_put(kVm, PoolType::kPersistent, 1, 0, 43).ok());
   EXPECT_EQ(broker_.borrowed_total(0), 1u);
   EXPECT_EQ(broker_.borrow_placements(), 1u);
   EXPECT_EQ(broker_.credit(0, 1), kLendable - 1);
-  EXPECT_EQ(*broker_.port(0)->remote_get(kVm, PoolType::kPersistent, 1, 0),
-            43u);
+  const hyper::TmemOp got =
+      broker_.port(0)->remote_get(kVm, PoolType::kPersistent, 1, 0);
+  EXPECT_TRUE(got.ok());
+  EXPECT_EQ(got.payload, 43u);
 }
 
 TEST_F(LendingBrokerTest, FlushQueuesReleasesAndFlushObjectIsRanged) {
   for (std::uint32_t i = 0; i < 3; ++i) {
-    ASSERT_TRUE(
-        broker_.port(0)->remote_put(kVm, PoolType::kPersistent, 5, i, 100 + i));
+    ASSERT_TRUE(broker_.port(0)
+                    ->remote_put(kVm, PoolType::kPersistent, 5, i, 100 + i)
+                    .ok());
   }
   ASSERT_TRUE(
-      broker_.port(0)->remote_put(kVm, PoolType::kPersistent, 6, 0, 200));
+      broker_.port(0)->remote_put(kVm, PoolType::kPersistent, 6, 0, 200).ok());
   EXPECT_EQ(broker_.credit(0, 1), kLendable - 4);
 
   EXPECT_TRUE(broker_.port(0)->remote_flush(kVm, PoolType::kPersistent, 5, 1));
@@ -196,9 +202,11 @@ TEST_F(LendingBrokerTest, FlushQueuesReleasesAndFlushObjectIsRanged) {
 
 TEST_F(LendingBrokerTest, ReleaseBorrowedDropsOnlyEphemeralEntries) {
   ASSERT_TRUE(
-      broker_.port(0)->remote_put(kVm, PoolType::kPersistent, 1, 0, 42));
-  ASSERT_TRUE(broker_.port(0)->remote_put(kVm, PoolType::kEphemeral, 2, 0, 7));
-  ASSERT_TRUE(broker_.port(0)->remote_put(kVm, PoolType::kEphemeral, 2, 1, 8));
+      broker_.port(0)->remote_put(kVm, PoolType::kPersistent, 1, 0, 42).ok());
+  ASSERT_TRUE(
+      broker_.port(0)->remote_put(kVm, PoolType::kEphemeral, 2, 0, 7).ok());
+  ASSERT_TRUE(
+      broker_.port(0)->remote_put(kVm, PoolType::kEphemeral, 2, 1, 8).ok());
 
   EXPECT_EQ(broker_.port(0)->release_borrowed(16), 2u);
   EXPECT_EQ(broker_.borrowed_total(0), 1u);
@@ -213,11 +221,11 @@ TEST_F(LendingBrokerTest, ReleaseBorrowedDropsOnlyEphemeralEntries) {
 // it, it has no lendable frame and its lease is within its cap.
 TEST_F(LendingBrokerTest, ReleaseOnlyWindowIsSettledAtTheNextBarrier) {
   hyper::RemoteTmem& port = *broker_.port(0);
-  ASSERT_TRUE(port.remote_put(kVm, PoolType::kPersistent, 1, 0, 10));
-  ASSERT_TRUE(port.remote_put(kVm, PoolType::kPersistent, 2, 0, 20));
-  ASSERT_TRUE(port.remote_put(kVm, PoolType::kPersistent, 2, 1, 21));
-  ASSERT_TRUE(port.remote_put(kVm, PoolType::kEphemeral, 3, 0, 30));
-  ASSERT_TRUE(port.remote_put(kVm, PoolType::kEphemeral, 4, 0, 40));
+  ASSERT_TRUE(port.remote_put(kVm, PoolType::kPersistent, 1, 0, 10).ok());
+  ASSERT_TRUE(port.remote_put(kVm, PoolType::kPersistent, 2, 0, 20).ok());
+  ASSERT_TRUE(port.remote_put(kVm, PoolType::kPersistent, 2, 1, 21).ok());
+  ASSERT_TRUE(port.remote_put(kVm, PoolType::kEphemeral, 3, 0, 30).ok());
+  ASSERT_TRUE(port.remote_put(kVm, PoolType::kEphemeral, 4, 0, 40).ok());
   broker_.sync_window();
 
   struct Release {
@@ -250,8 +258,9 @@ TEST_F(LendingBrokerTest, ReleaseOnlyWindowIsSettledAtTheNextBarrier) {
 
 TEST_F(LendingBrokerTest, RecallMigratesPersistentPagesHome) {
   ASSERT_TRUE(
-      broker_.port(0)->remote_put(kVm, PoolType::kPersistent, 1, 0, 42));
-  ASSERT_TRUE(broker_.port(0)->remote_put(kVm, PoolType::kEphemeral, 2, 0, 7));
+      broker_.port(0)->remote_put(kVm, PoolType::kPersistent, 1, 0, 42).ok());
+  ASSERT_TRUE(
+      broker_.port(0)->remote_put(kVm, PoolType::kEphemeral, 2, 0, 7).ok());
   broker_.sync_window();  // the peak is sampled at barriers
   EXPECT_EQ(broker_.peak_borrowed(), 2u);
 
@@ -266,15 +275,17 @@ TEST_F(LendingBrokerTest, RecallMigratesPersistentPagesHome) {
   expect_lease_balanced();
 
   // The migrated page now hits locally through the normal hypercall path.
-  const auto local = borrower_.frontswap_get(kVm, 1, 0);
-  ASSERT_TRUE(local.has_value());
-  EXPECT_EQ(*local, 42u);
+  const hyper::TmemOp local = borrower_.get(kVm, PoolType::kPersistent, 1, 0);
+  ASSERT_TRUE(local.ok());
+  EXPECT_EQ(local.payload, 42u);
+  EXPECT_EQ(local.tier, tmem::Tier::kDram);
 }
 
 TEST_F(LendingBrokerTest, EntitlementGrowthShedsCreditBeforeRecalling) {
   for (std::uint32_t i = 0; i < 3; ++i) {
-    ASSERT_TRUE(
-        broker_.port(0)->remote_put(kVm, PoolType::kPersistent, 1, i, 10 + i));
+    ASSERT_TRUE(broker_.port(0)
+                    ->remote_put(kVm, PoolType::kPersistent, 1, i, 10 + i)
+                    .ok());
   }
   // Entitlement 40 leaves room to lend 24: the 8 surplus frames come out
   // of unused credit alone, and no borrowed page moves.
@@ -301,11 +312,11 @@ TEST_F(LendingBrokerTest, PlacementFailsOnceWindowCreditRunsOut) {
   broker_.sync_window();
   ASSERT_EQ(broker_.credit(0, 1), 2u);
   EXPECT_TRUE(
-      broker_.port(0)->remote_put(kVm, PoolType::kPersistent, 1, 0, 42));
+      broker_.port(0)->remote_put(kVm, PoolType::kPersistent, 1, 0, 42).ok());
   EXPECT_TRUE(
-      broker_.port(0)->remote_put(kVm, PoolType::kPersistent, 1, 1, 43));
+      broker_.port(0)->remote_put(kVm, PoolType::kPersistent, 1, 1, 43).ok());
   EXPECT_FALSE(
-      broker_.port(0)->remote_put(kVm, PoolType::kPersistent, 1, 2, 44));
+      broker_.port(0)->remote_put(kVm, PoolType::kPersistent, 1, 2, 44).ok());
   EXPECT_EQ(broker_.failed_placements(), 1u);
   expect_lease_balanced();
 }
@@ -359,7 +370,8 @@ TEST_F(LendingSplitTest, RemainderGoesToLowestBorrowerIds) {
 // keeps its credits and its lease across barriers.
 TEST_F(LendingSplitTest, ChargedDonorIsResplitAndCleanDonorStands) {
   // Borrower 3's rotation starts at node 0: the placement charges donor 0.
-  ASSERT_TRUE(broker_->port(3)->remote_put(kVm, PoolType::kPersistent, 1, 0, 9));
+  ASSERT_TRUE(
+      broker_->port(3)->remote_put(kVm, PoolType::kPersistent, 1, 0, 9).ok());
   ASSERT_EQ(credits(0), (std::vector<PageCount>{4, 3, 2}));
   for (int barrier = 0; barrier < 3; ++barrier) {
     SCOPED_TRACE(barrier);
@@ -390,7 +402,7 @@ TEST_F(LendingSplitTest, QuotaChangeResplitsAnUntouchedDonor) {
 
 // End-to-end Algorithm 1 fallback: a physically full node below its quota
 // sends the overflow put to a donor over the lending fabric and reads it
-// back at the remote tier, and the hypervisor reports the fabric time the
+// back at the remote tier, and each hypercall returns the fabric time the
 // guest is charged.
 TEST(LendingIntegrationTest, FullNodeBelowQuotaSpillsToDonor) {
   sim::Simulator sim;
@@ -406,35 +418,42 @@ TEST(LendingIntegrationTest, FullNodeBelowQuotaSpillsToDonor) {
   broker.sync_window();
 
   for (std::uint32_t i = 0; i < 8; ++i) {
-    ASSERT_EQ(borrower.frontswap_put(kVm, 1, i, 1000 + i),
-              hyper::OpStatus::kSuccess);
+    const hyper::TmemOp local =
+        borrower.put(kVm, PoolType::kPersistent, 1, i, 1000 + i);
+    ASSERT_TRUE(local.ok());
+    EXPECT_EQ(local.tier, tmem::Tier::kDram);
+    EXPECT_EQ(local.fabric, 0);
   }
   EXPECT_EQ(borrower.remote_puts(), 0u);
 
   // Ninth page: store full, zero ephemerals to recycle, quota headroom left.
-  tmem::Tier tier = tmem::Tier::kDram;
-  ASSERT_EQ(borrower.frontswap_put(kVm, 1, 8, 1008, &tier),
-            hyper::OpStatus::kSuccess);
-  EXPECT_EQ(tier, tmem::Tier::kRemote);
+  const hyper::TmemOp put =
+      borrower.put(kVm, PoolType::kPersistent, 1, 8, 1008);
+  ASSERT_TRUE(put.ok());
+  EXPECT_EQ(put.tier, tmem::Tier::kRemote);
   EXPECT_EQ(borrower.remote_puts(), 1u);
   // Default lending hops: 40 us each way plus the donor's 5 us service.
-  EXPECT_EQ(borrower.remote_op_elapsed(), 2 * 40 * kMicrosecond +
-                                              5 * kMicrosecond);
+  constexpr SimTime kRoundTrip = 2 * 40 * kMicrosecond + 5 * kMicrosecond;
+  EXPECT_EQ(put.fabric, kRoundTrip);
   EXPECT_EQ(broker.borrowed_total(0), 1u);
   EXPECT_EQ(broker.credit(0, 1), kLendable - 1);
   EXPECT_EQ(borrower.own_used_total(), 9u);
 
-  const auto back = borrower.frontswap_get(kVm, 1, 8, &tier);
-  ASSERT_TRUE(back.has_value());
-  EXPECT_EQ(*back, 1008u);
-  EXPECT_EQ(tier, tmem::Tier::kRemote);
+  const hyper::TmemOp back = borrower.get(kVm, PoolType::kPersistent, 1, 8);
+  ASSERT_TRUE(back.ok());
+  EXPECT_EQ(back.payload, 1008u);
+  EXPECT_EQ(back.tier, tmem::Tier::kRemote);
   EXPECT_EQ(borrower.remote_gets(), 1u);
-  EXPECT_GT(borrower.remote_op_elapsed(), 0);
+  // Issued at the same sim instant as the put, the get waits out the put's
+  // service at the donor.
+  EXPECT_EQ(back.fabric, kRoundTrip + 5 * kMicrosecond);
 
-  // At the quota wall the remote fallback stops too.
+  // At the quota wall the remote fallback stops too, without a round trip.
   borrower.set_node_quota(9);
-  EXPECT_EQ(borrower.frontswap_put(kVm, 1, 9, 1009),
-            hyper::OpStatus::kNoCapacity);
+  const hyper::TmemOp rejected =
+      borrower.put(kVm, PoolType::kPersistent, 1, 9, 1009);
+  EXPECT_EQ(rejected.status, hyper::OpStatus::kNoCapacity);
+  EXPECT_EQ(rejected.fabric, 0);
 }
 
 }  // namespace

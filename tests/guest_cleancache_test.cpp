@@ -127,7 +127,7 @@ TEST(CleancacheTest, HypervisorMayDropEphemeralPagesUnderPressure) {
     t = rig.kernel->file_read(1, i, t).end;
   }
   for (std::uint32_t i = 0; i < 16; ++i) {
-    ASSERT_EQ(rig.hyp->frontswap_put(2, 0, i, i), hyper::OpStatus::kSuccess);
+    ASSERT_TRUE(rig.hyp->put(2, tmem::PoolType::kPersistent, 0, i, i).ok());
   }
   EXPECT_EQ(rig.hyp->tmem_used(1), 0u);  // every ephemeral page sacrificed
   // Guest re-reads simply miss and fall back to disk: no data loss.

@@ -35,6 +35,59 @@ struct Rig {
   }
 };
 
+// The one map from a put or get hypercall's outcome to guest time. Every
+// cost field is distinct, so a put/get or tier mix-up changes the charge.
+TEST(GuestCostTest, ChargesEachTmemOpOutcome) {
+  CostModel costs;
+  costs.tmem_put = 6 * kMicrosecond;
+  costs.tmem_get = 7 * kMicrosecond;
+  costs.tmem_put_nvm = 18 * kMicrosecond;
+  costs.tmem_get_nvm = 14 * kMicrosecond;
+  costs.tmem_put_compressed = 9 * kMicrosecond;
+  costs.tmem_get_compressed = 8 * kMicrosecond;
+  costs.tmem_put_failed = 3 * kMicrosecond;
+  // A fault-free lending round trip (2 x 40 us hops + 5 us donor service)
+  // and the default give-up budget (3 attempts x 2 ms timeout).
+  constexpr SimTime kRtt = 85 * kMicrosecond;
+  constexpr SimTime kGiveUp = 3 * 2 * kMillisecond;
+
+  using hyper::OpStatus;
+  using tmem::Tier;
+  constexpr SimTime us = kMicrosecond;
+  struct Case {
+    const char* name;
+    bool put;
+    hyper::TmemOp op;
+    SimTime charge;
+  };
+  const Case cases[] = {
+      {"put dram", true, {OpStatus::kSuccess, Tier::kDram}, 6 * us},
+      {"put compressed", true, {OpStatus::kSuccess, Tier::kCompressed}, 9 * us},
+      {"put nvm", true, {OpStatus::kSuccess, Tier::kNvm}, 18 * us},
+      {"put remote", true, {OpStatus::kSuccess, Tier::kRemote, kRtt},
+       91 * us},
+      {"put failed", true, {OpStatus::kNoCapacity}, 3 * us},
+      {"put given up", true, {OpStatus::kNoCapacity, Tier::kRemote, kGiveUp},
+       6003 * us},
+      {"get dram", false, {OpStatus::kSuccess, Tier::kDram}, 7 * us},
+      {"get compressed", false, {OpStatus::kSuccess, Tier::kCompressed},
+       8 * us},
+      {"get nvm", false, {OpStatus::kSuccess, Tier::kNvm}, 14 * us},
+      {"get remote", false, {OpStatus::kSuccess, Tier::kRemote, kRtt},
+       92 * us},
+      {"get rescued after a give-up", false,
+       {OpStatus::kSuccess, Tier::kRemote, kGiveUp}, 6007 * us},
+      {"get failed", false, {OpStatus::kBadVm}, 3 * us},
+      {"get given up", false, {OpStatus::kNotFound, Tier::kRemote, kGiveUp},
+       6003 * us},
+      {"cleancache miss", false, {OpStatus::kNotFound}, 3 * us},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    EXPECT_EQ(costs.tmem_op(c.op, c.put), c.charge);
+  }
+}
+
 TEST(GuestKernelTest, RejectsBadConfig) {
   sim::Simulator sim;
   hyper::HypervisorConfig hcfg;

@@ -8,6 +8,9 @@
 namespace smartmem::hyper {
 namespace {
 
+constexpr auto kFrontswap = tmem::PoolType::kPersistent;
+constexpr auto kCleancache = tmem::PoolType::kEphemeral;
+
 HypervisorConfig config(PageCount pages,
                         DefaultTargetMode mode = DefaultTargetMode::kUnlimited) {
   HypervisorConfig cfg;
@@ -105,13 +108,17 @@ TEST(HypervisorTest, PutGetFlushRoundTrip) {
   sim::Simulator sim;
   Hypervisor hyp(sim, config(10));
   hyp.register_vm(1);
-  EXPECT_EQ(hyp.frontswap_put(1, 0, 5, 0x1234), OpStatus::kSuccess);
+  EXPECT_EQ(hyp.put(1, kFrontswap, 0, 5, 0x1234).status, OpStatus::kSuccess);
   EXPECT_EQ(hyp.tmem_used(1), 1u);
-  EXPECT_EQ(hyp.frontswap_get(1, 0, 5), 0x1234u);
+  const TmemOp got = hyp.get(1, kFrontswap, 0, 5);
+  EXPECT_TRUE(got.ok());
+  EXPECT_EQ(got.payload, 0x1234u);
+  EXPECT_EQ(got.tier, tmem::Tier::kDram);
+  EXPECT_EQ(got.fabric, 0);
   EXPECT_EQ(hyp.tmem_used(1), 1u);  // persistent get leaves the page
-  EXPECT_EQ(hyp.frontswap_flush(1, 0, 5), OpStatus::kSuccess);
+  EXPECT_EQ(hyp.flush(1, kFrontswap, 0, 5), OpStatus::kSuccess);
   EXPECT_EQ(hyp.tmem_used(1), 0u);
-  EXPECT_EQ(hyp.frontswap_flush(1, 0, 5), OpStatus::kNotFound);
+  EXPECT_EQ(hyp.flush(1, kFrontswap, 0, 5), OpStatus::kNotFound);
 }
 
 // Algorithm 1 line 5: a put fails with E_TMEM once tmem_used >= mm_target.
@@ -120,10 +127,10 @@ TEST(HypervisorTest, PutFailsAtTarget) {
   Hypervisor hyp(sim, config(100));
   hyp.register_vm(1);
   hyp.set_targets({{1, 3}});
-  EXPECT_EQ(hyp.frontswap_put(1, 0, 0, 1), OpStatus::kSuccess);
-  EXPECT_EQ(hyp.frontswap_put(1, 0, 1, 2), OpStatus::kSuccess);
-  EXPECT_EQ(hyp.frontswap_put(1, 0, 2, 3), OpStatus::kSuccess);
-  EXPECT_EQ(hyp.frontswap_put(1, 0, 3, 4), OpStatus::kNoCapacity);
+  EXPECT_EQ(hyp.put(1, kFrontswap, 0, 0, 1).status, OpStatus::kSuccess);
+  EXPECT_EQ(hyp.put(1, kFrontswap, 0, 1, 2).status, OpStatus::kSuccess);
+  EXPECT_EQ(hyp.put(1, kFrontswap, 0, 2, 3).status, OpStatus::kSuccess);
+  EXPECT_EQ(hyp.put(1, kFrontswap, 0, 3, 4).status, OpStatus::kNoCapacity);
   const VmData& data = hyp.vm_data(1);
   EXPECT_EQ(data.puts_total, 4u);
   EXPECT_EQ(data.puts_succ, 3u);
@@ -137,9 +144,9 @@ TEST(HypervisorTest, PutFailsWhenNodeFull) {
   Hypervisor hyp(sim, config(2));
   hyp.register_vm(1);
   hyp.register_vm(2);
-  EXPECT_EQ(hyp.frontswap_put(1, 0, 0, 1), OpStatus::kSuccess);
-  EXPECT_EQ(hyp.frontswap_put(1, 0, 1, 2), OpStatus::kSuccess);
-  EXPECT_EQ(hyp.frontswap_put(2, 0, 0, 3), OpStatus::kNoCapacity);
+  EXPECT_EQ(hyp.put(1, kFrontswap, 0, 0, 1).status, OpStatus::kSuccess);
+  EXPECT_EQ(hyp.put(1, kFrontswap, 0, 1, 2).status, OpStatus::kSuccess);
+  EXPECT_EQ(hyp.put(2, kFrontswap, 0, 0, 3).status, OpStatus::kNoCapacity);
   EXPECT_EQ(hyp.free_tmem(), 0u);
 }
 
@@ -150,17 +157,17 @@ TEST(HypervisorTest, OveruseIsToleratedButBlocksFurtherPuts) {
   Hypervisor hyp(sim, config(100));
   hyp.register_vm(1);
   for (std::uint32_t i = 0; i < 10; ++i) {
-    ASSERT_EQ(hyp.frontswap_put(1, 0, i, i), OpStatus::kSuccess);
+    ASSERT_EQ(hyp.put(1, kFrontswap, 0, i, i).status, OpStatus::kSuccess);
   }
   hyp.set_targets({{1, 4}});
   EXPECT_EQ(hyp.tmem_used(1), 10u);
-  EXPECT_EQ(hyp.frontswap_put(1, 0, 99, 1), OpStatus::kNoCapacity);
+  EXPECT_EQ(hyp.put(1, kFrontswap, 0, 99, 1).status, OpStatus::kNoCapacity);
   // Release below target; puts work again.
   for (std::uint32_t i = 0; i < 7; ++i) {
-    EXPECT_EQ(hyp.frontswap_flush(1, 0, i), OpStatus::kSuccess);
+    EXPECT_EQ(hyp.flush(1, kFrontswap, 0, i), OpStatus::kSuccess);
   }
   EXPECT_EQ(hyp.tmem_used(1), 3u);
-  EXPECT_EQ(hyp.frontswap_put(1, 0, 99, 1), OpStatus::kSuccess);
+  EXPECT_EQ(hyp.put(1, kFrontswap, 0, 99, 1).status, OpStatus::kSuccess);
 }
 
 TEST(HypervisorTest, TargetsApplyPerVm) {
@@ -182,10 +189,10 @@ TEST(HypervisorTest, FlushObject) {
   Hypervisor hyp(sim, config(100));
   hyp.register_vm(1);
   for (std::uint32_t i = 0; i < 6; ++i) {
-    (void)hyp.frontswap_put(1, 7, i, i);
+    (void)hyp.put(1, kFrontswap, 7, i, i);
   }
-  (void)hyp.frontswap_put(1, 8, 0, 0);
-  EXPECT_EQ(hyp.frontswap_flush_object(1, 7), 6u);
+  (void)hyp.put(1, kFrontswap, 8, 0, 0);
+  EXPECT_EQ(hyp.flush_object(1, kFrontswap, 7), 6u);
   EXPECT_EQ(hyp.tmem_used(1), 1u);
 }
 
@@ -193,12 +200,14 @@ TEST(HypervisorTest, CleancachePutGetAreEphemeral) {
   sim::Simulator sim;
   Hypervisor hyp(sim, config(10));
   hyp.register_vm(1);
-  EXPECT_EQ(hyp.cleancache_put(1, 3, 0, 77), OpStatus::kSuccess);
+  EXPECT_EQ(hyp.put(1, kCleancache, 3, 0, 77).status, OpStatus::kSuccess);
   EXPECT_EQ(hyp.tmem_used(1), 1u);
-  EXPECT_EQ(hyp.cleancache_get(1, 3, 0), 77u);
+  const TmemOp got = hyp.get(1, kCleancache, 3, 0);
+  EXPECT_TRUE(got.ok());
+  EXPECT_EQ(got.payload, 77u);
   // Ephemeral get is destructive.
   EXPECT_EQ(hyp.tmem_used(1), 0u);
-  EXPECT_FALSE(hyp.cleancache_get(1, 3, 0).has_value());
+  EXPECT_EQ(hyp.get(1, kCleancache, 3, 0).status, OpStatus::kNotFound);
 }
 
 TEST(HypervisorTest, CleancacheCountsAgainstTheSameTarget) {
@@ -206,9 +215,9 @@ TEST(HypervisorTest, CleancacheCountsAgainstTheSameTarget) {
   Hypervisor hyp(sim, config(100));
   hyp.register_vm(1);
   hyp.set_targets({{1, 2}});
-  EXPECT_EQ(hyp.frontswap_put(1, 0, 0, 1), OpStatus::kSuccess);
-  EXPECT_EQ(hyp.cleancache_put(1, 0, 0, 2), OpStatus::kSuccess);
-  EXPECT_EQ(hyp.cleancache_put(1, 0, 1, 3), OpStatus::kNoCapacity);
+  EXPECT_EQ(hyp.put(1, kFrontswap, 0, 0, 1).status, OpStatus::kSuccess);
+  EXPECT_EQ(hyp.put(1, kCleancache, 0, 0, 2).status, OpStatus::kSuccess);
+  EXPECT_EQ(hyp.put(1, kCleancache, 0, 1, 3).status, OpStatus::kNoCapacity);
 }
 
 // A persistent put may displace ephemeral (cleancache) pages: the node only
@@ -218,9 +227,9 @@ TEST(HypervisorTest, PersistentPutDisplacesCleancache) {
   Hypervisor hyp(sim, config(2));
   hyp.register_vm(1);
   hyp.register_vm(2);
-  EXPECT_EQ(hyp.cleancache_put(1, 0, 0, 1), OpStatus::kSuccess);
-  EXPECT_EQ(hyp.cleancache_put(1, 0, 1, 2), OpStatus::kSuccess);
-  EXPECT_EQ(hyp.frontswap_put(2, 0, 0, 3), OpStatus::kSuccess);
+  EXPECT_EQ(hyp.put(1, kCleancache, 0, 0, 1).status, OpStatus::kSuccess);
+  EXPECT_EQ(hyp.put(1, kCleancache, 0, 1, 2).status, OpStatus::kSuccess);
+  EXPECT_EQ(hyp.put(2, kFrontswap, 0, 0, 3).status, OpStatus::kSuccess);
   EXPECT_EQ(hyp.tmem_used(1), 1u);
   EXPECT_EQ(hyp.tmem_used(2), 1u);
 }
@@ -228,9 +237,9 @@ TEST(HypervisorTest, PersistentPutDisplacesCleancache) {
 TEST(HypervisorTest, OpsOnUnregisteredVm) {
   sim::Simulator sim;
   Hypervisor hyp(sim, config(10));
-  EXPECT_EQ(hyp.frontswap_put(9, 0, 0, 1), OpStatus::kBadVm);
-  EXPECT_FALSE(hyp.frontswap_get(9, 0, 0).has_value());
-  EXPECT_EQ(hyp.frontswap_flush(9, 0, 0), OpStatus::kBadVm);
+  EXPECT_EQ(hyp.put(9, kFrontswap, 0, 0, 1).status, OpStatus::kBadVm);
+  EXPECT_EQ(hyp.get(9, kFrontswap, 0, 0).status, OpStatus::kBadVm);
+  EXPECT_EQ(hyp.flush(9, kFrontswap, 0, 0), OpStatus::kBadVm);
   EXPECT_THROW(hyp.vm_data(9), std::out_of_range);
 }
 
@@ -238,7 +247,7 @@ TEST(HypervisorTest, UnregisterReleasesPages) {
   sim::Simulator sim;
   Hypervisor hyp(sim, config(4));
   hyp.register_vm(1);
-  for (std::uint32_t i = 0; i < 4; ++i) (void)hyp.frontswap_put(1, 0, i, i);
+  for (std::uint32_t i = 0; i < 4; ++i) (void)hyp.put(1, kFrontswap, 0, i, i);
   EXPECT_EQ(hyp.free_tmem(), 0u);
   hyp.unregister_vm(1);
   EXPECT_EQ(hyp.free_tmem(), 4u);
@@ -250,8 +259,8 @@ TEST(HypervisorTest, SnapshotMatchesTableI) {
   hyp.register_vm(1);
   hyp.register_vm(2);
   hyp.set_targets({{1, 20}});
-  (void)hyp.frontswap_put(1, 0, 0, 1);
-  (void)hyp.frontswap_put(1, 0, 1, 2);
+  (void)hyp.put(1, kFrontswap, 0, 0, 1);
+  (void)hyp.put(1, kFrontswap, 0, 1, 2);
   const MemStats stats = hyp.snapshot();
   EXPECT_EQ(stats.total_tmem, 50u);
   EXPECT_EQ(stats.free_tmem, 48u);

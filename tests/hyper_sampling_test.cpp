@@ -9,6 +9,9 @@
 namespace smartmem::hyper {
 namespace {
 
+constexpr auto kFrontswap = tmem::PoolType::kPersistent;
+constexpr auto kCleancache = tmem::PoolType::kEphemeral;
+
 TEST(SamplingTest, VirqFiresOncePerInterval) {
   sim::Simulator sim;
   HypervisorConfig cfg;
@@ -44,7 +47,7 @@ TEST(SamplingTest, IntervalCountersResetAfterEachSample) {
 
   // 3 puts in interval 1, none in interval 2.
   sim.schedule(kMillisecond, [&] {
-    for (std::uint32_t i = 0; i < 3; ++i) (void)hyp.frontswap_put(1, 0, i, i);
+    for (std::uint32_t i = 0; i < 3; ++i) (void)hyp.put(1, kFrontswap, 0, i, i);
   });
   sim.run_until(2 * kSecond + kMillisecond);
   ASSERT_EQ(puts_per_interval.size(), 2u);
@@ -58,12 +61,11 @@ TEST(SamplingTest, SlowReclaimEvictsEphemeralOfOverTargetVm) {
   sim::Simulator sim;
   HypervisorConfig cfg;
   cfg.total_tmem_pages = 100;
-  cfg.slow_reclaim_enabled = true;
   cfg.slow_reclaim_pages_per_tick = 4;
   Hypervisor hyp(sim, cfg);
   hyp.register_vm(1);
-  for (std::uint32_t i = 0; i < 20; ++i) (void)hyp.cleancache_put(1, 0, i, i);
-  for (std::uint32_t i = 0; i < 5; ++i) (void)hyp.frontswap_put(1, 0, i, i);
+  for (std::uint32_t i = 0; i < 20; ++i) (void)hyp.put(1, kCleancache, 0, i, i);
+  for (std::uint32_t i = 0; i < 5; ++i) (void)hyp.put(1, kFrontswap, 0, i, i);
   ASSERT_EQ(hyp.tmem_used(1), 25u);
 
   hyp.set_targets({{1, 10}});
@@ -86,24 +88,27 @@ TEST(SamplingTest, SlowReclaimNeverDropsPersistentPages) {
   cfg.slow_reclaim_pages_per_tick = 100;
   Hypervisor hyp(sim, cfg);
   hyp.register_vm(1);
-  for (std::uint32_t i = 0; i < 8; ++i) (void)hyp.frontswap_put(1, 0, i, i);
+  for (std::uint32_t i = 0; i < 8; ++i) (void)hyp.put(1, kFrontswap, 0, i, i);
   hyp.set_targets({{1, 2}});
   hyp.start_sampling(nullptr);
   sim.run_until(5 * kSecond);
   EXPECT_EQ(hyp.tmem_used(1), 8u);  // untouched: all persistent
   for (std::uint32_t i = 0; i < 8; ++i) {
-    EXPECT_EQ(hyp.frontswap_get(1, 0, i), i) << "data lost by reclaim";
+    const TmemOp got = hyp.get(1, kFrontswap, 0, i);
+    EXPECT_TRUE(got.ok()) << "data lost by reclaim";
+    EXPECT_EQ(got.payload, i);
   }
 }
 
+// A reclaim rate of 0 pages per tick switches slow reclaim off.
 TEST(SamplingTest, SlowReclaimDisabled) {
   sim::Simulator sim;
   HypervisorConfig cfg;
   cfg.total_tmem_pages = 100;
-  cfg.slow_reclaim_enabled = false;
+  cfg.slow_reclaim_pages_per_tick = 0;
   Hypervisor hyp(sim, cfg);
   hyp.register_vm(1);
-  for (std::uint32_t i = 0; i < 10; ++i) (void)hyp.cleancache_put(1, 0, i, i);
+  for (std::uint32_t i = 0; i < 10; ++i) (void)hyp.put(1, kCleancache, 0, i, i);
   hyp.set_targets({{1, 1}});
   hyp.start_sampling(nullptr);
   sim.run_until(5 * kSecond);

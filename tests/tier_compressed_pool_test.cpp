@@ -269,15 +269,17 @@ TEST(CompressedHypervisorTest, TierReachesHypercallsAndStats) {
   hyper::Hypervisor hyp(sim, cfg);
   hyp.register_vm(1);
 
-  tmem::Tier tier = tmem::Tier::kNvm;
-  EXPECT_EQ(hyp.frontswap_put(1, 0, 0, 100, &tier), hyper::OpStatus::kSuccess);
-  EXPECT_EQ(tier, tmem::Tier::kDram);
-  EXPECT_EQ(hyp.frontswap_put(1, 0, 1, 101, &tier), hyper::OpStatus::kSuccess);
-  EXPECT_EQ(tier, tmem::Tier::kCompressed)
+  constexpr auto kFrontswap = tmem::PoolType::kPersistent;
+  const hyper::TmemOp first = hyp.put(1, kFrontswap, 0, 0, 100);
+  EXPECT_TRUE(first.ok());
+  EXPECT_EQ(first.tier, tmem::Tier::kDram);
+  const hyper::TmemOp second = hyp.put(1, kFrontswap, 0, 1, 101);
+  EXPECT_TRUE(second.ok());
+  EXPECT_EQ(second.tier, tmem::Tier::kCompressed)
       << "DRAM exhausted: spill into the compressed tier";
 
   // The guest charges a distinct (higher) CPU cost for compressed-tier
-  // accesses; the tier out-param above is what selects it.
+  // accesses; the tier in the hypercall's result is what selects it.
   const guest::CostModel costs;
   EXPECT_GT(costs.tmem_put_compressed, costs.tmem_put);
   EXPECT_GT(costs.tmem_get_compressed, costs.tmem_get);
@@ -289,11 +291,10 @@ TEST(CompressedHypervisorTest, TierReachesHypercallsAndStats) {
   EXPECT_EQ(stats.vm[0].tmem_used, 2u);
   EXPECT_EQ(hyp.store().vm_bytes(1), kPageSize + kPageSize / 2);
 
-  tier = tmem::Tier::kDram;
-  const auto got = hyp.frontswap_get(1, 0, 1, &tier);
-  ASSERT_TRUE(got.has_value());
-  EXPECT_EQ(*got, 101u);
-  EXPECT_EQ(tier, tmem::Tier::kCompressed);
+  const hyper::TmemOp got = hyp.get(1, kFrontswap, 0, 1);
+  ASSERT_TRUE(got.ok());
+  EXPECT_EQ(got.payload, 101u);
+  EXPECT_EQ(got.tier, tmem::Tier::kCompressed);
   EXPECT_EQ(hyp.store().stats().gets_hit_compressed, 1u);
 }
 
@@ -311,7 +312,7 @@ TEST(CompressedHypervisorTest, ByteUnitsReportByteCapacities) {
   EXPECT_EQ(empty.total_tmem, 4 * kPageSize + 2 * kPageSize);
   EXPECT_EQ(empty.free_tmem, 4 * kPageSize + 2 * kPageSize);
 
-  EXPECT_EQ(hyp.frontswap_put(1, 0, 0, 7), hyper::OpStatus::kSuccess);
+  EXPECT_TRUE(hyp.put(1, tmem::PoolType::kPersistent, 0, 0, 7).ok());
   const hyper::MemStats after = hyp.snapshot();
   EXPECT_EQ(after.free_tmem, 3 * kPageSize + 2 * kPageSize);
   EXPECT_EQ(after.vm[0].tmem_used, kPageSize) << "usage reported in bytes";

@@ -99,9 +99,10 @@ TEST(NvmHypervisorTest, CombinedTotalsReported) {
   EXPECT_EQ(stats.total_tmem, 40u);
   // Equal-share grounding and Algorithm 1 operate on the combined pool.
   for (std::uint32_t i = 0; i < 40; ++i) {
-    ASSERT_EQ(hyp.frontswap_put(1, 0, i, i), hyper::OpStatus::kSuccess);
+    ASSERT_TRUE(hyp.put(1, PoolType::kPersistent, 0, i, i).ok());
   }
-  EXPECT_EQ(hyp.frontswap_put(1, 0, 99, 1), hyper::OpStatus::kNoCapacity);
+  EXPECT_EQ(hyp.put(1, PoolType::kPersistent, 0, 99, 1).status,
+            hyper::OpStatus::kNoCapacity);
   EXPECT_EQ(hyp.tmem_used(1), 40u);
 }
 
