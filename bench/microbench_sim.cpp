@@ -5,6 +5,7 @@
 
 #include <memory>
 
+#include "common/rng.hpp"
 #include "guest/guest_kernel.hpp"
 #include "hyper/hypervisor.hpp"
 #include "sim/simulator.hpp"
@@ -80,6 +81,19 @@ void BM_GuestTouchThrashingTmem(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_GuestTouchThrashingTmem);
+
+// One zipf draw at s = 0.9 over a window of state.range(0) pages. Windows
+// up to the sampler's 4096-rank table bound are tabulated whole; past it,
+// draws in the tail take the table-free computation.
+void BM_ZipfSample(benchmark::State& state) {
+  const ZipfSampler zipf(static_cast<std::uint64_t>(state.range(0)), 0.9);
+  Rng rng(1);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(zipf.sample(rng));
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_ZipfSample)->Arg(134)->Arg(1209)->Arg(2598)->Arg(32768)->Arg(262144);
 
 }  // namespace
 

@@ -51,17 +51,9 @@ Vpn VcpuRunner::pick_vpn(const MemOp& op) {
     case AccessPattern::kUniform:
       idx = rng_.uniform(op.window_pages);
       break;
-    case AccessPattern::kZipf: {
-      const auto key = std::make_pair(
-          op.window_pages, static_cast<std::int64_t>(op.zipf_s * 1000.0));
-      auto it = zipf_cache_.find(key);
-      if (it == zipf_cache_.end()) {
-        it = zipf_cache_.emplace(key, ZipfSampler(op.window_pages, op.zipf_s))
-                 .first;
-      }
-      idx = it->second.sample(rng_);
+    case AccessPattern::kZipf:
+      idx = zipf_->sample(rng_);
       break;
-    }
     default:
       idx = 0;
   }
@@ -173,6 +165,10 @@ void VcpuRunner::run_batch() {
         release_core(t);
         finish(t);
         return;
+      }
+      if (current_op_->pattern == AccessPattern::kZipf &&
+          current_op_->window_pages > 0) {
+        zipf_.emplace(current_op_->window_pages, current_op_->zipf_s);
       }
     }
     // Sleeps release the vCPU entirely: schedule the wake-up and return.

@@ -12,7 +12,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <map>
 #include <optional>
 #include <string>
 #include <utility>
@@ -114,8 +113,9 @@ class VcpuRunner {
   std::optional<workloads::MemOp> current_op_;
   PageCount op_progress_ = 0;
 
-  // One sampler per (window, s); zipf setup is O(1) but not free.
-  std::map<std::pair<PageCount, std::int64_t>, ZipfSampler> zipf_cache_;
+  // The current zipf op's sampler, bound when the op starts; its table is
+  // shared process-wide per exact (window, s).
+  std::optional<ZipfSampler> zipf_;
 
   bool started_ = false;
   bool finished_ = false;

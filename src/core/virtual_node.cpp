@@ -147,18 +147,24 @@ std::vector<VmId> VirtualNode::vm_ids() const {
 }
 
 void VirtualNode::record_usage() {
+  if (free_series_ == nullptr) {
+    // VMs are fixed from start() on, and map nodes never move.
+    for (const VmSlot& vm : vms_) {
+      vm_series_.push_back(
+          {&usage_.series(vm.name), &usage_.series("target-" + vm.name)});
+    }
+    free_series_ = &usage_.series("free");
+  }
   const SimTime now = sim_.now();
   for (VmId id = 1; id <= vms_.size(); ++id) {
-    const auto& name = vms_[id - 1].name;
-    usage_.series(name).push(
-        now, static_cast<double>(hyp_->tmem_used(id)));
+    const VmSeries& series = vm_series_[id - 1];
+    series.used->push(now, static_cast<double>(hyp_->tmem_used(id)));
     const PageCount target = hyp_->target(id);
-    usage_.series("target-" + name)
-        .push(now, target == kUnlimitedTarget
-                       ? static_cast<double>(config_.tmem_pages)
-                       : static_cast<double>(target));
+    series.target->push(now, target == kUnlimitedTarget
+                                 ? static_cast<double>(config_.tmem_pages)
+                                 : static_cast<double>(target));
   }
-  usage_.series("free").push(now, static_cast<double>(hyp_->free_tmem()));
+  free_series_->push(now, static_cast<double>(hyp_->free_tmem()));
 }
 
 void VirtualNode::wire_observability() {

@@ -226,6 +226,14 @@ class VirtualNode {
   std::vector<VmSlot> vms_;  // index = VmId - 1
   NodeMarkerHook marker_hook_;
   SeriesSet usage_;
+  // Each VM's usage and target series and the free series in usage_,
+  // resolved at the first sample.
+  struct VmSeries {
+    TimeSeries* used;
+    TimeSeries* target;
+  };
+  std::vector<VmSeries> vm_series_;
+  TimeSeries* free_series_ = nullptr;
   sim::EventHandle usage_sampler_;
   StatsTap stats_tap_;
   bool started_ = false;

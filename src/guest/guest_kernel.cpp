@@ -26,20 +26,25 @@ GuestKernel::GuestKernel(sim::Simulator& sim, hyper::Hypervisor& hypervisor,
       hyp_(hypervisor),
       disk_(disk),
       config_([&] {
+        // Checked before frames_ and swap_ size anything by these numbers.
         GuestConfig c = config;
         if (c.kernel_reserved_pages == 0) {
           c.kernel_reserved_pages = c.ram_pages / 8;  // ~12% for kernel+services
         }
+        if (c.ram_pages <= c.kernel_reserved_pages) {
+          throw std::invalid_argument("GuestKernel: reserved pages exceed RAM");
+        }
         const PageCount usable = c.ram_pages - c.kernel_reserved_pages;
+        if (usable > mem::PageTableEntry::kFrameLimit) {
+          throw std::invalid_argument(
+              "GuestKernel: usable RAM exceeds the page table's frame field");
+        }
         if (c.low_watermark == 0) c.low_watermark = usable / 64 + 32;
         if (c.high_watermark == 0) c.high_watermark = c.low_watermark + usable / 128;
         return c;
       }()),
       frames_(config_.ram_pages - config_.kernel_reserved_pages),
       swap_(config_.swap_slots) {
-  if (config_.ram_pages <= config_.kernel_reserved_pages) {
-    throw std::invalid_argument("GuestKernel: reserved pages exceed RAM");
-  }
   if (!hyp_.vm_registered(config_.vm)) {
     throw std::invalid_argument("GuestKernel: VM not registered with hypervisor");
   }
@@ -117,19 +122,19 @@ SimTime GuestKernel::free_region(mem::AddressSpace::Id asid, Vpn base,
   SimTime t = start;
   for (PageCount i = 0; i < pages; ++i) {
     mem::PageTableEntry& pte = as.entry(base + i);
-    switch (pte.state) {
+    switch (pte.state()) {
       case mem::PageState::kResident:
-        lru_.remove(pte.frame);
-        frames_.free(pte.frame);
+        lru_.remove(pte.frame());
+        frames_.free(pte.frame());
         as.note_resident_delta(-1);
-        pte.frame = kInvalidPfn;
-        if (pte.clean_in_swap) {
+        pte.set_frame(kInvalidPfn);
+        if (pte.clean_in_swap()) {
           if (swap_.in_frontswap(pte.slot)) {
             hyp_.flush(config_.vm, kFrontswap, kSwapObject, pte.slot);
             t += config_.costs.tmem_flush;
           }
           release_slot(pte.slot);
-          pte.clean_in_swap = false;
+          pte.set_clean_in_swap(false);
         }
         t += config_.costs.reclaim_per_page;
         break;
@@ -147,7 +152,7 @@ SimTime GuestKernel::free_region(mem::AddressSpace::Id asid, Vpn base,
       case mem::PageState::kUnmapped:
         break;
     }
-    pte.state = mem::PageState::kUntouched;  // normalized for unmap assert
+    pte.set_state(mem::PageState::kUntouched);  // normalized for unmap assert
     pte.slot = mem::kInvalidSlot;
   }
   as.unmap_region(base, pages);
@@ -201,10 +206,10 @@ bool GuestKernel::evict_one(SimTime& t) {
       const auto asid = key_asid(key);
       const Vpn vpn = key_vpn(key);
       mem::PageTableEntry& pte = space(asid).entry(vpn);
-      assert(pte.state == mem::PageState::kResident &&
-             pte.frame == victim->frame);
-      if (pte.referenced) {
-        pte.referenced = false;
+      assert(pte.state() == mem::PageState::kResident &&
+             pte.frame() == victim->frame);
+      if (pte.referenced()) {
+        pte.set_referenced(false);
         lru_.insert(victim->frame, key);  // second chance
         continue;
       }
@@ -233,13 +238,13 @@ void GuestKernel::swap_out_anon(SimTime& t, mem::AddressSpace::Id asid,
   // Swap-cache fast path: the slot still holds an identical copy (the page
   // was swapped in but never re-dirtied), so eviction is free — drop the
   // frame and point back at the existing slot.
-  if (pte.clean_in_swap) {
+  if (pte.clean_in_swap()) {
     assert(pte.slot != mem::kInvalidSlot);
-    frames_.free(pte.frame);
+    frames_.free(pte.frame());
     as.note_resident_delta(-1);
-    pte.state = mem::PageState::kSwapped;
-    pte.frame = kInvalidPfn;
-    pte.clean_in_swap = false;
+    pte.set_state(mem::PageState::kSwapped);
+    pte.set_frame(kInvalidPfn);
+    pte.set_clean_in_swap(false);
     ++stats_.swapouts_clean;
     return;
   }
@@ -274,10 +279,10 @@ void GuestKernel::swap_out_anon(SimTime& t, mem::AddressSpace::Id asid,
   }
   swap_.set_in_frontswap(*slot, in_tmem);
 
-  frames_.free(pte.frame);
+  frames_.free(pte.frame());
   as.note_resident_delta(-1);
-  pte.state = mem::PageState::kSwapped;
-  pte.frame = kInvalidPfn;
+  pte.set_state(mem::PageState::kSwapped);
+  pte.set_frame(kInvalidPfn);
   pte.slot = *slot;
 }
 
@@ -299,17 +304,17 @@ PageCount GuestKernel::swap_readahead_cluster(mem::SwapSlot slot) {
     const auto o_asid = key_asid(owner);
     const Vpn o_vpn = key_vpn(owner);
     mem::PageTableEntry& pte = space(o_asid).entry(o_vpn);
-    if (pte.state != mem::PageState::kSwapped || pte.slot != neighbour) {
+    if (pte.state() != mem::PageState::kSwapped || pte.slot != neighbour) {
       continue;  // stale mapping (page already resident via swap cache)
     }
     const auto frame = frames_.allocate();
     if (!frame) break;
     assert(swap_.in_use(neighbour) && !swap_.in_frontswap(neighbour));
     assert(swap_.load_disk_content(neighbour) == pte.content);
-    pte.state = mem::PageState::kResident;
-    pte.frame = *frame;
-    pte.clean_in_swap = true;  // the slot keeps its copy
-    pte.referenced = false;    // speculative: not actually touched yet
+    pte.set_state(mem::PageState::kResident);
+    pte.set_frame(*frame);
+    pte.set_clean_in_swap(true);  // the slot keeps its copy
+    pte.set_referenced(false);    // speculative: not actually touched yet
     lru_.insert(*frame, owner);
     space(o_asid).note_resident_delta(+1);
     ++brought;
@@ -346,7 +351,7 @@ TouchResult GuestKernel::touch(mem::AddressSpace::Id asid, Vpn vpn, bool write,
   SimTime t = start;
   TouchOutcome outcome = TouchOutcome::kResidentHit;
 
-  switch (pte.state) {
+  switch (pte.state()) {
     case mem::PageState::kResident:
       break;  // hardware sets the accessed bit below; no kernel involvement
 
@@ -355,8 +360,8 @@ TouchResult GuestKernel::touch(mem::AddressSpace::Id asid, Vpn vpn, bool write,
       ++stats_.zero_fills;
       t += config_.costs.fault_overhead + config_.costs.zero_fill;
       const Pfn frame = obtain_frame(t);
-      pte.state = mem::PageState::kResident;
-      pte.frame = frame;
+      pte.set_state(mem::PageState::kResident);
+      pte.set_frame(frame);
       pte.content = 0;  // fresh zero page
       lru_.insert(frame, anon_key(asid, vpn));
       as.note_resident_delta(+1);
@@ -388,10 +393,10 @@ TouchResult GuestKernel::touch(mem::AddressSpace::Id asid, Vpn vpn, bool write,
           t += config_.costs.tmem_flush;
           release_slot(slot);
           pte.slot = mem::kInvalidSlot;
-          pte.clean_in_swap = false;
+          pte.set_clean_in_swap(false);
         } else {
           // Swap-cache mode: the tmem copy stays valid until re-dirty.
-          pte.clean_in_swap = true;
+          pte.set_clean_in_swap(true);
         }
       } else {
         const auto content = swap_.load_disk_content(slot);
@@ -405,10 +410,10 @@ TouchResult GuestKernel::touch(mem::AddressSpace::Id asid, Vpn vpn, bool write,
         ++stats_.swapins_disk;
         outcome = TouchOutcome::kDiskSwapIn;
         // Disk-backed slots always stay in the swap cache until re-dirty.
-        pte.clean_in_swap = true;
+        pte.set_clean_in_swap(true);
       }
-      pte.state = mem::PageState::kResident;
-      pte.frame = frame;
+      pte.set_state(mem::PageState::kResident);
+      pte.set_frame(frame);
       lru_.insert(frame, anon_key(asid, vpn));
       as.note_resident_delta(+1);
       break;
@@ -418,9 +423,9 @@ TouchResult GuestKernel::touch(mem::AddressSpace::Id asid, Vpn vpn, bool write,
       throw std::logic_error("GuestKernel::touch: access to unmapped page");
   }
 
-  pte.referenced = true;
+  pte.set_referenced(true);
   if (write) {
-    if (pte.clean_in_swap) {
+    if (pte.clean_in_swap()) {
       // Re-dirtying drops the page from the swap cache: the stale copy is
       // invalidated (the explicit tmem flush of Section II-B) and the swap
       // slot is released.
@@ -430,7 +435,7 @@ TouchResult GuestKernel::touch(mem::AddressSpace::Id asid, Vpn vpn, bool write,
       }
       release_slot(pte.slot);
       pte.slot = mem::kInvalidSlot;
-      pte.clean_in_swap = false;
+      pte.set_clean_in_swap(false);
     }
     const std::uint64_t serial = next_content_++;
     const bool zero_page = config_.zero_write_period != 0 &&
@@ -506,7 +511,7 @@ PageContent GuestKernel::page_content(mem::AddressSpace::Id asid,
 
 mem::PageState GuestKernel::page_state(mem::AddressSpace::Id asid,
                                        Vpn vpn) const {
-  return space(asid).entry(vpn).state;
+  return space(asid).entry(vpn).state();
 }
 
 }  // namespace smartmem::guest

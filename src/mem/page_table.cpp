@@ -9,7 +9,7 @@ Vpn AddressSpace::map_region(PageCount pages) {
   const Vpn base = table_.size();
   table_.resize(table_.size() + pages);
   for (PageCount i = 0; i < pages; ++i) {
-    table_[base + i].state = PageState::kUntouched;
+    table_[base + i].set_state(PageState::kUntouched);
   }
   return base;
 }
@@ -18,7 +18,7 @@ void AddressSpace::unmap_region(Vpn base, PageCount pages) {
   assert(base + pages <= table_.size());
   for (PageCount i = 0; i < pages; ++i) {
     PageTableEntry& pte = table_[base + i];
-    assert(pte.state != PageState::kResident &&
+    assert(pte.state() != PageState::kResident &&
            "guest kernel must release frames before unmap");
     assert(pte.slot == kInvalidSlot &&
            "guest kernel must release swap slots before unmap");
@@ -41,7 +41,7 @@ const PageTableEntry& AddressSpace::entry(Vpn vpn) const {
 }
 
 bool AddressSpace::valid(Vpn vpn) const {
-  return vpn < table_.size() && table_[vpn].state != PageState::kUnmapped;
+  return vpn < table_.size() && table_[vpn].state() != PageState::kUnmapped;
 }
 
 void AddressSpace::note_resident_delta(std::int64_t delta) {

@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 
 #include "workloads/script_workload.hpp"
@@ -41,6 +42,41 @@ struct Rig {
                       std::make_unique<ScriptWorkload>(std::move(ops)), cfg);
   }
 };
+
+// What a run leaves in the guest: each page's content token and state, and
+// the guest counters.
+struct GuestImage {
+  std::vector<PageContent> contents;
+  std::vector<mem::PageState> states;
+  std::vector<std::uint64_t> counters;
+  bool operator==(const GuestImage&) const = default;
+};
+
+GuestImage run_image(std::vector<MemOp> ops, SimTime batch_budget,
+                     PageCount pages) {
+  Rig rig;
+  VcpuConfig cfg;
+  cfg.batch_budget = batch_budget;
+  cfg.rng_seed = 11;
+  auto runner = rig.make_runner(std::move(ops), cfg);
+  runner.start(0);
+  rig.sim.run();
+  EXPECT_TRUE(runner.finished());
+  GuestImage image;
+  const mem::AddressSpace::Id asid = 0;  // the runner's, the kernel's first
+  for (Vpn v = 0; v < pages; ++v) {
+    image.contents.push_back(rig.kernel->page_content(asid, v));
+    image.states.push_back(rig.kernel->page_state(asid, v));
+  }
+  const guest::GuestStats& st = rig.kernel->stats();
+  image.counters = {st.touches,       st.faults,
+                    st.zero_fills,    st.swapins_tmem,
+                    st.swapins_disk,  st.swapins_readahead,
+                    st.swapouts_tmem, st.swapouts_disk,
+                    st.swapouts_clean, st.reclaim_runs,
+                    st.pages_reclaimed};
+  return image;
+}
 
 TEST(VcpuTest, NullWorkloadRejected) {
   Rig rig;
@@ -178,6 +214,63 @@ TEST(VcpuTest, DeterministicForSameSeed) {
   };
   EXPECT_EQ(run_once(7), run_once(7));
   EXPECT_NE(run_once(7), run_once(8));
+}
+
+// Random ops cut into one-touch batches must draw exactly what one long
+// batch draws, leaving the guest in the same state: a batch end may not
+// drop, repeat or reorder a draw.
+TEST(VcpuTest, DrawOrderSurvivesBatchBoundaries) {
+  const std::vector<MemOp> ops = {
+      MemOp::alloc(96),
+      MemOp::touch(0, 0, 96, 1500, AccessPattern::kZipf, true, 300, 0.8),
+      MemOp::touch(0, 0, 96, 700, AccessPattern::kUniform, false, 300),
+      MemOp::touch(0, 16, 64, 900, AccessPattern::kZipf, true, 300, 1.1),
+      MemOp::touch(0, 0, 96, 1, AccessPattern::kZipf, true, 300, 0.8),
+  };
+  const GuestImage one_batch = run_image(ops, 3600 * kSecond, 96);
+  const GuestImage one_touch_batches = run_image(ops, 1, 96);
+  ASSERT_EQ(one_batch.counters[0], 3101u);  // every touch ran
+  EXPECT_GT(one_batch.counters[6], 0u);  // swapouts_tmem: pages reclaimed
+  EXPECT_EQ(one_touch_batches, one_batch);
+}
+
+// Two zipf ops on one window whose exponents differ by less than 0.001 each
+// draw with their own exponent.
+TEST(VcpuTest, NearbyZipfExponentsDrawWithTheirOwnSampler) {
+  constexpr PageCount kWindow = 48;  // fits in RAM
+  constexpr int kTouches = 400;
+  const auto script = [](double second_s) {
+    return std::vector<MemOp>{
+        MemOp::alloc(kWindow),
+        MemOp::touch(0, 0, kWindow, kTouches, AccessPattern::kZipf, true, 300,
+                     0.9),
+        MemOp::touch(0, 0, kWindow, kTouches, AccessPattern::kZipf, true, 300,
+                     second_s),
+    };
+  };
+  const GuestImage near = run_image(script(0.9004), 10 * kMillisecond, kWindow);
+  const GuestImage same = run_image(script(0.9), 10 * kMillisecond, kWindow);
+  EXPECT_NE(near.contents, same.contents);
+
+  // Replay the draws, each op with its own exponent: a page's content token
+  // grows with the time of its last write.
+  Rng rng(11);
+  const ZipfSampler first(kWindow, 0.9), second(kWindow, 0.9004);
+  std::vector<int> last_write(kWindow, -1);
+  for (int i = 0; i < 2 * kTouches; ++i) {
+    last_write[(i < kTouches ? first : second).sample(rng)] = i;
+  }
+  std::vector<Vpn> written;
+  for (Vpn v = 0; v < kWindow; ++v) {
+    EXPECT_EQ(near.states[v] != mem::PageState::kUntouched, last_write[v] >= 0)
+        << v;
+    if (last_write[v] >= 0) written.push_back(v);
+  }
+  std::sort(written.begin(), written.end(),
+            [&](Vpn a, Vpn b) { return last_write[a] < last_write[b]; });
+  for (std::size_t i = 1; i < written.size(); ++i) {
+    EXPECT_LT(near.contents[written[i - 1]], near.contents[written[i]]);
+  }
 }
 
 TEST(VcpuTest, FreeRegionOpReleasesMemory) {

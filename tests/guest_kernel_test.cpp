@@ -103,6 +103,24 @@ TEST(GuestKernelTest, RejectsBadConfig) {
   cfg.ram_pages = 4;
   cfg.kernel_reserved_pages = 4;  // reserved >= RAM
   EXPECT_THROW(GuestKernel(sim, hyp, disk, cfg), std::invalid_argument);
+  cfg.ram_pages = 2;  // reserved > RAM: rejected before sizing the frames
+  EXPECT_THROW(GuestKernel(sim, hyp, disk, cfg), std::invalid_argument);
+}
+
+// Frame numbers live in a 28-bit page-table field. A RAM size whose usable
+// frames do not fit is rejected before any table is sized by it: were the
+// check missing, sizing the frame allocator for 2^40 frames would throw
+// std::length_error or std::bad_alloc instead.
+TEST(GuestKernelTest, RejectsRamBeyondTheFrameField) {
+  sim::Simulator sim;
+  hyper::Hypervisor hyp(sim, hyper::HypervisorConfig{});
+  hyp.register_vm(1);
+  sim::DiskDevice disk(sim, sim::DiskModel{});
+  GuestConfig cfg;
+  cfg.vm = 1;
+  cfg.swap_slots = 64;
+  cfg.ram_pages = PageCount{1} << 40;
+  EXPECT_THROW(GuestKernel(sim, hyp, disk, cfg), std::invalid_argument);
 }
 
 TEST(GuestKernelTest, ZeroFillFirstTouch) {
