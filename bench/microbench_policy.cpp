@@ -5,7 +5,6 @@
 
 #include "common/rng.hpp"
 #include "mm/greedy_policy.hpp"
-#include "mm/history.hpp"
 #include "mm/reconf_static_policy.hpp"
 #include "mm/smart_policy.hpp"
 #include "mm/static_policy.hpp"
@@ -35,10 +34,8 @@ hyper::MemStats make_stats(std::uint32_t vms, Rng& rng) {
 template <typename PolicyT, typename... Args>
 void run_policy_bench(benchmark::State& state, Args&&... args) {
   PolicyT policy(std::forward<Args>(args)...);
-  mm::StatsHistory history;
   mm::PolicyContext ctx;
   ctx.total_tmem = 262144;
-  ctx.history = &history;
   Rng rng(1);
   const auto stats = make_stats(static_cast<std::uint32_t>(state.range(0)), rng);
   for (auto _ : state) {
@@ -71,16 +68,6 @@ void BM_SwapRatePolicy(benchmark::State& state) {
   run_policy_bench<mm::SwapRatePolicy>(state);
 }
 BENCHMARK(BM_SwapRatePolicy)->Arg(3)->Arg(64);
-
-void BM_HistoryRecord(benchmark::State& state) {
-  mm::StatsHistory history(120);
-  Rng rng(2);
-  const auto stats = make_stats(3, rng);
-  for (auto _ : state) {
-    history.record(stats);
-  }
-}
-BENCHMARK(BM_HistoryRecord);
 
 }  // namespace
 

@@ -3,12 +3,14 @@
 // future development of more sophisticated tmem memory policies").
 //
 // The example policy, "deficit-weighted", allocates capacity proportionally
-// to each VM's *unserved demand* (failed puts) over a sliding window kept in
-// the MM's history, with a minimum guarantee for every VM. It is wired into
-// a VirtualNode manually, bypassing PolicySpec, to show that third-party
-// policies need no changes to the library.
+// to each VM's *unserved demand* (failed puts) over a sliding window the
+// policy keeps itself, with a minimum guarantee for every VM. It is wired
+// into a VirtualNode manually, bypassing PolicySpec, to show that
+// third-party policies need no changes to the library.
 #include <algorithm>
 #include <cstdio>
+#include <deque>
+#include <map>
 #include <memory>
 
 #include "core/smartmem.hpp"
@@ -26,14 +28,17 @@ class DeficitWeightedPolicy final : public mm::Policy {
 
   hyper::MmOut compute(const hyper::MemStats& stats,
                        const mm::PolicyContext& ctx) override {
-    // Sum each VM's failed puts over the last `window_` samples.
+    // Sum each VM's failed puts over the last `window_` samples, this one
+    // included.
     std::vector<double> deficit(stats.vm.size(), 0.0);
     double deficit_sum = 0.0;
     for (std::size_t i = 0; i < stats.vm.size(); ++i) {
-      for (std::size_t age = 0; age < window_; ++age) {
-        if (const auto s = ctx.history->nth_last(stats.vm[i].vm_id, age)) {
-          deficit[i] += static_cast<double>(s->puts_total - s->puts_succ);
-        }
+      const hyper::VmMemStats& vm = stats.vm[i];
+      std::deque<std::uint64_t>& failed = failed_puts_[vm.vm_id];
+      failed.push_back(vm.puts_total - vm.puts_succ);
+      if (failed.size() > window_) failed.pop_front();
+      for (const std::uint64_t f : failed) {
+        deficit[i] += static_cast<double>(f);
       }
       deficit_sum += deficit[i];
     }
@@ -62,6 +67,8 @@ class DeficitWeightedPolicy final : public mm::Policy {
  private:
   std::size_t window_;
   double floor_;
+  // Per-VM failed puts of the last `window_` samples, oldest first.
+  std::map<VmId, std::deque<std::uint64_t>> failed_puts_;
 };
 
 workloads::WorkloadPtr make_workload(PageCount ram_pages) {

@@ -132,7 +132,6 @@ void Cluster::wire_rack() {
       // crosses shards.
       obs::TraceConfig tcfg;
       tcfg.categories = config_.obs.trace_categories;
-      tcfg.capacity = config_.obs.trace_capacity;
       tcfg.sample_every = config_.obs.trace_sample_every;
       node_traces_.reserve(n);
       for (std::size_t i = 0; i < n; ++i) {

@@ -7,11 +7,15 @@
 #include "common/strfmt.hpp"
 #include "common/units.hpp"
 #include "comm/topology.hpp"
+#include "mm/policy_factory.hpp"
 #include "workloads/graph_analytics.hpp"
 
 namespace smartmem::cluster {
 
 namespace {
+
+/// Smart-alloc P (%) of the per-VM policy every node runs internally.
+constexpr double kNodeSmartP = 25.0;
 
 PageCount scaled_mib(double mib, double scale) {
   return pages_from_mib(static_cast<std::uint64_t>(std::llround(mib * scale)));
@@ -103,7 +107,8 @@ ClusterRunResult run_cluster_scenario(const ClusterExperimentConfig& cfg) {
     overrides.comm = cluster.config().topology.node_comm_for(i);
     const std::uint64_t ns = node_seed(cfg.seed, i);
     const std::size_t idx = cluster.add_node(
-        core::node_config_for(spec, cfg.node_policy, ns, &overrides));
+        core::node_config_for(spec, mm::PolicySpec::smart(kNodeSmartP), ns,
+                              &overrides));
     core::populate_node(cluster.node(idx), spec, ns);
     deadline = std::max(deadline, spec.deadline);
   }

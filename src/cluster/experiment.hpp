@@ -19,7 +19,6 @@
 
 #include "cluster/cluster.hpp"
 #include "core/scenario.hpp"
-#include "mm/policy_factory.hpp"
 #include "obs/observer.hpp"
 
 namespace smartmem::cluster {
@@ -30,8 +29,6 @@ struct ClusterExperimentConfig {
   std::uint64_t seed = 42;
   /// Node-level policy ("global-static", "global-smart[:P]").
   std::string global_policy = "global-smart";
-  /// Per-VM policy every node runs internally.
-  mm::PolicySpec node_policy = mm::PolicySpec::smart(25.0);
   bool lending = true;
   /// Multiplier on the default (scaled) 5 ms inter-node hop and on the
   /// 40 us lending hops a borrowed page crosses.

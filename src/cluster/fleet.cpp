@@ -9,10 +9,17 @@
 #include "common/strfmt.hpp"
 #include "common/units.hpp"
 #include "core/scenario.hpp"
+#include "mm/policy_factory.hpp"
 
 namespace smartmem::cluster {
 
 namespace {
+
+/// Smart-alloc P (%) of the per-VM policy every node runs internally.
+constexpr double kNodeSmartP = 25.0;
+
+/// Global decision interval as a multiple of the node sampling interval.
+constexpr double kGlobalIntervalX = 2.0;
 
 PageCount scaled_mib(double mib, double scale) {
   return pages_from_mib(static_cast<std::uint64_t>(std::llround(mib * scale)));
@@ -113,7 +120,7 @@ FleetRunResult run_fleet_scenario(const FleetExperimentConfig& cfg) {
   ccfg.topology.internode_down.latency = hop;
   ccfg.global_policy = cfg.global_policy;
   ccfg.global_interval = static_cast<SimTime>(
-      cfg.global_interval_x * static_cast<double>(base.sample_interval));
+      kGlobalIntervalX * static_cast<double>(base.sample_interval));
   ccfg.lending = cfg.lending;
   ccfg.lending_async = cfg.lending_async;
   // The lending hops deliberately do NOT scale with cfg.scale: a page copy
@@ -137,7 +144,8 @@ FleetRunResult run_fleet_scenario(const FleetExperimentConfig& cfg) {
     overrides.comm = cluster.config().topology.node_comm_for(i);
     const std::uint64_t ns = node_seed(cfg.seed, i);
     const std::size_t idx = cluster.add_node(
-        core::node_config_for(spec, cfg.node_policy, ns, &overrides));
+        core::node_config_for(spec, mm::PolicySpec::smart(kNodeSmartP), ns,
+                              &overrides));
     core::populate_node(cluster.node(idx), spec, ns);
     deadline = std::max(deadline, spec.deadline);
   }

@@ -16,7 +16,6 @@
 #include <string>
 
 #include "cluster/cluster.hpp"
-#include "mm/policy_factory.hpp"
 #include "obs/observer.hpp"
 #include "workloads/fleet.hpp"
 
@@ -31,8 +30,6 @@ struct FleetExperimentConfig {
 
   /// Node-level policy ("global-static", "global-smart[:P]").
   std::string global_policy = "global-smart";
-  /// Per-VM policy every node runs internally.
-  mm::PolicySpec node_policy = mm::PolicySpec::smart(25.0);
   bool lending = true;
 
   /// Lending-heavy geometry: node 0's tenants oversubscribe hard
@@ -70,7 +67,6 @@ struct FleetExperimentConfig {
   /// run_fleet_scenario throws std::invalid_argument for any other value.
   /// Kept only until the benchmark runner stops assigning it.
   std::size_t sim_threads = 1;
-  double global_interval_x = 2.0;
 
   /// Engine self-profiling (ClusterConfig::profile): per-shard
   /// busy/injection accounting and the bottleneck attribution in

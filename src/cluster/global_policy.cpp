@@ -69,17 +69,11 @@ std::string GlobalSmartPolicy::name() const {
   return strfmt("global-smart(P=%.2f%%)", config_.p_percent);
 }
 
-PageCount GlobalSmartPolicy::effective_threshold(
-    PageCount cluster_tmem) const {
-  if (config_.threshold_pages != 0) return config_.threshold_pages;
-  return static_cast<PageCount>(config_.p_percent / 100.0 *
-                                static_cast<double>(cluster_tmem));
-}
-
 std::vector<NodeQuota> GlobalSmartPolicy::compute(
     const std::vector<NodeStats>& stats, const GlobalPolicyContext& ctx) {
   const auto cluster_tmem = static_cast<double>(ctx.cluster_tmem);
-  const PageCount threshold = effective_threshold(ctx.cluster_tmem);
+  const auto threshold =
+      static_cast<PageCount>(config_.p_percent / 100.0 * cluster_tmem);
 
   std::vector<NodeQuota> out;
   out.reserve(stats.size());

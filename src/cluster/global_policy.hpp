@@ -66,10 +66,9 @@ class GlobalStaticPolicy final : public GlobalPolicy {
 };
 
 struct GlobalSmartConfig {
-  /// Algorithm 4's P, as a percentage of the rack capacity.
+  /// Algorithm 4's P, as a percentage of the rack capacity; also the
+  /// shrink threshold, as P% of the rack capacity in pages.
   double p_percent = 25.0;
-  /// Shrink threshold in pages; 0 derives P% of the rack capacity.
-  PageCount threshold_pages = 0;
 };
 
 /// Algorithm 4 over nodes (see header comment).
@@ -81,7 +80,6 @@ class GlobalSmartPolicy final : public GlobalPolicy {
                                  const GlobalPolicyContext& ctx) override;
 
  private:
-  PageCount effective_threshold(PageCount cluster_tmem) const;
   GlobalSmartConfig config_;
 };
 

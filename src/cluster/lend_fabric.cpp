@@ -1,6 +1,7 @@
 #include "cluster/lend_fabric.hpp"
 
 #include <algorithm>
+#include <stdexcept>
 
 #include "comm/channel.hpp"
 
@@ -70,6 +71,15 @@ LendFabric::LendFabric(const comm::ClusterTopology& topo,
                        AsyncLendingConfig cfg,
                        const std::vector<sim::Simulator*>& sims)
     : cfg_(cfg) {
+  if (topo.internode_lend_req.faults.duplication_rate != 0.0 ||
+      topo.internode_lend_resp.faults.duplication_rate != 0.0) {
+    throw std::invalid_argument(
+        "LendFabric: the lending hops model no duplication_rate");
+  }
+  if (topo.internode_lend_resp.queue_capacity != 0) {
+    throw std::invalid_argument(
+        "LendFabric: the response hop models no queue_capacity");
+  }
   const std::size_t nodes = sims.size();
   borrowers_.resize(nodes);
   for (std::size_t b = 0; b < nodes; ++b) {
@@ -117,8 +127,7 @@ LendFabric::Outcome LendFabric::round_trip(NodeId borrower, NodeId donor,
   SimTime t = start;
   bool ok = false;
 
-  for (std::uint32_t attempt = 0; attempt < std::max(1u, cfg_.max_attempts);
-       ++attempt) {
+  for (std::uint32_t attempt = 0; attempt < kLendMaxAttempts; ++attempt) {
     if (attempt > 0) ++st.retries;
     ++st.requests;
     st.req_bytes += req.wire_bytes();
@@ -128,7 +137,7 @@ LendFabric::Outcome LendFabric::round_trip(NodeId borrower, NodeId donor,
     if (in_outage(link.req.faults, t)) {
       ++st.outage_drops;
       ++st.timeouts;
-      t += cfg_.timeout;
+      t += kLendTimeout;
       continue;
     }
 
@@ -143,7 +152,7 @@ LendFabric::Outcome LendFabric::round_trip(NodeId borrower, NodeId donor,
         link.req_rng.chance(link.req.faults.loss_rate)) {
       ++st.lost_requests;
       ++st.timeouts;
-      t += cfg_.timeout;
+      t += kLendTimeout;
       continue;
     }
 
@@ -161,7 +170,7 @@ LendFabric::Outcome LendFabric::round_trip(NodeId borrower, NodeId donor,
     if (in_outage(link.resp.faults, service_done)) {
       ++st.outage_drops;
       ++st.timeouts;
-      t += cfg_.timeout;
+      t += kLendTimeout;
       continue;
     }
     SimTime resp_lat = link.resp.latency;
@@ -174,18 +183,18 @@ LendFabric::Outcome LendFabric::round_trip(NodeId borrower, NodeId donor,
         link.resp_rng.chance(link.resp.faults.loss_rate)) {
       ++st.lost_responses;
       ++st.timeouts;
-      t += cfg_.timeout;
+      t += kLendTimeout;
       continue;
     }
 
     const SimTime landed = service_done + resp_lat;
-    if (landed - t > cfg_.timeout) {
+    if (landed - t > kLendTimeout) {
       // The response exists but arrives after the borrower's timer fired —
       // indistinguishable from loss on the borrower side; the stale frame
       // is discarded by its sequence number.
       ++st.late_responses;
       ++st.timeouts;
-      t += cfg_.timeout;
+      t += kLendTimeout;
       continue;
     }
 

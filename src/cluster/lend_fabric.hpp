@@ -6,9 +6,9 @@
 // each exchange deterministically inside the borrower's partition:
 //
 //  * each hop's fixed latency (comm::ClusterTopology::lend_*_for);
-//  * the full fault surface — loss, reorder (a late response is
-//    indistinguishable from a lost one), outage windows mid-borrow — drawn
-//    from a private per-(borrower, donor) Rng stream, with a per-attempt
+//  * loss, reorder (a late response is indistinguishable from a lost one)
+//    and outage windows mid-borrow, drawn from a private per-(borrower,
+//    donor) Rng stream, with a per-attempt
 //    timeout and bounded retries; exhausting the attempts is a
 //    deterministic give-up that the broker turns into a failed put;
 //  * donor-side queueing: requests on a pair serialize behind the donor's
@@ -51,8 +51,8 @@
 
 namespace smartmem::cluster {
 
-/// Borrower-relative identity of one borrowed page. Ordered so a
-/// per-object range scan is a lower_bound walk.
+/// Borrower-relative identity of one borrowed page. Ordered, so release
+/// and recall walk a borrower's pages in a deterministic order.
 struct RemoteKey {
   VmId vm;
   tmem::PoolType type;
@@ -66,6 +66,13 @@ struct RemoteKey {
 /// requests on a (borrower, donor) pair queue behind it.
 inline constexpr SimTime kDonorService = 5 * kMicrosecond;
 
+/// Borrower-side timer per attempt: an attempt whose response has not
+/// landed within it is retried (or given up).
+inline constexpr SimTime kLendTimeout = 2 * kMillisecond;
+
+/// Attempts per exchange before the deterministic give-up.
+inline constexpr std::uint32_t kLendMaxAttempts = 3;
+
 /// Protocol knobs of the lending data plane. The wire model itself
 /// (latency, faults, per-pair in-flight bound) lives on the topology's
 /// internode_lend_req/resp channel templates.
@@ -74,13 +81,6 @@ struct AsyncLendingConfig {
   /// LendingBroker constructor throws std::invalid_argument otherwise.
   /// Kept only until the benchmark runner stops assigning it.
   bool enabled = true;
-
-  /// Borrower-side timer per attempt: an attempt whose response has not
-  /// landed within `timeout` is retried (or given up).
-  SimTime timeout = 2 * kMillisecond;
-
-  /// Attempts per exchange before the deterministic give-up (>= 1).
-  std::uint32_t max_attempts = 3;
 
   /// Borrower-side cache capacity in pages; 0 disables the cache.
   PageCount cache_pages = 0;
@@ -93,7 +93,7 @@ struct LendFabricStats {
   std::uint64_t responses = 0;       // responses that landed in time
   std::uint64_t retries = 0;         // attempts after the first
   std::uint64_t timeouts = 0;        // attempts the borrower timer expired
-  std::uint64_t give_ups = 0;        // exchanges that exhausted max_attempts
+  std::uint64_t give_ups = 0;        // exchanges that exhausted every attempt
   std::uint64_t lost_requests = 0;   // request frames lost in flight
   std::uint64_t lost_responses = 0;  // response frames lost in flight
   std::uint64_t late_responses = 0;  // responses that landed after timeout
@@ -164,7 +164,9 @@ class LendFabric {
   };
 
   /// `sims[b]` is borrower b's simulator: its clock starts b's exchanges
-  /// and its event queue holds b's in-flight completion timers.
+  /// and its event queue holds b's in-flight completion timers. Throws
+  /// std::invalid_argument when either lending hop sets a duplication rate
+  /// or the response hop a queue capacity: the fabric models neither.
   LendFabric(const comm::ClusterTopology& topo, AsyncLendingConfig cfg,
              const std::vector<sim::Simulator*>& sims);
 

@@ -224,24 +224,6 @@ bool LendingBroker::do_flush(NodeId node, VmId vm, tmem::PoolType type,
   return true;
 }
 
-PageCount LendingBroker::do_flush_object(NodeId node, VmId vm,
-                                         tmem::PoolType type,
-                                         std::uint64_t object) {
-  NodeState& st = state_[node];
-  PageCount flushed = 0;
-  // RemoteKey orders by (vm, type, object, index): the object's pages form
-  // one contiguous index range.
-  auto it = st.index.lower_bound(RemoteKey{vm, type, object, 0});
-  while (it != st.index.end() && it->first.vm == vm &&
-         it->first.type == type && it->first.object == object) {
-    fabric_.send_invalidate(node, it->second.donor,
-                            comm::LendOp::kFlushObject);
-    it = release_frame(st, it);
-    ++flushed;
-  }
-  return flushed;
-}
-
 bool LendingBroker::do_owns(NodeId node, VmId vm, tmem::PoolType type,
                             std::uint64_t object, std::uint32_t index) const {
   const NodeState& st = state_[node];

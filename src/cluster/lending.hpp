@@ -151,10 +151,6 @@ class LendingBroker {
                       std::uint32_t index) override {
       return broker_.do_flush(node_, vm, type, object, index);
     }
-    PageCount remote_flush_object(VmId vm, tmem::PoolType type,
-                                  std::uint64_t object) override {
-      return broker_.do_flush_object(node_, vm, type, object);
-    }
     bool owns(VmId vm, tmem::PoolType type, std::uint64_t object,
               std::uint32_t index) const override {
       return broker_.do_owns(node_, vm, type, object, index);
@@ -226,8 +222,6 @@ class LendingBroker {
                        std::uint64_t object, std::uint32_t index);
   bool do_flush(NodeId node, VmId vm, tmem::PoolType type,
                 std::uint64_t object, std::uint32_t index);
-  PageCount do_flush_object(NodeId node, VmId vm, tmem::PoolType type,
-                            std::uint64_t object);
   bool do_owns(NodeId node, VmId vm, tmem::PoolType type, std::uint64_t object,
                std::uint32_t index) const;
   PageCount do_borrowed_pages(NodeId node, VmId vm) const;

@@ -330,14 +330,13 @@ struct CommConfig {
   /// Downlink delivery guard (the roadmap's retry/ack item). When true the
   /// TKM keeps the newest submitted TargetsMsg and, if its delivery has not
   /// been observed within ack_timeout, retransmits it — up to
-  /// ack_max_retries times per message. The sequenced hypercall completing
-  /// is the implicit ack (the simulated downlink is one-way); duplicated
-  /// deliveries are absorbed by the hypervisor's seq check. Off by default:
-  /// the paper's control plane has no retransmission, and a lost vector is
-  /// gone until targets next change (suppress_unchanged).
+  /// Tkm::kAckMaxRetries times per message. The sequenced hypercall
+  /// completing is the implicit ack (the simulated downlink is one-way);
+  /// duplicated deliveries are absorbed by the hypervisor's seq check. Off
+  /// by default: the paper's control plane has no retransmission, and a
+  /// lost vector is gone until targets next change (suppress_unchanged).
   bool ack_targets = false;
   SimTime ack_timeout = 500 * kMillisecond;
-  std::uint32_t ack_max_retries = 3;
 
   /// Framing of the MemStats uplink and the TargetsMsg downlink (DESIGN
   /// §12). The default resync_every = 1 sends every message full, the

@@ -20,13 +20,12 @@
 namespace smartmem::comm {
 
 /// Operations the lending data plane carries. Put/get are round trips the
-/// guest waits on; flush (single key or whole object) and release are
-/// fire-and-forget invalidations the borrower does not block on.
+/// guest waits on; flush (of one page, also sent for a release) is a
+/// fire-and-forget invalidation the borrower does not block on.
 enum class LendOp : std::uint8_t {
   kPut,
   kGet,
   kFlush,
-  kFlushObject,
 };
 
 /// Borrower -> donor request frame.

@@ -51,9 +51,7 @@ ChannelConfig finalize(ChannelConfig c, std::size_t node, std::uint64_t seed,
 }  // namespace
 
 ChannelConfig ClusterTopology::uplink_for(std::size_t node) const {
-  auto it = up_overrides.find(node);
-  return finalize(it != up_overrides.end() ? it->second : internode_up, node,
-                  seed, 0);
+  return finalize(internode_up, node, seed, 0);
 }
 
 ChannelConfig ClusterTopology::downlink_for(std::size_t node) const {
@@ -87,11 +85,7 @@ ChannelConfig ClusterTopology::lend_resp_for(std::size_t borrower,
 }
 
 SimTime ClusterTopology::min_internode_latency() const {
-  // Templates plus every override, so the answer is conservative when an
-  // override replaces the template on every node.
-  SimTime lo = std::min(internode_up.latency, internode_down.latency);
-  for (const auto& [node, c] : up_overrides) lo = std::min(lo, c.latency);
-  return lo;
+  return std::min(internode_up.latency, internode_down.latency);
 }
 
 }  // namespace smartmem::comm

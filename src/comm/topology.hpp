@@ -16,7 +16,6 @@
 #pragma once
 
 #include <cstddef>
-#include <map>
 
 #include "comm/channel.hpp"
 
@@ -45,16 +44,14 @@ struct ClusterTopology {
   /// (comm/lend_wire.hpp frames). Defaults are RDMA-class (40 us per
   /// direction — a page copy over the rack's data fabric, not the 5 ms
   /// control-plane switch path), so a fault-free round trip with the
-  /// donor's 5 us service costs 85 us. Every fault and queue knob applies;
-  /// queue_capacity bounds the per-pair in-flight window (congestion from
-  /// lending traffic).
+  /// donor's 5 us service costs 85 us. The lending fabric honours each
+  /// hop's latency, loss rate, reorder rate and penalty, and outage window,
+  /// and the request hop's queue_capacity, which bounds the per-pair
+  /// in-flight window (congestion from lending traffic). It rejects a
+  /// duplication rate on either hop and a queue_capacity on the response
+  /// hop (cluster::LendFabric).
   ChannelConfig internode_lend_req;
   ChannelConfig internode_lend_resp;
-
-  /// Per-node uplink overrides, for asymmetric topologies (one slow or
-  /// lossy node) in tests. An override replaces the template wholesale; the
-  /// name prefix and seed derivation are still applied afterwards.
-  std::map<std::size_t, ChannelConfig> up_overrides;
 
   /// Base seed for inter-node channels whose own seed is 0.
   std::uint64_t seed = 0x636c757374657257ULL;
@@ -64,9 +61,8 @@ struct ClusterTopology {
   /// Intra-node control-plane config for `node` (0-based).
   CommConfig node_comm_for(std::size_t node) const;
 
-  /// Inter-node hop configs for `node` (the uplink override-aware), with
-  /// the channel name prefixed "n<node>." and a derived seed when the
-  /// config's is 0.
+  /// Inter-node hop configs for `node`, with the channel name prefixed
+  /// "n<node>." and a derived seed when the config's is 0.
   ChannelConfig uplink_for(std::size_t node) const;
   ChannelConfig downlink_for(std::size_t node) const;
 
@@ -78,8 +74,8 @@ struct ClusterTopology {
   ChannelConfig lend_req_for(std::size_t borrower, std::size_t donor) const;
   ChannelConfig lend_resp_for(std::size_t borrower, std::size_t donor) const;
 
-  /// Minimum latency over every inter-node hop (uplink and downlink of each
-  /// node, overrides included) — the safe lookahead for the parallel
+  /// Minimum latency over the inter-node hops (the uplink and downlink
+  /// templates every node shares) — the safe lookahead for the parallel
   /// engine's conservative windows. 0 (a zero-delay hop) means no safe
   /// window exists and the engine will refuse to run sharded.
   ///

@@ -42,14 +42,42 @@ ScenarioResult run_scenario(const ScenarioSpec& scenario,
                             const NodeConfig* overrides) {
   auto node = build_node(scenario, policy, seed, overrides);
   node->start();
-  const SimTime end = node->run(scenario.deadline);
 
   ScenarioResult result;
+  // Each VM's tmem usage and target and the node's free tmem, sampled at
+  // the start, every sampling interval and at the end of the run. The
+  // sampler only reads state, so the run is the same without it.
+  const hyper::Hypervisor& hyp = node->hypervisor();
+  std::vector<std::pair<TimeSeries*, TimeSeries*>> vm_series;
+  for (VmId id : node->vm_ids()) {
+    const std::string& name = node->vm_name(id);
+    vm_series.emplace_back(&result.usage.series(name),
+                           &result.usage.series("target-" + name));
+  }
+  TimeSeries* free_series = &result.usage.series("free");
+  const double unlimited = static_cast<double>(node->config().tmem_pages);
+  const auto sample_usage = [&] {
+    const SimTime now = node->simulator().now();
+    for (VmId id = 1; id <= vm_series.size(); ++id) {
+      const auto [used, target] = vm_series[id - 1];
+      used->push(now, static_cast<double>(hyp.tmem_used(id)));
+      const PageCount t = hyp.target(id);
+      target->push(now, t == kUnlimitedTarget ? unlimited
+                                              : static_cast<double>(t));
+    }
+    free_series->push(now, static_cast<double>(hyp.free_tmem()));
+  };
+  sample_usage();
+  sim::EventHandle sampler = node->simulator().schedule_periodic(
+      node->config().sample_interval, sample_usage);
+  const SimTime end = node->run(scenario.deadline);
+  sample_usage();
+  sampler.cancel();
+
   result.scenario = scenario.name;
   result.policy = policy.label();
   result.seed = seed;
   result.end_time = end;
-  result.usage = node->usage_series();
 
   for (VmId id : node->vm_ids()) {
     VmResult vm;

@@ -40,7 +40,10 @@ struct ScenarioResult {
   std::uint64_t seed = 0;
   SimTime end_time = 0;
   std::vector<VmResult> vms;
-  SeriesSet usage;  // per-VM tmem pages + targets over time
+  /// Per-VM tmem pages and targets ("VM1", "target-VM1", ...) and the
+  /// node's free tmem ("free"): one point at t = 0, one every sampling
+  /// interval and one at end_time.
+  SeriesSet usage;
 };
 
 /// One seeded run of `scenario` under `policy`.

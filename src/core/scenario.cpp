@@ -223,7 +223,6 @@ std::vector<ScenarioSpec> all_scenarios(double scale) {
 NodeConfig scaled_node_defaults(double scale) {
   NodeConfig cfg;
   cfg.sample_interval = scaled_time(cfg.sample_interval, scale);
-  cfg.usage_sample_interval = scaled_time(cfg.usage_sample_interval, scale);
   cfg.comm.scale_times(scale);
   cfg.slow_reclaim_pages_per_tick = static_cast<PageCount>(
       static_cast<double>(cfg.slow_reclaim_pages_per_tick) * scale);

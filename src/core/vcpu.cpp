@@ -11,6 +11,11 @@ namespace smartmem::core {
 using workloads::AccessPattern;
 using workloads::MemOp;
 
+namespace {
+/// Fixed cost charged per region allocation (mmap + bookkeeping).
+constexpr SimTime kAllocCost = 5 * kMicrosecond;
+}  // namespace
+
 VcpuRunner::VcpuRunner(sim::Simulator& sim, guest::GuestKernel& kernel,
                        workloads::WorkloadPtr workload, VcpuConfig config)
     : sim_(sim),
@@ -67,7 +72,7 @@ VcpuRunner::SliceStatus VcpuRunner::execute_slice(MemOp& op, SimTime& t,
     case MemOp::Kind::kAllocRegion: {
       const Vpn base = kernel_.alloc_region(asid_, op.pages);
       regions_.emplace_back(base, op.pages);
-      t += config_.alloc_cost;
+      t += kAllocCost;
       return SliceStatus::kOpDone;
     }
 

@@ -30,8 +30,6 @@ namespace smartmem::core {
 struct VcpuConfig {
   SimTime batch_budget = 500 * kMicrosecond;
   std::uint64_t rng_seed = 1;
-  /// Fixed cost charged per region allocation (mmap + bookkeeping).
-  SimTime alloc_cost = 5 * kMicrosecond;
   /// Physical CPU pool this vCPU competes on (nullptr or an uncontended
   /// pool = dedicated core). Blocking disk I/O releases the core.
   sim::CpuPool* cpu = nullptr;

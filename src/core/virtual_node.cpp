@@ -12,6 +12,9 @@ namespace {
 /// single-vCPU VMs on 2 cores.
 constexpr unsigned kPhysicalCores = 2;
 
+/// Swap slots per page of guest RAM (paper env: 2 GB swap per VM).
+constexpr PageCount kSwapSlotsPerRamPage = 2;
+
 SimTime node_sim_clock(const void* ctx) {
   return static_cast<const sim::Simulator*>(ctx)->now();
 }
@@ -94,7 +97,7 @@ VmId VirtualNode::add_vm(VmSpec spec) {
   guest::GuestConfig gcfg;
   gcfg.vm = id;
   gcfg.ram_pages = spec.ram_pages;
-  gcfg.swap_slots = spec.swap_pages != 0 ? spec.swap_pages : 2 * spec.ram_pages;
+  gcfg.swap_slots = kSwapSlotsPerRamPage * spec.ram_pages;
   const bool tmem_on = config_.policy.kind != mm::PolicyKind::kNoTmem;
   gcfg.frontswap_enabled = tmem_on;
   gcfg.frontswap_exclusive_gets = config_.frontswap_exclusive_gets;
@@ -144,27 +147,6 @@ std::vector<VmId> VirtualNode::vm_ids() const {
   ids.reserve(vms_.size());
   for (VmId id = 1; id <= vms_.size(); ++id) ids.push_back(id);
   return ids;
-}
-
-void VirtualNode::record_usage() {
-  if (free_series_ == nullptr) {
-    // VMs are fixed from start() on, and map nodes never move.
-    for (const VmSlot& vm : vms_) {
-      vm_series_.push_back(
-          {&usage_.series(vm.name), &usage_.series("target-" + vm.name)});
-    }
-    free_series_ = &usage_.series("free");
-  }
-  const SimTime now = sim_.now();
-  for (VmId id = 1; id <= vms_.size(); ++id) {
-    const VmSeries& series = vm_series_[id - 1];
-    series.used->push(now, static_cast<double>(hyp_->tmem_used(id)));
-    const PageCount target = hyp_->target(id);
-    series.target->push(now, target == kUnlimitedTarget
-                                 ? static_cast<double>(config_.tmem_pages)
-                                 : static_cast<double>(target));
-  }
-  free_series_->push(now, static_cast<double>(hyp_->free_tmem()));
 }
 
 void VirtualNode::wire_observability() {
@@ -226,12 +208,6 @@ void VirtualNode::start() {
     // No MM: still run the sampler so snapshots/benches see statistics and
     // interval counters reset, exactly as the hypervisor does under greedy.
     hyp_->start_sampling(nullptr);
-  }
-
-  if (config_.usage_sample_interval > 0) {
-    record_usage();
-    usage_sampler_ = sim_.schedule_periodic(config_.usage_sample_interval,
-                                            [this] { record_usage(); });
   }
 
   for (VmId id = 1; id <= vms_.size(); ++id) {
@@ -298,9 +274,6 @@ SimTime VirtualNode::run(SimTime deadline) {
 void VirtualNode::finish() {
   if (finished_) return;
   finished_ = true;
-  // Final usage sample so the series cover the full run.
-  if (config_.usage_sample_interval > 0) record_usage();
-  usage_sampler_.cancel();
   metrics_sampler_.cancel();
   // Quiesce the control plane: closing the TKM's channels also cancels any
   // in-flight stats/target deliveries, so nothing lands after finish()

@@ -13,7 +13,6 @@
 #include <vector>
 
 #include "comm/channel.hpp"
-#include "common/time_series.hpp"
 #include "common/types.hpp"
 #include "guest/guest_kernel.hpp"
 #include "guest/tkm.hpp"
@@ -102,10 +101,6 @@ struct NodeConfig {
   /// Swap read-ahead cluster size for the guests (see GuestConfig).
   std::uint32_t swap_readahead = 8;
 
-  /// Interval for recording per-VM tmem usage into the time series used by
-  /// the Figure 4/6/8/10 benches. 0 disables recording.
-  SimTime usage_sample_interval = kSecond;
-
   /// Observability: sim-time tracing, metrics registry and decision audit.
   /// All off by default — the node then allocates no Observer at all and
   /// every instrumentation site reduces to one null-pointer test.
@@ -115,7 +110,6 @@ struct NodeConfig {
 struct VmSpec {
   std::string name;             // "VM1"
   PageCount ram_pages = 0;
-  PageCount swap_pages = 0;     // 0 -> 2x RAM (paper env: 2 GB swap per VM)
   workloads::WorkloadPtr workload;
   /// Start offset relative to node start; ignored when manual_start.
   SimTime start_delay = 0;
@@ -153,8 +147,8 @@ class VirtualNode {
   /// been stopped), or `deadline` is reached. Returns the end time.
   SimTime run(SimTime deadline = 4 * 3600 * kSecond);
 
-  /// Post-run teardown: final usage sample, sampler/control-plane shutdown,
-  /// final metrics snapshot and observability export. run() calls this; a
+  /// Post-run teardown: sampler/control-plane shutdown, final metrics
+  /// snapshot and observability export. run() calls this; a
   /// multi-node cluster, whose engine advances this node's simulator as one
   /// shard, calls it per node once the windows have drained. Idempotent.
   void finish();
@@ -188,9 +182,6 @@ class VirtualNode {
   const std::string& vm_name(VmId vm) const { return slot(vm).name; }
   std::vector<VmId> vm_ids() const;
 
-  /// Per-VM tmem usage/target series ("VM1", "target-VM1", ...).
-  const SeriesSet& usage_series() const { return usage_; }
-
   const NodeConfig& config() const { return config_; }
   const sim::CpuPool& cpu_pool() const { return cpu_pool_; }
   bool all_done() const;
@@ -210,7 +201,6 @@ class VirtualNode {
 
   VmSlot& slot(VmId vm);
   const VmSlot& slot(VmId vm) const;
-  void record_usage();
 
   /// Wires the Observer into every component and registers metrics; called
   /// once from start(), after all VMs exist.
@@ -225,16 +215,6 @@ class VirtualNode {
   std::unique_ptr<guest::Tkm> tkm_;
   std::vector<VmSlot> vms_;  // index = VmId - 1
   NodeMarkerHook marker_hook_;
-  SeriesSet usage_;
-  // Each VM's usage and target series and the free series in usage_,
-  // resolved at the first sample.
-  struct VmSeries {
-    TimeSeries* used;
-    TimeSeries* target;
-  };
-  std::vector<VmSeries> vm_series_;
-  TimeSeries* free_series_ = nullptr;
-  sim::EventHandle usage_sampler_;
   StatsTap stats_tap_;
   bool started_ = false;
   bool finished_ = false;

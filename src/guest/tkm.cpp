@@ -27,8 +27,7 @@ Tkm::Tkm(sim::Simulator& sim, hyper::Hypervisor& hypervisor,
       downlink_(sim, seeded(std::move(config.downlink), config.seed, 1)),
       stats_encoder_(config.delta),
       ack_targets_(config.ack_targets),
-      ack_timeout_(config.ack_timeout),
-      ack_max_retries_(config.ack_max_retries) {
+      ack_timeout_(config.ack_timeout) {
   // Wire-size models make control-plane bytes measurable in either
   // encoding; a sizer is pure bookkeeping and never touches behavior.
   uplink_.set_sizer(
@@ -76,7 +75,7 @@ comm::SendResult Tkm::submit_targets(const hyper::TargetsMsg& msg) {
     // Remember the newest vector whether or not the send was accepted — a
     // loss on the wire is exactly what the retry exists to cover.
     pending_ack_ = msg;
-    retries_left_ = ack_max_retries_;
+    retries_left_ = kAckMaxRetries;
     schedule_ack_timer();
   }
   return result;

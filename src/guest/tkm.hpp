@@ -29,6 +29,9 @@ namespace smartmem::guest {
 
 class Tkm {
  public:
+  /// Retransmissions of one target vector before the ack guard gives up.
+  static constexpr std::uint32_t kAckMaxRetries = 3;
+
   /// `stats_sink` is the user-space (MM) receiver of memstats samples.
   using StatsSink = std::function<void(const hyper::MemStats&)>;
 
@@ -49,7 +52,7 @@ class Tkm {
   /// channel's verdict — kLost/kDroppedFull/... under fault injection.
   /// With CommConfig::ack_targets the message is also remembered and
   /// retransmitted after ack_timeout until its (or a newer) sequence is
-  /// observed delivering, up to ack_max_retries times.
+  /// observed delivering, up to kAckMaxRetries times.
   comm::SendResult submit_targets(const hyper::TargetsMsg& msg);
 
   /// Observes every VIRQ sample as it leaves the hypervisor, *before* the
@@ -110,11 +113,10 @@ class Tkm {
   // the implicit ack: the downlink is one-way, so "a message with seq >= the
   // pending one arrived" stands in for an explicit ack message. Duplicates
   // produced by a retransmit racing a slow original are absorbed by the
-  // hypervisor's sequence check. All three fields are copied from
-  // CommConfig at construction.
+  // hypervisor's sequence check. Both settings are copied from CommConfig
+  // at construction.
   bool ack_targets_ = false;
   SimTime ack_timeout_ = 0;
-  std::uint32_t ack_max_retries_ = 0;
   std::optional<hyper::TargetsMsg> pending_ack_;
   std::uint32_t retries_left_ = 0;
   std::uint64_t target_retransmits_ = 0;

@@ -39,17 +39,6 @@ void Hypervisor::register_vm(VmId vm) {
   log::debug(kLogComp, "registered VM %u (%u VMs total)", vm, vm_count());
 }
 
-void Hypervisor::unregister_vm(VmId vm) {
-  auto it = vms_.find(vm);
-  if (it == vms_.end()) return;
-  store_.destroy_pool(it->second.frontswap_pool);
-  store_.destroy_pool(it->second.cleancache_pool);
-  vms_.erase(it);
-  if (config_.default_target_mode == DefaultTargetMode::kEqualShare) {
-    apply_equal_share_targets();
-  }
-}
-
 bool Hypervisor::vm_registered(VmId vm) const { return vms_.contains(vm); }
 
 VmData* Hypervisor::find_vm(VmId vm) {
@@ -238,19 +227,6 @@ OpStatus Hypervisor::flush(VmId vm, tmem::PoolType type, std::uint64_t object,
     existed = remote_->remote_flush(vm, type, object, index);
   }
   return existed ? OpStatus::kSuccess : OpStatus::kNotFound;
-}
-
-PageCount Hypervisor::flush_object(VmId vm, tmem::PoolType type,
-                                   std::uint64_t object) {
-  VmData* data = find_vm(vm);
-  if (data == nullptr) return 0;
-  ++data->flushes;
-  ++data->cumul_flushes;
-  PageCount freed = store_.flush_object(data->pool(type), object);
-  if (remote_ != nullptr) {
-    freed += remote_->remote_flush_object(vm, type, object);
-  }
-  return freed;
 }
 
 void Hypervisor::set_targets(const MmOut& targets) {

@@ -89,9 +89,6 @@ class Hypervisor {
   /// Registers a VM and creates its frontswap/cleancache pools.
   void register_vm(VmId vm);
 
-  /// Flushes all the VM's pools and forgets it.
-  void unregister_vm(VmId vm);
-
   bool vm_registered(VmId vm) const;
   std::uint32_t vm_count() const { return static_cast<std::uint32_t>(vms_.size()); }
 
@@ -110,7 +107,6 @@ class Hypervisor {
              std::uint32_t index);
   OpStatus flush(VmId vm, tmem::PoolType type, std::uint64_t object,
                  std::uint32_t index);
-  PageCount flush_object(VmId vm, tmem::PoolType type, std::uint64_t object);
 
   // ---- MM control path -----------------------------------------------------
 

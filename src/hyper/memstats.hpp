@@ -37,8 +37,8 @@ struct VmMemStats {
 struct MemStats {
   /// Sampling sequence number, stamped by the hypervisor's VIRQ tick
   /// (1-based; 0 = unsequenced snapshot). The MM uses it to discard
-  /// duplicated or out-of-order uplink deliveries instead of folding a
-  /// stale sample into its history.
+  /// duplicated or out-of-order uplink deliveries instead of acting on a
+  /// stale sample.
   std::uint64_t seq = 0;
   SimTime when = 0;
   /// Sampling interval of the hypervisor that captured this sample; the

@@ -46,11 +46,9 @@ class RemoteTmem {
   virtual TmemOp remote_get(VmId vm, tmem::PoolType type, std::uint64_t object,
                             std::uint32_t index) = 0;
 
-  /// Drops one borrowed page / every borrowed page of an object.
+  /// Drops one borrowed page.
   virtual bool remote_flush(VmId vm, tmem::PoolType type, std::uint64_t object,
                             std::uint32_t index) = 0;
-  virtual PageCount remote_flush_object(VmId vm, tmem::PoolType type,
-                                        std::uint64_t object) = 0;
 
   /// Whether the broker currently holds this exact key for this borrower.
   /// The hypervisor routes replacement puts through this check so a

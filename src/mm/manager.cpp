@@ -21,7 +21,6 @@ MemoryManager::MemoryManager(PolicyPtr policy, PageCount total_tmem,
     : policy_(std::move(policy)),
       total_tmem_(total_tmem),
       config_(config),
-      history_(config.history_depth),
       last_stats_interval_(config.sample_interval),
       targets_encoder_(config.delta) {
   if (!policy_) {
@@ -124,7 +123,6 @@ void MemoryManager::on_stats(const hyper::MemStats& stats) {
     return;
   }
   ++samples_seen_;
-  history_.record(stats_view_.view());
   process_sample(stats_view_.view());
 }
 
@@ -149,7 +147,6 @@ void MemoryManager::process_sample(const hyper::MemStats& stats) {
   // physical size, so this is identical on the single-node path; the
   // fallback covers synthetic MemStats from tests that leave the field 0.
   ctx.total_tmem = stats.total_tmem != 0 ? stats.total_tmem : total_tmem_;
-  ctx.history = &history_;
   ctx.stats_age_intervals = last_stats_age_;
   if (audit_ != nullptr) {
     scratch_.clear();

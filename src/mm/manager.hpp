@@ -2,7 +2,7 @@
 //
 // The MM runs in Xen's privileged domain. Once per sampling interval it
 // receives a memstats sample from the TKM (netlink in the real system),
-// records it into its history, runs the configured high-level policy and —
+// runs the configured high-level policy on it and —
 // only if the resulting target vector differs from the last one sent —
 // forwards it back to the hypervisor through the TKM
 // ("send_to_hypervisor ... If no changes are detected, then no transmission
@@ -31,8 +31,6 @@ namespace smartmem::mm {
 struct ManagerConfig {
   /// Suppress re-sending an unchanged target vector (paper behaviour).
   bool suppress_unchanged = true;
-  /// History depth in samples.
-  std::size_t history_depth = 120;
   /// The hypervisor's sampling interval. Used to normalize the
   /// stats-staleness readings of samples that do not carry their own
   /// capture interval (MemStats::interval == 0, i.e. hand-built samples).
@@ -60,13 +58,12 @@ class MemoryManager {
 
   /// Entry point: one memstats sample arriving from the TKM. Sequenced
   /// samples (seq != 0) that are older than — or duplicates of — the newest
-  /// sample already seen are discarded: a faulty uplink must not fold stale
-  /// intervals into the history the policies read.
+  /// sample already seen are discarded: a faulty uplink must not hand the
+  /// policy a stale interval.
   void on_stats(const hyper::MemStats& stats);
 
   const Policy& policy() const { return *policy_; }
   Policy& policy() { return *policy_; }
-  const StatsHistory& history() const { return history_; }
 
   std::uint64_t samples_seen() const { return samples_seen_; }
   std::uint64_t targets_sent() const { return targets_sent_; }
@@ -123,14 +120,13 @@ class MemoryManager {
                            const hyper::MemStats& stats,
                            const hyper::MmOut& out);
 
-  /// Everything after uplink decode: history, staleness, policy decide,
+  /// Everything after uplink decode: staleness, policy decide,
   /// audit, suppression and the downlink send.
   void process_sample(const hyper::MemStats& stats);
 
   PolicyPtr policy_;
   PageCount total_tmem_;
   ManagerConfig config_;
-  StatsHistory history_;
   TargetSender sender_;
   std::optional<hyper::MmOut> last_sent_;
   std::uint64_t samples_seen_ = 0;

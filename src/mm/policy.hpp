@@ -1,7 +1,7 @@
 // High-level tmem management policy interface (Section III-E).
 //
-// A policy is a pure function from one memstats sample (plus recorded
-// history) to a vector of per-VM tmem capacity targets. The MemoryManager
+// A policy maps one memstats sample to a vector of per-VM tmem capacity
+// targets; a policy that looks further back keeps its own state. The MemoryManager
 // invokes it once per sampling interval and forwards the output to the
 // hypervisor only when it differs from what was last sent.
 #pragma once
@@ -12,7 +12,6 @@
 
 #include "common/types.hpp"
 #include "hyper/memstats.hpp"
-#include "mm/history.hpp"
 #include "obs/audit.hpp"
 
 namespace smartmem::mm {
@@ -20,9 +19,6 @@ namespace smartmem::mm {
 struct PolicyContext {
   /// node_info.total_tmem — fixed for the lifetime of the node.
   PageCount total_tmem = 0;
-
-  /// Sample history recorded by the MM (never null during compute()).
-  const StatsHistory* history = nullptr;
 
   /// Read-only staleness of the sample being acted on, in sampling
   /// intervals: (delivery time - capture time) / the interval in effect at

@@ -9,6 +9,8 @@
 #include "mm/greedy_policy.hpp"
 #include "mm/reconf_static_policy.hpp"
 #include "mm/static_policy.hpp"
+#include "mm/swap_rate_policy.hpp"
+#include "mm/wss_policy.hpp"
 
 namespace smartmem::mm {
 
@@ -74,9 +76,9 @@ PolicyPtr make_policy(const PolicySpec& spec) {
     case PolicyKind::kSmart:
       return std::make_unique<SmartPolicy>(spec.smart_config);
     case PolicyKind::kSwapRate:
-      return std::make_unique<SwapRatePolicy>(spec.swap_rate_config);
+      return std::make_unique<SwapRatePolicy>();
     case PolicyKind::kWss:
-      return std::make_unique<WssPolicy>(spec.wss_config);
+      return std::make_unique<WssPolicy>();
     case PolicyKind::kNoTmem:
       break;
   }

@@ -6,8 +6,6 @@
 
 #include "mm/policy.hpp"
 #include "mm/smart_policy.hpp"
-#include "mm/swap_rate_policy.hpp"
-#include "mm/wss_policy.hpp"
 
 namespace smartmem::mm {
 
@@ -23,9 +21,7 @@ enum class PolicyKind : std::uint8_t {
 
 struct PolicySpec {
   PolicyKind kind = PolicyKind::kGreedy;
-  SmartPolicyConfig smart_config;        // used when kind == kSmart
-  SwapRatePolicyConfig swap_rate_config;  // used when kind == kSwapRate
-  WssPolicyConfig wss_config;             // used when kind == kWss
+  SmartPolicyConfig smart_config;  // used when kind == kSmart
 
   /// Human-readable label matching the paper's figures (e.g. "sm-0.75p").
   std::string label() const;
@@ -49,16 +45,8 @@ struct PolicySpec {
     spec.smart_config = SmartPolicyConfig{p_percent, threshold};
     return spec;
   }
-  static PolicySpec swap_rate(SwapRatePolicyConfig cfg = {}) {
-    PolicySpec spec = of(PolicyKind::kSwapRate);
-    spec.swap_rate_config = cfg;
-    return spec;
-  }
-  static PolicySpec wss(WssPolicyConfig cfg = {}) {
-    PolicySpec spec = of(PolicyKind::kWss);
-    spec.wss_config = cfg;
-    return spec;
-  }
+  static PolicySpec swap_rate() { return of(PolicyKind::kSwapRate); }
+  static PolicySpec wss() { return of(PolicyKind::kWss); }
 
   /// Parses labels like "greedy", "static", "reconf", "smart" (P = 0.75),
   /// "smart:0.75", "swap-rate", "wss", "no-tmem". Throws

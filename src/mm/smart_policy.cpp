@@ -35,9 +35,6 @@ SmartPolicy::SmartPolicy(SmartPolicyConfig config) : config_(config) {
     throw std::invalid_argument(
         "SmartPolicy: stale threshold must be positive");
   }
-  if (config_.stale_widen_max < 1.0) {
-    throw std::invalid_argument("SmartPolicy: stale_widen_max must be >= 1");
-  }
 }
 
 std::string SmartPolicy::name() const {
@@ -60,7 +57,7 @@ double SmartPolicy::widen_factor(double age_intervals) const {
   // One extra unit of P per interval of blindness beyond the threshold,
   // capped so a pathological age cannot grant the whole node in one step.
   return std::min(1.0 + (age_intervals - config_.stale_threshold_intervals),
-                  config_.stale_widen_max);
+                  kStaleWidenMax);
 }
 
 hyper::MmOut SmartPolicy::compute(const hyper::MemStats& stats,

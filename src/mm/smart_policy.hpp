@@ -40,9 +40,6 @@ struct SmartPolicyConfig {
   /// the default only fires once deliveries start queueing behind each
   /// other.
   double stale_threshold_intervals = 1.5;
-
-  /// kWiden: cap on the widened increment, as a multiple of P.
-  double stale_widen_max = 4.0;
 };
 
 /// Grows the target of every VM that failed puts in the last interval by
@@ -51,6 +48,9 @@ struct SmartPolicyConfig {
 /// guarantees all capacity is assigned once demand exists (Eq. 1).
 class SmartPolicy final : public Policy {
  public:
+  /// kWiden: cap on the widened increment, as a multiple of P.
+  static constexpr double kStaleWidenMax = 4.0;
+
   explicit SmartPolicy(SmartPolicyConfig config);
 
   std::string name() const override;
@@ -68,7 +68,7 @@ class SmartPolicy final : public Policy {
 
   /// The widening multiplier applied to P for a sample of `age` intervals:
   /// 1 below the threshold, then growing linearly with the age overshoot,
-  /// capped at stale_widen_max. Exposed for the property tests.
+  /// capped at kStaleWidenMax. Exposed for the property tests.
   double widen_factor(double age_intervals) const;
 
  private:

@@ -1,18 +1,8 @@
 #include "mm/swap_rate_policy.hpp"
 
 #include <cmath>
-#include <stdexcept>
 
 namespace smartmem::mm {
-
-SwapRatePolicy::SwapRatePolicy(SwapRatePolicyConfig config) : config_(config) {
-  if (config_.alpha <= 0.0 || config_.alpha > 1.0) {
-    throw std::invalid_argument("SwapRatePolicy: alpha must be in (0, 1]");
-  }
-  if (config_.floor_fraction < 0.0 || config_.floor_fraction >= 1.0) {
-    throw std::invalid_argument("SwapRatePolicy: floor_fraction in [0, 1)");
-  }
-}
 
 hyper::MmOut SwapRatePolicy::compute(const hyper::MemStats& stats,
                                      const PolicyContext& ctx) {
@@ -21,12 +11,12 @@ hyper::MmOut SwapRatePolicy::compute(const hyper::MemStats& stats,
   for (const auto& vm : stats.vm) {
     const auto failed = static_cast<double>(vm.puts_total - vm.puts_succ);
     double& r = ewma_[vm.vm_id];
-    r = config_.alpha * failed + (1.0 - config_.alpha) * r;
+    r = kAlpha * failed + (1.0 - kAlpha) * r;
     rate_sum += r;
   }
 
   const auto total = static_cast<double>(ctx.total_tmem);
-  const double floor_pool = total * config_.floor_fraction;
+  const double floor_pool = total * kFloorFraction;
   const double demand_pool = total - floor_pool;
   const std::size_t n = stats.vm.size();
 

@@ -11,18 +11,14 @@
 
 namespace smartmem::mm {
 
-struct SwapRatePolicyConfig {
+class SwapRatePolicy final : public Policy {
+ public:
   /// EWMA smoothing factor for the per-interval failed-put rate.
-  double alpha = 0.3;
+  static constexpr double kAlpha = 0.3;
   /// Fraction of total tmem always divided equally (guaranteed floor),
   /// so an idle VM can absorb a demand spike without waiting for its rate
   /// to build up.
-  double floor_fraction = 0.10;
-};
-
-class SwapRatePolicy final : public Policy {
- public:
-  explicit SwapRatePolicy(SwapRatePolicyConfig config = {});
+  static constexpr double kFloorFraction = 0.10;
 
   std::string name() const override { return "swap-rate"; }
 
@@ -30,7 +26,6 @@ class SwapRatePolicy final : public Policy {
                        const PolicyContext& ctx) override;
 
  private:
-  SwapRatePolicyConfig config_;
   std::unordered_map<VmId, double> ewma_;
 };
 

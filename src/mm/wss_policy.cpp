@@ -2,21 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
-#include <stdexcept>
 
 namespace smartmem::mm {
-
-WssPolicy::WssPolicy(WssPolicyConfig config) : config_(config) {
-  if (config_.window == 0) {
-    throw std::invalid_argument("WssPolicy: window must be >= 1");
-  }
-  if (config_.headroom < 1.0) {
-    throw std::invalid_argument("WssPolicy: headroom must be >= 1");
-  }
-  if (config_.floor_fraction < 0.0 || config_.floor_fraction >= 1.0) {
-    throw std::invalid_argument("WssPolicy: floor_fraction in [0, 1)");
-  }
-}
 
 PageCount WssPolicy::estimate(VmId vm) const {
   auto it = windows_.find(vm);
@@ -33,13 +20,13 @@ hyper::MmOut WssPolicy::compute(const hyper::MemStats& stats,
     const std::uint64_t failed = vm.puts_total - vm.puts_succ;
     auto& window = windows_[vm.vm_id];
     window.push_back(vm.tmem_used + failed);
-    while (window.size() > config_.window) window.pop_front();
+    while (window.size() > kWindow) window.pop_front();
   }
 
   const auto total = static_cast<double>(ctx.total_tmem);
   const std::size_t n = stats.vm.size();
   const double floor_share =
-      n == 0 ? 0.0 : total * config_.floor_fraction / static_cast<double>(n);
+      n == 0 ? 0.0 : total * kFloorFraction / static_cast<double>(n);
 
   hyper::MmOut out;
   out.reserve(n);
@@ -47,7 +34,7 @@ hyper::MmOut WssPolicy::compute(const hyper::MemStats& stats,
   for (const auto& vm : stats.vm) {
     const double want =
         floor_share +
-        static_cast<double>(estimate(vm.vm_id)) * config_.headroom;
+        static_cast<double>(estimate(vm.vm_id)) * kHeadroom;
     out.push_back({vm.vm_id, static_cast<PageCount>(want)});
     sum += want;
   }

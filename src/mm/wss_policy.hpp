@@ -12,6 +12,7 @@
 // by P% per interval, at the price of over-provisioning bursty VMs.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <deque>
 #include <unordered_map>
@@ -20,19 +21,15 @@
 
 namespace smartmem::mm {
 
-struct WssPolicyConfig {
-  /// Sliding window length in samples (= seconds at the paper's interval).
-  std::size_t window = 8;
-  /// Multiplicative headroom on the estimate (1.1 = +10%).
-  double headroom = 1.10;
-  /// Fraction of total tmem always split equally as a floor, so idle VMs
-  /// can absorb a burst while their estimate rebuilds.
-  double floor_fraction = 0.05;
-};
-
 class WssPolicy final : public Policy {
  public:
-  explicit WssPolicy(WssPolicyConfig config = {});
+  /// Sliding window length in samples (= seconds at the paper's interval).
+  static constexpr std::size_t kWindow = 8;
+  /// Multiplicative headroom on the estimate (1.1 = +10%).
+  static constexpr double kHeadroom = 1.10;
+  /// Fraction of total tmem always split equally as a floor, so idle VMs
+  /// can absorb a burst while their estimate rebuilds.
+  static constexpr double kFloorFraction = 0.05;
 
   std::string name() const override { return "wss-estimate"; }
 
@@ -43,7 +40,6 @@ class WssPolicy final : public Policy {
   PageCount estimate(VmId vm) const;
 
  private:
-  WssPolicyConfig config_;
   // Per-VM window of (tmem_used + unserved demand) samples.
   std::unordered_map<VmId, std::deque<PageCount>> windows_;
 };

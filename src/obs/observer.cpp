@@ -6,7 +6,6 @@ Observer::Observer(ObsConfig config) : config_(std::move(config)) {
   if (config_.trace_enabled()) {
     TraceConfig tcfg;
     tcfg.categories = config_.trace_categories;
-    tcfg.capacity = config_.trace_capacity;
     tcfg.sample_every = config_.trace_sample_every;
     trace_ = std::make_unique<TraceRecorder>(tcfg);
   }

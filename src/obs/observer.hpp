@@ -35,7 +35,6 @@ struct ObsConfig {
 
   /// Runtime-selectable trace categories (kCat* bitmask).
   std::uint32_t trace_categories = kCatAll;
-  std::size_t trace_capacity = 1u << 17;
   /// Deterministic 1-in-N span sampling for the hot guest-path span
   /// families (TraceConfig::sample_every). 1 = keep every span.
   std::uint64_t trace_sample_every = 1;

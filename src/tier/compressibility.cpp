@@ -7,6 +7,10 @@ namespace smartmem::tier {
 
 namespace {
 
+/// Per-page jitter: the page ratio is mean * (1 +/- kJitter), clamped to
+/// [1.0, 8.0] (a page never grows, and >8x is unrealistic for 4 KiB).
+constexpr double kJitter = 0.25;
+
 /// splitmix64 finalizer: the same mixer the key hash and the Rng seeder use.
 std::uint64_t mix64(std::uint64_t x) {
   x += 0x9e3779b97f4a7c15ULL;
@@ -41,7 +45,7 @@ std::uint32_t CompressibilityModel::compressed_bytes(
                           mix64((static_cast<std::uint64_t>(vm) << 40) |
                                 (static_cast<std::uint64_t>(kind) << 32) |
                                 index));
-  const double wobble = 1.0 + config_.jitter * (2.0 * unit(h) - 1.0);
+  const double wobble = 1.0 + kJitter * (2.0 * unit(h) - 1.0);
   const double ratio = std::clamp(mean * wobble, 1.0, 8.0);
   // ceil(page / ratio), clamped to [kPageSize/8, kPageSize] (the ratio clamp
   // guarantees it, but keep the accounting invariant explicit).

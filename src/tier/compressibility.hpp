@@ -33,9 +33,6 @@ struct CompressibilityConfig {
   /// Per-(vm, kind) mean ratios are drawn uniformly from this range.
   double min_ratio = 1.5;
   double max_ratio = 4.0;
-  /// Per-page jitter: the page ratio is mean * (1 +/- jitter), clamped to
-  /// [1.0, 8.0] (a page never grows, and >8x is unrealistic for 4 KiB).
-  double jitter = 0.25;
 };
 
 class CompressibilityModel {

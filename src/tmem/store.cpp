@@ -20,43 +20,35 @@ PoolId TmemStore::create_pool(VmId owner, PoolType type, bool compressible) {
   info.owner = owner;
   info.type = type;
   info.compressible = compressible;
-  info.alive = true;
   return id;
 }
 
-TmemStore::PoolInfo* TmemStore::live_pool(PoolId id) {
-  return id < pools_.size() && pools_[id].alive ? &pools_[id] : nullptr;
+TmemStore::PoolInfo* TmemStore::find_pool(PoolId id) {
+  return id < pools_.size() ? &pools_[id] : nullptr;
 }
 
-const TmemStore::PoolInfo* TmemStore::live_pool(PoolId id) const {
-  return id < pools_.size() && pools_[id].alive ? &pools_[id] : nullptr;
-}
-
-void TmemStore::destroy_pool(PoolId pool) {
-  PoolInfo* info = live_pool(pool);
-  if (!info) return;
-  while (info->entries.head != kNil) erase_entry(info->entries.head);
-  info->alive = false;
+const TmemStore::PoolInfo* TmemStore::find_pool(PoolId id) const {
+  return id < pools_.size() ? &pools_[id] : nullptr;
 }
 
 bool TmemStore::pool_exists(PoolId pool) const {
-  return live_pool(pool) != nullptr;
+  return find_pool(pool) != nullptr;
 }
 
 std::optional<PoolType> TmemStore::pool_type(PoolId pool) const {
-  const PoolInfo* info = live_pool(pool);
+  const PoolInfo* info = find_pool(pool);
   if (!info) return std::nullopt;
   return info->type;
 }
 
 std::optional<VmId> TmemStore::pool_owner(PoolId pool) const {
-  const PoolInfo* info = live_pool(pool);
+  const PoolInfo* info = find_pool(pool);
   if (!info) return std::nullopt;
   return info->owner;
 }
 
 PageCount TmemStore::pool_pages(PoolId pool) const {
-  const PoolInfo* info = live_pool(pool);
+  const PoolInfo* info = find_pool(pool);
   return info ? info->pages : 0;
 }
 
@@ -137,7 +129,7 @@ TmemStore::SlabId TmemStore::alloc_slab() {
     return static_cast<SlabId>(entries_.size() - 1);
   }
   const SlabId id = free_slab_;
-  free_slab_ = entries_[id].in_pool.next;
+  free_slab_ = entries_[id].lru.next;
   return id;
 }
 
@@ -197,13 +189,12 @@ void TmemStore::erase_entry(SlabId id) {
 
   assert(pool.pages > 0 && acct.pages > 0);
   --pool.pages;
-  unlink(pool.entries, &Entry::in_pool, id);
   --acct.pages;
   acct.bytes -= effective_bytes(entry);
 
   index_erase(id);
   entry = Entry{};
-  entry.in_pool.next = free_slab_;
+  entry.lru.next = free_slab_;
   free_slab_ = id;
 }
 
@@ -300,7 +291,7 @@ void TmemStore::place_entry(Entry& entry, bool comp_eligible,
 
 bool TmemStore::compressed_fits(const TmemKey& key) const {
   if (!comp_pool_.enabled()) return false;
-  const PoolInfo* pool = live_pool(key.pool);
+  const PoolInfo* pool = find_pool(key.pool);
   if (!pool || !pool->compressible) return false;
   return comp_pool_.fits(
       comp_pool_.page_bytes(pool->owner, pool->type, key.object, key.index));
@@ -310,7 +301,7 @@ bool TmemStore::compressed_fits(const TmemKey& key) const {
 
 PutResult TmemStore::put(const TmemKey& key, PagePayload payload,
                          Tier* tier) {
-  PoolInfo* pool = live_pool(key.pool);
+  PoolInfo* pool = find_pool(key.pool);
   if (!pool) {
     ++stats_.puts_failed;
     return PutResult::kNoMemory;
@@ -391,7 +382,6 @@ PutResult TmemStore::put(const TmemKey& key, PagePayload payload,
   entries_[id] = fresh;
   index_insert(id);
   ++pool->pages;
-  push_back(pool->entries, &Entry::in_pool, id);
   VmAccount& acct = *pool->account;
   ++acct.pages;
   acct.bytes += effective_bytes(fresh);
@@ -449,24 +439,6 @@ bool TmemStore::flush_page(const TmemKey& key) {
   erase_entry(id);
   ++stats_.pages_flushed;
   return true;
-}
-
-PageCount TmemStore::flush_object(PoolId pool, std::uint64_t object) {
-  const PoolInfo* info = live_pool(pool);
-  if (!info) return 0;
-  PageCount freed = 0;
-  for (SlabId id = info->entries.head; id != kNil;) {
-    const SlabId next = entries_[id].in_pool.next;  // before erase frees it
-    if (entries_[id].object == object) {
-      erase_entry(id);
-      ++freed;
-    }
-    id = next;
-  }
-  if (freed == 0) return 0;
-  stats_.pages_flushed += freed;
-  ++stats_.objects_flushed;
-  return freed;
 }
 
 PageCount TmemStore::evict_ephemeral_from_vm(VmId vm, PageCount max_pages) {

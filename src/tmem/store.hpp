@@ -13,10 +13,9 @@
 //
 // Layout: entries live in a slab (a vector with a free list) and are found
 // through one open-addressed index of slab ids. The global and per-VM
-// ephemeral lists and each pool's entry list are threaded through the slab
-// by id. Every walk goes through those lists, whose order is the simulated
-// order; nothing iterates the index, whose order depends on hashes and
-// capacity.
+// ephemeral lists are threaded through the slab by id. Every walk goes
+// through those lists, whose order is the simulated order; nothing iterates
+// the index, whose order depends on hashes and capacity.
 #pragma once
 
 #include <cstdint>
@@ -67,7 +66,6 @@ struct StoreStats {
   std::uint64_t gets_hit = 0;
   std::uint64_t gets_miss = 0;
   std::uint64_t pages_flushed = 0;
-  std::uint64_t objects_flushed = 0;
   std::uint64_t ephemeral_evictions = 0;
   std::uint64_t zero_pages_deduped = 0;
   PageCount peak_used = 0;      // high-water mark, DRAM tier
@@ -105,9 +103,6 @@ class TmemStore {
   /// pools this way so borrowed pages never double-compress.
   PoolId create_pool(VmId owner, PoolType type, bool compressible = true);
 
-  /// Flushes every page of the pool and forgets it.
-  void destroy_pool(PoolId pool);
-
   bool pool_exists(PoolId pool) const;
   std::optional<PoolType> pool_type(PoolId pool) const;
   std::optional<VmId> pool_owner(PoolId pool) const;
@@ -144,9 +139,6 @@ class TmemStore {
 
   /// Drops one page. Returns true if the key existed.
   bool flush_page(const TmemKey& key);
-
-  /// Drops every page of (pool, object). Returns the number of pages freed.
-  PageCount flush_object(PoolId pool, std::uint64_t object);
 
   /// Evicts up to `max_pages` ephemeral pages belonging to `vm` (oldest
   /// first). Used by the hypervisor's slow background reclaim of over-target
@@ -232,10 +224,10 @@ class TmemStore {
     std::uint32_t comp_bytes = 0;  // bytes charged while tier == kCompressed
     Tier tier = Tier::kDram;
     bool deduped = false;  // zero page, consumes no frame
-    Links lru;             // global ephemeral LRU (ephemeral only)
-    Links vm;              // owner VM's ephemeral list (ephemeral only)
-    Links in_pool;         // the pool's entry list; next links free slots
+    Links lru;  // global ephemeral LRU (ephemeral only); next links free slots
+    Links vm;   // owner VM's ephemeral list (ephemeral only)
   };
+  static_assert(sizeof(Entry) == 56);
 
   /// Per-VM accounting: page/byte tallies plus the VM's own ephemeral
   /// insertion-order list, so per-VM reclaim walks only the pages it may
@@ -251,14 +243,12 @@ class TmemStore {
     VmId owner = kInvalidVm;
     PoolType type = PoolType::kEphemeral;
     bool compressible = true;
-    bool alive = false;
     PageCount pages = 0;
-    Ends entries;  // every page of the pool, oldest first
   };
 
-  /// The live pool `id`, or nullptr.
-  PoolInfo* live_pool(PoolId id);
-  const PoolInfo* live_pool(PoolId id) const;
+  /// The pool `id`, or nullptr.
+  PoolInfo* find_pool(PoolId id);
+  const PoolInfo* find_pool(PoolId id) const;
 
   /// Slab id of `key` (whose TmemKeyHash is `hash`), or kNil.
   SlabId find(const TmemKey& key, std::size_t hash) const;
@@ -318,7 +308,7 @@ class TmemStore {
   tier::CompressedPool comp_pool_;
   std::vector<PoolInfo> pools_;  // indexed by PoolId; ids are never reused
   std::vector<Entry> entries_;   // the slab
-  SlabId free_slab_ = kNil;      // free slots, linked through in_pool.next
+  SlabId free_slab_ = kNil;      // free slots, linked through lru.next
   std::size_t entry_count_ = 0;
   std::vector<SlabId> index_;    // power-of-two size, kNil = empty
   std::unordered_map<VmId, VmAccount> vm_accounts_;

@@ -6,6 +6,13 @@
 
 namespace smartmem::workloads {
 
+namespace {
+/// The edge sweep dirties its pages every k-th iteration (JVM GC and
+/// in-place updates periodically rewrite the heap); other iterations are
+/// reads.
+constexpr std::size_t kSweepWritePeriod = 2;
+}  // namespace
+
 GraphAnalytics::GraphAnalytics(GraphAnalyticsConfig config) : config_(config) {
   if (config_.graph_pages == 0 || config_.vertex_pages == 0 ||
       config_.runs == 0 || config_.iterations == 0) {
@@ -61,13 +68,11 @@ std::optional<MemOp> GraphAnalytics::next() {
 
     case Phase::kIterSweep: {
       // Edge sweep: every iteration walks the full edge arrays. Every
-      // sweep_write_period-th sweep dirties the pages it visits (in-place
+      // kSweepWritePeriod-th sweep dirties the pages it visits (in-place
       // updates plus the JVM collector rewriting the heap); the others are
       // pure reads that can be served from pinned tmem copies.
       phase_ = Phase::kIterScatter;
-      const bool write =
-          config_.sweep_write_period <= 1 ||
-          (iter_ % config_.sweep_write_period) == config_.sweep_write_period - 1;
+      const bool write = iter_ % kSweepWritePeriod == kSweepWritePeriod - 1;
       return MemOp::touch(graph_region_, 0, config_.graph_pages,
                           config_.graph_pages, AccessPattern::kSequential,
                           write, config_.iter_touch_compute);
@@ -116,16 +121,6 @@ std::optional<MemOp> GraphAnalytics::next() {
       return std::nullopt;
   }
   return std::nullopt;
-}
-
-void GraphAnalytics::reset() {
-  phase_ = Phase::kRegisterFile;
-  run_ = 0;
-  iter_ = 0;
-  graph_region_ = 0;
-  vertex_region_ = 0;
-  next_region_ = 0;
-  freed_graph_ = false;
 }
 
 }  // namespace smartmem::workloads

@@ -25,10 +25,6 @@ struct GraphAnalyticsConfig {
   PageCount graph_pages = 0;      // in-memory edge arrays (the big footprint)
   PageCount vertex_pages = 0;     // per-vertex rank/state arrays
   std::size_t iterations = 6;
-  /// The edge sweep dirties its pages every k-th iteration (JVM GC and
-  /// in-place updates periodically rewrite the heap); other iterations are
-  /// reads. 1 = every sweep writes.
-  std::size_t sweep_write_period = 2;
   std::size_t runs = 1;
   SimTime sleep_between_runs = 0;
   /// Build phase writes pages with little compute: the fast tmem ramp.
@@ -43,7 +39,6 @@ class GraphAnalytics final : public Workload {
 
   const char* name() const override { return "graph-analytics"; }
   std::optional<MemOp> next() override;
-  void reset() override;
 
   const GraphAnalyticsConfig& config() const { return config_; }
 

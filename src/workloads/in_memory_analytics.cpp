@@ -6,6 +6,12 @@
 
 namespace smartmem::workloads {
 
+namespace {
+/// The ratings scan dirties its pages every k-th iteration (in-place factor
+/// updates + JVM heap rewriting); other scans are reads.
+constexpr std::size_t kScanWritePeriod = 2;
+}  // namespace
+
 InMemoryAnalytics::InMemoryAnalytics(InMemoryAnalyticsConfig config)
     : config_(config) {
   if (config_.working_set_pages == 0 || config_.runs == 0 ||
@@ -54,16 +60,12 @@ std::optional<MemOp> InMemoryAnalytics::next() {
           static_cast<double>(config_.working_set_pages) *
           (1.0 - config_.random_fraction));
       phase_ = Phase::kIterUpdate;
-      // Every scan_write_period-th scan dirties what it reads (in-place
+      // Every kScanWritePeriod-th scan dirties what it reads (in-place
       // factor updates, JVM heap rewriting); the rest are pure reads.
-      {
-        const bool write = config_.scan_write_period <= 1 ||
-                           (iter_ % config_.scan_write_period) ==
-                               config_.scan_write_period - 1;
-        return MemOp::touch(model_region_, 0, config_.working_set_pages,
-                            scan_touches, AccessPattern::kSequential,
-                            write, config_.per_touch_compute);
-      }
+      const bool write = iter_ % kScanWritePeriod == kScanWritePeriod - 1;
+      return MemOp::touch(model_region_, 0, config_.working_set_pages,
+                          scan_touches, AccessPattern::kSequential, write,
+                          config_.per_touch_compute);
     }
 
     case Phase::kIterUpdate: {
@@ -103,14 +105,6 @@ std::optional<MemOp> InMemoryAnalytics::next() {
       return std::nullopt;
   }
   return std::nullopt;
-}
-
-void InMemoryAnalytics::reset() {
-  phase_ = Phase::kRegisterFile;
-  run_ = 0;
-  iter_ = 0;
-  model_region_ = 0;
-  next_region_ = 0;
 }
 
 }  // namespace smartmem::workloads

@@ -23,9 +23,6 @@ struct InMemoryAnalyticsConfig {
   PageCount dataset_pages = 0;      // MovieLens ratings file
   PageCount working_set_pages = 0;  // in-memory model (exceeds usable RAM)
   std::size_t iterations = 5;       // training iterations per run
-  /// The ratings scan dirties its pages every k-th iteration (in-place
-  /// factor updates + JVM heap rewriting); other scans are reads.
-  std::size_t scan_write_period = 2;
   std::size_t runs = 1;
   SimTime sleep_between_runs = 0;
   SimTime per_touch_compute = 1 * kMicrosecond;
@@ -41,7 +38,6 @@ class InMemoryAnalytics final : public Workload {
 
   const char* name() const override { return "in-memory-analytics"; }
   std::optional<MemOp> next() override;
-  void reset() override;
 
   const InMemoryAnalyticsConfig& config() const { return config_; }
 

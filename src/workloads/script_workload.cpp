@@ -18,9 +18,4 @@ std::optional<MemOp> ScriptWorkload::next() {
   return ops_[cursor_++];
 }
 
-void ScriptWorkload::reset() {
-  cursor_ = 0;
-  done_repeats_ = 0;
-}
-
 }  // namespace smartmem::workloads

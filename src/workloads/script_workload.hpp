@@ -16,7 +16,6 @@ class ScriptWorkload : public Workload {
 
   const char* name() const override { return name_; }
   std::optional<MemOp> next() override;
-  void reset() override;
 
  private:
   std::vector<MemOp> ops_;

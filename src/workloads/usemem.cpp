@@ -87,12 +87,4 @@ std::optional<MemOp> Usemem::next() {
   return std::nullopt;
 }
 
-void Usemem::reset() {
-  phase_ = Phase::kAlloc;
-  chunk_count_ = 0;
-  traverse_cursor_ = 0;
-  max_passes_done_ = 0;
-  at_max_ = false;
-}
-
 }  // namespace smartmem::workloads

@@ -32,7 +32,6 @@ class Usemem final : public Workload {
 
   const char* name() const override { return "usemem"; }
   std::optional<MemOp> next() override;
-  void reset() override;
 
   const UsememConfig& config() const { return config_; }
 

@@ -95,9 +95,6 @@ class Workload {
   /// Workloads that "run until stopped" (usemem's final phase) never return
   /// nullopt; the runner cuts them off externally.
   virtual std::optional<MemOp> next() = 0;
-
-  /// Rewinds to the beginning (for repeated experiment runs).
-  virtual void reset() = 0;
 };
 
 using WorkloadPtr = std::unique_ptr<Workload>;

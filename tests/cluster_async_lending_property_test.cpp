@@ -221,28 +221,12 @@ void fuzz_run(const FaultCase& fc, std::uint64_t seed) {
       } else {
         ASSERT_EQ(got.status, hyper::OpStatus::kNotFound);
       }
-    } else if (kind < 70) {  // flush one page
+    } else if (kind < 74) {  // flush one page
       const RemoteKey key = random_key();
       const bool ok = rig.broker.port(0)->remote_flush(kVm, key.type,
                                                        key.object, key.index);
       ASSERT_EQ(ok, model.contains(key));
       model.erase(key);
-    } else if (kind < 74) {  // flush a whole object
-      const PoolType type =
-          rng.chance(0.5) ? PoolType::kPersistent : PoolType::kEphemeral;
-      const std::uint64_t object = 1 + rng.uniform(3);
-      const PageCount flushed =
-          rig.broker.port(0)->remote_flush_object(kVm, type, object);
-      PageCount expected = 0;
-      for (auto it = model.begin(); it != model.end();) {
-        if (it->first.type == type && it->first.object == object) {
-          it = model.erase(it);
-          ++expected;
-        } else {
-          ++it;
-        }
-      }
-      ASSERT_EQ(flushed, expected);
     } else if (kind < 78) {  // quota-style release of ephemeral borrows
       const PageCount max = 1 + rng.uniform(8);
       const PageCount released = rig.broker.port(0)->release_borrowed(max);

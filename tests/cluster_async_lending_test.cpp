@@ -143,15 +143,14 @@ TEST(AsyncLendingTest, TotalRequestLossExhaustsAttemptsIntoAFailedPut) {
   EXPECT_EQ(rig.broker.failed_placements(), 1u);
   EXPECT_EQ(rig.broker.borrow_placements(), 0u);
   EXPECT_EQ(rig.broker.credit(0, 1), kPhys / 2);  // no credit consumed
-  // The guest pays the full retry budget: max_attempts x timeout.
-  const AsyncLendingConfig defaults = async_on();
-  EXPECT_EQ(put.fabric, defaults.max_attempts * defaults.timeout);
+  // The guest pays the full retry budget: every attempt's timeout.
+  EXPECT_EQ(put.fabric, kLendMaxAttempts * kLendTimeout);
 
   const LendFabricStats t = rig.totals();
-  EXPECT_EQ(t.requests, defaults.max_attempts);
-  EXPECT_EQ(t.retries, defaults.max_attempts - 1);
-  EXPECT_EQ(t.timeouts, defaults.max_attempts);
-  EXPECT_EQ(t.lost_requests, defaults.max_attempts);
+  EXPECT_EQ(t.requests, kLendMaxAttempts);
+  EXPECT_EQ(t.retries, kLendMaxAttempts - 1);
+  EXPECT_EQ(t.timeouts, kLendMaxAttempts);
+  EXPECT_EQ(t.lost_requests, kLendMaxAttempts);
   EXPECT_EQ(t.give_ups, 1u);
   EXPECT_EQ(t.responses, 0u);
 }
@@ -164,7 +163,7 @@ TEST(AsyncLendingTest, ResponseLossTimesOutTheBorrowerToo) {
                    ->remote_put(kVm, PoolType::kPersistent, 1, 0, 42)
                    .ok());
   const LendFabricStats t = rig.totals();
-  EXPECT_EQ(t.lost_responses, async_on().max_attempts);
+  EXPECT_EQ(t.lost_responses, kLendMaxAttempts);
   EXPECT_EQ(t.give_ups, 1u);
 }
 
@@ -178,8 +177,8 @@ TEST(AsyncLendingTest, ReorderedLateResponseIsIndistinguishableFromLoss) {
                    ->remote_put(kVm, PoolType::kPersistent, 1, 0, 42)
                    .ok());
   const LendFabricStats t = rig.totals();
-  EXPECT_EQ(t.late_responses, async_on().max_attempts);
-  EXPECT_EQ(t.reordered, async_on().max_attempts);
+  EXPECT_EQ(t.late_responses, kLendMaxAttempts);
+  EXPECT_EQ(t.reordered, kLendMaxAttempts);
   EXPECT_EQ(t.give_ups, 1u);
 }
 
@@ -199,7 +198,7 @@ TEST(AsyncLendingTest, OutageWindowFailsBorrowsInsideItOnly) {
   EXPECT_FALSE(rig.broker.port(0)
                    ->remote_put(kVm, PoolType::kPersistent, 1, 1, 43)
                    .ok());
-  EXPECT_EQ(rig.totals().outage_drops, async_on().max_attempts);
+  EXPECT_EQ(rig.totals().outage_drops, kLendMaxAttempts);
   EXPECT_EQ(rig.totals().give_ups, 1u);
 
   // After the window: service resumes.
@@ -227,8 +226,7 @@ TEST(AsyncLendingTest, PersistentGetGiveUpFallsBackSynchronously) {
   ASSERT_TRUE(got.ok());
   EXPECT_EQ(got.payload, 42u);
   EXPECT_EQ(rig.totals().get_fallbacks, 1u);
-  const AsyncLendingConfig defaults = async_on();
-  EXPECT_EQ(got.fabric, defaults.max_attempts * defaults.timeout);
+  EXPECT_EQ(got.fabric, kLendMaxAttempts * kLendTimeout);
 }
 
 TEST(AsyncLendingTest, FailedReplacementDropsTheEntrySoOwnsNeverLies) {
@@ -257,6 +255,32 @@ TEST(AsyncLendingTest, FailedReplacementDropsTheEntrySoOwnsNeverLies) {
                    .ok());
   // A failed replacement is transport loss, not donor shortage.
   EXPECT_EQ(rig.broker.failed_placements(), 0u);
+}
+
+// The fabric models neither duplication nor a response-hop queue: a
+// topology that sets either is refused instead of silently ignored.
+TEST(AsyncLendingTest, RejectsHopFieldsTheFabricDoesNotModel) {
+  sim::Simulator sim;
+  const std::vector<sim::Simulator*> sims = {&sim, &sim};
+  comm::ClusterTopology dup_req;
+  dup_req.internode_lend_req.faults.duplication_rate = 0.1;
+  EXPECT_THROW(LendFabric(dup_req, async_on(), sims), std::invalid_argument);
+  comm::ClusterTopology dup_resp;
+  dup_resp.internode_lend_resp.faults.duplication_rate = 0.1;
+  EXPECT_THROW(LendFabric(dup_resp, async_on(), sims), std::invalid_argument);
+  comm::ClusterTopology resp_queue;
+  resp_queue.internode_lend_resp.queue_capacity = 4;
+  EXPECT_THROW(LendFabric(resp_queue, async_on(), sims),
+               std::invalid_argument);
+  // The request hop's queue bounds the in-flight window (below).
+  comm::ClusterTopology req_queue;
+  req_queue.internode_lend_req.queue_capacity = 4;
+  EXPECT_NO_THROW(LendFabric(req_queue, async_on(), sims));
+  // The broker builds its fabric in its constructor, so it refuses too.
+  hyper::Hypervisor a(sim, hyp_config(kPhys));
+  hyper::Hypervisor b(sim, hyp_config(kPhys));
+  EXPECT_THROW(LendingBroker({&a, &b}, dup_resp, async_on()),
+               std::invalid_argument);
 }
 
 TEST(AsyncLendingTest, BoundedInFlightWindowCongestsThenDrains) {
@@ -401,7 +425,7 @@ TEST(AsyncLendingCacheTest, FlushInvalidatesTheCachedCopy) {
                    .ok());
 }
 
-TEST(AsyncLendingCacheTest, ObjectFlushAndReleaseInvalidateEveryEntry) {
+TEST(AsyncLendingCacheTest, FlushAndReleaseInvalidateEveryEntry) {
   AsyncRig rig((comm::ClusterTopology()), async_on(8));
   for (std::uint32_t i = 0; i < 3; ++i) {
     ASSERT_TRUE(rig.broker.port(0)
@@ -413,9 +437,10 @@ TEST(AsyncLendingCacheTest, ObjectFlushAndReleaseInvalidateEveryEntry) {
                   .ok());
   ASSERT_EQ(rig.broker.fabric().cache(0).size(), 4u);
 
-  EXPECT_EQ(rig.broker.port(0)->remote_flush_object(kVm, PoolType::kPersistent,
-                                                    5),
-            3u);
+  for (std::uint32_t i = 0; i < 3; ++i) {
+    EXPECT_TRUE(
+        rig.broker.port(0)->remote_flush(kVm, PoolType::kPersistent, 5, i));
+  }
   EXPECT_EQ(rig.broker.fabric().cache(0).size(), 1u);
   EXPECT_EQ(rig.broker.port(0)->release_borrowed(16), 1u);  // the ephemeral
   EXPECT_EQ(rig.broker.fabric().cache(0).size(), 0u);

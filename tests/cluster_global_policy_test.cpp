@@ -66,7 +66,7 @@ TEST(GlobalSmartPolicyTest, GroundsUnlimitedQuotaToEqualShare) {
 }
 
 TEST(GlobalSmartPolicyTest, GrowsNodeWithFailedPuts) {
-  GlobalSmartPolicy policy(GlobalSmartConfig{10.0, 0});
+  GlobalSmartPolicy policy(GlobalSmartConfig{10.0});
   obs::PolicyAuditScratch audit;
   const std::vector<NodeStats> stats = {
       node_stats(0, 1000, 990, 100, 60),  // 40 failed puts
@@ -82,7 +82,7 @@ TEST(GlobalSmartPolicyTest, GrowsNodeWithFailedPuts) {
 }
 
 TEST(GlobalSmartPolicyTest, ShrinksNodeWithSlackPastThreshold) {
-  GlobalSmartPolicy policy(GlobalSmartConfig{10.0, 0});
+  GlobalSmartPolicy policy(GlobalSmartConfig{10.0});
   obs::PolicyAuditScratch audit;
   // threshold = 10% of 4000 = 400; slack = 1000 - 100 = 900 > 400.
   const std::vector<NodeStats> stats = {
@@ -97,7 +97,7 @@ TEST(GlobalSmartPolicyTest, ShrinksNodeWithSlackPastThreshold) {
 // The warm-up guard: a roll-up with zero traffic carries no evidence, so
 // the slack test must not crush a node right before its demand arrives.
 TEST(GlobalSmartPolicyTest, HoldsIdleNodeInsteadOfShrinking) {
-  GlobalSmartPolicy policy(GlobalSmartConfig{10.0, 0});
+  GlobalSmartPolicy policy(GlobalSmartConfig{10.0});
   obs::PolicyAuditScratch audit;
   const std::vector<NodeStats> stats = {
       node_stats(0, 1000, 0, 0, 0),  // no puts at all this interval
@@ -109,7 +109,7 @@ TEST(GlobalSmartPolicyTest, HoldsIdleNodeInsteadOfShrinking) {
 }
 
 TEST(GlobalSmartPolicyTest, RenormalizesWhenGrantsExceedCluster) {
-  GlobalSmartPolicy policy(GlobalSmartConfig{50.0, 1});
+  GlobalSmartPolicy policy(GlobalSmartConfig{50.0});
   obs::PolicyAuditScratch audit;
   // Both nodes fail puts: each grows 1000 -> 1000 + 50% * 2000 = 2000.
   // Sum 4000 > cluster 2000 => Equation 2 scales both down by 0.5.
@@ -140,15 +140,15 @@ TEST(GlobalSmartPolicyTest, AuditCarriesNodeIds) {
 }
 
 TEST(GlobalSmartPolicyTest, RejectsBadP) {
-  EXPECT_THROW(GlobalSmartPolicy(GlobalSmartConfig{0.0, 0}),
+  EXPECT_THROW(GlobalSmartPolicy(GlobalSmartConfig{0.0}),
                std::invalid_argument);
-  EXPECT_THROW(GlobalSmartPolicy(GlobalSmartConfig{101.0, 0}),
-               std::invalid_argument);
-  EXPECT_THROW(GlobalSmartPolicy(GlobalSmartConfig{
-                   std::numeric_limits<double>::quiet_NaN(), 0}),
+  EXPECT_THROW(GlobalSmartPolicy(GlobalSmartConfig{101.0}),
                std::invalid_argument);
   EXPECT_THROW(GlobalSmartPolicy(GlobalSmartConfig{
-                   std::numeric_limits<double>::infinity(), 0}),
+                   std::numeric_limits<double>::quiet_NaN()}),
+               std::invalid_argument);
+  EXPECT_THROW(GlobalSmartPolicy(GlobalSmartConfig{
+                   std::numeric_limits<double>::infinity()}),
                std::invalid_argument);
 }
 

@@ -106,18 +106,22 @@ TEST(LendTeardownTest, TrafficAfterStopRearmsTheFabric) {
 // ---- Cluster-level: teardown mid-flight via the deadline cap --------------
 
 TEST(LendTeardownTest, ClusterTeardownCancelsMidFlightBorrows) {
-  // The real Cluster::teardown() path, not the rig. The lend hops (10 ms
-  // each way) are longer than the rack lookahead (the default 5 ms
-  // inter-node hop), so a borrow burst that node 0 fires at t = 0 — inside
-  // the engine's first window — leaves its completion timers pending past
-  // that window's barrier. The VM-less nodes are trivially done at that
-  // barrier, so run() goes straight to teardown, which must cancel the
-  // timers exactly as Tkm::stop() cancels pending deliveries.
+  // The real Cluster::teardown() path, not the rig. A borrow round trip
+  // (0.9 ms each way plus the donor's service, inside the 2 ms attempt
+  // timeout) is longer than the rack lookahead (a 0.5 ms inter-node hop),
+  // so a borrow burst that node 0 fires at t = 0 — inside the engine's
+  // first window — leaves its completion timers pending past that window's
+  // barrier. The VM-less nodes are trivially done at that barrier, so run()
+  // goes straight to teardown, which must cancel the timers exactly as
+  // Tkm::stop() cancels pending deliveries.
+  constexpr SimTime kLendHop = 900 * kMicrosecond;
+  static_assert(2 * kLendHop + 3 * kDonorService < kLendTimeout);
   ClusterConfig ccfg;
-  ccfg.topology.internode_lend_req.latency = 10 * kMillisecond;
-  ccfg.topology.internode_lend_resp.latency = 10 * kMillisecond;
+  ccfg.topology.internode_up.latency = 500 * kMicrosecond;
+  ccfg.topology.internode_down.latency = 500 * kMicrosecond;
+  ccfg.topology.internode_lend_req.latency = kLendHop;
+  ccfg.topology.internode_lend_resp.latency = kLendHop;
   ccfg.lending_async.cache_pages = 8;
-  ccfg.lending_async.timeout = 100 * kMillisecond;  // no retries
   Cluster cluster(std::move(ccfg));
   core::NodeConfig ncfg;
   ncfg.tmem_pages = kPhys;
@@ -125,7 +129,7 @@ TEST(LendTeardownTest, ClusterTeardownCancelsMidFlightBorrows) {
   cluster.add_node(ncfg);
   cluster.start();
   ASSERT_GT(cluster.engine()->lookahead(), 0);
-  ASSERT_LT(cluster.engine()->lookahead(), 10 * kMillisecond);
+  ASSERT_LT(cluster.engine()->lookahead(), 2 * kLendHop);
 
   cluster.node(0).hypervisor().register_vm(kVm);
   cluster.node(1).hypervisor().register_vm(kVm);

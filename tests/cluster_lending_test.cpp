@@ -169,7 +169,7 @@ TEST_F(LendingBrokerTest, ReplacementPutStaysOnItsDonorWithoutNewFrame) {
   EXPECT_EQ(got.payload, 43u);
 }
 
-TEST_F(LendingBrokerTest, FlushQueuesReleasesAndFlushObjectIsRanged) {
+TEST_F(LendingBrokerTest, FlushQueuesReleases) {
   for (std::uint32_t i = 0; i < 3; ++i) {
     ASSERT_TRUE(broker_.port(0)
                     ->remote_put(kVm, PoolType::kPersistent, 5, i, 100 + i)
@@ -183,9 +183,9 @@ TEST_F(LendingBrokerTest, FlushQueuesReleasesAndFlushObjectIsRanged) {
   EXPECT_EQ(broker_.unsettled_releases(0, 1), 1u);
   EXPECT_FALSE(broker_.port(0)->owns(kVm, PoolType::kPersistent, 5, 1));
 
-  // Object flush removes the rest of object 5 and nothing of object 6.
-  EXPECT_EQ(broker_.port(0)->remote_flush_object(kVm, PoolType::kPersistent, 5),
-            2u);
+  // Flushing the rest of object 5 leaves object 6 alone.
+  EXPECT_TRUE(broker_.port(0)->remote_flush(kVm, PoolType::kPersistent, 5, 0));
+  EXPECT_TRUE(broker_.port(0)->remote_flush(kVm, PoolType::kPersistent, 5, 2));
   EXPECT_EQ(broker_.unsettled_releases(0, 1), 3u);
   EXPECT_TRUE(broker_.port(0)->owns(kVm, PoolType::kPersistent, 6, 0));
   EXPECT_EQ(broker_.borrowed_total(0), 1u);
@@ -222,8 +222,6 @@ TEST_F(LendingBrokerTest, ReleaseBorrowedDropsOnlyEphemeralEntries) {
 TEST_F(LendingBrokerTest, ReleaseOnlyWindowIsSettledAtTheNextBarrier) {
   hyper::RemoteTmem& port = *broker_.port(0);
   ASSERT_TRUE(port.remote_put(kVm, PoolType::kPersistent, 1, 0, 10).ok());
-  ASSERT_TRUE(port.remote_put(kVm, PoolType::kPersistent, 2, 0, 20).ok());
-  ASSERT_TRUE(port.remote_put(kVm, PoolType::kPersistent, 2, 1, 21).ok());
   ASSERT_TRUE(port.remote_put(kVm, PoolType::kEphemeral, 3, 0, 30).ok());
   ASSERT_TRUE(port.remote_put(kVm, PoolType::kEphemeral, 4, 0, 40).ok());
   broker_.sync_window();
@@ -234,8 +232,6 @@ TEST_F(LendingBrokerTest, ReleaseOnlyWindowIsSettledAtTheNextBarrier) {
   };
   const Release releases[] = {
       {"flush", [&] { port.remote_flush(kVm, PoolType::kPersistent, 1, 0); }},
-      {"object flush",
-       [&] { port.remote_flush_object(kVm, PoolType::kPersistent, 2); }},
       {"ephemeral-hit consume",
        [&] { (void)port.remote_get(kVm, PoolType::kEphemeral, 3, 0); }},
       {"release_borrowed", [&] { port.release_borrowed(1); }},

@@ -71,52 +71,17 @@ TEST(ClusterTopologyTest, ExplicitChannelSeedIsKept) {
   EXPECT_EQ(topo.uplink_for(3).name, "n3.gm_up");  // prefix still applied
 }
 
-TEST(ClusterTopologyTest, OverrideReplacesTemplateAndKeepsDerivation) {
-  ClusterTopology topo;
-  ChannelConfig slow = topo.internode_up;
-  slow.latency = 50 * kMillisecond;
-  topo.up_overrides[1] = slow;
-
-  // Asymmetric topology: node 1's uplink is 10x slower, node 0 untouched.
-  EXPECT_EQ(topo.uplink_for(0).latency, 5 * kMillisecond);
-  EXPECT_EQ(topo.uplink_for(1).latency, 50 * kMillisecond);
-  // Name prefix and seed derivation are applied to the override too.
-  EXPECT_EQ(topo.uplink_for(1).name, "n1.gm_up");
-  EXPECT_EQ(topo.uplink_for(1).seed, derive_seed(topo.seed, (1ULL << 1) | 0));
-}
-
-TEST(ClusterTopologyTest, PerNodeLatencyAsymmetryReachesTheWire) {
-  ClusterTopology topo;
-  ChannelConfig slow = topo.internode_up;
-  slow.latency = 40 * kMillisecond;
-  topo.up_overrides[1] = slow;
-
-  sim::Simulator sim;
-  Channel<int> fast(sim, topo.uplink_for(0));
-  Channel<int> lagged(sim, topo.uplink_for(1));
-  SimTime fast_at = -1;
-  SimTime slow_at = -1;
-  fast.open([&](const int&) { fast_at = sim.now(); });
-  lagged.open([&](const int&) { slow_at = sim.now(); });
-  ASSERT_EQ(fast.send(1), SendResult::kQueued);
-  ASSERT_EQ(lagged.send(2), SendResult::kQueued);
-  sim.run_until(kSecond);
-  EXPECT_EQ(fast_at, 5 * kMillisecond);
-  EXPECT_EQ(slow_at, 40 * kMillisecond);
-}
-
-// The satellite requirement: a node-A outage must not drop node-B traffic.
-// Each node's inter-node hop is its own Channel, so a down-window override
-// on one node cannot leak into its neighbours.
+// A node-A outage must not drop node-B traffic. Each node's inter-node hop
+// is its own Channel, so a down window on one node's channel cannot leak
+// into its neighbours.
 TEST(ClusterTopologyTest, NodeOutageDoesNotDropOtherNodesTraffic) {
   ClusterTopology topo;
-  ChannelConfig dark = topo.internode_up;
+  ChannelConfig dark = topo.uplink_for(0);
   dark.faults.down_from = 0;
   dark.faults.down_until = 10 * kSecond;
-  topo.up_overrides[0] = dark;
 
   sim::Simulator sim;
-  Channel<int> node0(sim, topo.uplink_for(0));
+  Channel<int> node0(sim, dark);
   Channel<int> node1(sim, topo.uplink_for(1));
   int delivered1 = 0;
   node0.open([](const int&) { FAIL() << "node 0 is in an outage window"; });

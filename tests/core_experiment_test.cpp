@@ -68,6 +68,44 @@ TEST_F(ExperimentFixture, RunScenarioProducesDurationsAndUsage) {
   EXPECT_NE(r.usage.find("VM1"), nullptr);
 }
 
+// run_scenario samples each VM's tmem usage and target and the node's free
+// tmem: one point at t = 0, one every sampling interval and one at the end.
+TEST_F(ExperimentFixture, UsageSeriesCoverTheRunAtTheSamplingInterval) {
+  const ScenarioResult r = run_scenario(spec_, mm::PolicySpec::smart(2.0), 42);
+  const SimTime interval = scaled_node_defaults(spec_.scale).sample_interval;
+  ASSERT_GT(interval, 0);
+  std::vector<std::string> names = {"free"};
+  for (const VmResult& vm : r.vms) {
+    names.push_back(vm.name);
+    names.push_back("target-" + vm.name);
+  }
+  ASSERT_EQ(names.size(), 7u);
+  ASSERT_EQ(r.usage.all().size(), names.size());
+  const std::size_t points = r.usage.find("free")->size();
+  ASSERT_GE(points, 3u);
+  for (const std::string& name : names) {
+    const TimeSeries* ts = r.usage.find(name);
+    ASSERT_NE(ts, nullptr) << name;
+    const std::vector<Sample>& s = ts->samples();
+    ASSERT_EQ(s.size(), points) << name;
+    EXPECT_EQ(s.front().when, 0) << name;
+    EXPECT_EQ(s.back().when, r.end_time) << name;
+    for (std::size_t i = 1; i + 1 < s.size(); ++i) {
+      ASSERT_EQ(s[i].when, static_cast<SimTime>(i) * interval)
+          << name << " point " << i;
+    }
+    EXPECT_LE(s.back().when - s[s.size() - 2].when, interval) << name;
+  }
+  // Every page is either free or held by one VM at every point.
+  for (std::size_t i = 0; i < points; ++i) {
+    double held = r.usage.find("free")->samples()[i].value;
+    for (const VmResult& vm : r.vms) {
+      held += r.usage.find(vm.name)->samples()[i].value;
+    }
+    ASSERT_EQ(held, static_cast<double>(spec_.tmem_pages)) << "point " << i;
+  }
+}
+
 TEST_F(ExperimentFixture, SameSeedIsBitIdentical) {
   const auto a = run_scenario(spec_, mm::PolicySpec::smart(2.0), 7);
   const auto b = run_scenario(spec_, mm::PolicySpec::smart(2.0), 7);

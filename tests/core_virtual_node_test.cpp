@@ -1,5 +1,4 @@
-// VirtualNode wiring: policy plumbing, usage recording, manual starts and
-// node-wide stop.
+// VirtualNode wiring: policy plumbing, manual starts and node-wide stop.
 #include "core/virtual_node.hpp"
 
 #include <gtest/gtest.h>
@@ -18,7 +17,6 @@ NodeConfig tiny_node(mm::PolicySpec policy) {
   cfg.tmem_pages = 64;
   cfg.policy = policy;
   cfg.sample_interval = 100 * kMillisecond;
-  cfg.usage_sample_interval = 100 * kMillisecond;
   return cfg;
 }
 
@@ -139,17 +137,6 @@ TEST(VirtualNodeTest, NoTmemDisablesFrontswap) {
   node.run();
   EXPECT_EQ(node.hypervisor().vm_data(1).cumul_puts_total, 0u);
   EXPECT_GT(node.kernel(1).stats().swapouts_disk, 0u);
-}
-
-TEST(VirtualNodeTest, UsageSeriesRecorded) {
-  VirtualNode node(tiny_node(mm::PolicySpec::greedy()));
-  node.add_vm(tiny_vm("VM1", {MemOp::sleep(kSecond), MemOp::marker("m")}));
-  node.run();
-  const SeriesSet& usage = node.usage_series();
-  ASSERT_NE(usage.find("VM1"), nullptr);
-  ASSERT_NE(usage.find("target-VM1"), nullptr);
-  ASSERT_NE(usage.find("free"), nullptr);
-  EXPECT_GE(usage.find("VM1")->size(), 10u);  // ~1s at 100ms cadence
 }
 
 TEST(VirtualNodeTest, StartDelayAndJitterlessStagger) {

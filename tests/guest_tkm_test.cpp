@@ -161,7 +161,6 @@ TEST(TkmTest, AckGivesUpAfterMaxRetries) {
   comm::CommConfig cfg = comm_config(100 * kMicrosecond, kMillisecond);
   cfg.ack_targets = true;
   cfg.ack_timeout = 20 * kMillisecond;
-  cfg.ack_max_retries = 2;
   // Permanent outage: every transmission attempt is dropped.
   cfg.downlink.faults.down_from = 0;
   cfg.downlink.faults.down_until = 3600 * kSecond;
@@ -170,8 +169,9 @@ TEST(TkmTest, AckGivesUpAfterMaxRetries) {
   EXPECT_EQ(tkm.submit_targets({1, {{1, 7}}}), comm::SendResult::kDown);
   sim.run_until(kSecond);
   EXPECT_EQ(hyp.target(1), kUnlimitedTarget);
-  EXPECT_EQ(tkm.target_retransmits(), 2u);
-  EXPECT_EQ(tkm.downlink().stats().dropped_down, 3u);  // original + 2 retries
+  EXPECT_EQ(tkm.target_retransmits(), Tkm::kAckMaxRetries);
+  // The original plus every retry.
+  EXPECT_EQ(tkm.downlink().stats().dropped_down, Tkm::kAckMaxRetries + 1);
 }
 
 TEST(TkmTest, AckIgnoresUnsequencedVectors) {

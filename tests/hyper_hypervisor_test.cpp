@@ -19,17 +19,15 @@ HypervisorConfig config(PageCount pages,
   return cfg;
 }
 
-TEST(HypervisorTest, RegisterAndUnregister) {
+TEST(HypervisorTest, RegisterVms) {
   sim::Simulator sim;
   Hypervisor hyp(sim, config(100));
   hyp.register_vm(1);
   hyp.register_vm(2);
   EXPECT_TRUE(hyp.vm_registered(1));
+  EXPECT_FALSE(hyp.vm_registered(3));
   EXPECT_EQ(hyp.vm_count(), 2u);
   EXPECT_THROW(hyp.register_vm(1), std::invalid_argument);
-  hyp.unregister_vm(1);
-  EXPECT_FALSE(hyp.vm_registered(1));
-  hyp.unregister_vm(1);  // idempotent
 }
 
 TEST(HypervisorTest, GreedyDefaultHasUnlimitedTarget) {
@@ -48,8 +46,6 @@ TEST(HypervisorTest, EqualShareModeDividesOnRegistration) {
   hyp.register_vm(3);
   EXPECT_EQ(hyp.target(1), 30u);
   EXPECT_EQ(hyp.target(3), 30u);
-  hyp.unregister_vm(2);
-  EXPECT_EQ(hyp.target(1), 45u);
 }
 
 // The sequenced hypercall path: a reordered or duplicated downlink delivery
@@ -184,18 +180,6 @@ TEST(HypervisorTest, TargetsApplyPerVm) {
   EXPECT_EQ(hyp.target_updates(), 2u);
 }
 
-TEST(HypervisorTest, FlushObject) {
-  sim::Simulator sim;
-  Hypervisor hyp(sim, config(100));
-  hyp.register_vm(1);
-  for (std::uint32_t i = 0; i < 6; ++i) {
-    (void)hyp.put(1, kFrontswap, 7, i, i);
-  }
-  (void)hyp.put(1, kFrontswap, 8, 0, 0);
-  EXPECT_EQ(hyp.flush_object(1, kFrontswap, 7), 6u);
-  EXPECT_EQ(hyp.tmem_used(1), 1u);
-}
-
 TEST(HypervisorTest, CleancachePutGetAreEphemeral) {
   sim::Simulator sim;
   Hypervisor hyp(sim, config(10));
@@ -241,16 +225,6 @@ TEST(HypervisorTest, OpsOnUnregisteredVm) {
   EXPECT_EQ(hyp.get(9, kFrontswap, 0, 0).status, OpStatus::kBadVm);
   EXPECT_EQ(hyp.flush(9, kFrontswap, 0, 0), OpStatus::kBadVm);
   EXPECT_THROW(hyp.vm_data(9), std::out_of_range);
-}
-
-TEST(HypervisorTest, UnregisterReleasesPages) {
-  sim::Simulator sim;
-  Hypervisor hyp(sim, config(4));
-  hyp.register_vm(1);
-  for (std::uint32_t i = 0; i < 4; ++i) (void)hyp.put(1, kFrontswap, 0, i, i);
-  EXPECT_EQ(hyp.free_tmem(), 0u);
-  hyp.unregister_vm(1);
-  EXPECT_EQ(hyp.free_tmem(), 4u);
 }
 
 TEST(HypervisorTest, SnapshotMatchesTableI) {

@@ -54,8 +54,6 @@ TEST(StalePropertyTest, WidenPreservesEquation2OnRandomSamples) {
     hyper::MemStats stats = random_stats(rng, total, vms);
     PolicyContext ctx;
     ctx.total_tmem = total;
-    StatsHistory history(8);
-    ctx.history = &history;
     ctx.stats_age_intervals = rng.uniform_double() * 8.0;  // 0..8 intervals
 
     const hyper::MmOut out = policy.compute(stats, ctx);
@@ -79,8 +77,6 @@ TEST(StalePropertyTest, FreshSamplesMatchBaselineByteForByte) {
     hyper::MemStats stats = random_stats(rng, total, 3);
     PolicyContext ctx;
     ctx.total_tmem = total;
-    StatsHistory history(8);
-    ctx.history = &history;
     // Below the 1.5-interval threshold: the modes must not engage.
     ctx.stats_age_intervals = rng.uniform_double() * 1.5;
 
@@ -95,7 +91,7 @@ TEST(StalePropertyTest, FreshSamplesMatchBaselineByteForByte) {
 TEST(StalePropertyTest, WidenFactorIsMonotonicAndCapped) {
   SmartPolicy policy(stale_config(StaleMode::kWiden));
   const double threshold = policy.config().stale_threshold_intervals;
-  const double cap = policy.config().stale_widen_max;
+  const double cap = SmartPolicy::kStaleWidenMax;
   EXPECT_EQ(policy.widen_factor(0.0), 1.0);
   EXPECT_EQ(policy.widen_factor(threshold), 1.0);
   double prev = 1.0;
@@ -121,8 +117,6 @@ TEST(StalePropertyTest, WidenedConditionIsAudited) {
   stats.vm.push_back(v);
   PolicyContext ctx;
   ctx.total_tmem = 10'000;
-  StatsHistory history(8);
-  ctx.history = &history;
   ctx.stats_age_intervals = 3.0;  // stale
   obs::PolicyAuditScratch scratch;
   ctx.audit = &scratch;

@@ -1,13 +1,14 @@
-// MemoryManager: history recording, policy dispatch, the paper's
-// change-suppressing send_to_hypervisor behaviour, and the sequenced
-// stale-sample rejection added with the comm layer.
+// MemoryManager: policy dispatch, the paper's change-suppressing
+// send_to_hypervisor behaviour, and the sequenced stale-sample rejection
+// added with the comm layer.
 #include "mm/manager.hpp"
 
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <string>
 #include <vector>
 
-#include "mm/reconf_static_policy.hpp"
 #include "mm/static_policy.hpp"
 
 namespace smartmem::mm {
@@ -24,6 +25,22 @@ hyper::MemStats make_stats(PageCount total, std::uint32_t vms) {
   }
   return stats;
 }
+
+/// Records the per-VM failed puts of every sample it decides on and asks
+/// for no targets.
+class RecordingPolicy final : public Policy {
+ public:
+  std::string name() const override { return "recording"; }
+  hyper::MmOut compute(const hyper::MemStats& stats,
+                       const PolicyContext&) override {
+    std::vector<std::uint64_t>& failed = failed_puts.emplace_back();
+    for (const auto& vm : stats.vm) {
+      failed.push_back(vm.puts_total - vm.puts_succ);
+    }
+    return {};
+  }
+  std::vector<std::vector<std::uint64_t>> failed_puts;
+};
 
 TEST(ManagerTest, NullPolicyRejected) {
   EXPECT_THROW(MemoryManager(nullptr, 100), std::invalid_argument);
@@ -89,61 +106,18 @@ TEST(ManagerTest, SuppressionCanBeDisabled) {
   EXPECT_EQ(sends, 3);
 }
 
-TEST(ManagerTest, RecordsHistory) {
-  MemoryManager mm(std::make_unique<ReconfStaticPolicy>(), 300);
-  mm.set_sender([](const hyper::TargetsMsg&) {});
+TEST(ManagerTest, PolicyDecidesOnEachDeliveredSample) {
+  auto policy = std::make_unique<RecordingPolicy>();
+  const RecordingPolicy* recorder = policy.get();
+  MemoryManager mm(std::move(policy), 300);
   auto stats = make_stats(300, 2);
   stats.vm[0].puts_total = 7;
   stats.vm[0].puts_succ = 4;
   mm.on_stats(stats);
-  EXPECT_EQ(mm.history().samples_recorded(), 1u);
-  EXPECT_EQ(mm.history().failed_puts_last_interval(1), 3u);
-  EXPECT_EQ(mm.history().failed_puts_last_interval(2), 0u);
-  EXPECT_FALSE(mm.history().nth_last(1, 5).has_value());
-}
-
-TEST(ManagerTest, HistoryDepthIsBounded) {
-  ManagerConfig cfg;
-  cfg.history_depth = 3;
-  MemoryManager mm(std::make_unique<StaticPolicy>(), 300, cfg);
-  mm.set_sender([](const hyper::TargetsMsg&) {});
-  for (int i = 0; i < 10; ++i) {
-    auto stats = make_stats(300, 1);
-    stats.vm[0].puts_total = static_cast<std::uint64_t>(i);
-    mm.on_stats(stats);
-  }
-  EXPECT_TRUE(mm.history().nth_last(1, 2).has_value());
-  EXPECT_FALSE(mm.history().nth_last(1, 3).has_value());
-  EXPECT_EQ(mm.history().nth_last(1, 0)->puts_total, 9u);
-  EXPECT_EQ(mm.history().nth_last(1, 2)->puts_total, 7u);
-}
-
-// Eviction exactly at the boundary: depth samples all stay; the (depth+1)-th
-// evicts precisely the oldest one.
-TEST(ManagerTest, HistoryEvictsExactlyAtDepthBoundary) {
-  constexpr std::size_t kDepth = 4;
-  ManagerConfig cfg;
-  cfg.history_depth = kDepth;
-  MemoryManager mm(std::make_unique<StaticPolicy>(), 300, cfg);
-  mm.set_sender([](const hyper::TargetsMsg&) {});
-
-  for (std::size_t i = 1; i <= kDepth; ++i) {  // exactly depth samples
-    auto stats = make_stats(300, 1);
-    stats.vm[0].puts_total = i;
-    mm.on_stats(stats);
-  }
-  ASSERT_TRUE(mm.history().nth_last(1, kDepth - 1).has_value());
-  EXPECT_EQ(mm.history().nth_last(1, kDepth - 1)->puts_total, 1u)
-      << "the first sample must still be resident at exactly depth";
-  EXPECT_FALSE(mm.history().nth_last(1, kDepth).has_value());
-
-  auto stats = make_stats(300, 1);  // depth+1: evicts sample 1, keeps 2..5
-  stats.vm[0].puts_total = kDepth + 1;
-  mm.on_stats(stats);
-  ASSERT_TRUE(mm.history().nth_last(1, kDepth - 1).has_value());
-  EXPECT_EQ(mm.history().nth_last(1, kDepth - 1)->puts_total, 2u);
-  EXPECT_EQ(mm.history().nth_last(1, 0)->puts_total, kDepth + 1);
-  EXPECT_FALSE(mm.history().nth_last(1, kDepth).has_value());
+  EXPECT_EQ(mm.samples_seen(), 1u);
+  ASSERT_EQ(recorder->failed_puts.size(), 1u);
+  EXPECT_EQ(recorder->failed_puts[0], (std::vector<std::uint64_t>{3, 0}));
+  EXPECT_EQ(mm.targets_sent(), 0u) << "an empty vector is never sent";
 }
 
 TEST(ManagerTest, LastSentIsExposed) {
@@ -156,7 +130,7 @@ TEST(ManagerTest, LastSentIsExposed) {
 }
 
 // A faulty uplink can duplicate or reorder memstats deliveries; the MM must
-// fold each interval into its history at most once and never step backwards.
+// decide on each interval at most once and never step backwards.
 TEST(ManagerTest, DropsDuplicateAndOutOfOrderSamples) {
   MemoryManager mm(std::make_unique<StaticPolicy>(), 300);
   mm.set_sender([](const hyper::TargetsMsg&) {});
@@ -170,7 +144,6 @@ TEST(ManagerTest, DropsDuplicateAndOutOfOrderSamples) {
   mm.on_stats(s2);  // duplicated delivery
   mm.on_stats(s1);  // reordered (stale) delivery
   EXPECT_EQ(mm.samples_seen(), 2u);
-  EXPECT_EQ(mm.history().samples_recorded(), 2u);
   EXPECT_EQ(mm.stale_samples_dropped(), 2u);
   EXPECT_EQ(mm.last_sample_seq(), 2u);
 

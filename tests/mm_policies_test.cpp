@@ -6,7 +6,6 @@
 #include <string>
 
 #include "mm/greedy_policy.hpp"
-#include "mm/history.hpp"
 #include "mm/policy_factory.hpp"
 #include "mm/reconf_static_policy.hpp"
 #include "mm/smart_policy.hpp"
@@ -28,10 +27,9 @@ hyper::MemStats make_stats(PageCount total,
   return stats;
 }
 
-PolicyContext make_ctx(PageCount total, StatsHistory& history) {
+PolicyContext make_ctx(PageCount total) {
   PolicyContext ctx;
   ctx.total_tmem = total;
-  ctx.history = &history;
   return ctx;
 }
 
@@ -45,9 +43,8 @@ PageCount target_of(const hyper::MmOut& out, VmId vm) {
 
 TEST(GreedyPolicyTest, EmitsUnlimitedTargets) {
   GreedyPolicy policy;
-  StatsHistory history;
   const auto stats = make_stats(300, {{1}, {2}, {3}});
-  const auto out = policy.compute(stats, make_ctx(300, history));
+  const auto out = policy.compute(stats, make_ctx(300));
   ASSERT_EQ(out.size(), 3u);
   for (const auto& t : out) EXPECT_EQ(t.mm_target, kUnlimitedTarget);
 }
@@ -55,48 +52,43 @@ TEST(GreedyPolicyTest, EmitsUnlimitedTargets) {
 // Algorithm 2: mm_target = local_tmem / num_vms for every VM.
 TEST(StaticPolicyTest, EqualSplit) {
   StaticPolicy policy;
-  StatsHistory history;
   const auto stats = make_stats(300, {{1}, {2}, {3}});
-  const auto out = policy.compute(stats, make_ctx(300, history));
+  const auto out = policy.compute(stats, make_ctx(300));
   ASSERT_EQ(out.size(), 3u);
   for (const auto& t : out) EXPECT_EQ(t.mm_target, 100u);
 }
 
 TEST(StaticPolicyTest, RedividesWhenVmCountChanges) {
   StaticPolicy policy;
-  StatsHistory history;
   const auto two = policy.compute(make_stats(300, {{1}, {2}}),
-                                  make_ctx(300, history));
+                                  make_ctx(300));
   EXPECT_EQ(target_of(two, 1), 150u);
   const auto three = policy.compute(make_stats(300, {{1}, {2}, {3}}),
-                                    make_ctx(300, history));
+                                    make_ctx(300));
   EXPECT_EQ(target_of(three, 1), 100u);
 }
 
 TEST(StaticPolicyTest, NoVmsNoTargets) {
   StaticPolicy policy;
-  StatsHistory history;
-  EXPECT_TRUE(policy.compute(make_stats(300, {}), make_ctx(300, history)).empty());
+  EXPECT_TRUE(policy.compute(make_stats(300, {}), make_ctx(300)).empty());
 }
 
 // Algorithm 3: equal split over VMs with cumul_puts_failed > 0; VMs that
 // never swapped get nothing.
 TEST(ReconfStaticPolicyTest, ZeroTargetsBeforeAnyActivity) {
   ReconfStaticPolicy policy;
-  StatsHistory history;
   const auto out = policy.compute(make_stats(300, {{1}, {2}, {3}}),
-                                  make_ctx(300, history));
+                                  make_ctx(300));
   for (const auto& t : out) EXPECT_EQ(t.mm_target, 0u);
 }
 
 TEST(ReconfStaticPolicyTest, ActiveVmsShareEverything) {
   ReconfStaticPolicy policy;
-  StatsHistory history;
   hyper::VmMemStats vm1{.vm_id = 1, .cumul_puts_failed = 5};
   hyper::VmMemStats vm2{.vm_id = 2, .cumul_puts_failed = 0};
   hyper::VmMemStats vm3{.vm_id = 3, .cumul_puts_failed = 1};
   const auto out = policy.compute(make_stats(300, {vm1, vm2, vm3}),
-                                  make_ctx(300, history));
+                                  make_ctx(300));
   EXPECT_EQ(target_of(out, 1), 150u);
   EXPECT_EQ(target_of(out, 2), 0u);
   EXPECT_EQ(target_of(out, 3), 150u);
@@ -106,10 +98,9 @@ TEST(ReconfStaticPolicyTest, ActivationIsSticky) {
   // A VM that failed once long ago keeps its share even in quiet intervals
   // (the algorithm keys off the cumulative counter).
   ReconfStaticPolicy policy;
-  StatsHistory history;
   hyper::VmMemStats vm1{.vm_id = 1, .puts_total = 0, .cumul_puts_failed = 1};
   const auto out =
-      policy.compute(make_stats(300, {vm1}), make_ctx(300, history));
+      policy.compute(make_stats(300, {vm1}), make_ctx(300));
   EXPECT_EQ(target_of(out, 1), 300u);
 }
 
@@ -128,35 +119,32 @@ TEST(SmartPolicyTest, RejectsBadP) {
 
 TEST(SmartPolicyTest, GrowsTargetOfFailingVm) {
   SmartPolicy policy(SmartPolicyConfig{10.0, 0});  // P = 10% => incr = 100
-  StatsHistory history;
   hyper::VmMemStats vm1{.vm_id = 1, .puts_total = 50, .puts_succ = 40,
                         .tmem_used = 200, .mm_target = 200};
   hyper::VmMemStats vm2{.vm_id = 2, .puts_total = 10, .puts_succ = 10,
                         .tmem_used = 100, .mm_target = 100};
   const auto out = policy.compute(make_stats(1000, {vm1, vm2}),
-                                  make_ctx(1000, history));
+                                  make_ctx(1000));
   EXPECT_EQ(target_of(out, 1), 300u);  // 200 + 10% of 1000
   EXPECT_EQ(target_of(out, 2), 100u);  // no failures, no slack: unchanged
 }
 
 TEST(SmartPolicyTest, ShrinksIdleVmBeyondThreshold) {
   SmartPolicy policy(SmartPolicyConfig{10.0, 50});
-  StatsHistory history;
   // Slack = 400 - 100 = 300 > threshold 50: shrink by 10%.
   hyper::VmMemStats vm1{.vm_id = 1, .puts_total = 5, .puts_succ = 5,
                         .tmem_used = 100, .mm_target = 400};
   const auto out =
-      policy.compute(make_stats(1000, {vm1}), make_ctx(1000, history));
+      policy.compute(make_stats(1000, {vm1}), make_ctx(1000));
   EXPECT_EQ(target_of(out, 1), 360u);  // 90% of 400
 }
 
 TEST(SmartPolicyTest, SmallSlackIsLeftAlone) {
   SmartPolicy policy(SmartPolicyConfig{10.0, 50});
-  StatsHistory history;
   hyper::VmMemStats vm1{.vm_id = 1, .puts_total = 5, .puts_succ = 5,
                         .tmem_used = 380, .mm_target = 400};
   const auto out =
-      policy.compute(make_stats(1000, {vm1}), make_ctx(1000, history));
+      policy.compute(make_stats(1000, {vm1}), make_ctx(1000));
   EXPECT_EQ(target_of(out, 1), 400u);
 }
 
@@ -164,13 +152,12 @@ TEST(SmartPolicyTest, SmallSlackIsLeftAlone) {
 // of targets never exceeds the node's tmem.
 TEST(SmartPolicyTest, NormalizesOverAllocation) {
   SmartPolicy policy(SmartPolicyConfig{20.0, 0});  // incr = 200
-  StatsHistory history;
   hyper::VmMemStats vm1{.vm_id = 1, .puts_total = 9, .puts_succ = 0,
                         .tmem_used = 500, .mm_target = 500};
   hyper::VmMemStats vm2{.vm_id = 2, .puts_total = 9, .puts_succ = 0,
                         .tmem_used = 500, .mm_target = 500};
   const auto out = policy.compute(make_stats(1000, {vm1, vm2}),
-                                  make_ctx(1000, history));
+                                  make_ctx(1000));
   // Raw targets 700 each => sum 1400 > 1000 => factor 1000/1400.
   const PageCount t1 = target_of(out, 1);
   const PageCount t2 = target_of(out, 2);
@@ -183,23 +170,21 @@ TEST(SmartPolicyTest, NormalizesOverAllocation) {
 
 TEST(SmartPolicyTest, SingleVmSelfCapsAtTotal) {
   SmartPolicy policy(SmartPolicyConfig{50.0, 0});
-  StatsHistory history;
   hyper::VmMemStats vm1{.vm_id = 1, .puts_total = 9, .puts_succ = 0,
                         .tmem_used = 900, .mm_target = 900};
   const auto out =
-      policy.compute(make_stats(1000, {vm1}), make_ctx(1000, history));
+      policy.compute(make_stats(1000, {vm1}), make_ctx(1000));
   EXPECT_EQ(target_of(out, 1), 1000u);
 }
 
 TEST(SmartPolicyTest, GroundsUnlimitedTargetToEqualShare) {
   SmartPolicy policy(SmartPolicyConfig{10.0, 0});
-  StatsHistory history;
   hyper::VmMemStats vm1{.vm_id = 1, .puts_total = 2, .puts_succ = 2,
                         .tmem_used = 0, .mm_target = kUnlimitedTarget};
   hyper::VmMemStats vm2{.vm_id = 2, .puts_total = 0, .puts_succ = 0,
                         .tmem_used = 0, .mm_target = kUnlimitedTarget};
   const auto out = policy.compute(make_stats(1000, {vm1, vm2}),
-                                  make_ctx(1000, history));
+                                  make_ctx(1000));
   // Grounded to 500 each, then the idle shrink may apply; never astronomical.
   EXPECT_LE(target_of(out, 1), 500u);
   EXPECT_LE(target_of(out, 2), 500u);
@@ -213,32 +198,44 @@ TEST(SmartPolicyTest, DefaultThresholdTracksP) {
 }
 
 TEST(SwapRatePolicyTest, ProportionalToFailureRate) {
-  SwapRatePolicy policy(SwapRatePolicyConfig{1.0, 0.0});  // no smoothing/floor
-  StatsHistory history;
+  SwapRatePolicy policy;
   hyper::VmMemStats vm1{.vm_id = 1, .puts_total = 30, .puts_succ = 0};
   hyper::VmMemStats vm2{.vm_id = 2, .puts_total = 10, .puts_succ = 0};
   const auto out = policy.compute(make_stats(400, {vm1, vm2}),
-                                  make_ctx(400, history));
-  EXPECT_EQ(target_of(out, 1), 300u);
-  EXPECT_EQ(target_of(out, 2), 100u);
+                                  make_ctx(400));
+  // The 10 % floor (40 pages) splits equally; the other 360 pages split
+  // 3:1 by smoothed failure rate (0.3 x 30 against 0.3 x 10).
+  EXPECT_EQ(target_of(out, 1), 20u + 270u);
+  EXPECT_EQ(target_of(out, 2), 20u + 90u);
 }
 
 TEST(SwapRatePolicyTest, FloorGuaranteesMinimumShare) {
-  SwapRatePolicy policy(SwapRatePolicyConfig{1.0, 0.5});
-  StatsHistory history;
+  SwapRatePolicy policy;
   hyper::VmMemStats vm1{.vm_id = 1, .puts_total = 100, .puts_succ = 0};
   hyper::VmMemStats vm2{.vm_id = 2};
   const auto out = policy.compute(make_stats(400, {vm1, vm2}),
-                                  make_ctx(400, history));
-  EXPECT_EQ(target_of(out, 2), 100u);  // half the pool split equally
-  EXPECT_EQ(target_of(out, 1), 300u);
+                                  make_ctx(400));
+  EXPECT_EQ(target_of(out, 2), 20u);  // the 10 % floor, split equally
+  EXPECT_EQ(target_of(out, 1), 20u + 360u);
+}
+
+TEST(SwapRatePolicyTest, RateDecaysWhenFailuresStop) {
+  SwapRatePolicy policy;
+  hyper::VmMemStats vm1{.vm_id = 1, .puts_total = 100, .puts_succ = 0};
+  hyper::VmMemStats vm2{.vm_id = 2, .puts_total = 100, .puts_succ = 0};
+  (void)policy.compute(make_stats(400, {vm1, vm2}), make_ctx(400));
+  // VM1 stops failing: its rate decays by 0.7 per interval, VM2's grows
+  // towards 100, so VM2's share rises above VM1's but VM1 keeps a share.
+  vm1.puts_total = 0;
+  const auto out = policy.compute(make_stats(400, {vm1, vm2}), make_ctx(400));
+  EXPECT_GT(target_of(out, 2), target_of(out, 1));
+  EXPECT_GT(target_of(out, 1), 20u);
 }
 
 TEST(SwapRatePolicyTest, IdleNodeSplitsEvenly) {
   SwapRatePolicy policy;
-  StatsHistory history;
   const auto out = policy.compute(make_stats(400, {{1}, {2}}),
-                                  make_ctx(400, history));
+                                  make_ctx(400));
   EXPECT_EQ(target_of(out, 1), target_of(out, 2));
   EXPECT_EQ(target_of(out, 1), 200u);
 }

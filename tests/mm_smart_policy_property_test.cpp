@@ -3,7 +3,6 @@
 #include <gtest/gtest.h>
 
 #include "common/rng.hpp"
-#include "mm/history.hpp"
 #include "mm/smart_policy.hpp"
 
 namespace smartmem::mm {
@@ -20,10 +19,8 @@ class SmartPolicySweep : public ::testing::TestWithParam<SweepParams> {};
 TEST_P(SmartPolicySweep, InvariantsUnderRandomInputs) {
   const auto [p, total, seed] = GetParam();
   SmartPolicy policy(SmartPolicyConfig{p, 0});
-  StatsHistory history;
   PolicyContext ctx;
   ctx.total_tmem = total;
-  ctx.history = &history;
   Rng rng(seed);
 
   // Track targets across rounds like the hypervisor would.
@@ -42,7 +39,6 @@ TEST_P(SmartPolicySweep, InvariantsUnderRandomInputs) {
       v.puts_succ = v.puts_total - rng.uniform(v.puts_total + 1);
       stats.vm.push_back(v);
     }
-    history.record(stats);
     const hyper::MmOut out = policy.compute(stats, ctx);
 
     ASSERT_EQ(out.size(), 4u);
@@ -83,10 +79,8 @@ INSTANTIATE_TEST_SUITE_P(
 // Deterministic growth check without normalization interference.
 TEST(SmartPolicyGrowth, FailureGrowsUntilNormalizationBinds) {
   SmartPolicy policy(SmartPolicyConfig{5.0, 0});
-  StatsHistory history;
   PolicyContext ctx;
   ctx.total_tmem = 1000;
-  ctx.history = &history;
 
   PageCount target = 100;
   PageCount last = target;

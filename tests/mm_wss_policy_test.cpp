@@ -27,65 +27,52 @@ PageCount target_of(const hyper::MmOut& out, VmId vm) {
   return 0;
 }
 
-TEST(WssPolicyTest, RejectsBadConfig) {
-  EXPECT_THROW(WssPolicy(WssPolicyConfig{0, 1.1, 0.05}), std::invalid_argument);
-  EXPECT_THROW(WssPolicy(WssPolicyConfig{8, 0.9, 0.05}), std::invalid_argument);
-  EXPECT_THROW(WssPolicy(WssPolicyConfig{8, 1.1, 1.0}), std::invalid_argument);
-}
-
 TEST(WssPolicyTest, EstimateIsWindowHighWaterMark) {
-  WssPolicy policy(WssPolicyConfig{3, 1.0, 0.0});
-  StatsHistory history;
+  WssPolicy policy;
   PolicyContext ctx;
   ctx.total_tmem = 10000;
-  ctx.history = &history;
   for (PageCount used : {100u, 300u, 200u}) {
     hyper::VmMemStats v{.vm_id = 1, .tmem_used = used};
     policy.compute(make_stats(10000, {v}), ctx);
   }
   EXPECT_EQ(policy.estimate(1), 300u);
-  // Window slides: two more samples push 300 out.
-  for (PageCount used : {50u, 60u}) {
-    hyper::VmMemStats v{.vm_id = 1, .tmem_used = used};
+  // Window slides: kWindow - 1 more samples push 100 and 300 out.
+  for (std::size_t i = 0; i + 1 < WssPolicy::kWindow; ++i) {
+    hyper::VmMemStats v{.vm_id = 1, .tmem_used = 50};
     policy.compute(make_stats(10000, {v}), ctx);
   }
   EXPECT_EQ(policy.estimate(1), 200u);
 }
 
 TEST(WssPolicyTest, FailedPutsCountAsUnservedDemand) {
-  WssPolicy policy(WssPolicyConfig{4, 1.0, 0.0});
-  StatsHistory history;
+  WssPolicy policy;
   PolicyContext ctx;
   ctx.total_tmem = 10000;
-  ctx.history = &history;
   hyper::VmMemStats v{.vm_id = 1, .puts_total = 500, .puts_succ = 200,
                       .tmem_used = 1000};
   const auto out = policy.compute(make_stats(10000, {v}), ctx);
   // Estimate = used (1000) + failed (300) = 1300.
   EXPECT_EQ(policy.estimate(1), 1300u);
-  EXPECT_EQ(target_of(out, 1), 1300u);
+  // Target = floor (5 % of 10000) + 1.1 x the estimate.
+  EXPECT_EQ(target_of(out, 1), 500u + 1430u);
 }
 
 TEST(WssPolicyTest, HeadroomAndFloorApplied) {
-  WssPolicy policy(WssPolicyConfig{4, 1.5, 0.10});
-  StatsHistory history;
+  WssPolicy policy;
   PolicyContext ctx;
   ctx.total_tmem = 10000;
-  ctx.history = &history;
   hyper::VmMemStats busy{.vm_id = 1, .tmem_used = 1000};
   hyper::VmMemStats idle{.vm_id = 2};
   const auto out = policy.compute(make_stats(10000, {busy, idle}), ctx);
-  // Floor = 10% of 10000 split over 2 VMs = 500 each.
-  EXPECT_EQ(target_of(out, 2), 500u);
-  EXPECT_EQ(target_of(out, 1), 500u + 1500u);  // floor + 1.5x estimate
+  // Floor = 5% of 10000 split over 2 VMs = 250 each.
+  EXPECT_EQ(target_of(out, 2), 250u);
+  EXPECT_EQ(target_of(out, 1), 250u + 1100u);  // floor + 1.1x estimate
 }
 
 TEST(WssPolicyTest, NormalizesOvercommit) {
-  WssPolicy policy(WssPolicyConfig{4, 1.0, 0.0});
-  StatsHistory history;
+  WssPolicy policy;
   PolicyContext ctx;
   ctx.total_tmem = 1000;
-  ctx.history = &history;
   hyper::VmMemStats a{.vm_id = 1, .tmem_used = 800};
   hyper::VmMemStats b{.vm_id = 2, .tmem_used = 800};
   const auto out = policy.compute(make_stats(1000, {a, b}), ctx);
@@ -104,10 +91,8 @@ TEST(WssPolicyTest, ConvergesFasterThanSmartAfterDemandStep) {
   // A VM's demand jumps from 0 to 3000 pages. Count the intervals each
   // policy needs before its target covers the demand.
   auto intervals_to_cover = [](PolicyPtr policy) {
-    StatsHistory history;
     PolicyContext ctx;
     ctx.total_tmem = 10000;
-    ctx.history = &history;
     PageCount target = 2000;  // stale target from a quiet phase
     for (int i = 1; i <= 50; ++i) {
       hyper::VmMemStats v{.vm_id = 1,

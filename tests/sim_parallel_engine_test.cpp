@@ -33,9 +33,9 @@ TEST(ParallelEngineTest, ZeroDelayHopHasZeroLookahead) {
   EXPECT_EQ(topo.min_internode_latency(), 0);
 }
 
-TEST(ParallelEngineTest, OverrideLatencyLowersLookahead) {
+TEST(ParallelEngineTest, FasterHopSetsLookahead) {
   comm::ClusterTopology topo;
-  topo.up_overrides[3].latency = kMillisecond;
+  topo.internode_down.latency = kMillisecond;
   EXPECT_EQ(topo.min_internode_latency(), kMillisecond);
 }
 

@@ -16,14 +16,19 @@ namespace smartmem {
 namespace {
 
 tier::CompressibilityConfig model_config(double min_ratio = 1.5,
-                                         double max_ratio = 4.0,
-                                         double jitter = 0.25) {
+                                         double max_ratio = 4.0) {
   tier::CompressibilityConfig cfg;
   cfg.seed = 42;  // explicit: 0 would mean "derive from the run seed"
   cfg.min_ratio = min_ratio;
   cfg.max_ratio = max_ratio;
-  cfg.jitter = jitter;
   return cfg;
+}
+
+/// Compressed size of VM 1's persistent page (0, index) under the ratio-2
+/// model every store below uses.
+std::uint32_t ratio2_bytes(std::uint32_t index) {
+  return tier::CompressibilityModel(model_config(2.0, 2.0))
+      .compressed_bytes(1, tmem::PoolType::kPersistent, 0, index);
 }
 
 // ---- CompressibilityModel -------------------------------------------------
@@ -99,8 +104,8 @@ TEST(CompressedPoolTest, ZeroBudgetDisablesTheTier) {
 
 // ---- TmemStore tier chain -------------------------------------------------
 
-// A store whose every page compresses to exactly kPageSize/2 (ratio 2, no
-// jitter), so the compressed tier's elastic page capacity is predictable.
+// A store whose pages compress at mean ratio 2 (each page's size jitters
+// around kPageSize/2; ratio2_bytes() reads it).
 tmem::StoreConfig chain_config(PageCount dram, std::uint64_t comp_bytes,
                                PageCount nvm,
                                tmem::CompressedEvictMode evict =
@@ -109,19 +114,20 @@ tmem::StoreConfig chain_config(PageCount dram, std::uint64_t comp_bytes,
   cfg.total_pages = dram;
   cfg.nvm_pages = nvm;
   cfg.compressed.capacity_bytes = comp_bytes;
-  cfg.compressed.model = model_config(2.0, 2.0, 0.0);
+  cfg.compressed.model = model_config(2.0, 2.0);
   cfg.compressed_evict = evict;
   return cfg;
 }
 
 TEST(CompressedStoreTest, PlacementWalksDramCompressedNvm) {
-  // DRAM 2 pages, compressed budget = 2 half-size pages, NVM 1 page.
-  tmem::TmemStore store(chain_config(2, kPageSize, 1));
+  // DRAM 2 pages, a compressed budget of exactly pages 2 and 3, NVM 1 page.
+  const std::uint32_t b2 = ratio2_bytes(2);
+  const std::uint32_t b3 = ratio2_bytes(3);
+  tmem::TmemStore store(chain_config(2, b2 + b3, 1));
   const tmem::PoolId p = store.create_pool(1, tmem::PoolType::kPersistent);
-
-  const std::uint32_t half = store.compressed_pool().page_bytes(
-      1, tmem::PoolType::kPersistent, 0, 0);
-  ASSERT_EQ(half, kPageSize / 2) << "ratio-2 zero-jitter model";
+  ASSERT_EQ(store.compressed_pool().page_bytes(1, tmem::PoolType::kPersistent,
+                                               0, 2),
+            b2);
 
   std::vector<tmem::Tier> tiers;
   for (std::uint32_t i = 0; i < 5; ++i) {
@@ -134,14 +140,14 @@ TEST(CompressedStoreTest, PlacementWalksDramCompressedNvm) {
                        tmem::Tier::kCompressed, tmem::Tier::kCompressed,
                        tmem::Tier::kNvm}));
   EXPECT_EQ(store.compressed_pages(), 2u);
-  EXPECT_EQ(store.compressed_pool().bytes_used(), kPageSize);
+  EXPECT_EQ(store.compressed_pool().bytes_used(), b2 + b3);
   EXPECT_EQ(store.stats().compressed_stored, 2u);
 
   // Everything persistent and every tier full: the 6th put must fail.
   EXPECT_EQ(store.put({p, 0, 5}, 105), tmem::PutResult::kNoMemory);
 
-  // Effective bytes: 2 full DRAM pages + 2 half pages + 1 full NVM page.
-  EXPECT_EQ(store.vm_bytes(1), 2 * kPageSize + 2 * (kPageSize / 2) + kPageSize);
+  // Effective bytes: 2 full DRAM pages + 2 compressed + 1 full NVM page.
+  EXPECT_EQ(store.vm_bytes(1), 2 * kPageSize + b2 + b3 + kPageSize);
   EXPECT_EQ(store.vm_pages(1), 5u);
   EXPECT_EQ(store.combined_free_bytes(), 0u);
 
@@ -156,10 +162,12 @@ TEST(CompressedStoreTest, PlacementWalksDramCompressedNvm) {
   // Flushing a compressed page returns its bytes to the budget (the
   // persistent get above was non-destructive, so index 2 is still charged).
   EXPECT_TRUE(store.flush_page({p, 0, 3}));
-  EXPECT_EQ(store.compressed_pool().bytes_used(), kPageSize / 2);
+  EXPECT_EQ(store.compressed_pool().bytes_used(), b2);
   EXPECT_EQ(store.compressed_pages(), 1u);
 
-  store.destroy_pool(p);
+  for (const std::uint32_t i : {0u, 1u, 2u, 4u}) {
+    EXPECT_TRUE(store.flush_page({p, 0, i}));
+  }
   EXPECT_EQ(store.vm_bytes(1), 0u);
   EXPECT_EQ(store.combined_free_bytes(), store.combined_total_bytes());
 }
@@ -184,9 +192,10 @@ TEST(CompressedStoreTest, PlacementIsDeterministicAcrossInstances) {
 }
 
 TEST(CompressedStoreTest, EvictionDemotesVictimDownTheChain) {
-  // DRAM 2, compressed budget 2 half-pages, no NVM. The incompressible
-  // pool's puts cannot use the compressed tier, so they force eviction of
-  // the compressible pool's DRAM pages — which demote instead of dropping.
+  // DRAM 2, a compressed budget of one page (about two compressed pages),
+  // no NVM. The incompressible pool's puts cannot use the compressed tier,
+  // so they force eviction of the compressible pool's DRAM pages — which
+  // demote instead of dropping.
   tmem::TmemStore store(chain_config(2, kPageSize, 0));
   const tmem::PoolId e = store.create_pool(1, tmem::PoolType::kEphemeral);
   const tmem::PoolId i =
@@ -265,7 +274,7 @@ TEST(CompressedHypervisorTest, TierReachesHypercallsAndStats) {
   hyper::HypervisorConfig cfg;
   cfg.total_tmem_pages = 1;
   cfg.compressed.capacity_bytes = 4 * kPageSize;
-  cfg.compressed.model = model_config(2.0, 2.0, 0.0);
+  cfg.compressed.model = model_config(2.0, 2.0);
   hyper::Hypervisor hyp(sim, cfg);
   hyp.register_vm(1);
 
@@ -289,7 +298,8 @@ TEST(CompressedHypervisorTest, TierReachesHypercallsAndStats) {
   const hyper::MemStats stats = hyp.snapshot();
   ASSERT_EQ(stats.vm.size(), 1u);
   EXPECT_EQ(stats.vm[0].tmem_used, 2u);
-  EXPECT_EQ(hyp.store().vm_bytes(1), kPageSize + kPageSize / 2);
+  EXPECT_EQ(hyp.store().vm_bytes(1), kPageSize + ratio2_bytes(1));
+  EXPECT_LT(ratio2_bytes(1), kPageSize);
 
   const hyper::TmemOp got = hyp.get(1, kFrontswap, 0, 1);
   ASSERT_TRUE(got.ok());
@@ -303,7 +313,7 @@ TEST(CompressedHypervisorTest, ByteUnitsReportByteCapacities) {
   hyper::HypervisorConfig cfg;
   cfg.total_tmem_pages = 4;
   cfg.compressed.capacity_bytes = 2 * kPageSize;
-  cfg.compressed.model = model_config(2.0, 2.0, 0.0);
+  cfg.compressed.model = model_config(2.0, 2.0);
   cfg.capacity_units = CapacityUnits::kBytes;
   hyper::Hypervisor hyp(sim, cfg);
   hyp.register_vm(1);

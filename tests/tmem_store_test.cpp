@@ -23,14 +23,13 @@ TEST(TmemStoreTest, PoolLifecycle) {
   EXPECT_TRUE(store.pool_exists(p));
   EXPECT_EQ(store.pool_type(p), PoolType::kPersistent);
   EXPECT_EQ(store.pool_owner(p), 1u);
-  store.destroy_pool(p);
-  EXPECT_FALSE(store.pool_exists(p));
+  EXPECT_FALSE(store.pool_exists(p + 1));
+  EXPECT_FALSE(store.pool_type(p + 1).has_value());
 }
 
-TEST(TmemStoreTest, PoolIdsNeverReused) {
+TEST(TmemStoreTest, PoolIdsAreDistinct) {
   TmemStore store = make_store(10);
   const PoolId a = store.create_pool(1, PoolType::kPersistent);
-  store.destroy_pool(a);
   const PoolId b = store.create_pool(1, PoolType::kPersistent);
   EXPECT_NE(a, b);
 }
@@ -115,29 +114,6 @@ TEST(TmemStoreTest, FlushPage) {
   EXPECT_EQ(store.stats().pages_flushed, 1u);
 }
 
-TEST(TmemStoreTest, FlushObjectDropsAllItsPages) {
-  TmemStore store = make_store(10);
-  const PoolId p = store.create_pool(1, PoolType::kPersistent);
-  for (std::uint32_t i = 0; i < 5; ++i) store.put({p, 7, i}, i);
-  store.put({p, 8, 0}, 99);
-  EXPECT_EQ(store.flush_object(p, 7), 5u);
-  EXPECT_EQ(store.pool_pages(p), 1u);
-  EXPECT_TRUE(store.contains({p, 8, 0}));
-  EXPECT_EQ(store.flush_object(p, 7), 0u);
-}
-
-TEST(TmemStoreTest, DestroyPoolFreesEverything) {
-  TmemStore store = make_store(10);
-  const PoolId a = store.create_pool(1, PoolType::kPersistent);
-  const PoolId b = store.create_pool(2, PoolType::kEphemeral);
-  for (std::uint32_t i = 0; i < 4; ++i) store.put({a, 0, i}, i);
-  for (std::uint32_t i = 0; i < 3; ++i) store.put({b, 0, i}, i);
-  store.destroy_pool(a);
-  EXPECT_EQ(store.free_pages(), 10u - 3u);
-  EXPECT_EQ(store.vm_pages(1), 0u);
-  EXPECT_EQ(store.vm_pages(2), 3u);
-}
-
 TEST(TmemStoreTest, PerVmAccounting) {
   TmemStore store = make_store(10);
   const PoolId a = store.create_pool(1, PoolType::kPersistent);
@@ -164,11 +140,11 @@ TEST(TmemStoreTest, EvictEphemeralFromVmTargetsOnlyThatVm) {
   EXPECT_EQ(store.evict_ephemeral_from_vm(1, 99), 1u);
 }
 
-TEST(TmemStoreTest, PutToDeadPoolFails) {
+TEST(TmemStoreTest, PutToUnknownPoolFails) {
   TmemStore store = make_store(10);
   const PoolId p = store.create_pool(1, PoolType::kPersistent);
-  store.destroy_pool(p);
-  EXPECT_EQ(store.put({p, 0, 0}, 1), PutResult::kNoMemory);
+  EXPECT_EQ(store.put({p + 1, 0, 0}, 1), PutResult::kNoMemory);
+  EXPECT_EQ(store.stats().puts_failed, 1u);
 }
 
 TEST(TmemStoreTest, ZeroPageDedupConsumesNoFrame) {

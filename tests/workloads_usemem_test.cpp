@@ -118,15 +118,5 @@ TEST(UsememTest, UnboundedRunsForever) {
   }
 }
 
-TEST(UsememTest, ResetRestartsFromScratch) {
-  Usemem u(tiny());
-  for (int i = 0; i < 20; ++i) u.next();
-  u.reset();
-  const auto op = u.next();
-  ASSERT_TRUE(op);
-  EXPECT_EQ(op->kind, MemOp::Kind::kAllocRegion);
-  EXPECT_EQ(op->pages, 4u);
-}
-
 }  // namespace
 }  // namespace smartmem::workloads
