@@ -434,7 +434,7 @@ int main(int argc, char** argv) {
       lcsv << "nodes,encoding,rep,borrow_placements,failed_placements,"
               "borrow_hits,borrow_misses,recalls,failed_replacements,"
               "fabric_requests,fabric_retries,fabric_timeouts,"
-              "fabric_give_ups,fabric_congestion_drops,fabric_get_fallbacks,"
+              "fabric_give_ups,fabric_get_fallbacks,"
               "cache_hits,cache_misses,cache_invalidations,"
               "put_rtt_mean_us,get_rtt_mean_us,get_rtt_count\n";
       for (std::size_t c = 0; c < cells.size(); ++c) {
@@ -444,7 +444,7 @@ int main(int argc, char** argv) {
           std::snprintf(
               line, sizeof line,
               "%zu,%s,%zu,%llu,%llu,%llu,%llu,%llu,%llu,%llu,%llu,%llu,"
-              "%llu,%llu,%llu,%llu,%llu,%llu,%.3f,%.3f,%llu\n",
+              "%llu,%llu,%llu,%llu,%llu,%.3f,%.3f,%llu\n",
               cells[c].nodes, cells[c].delta ? "delta" : "full", rep,
               static_cast<unsigned long long>(r.borrow_placements),
               static_cast<unsigned long long>(r.lending_failed_placements),
@@ -456,7 +456,6 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(r.fabric_retries),
               static_cast<unsigned long long>(r.fabric_timeouts),
               static_cast<unsigned long long>(r.fabric_give_ups),
-              static_cast<unsigned long long>(r.fabric_congestion_drops),
               static_cast<unsigned long long>(r.fabric_get_fallbacks),
               static_cast<unsigned long long>(r.cache_hits),
               static_cast<unsigned long long>(r.cache_misses),

@@ -390,9 +390,6 @@ void Cluster::teardown() {
   if (finished_) return;
   finished_ = true;
   if (gm_) gm_->stop();
-  // Outstanding borrow round trips die with the cluster: cancel their
-  // in-flight completion timers exactly as Tkm::stop() cancels deliveries.
-  if (broker_) broker_->stop();
   for (auto& ch : uplinks_) ch->close();
   for (auto& ch : downlinks_) ch->close();
   for (auto& node : nodes_) node->finish();

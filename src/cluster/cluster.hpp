@@ -61,10 +61,10 @@ struct ClusterConfig {
   bool lending = true;
 
   /// Protocol knobs of the lending data plane (cluster/lend_fabric.hpp):
-  /// every borrow is a request/response round trip over the topology's
-  /// lending hops, with faults, timeouts, retries, congestion and an
-  /// optional borrower-side cache. The defaults inject no fault and keep
-  /// the cache off.
+  /// every borrow is one synchronous request/response round trip over the
+  /// topology's lending hops, with faults, timeouts, retries, donor
+  /// queueing and an optional borrower-side cache. The defaults inject no
+  /// fault and keep the cache off.
   AsyncLendingConfig lending_async;
 
   /// Fleet-scale control plane (DESIGN §12) on the *rack* hops: between

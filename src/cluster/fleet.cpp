@@ -198,9 +198,7 @@ FleetRunResult run_fleet_scenario(const FleetExperimentConfig& cfg) {
     out.fabric_retries = t.retries;
     out.fabric_timeouts = t.timeouts;
     out.fabric_give_ups = t.give_ups;
-    out.fabric_congestion_drops = t.congestion_drops;
     out.fabric_get_fallbacks = t.get_fallbacks;
-    out.fabric_cancelled_timers = t.cancelled_timers;
     out.put_rtt_mean_us = t.put_rtt_us.count() > 0 ? t.put_rtt_us.mean() : 0.0;
     out.get_rtt_mean_us = t.get_rtt_us.count() > 0 ? t.get_rtt_us.mean() : 0.0;
     out.get_rtt_count = t.get_rtt_us.count();

@@ -56,9 +56,9 @@ struct FleetExperimentConfig {
   /// is a full snapshot, the rest are deltas. 1 = full-vector messages.
   std::uint64_t resync_every = 1;
 
-  /// Truncates the run at this simulated time when positive (tests: force
-  /// a teardown while lending exchanges are still mid-flight). 0 = run to
-  /// the scenario deadline.
+  /// Truncates the run at this simulated time when positive: the VMs are
+  /// stopped at the cap and wind down before teardown. 0 = run to the
+  /// scenario deadline.
   SimTime deadline_cap = 0;
 
   double scale = 0.25;
@@ -113,11 +113,7 @@ struct FleetRunResult {
   std::uint64_t fabric_retries = 0;
   std::uint64_t fabric_timeouts = 0;
   std::uint64_t fabric_give_ups = 0;
-  std::uint64_t fabric_congestion_drops = 0;
   std::uint64_t fabric_get_fallbacks = 0;
-  /// In-flight borrow timers cancelled by teardown (Cluster::run's
-  /// broker->stop(), the Tkm::stop() mirror).
-  std::uint64_t fabric_cancelled_timers = 0;
   std::uint64_t cache_hits = 0;
   std::uint64_t cache_misses = 0;
   std::uint64_t cache_invalidations = 0;

@@ -18,10 +18,8 @@ void LendFabricStats::merge(const LendFabricStats& o) {
   late_responses += o.late_responses;
   reordered += o.reordered;
   outage_drops += o.outage_drops;
-  congestion_drops += o.congestion_drops;
   invalidates += o.invalidates;
   get_fallbacks += o.get_fallbacks;
-  cancelled_timers += o.cancelled_timers;
   req_bytes += o.req_bytes;
   resp_bytes += o.resp_bytes;
   put_rtt_us.merge(o.put_rtt_us);
@@ -71,14 +69,16 @@ LendFabric::LendFabric(const comm::ClusterTopology& topo,
                        AsyncLendingConfig cfg,
                        const std::vector<sim::Simulator*>& sims)
     : cfg_(cfg) {
-  if (topo.internode_lend_req.faults.duplication_rate != 0.0 ||
-      topo.internode_lend_resp.faults.duplication_rate != 0.0) {
-    throw std::invalid_argument(
-        "LendFabric: the lending hops model no duplication_rate");
-  }
-  if (topo.internode_lend_resp.queue_capacity != 0) {
-    throw std::invalid_argument(
-        "LendFabric: the response hop models no queue_capacity");
+  // An exchange is one synchronous round trip: nothing queues on a hop,
+  // and every frame is sent once.
+  for (const comm::ChannelConfig* hop :
+       {&topo.internode_lend_req, &topo.internode_lend_resp}) {
+    if (hop->faults.duplication_rate != 0.0 || hop->queue_capacity != 0 ||
+        hop->queue_policy != comm::QueuePolicy::kDropNewest) {
+      throw std::invalid_argument(
+          "LendFabric: the lending hops model no duplication_rate, "
+          "queue_capacity or drop-oldest queue_policy");
+    }
   }
   const std::size_t nodes = sims.size();
   borrowers_.resize(nodes);
@@ -98,27 +98,12 @@ LendFabric::LendFabric(const comm::ClusterTopology& topo,
   }
 }
 
-void LendFabric::purge_timers(PairLink& link) {
-  while (!link.timers.empty() && !link.timers.front().pending()) {
-    link.timers.pop_front();
-  }
-}
-
 LendFabric::Outcome LendFabric::round_trip(NodeId borrower, NodeId donor,
                                            comm::LendRequest req,
                                            bool resp_carries_page) {
   Borrower& me = borrowers_.at(borrower);
   PairLink& link = me.pairs.at(donor);
   LendFabricStats& st = me.stats;
-  purge_timers(link);
-
-  // Congestion: the request hop's bounded in-flight window is saturated by
-  // earlier exchanges that have not completed yet — refuse immediately
-  // (the broker degrades a put to a local failed put; a get falls back).
-  if (link.req.queue_capacity > 0 && link.in_flight >= link.req.queue_capacity) {
-    ++st.congestion_drops;
-    return {false, 0, true};
-  }
 
   req.seq = link.next_seq++;
   req.borrower = borrower;
@@ -206,18 +191,7 @@ LendFabric::Outcome LendFabric::round_trip(NodeId borrower, NodeId donor,
   }
 
   if (!ok) ++st.give_ups;
-
-  Outcome out{ok, t - start, false};
-
-  // The exchange occupies the pair until it resolves (success or final
-  // timeout): a real cancellable event models the in-flight window, and is
-  // exactly what Cluster teardown cancels through stop().
-  link.in_flight += 1;
-  PairLink* lp = &link;  // stable: pairs are sized once at construction
-  link.timers.push_back(me.sim->schedule(out.elapsed, [lp] {
-    if (lp->in_flight > 0) lp->in_flight -= 1;
-  }));
-  return out;
+  return {ok, t - start};
 }
 
 void LendFabric::send_invalidate(NodeId borrower, NodeId donor,
@@ -242,29 +216,6 @@ void LendFabric::record_get_rtt(NodeId borrower, SimTime elapsed) {
       static_cast<double>(elapsed) / static_cast<double>(kMicrosecond));
 }
 
-void LendFabric::stop() {
-  for (Borrower& me : borrowers_) {
-    for (PairLink& link : me.pairs) {
-      for (sim::EventHandle& h : link.timers) {
-        if (h.pending()) {
-          h.cancel();
-          ++me.stats.cancelled_timers;
-        }
-      }
-      link.timers.clear();
-      link.in_flight = 0;
-    }
-  }
-}
-
-std::size_t LendFabric::in_flight(NodeId node) const {
-  std::size_t total = 0;
-  for (const PairLink& link : borrowers_.at(node).pairs) {
-    total += link.in_flight;
-  }
-  return total;
-}
-
 LendFabricStats LendFabric::totals() const {
   LendFabricStats out;
   for (const Borrower& me : borrowers_) out.merge(me.stats);
@@ -285,9 +236,6 @@ void LendFabric::register_metrics(obs::Registry& reg) const {
   });
   reg.add_gauge("lend.fabric.give_ups", [this] {
     return static_cast<double>(totals().give_ups);
-  });
-  reg.add_gauge("lend.fabric.congestion_drops", [this] {
-    return static_cast<double>(totals().congestion_drops);
   });
   reg.add_gauge("lend.fabric.get_fallbacks", [this] {
     return static_cast<double>(totals().get_fallbacks);

@@ -2,8 +2,10 @@
 //
 // A borrow put/get is a sequenced request/response frame pair
 // (comm/lend_wire.hpp) crossing the topology's lending-hop channels; it is
-// the only way a page reaches a donor's frame. The LendFabric simulates
-// each exchange deterministically inside the borrower's partition:
+// the only way a page reaches a donor's frame. Like the paper's tmem
+// hypercall, one exchange is synchronous: the LendFabric computes it
+// deterministically inside the borrower's partition, from the borrower's
+// clock, and schedules no event:
 //
 //  * each hop's fixed latency (comm::ClusterTopology::lend_*_for);
 //  * loss, reorder (a late response is indistinguishable from a lost one)
@@ -12,18 +14,11 @@
 //    timeout and bounded retries; exhausting the attempts is a
 //    deterministic give-up that the broker turns into a failed put;
 //  * donor-side queueing: requests on a pair serialize behind the donor's
-//    service time (donor_next_free), so bursts see rising RTTs;
-//  * congestion: the request hop's queue_capacity bounds the pair's
-//    in-flight exchanges; a saturated pipe fails fresh placements
-//    immediately. In-flight occupancy is tracked by real cancellable
-//    events on the borrower's own simulator, so Cluster teardown can
-//    cancel outstanding borrow timers exactly as Tkm::stop() cancels
-//    deliveries.
+//    service time (donor_next_free), so bursts see rising RTTs.
 //
-// Everything — Rng streams, donor queues, timers, the cache — is
-// partitioned per borrower, so a window never touches another shard's
-// state; donor stores still settle only at window barriers
-// (LendingBroker::sync_window).
+// Everything — Rng streams, donor queues, the cache — is partitioned per
+// borrower, so a window never touches another shard's state; donor stores
+// still settle only at window barriers (LendingBroker::sync_window).
 //
 // The BorrowCache is the access-point cache of the SmartOffloading /
 // "Flexible Swapping for the Cloud" lineage: a bounded LRU of hot borrowed
@@ -32,7 +27,6 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <list>
 #include <map>
 #include <optional>
@@ -74,8 +68,8 @@ inline constexpr SimTime kLendTimeout = 2 * kMillisecond;
 inline constexpr std::uint32_t kLendMaxAttempts = 3;
 
 /// Protocol knobs of the lending data plane. The wire model itself
-/// (latency, faults, per-pair in-flight bound) lives on the topology's
-/// internode_lend_req/resp channel templates.
+/// (latency, faults) lives on the topology's internode_lend_req/resp
+/// channel templates.
 struct AsyncLendingConfig {
   /// Must stay true: the fabric is the only lending data plane, and the
   /// LendingBroker constructor throws std::invalid_argument otherwise.
@@ -99,10 +93,8 @@ struct LendFabricStats {
   std::uint64_t late_responses = 0;  // responses that landed after timeout
   std::uint64_t reordered = 0;       // frames given the reorder penalty
   std::uint64_t outage_drops = 0;    // sends inside an outage window
-  std::uint64_t congestion_drops = 0;  // exchanges refused: pipe saturated
   std::uint64_t invalidates = 0;     // fire-and-forget flush/release frames
   std::uint64_t get_fallbacks = 0;   // gets rescued synchronously (broker)
-  std::uint64_t cancelled_timers = 0;  // in-flight timers killed by stop()
   std::uint64_t req_bytes = 0;       // modeled wire bytes, request hop
   std::uint64_t resp_bytes = 0;      // modeled wire bytes, response hop
   RunningStats put_rtt_us;           // successful put exchanges
@@ -160,13 +152,12 @@ class LendFabric {
   struct Outcome {
     bool ok = false;       // a response landed within some attempt's timeout
     SimTime elapsed = 0;   // modeled duration (success RTT or sum of timeouts)
-    bool congested = false;  // refused immediately: pipe saturated
   };
 
-  /// `sims[b]` is borrower b's simulator: its clock starts b's exchanges
-  /// and its event queue holds b's in-flight completion timers. Throws
-  /// std::invalid_argument when either lending hop sets a duplication rate
-  /// or the response hop a queue capacity: the fabric models neither.
+  /// `sims[b]` is borrower b's simulator, whose clock starts b's exchanges.
+  /// Throws std::invalid_argument when either lending hop sets a
+  /// duplication rate, a queue capacity or a queue policy other than
+  /// drop-newest: the fabric models none of them.
   LendFabric(const comm::ClusterTopology& topo, AsyncLendingConfig cfg,
              const std::vector<sim::Simulator*>& sims);
 
@@ -174,7 +165,7 @@ class LendFabric {
 
   /// Simulates the full exchange for `req` against `donor`, including
   /// donor-side queueing, faults, timeout and retries. Fills req.seq.
-  /// Called only from borrower `borrower`'s partition.
+  /// Called only from borrower `borrower`'s partition; schedules nothing.
   Outcome round_trip(NodeId borrower, NodeId donor, comm::LendRequest req,
                      bool resp_carries_page);
 
@@ -191,26 +182,17 @@ class LendFabric {
   void record_put_rtt(NodeId borrower, SimTime elapsed);
   void record_get_rtt(NodeId borrower, SimTime elapsed);
 
-  /// Cancels every outstanding in-flight completion timer (cluster
-  /// teardown). Idempotent; counts into cancelled_timers.
-  void stop();
-
   BorrowCache& cache(NodeId borrower) { return borrowers_.at(borrower).cache; }
   const BorrowCache& cache(NodeId borrower) const {
     return borrowers_.at(borrower).cache;
   }
-
-  /// Exchanges currently occupying borrower `node`'s pairs (pending
-  /// completion timers). Deterministic in sim time.
-  std::size_t in_flight(NodeId node) const;
 
   LendFabricStats totals() const;
   void register_metrics(obs::Registry& reg) const;
 
  private:
   /// One (borrower, donor) direction of the fabric: the two hop configs,
-  /// their private Rng streams, the donor-side service queue and the
-  /// in-flight window.
+  /// their private Rng streams and the donor-side service queue.
   struct PairLink {
     comm::ChannelConfig req;
     comm::ChannelConfig resp;
@@ -218,8 +200,6 @@ class LendFabric {
     Rng resp_rng{1};
     std::uint64_t next_seq = 1;
     SimTime donor_next_free = 0;  // donor service queue on this pair
-    std::size_t in_flight = 0;
-    std::deque<sim::EventHandle> timers;  // completion events, lazily purged
   };
 
   struct Borrower {
@@ -232,8 +212,6 @@ class LendFabric {
   static bool in_outage(const comm::FaultSpec& f, SimTime t) {
     return f.down_from >= 0 && t >= f.down_from && t < f.down_until;
   }
-
-  void purge_timers(PairLink& link);
 
   AsyncLendingConfig cfg_;
   std::vector<Borrower> borrowers_;

@@ -31,13 +31,14 @@
 //    given (seed, topology) always produces the same placement.
 //
 // Data plane: every put/get of a borrowed page is a LendFabric round trip
-// (cluster/lend_fabric.hpp) over the topology's lending hops. The modeled
-// request/response exchange decides whether the operation succeeds at all
-// (loss / reorder / outage / timeout / congestion, bounded retries,
-// deterministic give-up), and its elapsed time reaches the guest as the
-// `fabric` time of the TmemOp that remote_put/remote_get return. A
-// borrower-side BorrowCache short-circuits repeated gets of hot borrowed
-// pages.
+// (cluster/lend_fabric.hpp) over the topology's lending hops, computed
+// synchronously in the borrower's partition like the paper's tmem
+// hypercall. The modeled request/response exchange decides whether the
+// operation succeeds at all (loss / reorder / outage / timeout, donor
+// queueing, bounded retries, deterministic give-up), and its elapsed time
+// reaches the guest as the `fabric` time of the TmemOp that
+// remote_put/remote_get return. A borrower-side BorrowCache short-circuits
+// repeated gets of hot borrowed pages.
 #pragma once
 
 #include <cstdint>
@@ -58,8 +59,8 @@ namespace smartmem::cluster {
 class LendingBroker {
  public:
   /// `nodes[i]` is node i's hypervisor; the broker holds the pointers for
-  /// the cluster's lifetime. The fabric runs borrower i's exchanges on
-  /// node i's simulator, over `topo`'s lending hops with the protocol knobs
+  /// the cluster's lifetime. The fabric starts borrower i's exchanges at
+  /// node i's simulator clock, over `topo`'s lending hops with the protocol knobs
   /// in `cfg`. No borrower holds credit until the first sync_window().
   /// Throws std::invalid_argument for fewer than 2 nodes or a config with
   /// `enabled` false.
@@ -72,10 +73,6 @@ class LendingBroker {
 
   /// Node `node`'s borrower port (wire via Hypervisor::set_remote_tmem).
   hyper::RemoteTmem* port(NodeId node);
-
-  /// Cancels the fabric's outstanding in-flight borrow timers (cluster
-  /// teardown — the Tkm::stop() mirror). Idempotent.
-  void stop() { fabric_.stop(); }
 
   LendFabric& fabric() { return fabric_; }
   const LendFabric& fabric() const { return fabric_; }

@@ -45,11 +45,10 @@ struct ClusterTopology {
   /// direction — a page copy over the rack's data fabric, not the 5 ms
   /// control-plane switch path), so a fault-free round trip with the
   /// donor's 5 us service costs 85 us. The lending fabric honours each
-  /// hop's latency, loss rate, reorder rate and penalty, and outage window,
-  /// and the request hop's queue_capacity, which bounds the per-pair
-  /// in-flight window (congestion from lending traffic). It rejects a
-  /// duplication rate on either hop and a queue_capacity on the response
-  /// hop (cluster::LendFabric).
+  /// hop's latency, loss rate, reorder rate and penalty, and outage window.
+  /// A borrow is one synchronous exchange, so nothing queues on a hop: the
+  /// fabric rejects a duplication rate, a queue_capacity or a drop-oldest
+  /// queue_policy on either hop (cluster::LendFabric).
   ChannelConfig internode_lend_req;
   ChannelConfig internode_lend_resp;
 

@@ -81,7 +81,8 @@ class Hypervisor {
 
   Hypervisor(sim::Simulator& sim, HypervisorConfig config);
 
-  /// The simulator this node's events (and its borrowed-page timers) run on.
+  /// The simulator this node's events run on; its clock also starts the
+  /// node's borrowed-page round trips.
   sim::Simulator& simulator() { return sim_; }
 
   // ---- VM lifecycle -------------------------------------------------------

@@ -1,6 +1,7 @@
 #include "obs/trace.hpp"
 
 #include <cstdio>
+#include <cstring>
 #include <fstream>
 
 #include "common/strfmt.hpp"
@@ -94,7 +95,7 @@ TraceRecorder::TraceRecorder(TraceConfig config) : config_(config) {
   // divide (push() is the single most frequent observability call).
   std::size_t cap = 1;
   while (cap < config_.capacity) cap <<= 1;
-  ring_.resize(cap);
+  ring_ = std::make_unique_for_overwrite<Event[]>(cap);
   ring_mask_ = cap - 1;
 }
 
@@ -121,7 +122,7 @@ void TraceRecorder::push(std::uint32_t category, char phase,
                          SimTime dur, std::initializer_list<TraceArg> args) {
   if (!enabled(category)) return;
   Event& e = ring_[(head_ + size_) & ring_mask_];
-  if (size_ == ring_.size()) {
+  if (size_ == ring_mask_ + 1) {
     head_ = (head_ + 1) & ring_mask_;  // drop the oldest
     ++dropped_;
   } else {
@@ -187,13 +188,14 @@ void TraceRecorder::merge_from(const TraceRecorder& other) {
   for (std::size_t i = 0; i < other.size_; ++i) {
     const Event& src = other.ring_[(other.head_ + i) & other.ring_mask_];
     Event& e = ring_[(head_ + size_) & ring_mask_];
-    if (size_ == ring_.size()) {
+    if (size_ == ring_mask_ + 1) {
       head_ = (head_ + 1) & ring_mask_;
       ++dropped_;
     } else {
       ++size_;
     }
-    e = src;
+    // A byte copy: push() leaves the args past nargs unwritten.
+    std::memcpy(&e, &src, sizeof e);
     // Names and arg keys may point into other's interned storage; re-own
     // them (string literals get harmlessly deduplicated into storage too).
     e.name = intern(src.name);

@@ -19,6 +19,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <deque>
+#include <memory>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -155,8 +156,11 @@ class TraceRecorder {
             std::initializer_list<TraceArg> args);
 
   TraceConfig config_;
-  std::vector<Event> ring_;  // capacity rounded up to a power of two
-  std::size_t ring_mask_ = 0;  // ring_.size() - 1: wrap is a mask, not a div
+  // Capacity rounded up to a power of two, left uninitialised: only the
+  // slots in [head_, head_ + size_) have been written, and only they are
+  // read, so pages of the ring fault in as events land in them.
+  std::unique_ptr<Event[]> ring_;
+  std::size_t ring_mask_ = 0;  // capacity - 1: wrap is a mask, not a div
   std::size_t head_ = 0;  // index of the oldest event
   std::size_t size_ = 0;
   std::size_t events_recorded_ = 0;

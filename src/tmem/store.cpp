@@ -31,22 +31,6 @@ const TmemStore::PoolInfo* TmemStore::find_pool(PoolId id) const {
   return id < pools_.size() ? &pools_[id] : nullptr;
 }
 
-bool TmemStore::pool_exists(PoolId pool) const {
-  return find_pool(pool) != nullptr;
-}
-
-std::optional<PoolType> TmemStore::pool_type(PoolId pool) const {
-  const PoolInfo* info = find_pool(pool);
-  if (!info) return std::nullopt;
-  return info->type;
-}
-
-std::optional<VmId> TmemStore::pool_owner(PoolId pool) const {
-  const PoolInfo* info = find_pool(pool);
-  if (!info) return std::nullopt;
-  return info->owner;
-}
-
 PageCount TmemStore::pool_pages(PoolId pool) const {
   const PoolInfo* info = find_pool(pool);
   return info ? info->pages : 0;
@@ -425,12 +409,6 @@ std::optional<PagePayload> TmemStore::get(const TmemKey& key, Tier* tier) {
 
 bool TmemStore::contains(const TmemKey& key) const {
   return find(key, TmemKeyHash{}(key)) != kNil;
-}
-
-std::optional<Tier> TmemStore::tier_of(const TmemKey& key) const {
-  const SlabId id = find(key, TmemKeyHash{}(key));
-  if (id == kNil) return std::nullopt;
-  return entries_[id].tier;
 }
 
 bool TmemStore::flush_page(const TmemKey& key) {

@@ -103,10 +103,6 @@ class TmemStore {
   /// pools this way so borrowed pages never double-compress.
   PoolId create_pool(VmId owner, PoolType type, bool compressible = true);
 
-  bool pool_exists(PoolId pool) const;
-  std::optional<PoolType> pool_type(PoolId pool) const;
-  std::optional<VmId> pool_owner(PoolId pool) const;
-
   /// Pages currently held by the pool.
   PageCount pool_pages(PoolId pool) const;
 
@@ -131,11 +127,8 @@ class TmemStore {
   /// If `tier` is non-null it receives the tier that served the hit.
   std::optional<PagePayload> get(const TmemKey& key, Tier* tier = nullptr);
 
-  /// Non-destructive lookup (for tests/inspection).
+  /// Non-destructive lookup.
   bool contains(const TmemKey& key) const;
-
-  /// Tier currently holding `key` (for tests/inspection).
-  std::optional<Tier> tier_of(const TmemKey& key) const;
 
   /// Drops one page. Returns true if the key existed.
   bool flush_page(const TmemKey& key);

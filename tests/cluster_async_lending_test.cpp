@@ -1,9 +1,9 @@
 // The lending data plane (DESIGN §15): fabric round trips with donor-side
 // queueing, the full fault surface (loss, reorder, outage mid-borrow),
-// timeout/retry with a deterministic give-up, congestion via the bounded
-// per-pair in-flight window, in-flight timers on each borrower's own
-// simulator, and the borrower-side BorrowCache (hit/miss accounting,
-// invalidation on flush and donor recall, capacity-0 no-op contract).
+// timeout/retry with a deterministic give-up, exchanges that start at the
+// borrower's own clock and schedule no simulator event, and the
+// borrower-side BorrowCache (hit/miss accounting, invalidation on flush and
+// donor recall, capacity-0 no-op contract).
 #include "cluster/lend_fabric.hpp"
 
 #include <gtest/gtest.h>
@@ -92,30 +92,71 @@ TEST(AsyncLendingTest, RoundTripChargesModeledRttThroughThePort) {
   EXPECT_GT(t.resp_bytes, 0u);
 }
 
-// The broker takes each borrower's simulator from that node's hypervisor:
-// a borrower-0 put starts on node 0's clock and parks its in-flight timer
-// in node 0's event queue, never in the donor's.
-TEST(AsyncLendingTest, InFlightTimerRunsOnTheBorrowersSimulator) {
+/// Borrower and donor on separate simulators, as in a sharded cluster: the
+/// broker takes each node's simulator from its hypervisor.
+struct TwoClockRig {
+  explicit TwoClockRig(const comm::ClusterTopology& topo)
+      : borrower(borrower_sim, hyp_config(kPhys)),
+        donor(donor_sim, hyp_config(kPhys)),
+        broker({&borrower, &donor}, topo) {
+    donor.set_node_quota(kPhys / 2);
+    broker.sync_window();
+  }
+
   sim::Simulator borrower_sim;
   sim::Simulator donor_sim;
-  hyper::Hypervisor borrower(borrower_sim, hyp_config(kPhys));
-  hyper::Hypervisor donor(donor_sim, hyp_config(kPhys));
-  LendingBroker broker({&borrower, &donor});
-  donor.set_node_quota(kPhys / 2);
-  broker.sync_window();
+  hyper::Hypervisor borrower;
+  hyper::Hypervisor donor;
+  LendingBroker broker;
+};
 
-  constexpr SimTime kIssue = 3 * kMillisecond;
-  borrower_sim.run_until(kIssue);  // the donor's clock stays at 0
-  ASSERT_TRUE(broker.port(0)->remote_put(kVm, PoolType::kPersistent, 1, 0,
-                                         42).ok());
-  EXPECT_EQ(broker.fabric().in_flight(0), 1u);
-  EXPECT_EQ(borrower_sim.pending_events(), 1u);
-  EXPECT_EQ(donor_sim.pending_events(), 0u);
+// An exchange starts at the borrower's clock, not the donor's: with the
+// borrower at 3 ms and the donor still at 0, a request-hop outage over
+// [0, 1 ms) lies in the borrower's past, so the put is fault-free and costs
+// exactly one round trip on an idle pair.
+TEST(AsyncLendingTest, RoundTripIsTimedFromTheBorrowersClock) {
+  comm::ClusterTopology topo;
+  topo.internode_lend_req.faults.down_from = 0;
+  topo.internode_lend_req.faults.down_until = 1 * kMillisecond;
+  TwoClockRig rig(topo);
+  rig.borrower_sim.run_until(3 * kMillisecond);
+  ASSERT_EQ(rig.donor_sim.now(), 0);
 
-  // The timer fires one round trip after the borrower's own clock.
-  EXPECT_EQ(borrower_sim.run(), kIssue + 2 * kHop + kService);
-  EXPECT_EQ(broker.fabric().in_flight(0), 0u);
-  EXPECT_EQ(donor_sim.pending_events(), 0u);
+  const hyper::TmemOp put =
+      rig.broker.port(0)->remote_put(kVm, PoolType::kPersistent, 1, 0, 42);
+  ASSERT_TRUE(put.ok());
+  EXPECT_EQ(put.fabric, 2 * kHop + kService);
+  EXPECT_EQ(rig.broker.fabric().totals().outage_drops, 0u);
+}
+
+// A borrow is a synchronous hypercall: put, get and flush compute their
+// exchange in place and leave both event queues as they found them, even
+// when every attempt times out.
+TEST(AsyncLendingTest, BorrowsScheduleNoSimulatorEvent) {
+  comm::ClusterTopology lossy;
+  lossy.internode_lend_req.faults.loss_rate = 1.0;
+  for (const comm::ClusterTopology& topo : {comm::ClusterTopology(), lossy}) {
+    const bool lost = topo.internode_lend_req.faults.loss_rate > 0.0;
+    SCOPED_TRACE(lost ? "100 % request loss" : "fault-free");
+    TwoClockRig rig(topo);
+    const std::size_t borrower_events = rig.borrower_sim.pending_events();
+    const std::size_t donor_events = rig.donor_sim.pending_events();
+
+    hyper::RemoteTmem* port = rig.broker.port(0);
+    const hyper::TmemOp put =
+        port->remote_put(kVm, PoolType::kPersistent, 1, 0, 42);
+    EXPECT_EQ(put.ok(), !lost);
+    const hyper::TmemOp got = port->remote_get(kVm, PoolType::kPersistent, 1, 0);
+    EXPECT_EQ(got.ok(), !lost);
+    EXPECT_EQ(port->remote_flush(kVm, PoolType::kPersistent, 1, 0), !lost);
+    if (lost) {
+      EXPECT_EQ(put.fabric, kLendMaxAttempts * kLendTimeout);
+      EXPECT_EQ(rig.broker.fabric().totals().timeouts, kLendMaxAttempts);
+    }
+
+    EXPECT_EQ(rig.borrower_sim.pending_events(), borrower_events);
+    EXPECT_EQ(rig.donor_sim.pending_events(), donor_events);
+  }
 }
 
 TEST(AsyncLendingTest, DonorQueueSerializesBackToBackExchanges) {
@@ -257,8 +298,9 @@ TEST(AsyncLendingTest, FailedReplacementDropsTheEntrySoOwnsNeverLies) {
   EXPECT_EQ(rig.broker.failed_placements(), 0u);
 }
 
-// The fabric models neither duplication nor a response-hop queue: a
-// topology that sets either is refused instead of silently ignored.
+// The fabric models neither duplication nor a queue on either hop: a
+// topology that sets a duplication rate, a queue capacity or the
+// drop-oldest policy is refused instead of silently ignored.
 TEST(AsyncLendingTest, RejectsHopFieldsTheFabricDoesNotModel) {
   sim::Simulator sim;
   const std::vector<sim::Simulator*> sims = {&sim, &sim};
@@ -268,47 +310,27 @@ TEST(AsyncLendingTest, RejectsHopFieldsTheFabricDoesNotModel) {
   comm::ClusterTopology dup_resp;
   dup_resp.internode_lend_resp.faults.duplication_rate = 0.1;
   EXPECT_THROW(LendFabric(dup_resp, async_on(), sims), std::invalid_argument);
+  comm::ClusterTopology req_queue;
+  req_queue.internode_lend_req.queue_capacity = 4;
+  EXPECT_THROW(LendFabric(req_queue, async_on(), sims), std::invalid_argument);
   comm::ClusterTopology resp_queue;
   resp_queue.internode_lend_resp.queue_capacity = 4;
   EXPECT_THROW(LendFabric(resp_queue, async_on(), sims),
                std::invalid_argument);
-  // The request hop's queue bounds the in-flight window (below).
-  comm::ClusterTopology req_queue;
-  req_queue.internode_lend_req.queue_capacity = 4;
-  EXPECT_NO_THROW(LendFabric(req_queue, async_on(), sims));
+  comm::ClusterTopology req_oldest;
+  req_oldest.internode_lend_req.queue_policy = comm::QueuePolicy::kDropOldest;
+  EXPECT_THROW(LendFabric(req_oldest, async_on(), sims),
+               std::invalid_argument);
+  comm::ClusterTopology resp_oldest;
+  resp_oldest.internode_lend_resp.queue_policy = comm::QueuePolicy::kDropOldest;
+  EXPECT_THROW(LendFabric(resp_oldest, async_on(), sims),
+               std::invalid_argument);
+  EXPECT_NO_THROW(LendFabric(comm::ClusterTopology(), async_on(), sims));
   // The broker builds its fabric in its constructor, so it refuses too.
   hyper::Hypervisor a(sim, hyp_config(kPhys));
   hyper::Hypervisor b(sim, hyp_config(kPhys));
   EXPECT_THROW(LendingBroker({&a, &b}, dup_resp, async_on()),
                std::invalid_argument);
-}
-
-TEST(AsyncLendingTest, BoundedInFlightWindowCongestsThenDrains) {
-  comm::ClusterTopology topo;
-  topo.internode_lend_req.queue_capacity = 2;
-  AsyncRig rig(topo, async_on());
-
-  // Two exchanges in flight saturate the pipe; the third is refused
-  // without touching the wire.
-  ASSERT_TRUE(rig.broker.port(0)
-                  ->remote_put(kVm, PoolType::kPersistent, 1, 0, 42)
-                  .ok());
-  ASSERT_TRUE(rig.broker.port(0)
-                  ->remote_put(kVm, PoolType::kPersistent, 1, 1, 43)
-                  .ok());
-  EXPECT_EQ(rig.broker.fabric().in_flight(0), 2u);
-  EXPECT_FALSE(rig.broker.port(0)
-                   ->remote_put(kVm, PoolType::kPersistent, 1, 2, 44)
-                   .ok());
-  EXPECT_EQ(rig.totals().congestion_drops, 1u);
-  EXPECT_EQ(rig.totals().requests, 2u);  // the refused one never sent
-
-  // Completion timers drain the window; fresh placements flow again.
-  rig.sim.run();
-  EXPECT_EQ(rig.broker.fabric().in_flight(0), 0u);
-  EXPECT_TRUE(rig.broker.port(0)
-                  ->remote_put(kVm, PoolType::kPersistent, 1, 2, 44)
-                  .ok());
 }
 
 // ---- BorrowCache unit behaviour -------------------------------------------

@@ -1,7 +1,8 @@
 // Fleet determinism contracts (DESIGN §12): the fleet experiment is a pure
 // function of its config — delta framing (resync_every > 1) replays the
 // exact event timeline of the full-vector default (only the byte accounting
-// may differ), and a different seed reshuffles the workload.
+// may differ), and a different seed reshuffles the workload. A deadline cap
+// truncates a lending fleet cleanly.
 #include <gtest/gtest.h>
 
 #include <cstddef>
@@ -83,6 +84,27 @@ TEST(FleetDeterminism, SeedChangesOutcome) {
   // Not a byte-identity target — different seeds must actually reshuffle
   // the workload (guards against the seed being dropped on the floor).
   EXPECT_NE(a.puts_total, b.puts_total);
+}
+
+TEST(FleetDeterminism, TruncatedFleetRunCompletesCleanly) {
+  // deadline_cap cuts a lending-heavy fleet run mid-scenario: the VMs wind
+  // down and the run must finish near the cap with fabric traffic on the
+  // record (the fuzz battery checks the fabric's counter identities).
+  FleetExperimentConfig cfg;
+  cfg.nodes = 3;
+  cfg.vms_per_node = 2;
+  cfg.scale = 0.0625;
+  cfg.seed = 42;
+  cfg.lending_heavy = true;
+  cfg.lending_async.cache_pages = 16;
+  cfg.lend_rtt_x = 50.0;
+  cfg.deadline_cap = 8 * kSecond;
+
+  const FleetRunResult r = run_fleet_scenario(cfg);
+  EXPECT_GT(r.fabric_requests, 0u);
+  // The wind-down may run slightly past the cap, but nowhere near the
+  // uncapped makespan.
+  EXPECT_LT(r.makespan_s, 10.0);
 }
 
 }  // namespace

@@ -17,16 +17,6 @@ TmemStore make_store(PageCount pages, bool dedup = false) {
   return TmemStore(cfg);
 }
 
-TEST(TmemStoreTest, PoolLifecycle) {
-  TmemStore store = make_store(10);
-  const PoolId p = store.create_pool(1, PoolType::kPersistent);
-  EXPECT_TRUE(store.pool_exists(p));
-  EXPECT_EQ(store.pool_type(p), PoolType::kPersistent);
-  EXPECT_EQ(store.pool_owner(p), 1u);
-  EXPECT_FALSE(store.pool_exists(p + 1));
-  EXPECT_FALSE(store.pool_type(p + 1).has_value());
-}
-
 TEST(TmemStoreTest, PoolIdsAreDistinct) {
   TmemStore store = make_store(10);
   const PoolId a = store.create_pool(1, PoolType::kPersistent);
